@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use arbitrex_core::arbitration::{try_arbitrate, try_arbitrate_with_budget};
+use arbitrex_core::arbitration::try_arbitrate_with_budget;
 use arbitrex_core::satbackend::{dalal_revision_sat_budgeted, odist_fitting_sat_budgeted};
 use arbitrex_core::{
     Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, ChangeOperator, CoreError, FaultPlan,
@@ -327,31 +327,28 @@ pub fn cmd_change_sat(
 
 /// `arbitrex arbitrate "<psi>" "<phi>"` — the symmetric consensus.
 pub fn cmd_arbitrate(psi_text: &str, phi_text: &str) -> Result<String, CliError> {
-    let (sig, psi, phi) = parse_both(psi_text, phi_text)?;
-    let n = sig.width();
-    let psi_m = ModelSet::of_formula(&psi, n);
-    let phi_m = ModelSet::of_formula(&phi, n);
-    let result = try_arbitrate(&psi_m, &phi_m).map_err(limit_err)?;
-    Ok(format!(
-        "ψ Δ φ models: {}\nformula:      {}\n",
-        result.display(&sig),
-        arbitrex_logic::minimal_dnf(&result).display(&sig),
-    ))
+    cmd_arbitrate_with(psi_text, phi_text, None)
 }
 
-/// [`cmd_arbitrate`] under a [`Budget`]; a tripped budget reports the
-/// partial consensus as an [`ErrorKind::Budget`] error.
-pub fn cmd_arbitrate_budgeted(
+/// [`cmd_arbitrate`], under `budget` when budget flags were given: the
+/// output then ends with a `budget:` verdict line, and a tripped budget
+/// reports the partial consensus as an [`ErrorKind::Budget`] error.
+pub fn cmd_arbitrate_with(
     psi_text: &str,
     phi_text: &str,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<String, CliError> {
     let (sig, psi, phi) = parse_both(psi_text, phi_text)?;
     let n = sig.width();
     let psi_m = ModelSet::of_formula(&psi, n);
     let phi_m = ModelSet::of_formula(&phi, n);
-    let out = try_arbitrate_with_budget(&psi_m, &phi_m, budget).map_err(limit_err)?;
-    let verdict = budget_verdict(&sig, &out.models, out.quality, &out.spent)?;
+    let unlimited = Budget::unlimited();
+    let out = try_arbitrate_with_budget(&psi_m, &phi_m, budget.unwrap_or(&unlimited))
+        .map_err(limit_err)?;
+    let verdict = match budget {
+        Some(_) => budget_verdict(&sig, &out.models, out.quality, &out.spent)?,
+        None => String::new(),
+    };
     Ok(format!(
         "ψ Δ φ models: {}\nformula:      {}\n{}",
         out.models.display(&sig),
@@ -1043,10 +1040,7 @@ fn dispatch(args: &[String], ctx: &ExecCtx) -> Result<String, CliError> {
             _ => err("usage: arbitrex change <operator> \"<psi>\" \"<mu>\""),
         },
         Some("arbitrate") => match args {
-            [_, psi, phi] => match &ctx.budget {
-                Some(b) => cmd_arbitrate_budgeted(psi, phi, b),
-                None => cmd_arbitrate(psi, phi),
-            },
+            [_, psi, phi] => cmd_arbitrate_with(psi, phi, ctx.budget.as_ref()),
             _ => err("usage: arbitrex arbitrate \"<psi>\" \"<phi>\""),
         },
         Some("models") => match args {

@@ -7,13 +7,12 @@
 //! commutative, arbitration is commutative — the defining symmetry that
 //! revision and update lack.
 
-use crate::budget::{Budget, Outcome, Quality, WeightedOutcome};
+use crate::budget::{Budget, Outcome, WeightedOutcome};
 use crate::error::CoreError;
 use crate::fitting::{GMaxFitting, LexOdistFitting, OdistFitting, RankFitting, SumFitting};
 use crate::kernel::{
-    gmax_fill_pruned, odist_pruned, select_min_budgeted, select_min_universe,
-    select_min_universe_budgeted, select_min_universe_mono, select_min_universe_mono_budgeted,
-    select_min_universe_odist, select_min_universe_odist_budgeted, select_min_vec, PopProfile,
+    gmax_fill_pruned, odist_pruned, select_min_universe, select_min_universe_mono,
+    select_min_universe_odist, select_min_vec, BudgetedSelect, PopProfile,
 };
 use crate::operator::ChangeOperator;
 use crate::weighted::WeightedKb;
@@ -44,10 +43,11 @@ pub trait UniverseFitting: ChangeOperator {
     /// completion when `budget` gives out, per the
     /// [`Quality`](crate::budget::Quality) containment contract.
     ///
-    /// The provided default cannot interrupt an opaque [`apply`]
-    /// (`ChangeOperator::apply`), so it runs exactly and reports
-    /// [`Quality::Exact`]; the concrete fitting operators override it to
-    /// thread the budget through the selection kernel.
+    /// The provided default cannot interrupt an opaque
+    /// [`apply`](ChangeOperator::apply), so it runs exactly and reports
+    /// [`Quality::Exact`](crate::budget::Quality::Exact); the concrete
+    /// fitting operators override it to thread the budget through the
+    /// selection kernel.
     fn apply_universe_budgeted(
         &self,
         psi: &ModelSet,
@@ -57,50 +57,32 @@ pub trait UniverseFitting: ChangeOperator {
     }
 }
 
-impl UniverseFitting for OdistFitting {
-    fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
+/// The selection `ψ ▷ ⊤` of an unsatisfiable ψ: nothing, once the width is
+/// known to be enumerable.
+fn empty_universe<K>(n: u32) -> Result<BudgetedSelect<K>, CoreError> {
+    CoreError::check_enum_limit(n)?;
+    Ok(BudgetedSelect::exact(None, ModelSet::empty(n)))
+}
+
+impl OdistFitting {
+    fn select_universe(
+        &self,
+        psi: &ModelSet,
+        budget: &Budget,
+    ) -> Result<BudgetedSelect<u32>, CoreError> {
         let n = psi.n_vars();
         if psi.is_empty() {
-            CoreError::check_enum_limit(n)?;
-            return Ok(ModelSet::empty(n));
+            return empty_universe(n);
         }
         // Branch-and-bound with the pairwise triangle-inequality bound —
         // far stronger than the bare monotone bound for the max aggregate.
-        let (_, min) = select_min_universe_odist(n, psi.as_slice())?;
-        Ok(min)
-    }
-
-    fn apply_universe_budgeted(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<Outcome, CoreError> {
-        let n = psi.n_vars();
-        if psi.is_empty() {
-            CoreError::check_enum_limit(n)?;
-            return Ok(Outcome::exact(ModelSet::empty(n), budget));
-        }
-        Ok(select_min_universe_odist_budgeted(n, psi.as_slice(), budget)?.into_outcome(budget))
+        select_min_universe_odist(n, psi.as_slice(), budget)
     }
 }
 
-impl UniverseFitting for LexOdistFitting {
+impl UniverseFitting for OdistFitting {
     fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        let n = psi.n_vars();
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => {
-                CoreError::check_enum_limit(n)?;
-                return Ok(ModelSet::empty(n));
-            }
-        };
-        let slice = psi.as_slice();
-        let (_, min) = select_min_universe(n, || {
-            |i: Interp, cap: Option<&(u32, u64)>| {
-                odist_pruned(slice, &prof, i, cap.map(|c| c.0)).map(|d| (d, i.0))
-            }
-        })?;
-        Ok(min)
+        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
     }
 
     fn apply_universe_budgeted(
@@ -108,16 +90,22 @@ impl UniverseFitting for LexOdistFitting {
         psi: &ModelSet,
         budget: &Budget,
     ) -> Result<Outcome, CoreError> {
+        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
+    }
+}
+
+impl LexOdistFitting {
+    fn select_universe(
+        &self,
+        psi: &ModelSet,
+        budget: &Budget,
+    ) -> Result<BudgetedSelect<(u32, u64)>, CoreError> {
         let n = psi.n_vars();
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => {
-                CoreError::check_enum_limit(n)?;
-                return Ok(Outcome::exact(ModelSet::empty(n), budget));
-            }
+        let Some(prof) = PopProfile::of(psi) else {
+            return empty_universe(n);
         };
         let slice = psi.as_slice();
-        let sel = select_min_universe_budgeted(
+        select_min_universe(
             n,
             || {
                 |i: Interp, cap: Option<&(u32, u64)>| {
@@ -125,22 +113,46 @@ impl UniverseFitting for LexOdistFitting {
                 }
             },
             budget,
-        )?;
-        Ok(sel.into_outcome(budget))
+        )
+    }
+}
+
+impl UniverseFitting for LexOdistFitting {
+    fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
+        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
+    }
+
+    fn apply_universe_budgeted(
+        &self,
+        psi: &ModelSet,
+        budget: &Budget,
+    ) -> Result<Outcome, CoreError> {
+        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
+    }
+}
+
+impl SumFitting {
+    fn select_universe(
+        &self,
+        psi: &ModelSet,
+        budget: &Budget,
+    ) -> Result<BudgetedSelect<u64>, CoreError> {
+        let n = psi.n_vars();
+        if psi.is_empty() {
+            return empty_universe(n);
+        }
+        select_min_universe_mono(
+            n,
+            psi.as_slice(),
+            |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>(),
+            budget,
+        )
     }
 }
 
 impl UniverseFitting for SumFitting {
     fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        let n = psi.n_vars();
-        if psi.is_empty() {
-            CoreError::check_enum_limit(n)?;
-            return Ok(ModelSet::empty(n));
-        }
-        let (_, min) = select_min_universe_mono(n, psi.as_slice(), |d: &[u32]| {
-            d.iter().map(|&x| x as u64).sum::<u64>()
-        })?;
-        Ok(min)
+        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
     }
 
     fn apply_universe_budgeted(
@@ -148,34 +160,35 @@ impl UniverseFitting for SumFitting {
         psi: &ModelSet,
         budget: &Budget,
     ) -> Result<Outcome, CoreError> {
+        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
+    }
+}
+
+impl GMaxFitting {
+    fn select_universe(
+        &self,
+        psi: &ModelSet,
+        budget: &Budget,
+    ) -> Result<BudgetedSelect<Vec<u32>>, CoreError> {
         let n = psi.n_vars();
-        if psi.is_empty() {
-            CoreError::check_enum_limit(n)?;
-            return Ok(Outcome::exact(ModelSet::empty(n), budget));
-        }
-        let sel = select_min_universe_mono_budgeted(
+        let Some(prof) = PopProfile::of(psi) else {
+            return empty_universe(n);
+        };
+        CoreError::check_enum_limit(n)?;
+        // Streamed but sequential: the buffer-reusing vector selection
+        // keeps allocation flat, which matters more here than chunking.
+        Ok(select_min_vec(
             n,
-            psi.as_slice(),
-            |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>(),
+            all_interps(n),
+            |i, cap, buf| gmax_fill_pruned(psi.as_slice(), &prof, i, cap, buf),
             budget,
-        )?;
-        Ok(sel.into_outcome(budget))
+        ))
     }
 }
 
 impl UniverseFitting for GMaxFitting {
     fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        let n = psi.n_vars();
-        CoreError::check_enum_limit(n)?;
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return Ok(ModelSet::empty(n)),
-        };
-        // Streamed but sequential: the buffer-reusing vector selection
-        // keeps allocation flat, which matters more here than chunking.
-        Ok(select_min_vec(n, all_interps(n), |i, cap, buf| {
-            gmax_fill_pruned(psi.as_slice(), &prof, i, cap, buf)
-        }))
+        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
     }
 
     fn apply_universe_budgeted(
@@ -183,33 +196,7 @@ impl UniverseFitting for GMaxFitting {
         psi: &ModelSet,
         budget: &Budget,
     ) -> Result<Outcome, CoreError> {
-        let n = psi.n_vars();
-        CoreError::check_enum_limit(n)?;
-        if budget.is_unconstrained() {
-            return Ok(Outcome::exact(self.apply_universe(psi)?, budget));
-        }
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return Ok(Outcome::exact(ModelSet::empty(n), budget)),
-        };
-        let slice = psi.as_slice();
-        // The budgeted scan ranks with an allocated vector key (the exact
-        // path's buffer swapping doesn't compose with frontier tracking);
-        // acceptable for a path that is by definition resource-limited.
-        let mut buf: Vec<u32> = Vec::new();
-        let sel = select_min_budgeted(
-            n,
-            all_interps(n),
-            |i, cap: Option<&Vec<u32>>| {
-                if gmax_fill_pruned(slice, &prof, i, cap.map(|c| c.as_slice()), &mut buf) {
-                    Some(buf.clone())
-                } else {
-                    None
-                }
-            },
-            budget,
-        );
-        Ok(sel.into_outcome(budget))
+        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
     }
 }
 
@@ -240,40 +227,20 @@ pub trait WeightedUniverseFitting: WeightedChangeOperator {
     }
 }
 
-impl WeightedUniverseFitting for WdistFitting {
-    fn apply_universe(&self, psi: &WeightedKb) -> Result<WeightedKb, CoreError> {
-        crate::telemetry::WDIST_APPLICATIONS.incr();
-        let n = psi.n_vars();
-        if !psi.is_satisfiable() {
-            CoreError::check_enum_limit(n)?;
-            return Ok(WeightedKb::unsatisfiable(n));
-        }
-        let (models, weights): (Vec<Interp>, Vec<u64>) = psi.support().unzip();
-        crate::telemetry::WSUPPORT_SCANNED.add(models.len() as u64);
-        let (_, min) = select_min_universe_mono(n, &models, |d: &[u32]| {
-            d.iter()
-                .zip(&weights)
-                .map(|(&x, &w)| x as u128 * w as u128)
-                .sum::<u128>()
-        })?;
-        // Every interpretation carries weight 1 in 𝓜̃.
-        Ok(WeightedKb::from_weights(n, min.iter().map(|i| (i, 1))))
-    }
-
-    fn apply_universe_budgeted(
+impl WdistFitting {
+    fn select_universe(
         &self,
         psi: &WeightedKb,
         budget: &Budget,
-    ) -> Result<WeightedOutcome, CoreError> {
+    ) -> Result<BudgetedSelect<u128>, CoreError> {
         crate::telemetry::WDIST_APPLICATIONS.incr();
         let n = psi.n_vars();
         if !psi.is_satisfiable() {
-            CoreError::check_enum_limit(n)?;
-            return Ok(WeightedOutcome::exact(WeightedKb::unsatisfiable(n), budget));
+            return empty_universe(n);
         }
         let (models, weights): (Vec<Interp>, Vec<u64>) = psi.support().unzip();
         crate::telemetry::WSUPPORT_SCANNED.add(models.len() as u64);
-        let sel = select_min_universe_mono_budgeted(
+        select_min_universe_mono(
             n,
             &models,
             |d: &[u32]| {
@@ -283,21 +250,29 @@ impl WeightedUniverseFitting for WdistFitting {
                     .sum::<u128>()
             },
             budget,
-        )?;
-        // Every interpretation carries weight 1 in 𝓜̃, so minimizers and
-        // frontier members alike enter the degraded result with weight 1.
-        let quality = sel.quality();
-        let support = match (quality, sel.frontier) {
-            (Quality::UpperBound, Some(f)) if !f.is_empty() => {
-                sel.minima.union(&ModelSet::new(n, f))
-            }
-            _ => sel.minima,
-        };
-        Ok(WeightedOutcome::new(
-            WeightedKb::from_weights(n, support.iter().map(|i| (i, 1))),
-            quality,
-            budget,
+        )
+    }
+}
+
+// Every interpretation carries weight 1 in 𝓜̃, so minimizers and (on
+// degradation) frontier members alike enter the result with weight 1.
+impl WeightedUniverseFitting for WdistFitting {
+    fn apply_universe(&self, psi: &WeightedKb) -> Result<WeightedKb, CoreError> {
+        let min = self.select_universe(psi, &Budget::unlimited())?.minima;
+        Ok(WeightedKb::from_weights(
+            psi.n_vars(),
+            min.iter().map(|i| (i, 1)),
         ))
+    }
+
+    fn apply_universe_budgeted(
+        &self,
+        psi: &WeightedKb,
+        budget: &Budget,
+    ) -> Result<WeightedOutcome, CoreError> {
+        Ok(self
+            .select_universe(psi, budget)?
+            .into_weighted_outcome(budget, |_| 1))
     }
 }
 
@@ -420,17 +395,6 @@ pub fn arbitrate(psi: &ModelSet, phi: &ModelSet) -> ModelSet {
 /// ```
 pub fn try_arbitrate(psi: &ModelSet, phi: &ModelSet) -> Result<ModelSet, CoreError> {
     Arbitration::default().try_apply(psi, phi)
-}
-
-/// [`try_arbitrate`] plus the per-call [`TelemetrySnapshot`] it produced
-/// (all zeros when the `telemetry` feature is off). Resets the global
-/// counters first — see [`crate::telemetry::capture`] for the concurrency
-/// caveat.
-pub fn try_arbitrate_with_stats(
-    psi: &ModelSet,
-    phi: &ModelSet,
-) -> (Result<ModelSet, CoreError>, crate::TelemetrySnapshot) {
-    crate::telemetry::capture(|| try_arbitrate(psi, phi))
 }
 
 /// [`try_arbitrate`] under a [`Budget`]: a typed, degrade-gracefully
@@ -595,17 +559,6 @@ pub fn warbitrate(psi: &WeightedKb, phi: &WeightedKb) -> WeightedKb {
 /// ```
 pub fn try_warbitrate(psi: &WeightedKb, phi: &WeightedKb) -> Result<WeightedKb, CoreError> {
     WeightedArbitration::default().try_apply(psi, phi)
-}
-
-/// [`try_warbitrate`] plus the per-call [`TelemetrySnapshot`] it produced
-/// (all zeros when the `telemetry` feature is off). Resets the global
-/// counters first — see [`crate::telemetry::capture`] for the concurrency
-/// caveat.
-pub fn try_warbitrate_with_stats(
-    psi: &WeightedKb,
-    phi: &WeightedKb,
-) -> (Result<WeightedKb, CoreError>, crate::TelemetrySnapshot) {
-    crate::telemetry::capture(|| try_warbitrate(psi, phi))
 }
 
 /// [`try_warbitrate`] under a [`Budget`]: a typed, degrade-gracefully
@@ -858,6 +811,21 @@ mod tests {
             assert!(check.1.is_exact());
             assert_eq!(check.1.models, check.0);
         }
+    }
+
+    #[test]
+    fn unlimited_budget_meters_the_branch_and_bound() {
+        use crate::budget::Budget;
+        // At n = 12 arbitration takes the odist branch-and-bound; an
+        // unlimited budget runs that same metered search and the outcome
+        // reports the nodes it opened.
+        let psi = ms(12, &[0b0000_0000_0111, 0b1111_0000_0000]);
+        let phi = ms(12, &[0b0000_1111_0000, 0b0101_0101_0101]);
+        let out = try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited()).unwrap();
+        assert!(out.is_exact());
+        assert_eq!(out.models, try_arbitrate(&psi, &phi).unwrap());
+        assert_eq!(out.models, crate::kernel::naive::arbitrate(&psi, &phi));
+        assert!(out.spent.nodes > 0, "{:?}", out.spent);
     }
 
     #[test]

@@ -18,9 +18,14 @@
 //!   the best *incumbents* only, with no containment guarantee in either
 //!   direction.
 //!
-//! An unconstrained budget ([`Budget::unlimited`]) routes every budgeted
-//! entry point through the exact fast path, so the unbudgeted numbers of
-//! the selection kernel are unaffected.
+//! The selection kernel has one implementation per algorithm, and it is
+//! always metered: an unconstrained budget ([`Budget::unlimited`]) runs
+//! the same scans and searches as any other, charging
+//! [`BudgetSite::Scan`] per candidate and [`BudgetSite::Node`] per
+//! branch-and-bound node through batching meters — it just never trips.
+//! [`Outcome::spent`] therefore reports the kernel work of exact runs
+//! too. The SAT backend still leaves its solvers unarmed under an
+//! unconstrained budget, so exact SAT runs charge no conflicts.
 
 pub use arbitrex_telemetry::budget::{
     Budget, BudgetSite, BudgetSpent, CancelToken, Exhausted, FaultPlan, TripReason,

@@ -10,8 +10,8 @@
 
 use crate::budget::{Budget, BudgetedChangeOperator, Outcome};
 use crate::kernel::{
-    gmax_fill_pruned, odist_pruned, select_min, select_min_budgeted, select_min_vec,
-    sum_dist_pruned, PopProfile,
+    gmax_fill_pruned, odist_pruned, select_min, select_min_vec, sum_dist_pruned, BudgetedSelect,
+    PopProfile,
 };
 use crate::operator::ChangeOperator;
 use crate::preorder::min_by_rank;
@@ -48,37 +48,34 @@ use arbitrex_logic::{Interp, ModelSet};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OdistFitting;
 
+impl OdistFitting {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<u32> {
+        // (A2): nothing can be fitted to an unsatisfiable knowledge base.
+        let Some(prof) = PopProfile::of(psi) else {
+            return BudgetedSelect::exact(None, ModelSet::empty(mu.n_vars()));
+        };
+        select_min(
+            mu.n_vars(),
+            mu.iter(),
+            |i, cap| odist_pruned(psi.as_slice(), &prof, i, cap.copied()),
+            budget,
+        )
+    }
+}
+
 impl ChangeOperator for OdistFitting {
     fn name(&self) -> &'static str {
         "odist-fitting"
     }
 
     fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
-        // (A2): nothing can be fitted to an unsatisfiable knowledge base.
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return ModelSet::empty(mu.n_vars()),
-        };
-        let (_, min) = select_min(mu.n_vars(), mu.iter(), |i, cap| {
-            odist_pruned(psi.as_slice(), &prof, i, cap.copied())
-        });
-        min
+        self.select(psi, mu, &Budget::unlimited()).minima
     }
 }
 
 impl BudgetedChangeOperator for OdistFitting {
     fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return Outcome::exact(ModelSet::empty(mu.n_vars()), budget),
-        };
-        select_min_budgeted(
-            mu.n_vars(),
-            mu.iter(),
-            |i, cap: Option<&u32>| odist_pruned(psi.as_slice(), &prof, i, cap.copied()),
-            budget,
-        )
-        .into_outcome(budget)
+        self.select(psi, mu, budget).into_outcome(budget)
     }
 }
 
@@ -96,32 +93,14 @@ impl BudgetedChangeOperator for OdistFitting {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LexOdistFitting;
 
-impl ChangeOperator for LexOdistFitting {
-    fn name(&self) -> &'static str {
-        "lex-odist-fitting"
-    }
-
-    fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return ModelSet::empty(mu.n_vars()),
+impl LexOdistFitting {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<(u32, u64)> {
+        let Some(prof) = PopProfile::of(psi) else {
+            return BudgetedSelect::exact(None, ModelSet::empty(mu.n_vars()));
         };
         // Prune on the leading odist component: any candidate whose odist
         // strictly exceeds the best's is lexicographically greater.
-        let (_, min) = select_min(mu.n_vars(), mu.iter(), |i, cap: Option<&(u32, u64)>| {
-            odist_pruned(psi.as_slice(), &prof, i, cap.map(|c| c.0)).map(|d| (d, i.0))
-        });
-        min
-    }
-}
-
-impl BudgetedChangeOperator for LexOdistFitting {
-    fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return Outcome::exact(ModelSet::empty(mu.n_vars()), budget),
-        };
-        select_min_budgeted(
+        select_min(
             mu.n_vars(),
             mu.iter(),
             |i, cap: Option<&(u32, u64)>| {
@@ -129,7 +108,22 @@ impl BudgetedChangeOperator for LexOdistFitting {
             },
             budget,
         )
-        .into_outcome(budget)
+    }
+}
+
+impl ChangeOperator for LexOdistFitting {
+    fn name(&self) -> &'static str {
+        "lex-odist-fitting"
+    }
+
+    fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
+        self.select(psi, mu, &Budget::unlimited()).minima
+    }
+}
+
+impl BudgetedChangeOperator for LexOdistFitting {
+    fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
+        self.select(psi, mu, budget).into_outcome(budget)
     }
 }
 
@@ -147,36 +141,33 @@ impl BudgetedChangeOperator for LexOdistFitting {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SumFitting;
 
+impl SumFitting {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<u64> {
+        let Some(prof) = PopProfile::of(psi) else {
+            return BudgetedSelect::exact(None, ModelSet::empty(mu.n_vars()));
+        };
+        select_min(
+            mu.n_vars(),
+            mu.iter(),
+            |i, cap| sum_dist_pruned(psi.as_slice(), &prof, i, cap.copied()),
+            budget,
+        )
+    }
+}
+
 impl ChangeOperator for SumFitting {
     fn name(&self) -> &'static str {
         "sum-fitting"
     }
 
     fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return ModelSet::empty(mu.n_vars()),
-        };
-        let (_, min) = select_min(mu.n_vars(), mu.iter(), |i, cap| {
-            sum_dist_pruned(psi.as_slice(), &prof, i, cap.copied())
-        });
-        min
+        self.select(psi, mu, &Budget::unlimited()).minima
     }
 }
 
 impl BudgetedChangeOperator for SumFitting {
     fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return Outcome::exact(ModelSet::empty(mu.n_vars()), budget),
-        };
-        select_min_budgeted(
-            mu.n_vars(),
-            mu.iter(),
-            |i, cap: Option<&u64>| sum_dist_pruned(psi.as_slice(), &prof, i, cap.copied()),
-            budget,
-        )
-        .into_outcome(budget)
+        self.select(psi, mu, budget).into_outcome(budget)
     }
 }
 
@@ -203,54 +194,34 @@ pub fn gmax_vector(psi: &ModelSet, i: Interp) -> Vec<u32> {
     v
 }
 
+impl GMaxFitting {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<Vec<u32>> {
+        let Some(prof) = PopProfile::of(psi) else {
+            return BudgetedSelect::exact(None, ModelSet::empty(mu.n_vars()));
+        };
+        // Buffer-reusing selection: no per-candidate Vec allocation.
+        select_min_vec(
+            mu.n_vars(),
+            mu.iter(),
+            |i, cap, buf| gmax_fill_pruned(psi.as_slice(), &prof, i, cap, buf),
+            budget,
+        )
+    }
+}
+
 impl ChangeOperator for GMaxFitting {
     fn name(&self) -> &'static str {
         "gmax-fitting"
     }
 
     fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return ModelSet::empty(mu.n_vars()),
-        };
-        // Buffer-reusing selection: no per-candidate Vec allocation.
-        select_min_vec(mu.n_vars(), mu.iter(), |i, cap, buf| {
-            gmax_fill_pruned(psi.as_slice(), &prof, i, cap, buf)
-        })
+        self.select(psi, mu, &Budget::unlimited()).minima
     }
 }
 
 impl BudgetedChangeOperator for GMaxFitting {
     fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
-        // The exact path's buffer swapping doesn't compose with frontier
-        // tracking, so stay on it unless the budget can actually trip.
-        if budget.is_unconstrained() {
-            return Outcome::exact(self.apply(psi, mu), budget);
-        }
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return Outcome::exact(ModelSet::empty(mu.n_vars()), budget),
-        };
-        let mut buf: Vec<u32> = Vec::new();
-        select_min_budgeted(
-            mu.n_vars(),
-            mu.iter(),
-            |i, cap: Option<&Vec<u32>>| {
-                if gmax_fill_pruned(
-                    psi.as_slice(),
-                    &prof,
-                    i,
-                    cap.map(|c| c.as_slice()),
-                    &mut buf,
-                ) {
-                    Some(buf.clone())
-                } else {
-                    None
-                }
-            },
-            budget,
-        )
-        .into_outcome(budget)
+        self.select(psi, mu, budget).into_outcome(budget)
     }
 }
 

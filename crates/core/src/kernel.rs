@@ -25,9 +25,17 @@
 //!    for odist, pairwise triangle-inequality) lower bounds — the layer
 //!    that lets arbitration beat the `2^n` linear-scan floor.
 //! 5. **Scoped-thread parallelism** (`parallel` feature, on by default):
-//!    universe scans are chunked across `std::thread::scope` workers that
-//!    share their best-so-far rank for cross-chunk pruning. Thread count
+//!    universe scans are chunked, and subcube searches split at their top
+//!    levels, across `std::thread::scope` workers that share their
+//!    best-so-far rank for cross-worker pruning. Thread count
 //!    follows available parallelism, overridable with `ARBITREX_THREADS`.
+//!
+//! Each algorithm has exactly one implementation, and it is metered: every
+//! selection takes a [`Budget`] and returns a [`BudgetedSelect`]. Scans
+//! tick [`BudgetSite::Scan`] per candidate and subcube searches tick
+//! [`BudgetSite::Node`] per node, both through a batching [`Meter`]; a
+//! trip leaves a typed, containment-preserving partial answer. An unlimited
+//! budget runs the same code and never trips.
 //!
 //! The pruned evaluators obey one contract, which [`select_min`] relies on
 //! for correctness: given a cap (the rank to beat), an evaluator must
@@ -39,11 +47,14 @@
 //! against live in [`naive`]; `tests/kernel_differential.rs` at the
 //! workspace root checks operator-level agreement on random inputs.
 
-use crate::budget::{Budget, BudgetSite, Exhausted, Outcome, Quality};
+use std::marker::PhantomData;
+
+use crate::budget::{Budget, BudgetSite, Exhausted, Outcome, Quality, WeightedOutcome};
 use crate::error::CoreError;
 use crate::telemetry;
 use crate::weighted::WeightedKb;
 use arbitrex_logic::{all_interps, Interp, ModelSet};
+use arbitrex_telemetry::budget::Meter;
 
 // ---------------------------------------------------------------------------
 // Layer 2: popcount-bucket bounds on Mod(ψ)
@@ -321,8 +332,171 @@ pub fn gmax_fill_pruned(
 }
 
 // ---------------------------------------------------------------------------
+// Selection results: incumbents, frontier, trip
+// ---------------------------------------------------------------------------
+
+/// Result of a kernel selection: the incumbents, the unexplored frontier,
+/// and the trip that ended the search (if any).
+///
+/// Containment contract (checked in `tests/budget_containment.rs`): when
+/// `trip` is `None` the result equals the exact selection. When the search
+/// was interrupted, `minima ∪ frontier` is a **superset** of the exact
+/// minima — cutting is sound even mid-search, because a subcube is only cut
+/// when its lower bound strictly exceeds a best key that some visited (or
+/// probed) candidate actually achieves. A `None` frontier means the
+/// unexplored region was too large to materialize (past
+/// [`Budget::frontier_limit`]) and only the incumbents survive.
+#[derive(Debug, Clone)]
+pub struct BudgetedSelect<K> {
+    /// The best key among visited candidates (for an interrupted search, an
+    /// upper bound on the true minimum).
+    pub best: Option<K>,
+    /// Candidates achieving `best` among those visited.
+    pub minima: ModelSet,
+    /// Candidates never ranked before the trip: `Some(vec![])` for an
+    /// exact search, `Some(..)` when materialized within the frontier
+    /// limit, `None` on frontier overflow.
+    pub frontier: Option<Vec<Interp>>,
+    /// The budget trip that stopped the search, if any.
+    pub trip: Option<Exhausted>,
+}
+
+impl<K> BudgetedSelect<K> {
+    /// A complete selection with nothing left unexplored.
+    pub(crate) fn exact(best: Option<K>, minima: ModelSet) -> Self {
+        BudgetedSelect {
+            best,
+            minima,
+            frontier: Some(Vec::new()),
+            trip: None,
+        }
+    }
+
+    /// The [`Quality`] level this selection supports.
+    pub fn quality(&self) -> Quality {
+        match (&self.trip, &self.frontier) {
+            (None, _) => Quality::Exact,
+            (Some(_), Some(_)) => Quality::UpperBound,
+            (Some(_), None) => Quality::Interrupted,
+        }
+    }
+
+    /// The answer's models and quality: `minima ∪ frontier` for an upper
+    /// bound, the incumbents for everything else.
+    fn into_models(self) -> (ModelSet, Quality) {
+        let quality = self.quality();
+        let models = match (quality, self.frontier) {
+            (Quality::UpperBound, Some(f)) if !f.is_empty() => {
+                let n = self.minima.n_vars();
+                self.minima.union(&ModelSet::new(n, f))
+            }
+            _ => self.minima,
+        };
+        (models, quality)
+    }
+
+    /// Convert into an operator [`Outcome`]: upper-bound results return
+    /// `minima ∪ frontier`, everything else returns the incumbents.
+    pub fn into_outcome(self, budget: &Budget) -> Outcome {
+        let (models, quality) = self.into_models();
+        Outcome::new(models, quality, budget)
+    }
+
+    /// Convert into a [`WeightedOutcome`], giving every returned model —
+    /// minimizer and unrefuted frontier member alike — the weight `weight`
+    /// assigns it, which preserves the weighted `Min` semantics on
+    /// degradation.
+    pub(crate) fn into_weighted_outcome(
+        self,
+        budget: &Budget,
+        weight: impl Fn(Interp) -> u64,
+    ) -> WeightedOutcome {
+        let (models, quality) = self.into_models();
+        let kb = WeightedKb::from_weights(models.n_vars(), models.iter().map(|i| (i, weight(i))));
+        WeightedOutcome::new(kb, quality, budget)
+    }
+}
+
+/// Drain the unscanned tail of a candidate pool into a frontier, bailing
+/// out (`None`) as soon as it exceeds `limit`.
+fn collect_frontier(rest: impl Iterator<Item = Interp>, limit: u64) -> Option<Vec<Interp>> {
+    let mut out: Vec<Interp> = Vec::new();
+    for i in rest {
+        if out.len() as u64 >= limit {
+            telemetry::FRONTIER_OVERFLOWS.incr();
+            return None;
+        }
+        out.push(i);
+    }
+    telemetry::FRONTIER_MODELS.add(out.len() as u64);
+    Some(out)
+}
+
+/// Materialize the interpretations of disjoint `(assigned-prefix, depth)`
+/// subcubes — free bits are `order[depth..]` — unless their total count
+/// exceeds `limit`.
+fn expand_frontier(order: &[u32], subcubes: &[(u64, usize)], limit: u64) -> Option<Vec<Interp>> {
+    let mut total = 0u64;
+    for &(_, depth) in subcubes {
+        let free = (order.len() - depth) as u32;
+        let count = 1u64.checked_shl(free).unwrap_or(u64::MAX);
+        total = total.saturating_add(count);
+        if total > limit {
+            telemetry::FRONTIER_OVERFLOWS.incr();
+            return None;
+        }
+    }
+    let mut out: Vec<Interp> = Vec::with_capacity(total as usize);
+    for &(prefix, depth) in subcubes {
+        let free_bits = &order[depth..];
+        for m in 0..1u64 << free_bits.len() {
+            let mut bits = prefix;
+            for (idx, &b) in free_bits.iter().enumerate() {
+                if m >> idx & 1 == 1 {
+                    bits |= 1 << b;
+                }
+            }
+            out.push(Interp(bits));
+        }
+    }
+    telemetry::FRONTIER_MODELS.add(out.len() as u64);
+    Some(out)
+}
+
+// ---------------------------------------------------------------------------
 // Layer 1: single-pass ranked selection
 // ---------------------------------------------------------------------------
+
+/// Close a metered scan: record its telemetry and, if the meter tripped
+/// on the unranked candidate `first`, drain it and the unscanned `rest`
+/// into the frontier.
+fn finish_scan<K>(
+    n_vars: u32,
+    best: Option<K>,
+    tied: Vec<Interp>,
+    (scanned, pruned): (u64, u64),
+    tripped: Option<(Exhausted, Interp)>,
+    rest: impl Iterator<Item = Interp>,
+    budget: &Budget,
+) -> BudgetedSelect<K> {
+    telemetry::SELECTIONS.incr();
+    telemetry::CANDIDATES_SCANNED.add(scanned);
+    telemetry::CANDIDATES_PRUNED.add(pruned);
+    telemetry::TIES_KEPT.add(tied.len() as u64);
+    let (trip, frontier) = match tripped {
+        None => (None, Some(Vec::new())),
+        Some((t, first)) => (
+            Some(t),
+            collect_frontier(std::iter::once(first).chain(rest), budget.frontier_limit()),
+        ),
+    };
+    BudgetedSelect {
+        best,
+        minima: ModelSet::new(n_vars, tied),
+        frontier,
+        trip,
+    }
+}
 
 /// Single-pass `Min(candidates, ≤_rank)`: one scan with a running minimum
 /// and a tied set, each candidate ranked at most once.
@@ -330,7 +504,19 @@ pub fn gmax_fill_pruned(
 /// `eval(i, cap)` receives the current best rank as the cap and must
 /// follow the pruned-evaluator contract (exact rank when `≤ cap`, `None`
 /// only when `> cap`). Returns the minimum rank and the set achieving it.
-pub fn select_min<K, E, I>(n_vars: u32, candidates: I, mut eval: E) -> (Option<K>, ModelSet)
+///
+/// Each ranked candidate ticks a [`BudgetSite::Scan`] meter; on a trip the
+/// unscanned tail becomes the frontier. The meter batches its limit
+/// checks (every [`METER_STRIDE`](arbitrex_telemetry::budget::METER_STRIDE)
+/// candidates unless a fault is armed on the scan site), so a trip may be observed up to one stride late — the
+/// extra candidates were ranked exactly, which never affects correctness,
+/// only how much work the trip saves.
+pub fn select_min<K, E, I>(
+    n_vars: u32,
+    candidates: I,
+    mut eval: E,
+    budget: &Budget,
+) -> BudgetedSelect<K>
 where
     K: Ord,
     E: FnMut(Interp, Option<&K>) -> Option<K>,
@@ -341,7 +527,15 @@ where
     // Batched into locals so the disabled-telemetry build can eliminate the
     // bookkeeping entirely.
     let (mut scanned, mut pruned) = (0u64, 0u64);
-    for i in candidates {
+    let mut meter = budget.meter(BudgetSite::Scan);
+    let mut iter = candidates.into_iter();
+    let mut tripped = None;
+    for i in iter.by_ref() {
+        if let Err(t) = meter.tick() {
+            // `i` was never ranked: it belongs to the frontier.
+            tripped = Some((t, i));
+            break;
+        }
         scanned += 1;
         if let Some(k) = eval(i, best.as_ref()) {
             match best.as_ref() {
@@ -357,11 +551,7 @@ where
             pruned += 1;
         }
     }
-    telemetry::SELECTIONS.incr();
-    telemetry::CANDIDATES_SCANNED.add(scanned);
-    telemetry::CANDIDATES_PRUNED.add(pruned);
-    telemetry::TIES_KEPT.add(tied.len() as u64);
-    (best, ModelSet::new(n_vars, tied))
+    finish_scan(n_vars, best, tied, (scanned, pruned), tripped, iter, budget)
 }
 
 /// [`select_min`] for *vector* ranks, with buffer reuse: the candidate and
@@ -371,7 +561,13 @@ where
 /// `fill(i, cap, buf)` writes `i`'s rank vector into `buf` and returns
 /// `true`, or returns `false` when the vector is provably `> cap`
 /// (same contract as the scalar evaluators, lexicographic order).
-pub fn select_min_vec<E, I>(n_vars: u32, candidates: I, mut fill: E) -> ModelSet
+/// Metered exactly like [`select_min`].
+pub fn select_min_vec<E, I>(
+    n_vars: u32,
+    candidates: I,
+    mut fill: E,
+    budget: &Budget,
+) -> BudgetedSelect<Vec<u32>>
 where
     E: FnMut(Interp, Option<&[u32]>, &mut Vec<u32>) -> bool,
     I: IntoIterator<Item = Interp>,
@@ -380,7 +576,14 @@ where
     let mut cand: Vec<u32> = Vec::new();
     let mut tied: Vec<Interp> = Vec::new();
     let (mut scanned, mut pruned) = (0u64, 0u64);
-    for i in candidates {
+    let mut meter = budget.meter(BudgetSite::Scan);
+    let mut iter = candidates.into_iter();
+    let mut tripped = None;
+    for i in iter.by_ref() {
+        if let Err(t) = meter.tick() {
+            tripped = Some((t, i));
+            break;
+        }
         scanned += 1;
         let cap = if tied.is_empty() {
             None
@@ -399,16 +602,354 @@ where
             tied.push(i);
         }
     }
-    telemetry::SELECTIONS.incr();
-    telemetry::CANDIDATES_SCANNED.add(scanned);
-    telemetry::CANDIDATES_PRUNED.add(pruned);
-    telemetry::TIES_KEPT.add(tied.len() as u64);
-    ModelSet::new(n_vars, tied)
+    let best = (!tied.is_empty()).then_some(best);
+    finish_scan(n_vars, best, tied, (scanned, pruned), tripped, iter, budget)
 }
 
 // ---------------------------------------------------------------------------
 // Layer 2½: branch-and-bound subcube search over the universe
 // ---------------------------------------------------------------------------
+
+/// What one branch-and-bound subcube search tracks per node and the bounds
+/// it reads off that state. The monotone and the odist searches differ only
+/// here; both run on [`SubcubeSearch`] and the split-root search
+/// [`subcube_search`].
+trait SubcubeBound: Sync {
+    type Key: Ord + Clone + Send;
+    /// Per-root state carried down the search tree.
+    type State;
+    /// The state with no bit assigned.
+    fn root(&self) -> Self::State;
+    /// Add (`up`) or remove (`!up`) bit `bit = v`'s contribution.
+    fn shift(&self, st: &mut Self::State, bit: u32, v: u64, up: bool);
+    /// Lower bound on every candidate of the child subcube `bit = v`.
+    /// May move `st` but must restore it.
+    fn child_bound(&self, st: &mut Self::State, bit: u32, v: u64) -> Self::Key;
+    /// The key of the candidate every bit of which is assigned.
+    fn leaf_key(&self, st: &Self::State) -> Self::Key;
+}
+
+/// The bound for a monotone aggregate: the aggregate of the partial
+/// distances (see [`select_min_subcube`]).
+struct MonoBound<'a, K, A> {
+    models: &'a [Interp],
+    agg: A,
+    _key: PhantomData<fn() -> K>,
+}
+
+impl<K, A> SubcubeBound for MonoBound<'_, K, A>
+where
+    K: Ord + Clone + Send,
+    A: Fn(&[u32]) -> K + Sync,
+{
+    type Key = K;
+    /// Partial distance to each model of ψ.
+    type State = Vec<u32>;
+
+    fn root(&self) -> Vec<u32> {
+        vec![0; self.models.len()]
+    }
+
+    fn shift(&self, d: &mut Vec<u32>, bit: u32, v: u64, up: bool) {
+        for (dj, m) in d.iter_mut().zip(self.models) {
+            if (m.0 >> bit & 1) != v {
+                *dj = if up { *dj + 1 } else { *dj - 1 };
+            }
+        }
+    }
+
+    fn child_bound(&self, d: &mut Vec<u32>, bit: u32, v: u64) -> K {
+        self.shift(d, bit, v, true);
+        let k = (self.agg)(d);
+        self.shift(d, bit, v, false);
+        k
+    }
+
+    fn leaf_key(&self, d: &Vec<u32>) -> K {
+        (self.agg)(d)
+    }
+}
+
+/// The odist bound: the partial-distance max sharpened by the pairwise
+/// triangle-inequality sums (see [`select_min_subcube_odist`]).
+struct OdistBound<'a> {
+    models: &'a [Interp],
+    pairs: Vec<(usize, usize)>,
+    /// Root `s_ik` per pair.
+    s0: Vec<u32>,
+}
+
+impl SubcubeBound for OdistBound<'_> {
+    type Key = u32;
+    /// Partial distances `d` and pair sums `s`.
+    type State = (Vec<u32>, Vec<u32>);
+
+    fn root(&self) -> Self::State {
+        (vec![0; self.models.len()], self.s0.clone())
+    }
+
+    fn shift(&self, (d, s): &mut Self::State, bit: u32, v: u64, up: bool) {
+        for (dj, m) in d.iter_mut().zip(self.models) {
+            if (m.0 >> bit & 1) != v {
+                *dj = if up { *dj + 1 } else { *dj - 1 };
+            }
+        }
+        for (sx, &(i, k)) in s.iter_mut().zip(&self.pairs) {
+            if (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v {
+                *sx = if up { *sx + 2 } else { *sx - 2 };
+            }
+        }
+    }
+
+    /// Computed in one pass without mutating the state (no apply/undo
+    /// round-trip).
+    fn child_bound(&self, (d, s): &mut Self::State, bit: u32, v: u64) -> u32 {
+        let mut dm = 0u32;
+        for (dj, m) in d.iter().zip(self.models) {
+            dm = dm.max(dj + ((m.0 >> bit & 1) != v) as u32);
+        }
+        let mut sm = 0u32;
+        for (sx, &(i, k)) in s.iter().zip(&self.pairs) {
+            let both = (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v;
+            sm = sm.max(sx + 2 * both as u32);
+        }
+        dm.max(sm.div_ceil(2))
+    }
+
+    fn leaf_key(&self, (d, _): &Self::State) -> u32 {
+        d.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// Bits where the models disagree most, first: balanced bits force the
+/// partial distances up whichever value is chosen, so bounds tighten at
+/// shallow depth.
+fn discriminating_bit_order(n_vars: u32, models: &[Interp]) -> Vec<u32> {
+    let k = models.len();
+    let mut order: Vec<u32> = (0..n_vars).collect();
+    order.sort_by_key(|&b| {
+        let ones = models.iter().filter(|j| j.0 >> b & 1 == 1).count();
+        std::cmp::Reverse(ones.min(k - ones))
+    });
+    order
+}
+
+/// One worker's depth-first search below the roots it claims.
+struct SubcubeSearch<'a, B: SubcubeBound> {
+    bound: &'a B,
+    order: &'a [u32],
+    best: Option<B::Key>,
+    tied: Vec<u64>,
+    /// Nodes expanded / children cut, accumulated locally and flushed once
+    /// per worker.
+    nodes: u64,
+    cut: u64,
+    /// Charges every node expansion to [`BudgetSite::Node`], batched like
+    /// scan ticks.
+    meter: Meter<'a>,
+    /// The trip that stopped the search, if the budget gave out.
+    stopped: Option<Exhausted>,
+    /// Subcubes abandoned unexplored by the trip unwind, as
+    /// `(assigned-prefix, depth)` pairs — free bits are `order[depth..]`.
+    frontier: Vec<(u64, usize)>,
+}
+
+impl<B: SubcubeBound> SubcubeSearch<'_, B> {
+    fn descend(&mut self, depth: usize, prefix: u64, st: &mut B::State) {
+        if self.stopped.is_some() {
+            // A budget trip is unwinding the search: every subcube reached
+            // from here on is recorded unexplored instead of visited.
+            self.frontier.push((prefix, depth));
+            return;
+        }
+        self.nodes += 1;
+        if let Err(t) = self.meter.tick() {
+            self.stopped = Some(t);
+            self.frontier.push((prefix, depth));
+            return;
+        }
+        if depth == self.order.len() {
+            let key = self.bound.leaf_key(st);
+            match self.best.as_ref() {
+                Some(b) if key > *b => {}
+                Some(b) if key == *b => self.tied.push(prefix),
+                _ => {
+                    self.best = Some(key);
+                    self.tied.clear();
+                    self.tied.push(prefix);
+                }
+            }
+            return;
+        }
+        let bit = self.order[depth];
+        let bounds = [
+            self.bound.child_bound(st, bit, 0),
+            self.bound.child_bound(st, bit, 1),
+        ];
+        let visit = if bounds[0] <= bounds[1] {
+            [0u64, 1]
+        } else {
+            [1, 0]
+        };
+        for v in visit {
+            // Re-check against the cap each time: the first child may have
+            // tightened it.
+            if let Some(b) = self.best.as_ref() {
+                if bounds[v as usize] > *b {
+                    self.cut += 1;
+                    continue;
+                }
+            }
+            self.bound.shift(st, bit, v, true);
+            self.descend(depth + 1, prefix | (v << bit), st);
+            self.bound.shift(st, bit, v, false);
+        }
+    }
+}
+
+/// The split-root search behind both subcube searches: the top `split`
+/// levels of the search tree are expanded into `2^split` root subcubes
+/// which `threads` workers claim from a shared queue, publishing
+/// improvements through a shared best (initially `seed`) so every subtree
+/// prunes against the globally tightest cap. One worker means
+/// `split = 0` — a single root searched on the calling thread.
+///
+/// Every worker meters its nodes against the shared budget; a tripped
+/// worker stops claiming roots, and the frontier is the union of all
+/// workers' unwound subcubes plus every root no worker ever claimed.
+fn subcube_search<B: SubcubeBound>(
+    n_vars: u32,
+    models: &[Interp],
+    bound: &B,
+    seed: Option<B::Key>,
+    threads: usize,
+    budget: &Budget,
+) -> BudgetedSelect<B::Key> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    let order = discriminating_bit_order(n_vars, models);
+    // Enough roots that workers stay busy, shallow enough to stay cheap.
+    let split = if threads <= 1 {
+        0
+    } else {
+        (threads * 4)
+            .next_power_of_two()
+            .trailing_zeros()
+            .min(n_vars.saturating_sub(1))
+            .min(10) as usize
+    };
+    let roots = 1usize << split;
+    let root_prefix = |root: usize| -> u64 {
+        let mut prefix = 0u64;
+        for (level, &bit) in order[..split].iter().enumerate() {
+            prefix |= ((root >> level & 1) as u64) << bit;
+        }
+        prefix
+    };
+    let next_root = AtomicUsize::new(0);
+    let shared_best: Mutex<Option<B::Key>> = Mutex::new(seed);
+    let worker = || {
+        let mut search = SubcubeSearch {
+            bound,
+            order: &order[split..],
+            best: None,
+            tied: Vec::new(),
+            nodes: 0,
+            cut: 0,
+            meter: budget.meter(BudgetSite::Node),
+            stopped: None,
+            frontier: Vec::new(),
+        };
+        while search.stopped.is_none() {
+            let root = next_root.fetch_add(1, Ordering::Relaxed);
+            if root >= roots {
+                break;
+            }
+            {
+                let g = shared_best.lock().expect("a sibling worker panicked");
+                if let Some(gb) = g.as_ref() {
+                    if search.best.as_ref().is_none_or(|b| gb < b) {
+                        search.best = Some(gb.clone());
+                        search.tied.clear();
+                    }
+                }
+            }
+            let prefix = root_prefix(root);
+            let mut st = bound.root();
+            for &bit in &order[..split] {
+                bound.shift(&mut st, bit, prefix >> bit & 1, true);
+            }
+            let before = search.best.clone();
+            search.descend(0, prefix, &mut st);
+            if search.best != before {
+                let mut g = shared_best.lock().expect("a sibling worker panicked");
+                let sb = search.best.as_ref().expect("a changed best is set");
+                if g.as_ref().is_none_or(|gb| sb < gb) {
+                    *g = Some(sb.clone());
+                }
+            }
+        }
+        telemetry::BNB_NODES_OPENED.add(search.nodes);
+        telemetry::BNB_NODES_CUT.add(search.cut);
+        (search.best, search.tied, search.frontier, search.stopped)
+    };
+    let per_worker: Vec<_> = if threads <= 1 {
+        vec![worker()]
+    } else {
+        telemetry::PARALLEL_SHARDS.add(threads as u64);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _shard_span = telemetry::SHARD.span();
+                        worker()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a subcube worker panicked"))
+                .collect()
+        })
+    };
+    telemetry::SELECTIONS.incr();
+    let overall = per_worker
+        .iter()
+        .filter_map(|(b, ..)| b.as_ref())
+        .min()
+        .cloned();
+    let mut keep: Vec<Interp> = Vec::new();
+    if let Some(o) = overall.as_ref() {
+        for (b, t, ..) in &per_worker {
+            if b.as_ref() == Some(o) {
+                keep.extend(t.iter().copied().map(Interp));
+            }
+        }
+    }
+    telemetry::TIES_KEPT.add(keep.len() as u64);
+    let trip = per_worker.iter().find_map(|(.., s)| *s);
+    let frontier = match trip {
+        None => Some(Vec::new()),
+        Some(_) => {
+            let mut subcubes: Vec<(u64, usize)> = Vec::new();
+            for (_, _, f, _) in &per_worker {
+                // Worker depths are relative to `order[split..]`.
+                subcubes.extend(f.iter().map(|&(p, dl)| (p, split + dl)));
+            }
+            // Roots no worker claimed before the trip are wholly unexplored.
+            let claimed = next_root.load(Ordering::Relaxed).min(roots);
+            subcubes.extend((claimed..roots).map(|root| (root_prefix(root), split)));
+            expand_frontier(&order, &subcubes, budget.frontier_limit())
+        }
+    };
+    BudgetedSelect {
+        best: overall,
+        minima: ModelSet::new(n_vars, keep),
+        frontier,
+        trip,
+    }
+}
 
 /// Branch-and-bound `Min(𝓜, ≤_agg)` for *monotone* distance aggregates —
 /// the sharpest tool for arbitration-shaped scans, where the candidate
@@ -429,306 +970,31 @@ where
 /// The two children of each node are explored better-bound-first, so a
 /// near-optimal candidate is found early and the cap tightens immediately.
 ///
+/// `threads > 1` splits the tree across scoped worker threads (see
+/// `subcube_search`). Every node expansion ticks a [`BudgetSite::Node`]
+/// meter; on a trip the recursion unwinds, recording each unvisited
+/// subcube, and the frontier is their materialization.
+///
 /// Returns the minimum key and all candidates achieving it.
 /// `models` must be non-empty.
-pub fn select_min_subcube<K, A>(n_vars: u32, models: &[Interp], agg: A) -> (Option<K>, ModelSet)
-where
-    K: Ord + Clone,
-    A: Fn(&[u32]) -> K,
-{
-    assert!(!models.is_empty(), "subcube search needs a non-empty psi");
-    let order = discriminating_bit_order(n_vars, models);
-    let mut d = vec![0u32; models.len()];
-    let mut search = SubcubeSearch {
-        models,
-        agg: &agg,
-        order: &order,
-        best: None,
-        tied: Vec::new(),
-        nodes: 0,
-        cut: 0,
-        budget: None,
-        stopped: None,
-        frontier: Vec::new(),
-    };
-    search.descend(0, 0, &mut d);
-    search.flush_telemetry();
-    telemetry::SELECTIONS.incr();
-    telemetry::TIES_KEPT.add(search.tied.len() as u64);
-    let SubcubeSearch { best, tied, .. } = search;
-    (best, ModelSet::new(n_vars, tied.into_iter().map(Interp)))
-}
-
-/// Bits where the models disagree most, first: balanced bits force the
-/// partial distances up whichever value is chosen, so bounds tighten at
-/// shallow depth.
-fn discriminating_bit_order(n_vars: u32, models: &[Interp]) -> Vec<u32> {
-    let k = models.len();
-    let mut order: Vec<u32> = (0..n_vars).collect();
-    order.sort_by_key(|&b| {
-        let ones = models.iter().filter(|j| j.0 >> b & 1 == 1).count();
-        std::cmp::Reverse(ones.min(k - ones))
-    });
-    order
-}
-
-struct SubcubeSearch<'a, K, A> {
-    models: &'a [Interp],
-    agg: &'a A,
-    order: &'a [u32],
-    best: Option<K>,
-    tied: Vec<u64>,
-    /// Nodes expanded / children cut, accumulated locally and flushed once
-    /// per search via [`SubcubeSearch::flush_telemetry`].
-    nodes: u64,
-    cut: u64,
-    /// When set, every node expansion is charged to [`BudgetSite::Node`];
-    /// the unbudgeted paths pass `None` and pay only a branch per node.
-    budget: Option<&'a Budget>,
-    /// The trip that stopped the search, if the budget gave out.
-    stopped: Option<Exhausted>,
-    /// Subcubes abandoned unexplored by the trip unwind, as
-    /// `(assigned-prefix, depth)` pairs — free bits are `order[depth..]`.
-    frontier: Vec<(u64, usize)>,
-}
-
-impl<K: Ord + Clone, A: Fn(&[u32]) -> K> SubcubeSearch<'_, K, A> {
-    fn flush_telemetry(&mut self) {
-        telemetry::BNB_NODES_OPENED.add(self.nodes);
-        telemetry::BNB_NODES_CUT.add(self.cut);
-        self.nodes = 0;
-        self.cut = 0;
-    }
-
-    /// Add (`up`) or remove (`!up`) bit `bit = v`'s contribution to the
-    /// partial distances.
-    fn shift(&self, d: &mut [u32], bit: u32, v: u64, up: bool) {
-        for (dj, m) in d.iter_mut().zip(self.models) {
-            let mismatch = (m.0 >> bit & 1) != v;
-            if mismatch {
-                *dj = if up { *dj + 1 } else { *dj - 1 };
-            }
-        }
-    }
-
-    fn descend(&mut self, depth: usize, prefix: u64, d: &mut [u32]) {
-        if self.stopped.is_some() {
-            // A budget trip is unwinding the search: every subcube reached
-            // from here on is recorded unexplored instead of visited.
-            self.frontier.push((prefix, depth));
-            return;
-        }
-        self.nodes += 1;
-        if let Some(b) = self.budget {
-            if let Err(t) = b.charge(BudgetSite::Node, 1) {
-                self.stopped = Some(t);
-                self.frontier.push((prefix, depth));
-                return;
-            }
-        }
-        if depth == self.order.len() {
-            let key = (self.agg)(d);
-            match self.best.as_ref() {
-                Some(b) if key > *b => {}
-                Some(b) if key == *b => self.tied.push(prefix),
-                _ => {
-                    self.best = Some(key);
-                    self.tied.clear();
-                    self.tied.push(prefix);
-                }
-            }
-            return;
-        }
-        let bit = self.order[depth];
-        let mut bounds: [Option<K>; 2] = [None, None];
-        for v in 0..2u64 {
-            self.shift(d, bit, v, true);
-            bounds[v as usize] = Some((self.agg)(d));
-            self.shift(d, bit, v, false);
-        }
-        let visit = if bounds[0] <= bounds[1] {
-            [0u64, 1]
-        } else {
-            [1, 0]
-        };
-        for v in visit {
-            // Re-check against the cap each time: the first child may have
-            // tightened it.
-            // invariant: the loop above filled both child bounds.
-            let lb = bounds[v as usize].as_ref().unwrap();
-            if let Some(b) = self.best.as_ref() {
-                if *lb > *b {
-                    self.cut += 1;
-                    continue;
-                }
-            }
-            self.shift(d, bit, v, true);
-            self.descend(depth + 1, prefix | (v << bit), d);
-            self.shift(d, bit, v, false);
-        }
-    }
-}
-
-/// Parallel [`select_min_subcube`]: the top `s` levels of the search tree
-/// are expanded into `2^s` root subcubes which workers claim from a shared
-/// queue, publishing improvements through a shared best so every subtree
-/// prunes against the globally tightest cap.
-#[cfg(feature = "parallel")]
-fn select_min_subcube_parallel<K, A>(
+pub fn select_min_subcube<K, A>(
     n_vars: u32,
     models: &[Interp],
     agg: A,
     threads: usize,
-) -> (Option<K>, ModelSet)
+    budget: &Budget,
+) -> BudgetedSelect<K>
 where
     K: Ord + Clone + Send,
     A: Fn(&[u32]) -> K + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let order = discriminating_bit_order(n_vars, models);
-    // Enough roots that workers stay busy, shallow enough to stay cheap.
-    let split = (threads * 4)
-        .next_power_of_two()
-        .trailing_zeros()
-        .min(n_vars.saturating_sub(1))
-        .min(10) as usize;
-    let next_root = AtomicUsize::new(0);
-    let shared_best: Mutex<Option<K>> = Mutex::new(None);
-    let per_worker: Vec<(Option<K>, Vec<u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, shared, order, agg) = (&next_root, &shared_best, &order, &agg);
-                scope.spawn(move || {
-                    let _shard_span = telemetry::SHARD.span();
-                    let mut search = SubcubeSearch {
-                        models,
-                        agg,
-                        order: &order[split..],
-                        best: None,
-                        tied: Vec::new(),
-                        nodes: 0,
-                        cut: 0,
-                        budget: None,
-                        stopped: None,
-                        frontier: Vec::new(),
-                    };
-                    let mut d = vec![0u32; models.len()];
-                    loop {
-                        let root = next.fetch_add(1, Ordering::Relaxed);
-                        if root >= 1 << split {
-                            break;
-                        }
-                        {
-                            // invariant: poisoned only if a sibling
-                            // worker panicked — propagate the panic.
-                            let g = shared.lock().unwrap();
-                            if let Some(gb) = g.as_ref() {
-                                if search.best.as_ref().is_none_or(|b| gb < b) {
-                                    search.best = Some(gb.clone());
-                                    search.tied.clear();
-                                }
-                            }
-                        }
-                        let mut prefix = 0u64;
-                        d.iter_mut().for_each(|x| *x = 0);
-                        for (level, &bit) in order[..split].iter().enumerate() {
-                            let v = (root >> level & 1) as u64;
-                            prefix |= v << bit;
-                            search.shift(&mut d, bit, v, true);
-                        }
-                        let before = search.best.clone();
-                        search.descend(0, prefix, &mut d);
-                        if search.best != before {
-                            // invariant: see the lock above.
-                            let mut g = shared.lock().unwrap();
-                            // invariant: best != before implies Some.
-                            let sb = search.best.as_ref().unwrap();
-                            if g.as_ref().is_none_or(|gb| sb < gb) {
-                                *g = Some(sb.clone());
-                            }
-                        }
-                    }
-                    search.flush_telemetry();
-                    (search.best, search.tied)
-                })
-            })
-            .collect();
-        // invariant: join() errs only when a worker panicked — propagate.
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let overall = per_worker
-        .iter()
-        .filter_map(|(b, _)| b.as_ref())
-        .min()
-        .cloned();
-    let mut keep: Vec<Interp> = Vec::new();
-    if let Some(o) = overall.as_ref() {
-        for (b, t) in per_worker {
-            if b.as_ref() == Some(o) {
-                keep.extend(t.into_iter().map(Interp));
-            }
-        }
-    }
-    telemetry::SELECTIONS.incr();
-    telemetry::TIES_KEPT.add(keep.len() as u64);
-    telemetry::PARALLEL_SHARDS.add(threads as u64);
-    (overall, ModelSet::new(n_vars, keep))
-}
-
-/// Below this signature width the branch-and-bound bookkeeping (bit
-/// ordering, per-node bounds, recursion) costs more than the sweep it
-/// saves; a straight scan of the universe with a reused distance buffer
-/// wins. Crossover measured in the E12 experiment.
-const SUBCUBE_MIN_VARS: u32 = 12;
-
-/// Straight pruned sweep of the universe: one reused distance buffer,
-/// single-pass selection. The small-`n` complement of the subcube search.
-fn select_min_universe_scan<K, A>(n_vars: u32, models: &[Interp], agg: &A) -> (Option<K>, ModelSet)
-where
-    K: Ord,
-    A: Fn(&[u32]) -> K,
-{
-    let mut d = vec![0u32; models.len()];
-    select_min(n_vars, all_interps(n_vars), |j, _| {
-        for (dj, m) in d.iter_mut().zip(models) {
-            *dj = (m.0 ^ j.0).count_ones();
-        }
-        Some(agg(&d))
-    })
-}
-
-/// `Min(𝓜, ≤_agg)` for a monotone aggregate: the branch-and-bound subcube
-/// search, chunked across scoped threads for wide universes when the
-/// `parallel` feature is on.
-///
-/// This is the entry point the arbitration-backed operators use; see
-/// [`select_min_subcube`] for the monotonicity contract on `agg`.
-pub fn select_min_universe_mono<K, A>(
-    n_vars: u32,
-    models: &[Interp],
-    agg: A,
-) -> Result<(Option<K>, ModelSet), CoreError>
-where
-    K: Ord + Clone + Send,
-    A: Fn(&[u32]) -> K + Sync,
-{
-    CoreError::check_enum_limit(n_vars)?;
-    let _span = telemetry::UNIVERSE_SEARCH.span();
-    if n_vars < SUBCUBE_MIN_VARS {
-        return Ok(select_min_universe_scan(n_vars, models, &agg));
-    }
-    let threads = thread_count(1u64 << n_vars);
-    if threads <= 1 {
-        return Ok(select_min_subcube(n_vars, models, agg));
-    }
-    #[cfg(feature = "parallel")]
-    {
-        Ok(select_min_subcube_parallel(n_vars, models, agg, threads))
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("thread_count is 1 without the parallel feature")
+    assert!(!models.is_empty(), "subcube search needs a non-empty psi");
+    let bound = MonoBound {
+        models,
+        agg,
+        _key: PhantomData,
+    };
+    subcube_search(n_vars, models, &bound, None, threads, budget)
 }
 
 /// [`select_min_subcube`] specialized to the `max` aggregate (odist — the
@@ -746,37 +1012,24 @@ where
 /// pair adds two. Any completion satisfies `dist_i + dist_k ≥ s_ik`, so
 /// `⌈max s / 2⌉` lower-bounds the subcube and only tightens with depth.
 ///
+/// The search is seeded with `odist_probe`'s achieved upper bound. That
+/// is safe, interrupted or not: only strictly worse subcubes are pruned,
+/// so every candidate matching the probe's key (including the probe
+/// itself) is still visited or left in the frontier.
+///
 /// Returns the minimum odist and all candidates achieving it.
 /// `models` must be non-empty.
-pub fn select_min_subcube_odist(n_vars: u32, models: &[Interp]) -> (Option<u32>, ModelSet) {
+pub fn select_min_subcube_odist(
+    n_vars: u32,
+    models: &[Interp],
+    threads: usize,
+    budget: &Budget,
+) -> BudgetedSelect<u32> {
     assert!(!models.is_empty(), "subcube search needs a non-empty psi");
-    let order = discriminating_bit_order(n_vars, models);
     let (pairs, s0) = odist_pairs(models);
-    let mut search = OdistSubcube {
-        models,
-        order: &order,
-        pairs: &pairs,
-        // Seeding with an achieved upper bound is safe: only strictly
-        // worse subcubes are pruned, so every candidate matching the
-        // probe's key (including the probe itself) is still visited.
-        best: Some(odist_probe(n_vars, models)),
-        tied: Vec::new(),
-        nodes: 0,
-        cut: 0,
-        budget: None,
-        stopped: None,
-        frontier: Vec::new(),
-    };
-    let mut d = vec![0u32; models.len()];
-    let mut s = s0;
-    search.descend(0, 0, &mut d, &mut s);
-    search.flush_telemetry();
-    telemetry::SELECTIONS.incr();
-    telemetry::TIES_KEPT.add(search.tied.len() as u64);
-    (
-        search.best,
-        ModelSet::new(n_vars, search.tied.into_iter().map(Interp)),
-    )
+    let bound = OdistBound { models, pairs, s0 };
+    let seed = Some(odist_probe(n_vars, models));
+    subcube_search(n_vars, models, &bound, seed, threads, budget)
 }
 
 /// A cheap upper bound on the minimum odist, *achieved by some candidate*:
@@ -839,212 +1092,58 @@ fn odist_pairs(models: &[Interp]) -> (Vec<(usize, usize)>, Vec<u32>) {
     scored.into_iter().map(|(s, p)| (p, s)).unzip()
 }
 
-struct OdistSubcube<'a> {
-    models: &'a [Interp],
-    order: &'a [u32],
-    pairs: &'a [(usize, usize)],
-    best: Option<u32>,
-    tied: Vec<u64>,
-    /// Nodes expanded / children cut, accumulated locally and flushed once
-    /// per search via [`OdistSubcube::flush_telemetry`].
-    nodes: u64,
-    cut: u64,
-    /// When set, every node expansion is charged to [`BudgetSite::Node`];
-    /// the unbudgeted paths pass `None` and pay only a branch per node.
-    budget: Option<&'a Budget>,
-    /// The trip that stopped the search, if the budget gave out.
-    stopped: Option<Exhausted>,
-    /// Subcubes abandoned unexplored by the trip unwind, as
-    /// `(assigned-prefix, depth)` pairs — free bits are `order[depth..]`.
-    frontier: Vec<(u64, usize)>,
-}
+/// Below this signature width the branch-and-bound bookkeeping (bit
+/// ordering, per-node bounds, recursion) costs more than the sweep it
+/// saves; a straight scan of the universe with a reused distance buffer
+/// wins. Crossover measured in the E12 experiment.
+const SUBCUBE_MIN_VARS: u32 = 12;
 
-impl OdistSubcube<'_> {
-    fn flush_telemetry(&mut self) {
-        telemetry::BNB_NODES_OPENED.add(self.nodes);
-        telemetry::BNB_NODES_CUT.add(self.cut);
-        self.nodes = 0;
-        self.cut = 0;
-    }
-
-    fn shift(&self, d: &mut [u32], s: &mut [u32], bit: u32, v: u64, up: bool) {
-        for (dj, m) in d.iter_mut().zip(self.models) {
-            if (m.0 >> bit & 1) != v {
-                *dj = if up { *dj + 1 } else { *dj - 1 };
-            }
-        }
-        for (sx, &(i, k)) in s.iter_mut().zip(self.pairs) {
-            if (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v {
-                *sx = if up { *sx + 2 } else { *sx - 2 };
-            }
-        }
-    }
-
-    /// The subcube bound after assigning `bit = v`, computed in one pass
-    /// without mutating the state (no apply/undo round-trip).
-    fn child_bound(&self, d: &[u32], s: &[u32], bit: u32, v: u64) -> u32 {
-        let mut dm = 0u32;
-        for (dj, m) in d.iter().zip(self.models) {
-            dm = dm.max(dj + ((m.0 >> bit & 1) != v) as u32);
-        }
-        let mut sm = 0u32;
-        for (sx, &(i, k)) in s.iter().zip(self.pairs) {
-            let both = (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v;
-            sm = sm.max(sx + 2 * both as u32);
-        }
-        dm.max(sm.div_ceil(2))
-    }
-
-    fn descend(&mut self, depth: usize, prefix: u64, d: &mut [u32], s: &mut [u32]) {
-        if self.stopped.is_some() {
-            // A budget trip is unwinding the search: every subcube reached
-            // from here on is recorded unexplored instead of visited.
-            self.frontier.push((prefix, depth));
-            return;
-        }
-        self.nodes += 1;
-        if let Some(b) = self.budget {
-            if let Err(t) = b.charge(BudgetSite::Node, 1) {
-                self.stopped = Some(t);
-                self.frontier.push((prefix, depth));
-                return;
-            }
-        }
-        if depth == self.order.len() {
-            let key = d.iter().copied().max().unwrap_or(0);
-            match self.best {
-                Some(b) if key > b => {}
-                Some(b) if key == b => self.tied.push(prefix),
-                _ => {
-                    self.best = Some(key);
-                    self.tied.clear();
-                    self.tied.push(prefix);
-                }
-            }
-            return;
-        }
-        let bit = self.order[depth];
-        let bounds = [
-            self.child_bound(d, s, bit, 0),
-            self.child_bound(d, s, bit, 1),
-        ];
-        let visit = if bounds[0] <= bounds[1] {
-            [0u64, 1]
-        } else {
-            [1, 0]
-        };
-        for v in visit {
-            if let Some(b) = self.best {
-                if bounds[v as usize] > b {
-                    self.cut += 1;
-                    continue;
-                }
-            }
-            self.shift(d, s, bit, v, true);
-            self.descend(depth + 1, prefix | (v << bit), d, s);
-            self.shift(d, s, bit, v, false);
-        }
-    }
-}
-
-/// Parallel [`select_min_subcube_odist`], same split-root scheme as
-/// [`select_min_subcube_parallel`].
-#[cfg(feature = "parallel")]
-fn select_min_subcube_odist_parallel(
+/// Straight pruned sweep of the universe: one reused distance buffer,
+/// single-pass selection. The small-`n` complement of the subcube search.
+fn universe_scan<K: Ord>(
     n_vars: u32,
     models: &[Interp],
-    threads: usize,
-) -> (Option<u32>, ModelSet) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let order = discriminating_bit_order(n_vars, models);
-    let (pairs, s0) = odist_pairs(models);
-    let split = (threads * 4)
-        .next_power_of_two()
-        .trailing_zeros()
-        .min(n_vars.saturating_sub(1))
-        .min(10) as usize;
-    let next_root = AtomicUsize::new(0);
-    let shared_best: Mutex<Option<u32>> = Mutex::new(Some(odist_probe(n_vars, models)));
-    let per_worker: Vec<(Option<u32>, Vec<u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, shared, order, pairs, s0) =
-                    (&next_root, &shared_best, &order, &pairs, &s0);
-                scope.spawn(move || {
-                    let _shard_span = telemetry::SHARD.span();
-                    let mut search = OdistSubcube {
-                        models,
-                        order: &order[split..],
-                        pairs,
-                        best: None,
-                        tied: Vec::new(),
-                        nodes: 0,
-                        cut: 0,
-                        budget: None,
-                        stopped: None,
-                        frontier: Vec::new(),
-                    };
-                    let mut d = vec![0u32; models.len()];
-                    let mut s = s0.clone();
-                    loop {
-                        let root = next.fetch_add(1, Ordering::Relaxed);
-                        if root >= 1 << split {
-                            break;
-                        }
-                        {
-                            // invariant: poisoned only if a sibling
-                            // worker panicked — propagate the panic.
-                            let g = shared.lock().unwrap();
-                            if let Some(gb) = *g {
-                                if search.best.is_none_or(|b| gb < b) {
-                                    search.best = Some(gb);
-                                    search.tied.clear();
-                                }
-                            }
-                        }
-                        let mut prefix = 0u64;
-                        d.iter_mut().for_each(|x| *x = 0);
-                        s.copy_from_slice(s0);
-                        for (level, &bit) in order[..split].iter().enumerate() {
-                            let v = (root >> level & 1) as u64;
-                            prefix |= v << bit;
-                            search.shift(&mut d, &mut s, bit, v, true);
-                        }
-                        let before = search.best;
-                        search.descend(0, prefix, &mut d, &mut s);
-                        if search.best != before {
-                            // invariant: see the lock above.
-                            let mut g = shared.lock().unwrap();
-                            // invariant: best != before implies Some.
-                            let sb = search.best.unwrap();
-                            if g.is_none_or(|gb| sb < gb) {
-                                *g = Some(sb);
-                            }
-                        }
-                    }
-                    search.flush_telemetry();
-                    (search.best, search.tied)
-                })
-            })
-            .collect();
-        // invariant: join() errs only when a worker panicked — propagate.
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let overall = per_worker.iter().filter_map(|(b, _)| *b).min();
-    let mut keep: Vec<Interp> = Vec::new();
-    if let Some(o) = overall {
-        for (b, t) in per_worker {
-            if b == Some(o) {
-                keep.extend(t.into_iter().map(Interp));
+    agg: impl Fn(&[u32]) -> K,
+    budget: &Budget,
+) -> BudgetedSelect<K> {
+    let mut d = vec![0u32; models.len()];
+    select_min(
+        n_vars,
+        all_interps(n_vars),
+        |j, _| {
+            for (dj, m) in d.iter_mut().zip(models) {
+                *dj = (m.0 ^ j.0).count_ones();
             }
-        }
+            Some(agg(&d))
+        },
+        budget,
+    )
+}
+
+/// `Min(𝓜, ≤_agg)` for a monotone aggregate: the branch-and-bound subcube
+/// search, split across scoped threads for wide universes when the
+/// `parallel` feature is on, and a straight scan below the subcube
+/// crossover.
+///
+/// This is the entry point the arbitration-backed operators use; see
+/// [`select_min_subcube`] for the monotonicity contract on `agg`.
+pub fn select_min_universe_mono<K, A>(
+    n_vars: u32,
+    models: &[Interp],
+    agg: A,
+    budget: &Budget,
+) -> Result<BudgetedSelect<K>, CoreError>
+where
+    K: Ord + Clone + Send,
+    A: Fn(&[u32]) -> K + Sync,
+{
+    CoreError::check_enum_limit(n_vars)?;
+    let _span = telemetry::UNIVERSE_SEARCH.span();
+    if n_vars < SUBCUBE_MIN_VARS {
+        return Ok(universe_scan(n_vars, models, agg, budget));
     }
-    telemetry::SELECTIONS.incr();
-    telemetry::TIES_KEPT.add(keep.len() as u64);
-    telemetry::PARALLEL_SHARDS.add(threads as u64);
-    (overall, ModelSet::new(n_vars, keep))
+    let threads = thread_count(1u64 << n_vars);
+    Ok(select_min_subcube(n_vars, models, agg, threads, budget))
 }
 
 /// `Min(𝓜, ≤_odist)` over the whole universe: the pairwise-bounded
@@ -1053,23 +1152,16 @@ fn select_min_subcube_odist_parallel(
 pub fn select_min_universe_odist(
     n_vars: u32,
     models: &[Interp],
-) -> Result<(Option<u32>, ModelSet), CoreError> {
+    budget: &Budget,
+) -> Result<BudgetedSelect<u32>, CoreError> {
     CoreError::check_enum_limit(n_vars)?;
     let _span = telemetry::UNIVERSE_SEARCH.span();
     if n_vars < SUBCUBE_MIN_VARS {
         let agg = |d: &[u32]| d.iter().copied().max().unwrap_or(0);
-        return Ok(select_min_universe_scan(n_vars, models, &agg));
+        return Ok(universe_scan(n_vars, models, agg, budget));
     }
     let threads = thread_count(1u64 << n_vars);
-    if threads <= 1 {
-        return Ok(select_min_subcube_odist(n_vars, models));
-    }
-    #[cfg(feature = "parallel")]
-    {
-        Ok(select_min_subcube_odist_parallel(n_vars, models, threads))
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("thread_count is 1 without the parallel feature")
+    Ok(select_min_subcube_odist(n_vars, models, threads, budget))
 }
 
 // ---------------------------------------------------------------------------
@@ -1108,17 +1200,17 @@ fn thread_count(_total: u64) -> usize {
 /// interpretations — the kernel under arbitration.
 ///
 /// `factory` builds one pruned evaluator per worker (each worker needs its
-/// own scratch state); with one worker this degenerates to a sequential
-/// [`select_min`] over [`all_interps`]. Workers scan disjoint chunks,
-/// publishing their best rank through a shared cell so that every chunk
-/// prunes against the globally best rank found so far.
+/// own scratch state); with one worker this is a sequential
+/// [`select_min`] over [`all_interps`], otherwise the chunked scan of
+/// `select_min_universe_parallel`.
 ///
 /// Returns [`CoreError::EnumLimitExceeded`] instead of scanning more than
 /// `2^ENUM_LIMIT` candidates.
 pub fn select_min_universe<K, E, F>(
     n_vars: u32,
     factory: F,
-) -> Result<(Option<K>, ModelSet), CoreError>
+    budget: &Budget,
+) -> Result<BudgetedSelect<K>, CoreError>
 where
     K: Ord + Clone + Send,
     E: FnMut(Interp, Option<&K>) -> Option<K>,
@@ -1126,29 +1218,27 @@ where
 {
     CoreError::check_enum_limit(n_vars)?;
     let _span = telemetry::UNIVERSE_SEARCH.span();
-    let total = 1u64 << n_vars;
-    let threads = thread_count(total);
+    let threads = thread_count(1u64 << n_vars);
     if threads <= 1 {
-        return Ok(select_min(n_vars, all_interps(n_vars), factory()));
+        return Ok(select_min(n_vars, all_interps(n_vars), factory(), budget));
     }
-    #[cfg(feature = "parallel")]
-    {
-        Ok(select_min_universe_parallel(
-            n_vars, total, threads, &factory,
-        ))
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("thread_count is 1 without the parallel feature")
+    Ok(select_min_universe_parallel(
+        n_vars, threads, &factory, budget,
+    ))
 }
 
-/// The chunked scoped-thread scan behind [`select_min_universe`].
-#[cfg(feature = "parallel")]
+/// The chunked scoped-thread scan behind [`select_min_universe`]: workers
+/// scan disjoint chunks, publishing their best rank through a shared cell
+/// so that every chunk prunes against the globally best rank found so
+/// far. Every worker meters [`BudgetSite::Scan`] against the shared
+/// budget; tripped workers record their unscanned range, and the frontier
+/// is the union of those ranges.
 fn select_min_universe_parallel<K, E, F>(
     n_vars: u32,
-    total: u64,
     threads: usize,
     factory: &F,
-) -> (Option<K>, ModelSet)
+    budget: &Budget,
+) -> BudgetedSelect<K>
 where
     K: Ord + Clone + Send,
     E: FnMut(Interp, Option<&K>) -> Option<K>,
@@ -1159,657 +1249,6 @@ where
     /// Refresh the local cap from the globally published best every this
     /// many candidates — frequent enough to prune, rare enough not to
     /// contend.
-    const SYNC_EVERY: u64 = 4096;
-
-    let shared_best: Mutex<Option<K>> = Mutex::new(None);
-    let chunk = total.div_ceil(threads as u64);
-    let per_chunk: Vec<(Option<K>, Vec<Interp>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|t| {
-                let shared = &shared_best;
-                scope.spawn(move || {
-                    let _shard_span = telemetry::SHARD.span();
-                    let mut eval = factory();
-                    let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(total));
-                    let mut best: Option<K> = None;
-                    let mut tied: Vec<Interp> = Vec::new();
-                    let mut since_sync = 0u64;
-                    let mut pruned = 0u64;
-                    for bits in lo..hi {
-                        since_sync += 1;
-                        if since_sync >= SYNC_EVERY {
-                            since_sync = 0;
-                            // invariant: poisoned only if a sibling
-                            // worker panicked — propagate the panic.
-                            let g = shared.lock().unwrap();
-                            if let Some(gb) = g.as_ref() {
-                                // Adopt a strictly better global cap; local
-                                // ties are then stale.
-                                if best.as_ref().is_none_or(|b| gb < b) {
-                                    best = Some(gb.clone());
-                                    tied.clear();
-                                }
-                            }
-                        }
-                        let i = Interp(bits);
-                        if let Some(k) = eval(i, best.as_ref()) {
-                            match best.as_ref() {
-                                Some(b) if k > *b => {}
-                                Some(b) if k == *b => tied.push(i),
-                                _ => {
-                                    // invariant: see the lock above.
-                                    let mut g = shared.lock().unwrap();
-                                    if g.as_ref().is_none_or(|gb| k < *gb) {
-                                        *g = Some(k.clone());
-                                    }
-                                    best = Some(k);
-                                    tied.clear();
-                                    tied.push(i);
-                                }
-                            }
-                        } else {
-                            pruned += 1;
-                        }
-                    }
-                    telemetry::CANDIDATES_SCANNED.add(hi.saturating_sub(lo));
-                    telemetry::CANDIDATES_PRUNED.add(pruned);
-                    (best, tied)
-                })
-            })
-            .collect();
-        // invariant: join() errs only when a worker panicked — propagate.
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let overall = per_chunk
-        .iter()
-        .filter_map(|(b, _)| b.as_ref())
-        .min()
-        .cloned();
-    let mut keep: Vec<Interp> = Vec::new();
-    if let Some(o) = overall.as_ref() {
-        for (b, t) in per_chunk {
-            if b.as_ref() == Some(o) {
-                keep.extend(t);
-            }
-        }
-    }
-    telemetry::SELECTIONS.incr();
-    telemetry::TIES_KEPT.add(keep.len() as u64);
-    telemetry::PARALLEL_SHARDS.add(threads as u64);
-    (overall, ModelSet::new(n_vars, keep))
-}
-
-// ---------------------------------------------------------------------------
-// Layer 6: budgeted selection — typed, degrade-gracefully variants
-// ---------------------------------------------------------------------------
-
-/// Result of a budgeted kernel selection: the incumbents, the unexplored
-/// frontier, and the trip that ended the search (if any).
-///
-/// Containment contract (checked in `tests/budget_containment.rs`): when
-/// `trip` is `None` the result equals the exact selection. When the search
-/// was interrupted, `minima ∪ frontier` is a **superset** of the exact
-/// minima — cutting is sound even mid-search, because a subcube is only cut
-/// when its lower bound strictly exceeds a best key that some visited (or
-/// probed) candidate actually achieves. A `None` frontier means the
-/// unexplored region was too large to materialize (past
-/// [`Budget::frontier_limit`]) and only the incumbents survive.
-#[derive(Debug, Clone)]
-pub struct BudgetedSelect<K> {
-    /// The best key among visited candidates (for an interrupted search, an
-    /// upper bound on the true minimum).
-    pub best: Option<K>,
-    /// Candidates achieving `best` among those visited.
-    pub minima: ModelSet,
-    /// Candidates never ranked before the trip: `Some(vec![])` for an
-    /// exact search, `Some(..)` when materialized within the frontier
-    /// limit, `None` on frontier overflow.
-    pub frontier: Option<Vec<Interp>>,
-    /// The budget trip that stopped the search, if any.
-    pub trip: Option<Exhausted>,
-}
-
-impl<K> BudgetedSelect<K> {
-    fn exact(best: Option<K>, minima: ModelSet) -> Self {
-        BudgetedSelect {
-            best,
-            minima,
-            frontier: Some(Vec::new()),
-            trip: None,
-        }
-    }
-
-    /// The [`Quality`] level this selection supports.
-    pub fn quality(&self) -> Quality {
-        match (&self.trip, &self.frontier) {
-            (None, _) => Quality::Exact,
-            (Some(_), Some(_)) => Quality::UpperBound,
-            (Some(_), None) => Quality::Interrupted,
-        }
-    }
-
-    /// Convert into an operator [`Outcome`]: upper-bound results return
-    /// `minima ∪ frontier`, everything else returns the incumbents.
-    pub fn into_outcome(self, budget: &Budget) -> Outcome {
-        let quality = self.quality();
-        let models = match (quality, self.frontier) {
-            (Quality::UpperBound, Some(f)) if !f.is_empty() => {
-                let n = self.minima.n_vars();
-                self.minima.union(&ModelSet::new(n, f))
-            }
-            _ => self.minima,
-        };
-        Outcome::new(models, quality, budget)
-    }
-}
-
-/// Drain the unscanned tail of a candidate pool into a frontier, bailing
-/// out (`None`) as soon as it exceeds `limit`.
-fn collect_frontier(rest: impl Iterator<Item = Interp>, limit: u64) -> Option<Vec<Interp>> {
-    let mut out: Vec<Interp> = Vec::new();
-    for i in rest {
-        if out.len() as u64 >= limit {
-            telemetry::FRONTIER_OVERFLOWS.incr();
-            return None;
-        }
-        out.push(i);
-    }
-    telemetry::FRONTIER_MODELS.add(out.len() as u64);
-    Some(out)
-}
-
-/// Materialize the interpretations of disjoint `(assigned-prefix, depth)`
-/// subcubes — free bits are `order[depth..]` — unless their total count
-/// exceeds `limit`.
-fn expand_frontier(order: &[u32], subcubes: &[(u64, usize)], limit: u64) -> Option<Vec<Interp>> {
-    let mut total = 0u64;
-    for &(_, depth) in subcubes {
-        let free = (order.len() - depth) as u32;
-        let count = 1u64.checked_shl(free).unwrap_or(u64::MAX);
-        total = total.saturating_add(count);
-        if total > limit {
-            telemetry::FRONTIER_OVERFLOWS.incr();
-            return None;
-        }
-    }
-    let mut out: Vec<Interp> = Vec::with_capacity(total as usize);
-    for &(prefix, depth) in subcubes {
-        let free_bits = &order[depth..];
-        for m in 0..1u64 << free_bits.len() {
-            let mut bits = prefix;
-            for (idx, &b) in free_bits.iter().enumerate() {
-                if m >> idx & 1 == 1 {
-                    bits |= 1 << b;
-                }
-            }
-            out.push(Interp(bits));
-        }
-    }
-    telemetry::FRONTIER_MODELS.add(out.len() as u64);
-    Some(out)
-}
-
-/// Budgeted [`select_min`]: each ranked candidate ticks a
-/// [`BudgetSite::Scan`] meter; on a trip the unscanned tail becomes the
-/// frontier. An unconstrained budget takes the exact path unchanged.
-///
-/// The meter batches its limit checks (every 1024 candidates unless a
-/// fault is armed on the scan site), so a trip may be observed up to one
-/// stride late — the extra candidates were ranked exactly, which never
-/// affects correctness, only how much work the trip saves.
-pub fn select_min_budgeted<K, E, I>(
-    n_vars: u32,
-    candidates: I,
-    mut eval: E,
-    budget: &Budget,
-) -> BudgetedSelect<K>
-where
-    K: Ord,
-    E: FnMut(Interp, Option<&K>) -> Option<K>,
-    I: IntoIterator<Item = Interp>,
-{
-    if budget.is_unconstrained() {
-        let (best, minima) = select_min(n_vars, candidates, eval);
-        return BudgetedSelect::exact(best, minima);
-    }
-    let mut best: Option<K> = None;
-    let mut tied: Vec<Interp> = Vec::new();
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    let mut iter = candidates.into_iter();
-    let mut tripped: Option<(Exhausted, Interp)> = None;
-    {
-        let mut meter = budget.meter(BudgetSite::Scan);
-        for i in iter.by_ref() {
-            if let Err(t) = meter.tick() {
-                // `i` was never ranked: it belongs to the frontier.
-                tripped = Some((t, i));
-                break;
-            }
-            scanned += 1;
-            if let Some(k) = eval(i, best.as_ref()) {
-                match best.as_ref() {
-                    Some(b) if k > *b => {}
-                    Some(b) if k == *b => tied.push(i),
-                    _ => {
-                        best = Some(k);
-                        tied.clear();
-                        tied.push(i);
-                    }
-                }
-            } else {
-                pruned += 1;
-            }
-        }
-    }
-    telemetry::SELECTIONS.incr();
-    telemetry::CANDIDATES_SCANNED.add(scanned);
-    telemetry::CANDIDATES_PRUNED.add(pruned);
-    telemetry::TIES_KEPT.add(tied.len() as u64);
-    let (trip, frontier) = match tripped {
-        None => (None, Some(Vec::new())),
-        Some((t, first)) => (
-            Some(t),
-            collect_frontier(std::iter::once(first).chain(iter), budget.frontier_limit()),
-        ),
-    };
-    BudgetedSelect {
-        best,
-        minima: ModelSet::new(n_vars, tied),
-        frontier,
-        trip,
-    }
-}
-
-/// Budgeted [`select_min_subcube`]: every node expansion is charged to
-/// [`BudgetSite::Node`]; on a trip the recursion unwinds, recording each
-/// unvisited subcube, and the frontier is their materialization.
-pub fn select_min_subcube_budgeted<K, A>(
-    n_vars: u32,
-    models: &[Interp],
-    agg: A,
-    budget: &Budget,
-) -> BudgetedSelect<K>
-where
-    K: Ord + Clone,
-    A: Fn(&[u32]) -> K,
-{
-    if budget.is_unconstrained() {
-        let (best, minima) = select_min_subcube(n_vars, models, agg);
-        return BudgetedSelect::exact(best, minima);
-    }
-    assert!(!models.is_empty(), "subcube search needs a non-empty psi");
-    let order = discriminating_bit_order(n_vars, models);
-    let mut d = vec![0u32; models.len()];
-    let mut search = SubcubeSearch {
-        models,
-        agg: &agg,
-        order: &order,
-        best: None,
-        tied: Vec::new(),
-        nodes: 0,
-        cut: 0,
-        budget: Some(budget),
-        stopped: None,
-        frontier: Vec::new(),
-    };
-    search.descend(0, 0, &mut d);
-    search.flush_telemetry();
-    telemetry::SELECTIONS.incr();
-    telemetry::TIES_KEPT.add(search.tied.len() as u64);
-    let trip = search.stopped;
-    let frontier = match trip {
-        None => Some(Vec::new()),
-        Some(_) => expand_frontier(&order, &search.frontier, budget.frontier_limit()),
-    };
-    BudgetedSelect {
-        best: search.best,
-        minima: ModelSet::new(n_vars, search.tied.into_iter().map(Interp)),
-        frontier,
-        trip,
-    }
-}
-
-/// Budgeted [`select_min_subcube_odist`]: same scheme as
-/// [`select_min_subcube_budgeted`], with the pairwise-bounded odist search.
-/// The probe seed keeps its soundness under interruption: only subcubes
-/// strictly worse than an *achieved* bound are ever cut, so the frontier
-/// still contains every unvisited true minimum.
-pub fn select_min_subcube_odist_budgeted(
-    n_vars: u32,
-    models: &[Interp],
-    budget: &Budget,
-) -> BudgetedSelect<u32> {
-    if budget.is_unconstrained() {
-        let (best, minima) = select_min_subcube_odist(n_vars, models);
-        return BudgetedSelect::exact(best, minima);
-    }
-    assert!(!models.is_empty(), "subcube search needs a non-empty psi");
-    let order = discriminating_bit_order(n_vars, models);
-    let (pairs, s0) = odist_pairs(models);
-    let mut search = OdistSubcube {
-        models,
-        order: &order,
-        pairs: &pairs,
-        best: Some(odist_probe(n_vars, models)),
-        tied: Vec::new(),
-        nodes: 0,
-        cut: 0,
-        budget: Some(budget),
-        stopped: None,
-        frontier: Vec::new(),
-    };
-    let mut d = vec![0u32; models.len()];
-    let mut s = s0;
-    search.descend(0, 0, &mut d, &mut s);
-    search.flush_telemetry();
-    telemetry::SELECTIONS.incr();
-    telemetry::TIES_KEPT.add(search.tied.len() as u64);
-    let trip = search.stopped;
-    let frontier = match trip {
-        None => Some(Vec::new()),
-        Some(_) => expand_frontier(&order, &search.frontier, budget.frontier_limit()),
-    };
-    BudgetedSelect {
-        best: search.best,
-        minima: ModelSet::new(n_vars, search.tied.into_iter().map(Interp)),
-        frontier,
-        trip,
-    }
-}
-
-/// Budgeted [`select_min_subcube`] with explicit worker shards: the budget
-/// is shared by every worker, a tripped worker stops claiming roots, and
-/// the frontier is the union of all workers' unwound subcubes plus every
-/// root no worker ever claimed.
-///
-/// Public (rather than routed only through the dispatchers) so the
-/// fault-injection matrix can pin the parallel-shard path directly.
-#[cfg(feature = "parallel")]
-pub fn select_min_subcube_parallel_budgeted<K, A>(
-    n_vars: u32,
-    models: &[Interp],
-    agg: A,
-    threads: usize,
-    budget: &Budget,
-) -> BudgetedSelect<K>
-where
-    K: Ord + Clone + Send,
-    A: Fn(&[u32]) -> K + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let order = discriminating_bit_order(n_vars, models);
-    let split = (threads * 4)
-        .next_power_of_two()
-        .trailing_zeros()
-        .min(n_vars.saturating_sub(1))
-        .min(10) as usize;
-    let next_root = AtomicUsize::new(0);
-    let shared_best: Mutex<Option<K>> = Mutex::new(None);
-    type WorkerOut<K> = (Option<K>, Vec<u64>, Vec<(u64, usize)>, Option<Exhausted>);
-    let per_worker: Vec<WorkerOut<K>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, shared, order, agg) = (&next_root, &shared_best, &order, &agg);
-                scope.spawn(move || {
-                    let _shard_span = telemetry::SHARD.span();
-                    let mut search = SubcubeSearch {
-                        models,
-                        agg,
-                        order: &order[split..],
-                        best: None,
-                        tied: Vec::new(),
-                        nodes: 0,
-                        cut: 0,
-                        budget: Some(budget),
-                        stopped: None,
-                        frontier: Vec::new(),
-                    };
-                    let mut d = vec![0u32; models.len()];
-                    loop {
-                        if search.stopped.is_some() {
-                            break;
-                        }
-                        let root = next.fetch_add(1, Ordering::Relaxed);
-                        if root >= 1 << split {
-                            break;
-                        }
-                        {
-                            // invariant: poisoned only if a sibling
-                            // worker panicked — propagate the panic.
-                            let g = shared.lock().unwrap();
-                            if let Some(gb) = g.as_ref() {
-                                if search.best.as_ref().is_none_or(|b| gb < b) {
-                                    search.best = Some(gb.clone());
-                                    search.tied.clear();
-                                }
-                            }
-                        }
-                        let mut prefix = 0u64;
-                        d.iter_mut().for_each(|x| *x = 0);
-                        for (level, &bit) in order[..split].iter().enumerate() {
-                            let v = (root >> level & 1) as u64;
-                            prefix |= v << bit;
-                            search.shift(&mut d, bit, v, true);
-                        }
-                        let before = search.best.clone();
-                        search.descend(0, prefix, &mut d);
-                        if search.best != before {
-                            // invariant: see the lock above.
-                            let mut g = shared.lock().unwrap();
-                            // invariant: best != before implies Some.
-                            let sb = search.best.as_ref().unwrap();
-                            if g.as_ref().is_none_or(|gb| sb < gb) {
-                                *g = Some(sb.clone());
-                            }
-                        }
-                    }
-                    search.flush_telemetry();
-                    (search.best, search.tied, search.frontier, search.stopped)
-                })
-            })
-            .collect();
-        // invariant: join() errs only when a worker panicked — propagate.
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    telemetry::SELECTIONS.incr();
-    telemetry::PARALLEL_SHARDS.add(threads as u64);
-    let overall = per_worker
-        .iter()
-        .filter_map(|(b, ..)| b.as_ref())
-        .min()
-        .cloned();
-    let mut keep: Vec<Interp> = Vec::new();
-    if let Some(o) = overall.as_ref() {
-        for (b, t, ..) in &per_worker {
-            if b.as_ref() == Some(o) {
-                keep.extend(t.iter().copied().map(Interp));
-            }
-        }
-    }
-    telemetry::TIES_KEPT.add(keep.len() as u64);
-    let trip = per_worker.iter().find_map(|(.., s)| *s);
-    let frontier = match trip {
-        None => Some(Vec::new()),
-        Some(_) => {
-            let mut subcubes: Vec<(u64, usize)> = Vec::new();
-            for (_, _, f, _) in &per_worker {
-                // Worker depths are relative to `order[split..]`.
-                subcubes.extend(f.iter().map(|&(p, dl)| (p, split + dl)));
-            }
-            // Roots no worker claimed before the trip are wholly unexplored.
-            let claimed = next_root.load(Ordering::Relaxed).min(1 << split);
-            for root in claimed..(1 << split) {
-                let mut prefix = 0u64;
-                for (level, &bit) in order[..split].iter().enumerate() {
-                    if root >> level & 1 == 1 {
-                        prefix |= 1 << bit;
-                    }
-                }
-                subcubes.push((prefix, split));
-            }
-            expand_frontier(&order, &subcubes, budget.frontier_limit())
-        }
-    };
-    BudgetedSelect {
-        best: overall,
-        minima: ModelSet::new(n_vars, keep),
-        frontier,
-        trip,
-    }
-}
-
-/// Budgeted [`select_min_subcube_odist`] with explicit worker shards; see
-/// [`select_min_subcube_parallel_budgeted`] for the shared-budget scheme.
-#[cfg(feature = "parallel")]
-pub fn select_min_subcube_odist_parallel_budgeted(
-    n_vars: u32,
-    models: &[Interp],
-    threads: usize,
-    budget: &Budget,
-) -> BudgetedSelect<u32> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let order = discriminating_bit_order(n_vars, models);
-    let (pairs, s0) = odist_pairs(models);
-    let split = (threads * 4)
-        .next_power_of_two()
-        .trailing_zeros()
-        .min(n_vars.saturating_sub(1))
-        .min(10) as usize;
-    let next_root = AtomicUsize::new(0);
-    let shared_best: Mutex<Option<u32>> = Mutex::new(Some(odist_probe(n_vars, models)));
-    type WorkerOut = (Option<u32>, Vec<u64>, Vec<(u64, usize)>, Option<Exhausted>);
-    let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, shared, order, pairs, s0) =
-                    (&next_root, &shared_best, &order, &pairs, &s0);
-                scope.spawn(move || {
-                    let _shard_span = telemetry::SHARD.span();
-                    let mut search = OdistSubcube {
-                        models,
-                        order: &order[split..],
-                        pairs,
-                        best: None,
-                        tied: Vec::new(),
-                        nodes: 0,
-                        cut: 0,
-                        budget: Some(budget),
-                        stopped: None,
-                        frontier: Vec::new(),
-                    };
-                    let mut d = vec![0u32; models.len()];
-                    let mut s = s0.clone();
-                    loop {
-                        if search.stopped.is_some() {
-                            break;
-                        }
-                        let root = next.fetch_add(1, Ordering::Relaxed);
-                        if root >= 1 << split {
-                            break;
-                        }
-                        {
-                            // invariant: poisoned only if a sibling
-                            // worker panicked — propagate the panic.
-                            let g = shared.lock().unwrap();
-                            if let Some(gb) = *g {
-                                if search.best.is_none_or(|b| gb < b) {
-                                    search.best = Some(gb);
-                                    search.tied.clear();
-                                }
-                            }
-                        }
-                        let mut prefix = 0u64;
-                        d.iter_mut().for_each(|x| *x = 0);
-                        s.copy_from_slice(s0);
-                        for (level, &bit) in order[..split].iter().enumerate() {
-                            let v = (root >> level & 1) as u64;
-                            prefix |= v << bit;
-                            search.shift(&mut d, &mut s, bit, v, true);
-                        }
-                        let before = search.best;
-                        search.descend(0, prefix, &mut d, &mut s);
-                        if search.best != before {
-                            // invariant: see the lock above.
-                            let mut g = shared.lock().unwrap();
-                            // invariant: best != before implies Some.
-                            let sb = search.best.unwrap();
-                            if g.is_none_or(|gb| sb < gb) {
-                                *g = Some(sb);
-                            }
-                        }
-                    }
-                    search.flush_telemetry();
-                    (search.best, search.tied, search.frontier, search.stopped)
-                })
-            })
-            .collect();
-        // invariant: join() errs only when a worker panicked — propagate.
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    telemetry::SELECTIONS.incr();
-    telemetry::PARALLEL_SHARDS.add(threads as u64);
-    let overall = per_worker.iter().filter_map(|(b, ..)| *b).min();
-    let mut keep: Vec<Interp> = Vec::new();
-    if let Some(o) = overall {
-        for (b, t, ..) in &per_worker {
-            if *b == Some(o) {
-                keep.extend(t.iter().copied().map(Interp));
-            }
-        }
-    }
-    telemetry::TIES_KEPT.add(keep.len() as u64);
-    let trip = per_worker.iter().find_map(|(.., s)| *s);
-    let frontier = match trip {
-        None => Some(Vec::new()),
-        Some(_) => {
-            let mut subcubes: Vec<(u64, usize)> = Vec::new();
-            for (_, _, f, _) in &per_worker {
-                subcubes.extend(f.iter().map(|&(p, dl)| (p, split + dl)));
-            }
-            let claimed = next_root.load(Ordering::Relaxed).min(1 << split);
-            for root in claimed..(1 << split) {
-                let mut prefix = 0u64;
-                for (level, &bit) in order[..split].iter().enumerate() {
-                    if root >> level & 1 == 1 {
-                        prefix |= 1 << bit;
-                    }
-                }
-                subcubes.push((prefix, split));
-            }
-            expand_frontier(&order, &subcubes, budget.frontier_limit())
-        }
-    };
-    BudgetedSelect {
-        best: overall,
-        minima: ModelSet::new(n_vars, keep),
-        frontier,
-        trip,
-    }
-}
-
-/// Budgeted chunked universe scan with explicit worker shards: every
-/// worker meters [`BudgetSite::Scan`] against the shared budget; tripped
-/// workers record their unscanned range, and the frontier is the union of
-/// those ranges.
-#[cfg(feature = "parallel")]
-pub fn select_min_universe_parallel_budgeted<K, E, F>(
-    n_vars: u32,
-    threads: usize,
-    factory: &F,
-    budget: &Budget,
-) -> BudgetedSelect<K>
-where
-    K: Ord + Clone + Send,
-    E: FnMut(Interp, Option<&K>) -> Option<K>,
-    F: Fn() -> E + Sync,
-{
-    use std::sync::Mutex;
-
     const SYNC_EVERY: u64 = 4096;
 
     let total = 1u64 << n_vars;
@@ -1850,6 +1289,8 @@ where
                             // worker panicked — propagate the panic.
                             let g = shared.lock().unwrap();
                             if let Some(gb) = g.as_ref() {
+                                // Adopt a strictly better global cap; local
+                                // ties are then stale.
                                 if best.as_ref().is_none_or(|b| gb < b) {
                                     best = Some(gb.clone());
                                     tied.clear();
@@ -1876,7 +1317,6 @@ where
                             pruned += 1;
                         }
                     }
-                    drop(meter);
                     telemetry::CANDIDATES_SCANNED.add(scanned);
                     telemetry::CANDIDATES_PRUNED.add(pruned);
                     (best, tied, remaining, trip)
@@ -1932,132 +1372,6 @@ where
         frontier,
         trip,
     }
-}
-
-/// Budgeted [`select_min_universe`]: the streamed-universe scan with a
-/// [`BudgetSite::Scan`] meter per worker. Dispatch mirrors the exact entry
-/// point; an unconstrained budget delegates to it outright.
-pub fn select_min_universe_budgeted<K, E, F>(
-    n_vars: u32,
-    factory: F,
-    budget: &Budget,
-) -> Result<BudgetedSelect<K>, CoreError>
-where
-    K: Ord + Clone + Send,
-    E: FnMut(Interp, Option<&K>) -> Option<K>,
-    F: Fn() -> E + Sync,
-{
-    CoreError::check_enum_limit(n_vars)?;
-    if budget.is_unconstrained() {
-        let (best, minima) = select_min_universe(n_vars, factory)?;
-        return Ok(BudgetedSelect::exact(best, minima));
-    }
-    let _span = telemetry::UNIVERSE_SEARCH.span();
-    let total = 1u64 << n_vars;
-    let threads = thread_count(total);
-    if threads <= 1 {
-        return Ok(select_min_budgeted(
-            n_vars,
-            all_interps(n_vars),
-            factory(),
-            budget,
-        ));
-    }
-    #[cfg(feature = "parallel")]
-    {
-        Ok(select_min_universe_parallel_budgeted(
-            n_vars, threads, &factory, budget,
-        ))
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("thread_count is 1 without the parallel feature")
-}
-
-/// Budgeted [`select_min_universe_mono`]: branch-and-bound under a node
-/// budget for wide universes, a metered scan below the subcube crossover.
-pub fn select_min_universe_mono_budgeted<K, A>(
-    n_vars: u32,
-    models: &[Interp],
-    agg: A,
-    budget: &Budget,
-) -> Result<BudgetedSelect<K>, CoreError>
-where
-    K: Ord + Clone + Send,
-    A: Fn(&[u32]) -> K + Sync,
-{
-    CoreError::check_enum_limit(n_vars)?;
-    if budget.is_unconstrained() {
-        let (best, minima) = select_min_universe_mono(n_vars, models, agg)?;
-        return Ok(BudgetedSelect::exact(best, minima));
-    }
-    let _span = telemetry::UNIVERSE_SEARCH.span();
-    if n_vars < SUBCUBE_MIN_VARS {
-        let mut d = vec![0u32; models.len()];
-        return Ok(select_min_budgeted(
-            n_vars,
-            all_interps(n_vars),
-            |j, _| {
-                for (dj, m) in d.iter_mut().zip(models) {
-                    *dj = (m.0 ^ j.0).count_ones();
-                }
-                Some(agg(&d))
-            },
-            budget,
-        ));
-    }
-    let threads = thread_count(1u64 << n_vars);
-    if threads <= 1 {
-        return Ok(select_min_subcube_budgeted(n_vars, models, agg, budget));
-    }
-    #[cfg(feature = "parallel")]
-    {
-        Ok(select_min_subcube_parallel_budgeted(
-            n_vars, models, agg, threads, budget,
-        ))
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("thread_count is 1 without the parallel feature")
-}
-
-/// Budgeted [`select_min_universe_odist`]: the arbitration kernel under a
-/// budget.
-pub fn select_min_universe_odist_budgeted(
-    n_vars: u32,
-    models: &[Interp],
-    budget: &Budget,
-) -> Result<BudgetedSelect<u32>, CoreError> {
-    CoreError::check_enum_limit(n_vars)?;
-    if budget.is_unconstrained() {
-        let (best, minima) = select_min_universe_odist(n_vars, models)?;
-        return Ok(BudgetedSelect::exact(best, minima));
-    }
-    let _span = telemetry::UNIVERSE_SEARCH.span();
-    if n_vars < SUBCUBE_MIN_VARS {
-        let mut d = vec![0u32; models.len()];
-        return Ok(select_min_budgeted(
-            n_vars,
-            all_interps(n_vars),
-            |j, _| {
-                for (dj, m) in d.iter_mut().zip(models) {
-                    *dj = (m.0 ^ j.0).count_ones();
-                }
-                Some(d.iter().copied().max().unwrap_or(0))
-            },
-            budget,
-        ));
-    }
-    let threads = thread_count(1u64 << n_vars);
-    if threads <= 1 {
-        return Ok(select_min_subcube_odist_budgeted(n_vars, models, budget));
-    }
-    #[cfg(feature = "parallel")]
-    {
-        Ok(select_min_subcube_odist_parallel_budgeted(
-            n_vars, models, threads, budget,
-        ))
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("thread_count is 1 without the parallel feature")
 }
 
 // ---------------------------------------------------------------------------
@@ -2289,17 +1603,22 @@ mod tests {
             let s = scrambled(6, seed);
             let rank = |i: Interp| i.0.wrapping_mul(0x9E3779B9) % 7;
             let expect = naive::min_by_rank_two_pass(&s, rank);
-            let (best, got) = select_min(6, s.iter(), |i, _| Some(rank(i)));
-            assert_eq!(got, expect);
-            assert_eq!(best, expect.iter().next().map(rank));
+            let sel = select_min(6, s.iter(), |i, _| Some(rank(i)), &Budget::unlimited());
+            assert_eq!(sel.minima, expect);
+            assert_eq!(sel.best, expect.iter().next().map(rank));
         }
     }
 
     #[test]
     fn select_min_of_empty_pool() {
-        let (best, got) = select_min::<u32, _, _>(3, std::iter::empty(), |_, _| unreachable!());
-        assert!(best.is_none());
-        assert!(got.is_empty());
+        let sel = select_min::<u32, _, _>(
+            3,
+            std::iter::empty(),
+            |_, _| unreachable!(),
+            &Budget::unlimited(),
+        );
+        assert!(sel.best.is_none());
+        assert!(sel.minima.is_empty());
     }
 
     #[test]
@@ -2310,67 +1629,83 @@ mod tests {
             let slice = psi.as_slice();
             let prof = PopProfile::of(&psi).unwrap();
             let expect = naive::gmax_fitting(&psi, &mu);
-            let got = select_min_vec(5, mu.iter(), |i, cap, buf| {
-                gmax_fill_pruned(slice, &prof, i, cap, buf)
-            });
-            assert_eq!(got, expect, "seed {seed}");
+            let sel = select_min_vec(
+                5,
+                mu.iter(),
+                |i, cap, buf| gmax_fill_pruned(slice, &prof, i, cap, buf),
+                &Budget::unlimited(),
+            );
+            assert_eq!(sel.minima, expect, "seed {seed}");
+            let rank = expect
+                .iter()
+                .next()
+                .map(|i| crate::fitting::gmax_vector(&psi, i));
+            assert_eq!(sel.best, rank, "seed {seed}");
         }
     }
 
     #[test]
     fn subcube_search_matches_exhaustive_scan_for_all_monotone_aggregates() {
+        let unlimited = Budget::unlimited();
         for seed in 0..48u64 {
             let psi = scrambled(7, seed);
             let slice = psi.as_slice();
             // odist (max), sum, and weighted-sum aggregates.
-            let (best, got) =
-                select_min_subcube(7, slice, |d: &[u32]| d.iter().copied().max().unwrap());
+            let max = |d: &[u32]| d.iter().copied().max().unwrap();
+            let sel = select_min_subcube(7, slice, max, 1, &unlimited);
             let expect = naive::odist_fitting(&psi, &ModelSet::all(7));
-            assert_eq!(got, expect, "odist, seed {seed}");
-            assert_eq!(best, expect.iter().next().map(|i| odist(&psi, i).unwrap()));
+            assert_eq!(sel.minima, expect, "odist, seed {seed}");
+            assert_eq!(
+                sel.best,
+                expect.iter().next().map(|i| odist(&psi, i).unwrap())
+            );
 
             // The pairwise-bounded specialization agrees with the generic one.
-            let (sp_best, sp) = select_min_subcube_odist(7, slice);
-            assert_eq!(sp, expect, "odist specialized, seed {seed}");
-            assert_eq!(sp_best, best);
+            let sp = select_min_subcube_odist(7, slice, 1, &unlimited);
+            assert_eq!(sp.minima, expect, "odist specialized, seed {seed}");
+            assert_eq!(sp.best, sel.best);
 
-            let (_, got) = select_min_subcube(7, slice, |d: &[u32]| {
-                d.iter().map(|&x| x as u64).sum::<u64>()
-            });
+            let sum = |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>();
+            let sel = select_min_subcube(7, slice, sum, 1, &unlimited);
             assert_eq!(
-                got,
+                sel.minima,
                 naive::sum_fitting(&psi, &ModelSet::all(7)),
                 "sum, seed {seed}"
             );
 
             let weights: Vec<u64> = slice.iter().map(|j| 1 + j.0 % 5).collect();
             let kb = WeightedKb::from_weights(7, slice.iter().map(|&j| (j, 1 + j.0 % 5)));
-            let (_, got) = select_min_subcube(7, slice, |d: &[u32]| {
+            let wsum = |d: &[u32]| {
                 d.iter()
                     .zip(&weights)
                     .map(|(&x, &w)| x as u128 * w as u128)
                     .sum::<u128>()
-            });
+            };
+            let sel = select_min_subcube(7, slice, wsum, 1, &unlimited);
             let expect = naive::wdist_fitting(&kb, &WeightedKb::all(7));
-            assert_eq!(got, expect.support_set(), "wdist, seed {seed}");
+            assert_eq!(sel.minima, expect.support_set(), "wdist, seed {seed}");
         }
     }
 
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_subcube_search_matches_sequential() {
+        let unlimited = Budget::unlimited();
         for seed in 0..16u64 {
             let psi = scrambled(6, seed);
             let slice = psi.as_slice();
             let agg = |d: &[u32]| d.iter().copied().max().unwrap();
-            let (seq_best, seq) = select_min_subcube(6, slice, agg);
+            let seq = select_min_subcube(6, slice, agg, 1, &unlimited);
             for threads in [2, 3, 5] {
-                let (par_best, par) = select_min_subcube_parallel(6, slice, agg, threads);
-                assert_eq!(par, seq, "threads {threads}, seed {seed}");
-                assert_eq!(par_best, seq_best);
-                let (po_best, po) = select_min_subcube_odist_parallel(6, slice, threads);
-                assert_eq!(po, seq, "odist threads {threads}, seed {seed}");
-                assert_eq!(po_best, seq_best);
+                let par = select_min_subcube(6, slice, agg, threads, &unlimited);
+                assert_eq!(par.minima, seq.minima, "threads {threads}, seed {seed}");
+                assert_eq!(par.best, seq.best);
+                let po = select_min_subcube_odist(6, slice, threads, &unlimited);
+                assert_eq!(
+                    po.minima, seq.minima,
+                    "odist threads {threads}, seed {seed}"
+                );
+                assert_eq!(po.best, seq.best);
             }
         }
     }
@@ -2382,19 +1717,23 @@ mod tests {
             let slice = psi.as_slice();
             let prof = PopProfile::of(&psi).unwrap();
             let expect = naive::odist_fitting(&psi, &ModelSet::all(6));
-            let (_, got) = select_min_universe(6, || {
-                |i: Interp, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied())
-            })
+            let sel = select_min_universe(
+                6,
+                || |i: Interp, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied()),
+                &Budget::unlimited(),
+            )
             .unwrap();
-            assert_eq!(got, expect, "seed {seed}");
+            assert_eq!(sel.minima, expect, "seed {seed}");
         }
     }
 
     #[test]
     fn universe_selection_rejects_wide_signatures() {
-        let r = select_min_universe::<u32, _, _>(arbitrex_logic::ENUM_LIMIT + 1, || {
-            |_: Interp, _: Option<&u32>| Some(0)
-        });
+        let r = select_min_universe::<u32, _, _>(
+            arbitrex_logic::ENUM_LIMIT + 1,
+            || |_: Interp, _: Option<&u32>| Some(0),
+            &Budget::unlimited(),
+        );
         assert_eq!(
             r.unwrap_err(),
             CoreError::EnumLimitExceeded {
@@ -2409,17 +1748,18 @@ mod tests {
     fn parallel_universe_selection_matches_sequential() {
         // Exercise the chunked path directly (the public entry point would
         // choose one worker for a universe this small).
+        let unlimited = Budget::unlimited();
         for seed in 0..16u64 {
             let psi = scrambled(6, seed);
             let slice = psi.as_slice();
             let prof = PopProfile::of(&psi).unwrap();
             let factory =
                 || |i: Interp, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied());
-            let (seq_best, seq) = select_min(6, all_interps(6), factory());
+            let seq = select_min(6, all_interps(6), factory(), &unlimited);
             for threads in [2, 3, 5] {
-                let (par_best, par) = select_min_universe_parallel(6, 64, threads, &factory);
-                assert_eq!(par, seq, "threads {threads}, seed {seed}");
-                assert_eq!(par_best, seq_best);
+                let par = select_min_universe_parallel(6, threads, &factory, &unlimited);
+                assert_eq!(par.minima, seq.minima, "threads {threads}, seed {seed}");
+                assert_eq!(par.best, seq.best);
             }
         }
     }
@@ -2458,18 +1798,26 @@ mod tests {
             let psi = scrambled(6, seed);
             let slice = psi.as_slice();
             let prof = PopProfile::of(&psi).unwrap();
-            let (best, minima) = select_min(6, all_interps(6), |i, cap: Option<&u32>| {
-                odist_pruned(slice, &prof, i, cap.copied())
-            });
-            let sel = select_min_budgeted(
+            let budget = Budget::unlimited();
+            let sel = select_min(
                 6,
                 all_interps(6),
                 |i, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied()),
-                &Budget::unlimited(),
+                &budget,
             );
             assert!(matches!(sel.quality(), Quality::Exact));
-            assert_eq!(sel.minima, minima, "seed {seed}");
-            assert_eq!(sel.best, best);
+            assert_eq!(
+                sel.minima,
+                naive::odist_fitting(&psi, &ModelSet::all(6)),
+                "seed {seed}"
+            );
+            // The meter flushes its partial stride when the scan ends.
+            assert_eq!(budget.spent().scans, 64);
+
+            let budget = Budget::unlimited();
+            let sel = select_min_subcube_odist(6, slice, 1, &budget);
+            assert!(matches!(sel.quality(), Quality::Exact));
+            assert!(budget.spent().nodes > 0, "seed {seed}");
         }
     }
 
@@ -2482,7 +1830,7 @@ mod tests {
             let exact = naive::odist_fitting(&psi, &ModelSet::all(6));
             for at in [1u64, 7, 31, 60] {
                 let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, at));
-                let sel = select_min_budgeted(
+                let sel = select_min(
                     6,
                     all_interps(6),
                     |i, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied()),
@@ -2510,7 +1858,7 @@ mod tests {
         let budget = Budget::unlimited()
             .with_fault(FaultPlan::new(BudgetSite::Scan, 2))
             .with_frontier_limit(4);
-        let sel = select_min_budgeted(
+        let sel = select_min(
             6,
             all_interps(6),
             |i, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied()),
@@ -2532,14 +1880,14 @@ mod tests {
             // to trip (the root node always charges).
             for at in [1u64, 5, 17, 100] {
                 let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                let sel = select_min_subcube_budgeted(7, slice, agg, &budget);
+                let sel = select_min_subcube(7, slice, agg, 1, &budget);
                 if at == 1 {
                     assert!(sel.trip.is_some(), "node fault at 1 must trip");
                 }
                 assert_contains(&sel, &exact, &format!("bnb fault at {at}, seed {seed}"));
 
                 let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                let sel = select_min_subcube_odist_budgeted(7, slice, &budget);
+                let sel = select_min_subcube_odist(7, slice, 1, &budget);
                 if at == 1 {
                     assert!(sel.trip.is_some(), "odist node fault at 1 must trip");
                 }
@@ -2550,11 +1898,15 @@ mod tests {
 
     #[test]
     fn budgeted_subcube_step_limit_trips_typed() {
-        let psi = scrambled(7, 11);
+        // Node ticks reach the step limit once per meter stride, so the
+        // search must outlast one stride: two antipodal models at width 12
+        // tie every popcount-6 candidate, 924 leaves plus their ancestors.
+        let n = 12;
+        let psi = ModelSet::new(n, [Interp(0), Interp((1 << n) - 1)]);
         let slice = psi.as_slice();
-        let exact = naive::odist_fitting(&psi, &ModelSet::all(7));
+        let exact = naive::odist_fitting(&psi, &ModelSet::all(n));
         let budget = Budget::unlimited().with_step_limit(3);
-        let sel = select_min_subcube_odist_budgeted(7, slice, &budget);
+        let sel = select_min_subcube_odist(n, slice, 1, &budget);
         let trip = sel.trip.expect("step limit must trip");
         assert_eq!(trip.reason, TripReason::Steps);
         assert_contains(&sel, &exact, "step limit");
@@ -2575,7 +1927,7 @@ mod tests {
                 for at in [1u64, 9, 40] {
                     let budget =
                         Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                    let sel = select_min_subcube_parallel_budgeted(7, slice, agg, threads, &budget);
+                    let sel = select_min_subcube(7, slice, agg, threads, &budget);
                     if at == 1 {
                         assert!(sel.trip.is_some(), "par node fault at 1 must trip");
                     }
@@ -2587,8 +1939,7 @@ mod tests {
 
                     let budget =
                         Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                    let sel =
-                        select_min_subcube_odist_parallel_budgeted(7, slice, threads, &budget);
+                    let sel = select_min_subcube_odist(7, slice, threads, &budget);
                     if at == 1 {
                         assert!(sel.trip.is_some(), "par odist fault at 1 must trip");
                     }
@@ -2616,7 +1967,7 @@ mod tests {
                 for at in [1u64, 20, 63] {
                     let budget =
                         Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, at));
-                    let sel = select_min_universe_parallel_budgeted(6, threads, &factory, &budget);
+                    let sel = select_min_universe_parallel(6, threads, &factory, &budget);
                     assert!(sel.trip.is_some(), "t={threads} at={at}");
                     assert_contains(
                         &sel,
@@ -2633,19 +1984,19 @@ mod tests {
         let psi = scrambled(6, 5);
         let slice = psi.as_slice();
         let exact = naive::odist_fitting(&psi, &ModelSet::all(6));
-        let sel = select_min_universe_odist_budgeted(6, slice, &Budget::unlimited()).unwrap();
+        let sel = select_min_universe_odist(6, slice, &Budget::unlimited()).unwrap();
         assert!(matches!(sel.quality(), Quality::Exact));
         assert_eq!(sel.minima, exact);
 
         let agg = |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>();
-        let sel = select_min_universe_mono_budgeted(6, slice, agg, &Budget::unlimited()).unwrap();
+        let sel = select_min_universe_mono(6, slice, agg, &Budget::unlimited()).unwrap();
         assert!(matches!(sel.quality(), Quality::Exact));
         assert_eq!(sel.minima, naive::sum_fitting(&psi, &ModelSet::all(6)));
     }
 
     #[test]
     fn budgeted_dispatchers_reject_wide_signatures() {
-        let r = select_min_universe_odist_budgeted(
+        let r = select_min_universe_odist(
             arbitrex_logic::ENUM_LIMIT + 1,
             &[Interp(0)],
             &Budget::unlimited(),
@@ -2667,7 +2018,7 @@ mod tests {
         let budget = Budget::unlimited()
             .with_cancel(token)
             .with_fault(FaultPlan::new(BudgetSite::Scan, u64::MAX));
-        let sel = select_min_budgeted(
+        let sel = select_min(
             6,
             all_interps(6),
             |i, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied()),

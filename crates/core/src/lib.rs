@@ -51,9 +51,9 @@ pub mod weighted;
 pub mod wfitting;
 
 pub use arbitration::{
-    arbitrate, try_arbitrate, try_arbitrate_with_budget, try_arbitrate_with_stats, try_warbitrate,
-    try_warbitrate_with_budget, try_warbitrate_with_stats, warbitrate, Arbitration,
-    UniverseFitting, WeightedArbitration, WeightedUniverseFitting,
+    arbitrate, try_arbitrate, try_arbitrate_with_budget, try_warbitrate,
+    try_warbitrate_with_budget, warbitrate, Arbitration, UniverseFitting, WeightedArbitration,
+    WeightedUniverseFitting,
 };
 pub use budget::{
     Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, BudgetedWeightedChangeOperator,

@@ -65,8 +65,8 @@ pub fn min_models(s: &ModelSet, pre: &impl Preorder) -> ModelSet {
 /// (the pre-kernel implementation scanned twice, ranking every member
 /// again during the filter pass).
 pub fn min_by_rank<K: Ord, F: Fn(Interp) -> K>(s: &ModelSet, rank: F) -> ModelSet {
-    let (_, min) = crate::kernel::select_min(s.n_vars(), s.iter(), |i, _| Some(rank(i)));
-    min
+    let unlimited = crate::budget::Budget::unlimited();
+    crate::kernel::select_min(s.n_vars(), s.iter(), |i, _| Some(rank(i)), &unlimited).minima
 }
 
 /// [`min_by_rank`] for ranked pre-orders wrapped in a [`RankOrder`],

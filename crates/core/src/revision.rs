@@ -13,7 +13,7 @@
 //! fully trusted). This satisfies R1–R6.
 
 use crate::budget::{Budget, BudgetedChangeOperator, Outcome};
-use crate::kernel::{min_dist_pruned, select_min, select_min_budgeted, PopProfile};
+use crate::kernel::{min_dist_pruned, select_min, BudgetedSelect, PopProfile};
 use crate::operator::ChangeOperator;
 use arbitrex_logic::{Interp, ModelSet};
 
@@ -36,36 +36,33 @@ use arbitrex_logic::{Interp, ModelSet};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DalalRevision;
 
+impl DalalRevision {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<u32> {
+        let Some(prof) = PopProfile::of(psi) else {
+            return BudgetedSelect::exact(None, mu.clone());
+        };
+        select_min(
+            mu.n_vars(),
+            mu.iter(),
+            |i, cap| min_dist_pruned(psi.as_slice(), &prof, i, cap.copied()),
+            budget,
+        )
+    }
+}
+
 impl ChangeOperator for DalalRevision {
     fn name(&self) -> &'static str {
         "dalal-revision"
     }
 
     fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return mu.clone(),
-        };
-        let (_, min) = select_min(mu.n_vars(), mu.iter(), |i, cap| {
-            min_dist_pruned(psi.as_slice(), &prof, i, cap.copied())
-        });
-        min
+        self.select(psi, mu, &Budget::unlimited()).minima
     }
 }
 
 impl BudgetedChangeOperator for DalalRevision {
     fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
-        let prof = match PopProfile::of(psi) {
-            Some(p) => p,
-            None => return Outcome::exact(mu.clone(), budget),
-        };
-        select_min_budgeted(
-            mu.n_vars(),
-            mu.iter(),
-            |i, cap: Option<&u32>| min_dist_pruned(psi.as_slice(), &prof, i, cap.copied()),
-            budget,
-        )
-        .into_outcome(budget)
+        self.select(psi, mu, budget).into_outcome(budget)
     }
 }
 

@@ -10,10 +10,41 @@
 //! (`⊥ ⋄ μ = ⊥`), the standard KM reading — you cannot update worlds you
 //! do not have.
 
-use crate::budget::{Budget, BudgetSite, BudgetedChangeOperator, Outcome, Quality};
+use crate::budget::{Budget, BudgetSite, BudgetedChangeOperator, Outcome};
+use crate::kernel::BudgetedSelect;
 use crate::operator::ChangeOperator;
 use crate::revision::pma_select;
 use arbitrex_logic::{Interp, ModelSet};
+
+/// The union over every world `j` of ψ of `select_world(j)`, which appends
+/// `j`'s closest models of μ to its output.
+///
+/// One [`BudgetSite::Scan`] tick per world (each world's selection scans
+/// all of μ). On exhaustion the exact result is abandoned: every per-world
+/// selection implies μ, so μ itself is the natural sound
+/// over-approximation — unlike the kernel scans there is no partial
+/// frontier to keep.
+fn per_world(
+    psi: &ModelSet,
+    mu: &ModelSet,
+    budget: &Budget,
+    mut select_world: impl FnMut(Interp, &mut Vec<Interp>),
+) -> BudgetedSelect<()> {
+    let mut meter = budget.meter(BudgetSite::Scan);
+    let mut out: Vec<Interp> = Vec::new();
+    for j in psi.iter() {
+        if let Err(t) = meter.tick() {
+            return BudgetedSelect {
+                best: None,
+                minima: ModelSet::empty(mu.n_vars()),
+                frontier: Some(mu.iter().collect()),
+                trip: Some(t),
+            };
+        }
+        select_world(j, &mut out);
+    }
+    BudgetedSelect::exact(None, ModelSet::new(mu.n_vars(), out))
+}
 
 /// Winslett's possible-models-approach update (propositional
 /// simplification): each model `J` of `ψ` keeps the models of `μ` whose
@@ -36,41 +67,25 @@ use arbitrex_logic::{Interp, ModelSet};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WinslettUpdate;
 
+impl WinslettUpdate {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<()> {
+        per_world(psi, mu, budget, |j, out| out.extend(pma_select(mu, j)))
+    }
+}
+
 impl ChangeOperator for WinslettUpdate {
     fn name(&self) -> &'static str {
         "winslett-update"
     }
 
     fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
-        let mut out: Vec<Interp> = Vec::new();
-        for j in psi.iter() {
-            out.extend(pma_select(mu, j));
-        }
-        ModelSet::new(mu.n_vars(), out)
+        self.select(psi, mu, &Budget::unlimited()).minima
     }
 }
 
 impl BudgetedChangeOperator for WinslettUpdate {
     fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
-        if budget.is_unconstrained() {
-            return Outcome::exact(self.apply(psi, mu), budget);
-        }
-        // One budget unit per world of ψ (each world's PMA selection scans
-        // all of μ). On exhaustion the exact result is abandoned: every
-        // per-world selection implies μ, so μ itself is the natural sound
-        // over-approximation — unlike the kernel scans there is no partial
-        // frontier to keep.
-        let mut meter = budget.meter(BudgetSite::Scan);
-        let mut out: Vec<Interp> = Vec::new();
-        for j in psi.iter() {
-            if meter.tick().is_err() {
-                drop(meter);
-                return Outcome::new(mu.clone(), Quality::UpperBound, budget);
-            }
-            out.extend(pma_select(mu, j));
-        }
-        drop(meter);
-        Outcome::exact(ModelSet::new(mu.n_vars(), out), budget)
+        self.select(psi, mu, budget).into_outcome(budget)
     }
 }
 
@@ -79,67 +94,43 @@ impl BudgetedChangeOperator for WinslettUpdate {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ForbusUpdate;
 
+impl ForbusUpdate {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<()> {
+        // Single pass over μ per world: running minimum plus tied set,
+        // instead of a min pass followed by a filter pass re-computing
+        // every distance.
+        let mut tied: Vec<Interp> = Vec::new();
+        per_world(psi, mu, budget, |j, out| {
+            let mut best = u32::MAX;
+            tied.clear();
+            for i in mu.iter() {
+                let d = i.dist(j);
+                if d < best {
+                    best = d;
+                    tied.clear();
+                    tied.push(i);
+                } else if d == best {
+                    tied.push(i);
+                }
+            }
+            out.extend_from_slice(&tied);
+        })
+    }
+}
+
 impl ChangeOperator for ForbusUpdate {
     fn name(&self) -> &'static str {
         "forbus-update"
     }
 
     fn apply(&self, psi: &ModelSet, mu: &ModelSet) -> ModelSet {
-        // Single pass over μ per world: running minimum plus tied set,
-        // instead of a min pass followed by a filter pass re-computing
-        // every distance.
-        let mut out: Vec<Interp> = Vec::new();
-        let mut tied: Vec<Interp> = Vec::new();
-        for j in psi.iter() {
-            let mut best = u32::MAX;
-            tied.clear();
-            for i in mu.iter() {
-                let d = i.dist(j);
-                if d < best {
-                    best = d;
-                    tied.clear();
-                    tied.push(i);
-                } else if d == best {
-                    tied.push(i);
-                }
-            }
-            out.extend_from_slice(&tied);
-        }
-        ModelSet::new(mu.n_vars(), out)
+        self.select(psi, mu, &Budget::unlimited()).minima
     }
 }
 
 impl BudgetedChangeOperator for ForbusUpdate {
     fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome {
-        if budget.is_unconstrained() {
-            return Outcome::exact(self.apply(psi, mu), budget);
-        }
-        // One budget unit per world, as for Winslett; on exhaustion μ is
-        // the sound over-approximation of the per-world union.
-        let mut meter = budget.meter(BudgetSite::Scan);
-        let mut out: Vec<Interp> = Vec::new();
-        let mut tied: Vec<Interp> = Vec::new();
-        for j in psi.iter() {
-            if meter.tick().is_err() {
-                drop(meter);
-                return Outcome::new(mu.clone(), Quality::UpperBound, budget);
-            }
-            let mut best = u32::MAX;
-            tied.clear();
-            for i in mu.iter() {
-                let d = i.dist(j);
-                if d < best {
-                    best = d;
-                    tied.clear();
-                    tied.push(i);
-                } else if d == best {
-                    tied.push(i);
-                }
-            }
-            out.extend_from_slice(&tied);
-        }
-        drop(meter);
-        Outcome::exact(ModelSet::new(mu.n_vars(), out), budget)
+        self.select(psi, mu, budget).into_outcome(budget)
     }
 }
 

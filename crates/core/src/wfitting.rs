@@ -1,10 +1,10 @@
 //! Weighted model-fitting (Section 4 of the paper).
 
-use crate::budget::{Budget, BudgetedWeightedChangeOperator, Quality, WeightedOutcome};
-use crate::kernel::{select_min, select_min_budgeted, wdist_pruned, WeightedPopProfile};
+use crate::budget::{Budget, BudgetedWeightedChangeOperator, WeightedOutcome};
+use crate::kernel::{select_min, wdist_pruned, BudgetedSelect, WeightedPopProfile};
 use crate::telemetry;
 use crate::weighted::WeightedKb;
-use arbitrex_logic::Interp;
+use arbitrex_logic::{Interp, ModelSet};
 
 /// A theory-change operator on weighted knowledge bases (the `F`-postulate
 /// analogue of [`crate::operator::ChangeOperator`]).
@@ -49,25 +49,33 @@ impl<T: WeightedChangeOperator + ?Sized> WeightedChangeOperator for &T {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WdistFitting;
 
+impl WdistFitting {
+    /// Single pruned pass over μ̃'s support; the caller gives each
+    /// returned model its μ̃-weight.
+    fn select(&self, psi: &WeightedKb, mu: &WeightedKb, budget: &Budget) -> BudgetedSelect<u128> {
+        telemetry::WDIST_APPLICATIONS.incr();
+        // (F2): unsatisfiable ψ̃ fits nothing.
+        let Some(prof) = WeightedPopProfile::of(psi) else {
+            return BudgetedSelect::exact(None, ModelSet::empty(mu.n_vars()));
+        };
+        let support: Vec<(Interp, u64)> = psi.support().collect();
+        telemetry::WSUPPORT_SCANNED.add(support.len() as u64);
+        select_min(
+            mu.n_vars(),
+            mu.support().map(|(i, _)| i),
+            |i, cap| wdist_pruned(&support, &prof, i, cap.copied()),
+            budget,
+        )
+    }
+}
+
 impl WeightedChangeOperator for WdistFitting {
     fn name(&self) -> &'static str {
         "wdist-fitting"
     }
 
     fn apply(&self, psi: &WeightedKb, mu: &WeightedKb) -> WeightedKb {
-        telemetry::WDIST_APPLICATIONS.incr();
-        // (F2): unsatisfiable ψ̃ fits nothing.
-        let prof = match WeightedPopProfile::of(psi) {
-            Some(p) => p,
-            None => return WeightedKb::unsatisfiable(mu.n_vars()),
-        };
-        let support: Vec<(Interp, u64)> = psi.support().collect();
-        telemetry::WSUPPORT_SCANNED.add(support.len() as u64);
-        // Single pruned pass over μ̃'s support; each minimizer keeps its
-        // μ̃-weight.
-        let (_, min) = select_min(mu.n_vars(), mu.support().map(|(i, _)| i), |i, cap| {
-            wdist_pruned(&support, &prof, i, cap.copied())
-        });
+        let min = self.select(psi, mu, &Budget::unlimited()).minima;
         WeightedKb::from_weights(mu.n_vars(), min.iter().map(|i| (i, mu.weight(i))))
     }
 }
@@ -79,33 +87,8 @@ impl BudgetedWeightedChangeOperator for WdistFitting {
         mu: &WeightedKb,
         budget: &Budget,
     ) -> WeightedOutcome {
-        telemetry::WDIST_APPLICATIONS.incr();
-        let prof = match WeightedPopProfile::of(psi) {
-            Some(p) => p,
-            None => return WeightedOutcome::exact(WeightedKb::unsatisfiable(mu.n_vars()), budget),
-        };
-        let support: Vec<(Interp, u64)> = psi.support().collect();
-        telemetry::WSUPPORT_SCANNED.add(support.len() as u64);
-        let sel = select_min_budgeted(
-            mu.n_vars(),
-            mu.support().map(|(i, _)| i),
-            |i, cap: Option<&u128>| wdist_pruned(&support, &prof, i, cap.copied()),
-            budget,
-        );
-        // Minimizers and any unrefuted frontier members alike keep their
-        // μ̃-weights, preserving the weighted Min semantics on degradation.
-        let quality = sel.quality();
-        let kept = match (quality, sel.frontier) {
-            (Quality::UpperBound, Some(f)) if !f.is_empty() => sel
-                .minima
-                .union(&arbitrex_logic::ModelSet::new(mu.n_vars(), f)),
-            _ => sel.minima,
-        };
-        WeightedOutcome::new(
-            WeightedKb::from_weights(mu.n_vars(), kept.iter().map(|i| (i, mu.weight(i)))),
-            quality,
-            budget,
-        )
+        self.select(psi, mu, budget)
+            .into_weighted_outcome(budget, |i| mu.weight(i))
     }
 }
 
@@ -140,9 +123,13 @@ impl<K: Ord, F: Fn(&WeightedKb, Interp) -> K> WeightedChangeOperator for Weighte
             return WeightedKb::unsatisfiable(mu.n_vars());
         }
         // Single pass: rank invoked once per support member.
-        let (_, min) = select_min(mu.n_vars(), mu.support().map(|(i, _)| i), |i, _| {
-            Some((self.rank)(psi, i))
-        });
+        let min = select_min(
+            mu.n_vars(),
+            mu.support().map(|(i, _)| i),
+            |i, _| Some((self.rank)(psi, i)),
+            &Budget::unlimited(),
+        )
+        .minima;
         WeightedKb::from_weights(mu.n_vars(), min.iter().map(|i| (i, mu.weight(i))))
     }
 }

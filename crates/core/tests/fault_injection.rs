@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use arbitrex_core::kernel::{naive, select_min_subcube_odist_budgeted};
+use arbitrex_core::kernel::{naive, select_min_subcube_odist};
 use arbitrex_core::satbackend::{dalal_revision_sat_budgeted, odist_fitting_sat_budgeted};
 use arbitrex_core::{
     try_arbitrate_with_budget, Budget, BudgetSite, BudgetedChangeOperator, CancelToken,
@@ -30,7 +30,7 @@ fn subset(small: &ModelSet, big: &ModelSet) -> bool {
     superset(big, small)
 }
 
-/// Site 1: the kernel's ranked candidate scan (`select_min_budgeted`
+/// Site 1: the kernel's ranked candidate scan (`select_min`
 /// behind every pool-based operator).
 #[test]
 fn kernel_scan_fault_matrix() {
@@ -72,7 +72,7 @@ fn bnb_node_fault_matrix() {
     let exact = naive::odist_fitting(&psi, &ModelSet::all(n));
     for at in [1u64, 2, 3, 7, 20, 10_000] {
         let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-        let sel = select_min_subcube_odist_budgeted(n, &psi_models, &budget);
+        let sel = select_min_subcube_odist(n, &psi_models, 1, &budget);
         let quality = sel.quality();
         let out = sel.into_outcome(&budget);
         match quality {
@@ -87,7 +87,7 @@ fn bnb_node_fault_matrix() {
     }
     // The root node always charges: at = 1 must degrade.
     let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, 1));
-    let sel = select_min_subcube_odist_budgeted(n, &psi_models, &budget);
+    let sel = select_min_subcube_odist(n, &psi_models, 1, &budget);
     assert!(sel.trip.is_some(), "root node fault must trip");
 }
 
@@ -96,14 +96,13 @@ fn bnb_node_fault_matrix() {
 #[cfg(feature = "parallel")]
 #[test]
 fn parallel_shard_fault_matrix() {
-    use arbitrex_core::kernel::select_min_subcube_odist_parallel_budgeted;
     let n = 8;
     let psi_models: Vec<Interp> = [0b00001111u64, 0b11110000, 0b10101010].map(Interp).to_vec();
     let psi = ModelSet::new(n, psi_models.iter().copied());
     let exact = naive::odist_fitting(&psi, &ModelSet::all(n));
     for at in [1u64, 3, 9, 27, 100_000] {
         let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-        let sel = select_min_subcube_odist_parallel_budgeted(n, &psi_models, 4, &budget);
+        let sel = select_min_subcube_odist(n, &psi_models, 4, &budget);
         let quality = sel.quality();
         let out = sel.into_outcome(&budget);
         match quality {

@@ -737,7 +737,7 @@ impl EventLoop {
             return;
         }
         let desired = conn.desired_interest();
-        if conn.interest != Some(desired) {
+        if conn.interest != (desired.readable || desired.writable).then_some(desired) {
             let fd = conn.stream.as_raw_fd();
             let result = if desired.readable || desired.writable {
                 if conn.interest.is_some() {

@@ -194,6 +194,41 @@ fn deep_pipeline_burst_completes_in_order() {
     server.stop().unwrap();
 }
 
+#[test]
+fn paused_pipeline_resumes_across_completions_without_dropping() {
+    let server = server_with(|_| {});
+    let mut stream = connect(&server);
+
+    // A held arbitration, then enough fast ones in the same write to
+    // fill MAX_PIPELINE_DEPTH: the connection pauses with its output
+    // drained while the fast requests complete behind the held one.
+    // Every one of those completions must leave the connection
+    // registered correctly, so all 141 responses arrive, in order.
+    let mut batch = raw_request(
+        "POST",
+        "/v1/arbitrate",
+        r#"{"psi": "H", "phi": "H", "hold_ms": 300}"#,
+        false,
+    );
+    for i in 0..140 {
+        batch.push_str(&raw_request(
+            "POST",
+            "/v1/arbitrate",
+            &format!(r#"{{"psi": "V{i}", "phi": "V{i}"}}"#),
+            false,
+        ));
+    }
+    stream.write_all(batch.as_bytes()).unwrap();
+
+    for name in std::iter::once("H".to_string()).chain((0..140).map(|i| format!("V{i}"))) {
+        let (status, _head, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{name}: {body}");
+        assert!(body.contains(&format!("[\"{name}\"]")), "{name}: {body}");
+    }
+
+    server.stop().unwrap();
+}
+
 // --- connection lifecycle ----------------------------------------------------
 
 #[test]

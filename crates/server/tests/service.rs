@@ -40,6 +40,24 @@ use common::{num_of, request, str_of, Client};
 // --- happy paths -------------------------------------------------------------
 
 #[test]
+fn unbudgeted_arbitrate_reports_metered_work() {
+    // No `timeout_ms` and no server default: the kernel still runs on the
+    // metered path and reports what the selection cost.
+    let server = server();
+    let body = r#"{"psi": "A & B & !C", "phi": "!A & !B & C"}"#;
+    let (status, resp) = request(&server, "POST", "/v1/arbitrate", body);
+    assert_eq!(status, 200, "{resp:?}");
+    assert_eq!(str_of(&resp, "quality"), "exact");
+    assert_eq!(str_of(&resp, "cache"), "miss");
+    let spent = resp.get("spent").expect("spent");
+    assert!(
+        num_of(spent, "scans") + num_of(spent, "nodes") > 0,
+        "{resp:?}"
+    );
+    server.stop().unwrap();
+}
+
+#[test]
 fn arbitrate_happy_path_with_cache_determinism() {
     let server = server();
     let body = r#"{"psi": "A & B", "phi": "!A & !B"}"#;

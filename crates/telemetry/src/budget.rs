@@ -260,8 +260,8 @@ impl BudgetSpent {
 /// Cheap to clone — clones share the same spent counters and trip state,
 /// so one `Budget` governs an entire operator application including its
 /// parallel shards and any SAT solvers it spawns. An unlimited budget
-/// ([`Budget::unlimited`]) never trips and budgeted code paths fast-path
-/// around all shared-state traffic for it.
+/// ([`Budget::unlimited`]) never trips, but metered loops still charge
+/// it, so [`Budget::spent`] reports the work they did.
 ///
 /// ```
 /// use arbitrex_telemetry::budget::{Budget, BudgetSite};
@@ -298,8 +298,8 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// A budget with no limits: never trips, and budgeted entry points
-    /// take their exact fast path.
+    /// A budget with no limits: never trips, but still records every
+    /// charge.
     pub fn unlimited() -> Budget {
         Budget {
             shared: Arc::new(Shared::new()),
@@ -363,8 +363,9 @@ impl Budget {
     }
 
     /// `true` when this budget can never trip (no limits, deadline,
-    /// cancellation, or fault plan). Budgeted entry points use this to
-    /// take the exact, uninstrumented path.
+    /// cancellation, or fault plan). Callers whose instrumentation is
+    /// costly and only matters for trips (SAT solver arming) skip it for
+    /// such budgets.
     pub fn is_unconstrained(&self) -> bool {
         self.deadline.is_none()
             && self.step_limit.is_none()
