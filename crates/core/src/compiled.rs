@@ -1,6 +1,6 @@
 //! The compiled-KB tier: hot `ψ` theories compiled to ROBDDs.
 //!
-//! The PR 4 [`OpCache`](crate::cache::OpCache) is exact-hit-only: it
+//! The result cache, [`OpCache`], is exact-hit-only: it
 //! replays a stored answer when the *whole query* `(ψ, μ)` is
 //! alpha-equivalent to an earlier one. This module adds the
 //! structure-sharing tier underneath it: a `ψ` queried often enough (or
@@ -16,6 +16,12 @@
 //! ([`CompiledTier::note_commit`]) is therefore a memory/latency
 //! optimization, not a correctness mechanism: it drops the dead entry and
 //! transfers hotness by eagerly compiling the successor.
+//!
+//! Canonicalizing a long `ψ` costs more than answering from its BDD, so
+//! the tier also keeps a small hot-`ψ` memo from `ψ`'s request-space
+//! encoding to its canonical key and variable map: a query against a
+//! compiled theory pays for canonicalizing `ψ` once, not on every request
+//! (DESIGN.md §11.1).
 //!
 //! Degradation is typed, never a panic: compilation past the node budget
 //! marks the `ψ` too-big and its queries fall back to the budgeted
@@ -40,7 +46,7 @@ use arbitrex_bdd::{
     compile, compile_mapped, Bdd, BddManager, DistanceLayers, NodeBudget, NodeBudgetExceeded,
     OdistLayers,
 };
-use arbitrex_logic::{canonicalize_query, Formula, Interp, ModelSet};
+use arbitrex_logic::{canonicalize_query, encode_formula, Formula, Interp, ModelSet};
 
 /// Which execution path produced a tiered answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,8 +299,25 @@ impl Slot {
     }
 }
 
+/// Key of the hot-`ψ` memo: the declared width and `ψ`'s request-space
+/// encoding. [`encode_formula`] is injective, so equal keys mean the very
+/// same `ψ` at the very same width.
+type MemoKey = (u32, Vec<u8>);
+
+/// What the memo remembers about one request-space `ψ`: the canonical key
+/// of its tier slot and the request→canonical variable map, i.e. exactly
+/// what `canonicalize_query(&[ψ], n_vars)` would recompute.
+struct MemoEntry {
+    key: Vec<u8>,
+    forward: Vec<u32>,
+    stamp: u64,
+}
+
 struct TierInner {
     map: HashMap<Vec<u8>, Slot>,
+    /// The hot-`ψ` memo; filled only for `ψ` whose slot is `Ready` and
+    /// bounded by the tier's capacity.
+    memo: HashMap<MemoKey, MemoEntry>,
     /// Logical clock for LRU stamps (monotone per tier operation).
     clock: u64,
 }
@@ -341,6 +364,7 @@ impl CompiledTier {
             capacity,
             inner: Mutex::new(TierInner {
                 map: HashMap::new(),
+                memo: HashMap::new(),
                 clock: 0,
             }),
         }
@@ -413,10 +437,69 @@ impl CompiledTier {
         }
     }
 
+    /// Remember `ψ`'s canonical key and variable map, evicting the least
+    /// recently used entry when the memo is at capacity.
+    fn remember_locked(
+        &self,
+        inner: &mut TierInner,
+        memo_key: MemoKey,
+        key: &[u8],
+        forward: &[u32],
+    ) {
+        if inner.memo.len() >= self.capacity && !inner.memo.contains_key(&memo_key) {
+            let victim = inner
+                .memo
+                .iter()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(k, _)| k.clone());
+            if let Some(k) = victim {
+                inner.memo.remove(&k);
+            }
+        }
+        let entry = MemoEntry {
+            key: key.to_vec(),
+            forward: forward.to_vec(),
+            stamp: inner.clock,
+        };
+        inner.memo.insert(memo_key, entry);
+    }
+
+    /// Serve a memoized `ψ` whose slot is still `Ready`, without
+    /// canonicalizing it. An entry whose slot was evicted, invalidated or
+    /// never became `Ready` is dropped and the caller takes the full path.
+    fn memo_hit(&self, memo_key: &MemoKey) -> Option<TierHandle> {
+        let mut inner = self.inner.lock().unwrap();
+        inner.clock += 1;
+        let clock = inner.clock;
+        let TierInner { map, memo, .. } = &mut *inner;
+        let entry = memo.get_mut(memo_key)?;
+        match map.get_mut(&entry.key) {
+            Some(Slot::Ready { kb, stamp }) => {
+                *stamp = clock;
+                entry.stamp = clock;
+                telemetry::BDD_PSI_MEMO_HITS.incr();
+                Some((kb.clone(), entry.forward.clone(), None))
+            }
+            _ => {
+                memo.remove(memo_key);
+                None
+            }
+        }
+    }
+
     /// Count a query against `ψ` and, once hot, return its compiled handle
     /// (compiling it on this call if needed). `None` means: serve this
     /// query from the kernel.
+    ///
+    /// A `ψ` already served compiled is answered from the hot-`ψ` memo,
+    /// which skips its canonicalization: `canonicalize_query` is a pure
+    /// function of `(ψ, n_vars)`, so the memoized key and map are the
+    /// ones it would return.
     fn acquire(&self, psi: &Formula, n_vars: u32) -> Option<TierHandle> {
+        let memo_key = (n_vars, encode_formula(psi));
+        if let Some(handle) = self.memo_hit(&memo_key) {
+            return Some(handle);
+        }
         let cq = canonicalize_query(&[psi], n_vars);
         // Wider-than-declared formulas never reach the tier; the kernel
         // path performs its own width validation.
@@ -431,7 +514,9 @@ impl CompiledTier {
             match inner.map.get_mut(&key) {
                 Some(Slot::Ready { kb, stamp }) => {
                     *stamp = clock;
-                    return Some((kb.clone(), cq.forward, None));
+                    let kb = kb.clone();
+                    self.remember_locked(&mut inner, memo_key, &key, &cq.forward);
+                    return Some((kb, cq.forward, None));
                 }
                 Some(Slot::TooBig { stamp }) => {
                     *stamp = clock;
@@ -460,16 +545,18 @@ impl CompiledTier {
                 }
             }
         }
-        self.compile_insert(key, cq)
+        self.compile_insert(key, cq, memo_key)
     }
 
     /// Compile `cq`'s single formula **outside** the tier lock, then
-    /// publish the result. Losers of a compile race adopt the winner's
-    /// entry and discard their own work.
+    /// publish the result and memoize `memo_key` (the request-space `ψ`
+    /// that `cq` canonicalizes) against it. Losers of a compile race adopt
+    /// the winner's entry and discard their own work.
     fn compile_insert(
         &self,
         key: Vec<u8>,
         cq: arbitrex_logic::CanonicalQuery,
+        memo_key: MemoKey,
     ) -> Option<TierHandle> {
         let forward = cq.forward;
         let width = cq.n_vars;
@@ -493,11 +580,14 @@ impl CompiledTier {
             Ok(cp) => {
                 if let Some(Slot::Ready { kb, stamp }) = inner.map.get_mut(&key) {
                     *stamp = clock;
-                    return Some((kb.clone(), forward, None));
+                    let kb = kb.clone();
+                    self.remember_locked(&mut inner, memo_key, &key, &forward);
+                    return Some((kb, forward, None));
                 }
                 telemetry::BDD_COMPILES.incr();
                 telemetry::BDD_COMPILE_NODES.add(cp.base_nodes as u64);
                 let kb = Arc::new(Mutex::new(cp));
+                self.remember_locked(&mut inner, memo_key, &key, &forward);
                 inner.map.insert(
                     key,
                     Slot::Ready {
@@ -555,24 +645,45 @@ impl CompiledTier {
         if !self.is_enabled() {
             return None;
         }
+        // Only a tracked previous ψ has anything to invalidate or any
+        // hotness to transfer. A hot one is usually memoized.
+        let prev = prev?;
+        let memoized = {
+            let inner = self.inner.lock().unwrap();
+            inner
+                .memo
+                .get(&(n_vars, encode_formula(prev)))
+                .map(|e| e.key.clone())
+        };
+        let prev_key = match memoized {
+            Some(key) => key,
+            None => {
+                let cq = canonicalize_query(&[prev], n_vars);
+                if cq.n_vars != n_vars {
+                    return None;
+                }
+                cq.key_bytes()
+            }
+        };
+        if !self.inner.lock().unwrap().map.contains_key(&prev_key) {
+            return None;
+        }
         let next_cq = canonicalize_query(&[next], n_vars);
         let next_key = (next_cq.n_vars == n_vars).then(|| next_cq.key_bytes());
-        let mut was_hot = false;
-        if let Some(p) = prev {
-            let cq = canonicalize_query(&[p], n_vars);
-            if cq.n_vars == n_vars {
-                let key = cq.key_bytes();
-                // A commit that leaves ψ canonically unchanged invalidates
-                // nothing.
-                if Some(&key) != next_key.as_ref() {
-                    let mut inner = self.inner.lock().unwrap();
-                    if let Some(slot) = inner.map.remove(&key) {
-                        telemetry::BDD_INVALIDATIONS.incr();
-                        was_hot = matches!(slot, Slot::Ready { .. });
-                    }
-                }
-            }
+        // A commit that leaves ψ canonically unchanged invalidates nothing.
+        if next_key.as_ref() == Some(&prev_key) {
+            return None;
         }
+        let was_hot = {
+            let mut inner = self.inner.lock().unwrap();
+            match inner.map.remove(&prev_key) {
+                Some(slot) => {
+                    telemetry::BDD_INVALIDATIONS.incr();
+                    matches!(slot, Slot::Ready { .. })
+                }
+                None => false,
+            }
+        };
         if !was_hot {
             return None;
         }
@@ -583,7 +694,7 @@ impl CompiledTier {
                 return None;
             }
         }
-        match self.compile_insert(key, canonicalize_query(&[next], n_vars)) {
+        match self.compile_insert(key, next_cq, (n_vars, encode_formula(next))) {
             Some((_, _, ns)) => ns,
             None => None,
         }
@@ -918,6 +1029,156 @@ mod tests {
         // The most recent ψ survived; the oldest was evicted.
         assert!(tier.is_compiled(&n_formulas[3], n));
         assert!(!tier.is_compiled(&n_formulas[0], n));
+    }
+
+    fn memo_len(tier: &CompiledTier) -> usize {
+        tier.inner.lock().unwrap().memo.len()
+    }
+
+    fn memo_entry(tier: &CompiledTier, psi: &Formula, n: u32) -> Option<(Vec<u8>, Vec<u32>)> {
+        let inner = tier.inner.lock().unwrap();
+        let e = inner.memo.get(&(n, encode_formula(psi)))?;
+        Some((e.key.clone(), e.forward.clone()))
+    }
+
+    #[test]
+    fn repeated_psi_is_served_through_the_memo() {
+        let cache = OpCache::new(0);
+        let tier = eager_tier();
+        let mut sig = Sig::new();
+        let psi = q(&mut sig, "(A & !B & C) | (!A & B & !C) | (A & B & C & !D)");
+        let mus: Vec<Formula> = ["A", "!A & D", "B | !C", "!B & !D", "A & B & C & D"]
+            .iter()
+            .map(|t| q(&mut sig, t))
+            .collect();
+        let n = sig.width();
+        let b = Budget::unlimited();
+        for (round, mu) in mus.iter().enumerate() {
+            for op in [
+                &OdistFitting as &dyn BudgetedChangeOperator,
+                &DalalRevision as &dyn BudgetedChangeOperator,
+            ] {
+                let (got, _, rep) = tiered_apply(&cache, &tier, op, &psi, mu, n, &b).unwrap();
+                assert_eq!(rep.backend, Backend::Bdd);
+                let expect = op.apply_with_budget(
+                    &ModelSet::of_formula(&psi, n),
+                    &ModelSet::of_formula(mu, n),
+                    &b,
+                );
+                assert_eq!(got.models, expect.models, "op {} round {round}", op.name());
+            }
+            let (got, _, rep) = tiered_arbitrate(&cache, &tier, &psi, mu, n, &b).unwrap();
+            assert_eq!(rep.backend, Backend::Bdd);
+            assert_eq!(got.models, kernel_arbitrate(&psi, mu, n));
+            // After the compiling query, every lookup is a memo hit.
+            assert!(tier.memo_hit(&(n, encode_formula(&psi))).is_some());
+        }
+        assert_eq!(memo_len(&tier), 1);
+        // The memo holds exactly what canonicalization would recompute.
+        let cq = canonicalize_query(&[&psi], n);
+        assert_eq!(
+            memo_entry(&tier, &psi, n),
+            Some((cq.key_bytes(), cq.forward))
+        );
+    }
+
+    #[test]
+    fn memo_never_aliases_across_widths() {
+        let cache = OpCache::new(0);
+        let tier = eager_tier();
+        let b = Budget::unlimited();
+        // The same ψ text, over a 2- and a 3-variable universe.
+        let mut narrow = Sig::new();
+        let psi2 = q(&mut narrow, "A & !B");
+        let mu2 = q(&mut narrow, "!A");
+        let mut wide = Sig::new();
+        let psi3 = q(&mut wide, "A & !B");
+        let mu3 = q(&mut wide, "!A & C");
+        assert_eq!(encode_formula(&psi2), encode_formula(&psi3));
+        for (psi, mu, n) in [(&psi2, &mu2, 2), (&psi3, &mu3, 3), (&psi2, &mu2, 2)] {
+            let (got, _, rep) = tiered_apply(&cache, &tier, &OdistFitting, psi, mu, n, &b).unwrap();
+            assert_eq!(rep.backend, Backend::Bdd);
+            let expect = OdistFitting.apply_with_budget(
+                &ModelSet::of_formula(psi, n),
+                &ModelSet::of_formula(mu, n),
+                &b,
+            );
+            assert_eq!(got.models, expect.models, "width {n}");
+        }
+        assert_eq!(tier.compiled_count(), 2);
+        assert_eq!(memo_len(&tier), 2);
+        assert_eq!(memo_entry(&tier, &psi2, 2).unwrap().1.len(), 2);
+        assert_eq!(memo_entry(&tier, &psi3, 3).unwrap().1.len(), 3);
+    }
+
+    #[test]
+    fn stale_memo_entries_never_serve_a_dropped_slot() {
+        let mut sig = Sig::new();
+        let old_psi = q(&mut sig, "A & B");
+        let new_psi = q(&mut sig, "A & !B");
+        let n = sig.width();
+        // Invalidation by commit.
+        let tier = eager_tier();
+        let (old_kb, _, _) = tier.acquire(&old_psi, n).unwrap();
+        assert!(tier.memo_hit(&(n, encode_formula(&old_psi))).is_some());
+        assert!(tier.note_commit(Some(&old_psi), &new_psi, n).is_some());
+        assert!(tier.memo_hit(&(n, encode_formula(&old_psi))).is_none());
+        // The successor was memoized by its eager compile.
+        assert!(tier.memo_hit(&(n, encode_formula(&new_psi))).is_some());
+        let (again, _, _) = tier.acquire(&old_psi, n).unwrap();
+        assert!(!Arc::ptr_eq(&old_kb, &again), "served the invalidated slot");
+
+        // Eviction by LRU: a 2-slot tier that compiles on the 2nd query.
+        let tier = CompiledTier::new(2, 1 << 20, 2);
+        let psis = [
+            q(&mut sig, "A & B"),
+            q(&mut sig, "A | B"),
+            q(&mut sig, "!A | !B"),
+        ];
+        for psi in &psis {
+            assert!(tier.acquire(psi, n).is_none());
+            assert!(tier.acquire(psi, n).is_some());
+        }
+        assert!(!tier.is_compiled(&psis[0], n));
+        assert!(tier.memo_hit(&(n, encode_formula(&psis[0]))).is_none());
+        // Back to counting: the first query after eviction is not served.
+        assert!(tier.acquire(&psis[0], n).is_none());
+    }
+
+    #[test]
+    fn memo_stays_within_capacity() {
+        let capacity = 4;
+        let tier = CompiledTier::new(1, 1 << 20, capacity);
+        let mut sig = Sig::new();
+        let names = ["A", "B", "C", "D"];
+        // 10 × capacity distinct ψ: the full-minterm DNF of model set `set`
+        // (bit `m` of `set` selects interpretation `m` of A..D).
+        for set in 1..=(10 * capacity as u32) {
+            let terms: Vec<String> = (0..16u32)
+                .filter(|m| set >> m & 1 == 1)
+                .map(|m| {
+                    let lits: Vec<String> = names
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| {
+                            if m >> i & 1 == 1 {
+                                v.to_string()
+                            } else {
+                                format!("!{v}")
+                            }
+                        })
+                        .collect();
+                    format!("({})", lits.join(" & "))
+                })
+                .collect();
+            let psi = q(&mut sig, &terms.join(" | "));
+            for _ in 0..2 {
+                assert!(tier.acquire(&psi, 4).is_some());
+                assert!(memo_len(&tier) <= capacity);
+                assert!(tier.compiled_count() <= capacity);
+            }
+        }
+        assert_eq!(memo_len(&tier), capacity);
     }
 
     #[test]

@@ -190,6 +190,9 @@ pub static BDD_EVICTIONS: Counter = Counter::new("bdd_evictions");
 pub static BDD_INVALIDATIONS: Counter = Counter::new("bdd_invalidations");
 /// Per-ψ managers rebuilt to shed per-query μ debris.
 pub static BDD_MANAGER_RESETS: Counter = Counter::new("bdd_manager_resets");
+/// Tier lookups whose ψ was found in the hot-ψ memo, skipping its
+/// canonicalization.
+pub static BDD_PSI_MEMO_HITS: Counter = Counter::new("bdd_psi_memo_hits");
 /// Wall time spent compiling ψ and its distance layers.
 pub static BDD_COMPILE: Timer = Timer::new("bdd_compile");
 
@@ -206,6 +209,7 @@ pub static BDD_SECTION: Section = Section {
         &BDD_EVICTIONS,
         &BDD_INVALIDATIONS,
         &BDD_MANAGER_RESETS,
+        &BDD_PSI_MEMO_HITS,
     ],
     timers: &[&BDD_COMPILE],
 };

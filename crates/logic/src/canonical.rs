@@ -27,6 +27,19 @@
 //! aligned), and the renaming is returned as a permutation of the full
 //! `n`-variable universe so model sets computed in canonical space can be
 //! mapped back to the caller's variable order.
+//!
+//! Only the first pass builds a new tree (NNF, then sort-and-dedup). Every
+//! later renaming — the initial color order and each fixed-point round —
+//! renumbers variables in place and re-sorts `∧`/`∨` children bottom-up,
+//! which on an already normalized tree gives exactly what rebuilding it
+//! would. Color refinement hashes through one reused working stack instead
+//! of a vector per node.
+//!
+//! **The bytes are a cross-node contract.** [`canonical_key`] travels in
+//! the replication digest and decides which side of a divergent pair is
+//! `ψ` in the `Δ` merge, so every node must compute the same bytes for the
+//! same formula. Optimizations here must leave the bytes, and the color
+//! hash that shapes them, unchanged; `tests/canonical_golden.rs` pins them.
 
 use crate::ast::Formula;
 use crate::interp::Var;
@@ -51,13 +64,17 @@ impl CanonicalQuery {
     /// Serialize the whole query (formula count, then each canonical
     /// formula length-prefixed) — the collision-free cache key material.
     pub fn key_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let size: usize = self.formulas.iter().map(Formula::size).sum();
+        let mut out = Vec::with_capacity(8 + 4 * self.formulas.len() + 3 * size);
         out.extend_from_slice(&self.n_vars.to_le_bytes());
         out.extend_from_slice(&(self.formulas.len() as u32).to_le_bytes());
         for f in &self.formulas {
-            let bytes = serialize(f);
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            // Length prefix, patched once the formula is written.
+            let at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            write_node(f, &mut out);
+            let len = (out.len() - at - 4) as u32;
+            out[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
         out
     }
@@ -88,7 +105,7 @@ pub fn canonicalize_query(formulas: &[&Formula], n_vars: u32) -> CanonicalQuery 
     let colors = refine_colors(&fs, width, 3);
     let initial = order_from_colors(&fs, &colors, width);
     for f in &mut fs {
-        *f = normalize(&rename(f, &initial));
+        renumber(f, &initial);
     }
     // Composed renaming: forward[original] = current canonical index.
     let mut forward: Vec<u32> = initial;
@@ -102,7 +119,7 @@ pub fn canonicalize_query(formulas: &[&Formula], n_vars: u32) -> CanonicalQuery 
             break;
         }
         for f in &mut fs {
-            *f = normalize(&rename(f, &step));
+            renumber(f, &step);
         }
         for slot in forward.iter_mut() {
             *slot = step[*slot as usize];
@@ -270,60 +287,98 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Mix a sequence of words with FNV-1a (the module's hash combiner).
-fn mix(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
+/// Streaming FNV-1a over little-endian 64-bit words — the module's hash
+/// combiner. Feeding words one at a time hashes exactly the bytes of their
+/// concatenation, so no caller needs to collect its words first.
+#[derive(Clone, Copy)]
+struct Mix(u64);
+
+impl Mix {
+    fn new() -> Mix {
+        Mix(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(self, w: u64) -> Mix {
+        let mut h = self.0;
         for b in w.to_le_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
+        Mix(h)
     }
-    h
+
+    fn words(self, ws: &[u64]) -> Mix {
+        ws.iter().fold(self, |h, &w| h.word(w))
+    }
+}
+
+/// Mix a short, fixed sequence of words.
+fn mix(words: &[u64]) -> u64 {
+    Mix::new().words(words).0
 }
 
 /// Bottom-up structure hash in which a variable contributes only its
 /// current color — never its index — and `∧`/`∨` children contribute as a
 /// sorted multiset, so the hash is invariant under renaming and shuffling.
-fn up_hash(f: &Formula, colors: &[u64]) -> u64 {
+///
+/// `stack` is working space shared by the whole traversal: each `∧`/`∨`
+/// sorts its children's hashes on top of it and pops them again.
+fn up_hash(f: &Formula, colors: &[u64], stack: &mut Vec<u64>) -> u64 {
     match f {
         Formula::True => mix(&[1]),
         Formula::False => mix(&[2]),
         Formula::Var(v) => mix(&[3, colors[v.index()]]),
-        Formula::Not(g) => mix(&[4, up_hash(g, colors)]),
+        Formula::Not(g) => mix(&[4, up_hash(g, colors, stack)]),
         Formula::And(gs) | Formula::Or(gs) => {
             let tag = if matches!(f, Formula::And(_)) { 5 } else { 6 };
-            let mut hs: Vec<u64> = gs.iter().map(|g| up_hash(g, colors)).collect();
-            hs.sort_unstable();
-            let mut words = vec![tag];
-            words.extend(hs);
-            mix(&words)
+            let base = stack.len();
+            for g in gs {
+                let h = up_hash(g, colors, stack);
+                stack.push(h);
+            }
+            stack[base..].sort_unstable();
+            let h = Mix::new().word(tag).words(&stack[base..]).0;
+            stack.truncate(base);
+            h
         }
-        Formula::Implies(a, b) => mix(&[7, up_hash(a, colors), up_hash(b, colors)]),
-        Formula::Iff(a, b) => mix(&[8, up_hash(a, colors), up_hash(b, colors)]),
-        Formula::Xor(a, b) => mix(&[9, up_hash(a, colors), up_hash(b, colors)]),
+        Formula::Implies(a, b) => mix(&[7, up_hash(a, colors, stack), up_hash(b, colors, stack)]),
+        Formula::Iff(a, b) => mix(&[8, up_hash(a, colors, stack), up_hash(b, colors, stack)]),
+        Formula::Xor(a, b) => mix(&[9, up_hash(a, colors, stack), up_hash(b, colors, stack)]),
     }
 }
 
-/// Accumulate, per variable, the multiset of occurrence contexts: the
-/// top-down path hash at each of its leaves. Sibling information enters
-/// through sorted up-hashes, so contexts are order- and renaming-free.
-fn occurrence_contexts(f: &Formula, colors: &[u64], path: u64, out: &mut [Vec<u64>]) {
+/// Collect `(variable, context)` for every variable occurrence: the
+/// top-down path hash at each leaf. Sibling information enters through
+/// sorted up-hashes, so contexts are order- and renaming-free.
+fn occurrence_contexts(
+    f: &Formula,
+    colors: &[u64],
+    path: u64,
+    out: &mut Vec<(u32, u64)>,
+    stack: &mut Vec<u64>,
+) {
     match f {
         Formula::True | Formula::False => {}
-        Formula::Var(v) => out[v.index()].push(mix(&[path, 10])),
-        Formula::Not(g) => occurrence_contexts(g, colors, mix(&[path, 11]), out),
+        Formula::Var(v) => out.push((v.0, mix(&[path, 10]))),
+        Formula::Not(g) => occurrence_contexts(g, colors, mix(&[path, 11]), out, stack),
         Formula::And(gs) | Formula::Or(gs) => {
             let tag = if matches!(f, Formula::And(_)) { 12 } else { 13 };
-            let hs: Vec<u64> = gs.iter().map(|g| up_hash(g, colors)).collect();
-            let mut sorted = hs.clone();
-            sorted.sort_unstable();
-            let mut words = vec![tag];
-            words.extend_from_slice(&sorted);
-            let sibs = mix(&words);
-            for (g, h) in gs.iter().zip(hs) {
-                occurrence_contexts(g, colors, mix(&[path, tag, sibs, h]), out);
+            // The children's hashes in child order, then a sorted copy.
+            let base = stack.len();
+            for g in gs {
+                let h = up_hash(g, colors, stack);
+                stack.push(h);
             }
+            let sorted = base + gs.len();
+            stack.extend_from_within(base..sorted);
+            stack[sorted..].sort_unstable();
+            let sibs = Mix::new().word(tag).words(&stack[sorted..]).0;
+            stack.truncate(sorted);
+            for (i, g) in gs.iter().enumerate() {
+                let h = stack[base + i];
+                occurrence_contexts(g, colors, mix(&[path, tag, sibs, h]), out, stack);
+            }
+            stack.truncate(base);
         }
         Formula::Implies(a, b) | Formula::Iff(a, b) | Formula::Xor(a, b) => {
             let tag = match f {
@@ -331,8 +386,8 @@ fn occurrence_contexts(f: &Formula, colors: &[u64], path: u64, out: &mut [Vec<u6
                 Formula::Iff(..) => 15,
                 _ => 16,
             };
-            occurrence_contexts(a, colors, mix(&[path, tag, 0]), out);
-            occurrence_contexts(b, colors, mix(&[path, tag, 1]), out);
+            occurrence_contexts(a, colors, mix(&[path, tag, 0]), out, stack);
+            occurrence_contexts(b, colors, mix(&[path, tag, 1]), out, stack);
         }
     }
 }
@@ -344,16 +399,23 @@ fn occurrence_contexts(f: &Formula, colors: &[u64], path: u64, out: &mut [Vec<u6
 /// (the latter only costs cache hits, never correctness).
 fn refine_colors(fs: &[Formula], width: u32, rounds: usize) -> Vec<u64> {
     let mut colors = vec![0u64; width as usize];
+    let mut contexts: Vec<(u32, u64)> = Vec::new();
+    let mut stack: Vec<u64> = Vec::new();
     for _ in 0..rounds {
-        let mut contexts: Vec<Vec<u64>> = vec![Vec::new(); width as usize];
+        contexts.clear();
         for (k, f) in fs.iter().enumerate() {
-            occurrence_contexts(f, &colors, mix(&[17, k as u64]), &mut contexts);
+            occurrence_contexts(f, &colors, mix(&[17, k as u64]), &mut contexts, &mut stack);
         }
-        for (v, ctx) in contexts.iter_mut().enumerate() {
-            ctx.sort_unstable();
-            let mut words = vec![colors[v]];
-            words.extend_from_slice(ctx);
-            colors[v] = mix(&words);
+        // Sorting by (variable, context) lays out each variable's
+        // contexts as one sorted run.
+        contexts.sort_unstable();
+        let mut run = contexts.iter().peekable();
+        for (v, color) in colors.iter_mut().enumerate() {
+            let mut h = Mix::new().word(*color);
+            while let Some(&(_, ctx)) = run.next_if(|(u, _)| *u as usize == v) {
+                h = h.word(ctx);
+            }
+            *color = h.0;
         }
     }
     colors
@@ -421,6 +483,34 @@ fn normalize(f: &Formula) -> Formula {
         Formula::Implies(a, b) => Formula::implies(normalize(a), normalize(b)),
         Formula::Iff(a, b) => Formula::iff(normalize(a), normalize(b)),
         Formula::Xor(a, b) => Formula::xor(normalize(a), normalize(b)),
+    }
+}
+
+/// Rename variables through `map` in place and restore the sorted order
+/// of every `∧`/`∨`, bottom-up.
+///
+/// For a tree `f` that [`normalize`] produced and a `map` that is
+/// injective on `f`'s variables this equals `normalize(&rename(f, map))`
+/// without allocating: the tree is already flattened and constant-free,
+/// and an injective renaming keeps siblings distinct, so re-sorting the
+/// children is all normalization has left to do. Because siblings are
+/// distinct under the total order [`cmp_formula`], the sorted order is
+/// unique and an unstable sort finds it.
+fn renumber(f: &mut Formula, map: &[u32]) {
+    match f {
+        Formula::True | Formula::False => {}
+        Formula::Var(v) => *v = Var(map[v.index()]),
+        Formula::Not(g) => renumber(g, map),
+        Formula::And(gs) | Formula::Or(gs) => {
+            for g in gs.iter_mut() {
+                renumber(g, map);
+            }
+            gs.sort_unstable_by(cmp_formula);
+        }
+        Formula::Implies(a, b) | Formula::Iff(a, b) | Formula::Xor(a, b) => {
+            renumber(a, map);
+            renumber(b, map);
+        }
     }
 }
 
@@ -598,7 +688,7 @@ mod tests {
     use crate::parser::parse;
     use crate::random::FormulaGen;
     use crate::sig::Sig;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn key_of(text: &str) -> u64 {
         let mut sig = Sig::new();
@@ -728,6 +818,29 @@ mod tests {
         assert_eq!(renamed_psi, canon.formulas[0]);
         let renamed_mu = normalize(&to_nnf(&rename(&mu, &canon.forward)));
         assert_eq!(renamed_mu, canon.formulas[1]);
+    }
+
+    #[test]
+    fn renumber_in_place_equals_rename_then_normalize() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0c7a);
+        for width in 2..=10u32 {
+            let gen = FormulaGen {
+                n_vars: width,
+                max_depth: 5,
+                leaf_bias: 0.2,
+            };
+            for _ in 0..40 {
+                let f = normalize(&to_nnf(&gen.sample(&mut rng)));
+                // A random permutation of the universe (Fisher–Yates).
+                let mut map: Vec<u32> = (0..width).collect();
+                for i in (1..map.len()).rev() {
+                    map.swap(i, rng.random_range(0..=i));
+                }
+                let mut g = f.clone();
+                renumber(&mut g, &map);
+                assert_eq!(g, normalize(&rename(&f, &map)), "map {map:?} on {f:?}");
+            }
+        }
     }
 
     #[test]

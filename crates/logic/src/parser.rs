@@ -54,9 +54,10 @@ pub fn parse(sig: &mut Sig, input: &str) -> Result<Formula, ParseError> {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TokKind {
-    Ident(String),
+/// A token kind; identifiers borrow their text from the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TokKind<'a> {
+    Ident(&'a str),
     True,
     False,
     Not,
@@ -69,10 +70,10 @@ enum TokKind {
     RParen,
 }
 
-impl TokKind {
+impl TokKind<'_> {
     fn describe(&self) -> String {
         match self {
-            TokKind::Ident(s) => s.clone(),
+            TokKind::Ident(s) => s.to_string(),
             TokKind::True => "true".into(),
             TokKind::False => "false".into(),
             TokKind::Not => "!".into(),
@@ -87,13 +88,25 @@ impl TokKind {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Tok {
-    kind: TokKind,
+#[derive(Debug, Clone, Copy)]
+struct Tok<'a> {
+    kind: TokKind<'a>,
     position: usize,
 }
 
-fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
+/// Word operators and constants, matched case-insensitively.
+const KEYWORDS: [(&str, TokKind<'static>); 8] = [
+    ("true", TokKind::True),
+    ("top", TokKind::True),
+    ("false", TokKind::False),
+    ("bot", TokKind::False),
+    ("and", TokKind::And),
+    ("or", TokKind::Or),
+    ("not", TokKind::Not),
+    ("xor", TokKind::Xor),
+];
+
+fn lex(input: &str) -> Result<Vec<Tok<'_>>, ParseError> {
     let bytes = input.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -177,15 +190,10 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
                 }
                 let word = &input[i..j];
                 i = j;
-                match word.to_ascii_lowercase().as_str() {
-                    "true" | "top" => TokKind::True,
-                    "false" | "bot" => TokKind::False,
-                    "and" => TokKind::And,
-                    "or" => TokKind::Or,
-                    "not" => TokKind::Not,
-                    "xor" => TokKind::Xor,
-                    _ => TokKind::Ident(word.to_string()),
-                }
+                KEYWORDS
+                    .iter()
+                    .find(|(kw, _)| word.eq_ignore_ascii_case(kw))
+                    .map_or(TokKind::Ident(word), |&(_, kind)| kind)
             }
             other => {
                 return Err(ParseError {
@@ -202,19 +210,19 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
     Ok(toks)
 }
 
-struct Parser<'a> {
-    tokens: Vec<Tok>,
+struct Parser<'a, 's> {
+    tokens: Vec<Tok<'s>>,
     pos: usize,
     depth: usize,
     sig: &'a mut Sig,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Tok> {
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> Option<&Tok<'s>> {
         self.tokens.get(self.pos)
     }
 
-    fn eat(&mut self, kind: &TokKind) -> bool {
+    fn eat(&mut self, kind: &TokKind<'_>) -> bool {
         if self.peek().map(|t| &t.kind) == Some(kind) {
             self.pos += 1;
             true
@@ -315,14 +323,11 @@ impl Parser<'_> {
 
     fn parse_atom(&mut self) -> Result<Formula, ParseError> {
         let end = self.end_position();
-        let tok = match self.peek() {
-            Some(t) => t.clone(),
-            None => {
-                return Err(ParseError {
-                    position: end,
-                    message: "unexpected end of input".into(),
-                })
-            }
+        let Some(&tok) = self.peek() else {
+            return Err(ParseError {
+                position: end,
+                message: "unexpected end of input".into(),
+            });
         };
         match tok.kind {
             TokKind::True => {
@@ -335,7 +340,7 @@ impl Parser<'_> {
             }
             TokKind::Ident(name) => {
                 self.pos += 1;
-                Ok(Formula::Var(self.sig.var(&name)))
+                Ok(Formula::Var(self.sig.var(name)))
             }
             TokKind::LParen => {
                 self.pos += 1;

@@ -6,6 +6,11 @@
 //! kept as `f64` (every protocol field fits losslessly: weights and step
 //! counts stay below 2⁵³). Duplicate object keys keep the last value, like
 //! most JSON decoders.
+//!
+//! Parsing is one linear pass. Strings in particular are copied run by
+//! run: everything up to the next `"`, `\` or control byte moves as one
+//! slice, so a megabyte body or a thousands-entry replication digest
+//! costs time proportional to its length.
 
 use std::fmt::Write as _;
 
@@ -289,11 +294,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&c) if c < 0x20 => return Err("control character in string".to_string()),
             Some(_) => {
-                // Copy one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the whole run up to the next delimiter as one slice.
+                // Delimiters are ASCII, and ASCII bytes never occur inside
+                // a multibyte UTF-8 sequence, so the run ends on a char
+                // boundary and validating it alone is linear overall.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .map_or(bytes.len(), |len| *pos + len);
+                let text = std::str::from_utf8(&bytes[*pos..run]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -370,6 +381,73 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         assert!(text.contains("\\n"));
         assert!(text.contains("\\\""));
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_errors() {
+        for (bad, expected) in [
+            ("\"unterminated", "unterminated string"),
+            ("\"abc\\q\"", "bad escape"),
+            ("\"\\u12zz\"", "bad \\u escape"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"tab\there\"", "control character in string"),
+            ("\"caf\u{e9}\nx\"", "control character in string"),
+            ("{\"a\u{e9}\":1", "expected `,` or `}` at byte 8"),
+            ("[\"\u{1F600}\" 1]", "expected `,` or `]` at byte 8"),
+        ] {
+            assert_eq!(parse(bad), Err(expected.to_string()), "input {bad:?}");
+        }
+    }
+
+    /// Parse `text` on a helper thread and fail if it takes longer than
+    /// `limit` — a quadratic scan of a megabyte takes minutes.
+    fn parse_within(text: String, limit: std::time::Duration) -> Json {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(parse(&text));
+        });
+        rx.recv_timeout(limit)
+            .expect("parse did not finish in time: string scanning is not linear")
+            .expect("document should parse")
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        // Every escape, ASCII runs and 2-, 3- and 4-byte UTF-8 scalars.
+        let chunk = "plain ASCII text, caf\u{e9} \u{3b1}\u{3b2} \u{20ac}\u{2192} \u{1F600} \"q\" \\ / \n\r\t\u{8}\u{c}\u{1}\u{1f} ";
+        let mut value = String::new();
+        while value.len() < 1 << 20 {
+            value.push_str(chunk);
+        }
+        let mut text = Json::Str(value.clone()).to_text();
+        // `to_text` writes only the escapes it needs; splice in `\/`,
+        // `\b`, `\f` and `\u` forms of printable characters too.
+        text.insert_str(1, "\\/\\b\\f\\u0041\\u00e9\\u20ac");
+        let expected = format!("/\u{8}\u{c}A\u{e9}\u{20ac}{value}");
+        let got = parse_within(text, std::time::Duration::from_secs(10));
+        assert_eq!(got.as_str(), Some(expected.as_str()));
+    }
+
+    #[test]
+    fn large_digest_parses_in_linear_time() {
+        // The shape of `GET /v1/kbs`, which anti-entropy and shard
+        // rebalancing parse on every round.
+        let kbs: Vec<Json> = (0..5000u64)
+            .map(|i| {
+                obj([
+                    ("name", s(format!("kb-{i:05}-\u{3bc}\u{3c8}"))),
+                    ("seq", n(i * 7)),
+                    (
+                        "hash",
+                        s(format!("{:016x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15))),
+                    ),
+                    ("epoch", n(3)),
+                ])
+            })
+            .collect();
+        let doc = obj([("kbs", Json::Arr(kbs)), ("node_epoch", n(3))]);
+        let got = parse_within(doc.to_text(), std::time::Duration::from_secs(10));
+        assert_eq!(got, doc);
     }
 
     #[test]

@@ -139,17 +139,17 @@ impl WorkQueue {
         }
     }
 
-    /// Enqueue unless full; the job comes back on overflow so the
-    /// caller can refuse it.
-    fn try_push(&self, job: Job) -> Result<(), Job> {
+    /// Enqueue unless full; `false` means the queue was full and the
+    /// job was dropped, so the caller must refuse the request.
+    fn try_push(&self, job: Job) -> bool {
         let mut q = self.inner.lock().unwrap();
         if q.len() >= self.depth {
-            return Err(job);
+            return false;
         }
         q.push_back(job);
         drop(q);
         self.ready.notify_one();
-        Ok(())
+        true
     }
 
     /// Block for the next job, waking periodically to observe shutdown.
@@ -481,8 +481,7 @@ impl EventLoop {
                 self.shutdown.shutdown();
                 break;
             }
-            for i in 0..events.len() {
-                let ev = events[i];
+            for &ev in &events {
                 match ev.token {
                     LISTENER_TOKEN => {
                         if accepting {
@@ -560,7 +559,7 @@ impl EventLoop {
     }
 
     fn conn_event(&mut self, token: usize, ev: Event) {
-        if self.conns.get(token).map_or(true, |c| c.is_none()) {
+        if self.conns.get(token).is_none_or(|c| c.is_none()) {
             return;
         }
         if ev.readable {
@@ -680,22 +679,19 @@ impl EventLoop {
                         request,
                         close,
                     };
-                    match self.work.try_push(job) {
-                        Ok(()) => metrics::QUEUED.incr(),
-                        Err(_refused) => {
-                            metrics::REQUESTS.incr();
-                            metrics::REJECTED.incr();
-                            let resp = routes::error_response(
-                                503,
-                                "server overloaded: request queue is full",
-                            )
-                            .with_header("Retry-After", "1");
-                            metrics::record_response(resp.status);
-                            let bytes = http::encode_response(&resp, close);
-                            let conn = self.conns[token].as_mut().unwrap();
-                            let idx = (slot - conn.base_slot) as usize;
-                            conn.slots[idx] = Some(bytes);
-                        }
+                    if self.work.try_push(job) {
+                        metrics::QUEUED.incr();
+                    } else {
+                        metrics::REQUESTS.incr();
+                        metrics::REJECTED.incr();
+                        let resp =
+                            routes::error_response(503, "server overloaded: request queue is full")
+                                .with_header("Retry-After", "1");
+                        metrics::record_response(resp.status);
+                        let bytes = http::encode_response(&resp, close);
+                        let conn = self.conns[token].as_mut().unwrap();
+                        let idx = (slot - conn.base_slot) as usize;
+                        conn.slots[idx] = Some(bytes);
                     }
                     if close {
                         return;
