@@ -118,6 +118,25 @@ impl QueryKey {
         }
     }
 
+    /// [`QueryKey::new`] for a lookup in `cache`, or `None` when `cache`
+    /// is disabled: a key costs a full joint canonicalization that a
+    /// disabled cache would never read. The skipped lookup still counts
+    /// one bypass, as [`OpCache::get`] does.
+    pub(crate) fn for_cache(
+        cache: &OpCache,
+        tag: &str,
+        formulas: &[&Formula],
+        n_vars: u32,
+        extra: &[u8],
+    ) -> Option<QueryKey> {
+        if cache.is_enabled() {
+            Some(QueryKey::new(tag, formulas, n_vars, extra))
+        } else {
+            telemetry::CACHE_BYPASSES.incr();
+            None
+        }
+    }
+
     /// The 64-bit FNV-1a hash of the canonical key (shard selector).
     pub fn hash(&self) -> u64 {
         self.hash
@@ -405,14 +424,14 @@ pub fn cached_arbitrate(
     budget: &Budget,
 ) -> Result<(Outcome, CacheStatus), CoreError> {
     check_query_width(n_vars)?;
-    let key = QueryKey::new("arbitrate", &[psi, phi], n_vars, &[]);
-    if let Some(models) = cache.get_models(&key, n_vars) {
+    let key = QueryKey::for_cache(cache, "arbitrate", &[psi, phi], n_vars, &[]);
+    if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((Outcome::exact(models, budget), CacheStatus::Hit));
     }
     let mp = ModelSet::of_formula(psi, n_vars);
     let mf = ModelSet::of_formula(phi, n_vars);
     let out = crate::arbitration::try_arbitrate_with_budget(&mp, &mf, budget)?;
-    let status = store_outcome(cache, &key, &out);
+    let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status))
 }
 
@@ -429,14 +448,14 @@ pub fn cached_apply(
 ) -> Result<(Outcome, CacheStatus), CoreError> {
     check_query_width(n_vars)?;
     let tag = format!("apply:{}", op.name());
-    let key = QueryKey::new(&tag, &[psi, mu], n_vars, &[]);
-    if let Some(models) = cache.get_models(&key, n_vars) {
+    let key = QueryKey::for_cache(cache, &tag, &[psi, mu], n_vars, &[]);
+    if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((Outcome::exact(models, budget), CacheStatus::Hit));
     }
     let mp = ModelSet::of_formula(psi, n_vars);
     let mm = ModelSet::of_formula(mu, n_vars);
     let out = op.apply_with_budget(&mp, &mm, budget);
-    let status = store_outcome(cache, &key, &out);
+    let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status))
 }
 
@@ -456,8 +475,8 @@ pub fn cached_warbitrate(
     let mut extra = Vec::with_capacity(16);
     extra.extend_from_slice(&psi_weight.to_le_bytes());
     extra.extend_from_slice(&phi_weight.to_le_bytes());
-    let key = QueryKey::new("warbitrate", &[psi, phi], n_vars, &extra);
-    if let Some(kb) = cache.get_weighted(&key, n_vars) {
+    let key = QueryKey::for_cache(cache, "warbitrate", &[psi, phi], n_vars, &extra);
+    if let Some(kb) = key.as_ref().and_then(|k| cache.get_weighted(k, n_vars)) {
         return Ok((WeightedOutcome::exact(kb, budget), CacheStatus::Hit));
     }
     let wp = weighted_side(psi, psi_weight, n_vars);
@@ -466,8 +485,8 @@ pub fn cached_warbitrate(
     let status = if out.quality != Quality::Exact {
         telemetry::CACHE_BYPASSES.incr();
         CacheStatus::Bypass
-    } else if cache.is_enabled() {
-        cache.insert_weighted(&key, &out.kb);
+    } else if let Some(key) = &key {
+        cache.insert_weighted(key, &out.kb);
         CacheStatus::Miss
     } else {
         CacheStatus::Bypass
@@ -482,11 +501,12 @@ pub fn weighted_side(f: &Formula, weight: u64, n_vars: u32) -> WeightedKb {
     WeightedKb::from_weights(n_vars, models.iter().map(|i| (i, weight)))
 }
 
-pub(crate) fn store_outcome(cache: &OpCache, key: &QueryKey, out: &Outcome) -> CacheStatus {
+/// Store an exact outcome under `key` (`None`: the cache is disabled).
+pub(crate) fn store_outcome(cache: &OpCache, key: Option<&QueryKey>, out: &Outcome) -> CacheStatus {
     if out.quality != Quality::Exact {
         telemetry::CACHE_BYPASSES.incr();
         CacheStatus::Bypass
-    } else if cache.is_enabled() {
+    } else if let Some(key) = key {
         cache.insert_models(key, &out.models);
         CacheStatus::Miss
     } else {

@@ -728,8 +728,8 @@ pub fn tiered_arbitrate(
     budget: &Budget,
 ) -> Result<(Outcome, CacheStatus, TierReport), CoreError> {
     check_query_width(n_vars)?;
-    let key = QueryKey::new("arbitrate", &[psi, phi], n_vars, &[]);
-    if let Some(models) = cache.get_models(&key, n_vars) {
+    let key = QueryKey::for_cache(cache, "arbitrate", &[psi, phi], n_vars, &[]);
+    if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((
             Outcome::exact(models, budget),
             CacheStatus::Hit,
@@ -741,7 +741,7 @@ pub fn tiered_arbitrate(
         match tier.try_answer(BddOp::Arbitrate, psi, phi, n_vars) {
             TierAnswer::Served { models, compile_ns } => {
                 let out = models_outcome(models, n_vars, budget);
-                let status = store_outcome(cache, &key, &out);
+                let status = store_outcome(cache, key.as_ref(), &out);
                 return Ok((out, status, TierReport::new(Backend::Bdd, compile_ns)));
             }
             TierAnswer::Fallback { compile_ns: ns } => compile_ns = ns,
@@ -750,7 +750,7 @@ pub fn tiered_arbitrate(
     let mp = ModelSet::of_formula(psi, n_vars);
     let mf = ModelSet::of_formula(phi, n_vars);
     let out = crate::arbitration::try_arbitrate_with_budget(&mp, &mf, budget)?;
-    let status = store_outcome(cache, &key, &out);
+    let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status, TierReport::new(Backend::Kernel, compile_ns)))
 }
 
@@ -769,8 +769,8 @@ pub fn tiered_apply(
 ) -> Result<(Outcome, CacheStatus, TierReport), CoreError> {
     check_query_width(n_vars)?;
     let tag = format!("apply:{}", op.name());
-    let key = QueryKey::new(&tag, &[psi, mu], n_vars, &[]);
-    if let Some(models) = cache.get_models(&key, n_vars) {
+    let key = QueryKey::for_cache(cache, &tag, &[psi, mu], n_vars, &[]);
+    if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((
             Outcome::exact(models, budget),
             CacheStatus::Hit,
@@ -783,7 +783,7 @@ pub fn tiered_apply(
             match tier.try_answer(bop, psi, mu, n_vars) {
                 TierAnswer::Served { models, compile_ns } => {
                     let out = models_outcome(models, n_vars, budget);
-                    let status = store_outcome(cache, &key, &out);
+                    let status = store_outcome(cache, key.as_ref(), &out);
                     return Ok((out, status, TierReport::new(Backend::Bdd, compile_ns)));
                 }
                 TierAnswer::Fallback { compile_ns: ns } => compile_ns = ns,
@@ -793,7 +793,7 @@ pub fn tiered_apply(
     let mp = ModelSet::of_formula(psi, n_vars);
     let mm = ModelSet::of_formula(mu, n_vars);
     let out = op.apply_with_budget(&mp, &mm, budget);
-    let status = store_outcome(cache, &key, &out);
+    let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status, TierReport::new(Backend::Kernel, compile_ns)))
 }
 

@@ -7,7 +7,7 @@
 
 use crate::ast::Formula;
 use crate::error::LogicError;
-use crate::eval::eval;
+use crate::eval::eval_block;
 use crate::interp::{Interp, MAX_VARS};
 
 /// Enumerating `Mod(φ)` walks all `2^n` interpretations; beyond this many
@@ -86,7 +86,8 @@ impl ModelSet {
         ModelSet::new(n_vars, [i])
     }
 
-    /// Enumerate `Mod(f)` over `n_vars` variables by exhaustive evaluation.
+    /// Enumerate `Mod(f)` over `n_vars` variables by exhaustive evaluation,
+    /// 64 interpretations per tree walk.
     ///
     /// # Panics
     /// Panics if `n_vars > ENUM_LIMIT` or `f` mentions a variable
@@ -114,10 +115,23 @@ impl ModelSet {
                 });
             }
         }
-        let models = (0..1u64 << n_vars)
-            .map(Interp)
-            .filter(|&i| eval(f, i))
-            .collect();
+        // Below 6 variables one block holds the whole universe in its
+        // low `2^n` lanes; the lanes above it repeat those and are masked.
+        let lanes = if n_vars < 6 {
+            (1u64 << (1u32 << n_vars)) - 1
+        } else {
+            !0
+        };
+        let mut models = Vec::new();
+        for block in 0..1u64 << n_vars.saturating_sub(6) {
+            // Lanes pop low to high and blocks ascend, so `models` comes
+            // out sorted without a sort.
+            let mut word = eval_block(f, block) & lanes;
+            while word != 0 {
+                models.push(Interp(block << 6 | u64::from(word.trailing_zeros())));
+                word &= word - 1;
+            }
+        }
         Ok(ModelSet { n_vars, models })
     }
 

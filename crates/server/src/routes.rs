@@ -90,6 +90,47 @@ fn route(state: &ServiceState, req: &Request) -> Routed {
     }
 }
 
+/// The stored state a request reads or writes, for ordering one
+/// connection's pipelined requests (RFC 9112 §9.3.2 lets a server process
+/// in parallel only requests that cannot observe each other).
+#[derive(Debug)]
+pub(crate) struct Access {
+    /// Any method but `GET` may change what it touches.
+    writes: bool,
+    /// One KB (`/v1/kb/{name}`), or `None` for all state: the KB list,
+    /// replication, the cluster ring, and unknown paths.
+    kb: Option<String>,
+}
+
+impl Access {
+    /// Must one of the two wait for the other? Only when one writes and
+    /// they may touch the same KB.
+    pub(crate) fn conflicts(&self, other: &Access) -> bool {
+        (self.writes || other.writes)
+            && match (&self.kb, &other.kb) {
+                (Some(a), Some(b)) => a == b,
+                _ => true,
+            }
+    }
+}
+
+/// What `req` touches, read off the same paths [`route`] matches; `None`
+/// for the pure queries `/v1/arbitrate`, `/v1/fit`, `/v1/warbitrate` and
+/// for `/metrics`, which touch no stored state. The event loop dispatches
+/// a request only once no earlier, still-computing request on its
+/// connection conflicts with it, so one connection's writes to a KB apply
+/// in request order and its later reads of that KB see them.
+pub(crate) fn access(req: &Request) -> Option<Access> {
+    let path = req.path.split('?').next().unwrap_or_default();
+    if let "/v1/arbitrate" | "/v1/fit" | "/v1/warbitrate" | "/metrics" = path {
+        return None;
+    }
+    Some(Access {
+        writes: req.method != "GET",
+        kb: path.strip_prefix("/v1/kb/").map(str::to_string),
+    })
+}
+
 /// The uniform error body: `{"error": "...", "code": N}`.
 pub fn error_response(status: u16, message: impl Into<String>) -> Response {
     let body = obj([
@@ -1583,12 +1624,15 @@ fn kb_change(
     note_quality(outcome.quality);
     note_compile(&report);
     let committed = outcome.quality == Quality::Exact;
+    // One formula serves the stored KB, the tier's commit hook and the
+    // response text.
+    let formula = outcome.models.to_formula();
     let mut snapshot_due = false;
     let mut rseq = 0;
     if committed {
         let next = StoredKb {
             sig: sig.clone(),
-            formula: outcome.models.to_formula(),
+            formula: formula.clone(),
             seq: kb.seq + 1,
         };
         // WAL append + fsync first; the in-memory state only advances
@@ -1599,7 +1643,6 @@ fn kb_change(
             .map_err(|e| commit_error_response(CommitError::Io(e), if_seq))?;
         *kb = next;
     }
-    let committed_formula = committed.then(|| outcome.models.to_formula());
     let seq_now = kb.seq;
     drop(kb);
     run_due_snapshot(state, snapshot_due);
@@ -1607,8 +1650,8 @@ fn kb_change(
     // released: the tier mutex is a leaf lock (DESIGN.md §11). Keys are
     // content-addressed, so correctness never depends on this hook — it
     // frees the dead entry and transfers hotness to the new ψ.
-    if let Some(next_psi) = committed_formula {
-        if let Some(ns) = state.compiled.note_commit(Some(&psi), &next_psi, n) {
+    if committed {
+        if let Some(ns) = state.compiled.note_commit(Some(&psi), &formula, n) {
             metrics::LATENCY_BDD_COMPILE.record_nanos(ns);
         }
     }
@@ -1627,10 +1670,7 @@ fn kb_change(
             ("n_models", json::n(outcome.models.len() as u64)),
             ("models", models),
             ("models_truncated", Json::Bool(truncated)),
-            (
-                "formula",
-                json::s(outcome.models.to_formula().display(&sig).to_string()),
-            ),
+            ("formula", json::s(formula.display(&sig).to_string())),
             ("spent", spent_json(&outcome.spent)),
         ])),
         rseq,

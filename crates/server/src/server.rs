@@ -19,6 +19,12 @@
 //! request order, so concurrent workers never reorder a connection's
 //! responses. At the cap the loop stops reading that socket — TCP
 //! backpressure, not buffering — and resumes when a slot frees.
+//! Requests that could observe each other do not run in parallel (RFC
+//! 9112 §9.3.2): a request that conflicts with an earlier, still
+//! computing one on its connection — a write and another access to the
+//! same KB (`routes::access`) — waits in the read buffer, and
+//! later requests wait behind it, so one connection's writes to a KB
+//! commit in request order and its later reads see them.
 //!
 //! Shutdown is cooperative: a flag checked by the loop's 25 ms poll
 //! timeout and by idle workers. On shutdown the loop stops accepting,
@@ -224,6 +230,12 @@ struct Conn {
     stop_parsing: bool,
     /// Close once every slot has flushed.
     close_after_flush: bool,
+    /// Requests still computing that touch stored state, by slot: a
+    /// later request that conflicts with one of them waits in `buf`.
+    touching: Vec<(u64, routes::Access)>,
+    /// A complete request waits in `buf` for an earlier one to complete
+    /// ([`Conn::must_wait`]); reading pauses until it dispatches.
+    held: bool,
     /// Unrecoverable socket error; close regardless of pending output.
     dead: bool,
 }
@@ -244,8 +256,16 @@ impl Conn {
             peer_closed: false,
             stop_parsing: false,
             close_after_flush: false,
+            touching: Vec::new(),
+            held: false,
             dead: false,
         }
+    }
+
+    /// Must the next buffered request, touching `access`, wait for an
+    /// earlier one that conflicts with it?
+    fn must_wait(&self, access: &routes::Access) -> bool {
+        self.touching.iter().any(|(_, a)| a.conflicts(access))
     }
 
     /// At the pipeline cap: stop reading until a slot frees.
@@ -259,12 +279,18 @@ impl Conn {
 
     fn should_close(&self) -> bool {
         self.dead
-            || (self.flushed() && (self.close_after_flush || self.peer_closed || self.stop_parsing))
+            || (self.flushed()
+                && !self.held
+                && (self.close_after_flush || self.peer_closed || self.stop_parsing))
     }
 
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.stop_parsing && !self.peer_closed && !self.dead && !self.paused(),
+            readable: !self.stop_parsing
+                && !self.peer_closed
+                && !self.dead
+                && !self.paused()
+                && !self.held,
             writable: self.written < self.out.len(),
         }
     }
@@ -568,8 +594,12 @@ impl EventLoop {
         if ev.hangup {
             if let Some(conn) = self.conns[token].as_mut() {
                 // Reads above drained any final bytes; whatever is left
-                // on a hung-up socket is gone.
-                conn.peer_closed = true;
+                // on a hung-up socket is gone. A held connection stopped
+                // reading early: it reads on, up to the EOF, once the
+                // held request dispatches.
+                if !conn.held {
+                    conn.peer_closed = true;
+                }
             }
         }
         self.finalize(token);
@@ -583,7 +613,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
                 return;
             };
-            if conn.dead || conn.peer_closed || conn.stop_parsing || conn.paused() {
+            if conn.dead || conn.peer_closed || conn.stop_parsing || conn.paused() || conn.held {
                 break;
             }
             match conn.stream.read(&mut scratch) {
@@ -654,8 +684,15 @@ impl EventLoop {
                 }
                 BufferParse::Complete { request, consumed } => {
                     let close = request.wants_close();
+                    let access = routes::access(&request);
                     let (generation, slot) = {
                         let conn = self.conns[token].as_mut().unwrap();
+                        // Left in the buffer, the request parses again
+                        // once the completion it waits for arrives.
+                        conn.held = access.as_ref().is_some_and(|a| conn.must_wait(a));
+                        if conn.held {
+                            return;
+                        }
                         conn.buf.drain(..consumed);
                         if !conn.slots.is_empty() {
                             metrics::EL_PIPELINED.incr();
@@ -681,6 +718,10 @@ impl EventLoop {
                     };
                     if self.work.try_push(job) {
                         metrics::QUEUED.incr();
+                        if let Some(access) = access {
+                            let conn = self.conns[token].as_mut().unwrap();
+                            conn.touching.push((slot, access));
+                        }
                     } else {
                         metrics::REQUESTS.incr();
                         metrics::REJECTED.incr();
@@ -701,25 +742,27 @@ impl EventLoop {
         }
     }
 
-    /// Flush what is flushable, resume parsing if a pause lifted, sync
-    /// poller interest with the connection's needs, and close if done.
+    /// Flush what is flushable, resume parsing if a pause or a hold
+    /// lifted, sync poller interest with the connection's needs, and
+    /// close if done.
     fn finalize(&mut self, token: usize) {
-        let was_paused = {
+        let was_blocked = {
             let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
                 return;
             };
-            let was_paused = conn.paused();
+            let was_blocked = conn.paused() || conn.held;
             conn.promote_ready_slots();
             conn.write_out();
             if conn.should_close() {
                 self.close_conn(token);
                 return;
             }
-            was_paused
+            was_blocked
         };
-        // A freed slot may unblock buffered pipelined requests (the
-        // kernel fires no new readiness for bytes we already hold).
-        if was_paused {
+        // A freed slot or a completed one may unblock buffered pipelined
+        // requests (the kernel fires no new readiness for bytes we
+        // already hold).
+        if was_blocked {
             self.parse_buffered(token);
         }
         let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
@@ -783,9 +826,12 @@ impl EventLoop {
             if let Some(slot) = conn.slots.get_mut(idx) {
                 *slot = Some(completion.bytes);
             }
+            conn.touching.retain(|(slot, _)| *slot != completion.slot);
             if completion.close {
+                // A held request is dropped with the rest of the buffer.
                 conn.stop_parsing = true;
                 conn.close_after_flush = true;
+                conn.held = false;
             }
             conn.last_activity = Instant::now();
             touched.push(completion.token);
@@ -804,6 +850,7 @@ impl EventLoop {
             if let Some(conn) = self.conns[token].as_mut() {
                 conn.stop_parsing = true;
                 conn.buf.clear();
+                conn.held = false;
             } else {
                 continue;
             }

@@ -106,6 +106,40 @@ fn pipelined_requests_in_one_write_answer_in_order() {
 }
 
 #[test]
+fn held_writes_and_a_later_read_survive_a_half_close() {
+    let server = server_with(|c| c.threads = 4);
+    let mut stream = connect(&server);
+
+    // Writes to one KB and a read of it, in one write, then the client
+    // half-closes. Each request waits in the server's buffer for the one
+    // before it, and the server stops reading while one waits: the last
+    // put's padding keeps it and the read partly unread, in the socket,
+    // when the half-close arrives. They must still be read and answered.
+    let kb = |body: &str| raw_request("POST", "/v1/kb/halfclose", body, false);
+    let padding = " ".repeat(64 * 1024);
+    let batch = [
+        kb(r#"{"action": "put", "formula": "A"}"#),
+        kb(r#"{"action": "arbitrate", "formula": "!A", "hold_ms": 200}"#),
+        kb(&format!(
+            r#"{{"action": "put", "formula": "A & B"}}{padding}"#
+        )),
+        raw_request("GET", "/v1/kb/halfclose", "", false),
+    ]
+    .concat();
+    stream.write_all(batch.as_bytes()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+    for expected_seq in [1, 2, 3, 3] {
+        let (status, _head, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(seq_of(&body), expected_seq, "{body}");
+    }
+    assert!(reaches_eof(&mut stream, Duration::from_secs(5)));
+
+    server.stop().unwrap();
+}
+
+#[test]
 fn request_split_across_tcp_segments_is_reassembled() {
     let server = server_with(|_| {});
     let mut stream = connect(&server);
