@@ -16,8 +16,8 @@ use std::time::Duration;
 use arbitrex_core::arbitration::try_arbitrate_with_budget;
 use arbitrex_core::satbackend::{dalal_revision_sat_budgeted, odist_fitting_sat_budgeted};
 use arbitrex_core::{
-    Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, ChangeOperator, CoreError, FaultPlan,
-    Quality,
+    Budget, BudgetSpent, BudgetedChangeOperator, ChangeOperator, CoreError, FaultFamily, FaultPlan,
+    FaultSite, Faults, Quality,
 };
 use arbitrex_logic::{parse, Formula, ModelSet, Sig, ENUM_LIMIT};
 use arbitrex_merge::{
@@ -119,7 +119,7 @@ fn limit_err(e: CoreError) -> CliError {
 }
 
 /// Look up a binary change operator by CLI name. Thin wrapper around the
-/// shared registry in [`arbitrex_core::operator`], which the server crate
+/// shared registry in [`arbitrex_core::operator()`], which the server crate
 /// also uses — one name table for every front end.
 pub fn operator_by_name(name: &str) -> Option<Box<dyn ChangeOperator>> {
     arbitrex_core::operator::operator(name)
@@ -536,11 +536,12 @@ pub fn cmd_iterate(op_name: &str, psi_text: &str, mu_text: &str) -> Result<Strin
     Ok(text)
 }
 
-/// Parse `arbitrex serve` flags into a [`ServerConfig`]. Split from
+/// Parse `arbitrex serve` flags into a [`arbitrex_server::ServerConfig`]. Split from
 /// [`cmd_serve`] so the flag surface is unit-testable without binding a
 /// socket.
 pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConfig, CliError> {
     let mut config = arbitrex_server::ServerConfig::default();
+    let mut faults = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -582,11 +583,11 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
                         ))
                     })?;
             }
-            "--fault" => match parse_serve_fault(flag_value(&mut it, "--fault")?)? {
-                ServeFault::Durability(plan) => config.durability_fault = Some(plan),
-                ServeFault::Net(plan) => config.net_fault = Some(plan),
-                ServeFault::Shard(plan) => config.shard_fault = Some(plan),
-            },
+            "--fault" => faults.push(parse_fault(
+                flag_value(&mut it, "--fault")?,
+                SERVE_FAULTS,
+                "by `serve`",
+            )?),
             "--keep-alive-timeout-ms" => {
                 config.keep_alive_timeout_ms = flag_u64(&mut it, "--keep-alive-timeout-ms")?;
             }
@@ -669,6 +670,21 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
             }
         }
     }
+    // Without a state directory there is no WAL or snapshot writer to
+    // charge the durability sites.
+    if config.state_dir.is_none() {
+        if let Some(plan) = faults
+            .iter()
+            .find(|p| p.site.family() == FaultFamily::Durability)
+        {
+            return Err(unaccepted_fault(
+                plan.site,
+                &[FaultFamily::Net, FaultFamily::Shard],
+                "by `serve` without --state-dir",
+            ));
+        }
+    }
+    config.faults = Faults::new(faults);
     // Combining `--replicate-from` with a fully-specified ring is how a
     // chain replica boots — but only when the primary it names actually
     // serves in that ring. (Without `--cluster-peers` the ring cannot
@@ -807,10 +823,11 @@ pub fn help() -> String {
          \x20\x20\x20\x20 consistent-hash KB cluster (README \"Sharding\"); peers are\n\
          \x20\x20\x20\x20 chain specs `head~replica@epoch` (README \"Failover\"): a\n\
          \x20\x20\x20\x20 replica probes its head every --probe-interval-ms and after\n\
-         \x20\x20\x20\x20 --suspect-after failed probes promotes via quorum; serve --fault\n\
-         \x20\x20\x20\x20 also takes the net_drop/net_torn/net_dup/net_delay/\n\
-         \x20\x20\x20\x20 net_partition:k and shard_handoff_torn/shard_ring_stale/\n\
-         \x20\x20\x20\x20 shard_proxy_drop:k sites\n\
+         \x20\x20\x20\x20 --suspect-after failed probes promotes via quorum; serve\n\
+         \x20\x20\x20\x20 --fault <site>:<k> (repeatable, testing) takes wal_write/\n\
+         \x20\x20\x20\x20 wal_fsync/snapshot_rename (with --state-dir), net_drop/\n\
+         \x20\x20\x20\x20 net_torn/net_dup/net_delay/net_partition and\n\
+         \x20\x20\x20\x20 shard_handoff_torn/shard_ring_stale/shard_proxy_drop\n\
          \n\
          flags:\n\
          \x20 --stats        append operator telemetry counters (text)\n\
@@ -825,7 +842,7 @@ pub fn help() -> String {
          \x20 --max-steps <n>       scan + branch-and-bound work limit\n\
          \x20 --max-conflicts <n>   SAT conflict limit (--backend sat)\n\
          \x20 --max-models <n>      enumerated-model limit (--backend sat)\n\
-         \x20 --fault <site>:<k>    trip at the k-th charge (testing);\n\
+         \x20 --fault <site>:<k>    trip at the k-th charge (repeatable, testing);\n\
          \x20\x20\x20\x20 sites: scan, node, conflict, model, ladder_step\n\
          \x20 a tripped budget prints the degraded result on stderr and\n\
          \x20 exits with code 5 (usage 2, parse 3, limits 4, other 1)\n\
@@ -836,71 +853,44 @@ pub fn help() -> String {
     )
 }
 
-/// Parse a `--fault site:k` specification into a [`FaultPlan`].
-pub fn parse_fault(spec: &str) -> Result<FaultPlan, CliError> {
-    let (site, at) = spec
-        .split_once(':')
-        .ok_or_else(|| CliError::usage(format!("--fault expects `site:k`, got `{spec}`")))?;
-    let site = BudgetSite::ALL
+/// The fault families the budgeted operator commands charge.
+const OPERATOR_FAULTS: &[FaultFamily] = &[FaultFamily::Compute];
+/// The fault families `serve` charges (durability ones need a state
+/// directory).
+const SERVE_FAULTS: &[FaultFamily] = &[
+    FaultFamily::Durability,
+    FaultFamily::Net,
+    FaultFamily::Shard,
+];
+
+/// Parse a `--fault site:k` specification — the one parser behind both
+/// `arbitrex --fault` and `serve --fault` — accepting only sites in
+/// `families`. A site the command never charges is a usage error (exit
+/// code 2) naming `context` and listing the sites it does accept.
+pub fn parse_fault(
+    spec: &str,
+    families: &[FaultFamily],
+    context: &str,
+) -> Result<FaultPlan, CliError> {
+    let plan: FaultPlan = spec
+        .parse()
+        .map_err(|e| CliError::usage(format!("--fault: {e}")))?;
+    if !families.contains(&plan.site.family()) {
+        return Err(unaccepted_fault(plan.site, families, context));
+    }
+    Ok(plan)
+}
+
+fn unaccepted_fault(site: FaultSite, families: &[FaultFamily], context: &str) -> CliError {
+    let accepted: Vec<&str> = FaultSite::ALL
         .into_iter()
-        .find(|s| s.name() == site)
-        .ok_or_else(|| {
-            CliError::usage(format!(
-                "unknown fault site `{site}` (expected one of: {})",
-                BudgetSite::ALL.map(BudgetSite::name).join(", ")
-            ))
-        })?;
-    let at = at.parse::<u64>().ok().filter(|&k| k >= 1).ok_or_else(|| {
-        CliError::usage(format!(
-            "invalid fault count `{at}` (need a positive integer)"
-        ))
-    })?;
-    Ok(FaultPlan::new(site, at))
-}
-
-/// A `serve --fault` plan: a durability site (WAL/snapshot), a
-/// replication-transport site (`net_*`), or a sharding site (`shard_*`).
-#[derive(Debug)]
-pub enum ServeFault {
-    /// Trips a `wal_write`/`wal_fsync`/`snapshot_rename` (or operator)
-    /// budget site.
-    Durability(FaultPlan),
-    /// Misfires the replication transport at a `net_*` site.
-    Net(arbitrex_server::replication::NetFaultPlan),
-    /// Misfires the shard router at a `shard_*` site.
-    Shard(arbitrex_server::shard::ShardFaultPlan),
-}
-
-/// Parse a `serve --fault site:k` specification. Accepts every budget /
-/// durability site plus the `net_*` replication-transport and `shard_*`
-/// sharding sites; any other site name is a usage error (exit code 2).
-pub fn parse_serve_fault(spec: &str) -> Result<ServeFault, CliError> {
-    use arbitrex_server::replication::{NetFaultPlan, NetFaultSite};
-    use arbitrex_server::shard::{ShardFaultPlan, ShardFaultSite};
-    let (site, at) = spec
-        .split_once(':')
-        .ok_or_else(|| CliError::usage(format!("--fault expects `site:k`, got `{spec}`")))?;
-    let count = |at: &str| {
-        at.parse::<u64>().ok().filter(|&k| k >= 1).ok_or_else(|| {
-            CliError::usage(format!(
-                "invalid fault count `{at}` (need a positive integer)"
-            ))
-        })
-    };
-    if let Some(net) = NetFaultSite::parse(site) {
-        return Ok(ServeFault::Net(NetFaultPlan::new(net, count(at)?)));
-    }
-    if let Some(shard) = ShardFaultSite::parse(site) {
-        return Ok(ServeFault::Shard(ShardFaultPlan::new(shard, count(at)?)));
-    }
-    if BudgetSite::ALL.into_iter().any(|s| s.name() == site) {
-        return Ok(ServeFault::Durability(parse_fault(spec)?));
-    }
-    err(format!(
-        "unknown fault site `{site}` (expected one of: {}, {}, {})",
-        BudgetSite::ALL.map(BudgetSite::name).join(", "),
-        NetFaultSite::ALL.map(NetFaultSite::name).join(", "),
-        ShardFaultSite::ALL.map(ShardFaultSite::name).join(", ")
+        .filter(|s| families.contains(&s.family()))
+        .map(FaultSite::name)
+        .collect();
+    CliError::usage(format!(
+        "--fault site `{}` is never charged {context} (accepted: {})",
+        site.name(),
+        accepted.join(", ")
     ))
 }
 
@@ -941,7 +931,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let mut max_steps: Option<u64> = None;
     let mut max_conflicts: Option<u64> = None;
     let mut max_models: Option<u64> = None;
-    let mut fault: Option<FaultPlan> = None;
+    let mut faults: Vec<FaultPlan> = Vec::new();
     let mut backend_sat = false;
     let mut rest: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -962,7 +952,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             "--max-steps" => max_steps = Some(flag_u64(&mut it, "--max-steps")?),
             "--max-conflicts" => max_conflicts = Some(flag_u64(&mut it, "--max-conflicts")?),
             "--max-models" => max_models = Some(flag_u64(&mut it, "--max-models")?),
-            "--fault" => fault = Some(parse_fault(flag_value(&mut it, "--fault")?)?),
+            "--fault" => faults.push(parse_fault(
+                flag_value(&mut it, "--fault")?,
+                OPERATOR_FAULTS,
+                "by operator commands",
+            )?),
             _ => rest.push(arg.clone()),
         }
     }
@@ -971,7 +965,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         || max_steps.is_some()
         || max_conflicts.is_some()
         || max_models.is_some()
-        || fault.is_some()
+        || !faults.is_empty()
     {
         let mut b = Budget::unlimited();
         if let Some(ms) = timeout_ms {
@@ -986,8 +980,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         if let Some(n) = max_models {
             b = b.with_candidate_limit(n);
         }
-        if let Some(f) = fault {
-            b = b.with_fault(f);
+        for plan in faults {
+            b = b.with_fault(plan);
         }
         budget = Some(b);
     }
@@ -1127,8 +1121,7 @@ mod tests {
         assert_eq!(cfg.snapshot_every, 17);
         assert_eq!(cfg.recover, arbitrex_server::recovery::RecoverMode::Salvage);
         assert_eq!(cfg.max_body_bytes, 4096);
-        let fault = cfg.durability_fault.expect("fault plan");
-        assert_eq!(fault.site, arbitrex_core::BudgetSite::WalFsync);
+        assert_eq!(cfg.faults.plans(), [FaultPlan::new(FaultSite::WalFsync, 3)]);
     }
 
     #[test]
@@ -1184,6 +1177,9 @@ mod tests {
             sv(&["--recover", "ignore"]),    // unknown recovery mode
             sv(&["--max-body-bytes", "0"]),  // out of range
             sv(&["--fault", "wal_write"]),   // missing count
+            sv(&["--fault", "scan:5"]),      // compute site: never charged
+            sv(&["--fault", "node:1"]),      // compute site: never charged
+            sv(&["--fault", "wal_write:1"]), // durability site, no --state-dir
             sv(&["--group-commit", "auto"]), // unknown mode
             sv(&["--flush-interval-us"]),    // missing value
             sv(&["--bdd-hotness", "many"]),  // non-integer
@@ -1422,57 +1418,84 @@ mod tests {
 
     #[test]
     fn parse_fault_specs() {
-        let f = parse_fault("node:3").unwrap();
-        assert_eq!(f.site, BudgetSite::Node);
+        let f = parse_fault("node:3", OPERATOR_FAULTS, "here").unwrap();
+        assert_eq!(f.site, FaultSite::Node);
         assert_eq!(f.at, 3);
-        assert_eq!(parse_fault("node").unwrap_err().kind, ErrorKind::Usage);
-        assert_eq!(parse_fault("warp:1").unwrap_err().kind, ErrorKind::Usage);
-        assert_eq!(parse_fault("scan:0").unwrap_err().kind, ErrorKind::Usage);
-        assert_eq!(parse_fault("scan:x").unwrap_err().kind, ErrorKind::Usage);
+        for bad in ["node", "warp:1", "scan:0", "scan:x"] {
+            let e = parse_fault(bad, OPERATOR_FAULTS, "here").unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage, "{bad}");
+        }
+        // Every spelling parses into the one registry.
+        for site in FaultSite::ALL {
+            let all = [
+                FaultFamily::Compute,
+                FaultFamily::Durability,
+                FaultFamily::Net,
+                FaultFamily::Shard,
+            ];
+            let plan = parse_fault(&format!("{}:2", site.name()), &all, "here").unwrap();
+            assert_eq!(plan, FaultPlan::new(site, 2));
+        }
+        // A site the command never charges is a usage error listing the
+        // sites it does accept.
+        for spec in ["wal_write:1", "net_drop:1", "shard_ring_stale:2"] {
+            let e = parse_fault(spec, OPERATOR_FAULTS, "here").unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage);
+            assert!(e.message.contains("ladder_step"), "{}", e.message);
+            assert!(!e.message.contains("net_dup"), "{}", e.message);
+        }
+        let e = parse_fault("scan:5", SERVE_FAULTS, "here").unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage);
+        assert!(e.message.contains("wal_write"), "{}", e.message);
+        assert!(e.message.contains("shard_proxy_drop"), "{}", e.message);
+        assert!(!e.message.contains("ladder_step"), "{}", e.message);
     }
 
     #[test]
     fn serve_fault_specs_cover_durability_and_net_sites() {
-        use arbitrex_server::replication::NetFaultSite;
-        use arbitrex_server::shard::ShardFaultSite;
-        match parse_serve_fault("wal_fsync:2").unwrap() {
-            ServeFault::Durability(plan) => {
-                assert_eq!(plan.site, BudgetSite::WalFsync);
-                assert_eq!(plan.at, 2);
-            }
-            _ => panic!("wal_fsync is a durability site"),
-        }
-        match parse_serve_fault("net_partition:3").unwrap() {
-            ServeFault::Net(plan) => {
-                assert_eq!(plan.site, NetFaultSite::Partition);
-                assert_eq!(plan.at, 3);
-            }
-            _ => panic!("net_partition is a transport site"),
-        }
-        match parse_serve_fault("shard_handoff_torn:1").unwrap() {
-            ServeFault::Shard(plan) => {
-                assert_eq!(plan.site, ShardFaultSite::HandoffTorn);
-                assert_eq!(plan.at, 1);
-            }
-            _ => panic!("shard_handoff_torn is a sharding site"),
-        }
+        let config = parse_serve_config(&sv(&[
+            "--state-dir",
+            "/tmp/arbx-state",
+            "--fault",
+            "wal_fsync:2",
+            "--fault",
+            "net_partition:3",
+            "--fault",
+            "shard_handoff_torn:1",
+            "--fault",
+            "net_partition:9",
+        ]))
+        .unwrap();
+        // Every repeated --fault is armed, none overwrites another.
+        assert_eq!(
+            config.faults.plans(),
+            [
+                FaultPlan::new(FaultSite::WalFsync, 2),
+                FaultPlan::new(FaultSite::NetPartition, 3),
+                FaultPlan::new(FaultSite::ShardHandoffTorn, 1),
+                FaultPlan::new(FaultSite::NetPartition, 9),
+            ]
+        );
         // An unknown site is a usage error — exit code 2 — and the
         // message names every site family.
-        let e = parse_serve_fault("net_warp:1").unwrap_err();
+        let e = parse_serve_config(&sv(&["--fault", "net_warp:1"])).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Usage);
         assert_eq!(e.kind.exit_code(), 2);
         assert!(e.message.contains("net_drop"), "{}", e.message);
         assert!(e.message.contains("wal_write"), "{}", e.message);
         assert!(e.message.contains("shard_proxy_drop"), "{}", e.message);
         // Malformed counts stay usage errors on the net path too.
-        assert_eq!(
-            parse_serve_fault("net_drop:0").unwrap_err().kind,
-            ErrorKind::Usage
-        );
-        assert_eq!(
-            parse_serve_fault("net_drop").unwrap_err().kind,
-            ErrorKind::Usage
-        );
+        for bad in ["net_drop:0", "net_drop"] {
+            let e = parse_serve_config(&sv(&["--fault", bad])).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage, "{bad}");
+        }
+        // Durability sites need a store to charge them; the error lists
+        // what this server would charge.
+        let e = parse_serve_config(&sv(&["--fault", "snapshot_rename:1"])).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage);
+        assert!(e.message.contains("--state-dir"), "{}", e.message);
+        assert!(e.message.contains("net_partition"), "{}", e.message);
+        assert!(!e.message.contains("wal_fsync"), "{}", e.message);
     }
 
     #[test]
@@ -1488,9 +1511,10 @@ mod tests {
         .unwrap();
         assert_eq!(config.replicate_from.as_deref(), Some("127.0.0.1:7313"));
         assert_eq!(config.replication_epoch, Some(4));
-        let plan = config.net_fault.unwrap();
-        assert_eq!(plan.at, 2);
-        assert!(config.durability_fault.is_none());
+        assert_eq!(
+            config.faults.plans(),
+            [FaultPlan::new(FaultSite::NetDrop, 2)]
+        );
         let e = parse_serve_config(&sv(&["--replication-epoch", "0"])).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Usage);
     }
@@ -1591,6 +1615,34 @@ mod tests {
         let e = run(&sv(&["arbitrate", "A & B", "!A & !B", "--fault", "scan:1"])).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Budget);
         assert!(e.message.contains("scan"), "{}", e.message);
+    }
+
+    #[test]
+    fn every_repeated_fault_flag_is_armed() {
+        // The later `node:100` never fires on this small universe; the
+        // earlier `scan:1` must still be armed, not overwritten.
+        let e = run(&sv(&[
+            "arbitrate",
+            "A & B",
+            "!A & !B",
+            "--fault",
+            "scan:1",
+            "--fault",
+            "node:100",
+        ]))
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Budget);
+        assert!(e.message.contains("scan"), "{}", e.message);
+    }
+
+    #[test]
+    fn operator_commands_reject_fault_sites_they_never_charge() {
+        for spec in ["wal_write:1", "net_drop:1", "shard_proxy_drop:1"] {
+            let e = run(&sv(&["arbitrate", "A", "!A", "--fault", spec])).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage, "{spec}");
+            assert_eq!(e.kind.exit_code(), 2);
+            assert!(e.message.contains("scan"), "{}", e.message);
+        }
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! [`BudgetSite::Scan`] per candidate and [`BudgetSite::Node`] per
 //! branch-and-bound node through batching meters — it just never trips.
 //! [`Outcome::spent`] therefore reports the kernel work of exact runs
-//! too. The SAT backend still leaves its solvers unarmed under an
-//! unconstrained budget, so exact SAT runs charge no conflicts.
+//! too. The SAT backend arms its solvers the same way, so exact SAT runs
+//! report the conflicts they spent.
 
 pub use arbitrex_telemetry::budget::{
-    Budget, BudgetSite, BudgetSpent, CancelToken, Exhausted, FaultPlan, TripReason,
+    Budget, BudgetSite, BudgetSpent, CancelToken, Exhausted, FaultFamily, FaultPlan, FaultSite,
+    Faults, TripReason,
 };
 
 use crate::operator::ChangeOperator;

@@ -57,7 +57,8 @@ pub use arbitration::{
 };
 pub use budget::{
     Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, BudgetedWeightedChangeOperator,
-    CancelToken, Exhausted, FaultPlan, Outcome, Quality, TripReason, WeightedOutcome,
+    CancelToken, Exhausted, FaultFamily, FaultPlan, FaultSite, Faults, Outcome, Quality,
+    TripReason, WeightedOutcome,
 };
 pub use cache::{
     cached_apply, cached_arbitrate, cached_warbitrate, CacheStatus, CachedValue, OpCache, QueryKey,

@@ -112,13 +112,11 @@ impl SatOutcome {
     }
 }
 
-/// Attach (a clone of) `budget` to `solver` so individual SAT searches
-/// charge [`BudgetSite::Conflict`] — skipped for unconstrained budgets to
-/// keep the exact path free of bookkeeping.
+/// Attach (a clone of) `budget` to `solver` so every SAT search charges
+/// [`BudgetSite::Conflict`] — exact runs too, so their outcomes report
+/// the conflicts they spent.
 fn arm_solver(solver: &mut Solver, budget: &Budget) {
-    if !budget.is_unconstrained() {
-        solver.set_budget(Some(budget.clone()));
-    }
+    solver.set_budget(Some(budget.clone()));
 }
 
 /// Dalal's revision via SAT: minimize the Hamming distance between a model
@@ -461,28 +459,12 @@ pub fn odist_fitting_sat_budgeted(
 /// voices with small relative weights — exactly the merging scenarios —
 /// not for amortizing astronomically scaled weights.
 ///
-/// Returns `None` if the optimal-model enumeration exceeds `model_limit`.
-pub fn wdist_fitting_sat(
-    psi_weighted: &[(Interp, u64)],
-    mu: &Formula,
-    n_vars: u32,
-    model_limit: usize,
-) -> Option<SatChangeResult> {
-    let out =
-        wdist_fitting_sat_budgeted(psi_weighted, mu, n_vars, model_limit, &Budget::unlimited())?;
-    // invariant: an unlimited budget never trips, so the outcome is exact.
-    debug_assert!(out.is_exact());
-    Some(SatChangeResult {
-        distance: out.distance,
-        models: out.models,
-    })
-}
-
-/// [`wdist_fitting_sat`] under a [`Budget`], degrading per [`SatOutcome`]'s
-/// ladder: an inexact minimization bound is still feasible (every incumbent
-/// is), so the enumerated models are a sound superset of the optimal ones.
+/// Under a [`Budget`], degrades per [`SatOutcome`]'s ladder: an inexact
+/// minimization bound is still feasible (every incumbent is), so the
+/// enumerated models are a sound superset of the optimal ones.
 ///
-/// Returns `None` only when the model enumeration exceeds `model_limit`.
+/// Returns `None` only when the model enumeration exceeds `model_limit`
+/// (an unlimited budget never trips, so its outcome is exact).
 pub fn wdist_fitting_sat_budgeted(
     psi_weighted: &[(Interp, u64)],
     mu: &Formula,
@@ -724,10 +706,13 @@ mod tests {
         sig.var("Q");
         let mu = parse(&mut sig, "(!S & D & !Q) | (S & D & !Q)").unwrap();
         let psi = [(Interp(0b001), 10), (Interp(0b010), 20), (Interp(0b111), 5)];
-        let sat = wdist_fitting_sat(&psi, &mu, 3, 100).unwrap();
+        let sat = wdist_fitting_sat_budgeted(&psi, &mu, 3, 100, &Budget::unlimited()).unwrap();
         // wdist({D}) = 30, scaled by gcd 5 -> 6.
         assert_eq!(sat.distance, Some(6));
         assert_eq!(sat.models.as_singleton(), Some(Interp(0b010)));
+        // Exact runs arm their solvers too, so they report conflicts.
+        assert!(sat.is_exact());
+        assert!(sat.spent.conflicts > 0, "{:?}", sat.spent);
     }
 
     #[test]
@@ -738,7 +723,7 @@ mod tests {
         let mu = parse(&mut sig, "(A | B) & (C -> A)").unwrap();
         let n = sig.width();
         let psi = [(Interp(0b000), 3), (Interp(0b111), 2), (Interp(0b010), 1)];
-        let sat = wdist_fitting_sat(&psi, &mu, n, 100).unwrap();
+        let sat = wdist_fitting_sat_budgeted(&psi, &mu, n, 100, &Budget::unlimited()).unwrap();
         let reference = WdistFitting.apply(
             &WeightedKb::from_weights(n, psi),
             &WeightedKb::from_model_set(&ModelSet::of_formula(&mu, n)),
@@ -751,13 +736,15 @@ mod tests {
         let mut sig = Sig::new();
         let mu = parse(&mut sig, "A").unwrap();
         // Empty / zero-weight ψ̃ -> unsatisfiable result (F2).
-        let sat = wdist_fitting_sat(&[], &mu, 1, 10).unwrap();
+        let sat = wdist_fitting_sat_budgeted(&[], &mu, 1, 10, &Budget::unlimited()).unwrap();
         assert!(sat.models.is_empty());
-        let sat = wdist_fitting_sat(&[(Interp(0), 0)], &mu, 1, 10).unwrap();
+        let sat = wdist_fitting_sat_budgeted(&[(Interp(0), 0)], &mu, 1, 10, &Budget::unlimited())
+            .unwrap();
         assert!(sat.models.is_empty());
         // Unsatisfiable μ.
         let bad = parse(&mut sig, "A & !A").unwrap();
-        let sat = wdist_fitting_sat(&[(Interp(0), 1)], &bad, 1, 10).unwrap();
+        let sat = wdist_fitting_sat_budgeted(&[(Interp(0), 1)], &bad, 1, 10, &Budget::unlimited())
+            .unwrap();
         assert!(sat.models.is_empty());
     }
 
@@ -769,7 +756,14 @@ mod tests {
         let mu = parse(&mut sig, "true | v0").unwrap(); // unconstrained
         let world_a = Interp::full(n);
         let world_b = Interp::EMPTY;
-        let sat = wdist_fitting_sat(&[(world_a, 9), (world_b, 2)], &mu, n, 10).unwrap();
+        let sat = wdist_fitting_sat_budgeted(
+            &[(world_a, 9), (world_b, 2)],
+            &mu,
+            n,
+            10,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(sat.models.as_singleton(), Some(world_a));
     }
 
@@ -789,13 +783,6 @@ mod tests {
         let legacy = odist_fitting_sat(&psi_models, &mu, n, 1000).unwrap();
         let out =
             odist_fitting_sat_budgeted(&psi_models, &mu, n, 1000, &Budget::unlimited()).unwrap();
-        assert!(out.is_exact());
-        assert_eq!(out.distance, legacy.distance);
-        assert_eq!(out.models, legacy.models);
-
-        let psi_w = [(Interp(0b000), 3), (Interp(0b111), 2)];
-        let legacy = wdist_fitting_sat(&psi_w, &mu, n, 1000).unwrap();
-        let out = wdist_fitting_sat_budgeted(&psi_w, &mu, n, 1000, &Budget::unlimited()).unwrap();
         assert!(out.is_exact());
         assert_eq!(out.distance, legacy.distance);
         assert_eq!(out.models, legacy.models);

@@ -157,9 +157,8 @@ impl Solver {
     }
 
     /// Attach a shared execution [`Budget`]: every conflict is charged to
-    /// [`BudgetSite::Conflict`](arbitrex_telemetry::budget::BudgetSite::Conflict),
-    /// and an exhausted budget makes `solve` return
-    /// [`SolveResult::Interrupted`]. Unlike [`Solver::set_conflict_budget`]
+    /// [`BudgetSite::Conflict`], and an exhausted budget makes `solve`
+    /// return [`SolveResult::Interrupted`]. Unlike [`Solver::set_conflict_budget`]
     /// the budget is shared — clones of it govern other solvers and kernel
     /// scans of the same operator application, and deadlines/cancellation
     /// trip here too.

@@ -8,27 +8,17 @@
 //! are hard: oversized headers or bodies fail the parse rather than
 //! allocating unboundedly.
 //!
-//! Two entry points share one head parser: [`parse_request_buffer`]
-//! parses the front of an in-memory byte buffer (the event loop's
-//! per-connection read buffer, where pipelined requests queue up), and
-//! [`read_request_limited`] drives a blocking stream byte-by-byte
-//! (tests and any caller without an event loop). Both agree on what is
-//! malformed, what is too large, and where a request ends.
-
-use std::io::{self, Read, Write};
+//! Requests are parsed by [`parse_request_buffer`] from the front of an
+//! in-memory byte buffer — the event loop's per-connection read buffer,
+//! where pipelined requests queue up — and responses are serialized by
+//! [`encode_response`] for the loop to flush.
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Default maximum request body size; servers can lower or raise it per
-/// instance ([`read_request_limited`], `--max-body-bytes`).
+/// instance (the `max_body` of [`parse_request_buffer`],
+/// `--max-body-bytes`).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Consecutive read-timeout polls tolerated mid-request (head or body)
-/// before the request is declared malformed. Blocking readers use short
-/// timeouts to observe shutdown, so one poll expiring only means the
-/// next packet has not landed yet — a request is abandoned only after
-/// this many polls pass with no new bytes at all.
-pub const MAX_MID_REQUEST_POLLS: u32 = 200;
-
 /// A parsed request.
 #[derive(Debug)]
 pub struct Request {
@@ -138,9 +128,9 @@ pub enum BufferParse {
 }
 
 /// Parse one request from the front of `buf` without consuming it. The
-/// head terminator search mirrors the blocking reader exactly: the head
-/// ends at the first CRLFCRLF or LFLF, and a head that exceeds
-/// [`MAX_HEAD_BYTES`] before terminating is malformed.
+/// head ends at the first CRLFCRLF or LFLF, and a head that exceeds
+/// [`MAX_HEAD_BYTES`] before terminating is malformed. A body declared
+/// larger than `max_body` is refused before it is buffered.
 pub fn parse_request_buffer(buf: &[u8], max_body: usize) -> BufferParse {
     let mut head_len = None;
     for i in 0..buf.len() {
@@ -183,134 +173,6 @@ pub fn parse_request_buffer(buf: &[u8], max_body: usize) -> BufferParse {
         request,
         consumed: total,
     }
-}
-
-/// Why a read did not produce a request.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request was parsed.
-    Request(Request),
-    /// The peer closed the connection before sending anything.
-    Closed,
-    /// The read timed out before the first byte arrived (idle keep-alive
-    /// connection; the caller decides whether to keep waiting).
-    Idle,
-    /// The bytes on the wire were not a parseable request; the caller
-    /// should answer 400 and close.
-    Malformed(String),
-    /// The declared `Content-Length` exceeds the body cap. Rejected
-    /// before a single body byte is buffered; the caller should answer
-    /// 413 and close (the unread body makes the connection unusable).
-    TooLarge {
-        /// The declared `Content-Length`.
-        declared: usize,
-        /// The cap it exceeded.
-        cap: usize,
-    },
-}
-
-/// [`read_request_limited`] with the default [`MAX_BODY_BYTES`] cap.
-pub fn read_request(stream: &mut impl Read) -> io::Result<ReadOutcome> {
-    read_request_limited(stream, MAX_BODY_BYTES)
-}
-
-/// Read one request from a blocking `stream`, rejecting bodies declared
-/// larger than `max_body` before buffering. A read timeout before the
-/// first byte maps to [`ReadOutcome::Idle`]; a timeout mid-request is
-/// malformed. Reads byte-by-byte through the head and exactly
-/// `Content-Length` bytes of body, so it never consumes bytes of a
-/// pipelined follow-up request.
-pub fn read_request_limited(stream: &mut impl Read, max_body: usize) -> io::Result<ReadOutcome> {
-    let mut head: Vec<u8> = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    let mut stalls = 0u32;
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Ok(if head.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Malformed("connection closed mid-request".to_string())
-                });
-            }
-            Ok(_) => {
-                stalls = 0;
-                head.push(byte[0]);
-                if head.len() > MAX_HEAD_BYTES {
-                    return Ok(ReadOutcome::Malformed("request head too large".to_string()));
-                }
-                if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if head.is_empty() {
-                    return Ok(ReadOutcome::Idle);
-                }
-                stalls += 1;
-                if stalls > MAX_MID_REQUEST_POLLS {
-                    return Ok(ReadOutcome::Malformed("timed out mid-request".to_string()));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-
-    let (mut request, content_length) = match parse_head(&head) {
-        Ok(parsed) => parsed,
-        Err(msg) => return Ok(ReadOutcome::Malformed(msg)),
-    };
-
-    match content_length {
-        None => {}
-        Some(len) if len > max_body => {
-            // Nothing of the body has been read (or allocated): the
-            // rejection costs the head bytes only.
-            return Ok(ReadOutcome::TooLarge {
-                declared: len,
-                cap: max_body,
-            });
-        }
-        Some(len) => {
-            request.body.resize(len, 0);
-            let mut filled = 0usize;
-            let mut stalls = 0u32;
-            while filled < len {
-                match stream.read(&mut request.body[filled..]) {
-                    Ok(0) => {
-                        return Ok(ReadOutcome::Malformed("truncated body".to_string()));
-                    }
-                    Ok(n) => {
-                        filled += n;
-                        stalls = 0;
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        stalls += 1;
-                        if stalls > MAX_MID_REQUEST_POLLS {
-                            return Ok(ReadOutcome::Malformed(
-                                "timed out reading body".to_string(),
-                            ));
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    Ok(ReadOutcome::Request(request))
 }
 
 /// A response ready to serialize.
@@ -428,103 +290,15 @@ pub fn encode_response(response: &Response, close: bool) -> Vec<u8> {
     bytes
 }
 
-/// Serialize and send `response`; `close` controls the `Connection`
-/// header.
-pub fn write_response(stream: &mut impl Write, response: &Response, close: bool) -> io::Result<()> {
-    stream.write_all(&encode_response(response, close))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
-    fn read_str(text: &str) -> ReadOutcome {
-        read_request(&mut Cursor::new(text.as_bytes().to_vec())).unwrap()
-    }
-
-    #[test]
-    fn parses_post_with_body() {
-        let out = read_str(
-            "POST /v1/arbitrate HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\n{\"psi\":\"A\"}",
-        );
-        let req = match out {
-            ReadOutcome::Request(r) => r,
-            other => panic!("expected request, got {other:?}"),
-        };
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/arbitrate");
-        assert_eq!(req.header("host"), Some("x"));
-        assert_eq!(req.body, b"{\"psi\":\"A\"}");
-        assert!(!req.wants_close());
-    }
-
-    #[test]
-    fn parses_get_without_body_and_close_header() {
-        let out = read_str("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-        match out {
-            ReadOutcome::Request(r) => {
-                assert_eq!(r.method, "GET");
-                assert!(r.body.is_empty());
-                assert!(r.wants_close());
-            }
-            other => panic!("expected request, got {other:?}"),
+    fn parse_complete(wire: &[u8], max_body: usize) -> (Request, usize) {
+        match parse_request_buffer(wire, max_body) {
+            BufferParse::Complete { request, consumed } => (request, consumed),
+            other => panic!("expected complete, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn malformed_heads_are_typed_not_errors() {
-        for bad in [
-            "GARBAGE\r\n\r\n",
-            "GET /x HTTP/2.0\r\n\r\n",
-            "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            "POST /x HTTP/1.1\r\nNoColonHere\r\n\r\n",
-            "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
-        ] {
-            match read_str(bad) {
-                ReadOutcome::Malformed(_) => {}
-                other => panic!("expected malformed for {bad:?}, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn empty_stream_is_closed() {
-        assert!(matches!(read_str(""), ReadOutcome::Closed));
-    }
-
-    #[test]
-    fn oversized_body_is_rejected() {
-        let head = format!(
-            "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        match read_str(&head) {
-            ReadOutcome::TooLarge { declared, cap } => {
-                assert_eq!(declared, MAX_BODY_BYTES + 1);
-                assert_eq!(cap, MAX_BODY_BYTES);
-            }
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn body_cap_is_configurable() {
-        let req = "POST /x HTTP/1.1\r\nContent-Length: 11\r\n\r\n{\"psi\":\"A\"}";
-        let mut cursor = Cursor::new(req.as_bytes().to_vec());
-        assert!(matches!(
-            read_request_limited(&mut cursor, 10).unwrap(),
-            ReadOutcome::TooLarge {
-                declared: 11,
-                cap: 10
-            }
-        ));
-        let mut cursor = Cursor::new(req.as_bytes().to_vec());
-        assert!(matches!(
-            read_request_limited(&mut cursor, 11).unwrap(),
-            ReadOutcome::Request(_)
-        ));
     }
 
     #[test]
@@ -540,14 +314,37 @@ mod tests {
                 "prefix of {cut} bytes should be incomplete"
             );
         }
-        match parse_request_buffer(wire, MAX_BODY_BYTES) {
-            BufferParse::Complete { request, consumed } => {
-                assert_eq!(consumed, wire.len());
-                assert_eq!(request.path, "/v1/arbitrate");
-                assert_eq!(request.body, b"{\"psi\":\"A\"}");
-            }
-            other => panic!("expected complete, got {other:?}"),
-        }
+        let (request, consumed) = parse_complete(wire, MAX_BODY_BYTES);
+        assert_eq!(consumed, wire.len());
+        assert_eq!(request.path, "/v1/arbitrate");
+        assert_eq!(request.body, b"{\"psi\":\"A\"}");
+        // The same message with a header, and exactly at the body cap.
+        let wire =
+            b"POST /v1/arbitrate HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\n{\"psi\":\"A\"}";
+        let (request, _) = parse_complete(wire, 11);
+        assert_eq!(request.method, "POST");
+        assert_eq!(request.header("host"), Some("x"));
+        assert_eq!(request.body, b"{\"psi\":\"A\"}");
+        assert!(!request.wants_close());
+        // A body short of its Content-Length waits for more bytes.
+        assert!(matches!(
+            parse_request_buffer(
+                b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+                MAX_BODY_BYTES
+            ),
+            BufferParse::Incomplete
+        ));
+    }
+
+    #[test]
+    fn buffer_parse_reads_get_without_body_and_close_header() {
+        let (request, _) = parse_complete(
+            b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
+            MAX_BODY_BYTES,
+        );
+        assert_eq!(request.method, "GET");
+        assert!(request.body.is_empty());
+        assert!(request.wants_close());
     }
 
     #[test]
@@ -580,10 +377,19 @@ mod tests {
             parse_request_buffer(b"GARBAGE\r\n\r\n", MAX_BODY_BYTES),
             BufferParse::Malformed(_)
         ));
-        assert!(matches!(
-            parse_request_buffer(b"GET /x HTTP/2.0\r\n\r\n", MAX_BODY_BYTES),
-            BufferParse::Malformed(_)
-        ));
+        for bad in [
+            "GET /x HTTP/2.0\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            "POST /x HTTP/1.1\r\nNoColonHere\r\n\r\n",
+        ] {
+            assert!(
+                matches!(
+                    parse_request_buffer(bad.as_bytes(), MAX_BODY_BYTES),
+                    BufferParse::Malformed(_)
+                ),
+                "expected malformed for {bad:?}"
+            );
+        }
         assert!(matches!(
             parse_request_buffer(b"POST /x HTTP/1.1\r\nContent-Length: 11\r\n\r\n", 10),
             BufferParse::TooLarge {
@@ -591,6 +397,17 @@ mod tests {
                 cap: 10
             }
         ));
+        let head = format!(
+            "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        match parse_request_buffer(head.as_bytes(), MAX_BODY_BYTES) {
+            BufferParse::TooLarge { declared, cap } => {
+                assert_eq!(declared, MAX_BODY_BYTES + 1);
+                assert_eq!(cap, MAX_BODY_BYTES);
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
         // A head that never terminates within the cap is malformed, not
         // buffered forever.
         let endless = vec![b'A'; MAX_HEAD_BYTES + 1];
@@ -602,8 +419,7 @@ mod tests {
 
     #[test]
     fn response_has_content_length_and_connection() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, "{}".to_string()), false).unwrap();
+        let out = encode_response(&Response::json(200, "{}".to_string()), false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));

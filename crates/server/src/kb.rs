@@ -77,7 +77,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use arbitrex_core::{Budget, FaultPlan};
+use arbitrex_core::Faults;
 use arbitrex_logic::{canonical_key, Formula, Sig};
 
 use crate::metrics;
@@ -133,8 +133,9 @@ pub struct DurabilityOptions {
     pub snapshot_every: u64,
     /// What to do when recovery meets damage beyond a torn tail.
     pub recover: RecoverMode,
-    /// Deterministic durability fault injection (testing).
-    pub fault: Option<FaultPlan>,
+    /// Deterministic fault injection (testing): the log, the flusher and
+    /// the snapshot writer charge its durability sites.
+    pub faults: Faults,
     /// Batch WAL fsyncs behind a flusher thread (one fsync acks N
     /// commits); `false` restores the fsync-per-commit path.
     pub group_commit: bool,
@@ -158,7 +159,6 @@ struct DurableState {
     dir: PathBuf,
     snapshot_every: u64,
     since_snapshot: u64,
-    fault: Budget,
     /// Current fencing epoch, stamped into every appended frame.
     epoch: u64,
     /// The `rseq` the next appended frame will carry.
@@ -200,7 +200,7 @@ struct GroupCommit {
 }
 
 impl GroupCommit {
-    fn start(file: Arc<File>, fault: Budget, interval: Duration) -> GroupCommit {
+    fn start(file: Arc<File>, faults: Faults, interval: Duration) -> GroupCommit {
         let shared = Arc::new(FlushShared {
             state: Mutex::new(FlushState {
                 appended: 0,
@@ -216,7 +216,7 @@ impl GroupCommit {
         let thread_shared = Arc::clone(&shared);
         let flusher = thread::Builder::new()
             .name("arbitrex-wal-flusher".to_string())
-            .spawn(move || flusher_loop(&thread_shared, &file, &fault, interval))
+            .spawn(move || flusher_loop(&thread_shared, &file, &faults, interval))
             .expect("spawn wal flusher");
         GroupCommit {
             shared,
@@ -311,7 +311,7 @@ impl GroupCommit {
 /// watermark and wake every covered waiter. Commits that append during
 /// the fsync form the next batch — that overlap is the natural batching
 /// that makes one fsync pay for N commits under load.
-fn flusher_loop(shared: &FlushShared, file: &File, fault: &Budget, interval: Duration) {
+fn flusher_loop(shared: &FlushShared, file: &File, faults: &Faults, interval: Duration) {
     loop {
         let target = {
             let mut st = shared.state.lock().unwrap();
@@ -344,7 +344,7 @@ fn flusher_loop(shared: &FlushShared, file: &File, fault: &Budget, interval: Dur
             st.oldest_pending = None;
             st.appended
         };
-        let result = wal::sync_file(file, fault);
+        let result = wal::sync_file(file, faults);
         let mut st = shared.state.lock().unwrap();
         match result {
             Ok(()) => {
@@ -422,15 +422,11 @@ impl KbStore {
         opts: DurabilityOptions,
     ) -> Result<(KbStore, RecoveryReport), RecoveryError> {
         let (state, report) = recovery::recover(&opts.dir, opts.recover)?;
-        let fault = match opts.fault {
-            Some(plan) => Budget::unlimited().with_fault(plan),
-            None => Budget::unlimited(),
-        };
-        let wal = Wal::open(&opts.dir.join(WAL_FILE), fault.clone())?;
+        let wal = Wal::open(&opts.dir.join(WAL_FILE), opts.faults)?;
         let group = if opts.group_commit {
             Some(GroupCommit::start(
                 wal.shared_file(),
-                wal.fault(),
+                wal.faults().clone(),
                 opts.flush_interval,
             ))
         } else {
@@ -456,7 +452,6 @@ impl KbStore {
                     dir: opts.dir,
                     snapshot_every: opts.snapshot_every,
                     since_snapshot: 0,
-                    fault,
                     epoch,
                     next_rseq,
                 }),
@@ -737,7 +732,7 @@ impl KbStore {
         repl: &ReplLog,
     ) -> io::Result<()> {
         let watermark = s.next_rseq - 1;
-        snapshot::write_snapshot(&s.dir, &s.shadow, s.epoch, watermark, &s.fault)?;
+        snapshot::write_snapshot(&s.dir, &s.shadow, s.epoch, watermark, s.wal.faults())?;
         s.wal.truncate_to_empty()?;
         s.since_snapshot = 0;
         if let Some(group) = group {
@@ -982,7 +977,7 @@ impl KbStore {
             &contents.entries,
             contents.epoch,
             contents.rseq,
-            &s.fault,
+            s.wal.faults(),
         )?;
         s.wal.truncate_to_empty()?;
         s.shadow = contents.entries.clone();

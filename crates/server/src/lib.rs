@@ -74,7 +74,7 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 
 use arbitrex_core::cache::OpCache;
-use arbitrex_core::{CompiledTier, FaultPlan};
+use arbitrex_core::{CompiledTier, Faults};
 use kb::{DurabilityOptions, KbStore};
 use recovery::{RecoverMode, RecoveryReport};
 
@@ -105,9 +105,10 @@ pub struct ServerConfig {
     pub snapshot_every: u64,
     /// What recovery does on damage beyond a torn tail.
     pub recover: RecoverMode,
-    /// Deterministic durability fault injection (testing): arm the
-    /// `wal_write`/`wal_fsync`/`snapshot_rename` sites.
-    pub durability_fault: Option<FaultPlan>,
+    /// Deterministic fault injection (testing): the armed durability
+    /// (`wal_*`, `snapshot_rename`), replication-transport (`net_*`) and
+    /// shard-router (`shard_*`) plans. Clones share one trigger.
+    pub faults: Faults,
     /// Idle keep-alive connections are closed after this long with no
     /// traffic and nothing in flight; `0` keeps them forever.
     pub keep_alive_timeout_ms: u64,
@@ -137,9 +138,6 @@ pub struct ServerConfig {
     /// (never below what recovery found). Mostly for tests and storm
     /// scripts.
     pub replication_epoch: Option<u64>,
-    /// Deterministic network fault injection at the replication
-    /// transport (testing): arm one `net_*` site.
-    pub net_fault: Option<replication::NetFaultPlan>,
     /// Join a sharded cluster advertising this address as this node's
     /// ring identity (`host:port`, or [`shard::SELF_AUTO`] to advertise
     /// the actually bound address). `None` disables sharding.
@@ -150,9 +148,6 @@ pub struct ServerConfig {
     /// the same set agree; later membership goes through
     /// `POST /v1/cluster/{join,leave}`).
     pub cluster_peers: Vec<String>,
-    /// Deterministic fault injection at the sharding layer (testing):
-    /// arm one `shard_*` site.
-    pub shard_fault: Option<shard::ShardFaultPlan>,
     /// How often the failure detector probes its chain head, in
     /// milliseconds. `0` disables the detector (no probes, no automatic
     /// promotion) even when this node is a chain replica.
@@ -174,7 +169,7 @@ impl Default for ServerConfig {
             state_dir: None,
             snapshot_every: 256,
             recover: RecoverMode::Strict,
-            durability_fault: None,
+            faults: Faults::default(),
             keep_alive_timeout_ms: 5_000,
             group_commit: true,
             flush_interval_us: 0,
@@ -182,11 +177,9 @@ impl Default for ServerConfig {
             bdd_node_budget: CompiledTier::DEFAULT_NODE_BUDGET,
             replicate_from: None,
             replication_epoch: None,
-            net_fault: None,
             shard_ring: None,
             shard_vnodes: shard::DEFAULT_VNODES,
             cluster_peers: Vec::new(),
-            shard_fault: None,
             probe_interval_ms: 500,
             suspect_after: 3,
         }
@@ -226,7 +219,7 @@ impl ServiceState {
                     dir: dir.clone(),
                     snapshot_every: config.snapshot_every,
                     recover: config.recover,
-                    fault: config.durability_fault,
+                    faults: config.faults.clone(),
                     group_commit: config.group_commit,
                     flush_interval: std::time::Duration::from_micros(config.flush_interval_us),
                     initial_epoch: config.replication_epoch,

@@ -230,7 +230,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arbitrex_core::Budget;
+    use arbitrex_core::Faults;
     use arbitrex_logic::{parse, Sig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -269,9 +269,9 @@ mod tests {
                 seq: 5,
             },
         );
-        snapshot::write_snapshot(&dir, &snap, 1, 40, &Budget::unlimited()).unwrap();
+        snapshot::write_snapshot(&dir, &snap, 1, 40, &Faults::default()).unwrap();
         {
-            let mut wal = wal::Wal::open(&dir.join(WAL_FILE), Budget::unlimited()).unwrap();
+            let mut wal = wal::Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
             wal.append(1, 41, &commit("old", "A & B", 6)).unwrap();
             wal.append(1, 42, &commit("new", "C", 1)).unwrap();
             wal.append(
@@ -301,7 +301,7 @@ mod tests {
         let dir = temp_dir();
         let wal_path = dir.join(WAL_FILE);
         {
-            let mut wal = wal::Wal::open(&wal_path, Budget::unlimited()).unwrap();
+            let mut wal = wal::Wal::open(&wal_path, Faults::default()).unwrap();
             wal.append(1, 1, &commit("a", "A", 1)).unwrap();
             wal.append(1, 2, &commit("b", "B", 1)).unwrap();
             wal.append(1, 3, &commit("c", "C", 1)).unwrap();

@@ -28,15 +28,16 @@
 //!
 //! # Network fault injection
 //!
-//! [`NetFaultPlan`] arms exactly one deterministic, fire-once fault at
-//! the primary's replication transport: `net_drop` (connection cut
-//! mid-stream before the k-th frame), `net_torn` (k-th frame corrupted
-//! in transit), `net_dup` (k-th frame delivered twice), `net_delay`
-//! (k-th batch request delayed), `net_partition` (the k-th and the next
-//! [`PARTITION_REFUSALS`]−1 batch requests refused, then healed).
-//! Faults are one-shot — unlike the sticky durability `Budget` trips —
-//! because a network fault heals; the replica's reconnect/backoff/CRC
-//! machinery is what is under test.
+//! The primary's replication transport charges the `net_*` sites of the
+//! server's [`arbitrex_core::Faults`] trigger: `net_drop` (connection
+//! cut mid-stream before the k-th frame), `net_torn` (k-th frame
+//! corrupted in transit), `net_dup` (k-th frame delivered twice),
+//! `net_delay` (k-th batch request delayed by [`NET_DELAY`]),
+//! `net_partition` (the k-th and the next
+//! [`arbitrex_telemetry::budget::PARTITION_REFUSALS`]−1 requests refused,
+//! then healed). Network faults fire once — unlike the sticky durability
+//! sites — because a network fault heals; the replica's
+//! reconnect/backoff/CRC machinery is what is under test.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -66,8 +67,6 @@ pub const MAX_BATCH_FRAMES: usize = 512;
 /// returning an empty batch (the replica re-requests immediately, so
 /// this is the idle polling cadence, not added replication lag).
 pub const POLL_WAIT: Duration = Duration::from_millis(50);
-/// Consecutive batch requests a `net_partition` fault refuses.
-pub const PARTITION_REFUSALS: u64 = 3;
 /// Reconnect backoff bounds: exponential from `BACKOFF_MIN`, capped at
 /// `BACKOFF_MAX`, with deterministic jitter.
 pub const BACKOFF_MIN: Duration = Duration::from_millis(10);
@@ -305,126 +304,8 @@ impl ReplLog {
     }
 }
 
-// --- deterministic network faults -------------------------------------------
-
-/// Where a network fault plan fires, at the primary's replication
-/// transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetFaultSite {
-    /// Cut the stream (no chunk terminator, connection closed) before
-    /// the k-th frame ships.
-    Drop,
-    /// Corrupt one byte of the k-th frame in transit; the stream
-    /// continues — the replica's CRC check is what must catch it.
-    Torn,
-    /// Deliver the k-th frame twice.
-    Dup,
-    /// Delay the k-th batch request by [`NET_DELAY`].
-    Delay,
-    /// Refuse the k-th batch request and the next
-    /// [`PARTITION_REFUSALS`]−1 with 503, then heal.
-    Partition,
-}
-
 /// Artificial latency the `net_delay` fault injects.
 pub const NET_DELAY: Duration = Duration::from_millis(100);
-
-impl NetFaultSite {
-    /// Every site, for help text and validation.
-    pub const ALL: [NetFaultSite; 5] = [
-        NetFaultSite::Drop,
-        NetFaultSite::Torn,
-        NetFaultSite::Dup,
-        NetFaultSite::Delay,
-        NetFaultSite::Partition,
-    ];
-
-    /// The `--fault` spelling of this site.
-    pub fn name(self) -> &'static str {
-        match self {
-            NetFaultSite::Drop => "net_drop",
-            NetFaultSite::Torn => "net_torn",
-            NetFaultSite::Dup => "net_dup",
-            NetFaultSite::Delay => "net_delay",
-            NetFaultSite::Partition => "net_partition",
-        }
-    }
-
-    /// Parse a `--fault` site name.
-    pub fn parse(name: &str) -> Option<NetFaultSite> {
-        NetFaultSite::ALL.into_iter().find(|s| s.name() == name)
-    }
-}
-
-#[derive(Debug, Default)]
-struct NetFaultState {
-    /// Charges against this plan's site (frames shipped for frame-level
-    /// sites, batch requests for request-level ones).
-    counter: AtomicU64,
-    /// Outstanding partition refusals.
-    partition_refusals: AtomicU64,
-}
-
-/// A deterministic, fire-once network fault: the k-th charge at `site`
-/// trips it. Shared (`Arc`) so the plan travels inside a cloned
-/// `ServerConfig` while all clones count against the same trigger —
-/// and, unlike the sticky durability `Budget`, it disarms after firing,
-/// because a network fault heals.
-#[derive(Debug, Clone)]
-pub struct NetFaultPlan {
-    /// Which transport behavior misfires.
-    pub site: NetFaultSite,
-    /// Fire on the `at`-th charge (1-based).
-    pub at: u64,
-    state: Arc<NetFaultState>,
-}
-
-impl NetFaultPlan {
-    /// A plan firing on the `at`-th charge at `site`.
-    pub fn new(site: NetFaultSite, at: u64) -> NetFaultPlan {
-        NetFaultPlan {
-            site,
-            at,
-            state: Arc::new(NetFaultState::default()),
-        }
-    }
-
-    /// Charge one unit at `site`; `true` exactly once, on the `at`-th
-    /// charge of the plan's own site.
-    pub fn fire(&self, site: NetFaultSite) -> bool {
-        if site != self.site {
-            return false;
-        }
-        let n = self.state.counter.fetch_add(1, Ordering::SeqCst) + 1;
-        if n == self.at {
-            metrics::REPL_NET_FAULTS.incr();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Should this batch request be refused by the partition fault?
-    /// Consumes one refusal if the partition is active; fires the
-    /// partition (arming the remaining refusals) on the k-th request.
-    pub fn partition_refuses(&self) -> bool {
-        if self
-            .state
-            .partition_refusals
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-            .is_ok()
-        {
-            return true;
-        }
-        if self.fire(NetFaultSite::Partition) {
-            self.state
-                .partition_refusals
-                .store(PARTITION_REFUSALS - 1, Ordering::SeqCst);
-            return true;
-        }
-        false
-    }
-}
 
 // --- a blocking peer client --------------------------------------------------
 
@@ -1143,39 +1024,6 @@ mod tests {
             FetchOutcome::Frames { frames, .. } => assert!(frames.is_empty()),
             other => panic!("expected empty frames, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn net_fault_plans_fire_once_at_their_site_only() {
-        let plan = NetFaultPlan::new(NetFaultSite::Torn, 3);
-        // Other sites never charge this plan's counter.
-        assert!(!plan.fire(NetFaultSite::Drop));
-        assert!(!plan.fire(NetFaultSite::Dup));
-        assert!(!plan.fire(NetFaultSite::Torn)); // 1st
-        assert!(!plan.fire(NetFaultSite::Torn)); // 2nd
-        assert!(plan.fire(NetFaultSite::Torn)); // 3rd: fires
-        assert!(!plan.fire(NetFaultSite::Torn)); // fired once, disarmed
-    }
-
-    #[test]
-    fn partition_fault_refuses_a_window_then_heals() {
-        let plan = NetFaultPlan::new(NetFaultSite::Partition, 2);
-        assert!(!plan.partition_refuses()); // request 1: healthy
-        assert!(plan.partition_refuses()); // request 2: fires
-        for _ in 1..PARTITION_REFUSALS {
-            assert!(plan.partition_refuses());
-        }
-        assert!(!plan.partition_refuses()); // healed
-        assert!(!plan.partition_refuses());
-    }
-
-    #[test]
-    fn net_fault_site_names_round_trip() {
-        for site in NetFaultSite::ALL {
-            assert_eq!(NetFaultSite::parse(site.name()), Some(site));
-        }
-        assert_eq!(NetFaultSite::parse("net_gremlins"), None);
-        assert_eq!(NetFaultSite::parse("wal_write"), None);
     }
 
     #[test]

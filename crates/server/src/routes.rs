@@ -12,21 +12,22 @@ use crate::json::{self, obj, Json};
 use crate::kb::{self, CommitError, StoredKb};
 use crate::metrics;
 use crate::replication::{
-    self, FetchOutcome, NetFaultSite, PeerClient, PeerResponse, ReplLog, NET_DELAY, POLL_WAIT,
+    self, FetchOutcome, PeerClient, PeerResponse, ReplLog, NET_DELAY, POLL_WAIT,
 };
-use crate::shard::{self, Placement, ShardFaultSite, ShardRouter};
+use crate::shard::{self, Placement, ShardRouter};
 use crate::ServiceState;
 
 use arbitrex_core::cache::{cached_warbitrate, CacheStatus};
 use arbitrex_core::iterated::iterate_fixed_input;
 use arbitrex_core::{
-    budgeted_operator, tiered_apply, tiered_arbitrate, Budget, BudgetSpent, Outcome, Quality,
-    TierReport,
+    budgeted_operator, tiered_apply, tiered_arbitrate, Budget, BudgetSpent, FaultFamily, FaultSite,
+    Outcome, Quality, TierReport,
 };
 use arbitrex_logic::{parse as parse_formula, Formula, Interp, ModelSet, Sig, ENUM_LIMIT};
 
-/// Longest artificial `hold_ms` accepted (a load-testing knob; see
-/// [`budget_and_hold`]).
+/// Longest artificial `hold_ms` accepted: a request's `hold_ms` field
+/// makes its worker sleep before computing, a load-testing knob for
+/// exercising queue overflow.
 pub const MAX_HOLD_MS: u64 = 10_000;
 /// Most models listed verbatim in a response; larger sets report
 /// `n_models` and set `models_truncated`.
@@ -522,16 +523,11 @@ fn repl_wal(state: &ServiceState, log: &ReplLog, query: Option<&str>) -> Respons
         Some(v) => v,
         None => return error_response(400, "query `from_seq=N` is required"),
     };
-    let fault = state.config.net_fault.as_ref();
-    if let Some(plan) = fault {
-        if plan.partition_refuses() {
-            let mut refused = error_response(503, "injected fault: network partition");
-            refused.force_close = true;
-            return refused;
-        }
-        if plan.fire(NetFaultSite::Delay) {
-            std::thread::sleep(NET_DELAY);
-        }
+    if injected(state, FaultSite::NetPartition) {
+        return partition_refusal();
+    }
+    if injected(state, FaultSite::NetDelay) {
+        std::thread::sleep(NET_DELAY);
     }
     match log.fetch(from, POLL_WAIT) {
         FetchOutcome::ResyncRequired { floor } => {
@@ -553,25 +549,23 @@ fn repl_wal(state: &ServiceState, log: &ReplLog, query: Option<&str>) -> Respons
             let mut chunks = Vec::with_capacity(frames.len());
             let mut abort = false;
             for frame in &frames {
-                if let Some(plan) = fault {
-                    if plan.fire(NetFaultSite::Drop) {
-                        // Cut the stream: no terminator, socket closed.
-                        abort = true;
-                        break;
-                    }
-                    if plan.fire(NetFaultSite::Torn) {
-                        // Corrupt in transit; the replica's CRC check
-                        // must refuse this frame.
-                        let mut torn = frame.bytes.clone();
-                        let last = torn.len() - 1;
-                        torn[last] ^= 0x01;
-                        chunks.push(torn);
-                        metrics::REPL_FRAMES_SHIPPED.incr();
-                        continue;
-                    }
-                    if plan.fire(NetFaultSite::Dup) {
-                        chunks.push(frame.bytes.clone());
-                    }
+                if injected(state, FaultSite::NetDrop) {
+                    // Cut the stream: no terminator, socket closed.
+                    abort = true;
+                    break;
+                }
+                if injected(state, FaultSite::NetTorn) {
+                    // Corrupt in transit; the replica's CRC check must
+                    // refuse this frame.
+                    let mut torn = frame.bytes.clone();
+                    let last = torn.len() - 1;
+                    torn[last] ^= 0x01;
+                    chunks.push(torn);
+                    metrics::REPL_FRAMES_SHIPPED.incr();
+                    continue;
+                }
+                if injected(state, FaultSite::NetDup) {
+                    chunks.push(frame.bytes.clone());
                 }
                 chunks.push(frame.bytes.clone());
                 metrics::REPL_FRAMES_SHIPPED.incr();
@@ -587,6 +581,27 @@ fn repl_wal(state: &ServiceState, log: &ReplLog, query: Option<&str>) -> Respons
             response
         }
     }
+}
+
+/// Charge one event at a `net_*` or `shard_*` site of the server's fault
+/// trigger; a misfire is counted in `net_faults` or `shard_faults`.
+fn injected(state: &ServiceState, site: FaultSite) -> bool {
+    let fired = state.config.faults.fire(site);
+    if fired {
+        match site.family() {
+            FaultFamily::Net => metrics::REPL_NET_FAULTS.incr(),
+            _ => metrics::SHARD_FAULTS.incr(),
+        }
+    }
+    fired
+}
+
+/// The 503 a request refused by an injected `net_partition` gets; the
+/// connection closes as a partitioned link would.
+fn partition_refusal() -> Response {
+    let mut refused = error_response(503, "injected fault: network partition");
+    refused.force_close = true;
+    refused
 }
 
 /// `GET /v1/replication/snapshot`: the deterministic in-memory snapshot
@@ -625,12 +640,8 @@ fn repl_digest(state: &ServiceState, log: &ReplLog) -> Response {
 /// injected here too — chaos runs can make a healthy head *look* dead
 /// to its probers and exercise the quorum veto.
 fn repl_status(state: &ServiceState, log: &ReplLog) -> Response {
-    if let Some(plan) = &state.config.net_fault {
-        if plan.partition_refuses() {
-            let mut refused = error_response(503, "injected fault: network partition");
-            refused.force_close = true;
-            return refused;
-        }
+    if injected(state, FaultSite::NetPartition) {
+        return partition_refusal();
     }
     let ring_epoch = state.shards.as_ref().map(|r| r.epoch()).unwrap_or(0);
     ok(obj([
@@ -1059,10 +1070,8 @@ fn cluster_release(state: &ServiceState, req: &Request) -> Response {
         Ok(None) => return error_response(400, "missing field `seq`"),
         Err(resp) => return resp,
     };
-    if let Some(plan) = &state.config.shard_fault {
-        if plan.fire(ShardFaultSite::HandoffTorn) {
-            return error_response(503, "injected fault: shard handoff torn");
-        }
+    if injected(state, FaultSite::ShardHandoffTorn) {
+        return error_response(503, "injected fault: shard handoff torn");
     }
     match state.kbs.delete(name, Some(seq)) {
         Ok(Some(_)) => {
@@ -1205,11 +1214,9 @@ fn shard_route(
             return Some(stale_ring_response(epoch, claimed));
         }
     }
-    if let Some(plan) = &state.config.shard_fault {
-        if plan.fire(ShardFaultSite::RingStale) {
-            // Injected: pretend the caller pinned a ring one epoch behind.
-            return Some(stale_ring_response(epoch, epoch.saturating_sub(1)));
-        }
+    if injected(state, FaultSite::ShardRingStale) {
+        // Injected: pretend the caller pinned a ring one epoch behind.
+        return Some(stale_ring_response(epoch, epoch.saturating_sub(1)));
     }
     // The handoff write fence: while a membership transition is pulling
     // this KB between owners, no node accepts external writes for it —
@@ -1314,10 +1321,8 @@ fn proxy_leg(
     name: &str,
     min_seq: Option<&str>,
 ) -> Result<PeerResponse, String> {
-    if let Some(plan) = &state.config.shard_fault {
-        if plan.fire(ShardFaultSite::ProxyDrop) {
-            return Err("injected fault: shard proxy dropped".to_string());
-        }
+    if injected(state, FaultSite::ShardProxyDrop) {
+        return Err("injected fault: shard proxy dropped".to_string());
     }
     let mut headers = vec![(shard::INTERNAL_HEADER, "1")];
     if let Some(min) = min_seq {

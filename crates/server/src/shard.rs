@@ -35,20 +35,20 @@
 //! reconciliation path ([`crate::replication::reconcile_with_peer`]),
 //! not to last-writer-wins.
 //!
-//! # Deterministic fault plan
+//! # Deterministic faults
 //!
-//! [`ShardFaultPlan`] arms exactly one fire-once fault (`serve
-//! --fault`): `shard_handoff_torn` (the k-th release request is refused
+//! The router charges the `shard_*` sites of the server's
+//! [`arbitrex_core::Faults`] trigger (`serve --fault`):
+//! `shard_handoff_torn` (the k-th release request is refused
 //! after the data transfer, as if the handoff connection tore — both
 //! copies survive and a later pass converges them), `shard_ring_stale`
 //! (the k-th routed KB request is answered 421 as if the client's ring
 //! were stale), `shard_proxy_drop` (the k-th proxied read is dropped
-//! with 502). Like the `net_*` plans they disarm after firing: what is
-//! under test is the retry/convergence machinery, not a sticky outage.
+//! with 502). Like the `net_*` sites they fire once: what is under test
+//! is the retry/convergence machinery, not a sticky outage.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
+use std::sync::{Mutex, MutexGuard, RwLock, TryLockError};
 
 use arbitrex_logic::parse as parse_formula;
 
@@ -770,83 +770,6 @@ impl ShardRouter {
     }
 }
 
-// --- deterministic shard faults ----------------------------------------------
-
-/// Where a shard fault plan fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardFaultSite {
-    /// Refuse the k-th `release` request (after the new owner already
-    /// pulled the KB): a handoff torn between transfer and release.
-    HandoffTorn,
-    /// Answer the k-th routed KB request with 421 as if the client's
-    /// ring were stale.
-    RingStale,
-    /// Drop the k-th proxied read with 502.
-    ProxyDrop,
-}
-
-impl ShardFaultSite {
-    /// Every site, for help text and validation.
-    pub const ALL: [ShardFaultSite; 3] = [
-        ShardFaultSite::HandoffTorn,
-        ShardFaultSite::RingStale,
-        ShardFaultSite::ProxyDrop,
-    ];
-
-    /// The `--fault` spelling of this site.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardFaultSite::HandoffTorn => "shard_handoff_torn",
-            ShardFaultSite::RingStale => "shard_ring_stale",
-            ShardFaultSite::ProxyDrop => "shard_proxy_drop",
-        }
-    }
-
-    /// Parse a `--fault` site name.
-    pub fn parse(name: &str) -> Option<ShardFaultSite> {
-        ShardFaultSite::ALL.into_iter().find(|s| s.name() == name)
-    }
-}
-
-/// A deterministic, fire-once shard fault: the k-th charge at `site`
-/// trips it, then the plan disarms. Shared (`Arc`) so the plan travels
-/// inside a cloned `ServerConfig` while all clones count against the
-/// same trigger — the same shape as [`crate::replication::NetFaultPlan`].
-#[derive(Debug, Clone)]
-pub struct ShardFaultPlan {
-    /// Which sharding behavior misfires.
-    pub site: ShardFaultSite,
-    /// Fire on the `at`-th charge (1-based).
-    pub at: u64,
-    counter: Arc<AtomicU64>,
-}
-
-impl ShardFaultPlan {
-    /// A plan firing on the `at`-th charge at `site`.
-    pub fn new(site: ShardFaultSite, at: u64) -> ShardFaultPlan {
-        ShardFaultPlan {
-            site,
-            at,
-            counter: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Charge one unit at `site`; `true` exactly once, on the `at`-th
-    /// charge of the plan's own site.
-    pub fn fire(&self, site: ShardFaultSite) -> bool {
-        if site != self.site {
-            return false;
-        }
-        let n = self.counter.fetch_add(1, Ordering::SeqCst) + 1;
-        if n == self.at {
-            metrics::SHARD_FAULTS.incr();
-            true
-        } else {
-            false
-        }
-    }
-}
-
 // --- live rebalancing --------------------------------------------------------
 
 /// What one rebalance pass did.
@@ -1336,31 +1259,6 @@ mod tests {
                 Placement::Local => panic!("removed node still owns `{name}`"),
             }
         }
-    }
-
-    #[test]
-    fn shard_fault_plans_fire_once_at_their_site_only() {
-        let plan = ShardFaultPlan::new(ShardFaultSite::HandoffTorn, 2);
-        assert!(!plan.fire(ShardFaultSite::RingStale));
-        assert!(!plan.fire(ShardFaultSite::ProxyDrop));
-        assert!(!plan.fire(ShardFaultSite::HandoffTorn)); // 1st
-        assert!(plan.fire(ShardFaultSite::HandoffTorn)); // 2nd: fires
-        assert!(!plan.fire(ShardFaultSite::HandoffTorn)); // disarmed
-                                                          // A clone counts against the same trigger (the plan travels
-                                                          // inside a cloned ServerConfig).
-        let original = ShardFaultPlan::new(ShardFaultSite::ProxyDrop, 2);
-        let clone = original.clone();
-        assert!(!clone.fire(ShardFaultSite::ProxyDrop));
-        assert!(original.fire(ShardFaultSite::ProxyDrop));
-    }
-
-    #[test]
-    fn shard_fault_site_names_round_trip() {
-        for site in ShardFaultSite::ALL {
-            assert_eq!(ShardFaultSite::parse(site.name()), Some(site));
-        }
-        assert_eq!(ShardFaultSite::parse("shard_gremlins"), None);
-        assert_eq!(ShardFaultSite::parse("net_drop"), None);
     }
 
     #[test]

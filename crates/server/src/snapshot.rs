@@ -13,7 +13,8 @@
 //! the new one, never a half-written file under the live name. Only
 //! after the rename is durable does the caller truncate the WAL.
 //!
-//! A `snapshot_rename` fault plan makes the k-th rename fail with the
+//! The writer charges the `snapshot_rename` site of the store's
+//! [`Faults`] trigger: an armed plan makes the k-th rename fail with the
 //! temp file left behind, the exact debris a crash between fsync and
 //! rename leaves; recovery ignores and removes stray temp files.
 
@@ -22,7 +23,7 @@ use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use arbitrex_core::{Budget, BudgetSite};
+use arbitrex_core::{FaultSite, Faults};
 
 use crate::kb::StoredKb;
 use crate::metrics;
@@ -90,7 +91,7 @@ pub fn write_snapshot(
     entries: &HashMap<String, StoredKb>,
     epoch: u64,
     rseq: u64,
-    fault: &Budget,
+    faults: &Faults,
 ) -> io::Result<()> {
     let bytes = encode_snapshot(entries, epoch, rseq);
     let tmp = dir.join(SNAPSHOT_TMP);
@@ -100,7 +101,7 @@ pub fn write_snapshot(
         file.write_all(&bytes)?;
         file.sync_data()?;
     }
-    if fault.charge(BudgetSite::SnapshotRename, 1).is_err() {
+    if faults.fire(FaultSite::SnapshotRename) {
         // Injected failed rename: the fsync'd temp file stays behind,
         // exactly the debris of a crash between fsync and rename.
         return Err(io::Error::other("injected fault: snapshot rename failed"));
@@ -223,7 +224,7 @@ mod tests {
 
         assert!(read_snapshot(&dir).unwrap().unwrap().is_none());
         let state = entries();
-        write_snapshot(&dir, &state, 4, 97, &Budget::unlimited()).unwrap();
+        write_snapshot(&dir, &state, 4, 97, &Faults::default()).unwrap();
         let loaded = read_snapshot(&dir).unwrap().unwrap().unwrap();
         assert_eq!(loaded.entries, state);
         assert_eq!(loaded.epoch, 4);
@@ -250,7 +251,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("arbx-snap-mem-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let state = entries();
-        write_snapshot(&dir, &state, 2, 31, &Budget::unlimited()).unwrap();
+        write_snapshot(&dir, &state, 2, 31, &Faults::default()).unwrap();
         let on_disk = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
         assert_eq!(on_disk, encode_snapshot(&state, 2, 31));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -32,11 +32,13 @@
 //! tail (safe to truncate) or mid-log corruption (refuse unless
 //! salvaging).
 //!
-//! Fault injection: a [`Budget`] armed with a `wal_write` or `wal_fsync`
-//! [`arbitrex_core::FaultPlan`] makes the k-th append write a genuinely
-//! torn frame prefix (then fail), or skip the k-th fsync (then fail), so
-//! the recovery matrix in `tests/durability.rs` exercises real on-disk
-//! torn states deterministically.
+//! Fault injection: the log charges the `wal_write` and `wal_fsync` sites
+//! of the store's [`Faults`] trigger. An armed plan makes the k-th append
+//! write a genuinely torn frame prefix (then fail), or skip the k-th
+//! fsync (then fail), so the recovery matrix in `tests/durability.rs`
+//! exercises real on-disk torn states deterministically. Durability
+//! faults are sticky: every later append and fsync fails too, so no
+//! commit is acknowledged behind the torn frame.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -44,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use arbitrex_core::{Budget, BudgetSite};
+use arbitrex_core::{FaultSite, Faults};
 use arbitrex_logic::{decode_formula, encode_formula, Sig};
 
 use crate::kb::StoredKb;
@@ -512,8 +514,8 @@ pub fn scan(path: &Path) -> io::Result<Option<WalScan>> {
 /// fsync metrics. Free-standing so the group-commit flusher can sync a
 /// shared handle to the log without holding the WAL mutex (the appender
 /// and the flusher share the [`File`] via [`Wal::shared_file`]).
-pub fn sync_file(file: &File, fault: &Budget) -> io::Result<()> {
-    if fault.charge(BudgetSite::WalFsync, 1).is_err() {
+pub fn sync_file(file: &File, faults: &Faults) -> io::Result<()> {
+    if faults.fire(FaultSite::WalFsync) {
         return Err(io::Error::other("injected fault: WAL fsync failed"));
     }
     let start = Instant::now();
@@ -529,7 +531,7 @@ pub fn sync_file(file: &File, fault: &Budget) -> io::Result<()> {
 pub struct Wal {
     file: Arc<File>,
     path: PathBuf,
-    fault: Budget,
+    faults: Faults,
 }
 
 impl Wal {
@@ -537,7 +539,7 @@ impl Wal {
     /// file gets the magic written and fsync'd immediately, so an empty
     /// log is distinguishable from a missing one. Recovery must have run
     /// first: this seeks to the end of whatever the file holds.
-    pub fn open(path: &Path, fault: Budget) -> io::Result<Wal> {
+    pub fn open(path: &Path, faults: Faults) -> io::Result<Wal> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -554,7 +556,7 @@ impl Wal {
         Ok(Wal {
             file: Arc::new(file),
             path: path.to_path_buf(),
-            fault,
+            faults,
         })
     }
 
@@ -569,10 +571,10 @@ impl Wal {
         Arc::clone(&self.file)
     }
 
-    /// The fault budget this log was opened with (shared counters, so a
-    /// flusher charging through a clone trips the same plan).
-    pub fn fault(&self) -> Budget {
-        self.fault.clone()
+    /// The fault trigger this log was opened with (shared counters, so a
+    /// flusher charging through a clone fires the same plans).
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// Append one record *without* syncing it. The record is on its way
@@ -593,7 +595,7 @@ impl Wal {
     /// prefix to disk (flushed, so it is really there for recovery to
     /// find) and fails.
     pub fn append_frame_unsynced(&mut self, framed: &[u8]) -> io::Result<()> {
-        if self.fault.charge(BudgetSite::WalWrite, 1).is_err() {
+        if self.faults.fire(FaultSite::WalWrite) {
             // Injected torn write: half the frame (always a strict,
             // nonempty prefix) lands on disk, exactly like a crash
             // mid-`write`.
@@ -610,7 +612,7 @@ impl Wal {
 
     /// Fsync everything appended so far.
     pub fn sync(&self) -> io::Result<()> {
-        sync_file(&self.file, &self.fault)
+        sync_file(&self.file, &self.faults)
     }
 
     /// Append one record and fsync it. On success the record is durable:
@@ -703,7 +705,7 @@ mod tests {
             },
         ];
         {
-            let mut wal = Wal::open(&path, Budget::unlimited()).unwrap();
+            let mut wal = Wal::open(&path, Faults::default()).unwrap();
             for (i, rec) in recs.iter().enumerate() {
                 wal.append(3, 10 + i as u64, rec).unwrap();
             }
@@ -764,7 +766,7 @@ mod tests {
         let path = dir.join(WAL_FILE);
         let _ = std::fs::remove_file(&path);
         {
-            let mut wal = Wal::open(&path, Budget::unlimited()).unwrap();
+            let mut wal = Wal::open(&path, Faults::default()).unwrap();
             wal.append(2, 5, &sample_commit("a", "A", 1)).unwrap();
             // A frame from a *lower* epoch after a higher one can only
             // mean a deposed primary's bytes were spliced in.

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use arbitrex_core::{BudgetSite, FaultPlan};
+use arbitrex_core::{FaultPlan, FaultSite, Faults};
 use arbitrex_logic::{encode_formula, parse, Sig};
 use arbitrex_server::kb::{DurabilityOptions, KbStore, StoredKb};
 use arbitrex_server::recovery::{self, RecoverMode};
@@ -163,7 +163,7 @@ fn restart_restores_formulas_byte_identically_with_seqs() {
 fn torn_tail_is_truncated_and_the_server_starts() {
     let dir = temp_state_dir();
     {
-        let mut wal = Wal::open(&dir.join(WAL_FILE), arbitrex_core::Budget::unlimited()).unwrap();
+        let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
         wal.append(1, 1, &wal_commit("kept", "A | B", 1)).unwrap();
         wal.append(1, 2, &wal_commit("kept", "A & B", 2)).unwrap();
     }
@@ -195,7 +195,7 @@ fn torn_tail_is_truncated_and_the_server_starts() {
 fn mid_log_corruption_refuses_strict_and_salvages_the_prefix() {
     let dir = temp_state_dir();
     {
-        let mut wal = Wal::open(&dir.join(WAL_FILE), arbitrex_core::Budget::unlimited()).unwrap();
+        let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
         wal.append(1, 1, &wal_commit("first", "A", 1)).unwrap();
         wal.append(1, 2, &wal_commit("second", "B", 1)).unwrap();
         wal.append(1, 3, &wal_commit("third", "C", 1)).unwrap();
@@ -251,9 +251,9 @@ fn truncated_snapshot_refuses_strict_and_salvage_replays_the_wal() {
             seq: 4,
         },
     );
-    snapshot::write_snapshot(&dir, &entries, 1, 4, &arbitrex_core::Budget::unlimited()).unwrap();
+    snapshot::write_snapshot(&dir, &entries, 1, 4, &Faults::default()).unwrap();
     {
-        let mut wal = Wal::open(&dir.join(WAL_FILE), arbitrex_core::Budget::unlimited()).unwrap();
+        let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
         wal.append(1, 5, &wal_commit("walkb", "W", 1)).unwrap();
     }
     // Truncate the snapshot mid-file.
@@ -293,7 +293,7 @@ fn missing_wal_with_stale_snapshot_recovers_the_snapshot() {
             seq: 9,
         },
     );
-    snapshot::write_snapshot(&dir, &entries, 1, 9, &arbitrex_core::Budget::unlimited()).unwrap();
+    snapshot::write_snapshot(&dir, &entries, 1, 9, &Faults::default()).unwrap();
     // A stray snapshot.tmp (crash debris) must be ignored and removed.
     std::fs::write(dir.join(snapshot::SNAPSHOT_TMP), b"garbage").unwrap();
     assert!(!dir.join(WAL_FILE).exists());
@@ -317,7 +317,7 @@ fn missing_wal_with_stale_snapshot_recovers_the_snapshot() {
 fn wal_write_fault_fails_the_commit_and_leaves_the_kb_unchanged() {
     let dir = temp_state_dir();
     let server = durable_server(&dir, |c| {
-        c.durability_fault = Some(FaultPlan::new(BudgetSite::WalWrite, 2));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::WalWrite, 2)]);
     });
     let (status, _) = request(&server, "POST", "/v1/kb/kb", &put_body("A & B"));
     assert_eq!(status, 200);
@@ -348,10 +348,45 @@ fn wal_write_fault_fails_the_commit_and_leaves_the_kb_unchanged() {
 }
 
 #[test]
+fn a_torn_wal_write_refuses_every_later_commit() {
+    let dir = temp_state_dir();
+    let server = durable_server(&dir, |c| {
+        c.faults = Faults::new([FaultPlan::new(FaultSite::WalWrite, 2)]);
+    });
+    let (status, v) = request(&server, "POST", "/v1/kb/first", &put_body("A & B"));
+    assert_eq!(status, 200, "{v:?}");
+    // The second append tears its frame on disk and fails.
+    let (status, v) = request(&server, "POST", "/v1/kb/first", &put_body("A | B"));
+    assert_eq!(status, 500, "{v:?}");
+    // A commit to another KB would land behind the torn frame, where
+    // recovery truncates: it must be refused too, never acked.
+    let (status, v) = request(&server, "POST", "/v1/kb/second", &put_body("!A"));
+    assert_eq!(status, 500, "{v:?}");
+    let (status, _) = request(&server, "GET", "/v1/kb/second", "");
+    assert_eq!(status, 404);
+    server.stop().unwrap();
+
+    // After a restart exactly the acked commit is present.
+    let kbs = recover_map(&dir, RecoverMode::Strict);
+    assert_eq!(kbs.len(), 1, "{:?}", kbs.keys().collect::<Vec<_>>());
+    assert_eq!(kbs["first"].seq, 1);
+    assert_eq!(encode_formula(&kbs["first"].formula), canonical_of("A & B"));
+    let server = durable_server(&dir, |_| {});
+    let (status, v) = request(&server, "GET", "/v1/kb/first", "");
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(num_of(&v, "seq"), 1);
+    assert_eq!(str_of(&v, "formula"), "A & B");
+    let (status, _) = request(&server, "GET", "/v1/kb/second", "");
+    assert_eq!(status, 404);
+    server.stop().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn wal_fsync_fault_fails_the_commit() {
     let dir = temp_state_dir();
     let server = durable_server(&dir, |c| {
-        c.durability_fault = Some(FaultPlan::new(BudgetSite::WalFsync, 1));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::WalFsync, 1)]);
     });
     let (status, v) = request(&server, "POST", "/v1/kb/kb", &put_body("A"));
     assert_eq!(status, 500, "{v:?}");
@@ -367,7 +402,7 @@ fn snapshot_rename_fault_leaves_every_commit_safe_in_the_wal() {
     let dir = temp_state_dir();
     let server = durable_server(&dir, |c| {
         c.snapshot_every = 1;
-        c.durability_fault = Some(FaultPlan::new(BudgetSite::SnapshotRename, 1));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::SnapshotRename, 1)]);
     });
     // The commit acks 200 even though the due snapshot then fails — the
     // record is already durable in the log.
@@ -497,7 +532,7 @@ fn durable_store(dir: &Path, group_commit: bool, flush_interval: Duration) -> Kb
         dir: dir.to_path_buf(),
         snapshot_every: 0,
         recover: RecoverMode::Strict,
-        fault: None,
+        faults: Faults::default(),
         group_commit,
         flush_interval,
         initial_epoch: None,
@@ -584,7 +619,7 @@ fn group_commit_snapshot_acks_pending_commits() {
             dir: dir.clone(),
             snapshot_every: 4, // snapshots race the flusher mid-storm
             recover: RecoverMode::Strict,
-            fault: None,
+            faults: Faults::default(),
             group_commit: true,
             flush_interval: Duration::from_millis(1),
             initial_epoch: None,
@@ -730,7 +765,7 @@ fn kill9_mid_commit_storm_loses_no_acknowledged_commit() {
         dir: dir.clone(),
         snapshot_every: 0,
         recover: RecoverMode::Strict,
-        fault: None,
+        faults: Faults::default(),
         group_commit: false,
         flush_interval: Duration::ZERO,
         initial_epoch: None,
@@ -863,7 +898,7 @@ fn kill9_group_commit_storm_loses_no_acknowledged_commit() {
         dir: dir.clone(),
         snapshot_every: 0,
         recover: RecoverMode::Strict,
-        fault: None,
+        faults: Faults::default(),
         group_commit: false,
         flush_interval: Duration::ZERO,
         initial_epoch: None,

@@ -1,7 +1,7 @@
 //! HTTP/1.1 pipelining suite for the event-loop server.
 //!
 //! Drives the readiness-driven acceptor over real sockets with traffic
-//! shapes the blocking reader never saw: several requests in one
+//! shapes only a buffering parser meets: several requests in one
 //! `write(2)`, one request split across TCP segments, malformed bytes
 //! in the middle of a pipeline, deep bursts against the per-connection
 //! depth cap, overload 503s answered mid-pipeline with `Retry-After`,

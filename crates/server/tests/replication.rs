@@ -19,10 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use arbitrex_core::arbitrate;
+use arbitrex_core::{FaultPlan, FaultSite, Faults};
 use arbitrex_logic::{canonical_key, parse, ModelSet, Sig};
 use arbitrex_server::kb::{ApplyOutcome, DurabilityOptions, KbStore, StoredKb};
 use arbitrex_server::recovery::RecoverMode;
-use arbitrex_server::replication::{NetFaultPlan, NetFaultSite};
 use arbitrex_server::wal::{self, StampedRecord, WalRecord};
 use arbitrex_server::{spawn, RunningServer, ServerConfig};
 
@@ -182,12 +182,12 @@ fn replica_streams_the_primary_wal_and_serves_reads() {
 /// converge it to byte-identical state.
 #[test]
 fn frame_level_faults_still_converge() {
-    for site in [NetFaultSite::Drop, NetFaultSite::Torn, NetFaultSite::Dup] {
+    for site in [FaultSite::NetDrop, FaultSite::NetTorn, FaultSite::NetDup] {
         let tag = site.name();
         let p_dir = temp_state_dir(tag);
         let r_dir = temp_state_dir(&format!("{tag}-r"));
         let primary = durable_server(&p_dir, |c| {
-            c.net_fault = Some(NetFaultPlan::new(site, 3));
+            c.faults = Faults::new([FaultPlan::new(site, 3)]);
         });
         for i in 0..8u32 {
             let formula = if i % 2 == 0 { "A & B" } else { "A | B | !C" };
@@ -207,12 +207,12 @@ fn frame_level_faults_still_converge() {
 /// the replica across it.
 #[test]
 fn request_level_faults_still_converge() {
-    for site in [NetFaultSite::Delay, NetFaultSite::Partition] {
+    for site in [FaultSite::NetDelay, FaultSite::NetPartition] {
         let tag = site.name();
         let p_dir = temp_state_dir(tag);
         let r_dir = temp_state_dir(&format!("{tag}-r"));
         let primary = durable_server(&p_dir, |c| {
-            c.net_fault = Some(NetFaultPlan::new(site, 2));
+            c.faults = Faults::new([FaultPlan::new(site, 2)]);
         });
         let replica = replica_of(&primary, &r_dir, |_| {});
         for i in 0..8u32 {
@@ -237,7 +237,7 @@ fn reconnect_backoff_recovers_from_a_drop_at_the_floor_delay() {
     let r_dir = temp_state_dir("backoff-r");
     let primary = durable_server(&p_dir, |c| {
         // Second shipped frame trips the drop: one good frame first.
-        c.net_fault = Some(NetFaultPlan::new(NetFaultSite::Drop, 2));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::NetDrop, 2)]);
     });
     let replica = replica_of(&primary, &r_dir, |_| {});
     put(&primary, "warm", "A");
@@ -431,7 +431,7 @@ fn frames_from_a_deposed_epoch_are_refused() {
         dir: dir.clone(),
         snapshot_every: 0,
         recover: RecoverMode::Strict,
-        fault: None,
+        faults: Faults::default(),
         group_commit: false,
         flush_interval: Duration::ZERO,
         initial_epoch: None,

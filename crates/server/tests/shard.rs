@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use arbitrex_server::replication::{NetFaultPlan, NetFaultSite};
-use arbitrex_server::shard::{ShardFaultPlan, ShardFaultSite, ShardRing, DEFAULT_VNODES};
+use arbitrex_core::{FaultPlan, FaultSite, Faults};
+use arbitrex_server::shard::{ShardRing, DEFAULT_VNODES};
 use arbitrex_server::{spawn, RunningServer, ServerConfig};
 
 mod common;
@@ -396,7 +396,7 @@ fn torn_handoff_leaves_both_copies_alive() {
     // The source refuses its first release: the pull lands, the release
     // fails, and both copies must survive for a later pass to converge.
     let n1 = shard_server(&dir1, |c| {
-        c.shard_fault = Some(ShardFaultPlan::new(ShardFaultSite::HandoffTorn, 1));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::ShardHandoffTorn, 1)]);
     });
     for i in 0..12 {
         put(&n1, &format!("kb-{i}"), "A & !B");
@@ -442,7 +442,7 @@ fn torn_handoff_leaves_both_copies_alive() {
 fn proxy_drop_fault_is_retried_to_success() {
     let (dir1, dir2) = (temp_state_dir("drop1"), temp_state_dir("drop2"));
     let n1 = shard_server(&dir1, |c| {
-        c.shard_fault = Some(ShardFaultPlan::new(ShardFaultSite::ProxyDrop, 1));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::ShardProxyDrop, 1)]);
     });
     let n2 = shard_server(&dir2, |_| {});
     let (status, _) = request(
@@ -472,7 +472,7 @@ fn proxy_drop_fault_is_retried_to_success() {
 fn ring_stale_fault_injects_one_421() {
     let dir = temp_state_dir("ringstale");
     let node = shard_server(&dir, |c| {
-        c.shard_fault = Some(ShardFaultPlan::new(ShardFaultSite::RingStale, 1));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::ShardRingStale, 1)]);
     });
     let body = r#"{"action": "put", "formula": "A"}"#;
     let (status, v) = request(&node, "POST", "/v1/kb/alpha", body);
@@ -805,7 +805,7 @@ fn transient_partition_is_fenced_not_split_brained() {
     let n1 = shard_server(&dir1, |c| {
         c.probe_interval_ms = 50;
         c.suspect_after = 3;
-        c.net_fault = Some(NetFaultPlan::new(NetFaultSite::Partition, 25));
+        c.faults = Faults::new([FaultPlan::new(FaultSite::NetPartition, 25)]);
     });
     let n1_addr = n1.addr;
     let n3 = shard_server(&dir3, |c| {

@@ -1,5 +1,6 @@
 //! Cooperative execution budgets: deadlines, step/conflict/candidate
-//! limits, cancellation, and deterministic fault injection.
+//! limits, cancellation — and the workspace's one deterministic fault
+//! registry.
 //!
 //! Unlike the counters in the crate root, this module is **always
 //! compiled** — budget enforcement is a correctness feature (graceful
@@ -15,27 +16,27 @@
 //! Once a budget trips it stays tripped — every clone (e.g. every parallel
 //! shard) observes the same first-trip record and unwinds.
 //!
-//! [`FaultPlan`] turns the same machinery into a deterministic fault
-//! harness: trip the budget at exactly the k-th event of a chosen site,
-//! independent of wall-clock, so every degradation edge in the workspace
-//! can be exercised reproducibly.
+//! Deterministic fault injection is one registry for every layer: a
+//! [`FaultPlan`] names a [`FaultSite`] and the 1-based charge `k` at which
+//! it fires (parsed from the `site:k` spelling of `--fault`), and
+//! [`Faults`] is the `Arc`-shared trigger that counts charges and fires
+//! the plans, wall-clock independent, with a per-[`FaultFamily`] policy:
+//! compute sites trip the [`Budget`] they are charged through, durability
+//! sites stay fired, and network/shard sites fire once.
 
 use std::fmt;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Number of distinct charge sites (length of [`BudgetSite::ALL`]).
-pub const SITE_COUNT: usize = 8;
+pub const SITE_COUNT: usize = 5;
 
 /// Where in the engine a unit of work is charged.
 ///
 /// Sites deliberately mirror the telemetry counter sites so a fault plan
 /// can trip "at the k-th B&B node" or "at the j-th conflict" exactly.
-/// The `Wal*`/`Snapshot*` sites are durability events in the server's
-/// write-ahead log: no limit ever applies to them (durable commits are
-/// never rationed), but a [`FaultPlan`] can trip them to inject a torn
-/// write, a lost fsync, or a failed snapshot rename deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BudgetSite {
     /// One candidate ranked by a kernel scan (pool or universe).
@@ -48,12 +49,6 @@ pub enum BudgetSite {
     Model,
     /// One cardinality-ladder / radius binary-search step.
     LadderStep,
-    /// One write-ahead-log record appended (fault: torn write).
-    WalWrite,
-    /// One write-ahead-log fsync (fault: fsync skipped and reported failed).
-    WalFsync,
-    /// One snapshot temp-file rename (fault: rename fails, temp left behind).
-    SnapshotRename,
 }
 
 impl BudgetSite {
@@ -64,23 +59,11 @@ impl BudgetSite {
         BudgetSite::Conflict,
         BudgetSite::Model,
         BudgetSite::LadderStep,
-        BudgetSite::WalWrite,
-        BudgetSite::WalFsync,
-        BudgetSite::SnapshotRename,
     ];
 
     /// Stable snake_case name (used in JSON and CLI messages).
     pub fn name(self) -> &'static str {
-        match self {
-            BudgetSite::Scan => "scan",
-            BudgetSite::Node => "node",
-            BudgetSite::Conflict => "conflict",
-            BudgetSite::Model => "model",
-            BudgetSite::LadderStep => "ladder_step",
-            BudgetSite::WalWrite => "wal_write",
-            BudgetSite::WalFsync => "wal_fsync",
-            BudgetSite::SnapshotRename => "snapshot_rename",
-        }
+        FaultSite::from(self).name()
     }
 }
 
@@ -165,22 +148,283 @@ impl CancelToken {
     }
 }
 
-/// Deterministic fault injection: trip the budget when the cumulative
-/// charge at `site` reaches `at` (1-based — `at = 1` trips on the very
-/// first event). Wall-clock independent, so tests of every degradation
-/// edge are reproducible.
+/// Consecutive charges a fired `net_partition` plan refuses (the firing
+/// charge included) before the partition heals.
+pub const PARTITION_REFUSALS: u64 = 3;
+
+/// Number of distinct fault sites (length of [`FaultSite::ALL`]).
+pub const FAULT_SITE_COUNT: usize = 16;
+
+/// How an armed plan behaves once it fires; every [`FaultSite`] belongs
+/// to exactly one family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultFamily {
+    /// Operator work, charged through a [`Budget`]: the firing trips
+    /// that budget, and the request degrades with [`TripReason::Fault`].
+    Compute,
+    /// The server's WAL and snapshot writer. Sticky: once a durability
+    /// plan fires, every later durability charge on the same [`Faults`]
+    /// fires too, so no commit is acknowledged behind a torn frame.
+    Durability,
+    /// The replication transport. Fires once — a network fault heals —
+    /// except `net_partition`, which refuses [`PARTITION_REFUSALS`]
+    /// consecutive charges.
+    Net,
+    /// The shard router. Fires once.
+    Shard,
+}
+
+/// Every place a deterministic fault can be armed: one variant per
+/// `--fault` site spelling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FaultSite {
+    /// The k-th candidate ranked by a kernel scan.
+    Scan,
+    /// The k-th branch-and-bound node expanded.
+    Node,
+    /// The k-th SAT solver conflict.
+    Conflict,
+    /// The k-th model produced by AllSAT enumeration.
+    Model,
+    /// The k-th cardinality-ladder / radius search step.
+    LadderStep,
+    /// The k-th WAL append writes a torn frame prefix and fails.
+    WalWrite,
+    /// The k-th WAL fsync is skipped and reported failed.
+    WalFsync,
+    /// The k-th snapshot temp-file rename fails, leaving the temp file.
+    SnapshotRename,
+    /// The stream is cut before the k-th replication frame ships.
+    NetDrop,
+    /// One byte of the k-th shipped frame is corrupted in transit.
+    NetTorn,
+    /// The k-th shipped frame is delivered twice.
+    NetDup,
+    /// The k-th replication batch request is delayed.
+    NetDelay,
+    /// The k-th replication request and the next
+    /// [`PARTITION_REFUSALS`]−1 are refused, then the partition heals.
+    NetPartition,
+    /// The k-th shard `release` is refused after the new owner pulled.
+    ShardHandoffTorn,
+    /// The k-th routed KB request is answered 421 as if the ring were
+    /// stale.
+    ShardRingStale,
+    /// The k-th proxied read is dropped with 502.
+    ShardProxyDrop,
+}
+
+impl FaultSite {
+    /// Every site, in counter-array order.
+    pub const ALL: [FaultSite; FAULT_SITE_COUNT] = [
+        FaultSite::Scan,
+        FaultSite::Node,
+        FaultSite::Conflict,
+        FaultSite::Model,
+        FaultSite::LadderStep,
+        FaultSite::WalWrite,
+        FaultSite::WalFsync,
+        FaultSite::SnapshotRename,
+        FaultSite::NetDrop,
+        FaultSite::NetTorn,
+        FaultSite::NetDup,
+        FaultSite::NetDelay,
+        FaultSite::NetPartition,
+        FaultSite::ShardHandoffTorn,
+        FaultSite::ShardRingStale,
+        FaultSite::ShardProxyDrop,
+    ];
+
+    /// The `--fault` spelling of this site.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultSite::Scan => "scan",
+            FaultSite::Node => "node",
+            FaultSite::Conflict => "conflict",
+            FaultSite::Model => "model",
+            FaultSite::LadderStep => "ladder_step",
+            FaultSite::WalWrite => "wal_write",
+            FaultSite::WalFsync => "wal_fsync",
+            FaultSite::SnapshotRename => "snapshot_rename",
+            FaultSite::NetDrop => "net_drop",
+            FaultSite::NetTorn => "net_torn",
+            FaultSite::NetDup => "net_dup",
+            FaultSite::NetDelay => "net_delay",
+            FaultSite::NetPartition => "net_partition",
+            FaultSite::ShardHandoffTorn => "shard_handoff_torn",
+            FaultSite::ShardRingStale => "shard_ring_stale",
+            FaultSite::ShardProxyDrop => "shard_proxy_drop",
+        }
+    }
+
+    /// The family whose policy governs this site.
+    pub fn family(self) -> FaultFamily {
+        match self {
+            FaultSite::Scan
+            | FaultSite::Node
+            | FaultSite::Conflict
+            | FaultSite::Model
+            | FaultSite::LadderStep => FaultFamily::Compute,
+            FaultSite::WalWrite | FaultSite::WalFsync | FaultSite::SnapshotRename => {
+                FaultFamily::Durability
+            }
+            FaultSite::NetDrop
+            | FaultSite::NetTorn
+            | FaultSite::NetDup
+            | FaultSite::NetDelay
+            | FaultSite::NetPartition => FaultFamily::Net,
+            FaultSite::ShardHandoffTorn | FaultSite::ShardRingStale | FaultSite::ShardProxyDrop => {
+                FaultFamily::Shard
+            }
+        }
+    }
+
+    /// How many consecutive charges fire from the k-th on. Sticky
+    /// durability sites are handled by [`Faults`] itself.
+    fn window(self) -> u64 {
+        match self {
+            FaultSite::NetPartition => PARTITION_REFUSALS,
+            _ => 1,
+        }
+    }
+}
+
+impl From<BudgetSite> for FaultSite {
+    fn from(site: BudgetSite) -> FaultSite {
+        match site {
+            BudgetSite::Scan => FaultSite::Scan,
+            BudgetSite::Node => FaultSite::Node,
+            BudgetSite::Conflict => FaultSite::Conflict,
+            BudgetSite::Model => FaultSite::Model,
+            BudgetSite::LadderStep => FaultSite::LadderStep,
+        }
+    }
+}
+
+/// One armed fault: fire at the `at`-th charge (1-based — `at = 1`
+/// fires on the very first event) of `site`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// The site to trip at.
-    pub site: BudgetSite,
-    /// The 1-based event count at which to trip.
+    /// The site to fire at.
+    pub site: FaultSite,
+    /// The 1-based charge count at which to fire.
     pub at: u64,
 }
 
 impl FaultPlan {
-    /// Trip at the `at`-th event charged to `site`.
-    pub fn new(site: BudgetSite, at: u64) -> FaultPlan {
-        FaultPlan { site, at }
+    /// Fire at the `at`-th event charged to `site`.
+    pub fn new(site: impl Into<FaultSite>, at: u64) -> FaultPlan {
+        FaultPlan {
+            site: site.into(),
+            at,
+        }
+    }
+}
+
+/// Parses the `site:k` spelling, e.g. `wal_write:2` or `net_partition:5`.
+impl FromStr for FaultPlan {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<FaultPlan, String> {
+        let (name, at) = spec
+            .split_once(':')
+            .ok_or_else(|| format!("expected `site:k`, got `{spec}`"))?;
+        let site = FaultSite::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| {
+                format!(
+                    "unknown fault site `{name}` (expected one of: {})",
+                    FaultSite::ALL.map(FaultSite::name).join(", ")
+                )
+            })?;
+        let at = at
+            .parse::<u64>()
+            .ok()
+            .filter(|&k| k >= 1)
+            .ok_or_else(|| format!("invalid fault count `{at}` (need a positive integer)"))?;
+        Ok(FaultPlan { site, at })
+    }
+}
+
+/// The armed plans and their shared counters.
+#[derive(Debug)]
+struct Armed {
+    plans: Vec<FaultPlan>,
+    charges: [AtomicU64; FAULT_SITE_COUNT],
+    durability_fired: AtomicBool,
+}
+
+/// The fault trigger: a set of [`FaultPlan`]s and the counters they fire
+/// by. Cheap to clone — clones share the counters, so a trigger travels
+/// inside a cloned server configuration or budget while every clone
+/// counts against the same plans. The default trigger arms nothing and
+/// never fires.
+///
+/// ```
+/// use arbitrex_telemetry::budget::{FaultPlan, FaultSite, Faults};
+/// let faults = Faults::new(["wal_write:2".parse::<FaultPlan>().unwrap()]);
+/// assert!(!faults.fire(FaultSite::WalWrite));
+/// assert!(faults.fire(FaultSite::WalWrite));
+/// // Durability faults are sticky across the whole family.
+/// assert!(faults.fire(FaultSite::WalFsync));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Faults {
+    armed: Option<Arc<Armed>>,
+}
+
+impl Faults {
+    /// A trigger arming every plan in `plans` (several may share a site).
+    pub fn new(plans: impl IntoIterator<Item = FaultPlan>) -> Faults {
+        let plans: Vec<FaultPlan> = plans.into_iter().collect();
+        if plans.is_empty() {
+            return Faults::default();
+        }
+        Faults {
+            armed: Some(Arc::new(Armed {
+                plans,
+                charges: Default::default(),
+                durability_fired: AtomicBool::new(false),
+            })),
+        }
+    }
+
+    /// The armed plans, in arming order.
+    pub fn plans(&self) -> &[FaultPlan] {
+        self.armed.as_deref().map_or(&[], |a| &a.plans)
+    }
+
+    /// Does any plan target `site`?
+    pub fn arms(&self, site: FaultSite) -> bool {
+        self.plans().iter().any(|p| p.site == site)
+    }
+
+    /// Charge one event at `site`; `true` when the event misfires.
+    pub fn fire(&self, site: FaultSite) -> bool {
+        self.charge(site, 1)
+    }
+
+    /// Charge `n` events at `site`; `true` when any of them misfires
+    /// under the site's [`FaultFamily`] policy.
+    pub fn charge(&self, site: FaultSite, n: u64) -> bool {
+        let Some(armed) = &self.armed else {
+            return false;
+        };
+        let durable = site.family() == FaultFamily::Durability;
+        if durable && armed.durability_fired.load(Ordering::SeqCst) {
+            return true;
+        }
+        let before = armed.charges[site as usize].fetch_add(n, Ordering::SeqCst);
+        let last_firing = |p: &FaultPlan| p.at.saturating_add(site.window() - 1);
+        let fired = armed
+            .plans
+            .iter()
+            .any(|p| p.site == site && p.at <= before + n && before < last_firing(p));
+        if fired && durable {
+            armed.durability_fired.store(true, Ordering::SeqCst);
+        }
+        fired
     }
 }
 
@@ -217,12 +461,6 @@ pub struct BudgetSpent {
     pub models: u64,
     /// Cardinality-ladder / radius search steps.
     pub ladder_steps: u64,
-    /// Write-ahead-log records appended.
-    pub wal_writes: u64,
-    /// Write-ahead-log fsyncs issued.
-    pub wal_fsyncs: u64,
-    /// Snapshot temp-file renames attempted.
-    pub snapshot_renames: u64,
     /// The trip record, if the budget gave out.
     pub trip: Option<Exhausted>,
 }
@@ -236,22 +474,12 @@ impl BudgetSpent {
             BudgetSite::Conflict => self.conflicts,
             BudgetSite::Model => self.models,
             BudgetSite::LadderStep => self.ladder_steps,
-            BudgetSite::WalWrite => self.wal_writes,
-            BudgetSite::WalFsync => self.wal_fsyncs,
-            BudgetSite::SnapshotRename => self.snapshot_renames,
         }
     }
 
     /// Total work units across every site.
     pub fn total(&self) -> u64 {
-        self.scans
-            + self.nodes
-            + self.conflicts
-            + self.models
-            + self.ladder_steps
-            + self.wal_writes
-            + self.wal_fsyncs
-            + self.snapshot_renames
+        self.scans + self.nodes + self.conflicts + self.models + self.ladder_steps
     }
 }
 
@@ -282,7 +510,7 @@ pub struct Budget {
     conflict_limit: Option<u64>,
     candidate_limit: Option<u64>,
     cancel: Option<CancelToken>,
-    fault: Option<FaultPlan>,
+    faults: Faults,
     frontier_limit: u64,
 }
 
@@ -309,7 +537,7 @@ impl Budget {
             conflict_limit: None,
             candidate_limit: None,
             cancel: None,
-            fault: None,
+            faults: Faults::default(),
             frontier_limit: DEFAULT_FRONTIER_LIMIT,
         }
     }
@@ -348,10 +576,12 @@ impl Budget {
         self
     }
 
-    /// Attach a deterministic fault plan (testing): trip exactly at the
-    /// plan's event count. Meters on the fault's site check every tick.
+    /// Arm a deterministic compute fault plan (testing): trip exactly at
+    /// the plan's event count. Call once per plan; meters on an armed
+    /// site check every tick. Plans on non-compute sites are never
+    /// charged through a budget.
     pub fn with_fault(mut self, plan: FaultPlan) -> Budget {
-        self.fault = Some(plan);
+        self.faults = Faults::new(self.faults.plans().iter().copied().chain([plan]));
         self
     }
 
@@ -360,19 +590,6 @@ impl Budget {
     pub fn with_frontier_limit(mut self, limit: u64) -> Budget {
         self.frontier_limit = limit;
         self
-    }
-
-    /// `true` when this budget can never trip (no limits, deadline,
-    /// cancellation, or fault plan). Callers whose instrumentation is
-    /// costly and only matters for trips (SAT solver arming) skip it for
-    /// such budgets.
-    pub fn is_unconstrained(&self) -> bool {
-        self.deadline.is_none()
-            && self.step_limit.is_none()
-            && self.conflict_limit.is_none()
-            && self.candidate_limit.is_none()
-            && self.cancel.is_none()
-            && self.fault.is_none()
     }
 
     /// The frontier-materialization cap for degraded kernel answers.
@@ -398,9 +615,6 @@ impl Budget {
             conflicts: s[BudgetSite::Conflict as usize].load(Ordering::Relaxed),
             models: s[BudgetSite::Model as usize].load(Ordering::Relaxed),
             ladder_steps: s[BudgetSite::LadderStep as usize].load(Ordering::Relaxed),
-            wal_writes: s[BudgetSite::WalWrite as usize].load(Ordering::Relaxed),
-            wal_fsyncs: s[BudgetSite::WalFsync as usize].load(Ordering::Relaxed),
-            snapshot_renames: s[BudgetSite::SnapshotRename as usize].load(Ordering::Relaxed),
             trip: self.tripped(),
         }
     }
@@ -432,10 +646,8 @@ impl Budget {
             }));
         }
         let total = self.shared.spent[site as usize].fetch_add(n, Ordering::Relaxed) + n;
-        if let Some(f) = self.fault {
-            if f.site == site && total >= f.at {
-                return Err(self.trip(site, TripReason::Fault));
-            }
+        if self.faults.charge(site.into(), n) {
+            return Err(self.trip(site, TripReason::Fault));
         }
         match site {
             BudgetSite::Scan | BudgetSite::Node | BudgetSite::LadderStep => {
@@ -459,9 +671,6 @@ impl Budget {
                     }
                 }
             }
-            // Durability sites: never rationed; only a fault plan (checked
-            // above), cancellation, or a deadline can trip them.
-            BudgetSite::WalWrite | BudgetSite::WalFsync | BudgetSite::SnapshotRename => {}
         }
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
@@ -480,9 +689,10 @@ impl Budget {
     /// plan armed on `site` the meter checks every tick (determinism);
     /// otherwise it batches [`METER_STRIDE`] ticks per shared charge.
     pub fn meter(&self, site: BudgetSite) -> Meter<'_> {
-        let stride = match self.fault {
-            Some(f) if f.site == site => 1,
-            _ => METER_STRIDE,
+        let stride = if self.faults.arms(site.into()) {
+            1
+        } else {
+            METER_STRIDE
         };
         Meter {
             budget: self,
@@ -554,7 +764,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = Budget::unlimited();
-        assert!(b.is_unconstrained());
         for _ in 0..10_000 {
             assert!(b.charge(BudgetSite::Scan, 1).is_ok());
         }
@@ -695,28 +904,107 @@ mod tests {
     }
 
     #[test]
-    fn wal_sites_are_unrationed_but_faultable() {
-        // Step/conflict/candidate limits never apply to durability sites…
+    fn budget_faults_arm_every_plan() {
         let b = Budget::unlimited()
-            .with_step_limit(1)
-            .with_conflict_limit(1)
-            .with_candidate_limit(1);
-        for _ in 0..100 {
-            assert!(b.charge(BudgetSite::WalWrite, 1).is_ok());
-            assert!(b.charge(BudgetSite::WalFsync, 1).is_ok());
-            assert!(b.charge(BudgetSite::SnapshotRename, 1).is_ok());
+            .with_fault(FaultPlan::new(BudgetSite::Node, 2))
+            .with_fault(FaultPlan::new(BudgetSite::Model, 1));
+        assert!(b.charge(BudgetSite::Node, 1).is_ok());
+        let trip = b.charge(BudgetSite::Model, 1).unwrap_err();
+        assert_eq!(
+            (trip.site, trip.reason),
+            (BudgetSite::Model, TripReason::Fault)
+        );
+    }
+
+    #[test]
+    fn fault_specs_parse_every_site_spelling() {
+        for site in FaultSite::ALL {
+            let plan: FaultPlan = format!("{}:7", site.name()).parse().unwrap();
+            assert_eq!(plan, FaultPlan::new(site, 7));
         }
-        let s = b.spent();
-        assert_eq!(s.get(BudgetSite::WalWrite), 100);
-        assert_eq!(s.get(BudgetSite::WalFsync), 100);
-        assert_eq!(s.get(BudgetSite::SnapshotRename), 100);
-        // …but a fault plan trips them exactly at k.
-        let b = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::WalFsync, 2));
-        assert!(b.charge(BudgetSite::WalWrite, 1).is_ok());
-        assert!(b.charge(BudgetSite::WalFsync, 1).is_ok());
-        let trip = b.charge(BudgetSite::WalFsync, 1).unwrap_err();
-        assert_eq!(trip.reason, TripReason::Fault);
-        assert_eq!(trip.site, BudgetSite::WalFsync);
+        for bad in ["node", "warp:1", "scan:0", "scan:x", "net_gremlins:1", ":3"] {
+            assert!(bad.parse::<FaultPlan>().is_err(), "{bad}");
+        }
+        for site in BudgetSite::ALL {
+            assert_eq!(site.name(), FaultSite::from(site).name());
+            assert_eq!(FaultSite::from(site).family(), FaultFamily::Compute);
+        }
+    }
+
+    #[test]
+    fn unarmed_faults_never_fire() {
+        let faults = Faults::default();
+        for site in FaultSite::ALL {
+            assert!(!faults.fire(site));
+        }
+        assert!(faults.plans().is_empty());
+    }
+
+    #[test]
+    fn durability_sites_are_sticky_across_the_family() {
+        let faults = Faults::new([FaultPlan::new(FaultSite::WalFsync, 2)]);
+        assert!(!faults.fire(FaultSite::WalWrite));
+        assert!(!faults.fire(FaultSite::WalFsync));
+        assert!(!faults.fire(FaultSite::SnapshotRename));
+        assert!(faults.fire(FaultSite::WalFsync)); // 2nd fsync: fires
+                                                   // Every later durability charge fails, whatever its site…
+        assert!(faults.fire(FaultSite::WalWrite));
+        assert!(faults.fire(FaultSite::SnapshotRename));
+        assert!(faults.clone().fire(FaultSite::WalFsync));
+        // …while other families are untouched.
+        assert!(!faults.fire(FaultSite::NetDrop));
+    }
+
+    #[test]
+    fn net_and_shard_faults_fire_once_at_their_site_only() {
+        for (site, others) in [
+            (FaultSite::NetTorn, [FaultSite::NetDrop, FaultSite::NetDup]),
+            (
+                FaultSite::ShardHandoffTorn,
+                [FaultSite::ShardRingStale, FaultSite::ShardProxyDrop],
+            ),
+        ] {
+            let faults = Faults::new([FaultPlan::new(site, 3)]);
+            for other in others {
+                assert!(!faults.fire(other));
+            }
+            assert!(!faults.fire(site)); // 1st
+            assert!(!faults.fire(site)); // 2nd
+            assert!(faults.fire(site)); // 3rd: fires
+            assert!(!faults.fire(site)); // fired once, disarmed
+        }
+    }
+
+    #[test]
+    fn clones_count_against_the_same_trigger() {
+        let original = Faults::new([FaultPlan::new(FaultSite::ShardProxyDrop, 2)]);
+        let clone = original.clone();
+        assert!(!clone.fire(FaultSite::ShardProxyDrop));
+        assert!(original.fire(FaultSite::ShardProxyDrop));
+    }
+
+    #[test]
+    fn partition_fault_refuses_a_window_then_heals() {
+        let faults = Faults::new([FaultPlan::new(FaultSite::NetPartition, 2)]);
+        assert!(!faults.fire(FaultSite::NetPartition)); // request 1: healthy
+        assert!(faults.fire(FaultSite::NetPartition)); // request 2: fires
+        for _ in 1..PARTITION_REFUSALS {
+            assert!(faults.fire(FaultSite::NetPartition));
+        }
+        assert!(!faults.fire(FaultSite::NetPartition)); // healed
+        assert!(!faults.fire(FaultSite::NetPartition));
+    }
+
+    #[test]
+    fn repeated_plans_on_one_site_all_fire() {
+        let faults = Faults::new([
+            FaultPlan::new(FaultSite::NetDrop, 1),
+            FaultPlan::new(FaultSite::NetDrop, 3),
+        ]);
+        let fired: Vec<bool> = (0..4).map(|_| faults.fire(FaultSite::NetDrop)).collect();
+        assert_eq!(fired, [true, false, true, false]);
+        assert!(faults.arms(FaultSite::NetDrop));
+        assert!(!faults.arms(FaultSite::NetDup));
     }
 
     #[test]
