@@ -2446,31 +2446,35 @@ fn e19_replication() {
         dir
     }
 
-    /// A durable primary/replica pair on fresh state dirs.
+    /// A durable primary/replica pair on fresh state dirs: two plain
+    /// nodes, the second enlisted as the first's chain tail.
     fn spawn_pair(label: &str) -> (RunningServer, RunningServer, PathBuf, PathBuf) {
         let p_dir = temp_dir(&format!("{label}-p"));
         let r_dir = temp_dir(&format!("{label}-r"));
-        let primary = spawn(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            queue_depth: 256,
-            cache_entries: 4096,
-            state_dir: Some(p_dir.clone()),
-            snapshot_every: 0,
-            ..ServerConfig::default()
-        })
-        .expect("spawn primary");
-        let replica = spawn(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            queue_depth: 256,
-            cache_entries: 4096,
-            state_dir: Some(r_dir.clone()),
-            snapshot_every: 0,
-            replicate_from: Some(primary.addr.to_string()),
-            ..ServerConfig::default()
-        })
-        .expect("spawn replica");
+        let node = |dir: &PathBuf| {
+            spawn(ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                threads: 4,
+                queue_depth: 256,
+                cache_entries: 4096,
+                state_dir: Some(dir.clone()),
+                snapshot_every: 0,
+                ..ServerConfig::default()
+            })
+            .expect("spawn node")
+        };
+        let primary = node(&p_dir);
+        let replica = node(&r_dir);
+        let (status, head) = Conn::open(primary.addr).request(
+            "POST",
+            "/v1/cluster/enlist",
+            None,
+            &format!(
+                r#"{{"host": "{}", "addr": "{}"}}"#,
+                primary.addr, replica.addr
+            ),
+        );
+        assert_eq!(status, 200, "enlist failed: {head}");
         (primary, replica, p_dir, r_dir)
     }
 
@@ -2882,7 +2886,6 @@ fn e20_sharding() {
             state_dir: Some(dir.clone()),
             snapshot_every: 0,
             flush_interval_us: FLUSH_US,
-            shard_ring: Some(arbitrex_server::shard::SELF_AUTO.to_string()),
             ..ServerConfig::default()
         })
         .expect("spawn shard node");
@@ -3159,7 +3162,7 @@ fn e20_sharding() {
 /// `e21-quick ...` line for `scripts/e21_gate.sh`, and does not touch
 /// BENCH_PR10.json.
 fn e21_failover() {
-    use arbitrex_server::shard::{ShardRing, DEFAULT_VNODES, SELF_AUTO};
+    use arbitrex_server::shard::{ShardRing, DEFAULT_VNODES};
     use arbitrex_server::{spawn, RunningServer, ServerConfig};
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -3277,7 +3280,6 @@ fn e21_failover() {
             state_dir: Some(dir.clone()),
             snapshot_every: 0,
             flush_interval_us: FLUSH_US,
-            shard_ring: Some(SELF_AUTO.to_string()),
             probe_interval_ms: PROBE_MS,
             suspect_after: SUSPECT_AFTER,
             ..ServerConfig::default()
@@ -3303,9 +3305,7 @@ fn e21_failover() {
             )
             .expect("join");
         assert_eq!(status, 200, "join failed: {body}");
-        let (replica, dir_r) = spawn_node(&format!("{i}-replica"), |cfg| {
-            cfg.replicate_from = Some(head_addr.clone());
-        });
+        let (replica, dir_r) = spawn_node(&format!("{i}-replica"), |_| {});
         let replica_addr = replica.addr.to_string();
         let (status, _, body) = c
             .request(

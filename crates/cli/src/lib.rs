@@ -619,9 +619,6 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
                     return err("--bdd-node-budget must be at least 1 (use --bdd-hotness 0 to disable the tier)");
                 }
             }
-            "--replicate-from" => {
-                config.replicate_from = Some(flag_value(&mut it, "--replicate-from")?.clone());
-            }
             "--replication-epoch" => {
                 let epoch = flag_u64(&mut it, "--replication-epoch")?;
                 if epoch == 0 {
@@ -630,7 +627,7 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
                 config.replication_epoch = Some(epoch);
             }
             "--shard-ring" => {
-                config.shard_ring = Some(flag_value(&mut it, "--shard-ring")?.clone());
+                config.shard_ring = flag_value(&mut it, "--shard-ring")?.clone();
             }
             "--shard-vnodes" => {
                 let v = flag_u64(&mut it, "--shard-vnodes")?;
@@ -663,8 +660,8 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
                      --queue-depth, --cache-entries, --timeout-ms, --max-body-bytes, \
                      --keep-alive-timeout-ms, --state-dir, --snapshot-every, \
                      --recover, --fault, --group-commit, --flush-interval-us, \
-                     --bdd-hotness, --bdd-node-budget, --replicate-from, \
-                     --replication-epoch, --shard-ring, --shard-vnodes, \
+                     --bdd-hotness, --bdd-node-budget, --replication-epoch, \
+                     --shard-ring, --shard-vnodes, \
                      --cluster-peers, --probe-interval-ms, --suspect-after)"
                 ))
             }
@@ -685,29 +682,6 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
         }
     }
     config.faults = Faults::new(faults);
-    // Combining `--replicate-from` with a fully-specified ring is how a
-    // chain replica boots — but only when the primary it names actually
-    // serves in that ring. (Without `--cluster-peers` the ring cannot
-    // know its peers yet, so an outside primary is the legitimate
-    // bootstrap posture and is accepted.)
-    if let Some(primary) = &config.replicate_from {
-        if !config.cluster_peers.is_empty() {
-            let serves = config
-                .shard_ring
-                .iter()
-                .chain(config.cluster_peers.iter())
-                .filter_map(|spec| arbitrex_server::shard::ChainEntry::parse(spec))
-                .any(|chain| chain.contains(primary));
-            if !serves {
-                return err(format!(
-                    "--replicate-from {primary} names a node outside the ring; a chain \
-                     replica must pull from a serving chain member (list it in a \
-                     --cluster-peers chain spec, or drop --cluster-peers while \
-                     bootstrapping)"
-                ));
-            }
-        }
-    }
     Ok(config)
 }
 
@@ -757,27 +731,20 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 );
             }
         }
-        if let Some(primary) = &config.replicate_from {
+        let _ = writeln!(
+            out,
+            "arbitrex-server ring member {} (vnodes={}, peers={})",
+            server.state().shards.self_addr(),
+            config.shard_vnodes,
+            config.cluster_peers.len()
+        );
+        if config.probe_interval_ms > 0 && config.state_dir.is_some() {
             let _ = writeln!(
                 out,
-                "arbitrex-server replicating from {primary} (read-only until promoted)"
+                "arbitrex-server failover detector probing every {}ms \
+                 (suspect after {} failures)",
+                config.probe_interval_ms, config.suspect_after
             );
-        }
-        if let Some(ring) = &config.shard_ring {
-            let _ = writeln!(
-                out,
-                "arbitrex-server sharding as {ring} (vnodes={}, peers={})",
-                config.shard_vnodes,
-                config.cluster_peers.len()
-            );
-            if config.probe_interval_ms > 0 {
-                let _ = writeln!(
-                    out,
-                    "arbitrex-server failover detector probing every {}ms \
-                     (suspect after {} failures)",
-                    config.probe_interval_ms, config.suspect_after
-                );
-            }
         }
         let _ = writeln!(
             out,
@@ -812,18 +779,19 @@ pub fn help() -> String {
          \x20\x20\x20\x20 [--keep-alive-timeout-ms n] [--state-dir d] [--snapshot-every n]\n\
          \x20\x20\x20\x20 [--recover strict|salvage] [--group-commit on|off]\n\
          \x20\x20\x20\x20 [--flush-interval-us n] [--bdd-hotness n] [--bdd-node-budget n]\n\
-         \x20\x20\x20\x20 [--replicate-from host:port] [--replication-epoch n]\n\
-         \x20\x20\x20\x20 [--shard-ring addr|auto] [--shard-vnodes n] [--cluster-peers a,b]\n\
-         \x20\x20\x20\x20 [--probe-interval-ms n] [--suspect-after k]\n\
+         \x20\x20\x20\x20 [--replication-epoch n] [--shard-ring addr|auto] [--shard-vnodes n]\n\
+         \x20\x20\x20\x20 [--cluster-peers a,b] [--probe-interval-ms n] [--suspect-after k]\n\
          \x20\x20\x20\x20 run the HTTP arbitration service (see README \"Serving\");\n\
          \x20\x20\x20\x20 --state-dir makes KBs durable (WAL + snapshots, README\n\
          \x20\x20\x20\x20 \"Durability\"); commits batch fsyncs unless --group-commit off;\n\
-         \x20\x20\x20\x20 --replicate-from streams a primary's WAL (read-only until\n\
-         \x20\x20\x20\x20 POST /v1/replication/promote); --shard-ring joins a\n\
-         \x20\x20\x20\x20 consistent-hash KB cluster (README \"Sharding\"); peers are\n\
-         \x20\x20\x20\x20 chain specs `head~replica@epoch` (README \"Failover\"): a\n\
-         \x20\x20\x20\x20 replica probes its head every --probe-interval-ms and after\n\
-         \x20\x20\x20\x20 --suspect-after failed probes promotes via quorum; serve\n\
+         \x20\x20\x20\x20 every node is a consistent-hash ring member advertising\n\
+         \x20\x20\x20\x20 --shard-ring (default auto: the bound address; README\n\
+         \x20\x20\x20\x20 \"Sharding\"); peers are chain specs `head~replica@epoch`, and a\n\
+         \x20\x20\x20\x20 node listed behind a head (there, or by POST /v1/cluster/enlist)\n\
+         \x20\x20\x20\x20 is its read-only replica (README \"Failover\"): it probes its head\n\
+         \x20\x20\x20\x20 every --probe-interval-ms, takes over via quorum after\n\
+         \x20\x20\x20\x20 --suspect-after failed probes, and POST /v1/replication/promote\n\
+         \x20\x20\x20\x20 rotates the chain by hand; serve\n\
          \x20\x20\x20\x20 --fault <site>:<k> (repeatable, testing) takes wal_write/\n\
          \x20\x20\x20\x20 wal_fsync/snapshot_rename (with --state-dir), net_drop/\n\
          \x20\x20\x20\x20 net_torn/net_dup/net_delay/net_partition and\n\
@@ -1500,16 +1468,9 @@ mod tests {
 
     #[test]
     fn serve_config_parses_replication_flags() {
-        let config = parse_serve_config(&sv(&[
-            "--replicate-from",
-            "127.0.0.1:7313",
-            "--replication-epoch",
-            "4",
-            "--fault",
-            "net_drop:2",
-        ]))
-        .unwrap();
-        assert_eq!(config.replicate_from.as_deref(), Some("127.0.0.1:7313"));
+        let config =
+            parse_serve_config(&sv(&["--replication-epoch", "4", "--fault", "net_drop:2"]))
+                .unwrap();
         assert_eq!(config.replication_epoch, Some(4));
         assert_eq!(
             config.faults.plans(),
@@ -1524,8 +1485,6 @@ mod tests {
         let config = parse_serve_config(&sv(&[
             "--shard-ring",
             "auto",
-            "--replicate-from",
-            "127.0.0.1:7001",
             "--cluster-peers",
             "127.0.0.1:7001~127.0.0.1:7002,127.0.0.1:7003",
             "--probe-interval-ms",
@@ -1536,39 +1495,16 @@ mod tests {
         .unwrap();
         assert_eq!(config.probe_interval_ms, 100);
         assert_eq!(config.suspect_after, 2);
-        assert_eq!(config.replicate_from.as_deref(), Some("127.0.0.1:7001"));
+        assert_eq!(config.shard_ring, "auto");
         assert_eq!(config.cluster_peers.len(), 2);
 
         let defaults = parse_serve_config(&[]).unwrap();
         assert_eq!(defaults.probe_interval_ms, 500);
         assert_eq!(defaults.suspect_after, 3);
+        assert_eq!(defaults.shard_ring, "auto", "every node is a ring member");
 
         let e = parse_serve_config(&sv(&["--suspect-after", "0"])).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Usage);
-
-        // A replica may both serve in the ring and replicate — but only
-        // from a node the ring actually lists as a serving member.
-        let e = parse_serve_config(&sv(&[
-            "--shard-ring",
-            "auto",
-            "--replicate-from",
-            "10.9.9.9:7999",
-            "--cluster-peers",
-            "127.0.0.1:7001~127.0.0.1:7002",
-        ]))
-        .unwrap_err();
-        assert_eq!(e.kind, ErrorKind::Usage);
-        assert!(e.message.contains("outside the ring"), "{}", e.message);
-
-        // Without --cluster-peers the ring cannot know its peers yet, so
-        // an outside primary is the legitimate bootstrap posture.
-        parse_serve_config(&sv(&[
-            "--shard-ring",
-            "auto",
-            "--replicate-from",
-            "10.9.9.9:7999",
-        ]))
-        .expect("peer-less bootstrap combo is legal");
     }
 
     #[test]

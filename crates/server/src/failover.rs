@@ -3,12 +3,15 @@
 //! PR 9's ring maps names to replica **chains** (`shard.rs`); this
 //! module adds the machinery that makes a chain survive its head:
 //!
-//! * **Puller supervision** — every non-head chain member must stream
-//!   its head's WAL. [`ensure_puller`] compares the puller this node is
-//!   running against what the current ring says it should run, and
-//!   stops/retargets/respawns as needed. The [`crate::replication::ReplLog`] puller
-//!   *generation* makes stop-then-spawn race-free: a deposed puller can
-//!   never outlive its retarget.
+//! * **Roles follow the ring** — [`reconcile_role`] is the only place a
+//!   node becomes a replica: at boot, on every ring adoption, and on
+//!   every detector tick, a node listed behind a head demotes and
+//!   streams that head's WAL. Its puller supervision compares the
+//!   puller this node is running against what the current ring says it
+//!   should run, and stops/retargets/respawns as needed. The
+//!   [`crate::replication::ReplLog`] puller *generation* makes
+//!   stop-then-spawn race-free: a deposed puller can never outlive its
+//!   retarget.
 //! * **Failure detection** — the detector thread probes this node's
 //!   chain head over `GET /v1/replication/status` every
 //!   `--probe-interval-ms`. After `--suspect-after` consecutive
@@ -20,13 +23,16 @@
 //!   voters at all means *this* node may be the partitioned one, so it
 //!   also refuses to promote (with no voters configured — a two-node
 //!   chain — the successor must self-decide).
-//! * **Self-promotion** — on confirmed death the successor runs PR 8's
-//!   `promote()` (WAL epoch bump), rotates its chain on the ring
-//!   ([`crate::shard::ShardRouter::rotate_chain`] records the new WAL
-//!   epoch as the chain's `repl_epoch` — the epoch *composition* that
-//!   fences the deposed head at apply, stream, resync and routing), and
-//!   broadcasts the rotated ring through the PR 9 sync path. Because
-//!   chains hash by a stable anchor, the rotation moves **zero** data.
+//! * **Promotion** — on confirmed death the successor runs
+//!   [`promote_self`], the one path that makes a store its chain's
+//!   head (an operator's `POST /v1/replication/promote` runs it too,
+//!   minus the quorum check): the store's `promote()` (WAL epoch bump), a
+//!   chain rotation on the ring ([`crate::shard::ShardRouter::rotate_chain`]
+//!   records the new WAL epoch as the chain's `repl_epoch` — the epoch
+//!   *composition* that fences the deposed head at apply, stream,
+//!   resync and routing), and a broadcast of the rotated ring through
+//!   the ring sync path. Because chains hash by a stable anchor, the
+//!   rotation moves **zero** data.
 //! * **Revival** — the new head remembers whom it deposed. When the old
 //!   head answers probes again, its acked-but-never-shipped commits are
 //!   absorbed with the paper's `Δ` arbitration
@@ -40,11 +46,13 @@
 //!   the rotation broadcast converges within a probe interval instead
 //!   of fencing writes against a dead ring forever.
 //!
-//! Everything here is driven by one thread per node
-//! ([`spawn_detector`]), disabled with `--probe-interval-ms 0`.
+//! Probing, promotion on death, revival and ring anti-entropy are
+//! driven by one thread per node ([`spawn_detector`]), disabled with
+//! `--probe-interval-ms 0`; role and puller follow every ring adoption
+//! with or without it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -63,6 +71,13 @@ pub struct FailoverState {
     deposed: Mutex<Vec<String>>,
     /// Stops the detector thread.
     stop: AtomicBool,
+    /// Serializes role changes: a promotion and a ring-driven demotion
+    /// must never interleave (a demotion landing between a promotion's
+    /// epoch bump and its chain rotation would wedge the new head).
+    role: Mutex<()>,
+    /// The state this bookkeeping lives in, so a ring adoption on a
+    /// worker thread can hand the puller thread an owning handle.
+    this: OnceLock<Weak<ServiceState>>,
 }
 
 #[derive(Default)]
@@ -84,7 +99,16 @@ impl FailoverState {
             puller: Mutex::new(PullerSlot::default()),
             deposed: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
+            role: Mutex::new(()),
+            this: OnceLock::new(),
         }
+    }
+
+    /// Attach the running server's state (once, when it is wrapped in
+    /// an `Arc`). A state never attached — built for a single-threaded
+    /// replay — runs no puller.
+    pub fn attach(&self, state: &Arc<ServiceState>) {
+        let _ = self.this.set(Arc::downgrade(state));
     }
 
     /// Ask the detector thread to exit.
@@ -120,32 +144,24 @@ impl FailoverState {
 
 // --- puller supervision ------------------------------------------------------
 
-/// The primary this node should be pulling from right now: its chain
-/// head under the current ring, or — while the ring does not yet list a
-/// chain for it (bootstrap, before the enlist lands) — the configured
-/// `--replicate-from` primary. `None` for a head (or any writable
-/// store): primaries don't pull.
+/// The head this node should be pulling from right now: its chain head
+/// under the current ring. `None` for a head, a node outside every
+/// chain, or any writable store: primaries don't pull.
 fn desired_puller_target(state: &ServiceState) -> Option<String> {
     let log = state.kbs.replication()?;
     if !log.read_only() {
         return None;
     }
-    if let Some(router) = &state.shards {
-        if let Some(chain) = router.self_chain() {
-            let head = chain.head().to_string();
-            if head != router.self_addr() {
-                return Some(head);
-            }
-        }
-    }
-    state.config.replicate_from.clone()
+    let router = &state.shards;
+    let chain = router.self_chain()?;
+    let head = chain.head();
+    (head != router.self_addr()).then(|| head.to_string())
 }
 
 /// Reconcile the puller this node runs with what the ring says it
-/// should run: stop a puller aimed at the wrong primary, spawn one at
-/// the right target, respawn one that died. Idempotent; called at
-/// startup and on every detector tick.
-pub fn ensure_puller(state: &Arc<ServiceState>) {
+/// should run: stop a puller aimed at the wrong head, spawn one at the
+/// right target, respawn one that died. Idempotent.
+fn ensure_puller(state: &ServiceState) {
     let Some(log) = state.kbs.replication() else {
         return;
     };
@@ -155,15 +171,20 @@ pub fn ensure_puller(state: &Arc<ServiceState>) {
     if slot.target == desired && (live || desired.is_none()) {
         return;
     }
+    let spawn = match &desired {
+        Some(target) => match state.failover.this.get().and_then(Weak::upgrade) {
+            Some(owner) => Some((owner, target.clone())),
+            None => return,
+        },
+        None => None,
+    };
     // Invalidate whatever generation is running before spawning the
     // replacement at the next one.
     log.stop_puller();
     if let Some(stale) = slot.handle.take() {
         let _ = stale.join();
     }
-    slot.handle = desired
-        .as_ref()
-        .map(|target| replication::spawn_puller(Arc::clone(state), target.clone()));
+    slot.handle = spawn.map(|(owner, target)| replication::spawn_puller(owner, target));
     slot.target = desired;
 }
 
@@ -178,26 +199,103 @@ pub fn join_puller(state: &ServiceState) {
     }
 }
 
-/// Align this node's replication role with the ring it holds: a node
-/// listed *behind* another head is a replica now — whatever it used to
-/// be (a deposed head rejoining as tail, or a standalone primary that
-/// was just enlisted) — so it demotes to read-only. Promotion is never
-/// done here: becoming a head goes through the detector's quorum check
-/// (or an explicit `POST /v1/replication/promote`), not through ring
-/// gossip a stale broadcast could forge.
+/// Take the role the ring gives this node, and run the puller that
+/// role needs. A node listed *behind* another head is a replica —
+/// whatever it used to be (a deposed head re-listed as a tail, a plain
+/// node just enlisted, a node booted from a chain spec) — so it demotes
+/// to read-only and streams that head's WAL. Promotion is never done
+/// here: becoming a head goes through [`promote_self`], not through ring
+/// gossip a stale broadcast could forge. Runs at boot, on every ring
+/// adoption, and on every detector tick.
 pub fn reconcile_role(state: &ServiceState) {
-    let Some(router) = &state.shards else {
-        return;
-    };
-    let Some(log) = state.kbs.replication() else {
-        return;
-    };
-    let Some(chain) = router.self_chain() else {
-        return;
-    };
-    if chain.head() != router.self_addr() && !log.read_only() {
-        let _ = state.kbs.demote();
+    let role = state.failover.role.lock().unwrap();
+    if let (Some(log), Some(chain)) = (state.kbs.replication(), state.shards.self_chain()) {
+        if chain.head() != state.shards.self_addr() && !log.read_only() {
+            let _ = state.kbs.demote();
+        }
     }
+    drop(role);
+    ensure_puller(state);
+}
+
+/// What [`promote_self`] left this node as: its chain's head at
+/// `epoch`, holding sequence numbers up to `last_rseq`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Promotion {
+    /// Whether this call promoted the store (`false`: it already
+    /// headed its chain).
+    pub promoted: bool,
+    /// The fencing epoch the node heads its chain at.
+    pub epoch: u64,
+    /// The last replication sequence number it holds.
+    pub last_rseq: u64,
+}
+
+/// Why [`promote_self`] refused; each variant carries its message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PromoteError {
+    /// This node is a chain replica but not its chain's successor: a
+    /// conflict with the ring (`409`).
+    NotSuccessor(String),
+    /// The store could not be promoted — it is in memory, or removing
+    /// its replica marker failed (`503`, retryable).
+    Store(String),
+}
+
+/// Make this node its chain's head — the one promotion path, run by the
+/// detector after its quorum check and by `POST /v1/replication/promote`
+/// without one. A chain replica promotes its store (WAL epoch bump),
+/// rotates its chain on the ring (recording the new WAL epoch as the
+/// chain's `repl_epoch`), remembers the deposed head for revival, and
+/// broadcasts the rotated ring — to the deposed head too, so it stops
+/// taking writes the moment it is reachable. A node already heading its
+/// chain (or serving in none) only promotes a read-only store, so a
+/// repeated promote never bumps the epoch twice. Only the chain's
+/// successor may take over; any other replica gets an error naming it.
+pub fn promote_self(state: &ServiceState) -> Result<Promotion, PromoteError> {
+    let log = state
+        .kbs
+        .replication()
+        .ok_or_else(|| PromoteError::Store("promotion requires a durable store".into()))?;
+    let role = state.failover.role.lock().unwrap();
+    let router = &state.shards;
+    let self_addr = router.self_addr();
+    let head = match router.self_chain() {
+        Some(chain) if chain.head() != self_addr => {
+            if chain.successor() != Some(self_addr.as_str()) {
+                return Err(PromoteError::NotSuccessor(format!(
+                    "only the chain's successor {} may take over its head",
+                    chain.successor().unwrap_or_default()
+                )));
+            }
+            Some(chain.head().to_string())
+        }
+        _ if !log.read_only() => {
+            return Ok(Promotion {
+                promoted: false,
+                epoch: log.epoch(),
+                last_rseq: log.head(),
+            });
+        }
+        _ => None,
+    };
+    let (epoch, last_rseq) = state
+        .kbs
+        .promote()
+        .map_err(|e| PromoteError::Store(e.to_string()))?;
+    let rotated = head
+        .as_deref()
+        .and_then(|head| router.rotate_chain(head, epoch));
+    drop(role);
+    if let (Some(head), Some(ring)) = (head, rotated) {
+        state.failover.note_deposed(&head);
+        broadcast_ring(state, &ring, &[&head]);
+    }
+    Ok(Promotion {
+        promoted: true,
+        epoch,
+        last_rseq,
+    })
 }
 
 // --- probing -----------------------------------------------------------------
@@ -239,7 +337,7 @@ fn sync_body(ring: &ShardRing) -> String {
 }
 
 /// Push `ring` to one peer; `true` when it acked.
-fn push_sync(target: &str, ring: &ShardRing) -> bool {
+pub(crate) fn push_sync(target: &str, ring: &ShardRing) -> bool {
     let body = sync_body(ring);
     PeerClient::connect(target)
         .and_then(|mut client| client.request("POST", "/v1/cluster/sync", Some(&body)))
@@ -250,10 +348,7 @@ fn push_sync(target: &str, ring: &ShardRing) -> bool {
 /// Push `ring` to every serving member (plus `extra` — e.g. a deposed
 /// head no longer listed), skipping self. Returns how many acked.
 pub(crate) fn broadcast_ring(state: &ServiceState, ring: &ShardRing, extra: &[&str]) -> u64 {
-    let Some(router) = &state.shards else {
-        return 0;
-    };
-    let self_addr = router.self_addr();
+    let self_addr = state.shards.self_addr();
     let mut targets = ring.serving_addrs();
     for addr in extra {
         if !targets.iter().any(|t| t == addr) {
@@ -275,13 +370,10 @@ pub(crate) fn broadcast_ring(state: &ServiceState, ring: &ShardRing, extra: &[&s
 // --- the detector thread -----------------------------------------------------
 
 /// Spawn the failure detector, or `None` when it is disabled
-/// (`--probe-interval-ms 0`), the node is not a ring member, or the
-/// store has no replication log (in-memory stores cannot chain).
+/// (`--probe-interval-ms 0`) or the store has no replication log
+/// (in-memory stores cannot chain).
 pub fn spawn_detector(state: Arc<ServiceState>) -> Option<JoinHandle<()>> {
-    if state.config.probe_interval_ms == 0
-        || state.shards.is_none()
-        || state.kbs.replication().is_none()
-    {
+    if state.config.probe_interval_ms == 0 || state.kbs.replication().is_none() {
         return None;
     }
     Some(
@@ -297,7 +389,6 @@ fn run_detector(state: &Arc<ServiceState>) {
     let suspect_after = state.config.suspect_after.max(1);
     let mut consecutive_failures: u32 = 0;
     while !state.failover.stopped() {
-        ensure_puller(state);
         reconcile_role(state);
         tick(state, &mut consecutive_failures, suspect_after);
         sleep_interval(state, interval);
@@ -318,9 +409,7 @@ fn sleep_interval(state: &ServiceState, interval: Duration) {
 }
 
 fn tick(state: &Arc<ServiceState>, consecutive_failures: &mut u32, suspect_after: u32) {
-    let Some(router) = &state.shards else {
-        return;
-    };
+    let router = &state.shards;
     let Some(chain) = router.self_chain() else {
         return;
     };
@@ -346,8 +435,8 @@ fn tick(state: &Arc<ServiceState>, consecutive_failures: &mut u32, suspect_after
             if *consecutive_failures >= suspect_after
                 && chain.successor() == Some(self_addr.as_str())
             {
-                if confirm_death(router, &head) {
-                    promote_self(state, router, &head);
+                if confirm_death(router, &head) && promote_self(state).is_ok_and(|p| p.promoted) {
+                    metrics::FAILOVER_AUTO_PROMOTIONS.incr();
                 }
                 // Both outcomes restart the suspicion count: a veto
                 // means the head is alive behind a partition (probe
@@ -399,23 +488,6 @@ fn confirm_death(router: &ShardRouter, head: &str) -> bool {
         }
     }
     responders > 0
-}
-
-/// Confirmed death: promote this store (WAL epoch bump), rotate the
-/// chain on the ring (recording the new WAL epoch as the chain's
-/// `repl_epoch`), remember the deposed head for revival, and broadcast
-/// the rotated ring — to the deposed head too, so it demotes the moment
-/// it is reachable again.
-fn promote_self(state: &ServiceState, router: &ShardRouter, dead_head: &str) {
-    let Ok((epoch, _last_rseq)) = state.kbs.promote() else {
-        return;
-    };
-    metrics::FAILOVER_AUTO_PROMOTIONS.incr();
-    let Some(ring) = router.rotate_chain(dead_head, epoch) else {
-        return;
-    };
-    state.failover.note_deposed(dead_head);
-    broadcast_ring(state, &ring, &[dead_head]);
 }
 
 /// What a chain head does each tick: shepherd deposed predecessors back

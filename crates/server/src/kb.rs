@@ -89,6 +89,11 @@ use crate::wal::{self, StampedRecord, Wal, WalRecord, WAL_FILE};
 /// Longest accepted KB name.
 pub const MAX_NAME_LEN: usize = 64;
 
+/// Present in a state directory while its store is a demoted replica,
+/// so recovery reopens it read-only: a restarted chain tail takes no
+/// writes until a ring gives it a role (or an operator promotes it).
+pub const REPLICA_MARKER: &str = "replica";
+
 /// One stored knowledge base.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredKb {
@@ -147,7 +152,9 @@ pub struct DurabilityOptions {
     /// recovery found (never below it — a lower epoch would be a stamp
     /// regression on the next recovery).
     pub initial_epoch: Option<u64>,
-    /// Open as a replica: writes are refused until promotion.
+    /// Open as a replica: writes are refused until promotion. A store
+    /// demoted before it shut down ([`REPLICA_MARKER`]) opens as one
+    /// regardless.
     pub replica: bool,
 }
 
@@ -437,7 +444,8 @@ impl KbStore {
         // rseq space always continues, promotion does not reset it.
         let epoch = opts.initial_epoch.unwrap_or(1).max(report.max_epoch).max(1);
         let next_rseq = report.max_rseq + 1;
-        let repl = Arc::new(ReplLog::new(epoch, next_rseq, opts.replica));
+        let replica = opts.replica || opts.dir.join(REPLICA_MARKER).exists();
+        let repl = Arc::new(ReplLog::new(epoch, next_rseq, replica));
         let map = state
             .iter()
             .map(|(name, kb)| (name.clone(), Arc::new(Mutex::new(kb.clone()))))
@@ -886,7 +894,8 @@ impl KbStore {
     /// Promote this store to primary: bump the fencing epoch and accept
     /// writes. Frames the deposed primary stamped with the old epoch are
     /// refused from here on. The rseq space continues — promotion never
-    /// reuses a sequence number. Returns `(new_epoch, last_rseq)`.
+    /// reuses a sequence number. The replica marker is removed first;
+    /// if that fails nothing changes. Returns `(new_epoch, last_rseq)`.
     pub fn promote(&self) -> io::Result<(u64, u64)> {
         let backend = match &self.durability {
             Durability::Memory => {
@@ -895,6 +904,12 @@ impl KbStore {
             Durability::Durable(b) => b,
         };
         let mut s = backend.state.lock().unwrap();
+        // Not fsynced: a crash that loses the unlink reopens the store
+        // read-only, the safe side (a second promote clears it).
+        match std::fs::remove_file(s.dir.join(REPLICA_MARKER)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         s.epoch += 1;
         backend.repl.set_epoch(s.epoch);
         backend.repl.set_read_only(false);
@@ -905,8 +920,9 @@ impl KbStore {
 
     /// Demote this store to replica: refuse writes until the next
     /// promotion. The epoch is untouched — the follow/resync path adopts
-    /// the new head's higher epoch when frames arrive. Used when a
-    /// deposed chain head rejoins its shard's chain as a tail.
+    /// the new head's higher epoch when frames arrive. Used when a ring
+    /// lists this node behind a head. The refusal starts at once; the
+    /// replica marker then makes it survive a restart.
     pub fn demote(&self) -> io::Result<()> {
         let backend = match &self.durability {
             Durability::Memory => {
@@ -916,7 +932,9 @@ impl KbStore {
         };
         backend.repl.set_read_only(true);
         metrics::FAILOVER_DEMOTIONS.incr();
-        Ok(())
+        let s = backend.state.lock().unwrap();
+        File::create(s.dir.join(REPLICA_MARKER))?.sync_all()?;
+        snapshot::sync_dir(&s.dir)
     }
 
     /// Per-KB digest for anti-entropy: `(name, seq, canonical content

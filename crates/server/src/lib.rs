@@ -129,24 +129,21 @@ pub struct ServerConfig {
     /// Per-`ψ` BDD node budget: a compilation (or per-query `μ`
     /// traversal) exceeding it degrades to the kernel path instead.
     pub bdd_node_budget: usize,
-    /// Replicate from this primary (`host:port`): the store opens
-    /// read-only, a puller thread streams the primary's WAL, and writes
-    /// are refused until `POST /v1/replication/promote`. Requires
-    /// `state_dir`.
-    pub replicate_from: Option<String>,
     /// Start the fencing epoch here instead of continuing from recovery
     /// (never below what recovery found). Mostly for tests and storm
     /// scripts.
     pub replication_epoch: Option<u64>,
-    /// Join a sharded cluster advertising this address as this node's
-    /// ring identity (`host:port`, or [`shard::SELF_AUTO`] to advertise
-    /// the actually bound address). `None` disables sharding.
-    pub shard_ring: Option<String>,
+    /// This node's ring identity (`host:port`, or [`shard::SELF_AUTO`],
+    /// the default, to advertise the actually bound address). Every node
+    /// is a ring member: with no peers it is a singleton chain headed by
+    /// itself.
+    pub shard_ring: String,
     /// Virtual nodes per ring member.
     pub shard_vnodes: u32,
-    /// Other members seeding the initial ring (all nodes started with
-    /// the same set agree; later membership goes through
-    /// `POST /v1/cluster/{join,leave}`).
+    /// Other members seeding the initial ring, as addresses or chain
+    /// specs (all nodes started with the same set agree). A spec listing
+    /// this node behind a head boots it as that head's replica; later
+    /// membership goes through `POST /v1/cluster/{join,leave,enlist}`.
     pub cluster_peers: Vec<String>,
     /// How often the failure detector probes its chain head, in
     /// milliseconds. `0` disables the detector (no probes, no automatic
@@ -175,9 +172,8 @@ impl Default for ServerConfig {
             flush_interval_us: 0,
             bdd_hotness: CompiledTier::DEFAULT_HOTNESS,
             bdd_node_budget: CompiledTier::DEFAULT_NODE_BUDGET,
-            replicate_from: None,
             replication_epoch: None,
-            shard_ring: None,
+            shard_ring: shard::SELF_AUTO.to_string(),
             shard_vnodes: shard::DEFAULT_VNODES,
             cluster_peers: Vec::new(),
             probe_interval_ms: 500,
@@ -199,8 +195,9 @@ pub struct ServiceState {
     pub compiled: CompiledTier,
     /// What recovery found, when the store is durable.
     pub recovery: Option<RecoveryReport>,
-    /// The shard router (ring + self identity), when sharding is on.
-    pub shards: Option<shard::ShardRouter>,
+    /// The shard router: the ring every role derives from, plus this
+    /// node's identity on it.
+    pub shards: shard::ShardRouter,
     /// Failover bookkeeping: the supervised puller slot, deposed heads
     /// awaiting revival, and the detector stop flag.
     pub failover: failover::FailoverState,
@@ -223,45 +220,26 @@ impl ServiceState {
                     group_commit: config.group_commit,
                     flush_interval: std::time::Duration::from_micros(config.flush_interval_us),
                     initial_epoch: config.replication_epoch,
-                    replica: config.replicate_from.is_some(),
+                    // The role comes from the ring once the node knows
+                    // its bound address (`failover::reconcile_role`); a
+                    // store demoted before shutdown reopens read-only.
+                    replica: false,
                 })
                 .map_err(|e| io::Error::other(e.to_string()))?;
                 (store, Some(report))
             }
         };
-        if config.replicate_from.is_some() && config.state_dir.is_none() {
+        if !config.cluster_peers.is_empty() && config.threads < 2 {
             return Err(io::Error::other(
-                "--replicate-from requires --state-dir (a replica's store must be durable)",
-            ));
-        }
-        if config.shard_ring.is_none() && !config.cluster_peers.is_empty() {
-            return Err(io::Error::other(
-                "--cluster-peers requires --shard-ring (this node needs a ring identity)",
-            ));
-        }
-        if config.shard_ring.is_some() && config.threads < 2 {
-            return Err(io::Error::other(
-                "--shard-ring requires at least 2 worker threads (a member answers peer \
+                "--cluster-peers requires at least 2 worker threads (a member answers peer \
                  pulls while its own membership handler blocks); raise --threads",
             ));
         }
-        let shards = config.shard_ring.clone().map(|self_spec| {
-            shard::ShardRouter::new(self_spec, &config.cluster_peers, config.shard_vnodes)
-        });
-        // Combining `--replicate-from` with a fully-specified ring is
-        // how a chain replica boots — but only when the primary it
-        // names is actually a serving chain member. (With no
-        // `--cluster-peers` the solo ring can't know its peers yet, so
-        // an outside primary is the legitimate bootstrap posture.)
-        if let (Some(router), Some(primary)) = (&shards, &config.replicate_from) {
-            if !config.cluster_peers.is_empty() && !router.ring().contains(primary) {
-                return Err(io::Error::other(format!(
-                    "--replicate-from {primary} names a node outside the ring; a chain \
-                     replica must pull from a serving chain member (list it in a chain \
-                     spec, or drop --cluster-peers while bootstrapping)"
-                )));
-            }
-        }
+        let shards = shard::ShardRouter::new(
+            config.shard_ring.clone(),
+            &config.cluster_peers,
+            config.shard_vnodes,
+        );
         let compiled = CompiledTier::new(
             config.bdd_hotness,
             config.bdd_node_budget,

@@ -12,19 +12,22 @@
 //! installing the primary's snapshot image and resumes streaming from
 //! its watermark.
 //!
-//! Failover is explicit: `POST /v1/replication/promote` bumps the
-//! replica's epoch, clears read-only, and stops its puller. Frames from
-//! the deposed epoch are fenced at every layer: the apply path rejects
-//! them, the WAL scan refuses a stamp regression, and the puller
-//! disconnects from any peer reporting a lower epoch than its own.
+//! Which node pulls from which is the ring's business, not this
+//! module's: a node becomes a replica only by being listed behind a
+//! chain head, and a promotion is always a chain rotation
+//! ([`crate::failover`]). Promotion bumps the store's epoch, clears
+//! read-only, and stops its puller. Frames from the deposed epoch are
+//! fenced at every layer: the apply path rejects them, the WAL scan
+//! refuses a stamp regression, and the puller disconnects from any peer
+//! reporting a lower epoch than its own.
 //!
 //! Divergence after a partition (two primaries acked disjoint commits)
 //! is not resolved by last-writer-wins: `POST /v1/replication/reconcile`
-//! fetches the peer's per-KB digest (name, seq, canonical content hash)
-//! and merges each divergent theory with the paper's arbitration
-//! operator `Δ` — the fair merge of two equally trusted sources — with
-//! the two sides ordered by canonical key so both nodes would compute
-//! the identical result. See DESIGN.md §12.
+//! fetches the peer's KB listing (`GET /v1/kbs`: name, seq, canonical
+//! content hash) and merges each divergent theory with the paper's
+//! arbitration operator `Δ` — the fair merge of two equally trusted
+//! sources — with the two sides ordered by canonical key so both nodes
+//! would compute the identical result. See DESIGN.md §12.
 //!
 //! # Network fault injection
 //!
@@ -39,7 +42,7 @@
 //! sites — because a network fault heals; the replica's
 //! reconnect/backoff/CRC machinery is what is under test.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -120,6 +123,11 @@ pub struct ReplLog {
     puller_gen: AtomicU64,
     /// The primary's head as last reported to this replica (lag gauge).
     last_seen_head: AtomicU64,
+    /// The puller generation that last caught up with its head (applied
+    /// everything the head reported); `u64::MAX` before any did. A
+    /// retarget starts a new generation, so a new tail is never "caught
+    /// up" on the strength of a previous head.
+    caught_up_gen: AtomicU64,
 }
 
 /// What a batch fetch produced.
@@ -157,6 +165,7 @@ impl ReplLog {
             read_only: AtomicBool::new(read_only),
             puller_gen: AtomicU64::new(0),
             last_seen_head: AtomicU64::new(0),
+            caught_up_gen: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -233,6 +242,19 @@ impl ReplLog {
     /// Has the puller of generation `gen` been asked to exit?
     pub fn puller_stopped(&self, gen: u64) -> bool {
         self.puller_gen.load(Ordering::SeqCst) != gen
+    }
+
+    /// Record that the puller of generation `gen` applied everything its
+    /// head reported.
+    pub fn mark_caught_up(&self, gen: u64) {
+        self.caught_up_gen.store(gen, Ordering::SeqCst);
+    }
+
+    /// Has the running puller caught up with its head at least once? A
+    /// replica that has not proxies plain reads to its head instead of
+    /// answering from its own store.
+    pub fn caught_up(&self) -> bool {
+        self.caught_up_gen.load(Ordering::SeqCst) == self.puller_gen()
     }
 
     /// Record the primary's head as reported in a batch response.
@@ -593,10 +615,10 @@ fn run_puller(state: &ServiceState, primary: &str) {
                 }
                 continue;
             }
-            if let Some(head) = response
+            let reported_head = response
                 .header("x-arbitrex-head")
-                .and_then(|v| v.parse::<u64>().ok())
-            {
+                .and_then(|v| v.parse::<u64>().ok());
+            if let Some(head) = reported_head {
                 log.note_seen_head(head);
             }
             let chunks = response.chunks.unwrap_or_default();
@@ -643,6 +665,9 @@ fn run_puller(state: &ServiceState, primary: &str) {
             }
             if !stream_ok {
                 break;
+            }
+            if reported_head.is_some_and(|head| log.head() >= head) {
+                log.mark_caught_up(gen);
             }
         }
         backoff.sleep(&log, gen);
@@ -700,47 +725,66 @@ pub struct ReconcileSummary {
     pub skipped: u64,
 }
 
-/// One entry of a peer's digest.
-struct DigestEntry {
-    name: String,
-    seq: u64,
-    hash: u64,
+/// One KB of a peer's `GET /v1/kbs` listing.
+pub(crate) struct ListedKb {
+    pub(crate) name: String,
+    pub(crate) seq: u64,
+    pub(crate) hash: u64,
 }
 
-fn parse_digest(body: &[u8]) -> Result<Vec<DigestEntry>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "digest is not UTF-8".to_string())?;
-    let doc = json::parse(text).map_err(|e| format!("digest does not parse: {e}"))?;
+/// Fetch and parse a peer's KB listing — what anti-entropy compares and
+/// shard handoff walks.
+pub(crate) fn fetch_listing(client: &mut PeerClient) -> Result<Vec<ListedKb>, String> {
+    let response = client
+        .request("GET", "/v1/kbs", None)
+        .map_err(|e| format!("listing fetch failed: {e}"))?;
+    if response.status != 200 {
+        return Err(format!("peer answered {} for its listing", response.status));
+    }
+    let text =
+        std::str::from_utf8(&response.body).map_err(|_| "listing is not UTF-8".to_string())?;
+    let doc = json::parse(text).map_err(|e| format!("listing does not parse: {e}"))?;
     let kbs = doc
         .get("kbs")
         .and_then(|v| v.as_array())
-        .ok_or("digest has no `kbs` array")?;
+        .ok_or("listing has no `kbs` array")?;
     let mut out = Vec::with_capacity(kbs.len());
     for entry in kbs {
         let name = entry
             .get("name")
             .and_then(|v| v.as_str())
-            .ok_or("digest entry has no name")?
+            .ok_or("listing entry has no name")?
             .to_string();
         let seq = entry
             .get("seq")
             .and_then(|v| v.as_u64())
-            .ok_or("digest entry has no seq")?;
+            .ok_or("listing entry has no seq")?;
         let hash = entry
             .get("hash")
             .and_then(|v| v.as_str())
             .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or("digest entry has no hash")?;
-        out.push(DigestEntry { name, seq, hash });
+            .ok_or("listing entry has no hash")?;
+        out.push(ListedKb { name, seq, hash });
     }
     Ok(out)
 }
 
-/// Fetch one KB's formula text and seq from the peer.
-fn fetch_peer_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String> {
-    // Anti-entropy addresses a *node*, not the namespace: the shard
-    // bypass header makes a sharded peer serve its own local copy
-    // instead of proxying the read back through the ring (which would
-    // hand this node its own theory and turn the Δ-merge into a no-op).
+/// This store's listing as `name -> (seq, hash)`.
+pub(crate) fn local_listing(state: &ServiceState) -> HashMap<String, (u64, u64)> {
+    state
+        .kbs
+        .digest()
+        .into_iter()
+        .map(|(name, seq, hash)| (name, (seq, hash)))
+        .collect()
+}
+
+/// Fetch one KB's formula text and seq from the peer's own store.
+fn fetch_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String> {
+    // Anti-entropy and handoff address a *node*, not the namespace: the
+    // shard bypass header makes the peer serve its own local copy
+    // instead of routing the read by its ring (which could hand this
+    // node its own theory back and turn a Δ-merge into a no-op).
     let response = client
         .request_with_headers(
             "GET",
@@ -766,6 +810,24 @@ fn fetch_peer_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), S
     Ok((formula, seq))
 }
 
+/// Fetch `name` from the peer and land it verbatim, seq included, so
+/// the two listings agree afterwards. Returns the adopted seq.
+pub(crate) fn pull_kb(
+    state: &ServiceState,
+    client: &mut PeerClient,
+    name: &str,
+) -> Result<u64, String> {
+    let (text, seq) = fetch_kb(client, name)?;
+    let mut sig = arbitrex_logic::Sig::new();
+    let formula =
+        parse_formula(&mut sig, &text).map_err(|e| format!("peer formula unparsable: {e}"))?;
+    state
+        .kbs
+        .force_put(name, StoredKb { sig, formula, seq })
+        .map_err(|e| e.to_string())?;
+    Ok(seq)
+}
+
 /// One anti-entropy pass against `peer`: adopt KBs we lack, align seqs
 /// on identical content, and merge genuinely divergent theories with
 /// `Δ` arbitration — both sides ordered by canonical key, so the peer
@@ -775,53 +837,18 @@ pub fn reconcile_with_peer(state: &ServiceState, peer: &str) -> Result<Reconcile
         return Err("reconciliation requires a durable store".to_string());
     }
     let mut client = PeerClient::connect(peer).map_err(|e| format!("cannot reach {peer}: {e}"))?;
-    let digest_response = client
-        .request("GET", "/v1/replication/digest", None)
-        .map_err(|e| format!("digest fetch failed: {e}"))?;
-    if digest_response.status != 200 {
-        return Err(format!(
-            "peer answered {} for digest",
-            digest_response.status
-        ));
-    }
-    let peer_digest = parse_digest(&digest_response.body)?;
-    let local: std::collections::HashMap<String, (u64, u64)> = state
-        .kbs
-        .digest()
-        .into_iter()
-        .map(|(name, seq, hash)| (name, (seq, hash)))
-        .collect();
+    let peer_listing = fetch_listing(&mut client)?;
+    let local = local_listing(state);
 
     let mut summary = ReconcileSummary::default();
-    for entry in peer_digest {
+    for entry in peer_listing {
         match local.get(&entry.name) {
             None => {
-                // Absent here: adopt the peer's theory verbatim, seq
-                // included, so the digests agree afterwards.
-                let (text, seq) = match fetch_peer_kb(&mut client, &entry.name) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        summary.skipped += 1;
-                        continue;
-                    }
-                };
-                let mut sig = arbitrex_logic::Sig::new();
-                let formula = match parse_formula(&mut sig, &text) {
-                    Ok(f) => f,
-                    Err(_) => {
-                        summary.skipped += 1;
-                        continue;
-                    }
-                };
-                if state
-                    .kbs
-                    .force_put(&entry.name, StoredKb { sig, formula, seq })
-                    .is_err()
-                {
-                    summary.skipped += 1;
-                    continue;
+                // Absent here: adopt the peer's theory verbatim.
+                match pull_kb(state, &mut client, &entry.name) {
+                    Ok(_) => summary.adopted += 1,
+                    Err(_) => summary.skipped += 1,
                 }
-                summary.adopted += 1;
             }
             Some(&(local_seq, local_hash)) if local_hash == entry.hash => {
                 if local_seq == entry.seq {
@@ -882,7 +909,7 @@ fn merge_divergent(
     local_seq: u64,
     peer_seq: u64,
 ) -> Result<(), String> {
-    let (peer_text, _) = fetch_peer_kb(client, name)?;
+    let (peer_text, _) = fetch_kb(client, name)?;
     let entry = state
         .kbs
         .entry(name)

@@ -7,6 +7,7 @@
 
 use std::time::{Duration, Instant};
 
+use crate::failover::{self, PromoteError};
 use crate::http::{Request, Response};
 use crate::json::{self, obj, Json};
 use crate::kb::{self, CommitError, StoredKb};
@@ -301,24 +302,20 @@ fn handle_metrics(state: &ServiceState) -> Response {
         ),
         None => (1, 0, 0, 0, 0),
     };
-    let (ring_epoch, ring_members, chain_length, chain_position) = match &state.shards {
-        Some(router) => {
-            let ring = router.ring();
-            let (len, pos) = match router.self_chain() {
-                Some(chain) => {
-                    let pos = chain
-                        .members()
-                        .iter()
-                        .position(|m| *m == router.self_addr())
-                        .unwrap_or(0);
-                    (chain.members().len(), pos)
-                }
-                None => (0, 0),
-            };
-            (ring.epoch(), ring.members().len(), len, pos)
+    let router = &state.shards;
+    let ring = router.ring();
+    let (chain_length, chain_position) = match router.self_chain() {
+        Some(chain) => {
+            let pos = chain
+                .members()
+                .iter()
+                .position(|m| *m == router.self_addr())
+                .unwrap_or(0);
+            (chain.members().len(), pos)
         }
-        None => (0, 0, 0, 0),
+        None => (0, 0),
     };
+    let (ring_epoch, ring_members) = (ring.epoch(), ring.members().len());
     let deposed_heads = state.failover.deposed_count();
     // Splice live gauge values (cache fill, KB count, replication
     // watermarks, ring and chain state) into the document.
@@ -496,11 +493,10 @@ fn handle_replication(
     match (req.method.as_str(), action) {
         ("GET", "wal") => repl_wal(state, log, query),
         ("GET", "snapshot") => repl_snapshot(state),
-        ("GET", "digest") => repl_digest(state, log),
         ("GET", "status") => repl_status(state, log),
         ("POST", "promote") => repl_promote(state),
         ("POST", "reconcile") => repl_reconcile(state, req),
-        (_, "wal" | "snapshot" | "digest" | "status" | "promote" | "reconcile") => {
+        (_, "wal" | "snapshot" | "status" | "promote" | "reconcile") => {
             error_response(405, "method not allowed")
         }
         _ => error_response(404, "no such endpoint"),
@@ -613,27 +609,6 @@ fn repl_snapshot(state: &ServiceState) -> Response {
     }
 }
 
-/// `GET /v1/replication/digest`: per-KB `(name, seq, canonical content
-/// hash)` for anti-entropy comparison.
-fn repl_digest(state: &ServiceState, log: &ReplLog) -> Response {
-    let kbs: Vec<Json> = state
-        .kbs
-        .digest()
-        .into_iter()
-        .map(|(name, seq, hash)| {
-            obj([
-                ("name", json::s(name)),
-                ("seq", json::n(seq)),
-                ("hash", json::s(format!("{hash:016x}"))),
-            ])
-        })
-        .collect();
-    ok(obj([
-        ("epoch", json::n(log.epoch())),
-        ("kbs", Json::Arr(kbs)),
-    ]))
-}
-
 /// `GET /v1/replication/status`: role, epoch, watermarks, and the ring
 /// epoch this node routes by. This endpoint doubles as the failure
 /// detector's probe, so the configured `net_partition` fault is
@@ -643,9 +618,8 @@ fn repl_status(state: &ServiceState, log: &ReplLog) -> Response {
     if injected(state, FaultSite::NetPartition) {
         return partition_refusal();
     }
-    let ring_epoch = state.shards.as_ref().map(|r| r.epoch()).unwrap_or(0);
     ok(obj([
-        ("ring_epoch", json::n(ring_epoch)),
+        ("ring_epoch", json::n(state.shards.epoch())),
         (
             "role",
             json::s(if log.read_only() {
@@ -662,16 +636,21 @@ fn repl_status(state: &ServiceState, log: &ReplLog) -> Response {
     ]))
 }
 
-/// `POST /v1/replication/promote`: explicit failover — bump the fencing
-/// epoch, stop following, accept writes.
+/// `POST /v1/replication/promote`: operator failover. On a chain
+/// replica this is the detector's promotion minus the quorum check —
+/// promote the store, rotate the chain, broadcast the rotated ring. On
+/// a node already heading its chain it changes nothing and answers the
+/// current epoch. A replica that is not its chain's successor gets a
+/// `409`; a store that cannot be promoted a retryable `503`.
 fn repl_promote(state: &ServiceState) -> Response {
-    match state.kbs.promote() {
-        Ok((epoch, last_rseq)) => ok(obj([
-            ("promoted", Json::Bool(true)),
-            ("epoch", json::n(epoch)),
-            ("last_rseq", json::n(last_rseq)),
+    match failover::promote_self(state) {
+        Ok(p) => ok(obj([
+            ("promoted", Json::Bool(p.promoted)),
+            ("epoch", json::n(p.epoch)),
+            ("last_rseq", json::n(p.last_rseq)),
         ])),
-        Err(e) => error_response(503, e.to_string()),
+        Err(PromoteError::NotSuccessor(message)) => error_response(409, message),
+        Err(PromoteError::Store(message)) => error_response(503, message),
     }
 }
 
@@ -695,9 +674,8 @@ fn repl_reconcile(state: &ServiceState, req: &Request) -> Response {
 // --- sharding: listing and cluster membership -------------------------------
 
 /// `GET /v1/kbs`: every KB on this node with its sequence number and
-/// canonical content hash — the listing shard handoff (and operators)
-/// walk. The hash rendering matches `/v1/replication/digest` so either
-/// endpoint can feed a digest comparison.
+/// canonical content hash — the listing shard handoff and
+/// anti-entropy (and operators) walk.
 fn handle_kbs(state: &ServiceState) -> Response {
     let kbs: Vec<Json> = state
         .kbs
@@ -712,21 +690,31 @@ fn handle_kbs(state: &ServiceState) -> Response {
         })
         .collect();
     let epoch = state.kbs.replication().map(|log| log.epoch()).unwrap_or(0);
-    let ring_epoch = state.shards.as_ref().map(|r| r.epoch()).unwrap_or(0);
     ok(obj([
         ("count", json::n(kbs.len() as u64)),
         ("epoch", json::n(epoch)),
-        ("ring_epoch", json::n(ring_epoch)),
+        ("ring_epoch", json::n(state.shards.epoch())),
         ("kbs", Json::Arr(kbs)),
     ]))
 }
 
-/// Reject cluster calls on a node that was not started as a ring member.
-fn shard_router(state: &ServiceState) -> Result<&ShardRouter, Response> {
+/// Claim this node's membership slot for `join`/`leave`/`sync`/`enlist`,
+/// or the typed 503 that refuses the call. Each of them blocks its
+/// worker while peers call back into this node, so a one-worker node
+/// would deadlock on itself; and two overlapping operations would
+/// clobber each other's write fence.
+fn membership_slot(state: &ServiceState) -> Result<std::sync::MutexGuard<'_, ()>, Response> {
+    if state.config.threads < 2 {
+        return Err(error_response(
+            503,
+            "membership changes need at least 2 worker threads (a member answers peer \
+             pulls while its own membership handler blocks); restart with --threads 2 or more",
+        ));
+    }
     state
         .shards
-        .as_ref()
-        .ok_or_else(|| error_response(503, "sharding is not enabled (start with --shard-ring)"))
+        .try_membership()
+        .ok_or_else(membership_busy_response)
 }
 
 fn handle_cluster(state: &ServiceState, req: &Request, action: &str) -> Response {
@@ -736,7 +724,7 @@ fn handle_cluster(state: &ServiceState, req: &Request, action: &str) -> Response
         ("POST", "leave") => cluster_membership(state, req, false),
         ("POST", "sync") => cluster_sync(state, req),
         ("POST", "release") => cluster_release(state, req),
-        ("POST", "probe") => cluster_probe(state, req),
+        ("POST", "probe") => cluster_probe(req),
         ("POST", "enlist") => cluster_enlist(state, req),
         (_, "ring" | "join" | "leave" | "sync" | "release" | "probe" | "enlist") => {
             error_response(405, "method not allowed")
@@ -747,10 +735,7 @@ fn handle_cluster(state: &ServiceState, req: &Request, action: &str) -> Response
 
 /// `GET /v1/cluster/ring`: the membership view this node routes by.
 fn cluster_ring(state: &ServiceState) -> Response {
-    let router = match shard_router(state) {
-        Ok(r) => r,
-        Err(resp) => return resp,
-    };
+    let router = &state.shards;
     let ring = router.ring();
     let members: Vec<Json> = ring.members().iter().map(|m| json::s(m.clone())).collect();
     let owned_here = state
@@ -773,10 +758,7 @@ fn cluster_ring(state: &ServiceState) -> Response {
 /// vote. This node probes `addr` itself and reports whether it could
 /// reach it — a suspecting replica asks its peers before promoting, so
 /// one partitioned prober cannot depose a healthy head alone.
-fn cluster_probe(state: &ServiceState, req: &Request) -> Response {
-    if let Err(resp) = shard_router(state) {
-        return resp;
-    }
+fn cluster_probe(req: &Request) -> Response {
     let body = match body_json(req) {
         Ok(b) => b,
         Err(resp) => return resp,
@@ -788,7 +770,7 @@ fn cluster_probe(state: &ServiceState, req: &Request) -> Response {
     if addr.is_empty() {
         return error_response(400, "field `addr` must be a host:port");
     }
-    let reachable = crate::failover::probe_status(addr).is_some();
+    let reachable = failover::probe_status(addr).is_some();
     ok(obj([
         ("addr", json::s(addr)),
         ("reachable", Json::Bool(reachable)),
@@ -799,14 +781,14 @@ fn cluster_probe(state: &ServiceState, req: &Request) -> Response {
 /// the chain serving `a` as its new replica tail. Chains hash by their
 /// stable anchor, so enlistment moves no data and needs no write fence
 /// — the grown ring just broadcasts, and the new tail demotes itself
-/// and retargets its puller when it adopts it.
+/// and starts pulling from its head when it adopts it. This (or a chain
+/// spec at boot) is the only way a node becomes a replica. Enlisting a
+/// node the ring already lists re-sends it the current ring.
 fn cluster_enlist(state: &ServiceState, req: &Request) -> Response {
-    let router = match shard_router(state) {
-        Ok(r) => r,
+    let router = &state.shards;
+    let _membership = match membership_slot(state) {
+        Ok(guard) => guard,
         Err(resp) => return resp,
-    };
-    let Some(_membership) = router.try_membership() else {
-        return membership_busy_response();
     };
     let body = match body_json(req) {
         Ok(b) => b,
@@ -825,7 +807,7 @@ fn cluster_enlist(state: &ServiceState, req: &Request) -> Response {
     }
     match router.enlist_member(host, addr) {
         Some(ring) => {
-            let synced = crate::failover::broadcast_ring(state, &ring, &[]);
+            let synced = failover::broadcast_ring(state, &ring, &[]);
             ok(obj([
                 ("addr", json::s(addr)),
                 ("enlisted", Json::Bool(true)),
@@ -833,12 +815,22 @@ fn cluster_enlist(state: &ServiceState, req: &Request) -> Response {
                 ("synced", json::n(synced)),
             ]))
         }
-        // `host` serves nowhere, or `addr` already serves: no-op.
-        None => ok(obj([
-            ("addr", json::s(addr)),
-            ("enlisted", Json::Bool(false)),
-            ("epoch", json::n(router.epoch())),
-        ])),
+        // `host` serves nowhere, or `addr` already serves: no ring
+        // change. A listed `addr` is sent the current ring again, so a
+        // tail restarted on its state dir (read-only, a singleton ring
+        // of its own) takes its role back.
+        None => {
+            let ring = router.ring();
+            let resynced = ring.contains(addr)
+                && addr != router.self_addr()
+                && failover::push_sync(addr, &ring);
+            ok(obj([
+                ("addr", json::s(addr)),
+                ("enlisted", Json::Bool(false)),
+                ("epoch", json::n(ring.epoch())),
+                ("synced", json::n(u64::from(resynced))),
+            ]))
+        }
     }
 }
 
@@ -900,12 +892,10 @@ fn membership_busy_response() -> Response {
 /// serialize through the router's single slot; a colliding operation is
 /// refused with a typed 503 instead of clobbering the active fence.
 fn cluster_membership(state: &ServiceState, req: &Request, join: bool) -> Response {
-    let router = match shard_router(state) {
-        Ok(r) => r,
+    let router = &state.shards;
+    let _membership = match membership_slot(state) {
+        Ok(guard) => guard,
         Err(resp) => return resp,
-    };
-    let Some(_membership) = router.try_membership() else {
-        return membership_busy_response();
     };
     let body = match body_json(req) {
         Ok(b) => b,
@@ -980,12 +970,10 @@ fn cluster_membership(state: &ServiceState, req: &Request, join: bool) -> Respon
 /// acknowledged without action, which makes redelivery safe. Like
 /// join/leave, syncs serialize through the router's membership slot.
 fn cluster_sync(state: &ServiceState, req: &Request) -> Response {
-    let router = match shard_router(state) {
-        Ok(r) => r,
+    let router = &state.shards;
+    let _membership = match membership_slot(state) {
+        Ok(guard) => guard,
         Err(resp) => return resp,
-    };
-    let Some(_membership) = router.try_membership() else {
-        return membership_busy_response();
     };
     let body = match body_json(req) {
         Ok(b) => b,
@@ -1035,10 +1023,9 @@ fn cluster_sync(state: &ServiceState, req: &Request) -> Response {
     };
     if adopted {
         // The adopted ring may change this node's chain role — a
-        // deposed head re-listed as a tail, or a standalone primary
-        // enlisted behind a head — so align the store's write side now.
-        // The puller retargets on the failure detector's next tick.
-        crate::failover::reconcile_role(state);
+        // deposed head re-listed as a tail, or a plain node enlisted
+        // behind a head — so take that role, and its puller, now.
+        failover::reconcile_role(state);
     }
     fields.insert(0, ("adopted".to_string(), Json::Bool(adopted)));
     fields.insert(1, ("epoch".to_string(), json::n(router.epoch())));
@@ -1051,9 +1038,6 @@ fn cluster_sync(state: &ServiceState, req: &Request) -> Response {
 /// 409 and the puller re-pulls. The injected `shard_handoff_torn` fault
 /// fails here, leaving both copies alive for anti-entropy to reconcile.
 fn cluster_release(state: &ServiceState, req: &Request) -> Response {
-    if let Err(resp) = shard_router(state) {
-        return resp;
-    }
     let body = match body_json(req) {
         Ok(b) => b,
         Err(resp) => return resp,
@@ -1121,20 +1105,18 @@ fn handle_kb(state: &ServiceState, req: &Request, name: &str) -> Response {
     if !kb::valid_name(name) {
         return error_response(400, "KB names are [A-Za-z0-9_-], at most 64 chars");
     }
-    // Shard routing: on a ring member, a KB owned elsewhere is proxied
-    // (reads) or redirected (writes) instead of being served from a copy
-    // that would fork history. Handoff pulls and proxy legs carry the
+    // Shard routing: a KB owned elsewhere is proxied (reads) or
+    // redirected (writes) instead of being served from a copy that
+    // would fork history. Handoff pulls and proxy legs carry the
     // internal bypass header so the source keeps serving its local copy
     // mid-migration.
-    if let Some(router) = &state.shards {
-        if req.header(shard::INTERNAL_HEADER).is_none() {
-            if let Some(routed) = shard_route(state, router, req, name) {
-                return routed;
-            }
+    if req.header(shard::INTERNAL_HEADER).is_none() {
+        if let Some(routed) = shard_route(state, &state.shards, req, name) {
+            return routed;
         }
     }
-    // A replica serves reads only; mutations must go to the primary (or
-    // wait for promotion).
+    // A replica's store serves reads only; a write that reached it
+    // past routing must go to the head.
     if req.method.as_str() != "GET" {
         if let Some(log) = state.kbs.replication() {
             if log.read_only() {
@@ -1163,15 +1145,13 @@ fn handle_kb(state: &ServiceState, req: &Request, name: &str) -> Response {
     stamp_ring_epoch(state, response)
 }
 
-/// Every KB response from a ring member carries the serving node's ring
-/// epoch so clients (and the storm harness) can detect membership drift
-/// without a separate poll.
+/// Every KB response carries the serving node's ring epoch so clients
+/// (and the storm harness) can detect membership drift without a
+/// separate poll.
 fn stamp_ring_epoch(state: &ServiceState, mut response: Response) -> Response {
-    if let Some(router) = &state.shards {
-        response
-            .extra_headers
-            .push(("X-Arbitrex-Ring-Epoch", router.epoch().to_string()));
-    }
+    response
+        .extra_headers
+        .push(("X-Arbitrex-Ring-Epoch", state.shards.epoch().to_string()));
     response
 }
 
@@ -1239,15 +1219,23 @@ fn shard_route(
             .push(("X-Arbitrex-Ring-Epoch", epoch.to_string()));
         return Some(resp);
     }
+    let placement = router.place(name);
     // Reads are served by *any* member of the owning chain — replicas
     // hold the head's KBs through WAL replication, and the
     // `X-Arbitrex-Min-Seq` gate turns replica lag into a typed 412
     // instead of a stale answer. That keeps reads available through a
-    // failover blackout.
-    if req.method.as_str() == "GET" && router.read_serves_locally(name) {
+    // failover blackout. A replica that has not yet caught up with its
+    // head (a new tail) proxies plain reads to the head instead; a
+    // min-seq read is safe here, since the gate answers it.
+    if req.method.as_str() == "GET"
+        && (placement == Placement::Local
+            || (router.read_serves_locally(name)
+                && (req.header("x-arbitrex-min-seq").is_some()
+                    || state.kbs.replication().is_some_and(|log| log.caught_up()))))
+    {
         return None;
     }
-    match router.place(name) {
+    match placement {
         Placement::Local => {
             // The deposed-head routing fence: the ring records each
             // chain's WAL epoch at its last rotation. A listed head

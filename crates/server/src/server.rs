@@ -353,15 +353,17 @@ impl Server {
         let state = ServiceState::new(config)?;
         let listener = TcpListener::bind(&state.config.addr)?;
         listener.set_nonblocking(true)?;
-        // A sharded node advertising `auto` learns its ring identity
-        // from the bound address (resolving port 0), before any request
-        // can ask for a placement.
-        if let Some(router) = &state.shards {
-            router.resolve_self(&listener.local_addr()?.to_string());
-        }
+        // A node advertising `auto` learns its ring identity from the
+        // bound address (resolving port 0), before any request can ask
+        // for a placement.
+        state
+            .shards
+            .resolve_self(&listener.local_addr()?.to_string());
+        let state = Arc::new(state);
+        state.failover.attach(&state);
         Ok(Server {
             listener,
-            state: Arc::new(state),
+            state,
             shutdown: ShutdownHandle {
                 flag: Arc::new(AtomicBool::new(false)),
             },
@@ -390,11 +392,10 @@ impl Server {
         let work = Arc::new(WorkQueue::new(self.state.config.queue_depth.max(1)));
         let completions = Arc::new(Completions::new()?);
 
-        // A replica streams its primary's WAL on a dedicated thread.
-        // The failover supervisor owns the puller slot so a chain
-        // rotation can retarget it later; the detector thread probes
-        // this node's chain head and promotes through it.
-        crate::failover::ensure_puller(&self.state);
+        // Take the role the ring gives this node: a node listed behind
+        // a head demotes and streams that head's WAL. The detector
+        // thread probes this node's chain head and promotes through it.
+        crate::failover::reconcile_role(&self.state);
         let detector = crate::failover::spawn_detector(Arc::clone(&self.state));
 
         let workers: Vec<_> = (0..threads)

@@ -50,12 +50,9 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, RwLock, TryLockError};
 
-use arbitrex_logic::parse as parse_formula;
-
 use crate::json::{self, Json};
-use crate::kb::StoredKb;
 use crate::metrics;
-use crate::replication::{PeerClient, PeerResponse};
+use crate::replication::{fetch_listing, local_listing, pull_kb, ListedKb, PeerClient};
 use crate::ServiceState;
 
 /// Virtual nodes per member unless `--shard-vnodes` says otherwise.
@@ -805,71 +802,6 @@ impl RebalanceSummary {
     }
 }
 
-/// One listed KB of a migration source.
-struct SourceKb {
-    name: String,
-    seq: u64,
-    hash: u64,
-}
-
-fn parse_listing(response: &PeerResponse) -> Result<Vec<SourceKb>, String> {
-    let text =
-        std::str::from_utf8(&response.body).map_err(|_| "listing is not UTF-8".to_string())?;
-    let doc = json::parse(text).map_err(|e| format!("listing does not parse: {e}"))?;
-    let kbs = doc
-        .get("kbs")
-        .and_then(|v| v.as_array())
-        .ok_or("listing has no `kbs` array")?;
-    let mut out = Vec::with_capacity(kbs.len());
-    for entry in kbs {
-        let name = entry
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or("listing entry has no name")?
-            .to_string();
-        let seq = entry
-            .get("seq")
-            .and_then(|v| v.as_u64())
-            .ok_or("listing entry has no seq")?;
-        let hash = entry
-            .get("hash")
-            .and_then(|v| v.as_str())
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or("listing entry has no hash")?;
-        out.push(SourceKb { name, seq, hash });
-    }
-    Ok(out)
-}
-
-/// Fetch one KB (formula text + seq) from a source, on the internal
-/// bypass so the old owner serves its local copy even though the ring
-/// no longer points at it.
-fn fetch_source_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String> {
-    let response = client
-        .request_with_headers(
-            "GET",
-            &format!("/v1/kb/{name}"),
-            None,
-            &[(INTERNAL_HEADER, "1")],
-        )
-        .map_err(|e| format!("source unreachable: {e}"))?;
-    if response.status != 200 {
-        return Err(format!("source answered {} for `{name}`", response.status));
-    }
-    let text = std::str::from_utf8(&response.body).map_err(|_| "KB body not UTF-8".to_string())?;
-    let doc = json::parse(text).map_err(|e| format!("KB body does not parse: {e}"))?;
-    let formula = doc
-        .get("formula")
-        .and_then(|v| v.as_str())
-        .ok_or("KB body has no formula")?
-        .to_string();
-    let seq = doc
-        .get("seq")
-        .and_then(|v| v.as_u64())
-        .ok_or("KB body has no seq")?;
-    Ok((formula, seq))
-}
-
 /// Ask `client`'s peer to drop its copy of `name`, guarded by the seq
 /// this node pulled. `Ok(true)` released, `Ok(false)` seq conflict (a
 /// commit raced the handoff — re-pull), `Err` transport trouble or an
@@ -893,10 +825,7 @@ fn release_at_source(client: &mut PeerClient, name: &str, seq: u64) -> Result<bo
 /// that changed the ring — when `join`/`sync` answers, the migration it
 /// implies is complete (or accounted for in the summary).
 pub fn rebalance(state: &ServiceState, sources: &[String]) -> RebalanceSummary {
-    match &state.shards {
-        Some(router) => rebalance_onto(state, sources, &router.ring()),
-        None => RebalanceSummary::default(),
-    }
+    rebalance_onto(state, sources, &state.shards.ring())
 }
 
 /// [`rebalance`] against an explicit target ring — the sync handler
@@ -910,11 +839,7 @@ pub fn rebalance_onto(
     ring: &ShardRing,
 ) -> RebalanceSummary {
     let mut summary = RebalanceSummary::default();
-    let router = match &state.shards {
-        Some(router) => router,
-        None => return summary,
-    };
-    let self_addr = router.self_addr();
+    let self_addr = state.shards.self_addr();
     for source in sources {
         if *source == self_addr {
             continue;
@@ -926,26 +851,11 @@ pub fn rebalance_onto(
                 continue;
             }
         };
-        let listing =
-            match client.request_with_headers("GET", "/v1/kbs", None, &[(INTERNAL_HEADER, "1")]) {
-                Ok(r) if r.status == 200 => match parse_listing(&r) {
-                    Ok(l) => l,
-                    Err(_) => {
-                        summary.skipped += 1;
-                        continue;
-                    }
-                },
-                _ => {
-                    summary.skipped += 1;
-                    continue;
-                }
-            };
-        let local: HashMap<String, (u64, u64)> = state
-            .kbs
-            .digest()
-            .into_iter()
-            .map(|(name, seq, hash)| (name, (seq, hash)))
-            .collect();
+        let Ok(listing) = fetch_listing(&mut client) else {
+            summary.skipped += 1;
+            continue;
+        };
+        let local = local_listing(state);
         let mut reconciled_source = false;
         for kb in listing {
             summary.scanned += 1;
@@ -1005,7 +915,7 @@ struct MigrateOutcome {
 fn migrate_one(
     state: &ServiceState,
     client: &mut PeerClient,
-    kb: &SourceKb,
+    kb: &ListedKb,
     local: &HashMap<String, (u64, u64)>,
 ) -> Result<MigrateOutcome, String> {
     let mut pulled = false;
@@ -1014,7 +924,7 @@ fn migrate_one(
         .get(&kb.name)
         .is_some_and(|&(local_seq, local_hash)| local_hash == kb.hash && local_seq >= kb.seq);
     if !already_current {
-        seq = pull_one(state, client, &kb.name)?;
+        seq = pull_kb(state, client, &kb.name)?;
         pulled = true;
     }
     for _ in 0..HANDOFF_RETRIES {
@@ -1028,7 +938,7 @@ fn migrate_one(
             Ok(false) => {
                 // The source committed again mid-handoff: adopt the
                 // newer state and retry the release against it.
-                seq = pull_one(state, client, &kb.name)?;
+                seq = pull_kb(state, client, &kb.name)?;
                 pulled = true;
             }
             Err(_) => {
@@ -1045,20 +955,6 @@ fn migrate_one(
         "handoff of `{}` lost {HANDOFF_RETRIES} races",
         kb.name
     ))
-}
-
-/// Fetch `name` from the source and land it verbatim (seq included) so
-/// the digests agree afterwards. Returns the adopted seq.
-fn pull_one(state: &ServiceState, client: &mut PeerClient, name: &str) -> Result<u64, String> {
-    let (text, seq) = fetch_source_kb(client, name)?;
-    let mut sig = arbitrex_logic::Sig::new();
-    let formula =
-        parse_formula(&mut sig, &text).map_err(|e| format!("source formula unparsable: {e}"))?;
-    state
-        .kbs
-        .force_put(name, StoredKb { sig, formula, seq })
-        .map_err(|e| e.to_string())?;
-    Ok(seq)
 }
 
 #[cfg(test)]

@@ -114,7 +114,7 @@ pub fn write_snapshot(
 
 /// fsync a directory so a rename inside it is durable. Directories open
 /// read-only on every Unix this builds on; off Unix this is a no-op.
-fn sync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     if cfg!(unix) {
         File::open(dir)?.sync_all()
     } else {

@@ -542,6 +542,26 @@ fn durable_store(dir: &Path, group_commit: bool, flush_interval: Duration) -> Kb
     store
 }
 
+#[test]
+fn a_demoted_store_reopens_read_only_until_promoted() {
+    let dir = temp_state_dir();
+    let read_only = |store: &KbStore| store.replication().expect("durable").read_only();
+    let store = durable_store(&dir, false, Duration::ZERO);
+    assert!(!read_only(&store));
+    store.demote().expect("demote");
+    assert!(read_only(&store));
+    drop(store);
+
+    // The demotion survives the restart; only a promotion clears it.
+    let store = durable_store(&dir, false, Duration::ZERO);
+    assert!(read_only(&store), "a demoted store reopened writable");
+    assert_eq!(store.promote().expect("promote"), (2, 0));
+    assert!(!read_only(&store));
+    drop(store);
+    let store = durable_store(&dir, false, Duration::ZERO);
+    assert!(!read_only(&store), "a promoted store reopened read-only");
+}
+
 /// N committer threads, each driving its own KB through `commits`
 /// sequential puts. Every put must be acknowledged.
 fn commit_storm(store: &KbStore, threads: u64, commits: u64) {

@@ -56,16 +56,22 @@ fn durable_server(dir: &Path, configure: impl FnOnce(&mut ServerConfig)) -> Runn
     spawn(config).expect("spawn durable server")
 }
 
+/// A plain durable node enlisted as `primary`'s chain tail: the only way
+/// a node becomes a replica.
 fn replica_of(
     primary: &RunningServer,
     dir: &Path,
     configure: impl FnOnce(&mut ServerConfig),
 ) -> RunningServer {
-    let from = primary.addr.to_string();
-    durable_server(dir, move |c| {
-        c.replicate_from = Some(from);
-        configure(c);
-    })
+    let replica = durable_server(dir, configure);
+    let body = format!(
+        r#"{{"host": "{}", "addr": "{}"}}"#,
+        primary.addr, replica.addr
+    );
+    let (status, v) = request(primary, "POST", "/v1/cluster/enlist", &body);
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(v.get("enlisted").and_then(|e| e.as_bool()), Some(true));
+    replica
 }
 
 /// Commit `formula` into KB `name`, asserting success; returns the
@@ -151,11 +157,12 @@ fn replica_streams_the_primary_wal_and_serves_reads() {
     let (status, _) = request(&replica, "GET", "/v1/kb/beta", "");
     assert_eq!(status, 404);
 
-    // Mutations are refused on a replica.
-    let (status, v) = request(
-        &replica,
+    // Mutations are refused on a replica's store (the internal header
+    // skips routing, which would redirect the write to the head).
+    let (status, v) = Client::connect_server(&replica).request_with_headers(
         "POST",
         "/v1/kb/alpha",
+        &[("x-arbitrex-shard-internal", "1")],
         r#"{"action": "put", "formula": "A"}"#,
     );
     assert_eq!(status, 503, "{v:?}");
@@ -267,7 +274,8 @@ fn min_seq_reads_answer_412_until_the_replica_catches_up() {
     let stuck_dir = temp_state_dir("minseq-stuck");
     let dead = dead_addr();
     let stuck = durable_server(&stuck_dir, |c| {
-        c.replicate_from = Some(dead);
+        c.cluster_peers = vec![format!("{dead}~auto")];
+        c.probe_interval_ms = 0;
     });
     let mut client = Client::connect_server(&stuck);
     let (status, head, v) =
@@ -519,11 +527,15 @@ fn post_partition_divergence_reconciles_with_delta_arbitration() {
     put(&primary, "contested", "A & B");
     assert_converged(&primary, &replica, 2, "delta");
 
-    // Partition: the replica is promoted while the old primary is still
-    // alive, and both sides accept writes — the split-brain window.
+    // Partition: the old primary drops off, the replica is promoted
+    // (rotating it out of its chain, a broadcast it never hears), and
+    // the old primary recovers from its state dir outside the rotated
+    // ring. Both sides accept writes — the split-brain window.
+    primary.stop().unwrap();
     let (status, v) = request(&replica, "POST", "/v1/replication/promote", "");
     assert_eq!(status, 200, "{v:?}");
     assert_eq!(num_of(&v, "epoch"), 2);
+    let primary = durable_server(&p_dir, |_| {});
 
     let local_text = "A & (B | C)"; // committed on the new primary
     let peer_text = "(A & B) | C"; // committed on the deposed primary

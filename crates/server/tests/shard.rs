@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use arbitrex_core::{FaultPlan, FaultSite, Faults};
-use arbitrex_server::shard::{ShardRing, DEFAULT_VNODES};
+use arbitrex_server::shard::{ChainEntry, ShardRing, DEFAULT_VNODES};
 use arbitrex_server::{spawn, RunningServer, ServerConfig};
 
 mod common;
@@ -41,8 +41,8 @@ fn temp_state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A durable ring member bound to an ephemeral port; `--shard-ring auto`
-/// resolves the member identity to the bound address.
+/// A durable ring member bound to an ephemeral port; the default
+/// `--shard-ring auto` resolves the member identity to the bound address.
 fn shard_server(dir: &Path, configure: impl FnOnce(&mut ServerConfig)) -> RunningServer {
     let mut config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -51,7 +51,6 @@ fn shard_server(dir: &Path, configure: impl FnOnce(&mut ServerConfig)) -> Runnin
         cache_entries: 64,
         timeout_ms: 0,
         state_dir: Some(dir.to_path_buf()),
-        shard_ring: Some("auto".to_string()),
         ..ServerConfig::default()
     };
     configure(&mut config);
@@ -177,7 +176,7 @@ fn solo_ring_serves_everything_and_lists_kbs() {
     assert_eq!(listed.len(), 2);
     assert_eq!(listed[0].0, "alpha");
     assert_eq!(listed[0].1, seq);
-    // The hash renders like `/v1/replication/digest`: 16 lowercase hex.
+    // The hash renders as 16 lowercase hex digits.
     assert_eq!(listed[0].2.len(), 16, "hash `{}`", listed[0].2);
     assert!(listed[0].2.chars().all(|c| c.is_ascii_hexdigit()));
 
@@ -583,20 +582,8 @@ fn enlisted_replica_serves_chain_reads_and_routes_writes_to_the_head() {
     let n1 = shard_server(&dir1, |_| {});
     let seq = put(&n1, "chained", "A & B");
 
-    // The replica boots in the combined posture: a ring member of its
-    // own solo ring, streaming the head's WAL from outside it.
-    let n2 = shard_server(&dir2, |c| {
-        c.replicate_from = Some(n1.addr.to_string());
-    });
-    assert!(
-        wait_until(5_000, || {
-            let (status, v) = request(&n2, "GET", "/v1/replication/status", "");
-            status == 200 && num_of(&v, "visible") >= seq
-        }),
-        "replica never caught up with the head"
-    );
-
-    // The operator enlists it into the head's chain.
+    // A plain node; the operator enlists it into the head's chain.
+    let n2 = shard_server(&dir2, |_| {});
     let (status, v) = request(
         &n1,
         "POST",
@@ -607,6 +594,13 @@ fn enlisted_replica_serves_chain_reads_and_routes_writes_to_the_head() {
     assert_eq!(v.get("enlisted").and_then(|b| b.as_bool()), Some(true));
     assert_eq!(num_of(&v, "epoch"), 2);
     assert_eq!(num_of(&v, "synced"), 1, "the new tail did not ack the ring");
+    assert!(
+        wait_until(5_000, || {
+            let (status, v) = request(&n2, "GET", "/v1/replication/status", "");
+            status == 200 && num_of(&v, "visible") >= seq
+        }),
+        "replica never caught up with the head"
+    );
 
     // The tail adopted the chain ring (no rebalance: placement is
     // anchored, growing a tail moves nothing)...
@@ -674,10 +668,7 @@ fn head_death_promotes_the_successor_and_reconciles_its_return() {
     );
     assert_eq!(status, 200);
 
-    let n2 = shard_server(&dir2, |c| {
-        fast_detector(c);
-        c.replicate_from = Some(n1_addr.to_string());
-    });
+    let n2 = shard_server(&dir2, fast_detector);
     let (status, v) = request(
         &n1,
         "POST",
@@ -822,7 +813,6 @@ fn transient_partition_is_fenced_not_split_brained() {
     let n2 = shard_server(&dir2, |c| {
         c.probe_interval_ms = 50;
         c.suspect_after = 3;
-        c.replicate_from = Some(n1_addr.to_string());
     });
     let (status, v) = request(
         &n1,
@@ -863,25 +853,298 @@ fn transient_partition_is_fenced_not_split_brained() {
     );
 }
 
+/// The head of the chain `member` serves in, as `node`'s ring lists it
+/// ("" when `node`'s ring does not list `member`).
+fn chain_head_on(node: &RunningServer, member: SocketAddr) -> String {
+    let (_, ring) = request(node, "GET", "/v1/cluster/ring", "");
+    ring.get("members")
+        .and_then(|m| m.as_array())
+        .unwrap()
+        .iter()
+        .filter_map(|m| m.as_str().and_then(ChainEntry::parse))
+        .find(|chain| chain.contains(&member.to_string()))
+        .map(|chain| chain.head().to_string())
+        .unwrap_or_default()
+}
+
+#[test]
+fn manual_promote_on_an_enlisted_tail_rotates_the_chain() {
+    let (dir1, dir2, dir3) = (
+        temp_state_dir("promote1"),
+        temp_state_dir("promote2"),
+        temp_state_dir("promote3"),
+    );
+    let n1 = shard_server(&dir1, fast_detector);
+    let n3 = shard_server(&dir3, fast_detector);
+    let (status, _) = request(
+        &n1,
+        "POST",
+        "/v1/cluster/join",
+        &format!(r#"{{"addr": "{}"}}"#, n3.addr),
+    );
+    assert_eq!(status, 200);
+    let n2 = shard_server(&dir2, fast_detector);
+    let (status, v) = request(
+        &n1,
+        "POST",
+        "/v1/cluster/enlist",
+        &format!(r#"{{"host": "{}", "addr": "{}"}}"#, n1.addr, n2.addr),
+    );
+    assert_eq!(status, 200, "{v:?}");
+
+    let ring = ShardRing::new(
+        [format!("{}~{}", n1.addr, n2.addr), n3.addr.to_string()],
+        DEFAULT_VNODES,
+        0,
+    );
+    let name = names_owned_by(&ring, n1.addr, 1).remove(0);
+    let seq = put(&n1, &name, "A & B");
+    assert!(
+        wait_until(5_000, || {
+            let (status, v) = request(&n2, "GET", "/v1/replication/status", "");
+            status == 200 && num_of(&v, "visible") >= seq
+        }),
+        "tail never caught up before the promote"
+    );
+
+    // The operator promotes the live tail: a chain rotation.
+    let (status, v) = request(&n2, "POST", "/v1/replication/promote", "");
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(v.get("promoted").and_then(|p| p.as_bool()), Some(true));
+    assert_eq!(num_of(&v, "epoch"), 2);
+    // Promoting the head again changes nothing.
+    let (status, v) = request(&n2, "POST", "/v1/replication/promote", "");
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(v.get("promoted").and_then(|p| p.as_bool()), Some(false));
+    assert_eq!(num_of(&v, "epoch"), 2);
+
+    // Every member's ring lists the promoted node as the chain's head.
+    for node in [&n1, &n2, &n3] {
+        assert!(
+            wait_until(5_000, || chain_head_on(node, n2.addr)
+                == n2.addr.to_string()),
+            "{} does not list the promoted node as head",
+            node.addr
+        );
+    }
+
+    // The old head demotes and follows the new one, which stays head.
+    assert!(
+        wait_until(10_000, || {
+            let (status, v) = request(&n1, "GET", "/v1/replication/status", "");
+            status == 200 && str_of(&v, "role") == "replica" && num_of(&v, "epoch") == 2
+        }),
+        "the old head never demoted to follow the new head"
+    );
+    assert_eq!(
+        role_of(&n2),
+        "primary",
+        "the promoted node was demoted back"
+    );
+    assert_eq!(chain_head_on(&n1, n1.addr), n2.addr.to_string());
+
+    // A write sent to the old head redirects to the new head...
+    let body = r#"{"action": "put", "formula": "A & B & C"}"#;
+    let (status, head, v) =
+        Client::connect_server(&n1).request_full("POST", &format!("/v1/kb/{name}"), &[], body);
+    assert_eq!(status, 307, "{v:?}");
+    assert!(
+        head.contains(&format!("Location: http://{}/v1/kb/{name}", n2.addr)),
+        "write must redirect to the promoted head, got {head}"
+    );
+    // ...which commits it, and the old head follows.
+    let seq2 = put(&n2, &name, "A & B & C");
+    assert!(seq2 > seq);
+    assert!(
+        wait_until(10_000, || digests_match(&n1, &n2)
+            && listing(&n1)
+                .iter()
+                .any(|(n, s, _)| *n == name && *s == seq2)),
+        "the old head never followed the new head's commit"
+    );
+}
+
+#[test]
+fn enlisted_tail_catches_up_without_detector_ticks() {
+    let (dir1, dir2) = (temp_state_dir("nodetect1"), temp_state_dir("nodetect2"));
+    let n1 = shard_server(&dir1, |c| c.probe_interval_ms = 0);
+    let seq = put(&n1, "early", "A & !B");
+    let (_, at_head) = request(&n1, "GET", "/v1/kb/early", "");
+
+    let n2 = shard_server(&dir2, |c| c.probe_interval_ms = 0);
+    let (status, v) = request(
+        &n1,
+        "POST",
+        "/v1/cluster/enlist",
+        &format!(r#"{{"host": "{}", "addr": "{}"}}"#, n1.addr, n2.addr),
+    );
+    assert_eq!(status, 200, "{v:?}");
+
+    // Every read the tail answers is the head's commit: proxied to the
+    // head until the tail has caught up, then served from its own store.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, head, v) =
+            Client::connect_server(&n2).request_full("GET", "/v1/kb/early", &[], "");
+        assert_eq!(
+            status, 200,
+            "tail answered from a store still behind: {v:?}"
+        );
+        assert_eq!(num_of(&v, "seq"), seq, "{v:?}");
+        assert_eq!(str_of(&v, "formula"), str_of(&at_head, "formula"));
+        if !head.contains("X-Arbitrex-Shard-Owner") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "tail never caught up without detector ticks"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (_, v) = request(&n2, "GET", "/v1/replication/status", "");
+    assert_eq!(str_of(&v, "role"), "replica", "{v:?}");
+    assert!(num_of(&v, "visible") >= 1, "{v:?}");
+
+    // Later commits keep streaming.
+    put(&n1, "late", "C");
+    assert!(
+        wait_until(5_000, || digests_match(&n1, &n2)),
+        "the tail stopped following its head"
+    );
+}
+
+#[test]
+fn restarted_tail_stays_read_only_until_the_ring_lists_it() {
+    let (dir1, dir2) = (temp_state_dir("restart1"), temp_state_dir("restart2"));
+    let n1 = shard_server(&dir1, |c| c.probe_interval_ms = 0);
+    let n2 = shard_server(&dir2, |c| c.probe_interval_ms = 0);
+    let enlist = format!(r#"{{"host": "{}", "addr": "{}"}}"#, n1.addr, n2.addr);
+    let (status, v) = request(&n1, "POST", "/v1/cluster/enlist", &enlist);
+    assert_eq!(status, 200, "{v:?}");
+    put(&n1, "before", "A & B");
+    assert!(
+        wait_until(5_000, || digests_match(&n1, &n2)),
+        "tail never caught up before its restart"
+    );
+
+    // The tail restarts on its state dir with its original flags while
+    // the head commits on.
+    let n2_addr = n2.addr;
+    n2.stop().unwrap();
+    let seq = put(&n1, "during", "C | D");
+    let n2 = shard_server(&dir2, |c| {
+        c.probe_interval_ms = 0;
+        c.addr = n2_addr.to_string();
+    });
+
+    // Its ring is a singleton of its own, yet it takes no write: not
+    // on its own store, not through its routing.
+    assert_eq!(role_of(&n2), "replica");
+    let body = r#"{"action": "put", "formula": "E"}"#;
+    let (status, v) = Client::connect_server(&n2).request_with_headers(
+        "POST",
+        "/v1/kb/during",
+        &[("x-arbitrex-shard-internal", "1")],
+        body,
+    );
+    assert_eq!(status, 503, "{v:?}");
+    let (status, v) = request(&n2, "POST", "/v1/kb/fresh", body);
+    assert_ne!(status, 200, "a restarted tail accepted a write: {v:?}");
+
+    // Enlisting it again re-sends the ring: it follows its head from
+    // where it stopped, and the two stores converge.
+    let (status, v) = request(&n1, "POST", "/v1/cluster/enlist", &enlist);
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(v.get("enlisted").and_then(|e| e.as_bool()), Some(false));
+    assert_eq!(num_of(&v, "synced"), 1, "{v:?}");
+    assert!(
+        wait_until(5_000, || digests_match(&n1, &n2)
+            && listing(&n2)
+                .iter()
+                .any(|(n, s, _)| n == "during" && *s == seq)),
+        "restarted tail never converged with its head"
+    );
+    assert_eq!(chain_head_on(&n2, n2.addr), n1.addr.to_string());
+    assert_eq!(role_of(&n2), "replica");
+}
+
+#[test]
+fn promote_on_a_replica_that_is_not_the_successor_is_refused() {
+    let (dir1, dir2, dir3) = (
+        temp_state_dir("notsucc1"),
+        temp_state_dir("notsucc2"),
+        temp_state_dir("notsucc3"),
+    );
+    let n1 = shard_server(&dir1, |c| c.probe_interval_ms = 0);
+    let n2 = shard_server(&dir2, |c| c.probe_interval_ms = 0);
+    let n3 = shard_server(&dir3, |c| c.probe_interval_ms = 0);
+    for tail in [&n2, &n3] {
+        let (status, v) = request(
+            &n1,
+            "POST",
+            "/v1/cluster/enlist",
+            &format!(r#"{{"host": "{}", "addr": "{}"}}"#, n1.addr, tail.addr),
+        );
+        assert_eq!(status, 200, "{v:?}");
+    }
+    let (_, ring_before) = request(&n3, "GET", "/v1/cluster/ring", "");
+    let (_, status_before) = request(&n3, "GET", "/v1/replication/status", "");
+    assert_eq!(num_of(&ring_before, "epoch"), 3, "{ring_before:?}");
+
+    // The chain's third member is not its head's successor.
+    let (status, v) = request(&n3, "POST", "/v1/replication/promote", "");
+    assert_eq!(status, 409, "{v:?}");
+    assert!(str_of(&v, "error").contains(&n2.addr.to_string()), "{v:?}");
+
+    // Neither the ring nor the fencing epoch moved, anywhere.
+    for node in [&n1, &n2, &n3] {
+        let (_, ring) = request(node, "GET", "/v1/cluster/ring", "");
+        assert_eq!(ring.get("members"), ring_before.get("members"), "{ring:?}");
+        assert_eq!(num_of(&ring, "epoch"), 3, "{ring:?}");
+        assert_eq!(chain_head_on(node, n3.addr), n1.addr.to_string());
+    }
+    let (_, v) = request(&n3, "GET", "/v1/replication/status", "");
+    assert_eq!(num_of(&v, "epoch"), num_of(&status_before, "epoch"));
+    assert_eq!(str_of(&v, "role"), "replica");
+    assert_eq!(role_of(&n1), "primary");
+}
+
 #[test]
 fn shard_ring_requires_two_worker_threads() {
-    // A one-thread shard member deadlocks membership: the sync handler
-    // blocks its only worker while peers need to pull from this node.
-    // That must be a clear boot-time error, not repeated peer timeouts.
-    let result = spawn(ServerConfig {
+    // A one-thread member deadlocks membership: the sync handler blocks
+    // its only worker while peers need to pull from this node. Every
+    // node is a ring member, so a one-worker node still boots — but its
+    // membership calls answer a typed 503 naming the flag, and booting
+    // one with peers (which joins a cluster at once) is refused.
+    let node = spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 1,
         state_dir: Some(temp_state_dir("onethread")),
-        shard_ring: Some("auto".to_string()),
+        ..ServerConfig::default()
+    })
+    .expect("a one-worker singleton boots");
+    let body = r#"{"addr": "127.0.0.1:1", "host": "127.0.0.1:1", "epoch": 9, "members": []}"#;
+    for action in ["join", "leave", "sync", "enlist"] {
+        let (status, v) = request(&node, "POST", &format!("/v1/cluster/{action}"), body);
+        assert_eq!(status, 503, "{action}: {v:?}");
+        assert!(str_of(&v, "error").contains("--threads"), "{action}: {v:?}");
+    }
+    node.stop().unwrap();
+
+    let result = spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        state_dir: Some(temp_state_dir("onethread-peers")),
+        cluster_peers: vec!["127.0.0.1:1".to_string()],
         ..ServerConfig::default()
     });
     match result {
         Ok(server) => {
             let _ = server.stop();
-            panic!("--shard-ring with one worker thread must be refused");
+            panic!("--cluster-peers with one worker thread must be refused");
         }
         Err(err) => assert!(
-            err.to_string().contains("--shard-ring requires at least 2"),
+            err.to_string().contains("--threads"),
             "unexpected error: {err}"
         ),
     }
@@ -889,7 +1152,7 @@ fn shard_ring_requires_two_worker_threads() {
 
 #[test]
 fn cluster_endpoints_require_sharding_and_validate_input() {
-    // An unsharded node refuses cluster calls with a pointer to the flag.
+    // A plain in-memory node is a singleton ring of its own.
     let plain = spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -899,13 +1162,12 @@ fn cluster_endpoints_require_sharding_and_validate_input() {
         ..ServerConfig::default()
     })
     .expect("spawn plain server");
-    let (status, v) = request(&plain, "GET", "/v1/cluster/ring", "");
-    assert_eq!(status, 503, "{v:?}");
-    assert!(str_of(&v, "error").contains("--shard-ring"));
-    // `/v1/kbs` works unsharded (ring_epoch reads 0).
     let (status, v) = request(&plain, "GET", "/v1/kbs", "");
     assert_eq!(status, 200, "{v:?}");
-    assert_eq!(num_of(&v, "ring_epoch"), 0);
+    assert_eq!(num_of(&v, "ring_epoch"), 1);
+    let (status, v) = request(&plain, "GET", "/v1/cluster/ring", "");
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(num_of(&v, "epoch"), 1);
 
     let dir = temp_state_dir("validate");
     let node = shard_server(&dir, |_| {});

@@ -82,7 +82,7 @@ VOTER_ADDR="$ADDR"
 chain_server "$WORK/a.log" --state-dir "$WORK/a"
 A_PID="$SERVER_PID"; A_ADDR="$ADDR"
 OUT=$(cluster_post "$VOTER_ADDR" join "$A_ADDR") || fail "seed join failed"
-chain_server "$WORK/b.log" --state-dir "$WORK/b" --replicate-from "$A_ADDR"
+chain_server "$WORK/b.log" --state-dir "$WORK/b"
 B_PID="$SERVER_PID"; B_ADDR="$ADDR"
 OUT=$(curl -sf --max-time 30 \
   -d "{\"host\": \"$A_ADDR\", \"addr\": \"$B_ADDR\"}" \

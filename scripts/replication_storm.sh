@@ -14,9 +14,11 @@
 #     deposed primary's WAL stream end to end: it applies zero frames
 #     and counts epoch rejections.
 #
-# The topology is a chain: the promoted replica is the next cycle's
-# primary, so later cycles also exercise snapshot resync (a fresh
-# replica's cursor starts below the new primary's retention floor).
+# The topology is a chain: each cycle's replica is a plain node
+# enlisted as the primary's tail, the promote rotates it to head, and
+# it is the next cycle's primary — so later cycles also exercise
+# snapshot resync (a fresh replica's cursor starts below the new
+# primary's retention floor).
 #
 #   cargo build --release
 #   scripts/replication_storm.sh [path-to-arbx] [cycles]
@@ -34,10 +36,22 @@ ACKED="$WORK/acked.txt"
 STORM_RM=("$WORK")
 trap storm_cleanup EXIT
 
-# A replication-tier node: 2 workers, no sharding.
+# A replication-tier node: 2 workers, a singleton ring of its own.
 repl_server() { # repl_server <logfile> <extra-args...>
   local LOG="$1"; shift
   start_server "$LOG" --addr 127.0.0.1:0 --threads 2 --snapshot-every 32 "$@"
+}
+
+# enlist <head-addr> <node-addr>: list the node as the head's chain
+# tail — the only way a node becomes a replica.
+enlist() {
+  local OUT
+  OUT=$(curl -sf --max-time 30 -d "{\"host\": \"$1\", \"addr\": \"$2\"}" \
+    "http://$1/v1/cluster/enlist") || fail "enlist $2 behind $1 failed"
+  case "$OUT" in
+    *'"enlisted":true'*|*'"enlisted": true'*) ;;
+    *) fail "enlist $2 behind $1 refused" "$OUT" ;;
+  esac
 }
 
 # Seed the chain: the first primary starts at epoch 1 on a fresh dir.
@@ -49,9 +63,9 @@ P_PID="$SERVER_PID"; P_ADDR="$ADDR"
 for CYCLE in $(seq 1 "$CYCLES"); do
   R_DIR="$WORK/node$CYCLE"
   R_LOG="$WORK/node$CYCLE.log"
-  repl_server "$R_LOG" --state-dir "$R_DIR" \
-    --replicate-from "$P_ADDR" --replication-epoch "$EPOCH"
+  repl_server "$R_LOG" --state-dir "$R_DIR" --replication-epoch "$EPOCH"
   R_PID="$SERVER_PID"; R_ADDR="$ADDR"
+  enlist "$P_ADDR" "$R_ADDR"
 
   # Commit storm with a kill timer racing it: SIGKILL, never SIGTERM —
   # no drain, no shutdown snapshot; the WAL and the replica carry it.
@@ -75,7 +89,9 @@ for CYCLE in $(seq 1 "$CYCLES"); do
   wait "$P_PID" 2>/dev/null || true
   [ "$CYCLE_ACKS" -gt 0 ] || fail "cycle $CYCLE: no commit was ever acknowledged"
 
-  # Explicit failover: the fencing epoch must tick up by exactly one.
+  # Explicit failover — a chain rotation: the fencing epoch must tick
+  # up by exactly one. (The replica's failure detector may have rotated
+  # the chain first; the promote then answers the same epoch.)
   OUT=$(curl -sf --max-time 5 -d '' "http://$R_ADDR/v1/replication/promote") \
     || fail "cycle $CYCLE: promote failed" "$(cat "$R_LOG")"
   NEW_EPOCH=$(json_num epoch "$OUT")
@@ -89,12 +105,14 @@ for CYCLE in $(seq 1 "$CYCLES"); do
   repl_server "$WORK/deposed$CYCLE.log" --state-dir "$OLD_DIR"
   OLD_PID="$SERVER_PID"; OLD_ADDR="$ADDR"
 
-  # Every 5th cycle: a fresh node fenced at the new epoch pulls from the
-  # deposed primary — it must refuse the stale-epoch stream wholesale.
+  # Every 5th cycle: a fresh node fenced at the new epoch is enlisted
+  # behind the deposed primary — it must refuse the stale-epoch stream
+  # wholesale.
   if [ $(( CYCLE % 5 )) -eq 1 ]; then
     repl_server "$WORK/probe$CYCLE.log" --state-dir "$WORK/probe$CYCLE" \
-      --replicate-from "$OLD_ADDR" --replication-epoch "$EPOCH"
+      --replication-epoch "$EPOCH"
     PROBE_PID="$SERVER_PID"; PROBE_ADDR="$ADDR"
+    enlist "$OLD_ADDR" "$PROBE_ADDR"
     sleep 0.5
     OUT=$(curl -sf --max-time 5 "http://$PROBE_ADDR/v1/replication/status")
     HEAD=$(json_num head "$OUT")
