@@ -23,9 +23,26 @@
 //!   on how far a particular budget got and are not a function of the
 //!   query alone.
 //!
+//! **Admission.** A joint canonical key costs far more than the lookup it
+//! feeds, and traffic that never repeats pays it for nothing. So once the
+//! cache has evicted for the first time (it is full, and some queries will
+//! never be reused), a query builds its key only on its *second* sighting.
+//! A doorkeeper in the style of TinyLFU (Einziger, Friedman, Manes,
+//! arXiv:1512.00727) records the cheap renaming-invariant
+//! [`query_fingerprint`] of each query: a first sighting is recorded and
+//! answered by the operator with no key and no insertion
+//! ([`CacheStatus::Bypass`]); a sighting whose fingerprint is already
+//! recorded builds the full key and looks it up as usual. The doorkeeper
+//! is a lock-free Bloom filter of 32 bits per cache entry with two probes,
+//! cleared after 4 × capacity recordings (TinyLFU's reset). Until the
+//! first eviction, and again after [`OpCache::clear`], every query is
+//! admitted. A fingerprint match only buys a full key, so a collision or a
+//! race costs at most one key or one lookup, never an answer.
+//!
 //! Lookups and insertions feed the `"cache"` telemetry section
-//! (`cache_hits` / `cache_misses` / `cache_bypasses` / `cache_insertions` /
-//! `cache_evictions`); see `OBSERVABILITY.md`.
+//! (`cache_hits` / `cache_misses` / `cache_bypasses` /
+//! `cache_first_sightings` / `cache_insertions` / `cache_evictions`); see
+//! `OBSERVABILITY.md`.
 //!
 //! ```
 //! use arbitrex_core::cache::{cached_arbitrate, CacheStatus, OpCache};
@@ -46,6 +63,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::budget::{Budget, BudgetedChangeOperator, Outcome, Quality, WeightedOutcome};
@@ -53,7 +71,7 @@ use crate::error::CoreError;
 use crate::telemetry;
 use crate::weighted::WeightedKb;
 use arbitrex_logic::canonical::fnv1a;
-use arbitrex_logic::{canonicalize_query, Formula, Interp, ModelSet, MAX_VARS};
+use arbitrex_logic::{canonicalize_query, query_fingerprint, Formula, Interp, ModelSet, MAX_VARS};
 
 /// How a cached entry point answered a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +80,9 @@ pub enum CacheStatus {
     Hit,
     /// Computed by the operator; an exact result was stored for next time.
     Miss,
-    /// The cache was not consulted (zero capacity or uncacheable query) or
-    /// the result was too degraded to store.
+    /// The cache was not consulted (zero capacity, or an evicting cache
+    /// seeing the query for the first time) or the result was too degraded
+    /// to store.
     Bypass,
 }
 
@@ -118,10 +137,15 @@ impl QueryKey {
         }
     }
 
-    /// [`QueryKey::new`] for a lookup in `cache`, or `None` when `cache`
-    /// is disabled: a key costs a full joint canonicalization that a
-    /// disabled cache would never read. The skipped lookup still counts
-    /// one bypass, as [`OpCache::get`] does.
+    /// [`QueryKey::new`] for a lookup in `cache`, or `None` when a key
+    /// would never be read: a key costs a full joint canonicalization.
+    ///
+    /// * A disabled cache builds no key; the skipped lookup counts one
+    ///   bypass, as [`OpCache::get`] does.
+    /// * A cache that has never evicted builds every key.
+    /// * An evicting cache builds the key only if the doorkeeper has seen
+    ///   the query's fingerprint before. A first sighting is recorded and
+    ///   counted in `cache_first_sightings`, not in `cache_bypasses`.
     pub(crate) fn for_cache(
         cache: &OpCache,
         tag: &str,
@@ -129,12 +153,25 @@ impl QueryKey {
         n_vars: u32,
         extra: &[u8],
     ) -> Option<QueryKey> {
-        if cache.is_enabled() {
-            Some(QueryKey::new(tag, formulas, n_vars, extra))
-        } else {
+        if !cache.is_enabled() {
             telemetry::CACHE_BYPASSES.incr();
-            None
+            return None;
         }
+        if cache.evicting.load(Ordering::Relaxed) {
+            let fingerprint = tag
+                .as_bytes()
+                .iter()
+                .chain(&(extra.len() as u32).to_le_bytes())
+                .chain(extra)
+                .fold(query_fingerprint(formulas, n_vars), |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            if !cache.doorkeeper.admit(fingerprint) {
+                telemetry::CACHE_FIRST_SIGHTINGS.incr();
+                return None;
+            }
+        }
+        Some(QueryKey::new(tag, formulas, n_vars, extra))
     }
 
     /// The 64-bit FNV-1a hash of the canonical key (shard selector).
@@ -180,7 +217,6 @@ struct Shard {
     head: usize,
     tail: usize,
     free: Vec<usize>,
-    capacity: usize,
 }
 
 impl Shard {
@@ -191,7 +227,6 @@ impl Shard {
             head: NIL,
             tail: NIL,
             free: Vec::new(),
-            capacity,
         }
     }
 
@@ -224,8 +259,9 @@ impl Shard {
         Some(self.slab[idx].value.clone())
     }
 
-    /// Insert or refresh; returns `true` if an entry was evicted.
-    fn insert(&mut self, key: &[u8], value: CachedValue) -> bool {
+    /// Insert or refresh, holding at most `capacity` entries; returns
+    /// `true` if an entry was evicted.
+    fn insert(&mut self, key: &[u8], value: CachedValue, capacity: usize) -> bool {
         if let Some(&idx) = self.map.get(key) {
             self.slab[idx].value = value;
             self.unlink(idx);
@@ -233,7 +269,7 @@ impl Shard {
             return false;
         }
         let mut evicted = false;
-        if self.map.len() >= self.capacity {
+        if self.map.len() >= capacity {
             let victim = self.tail;
             self.unlink(victim);
             let old_key = std::mem::take(&mut self.slab[victim].key);
@@ -263,11 +299,82 @@ impl Shard {
     }
 }
 
+/// TinyLFU's doorkeeper: a Bloom filter of query fingerprints, two probes
+/// per fingerprint, in `AtomicU64` words so that recording needs no lock.
+/// It forgets everything after `reset_after` recordings, so a query must
+/// recur within a window of about four cache capacities to be admitted.
+struct Doorkeeper {
+    words: Box<[AtomicU64]>,
+    recorded: AtomicUsize,
+    reset_after: usize,
+}
+
+impl Doorkeeper {
+    /// Bits per cache entry, before rounding up to a power of two.
+    const BITS_PER_ENTRY: usize = 32;
+    /// Recordings per cache entry before the filter is cleared.
+    const RESET_PER_ENTRY: usize = 4;
+    /// Size cap (2^30 bits, 128 MiB): beyond any sane `--cache-entries`.
+    const MAX_BITS: usize = 1 << 30;
+
+    fn new(capacity: usize) -> Doorkeeper {
+        let bits = capacity
+            .saturating_mul(Doorkeeper::BITS_PER_ENTRY)
+            .clamp(64, Doorkeeper::MAX_BITS)
+            .next_power_of_two();
+        Doorkeeper {
+            words: (0..bits / 64).map(|_| AtomicU64::new(0)).collect(),
+            recorded: AtomicUsize::new(0),
+            reset_after: capacity.saturating_mul(Doorkeeper::RESET_PER_ENTRY).max(1),
+        }
+    }
+
+    /// Has `fingerprint` been recorded since the last reset? If not,
+    /// record it now. Concurrent callers may both see a fresh fingerprint
+    /// or race a reset; either costs one key or one lookup, no answer.
+    fn admit(&self, fingerprint: u64) -> bool {
+        // The fingerprint is an FNV hash; a murmur3 finalizer spreads its
+        // weak low bits before they pick probe positions.
+        let mut h = fingerprint;
+        h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        let mask = (self.words.len() * 64 - 1) as u64;
+        let probe = |bit: u64| (&self.words[(bit >> 6) as usize], 1u64 << (bit & 63));
+        let (word_a, bit_a) = probe(h & mask);
+        let (word_b, bit_b) = probe(h >> 32 & mask);
+        let seen = |w: &AtomicU64, b: u64| w.load(Ordering::Relaxed) & b != 0;
+        if seen(word_a, bit_a) && seen(word_b, bit_b) {
+            return true;
+        }
+        word_a.fetch_or(bit_a, Ordering::Relaxed);
+        word_b.fetch_or(bit_b, Ordering::Relaxed);
+        if self.recorded.fetch_add(1, Ordering::Relaxed) + 1 >= self.reset_after {
+            self.clear();
+        }
+        false
+    }
+
+    fn clear(&self) {
+        for w in self.words.iter() {
+            w.store(0, Ordering::Relaxed);
+        }
+        self.recorded.store(0, Ordering::Relaxed);
+    }
+}
+
 /// A sharded LRU cache of exact operator results in canonical variable
 /// space. `Sync`: each shard is independently locked, so concurrent
 /// workers contend only when their keys hash to the same shard.
 pub struct OpCache {
     shards: Box<[Mutex<Shard>]>,
+    /// Entries per shard; fixed at construction, so read without a lock.
+    per_shard: usize,
+    /// Has any shard evicted since construction or the last `clear()`?
+    /// Engages the doorkeeper. It and the doorkeeper's words publish no
+    /// other data, so every access is `Relaxed`.
+    evicting: AtomicBool,
+    doorkeeper: Doorkeeper,
 }
 
 impl OpCache {
@@ -295,17 +402,22 @@ impl OpCache {
             .map(|_| Mutex::new(Shard::new(per_shard)))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        OpCache { shards }
+        OpCache {
+            shards,
+            per_shard,
+            evicting: AtomicBool::new(false),
+            doorkeeper: Doorkeeper::new(n_shards * per_shard),
+        }
     }
 
     /// Is the cache actually storing anything?
     pub fn is_enabled(&self) -> bool {
-        self.shards[0].lock().unwrap().capacity > 0
+        self.per_shard > 0
     }
 
     /// Total entry capacity across all shards.
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.shards[0].lock().unwrap().capacity
+        self.shards.len() * self.per_shard
     }
 
     /// Current number of cached entries.
@@ -321,13 +433,14 @@ impl OpCache {
         self.len() == 0
     }
 
-    /// Drop every entry (capacity is unchanged).
+    /// Drop every entry (capacity is unchanged) and return to admitting
+    /// every query until the next eviction.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut s = shard.lock().unwrap();
-            let cap = s.capacity;
-            *s = Shard::new(cap);
+            *shard.lock().expect("no thread panics holding a shard") = Shard::new(self.per_shard);
         }
+        self.evicting.store(false, Ordering::Relaxed);
+        self.doorkeeper.clear();
     }
 
     fn shard_for(&self, key: &QueryKey) -> &Mutex<Shard> {
@@ -363,10 +476,15 @@ impl OpCache {
             .shard_for(key)
             .lock()
             .unwrap()
-            .insert(&key.bytes, value);
+            .insert(&key.bytes, value, self.per_shard);
         telemetry::CACHE_INSERTIONS.incr();
         if evicted {
             telemetry::CACHE_EVICTIONS.incr();
+            // Load first: every request reads this flag, so do not dirty
+            // its cache line on every eviction.
+            if !self.evicting.load(Ordering::Relaxed) {
+                self.evicting.store(true, Ordering::Relaxed);
+            }
         }
     }
 

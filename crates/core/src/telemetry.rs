@@ -143,8 +143,13 @@ pub static CACHE_HITS: Counter = Counter::new("cache_hits");
 /// operator.
 pub static CACHE_MISSES: Counter = Counter::new("cache_misses");
 /// Lookups that skipped the cache entirely (capacity zero, oversized
-/// signature, or a non-exact outcome that is not cacheable).
+/// signature, or a non-exact outcome that is not cacheable). First
+/// sightings are counted apart, in [`CACHE_FIRST_SIGHTINGS`].
 pub static CACHE_BYPASSES: Counter = Counter::new("cache_bypasses");
+/// Queries an evicting cache saw for the first time: the admission
+/// doorkeeper recorded their fingerprint and they were answered without a
+/// cache key, a lookup or an insertion.
+pub static CACHE_FIRST_SIGHTINGS: Counter = Counter::new("cache_first_sightings");
 /// Exact results written into the cache after a miss.
 pub static CACHE_INSERTIONS: Counter = Counter::new("cache_insertions");
 /// Entries displaced by the LRU policy to make room for an insertion.
@@ -157,6 +162,7 @@ pub static CACHE_SECTION: Section = Section {
         &CACHE_HITS,
         &CACHE_MISSES,
         &CACHE_BYPASSES,
+        &CACHE_FIRST_SIGHTINGS,
         &CACHE_INSERTIONS,
         &CACHE_EVICTIONS,
     ],

@@ -3,7 +3,8 @@
 //!
 //! Covers the acceptance criteria of the serving layer: happy paths for
 //! all four POST endpoints and `/metrics`, cache-hit determinism
-//! (including alpha-variant resubmission), queue-overflow backpressure
+//! (including alpha-variant resubmission, and admission on a repeat's
+//! second sighting once the cache evicts), queue-overflow backpressure
 //! (503), per-request deadlines degrading to typed qualities while the
 //! server keeps serving, and malformed-request 400s reusing the byte-soup
 //! fuzz corpus from `arbitrex-logic`'s `no_panic` suite. Every test ends
@@ -158,6 +159,40 @@ fn warbitrate_happy_path_weights_distinguish_queries() {
     assert_eq!(status, 400);
     assert!(str_of(&unsat, "error").contains("unsatisfiable"));
 
+    server.stop().unwrap();
+}
+
+#[test]
+fn evicting_cache_admits_a_repeat_on_its_second_sighting() {
+    // One entry per shard: distinct queries soon collide in a shard and
+    // evict. From then on a first sighting is answered without a cache key.
+    let server = server_with(|c| c.cache_entries = 1);
+    let arbitrate = |psi: &str| {
+        let body = format!(r#"{{"psi": "{psi}", "phi": "!V0"}}"#);
+        let (status, resp) = request(&server, "POST", "/v1/arbitrate", &body);
+        assert_eq!(status, 200, "{resp:?}");
+        str_of(&resp, "cache").to_string()
+    };
+    // Distinct widths make distinct queries; the first bypass marks the
+    // first sighting after the first eviction. Eight one-entry shards
+    // must evict by the ninth insertion.
+    let mut conj = "V0".to_string();
+    let mut evicted = false;
+    for i in 1..=10 {
+        conj.push_str(&format!(" & V{i}"));
+        match arbitrate(&conj).as_str() {
+            "bypass" => {
+                evicted = true;
+                break;
+            }
+            other => assert_eq!(other, "miss", "{conj}"),
+        }
+    }
+    assert!(evicted, "the cache never evicted");
+    let repeat = "(V0 & !V1) | (V2 & V3)";
+    assert_eq!(arbitrate(repeat), "bypass");
+    assert_eq!(arbitrate(repeat), "miss");
+    assert_eq!(arbitrate(repeat), "hit");
     server.stop().unwrap();
 }
 
