@@ -71,6 +71,7 @@ fn main() {
     }
     if want("e12") {
         e12_kernel();
+        e12_dispatch();
     }
     if want("e13") {
         e13_overhead();
@@ -86,9 +87,6 @@ fn main() {
     }
     if want("e17") {
         e17_event_loop();
-    }
-    if want("e18") {
-        e18_compiled_tier();
     }
     if want("e19") {
         e19_replication();
@@ -777,6 +775,260 @@ fn e12_kernel() {
         .map(|r| r.naive_us / r.pruned_us)
         .unwrap_or(0.0);
     println!("arbitration n=14 speedup: {arb14:.1}x (acceptance floor: 4x)\n");
+}
+
+/// E12's dispatch tables: the universe selection timed against the
+/// predicted work `2^n·|Mod(ψ)|` the kernel dispatches on (`kernel.rs`:
+/// `ODIST_WORK_PER_CUBED_MODEL`, `WORK_PER_SCAN_WORKER`; `arbitration.rs`:
+/// `SUM_WORK_PER_CUBED_MODEL`, `WDIST_WORK_PER_CUBED_MODEL`).
+///
+/// The crossover table sets the subcube constants. For each `m = |Mod(ψ)|`
+/// from 2 to 32 and each aggregate — odist (the max, with its pairwise
+/// bound) and the sum and weighted sum that `select_min_universe_mono`
+/// serves, the latter with distinct weights (1–9) and with equal ones
+/// (weight 1, still multiplied at run time) — it walks the width up from
+/// 6 and reports the first width from which the subcube search beats the
+/// straight scan at two widths in a row, with the `2^n/m²` that width
+/// implies. Timings are medians of 5 runs over 24 random `ψ` per cell;
+/// widths stop at 20.
+///
+/// The grid table shows the chosen rule at `m ∈ {4, 16, 64, 256}`: the
+/// straight scan and the search for odist, sum and weighted sum,
+/// lex-odist universe fitting (the chunked scan) with `ARBITREX_THREADS`
+/// at 1 and at the core count — that pair shows the scan's split
+/// threshold — and odist and sum universe fitting through their public
+/// entry points, i.e. whichever shape the dispatcher picked. 8 random `ψ`
+/// per cell for `m ≤ 16`, 3 above; widths 18 and 20 only for the small
+/// `ψ` that the search serves.
+fn e12_dispatch() {
+    use arbitrex_core::kernel::{select_min, select_min_subcube, select_min_subcube_odist};
+    use arbitrex_core::Budget;
+    use arbitrex_logic::all_interps;
+
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let threads = cores.max(2);
+    let budget = &Budget::unlimited();
+    /// Median of 5 runs of `f`, in µs per `ψ` of the cell.
+    fn median_us(psis: usize, mut f: impl FnMut()) -> f64 {
+        let mut runs: Vec<f64> = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        runs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        runs[2] / psis as f64
+    }
+    /// The straight scan the dispatchers fall back to, for `agg`.
+    fn scan<K: Ord>(models: &[Interp], n: u32, agg: impl Fn(&[u32]) -> K, budget: &Budget) {
+        let mut d = vec![0u32; models.len()];
+        let sel = select_min(
+            n,
+            all_interps(n),
+            |j, _| {
+                for (dj, i) in d.iter_mut().zip(models) {
+                    *dj = (i.0 ^ j.0).count_ones();
+                }
+                Some(agg(&d))
+            },
+            budget,
+        );
+        std::hint::black_box(sel);
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    // `count` random ψ of exactly `m` distinct models over `n` variables.
+    let mut random_psis = |count: usize, m: usize, n: u32| -> Vec<ModelSet> {
+        (0..count)
+            .map(|_| {
+                let mut models = std::collections::BTreeSet::new();
+                while models.len() < m {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    models.insert(Interp(x & ((1 << n) - 1)));
+                }
+                ModelSet::new(n, models)
+            })
+            .collect()
+    };
+    let odist = |d: &[u32]| d.iter().copied().max().unwrap_or(0);
+    let sum = |d: &[u32]| d.iter().map(|&x| u64::from(x)).sum::<u64>();
+    // Weights 1..=9, fixed per model position.
+    let wsum = |d: &[u32]| {
+        d.iter()
+            .enumerate()
+            .map(|(k, &x)| u128::from(x) * (1 + k as u128 % 9))
+            .sum::<u128>()
+    };
+    // Equal weights, read at run time as `WdistFitting` reads a KB's.
+    let ones = std::hint::black_box(vec![1u64; 32]);
+    let wsum1 = |d: &[u32]| {
+        d.iter()
+            .zip(&ones)
+            .map(|(&x, &w)| u128::from(x) * u128::from(w))
+            .sum::<u128>()
+    };
+
+    let mut t = Table::new([
+        "|Mod(ψ)|",
+        "odist from n",
+        "odist 2^n/m²",
+        "sum from n",
+        "sum 2^n/m²",
+        "wdist from n",
+        "wdist 2^n/m²",
+        "wdist w=1 from n",
+        "wdist w=1 2^n/m²",
+    ]);
+    for m in [2usize, 3, 4, 6, 8, 12, 16, 24, 32] {
+        let mut cells = vec![m.to_string()];
+        for agg in 0..4 {
+            let mut wins = 0;
+            let mut from = None;
+            for n in 6..=20u32 {
+                let psis = random_psis(24, m, n);
+                let time = |bnb: bool| {
+                    median_us(psis.len(), || {
+                        for psi in &psis {
+                            let models = psi.as_slice();
+                            match (agg, bnb) {
+                                (0, false) => scan(models, n, odist, budget),
+                                (0, true) => {
+                                    std::hint::black_box(select_min_subcube_odist(
+                                        n, models, budget,
+                                    ));
+                                }
+                                (1, false) => scan(models, n, sum, budget),
+                                (1, true) => {
+                                    std::hint::black_box(select_min_subcube(
+                                        n, models, sum, budget,
+                                    ));
+                                }
+                                (2, false) => scan(models, n, wsum, budget),
+                                (2, true) => {
+                                    std::hint::black_box(select_min_subcube(
+                                        n, models, wsum, budget,
+                                    ));
+                                }
+                                (_, false) => scan(models, n, wsum1, budget),
+                                (_, true) => {
+                                    std::hint::black_box(select_min_subcube(
+                                        n, models, wsum1, budget,
+                                    ));
+                                }
+                            }
+                        }
+                    })
+                };
+                if time(true) < time(false) {
+                    wins += 1;
+                    from.get_or_insert(n);
+                    if wins == 2 {
+                        break;
+                    }
+                } else {
+                    wins = 0;
+                    from = None;
+                }
+            }
+            match from.filter(|_| wins == 2) {
+                Some(n) => {
+                    cells.push(n.to_string());
+                    cells.push(format!("{:.0}", (1u64 << n) as f64 / (m * m) as f64));
+                }
+                None => cells.extend(["none to 20".to_string(), "-".to_string()]),
+            }
+        }
+        t.row(cells);
+    }
+    println!("crossover: first width of two in a row where the subcube search beats the scan:");
+    println!("{}\n", t.render());
+
+    let mut t = Table::new([
+        "|Mod(ψ)|",
+        "n_vars",
+        "work",
+        "scan (µs)",
+        "b&b (µs)",
+        "sum scan (µs)",
+        "sum b&b (µs)",
+        "wdist scan (µs)",
+        "wdist b&b (µs)",
+        "lex x1 (µs)",
+        &format!("lex x{threads} (µs)"),
+        "odist dispatched (µs)",
+        "sum dispatched (µs)",
+    ]);
+    for m in [4usize, 16, 64, 256] {
+        let widths = (8..=16u32).chain(if m <= 16 { vec![18, 20] } else { vec![] });
+        for n in widths {
+            let psis = &random_psis(if m <= 16 { 8 } else { 3 }, m, n);
+            let k = psis.len();
+            let odist_scan = median_us(k, || {
+                psis.iter()
+                    .for_each(|p| scan(p.as_slice(), n, odist, budget))
+            });
+            let bnb = median_us(k, || {
+                for psi in psis {
+                    std::hint::black_box(select_min_subcube_odist(n, psi.as_slice(), budget));
+                }
+            });
+            let sum_scan = median_us(k, || {
+                psis.iter().for_each(|p| scan(p.as_slice(), n, sum, budget))
+            });
+            let sum_bnb = median_us(k, || {
+                for psi in psis {
+                    std::hint::black_box(select_min_subcube(n, psi.as_slice(), sum, budget));
+                }
+            });
+            let wsum_scan = median_us(k, || {
+                psis.iter()
+                    .for_each(|p| scan(p.as_slice(), n, wsum, budget))
+            });
+            let wsum_bnb = median_us(k, || {
+                for psi in psis {
+                    std::hint::black_box(select_min_subcube(n, psi.as_slice(), wsum, budget));
+                }
+            });
+            let lex = |threads: usize| {
+                std::env::set_var("ARBITREX_THREADS", threads.to_string());
+                let us = median_us(k, || {
+                    for psi in psis {
+                        std::hint::black_box(LexOdistFitting.apply_universe(psi).unwrap());
+                    }
+                });
+                std::env::remove_var("ARBITREX_THREADS");
+                us
+            };
+            let (lex1, lext) = (lex(1), lex(threads));
+            let dispatched = |op: &dyn UniverseFitting| {
+                median_us(k, || {
+                    for psi in psis {
+                        std::hint::black_box(op.apply_universe(psi).unwrap());
+                    }
+                })
+            };
+            let work = (1u64 << n) * m as u64;
+            t.row([
+                m.to_string(),
+                n.to_string(),
+                work.to_string(),
+                format!("{odist_scan:.0}"),
+                format!("{bnb:.0}"),
+                format!("{sum_scan:.0}"),
+                format!("{sum_bnb:.0}"),
+                format!("{wsum_scan:.0}"),
+                format!("{wsum_bnb:.0}"),
+                format!("{lex1:.0}"),
+                format!("{lext:.0}"),
+                format!("{:.0}", dispatched(&OdistFitting)),
+                format!("{:.0}", dispatched(&SumFitting)),
+            ]);
+        }
+    }
+    println!("dispatch grid (µs per selection, {cores} cores):");
+    println!("{}", t.render());
 }
 
 /// E13 — telemetry overhead.
@@ -1880,443 +2132,6 @@ fn e17_event_loop() {
             durability_rows.len()
         ),
         Err(e) => println!("\ncould not write BENCH_PR6.json: {e}\n"),
-    }
-}
-
-/// E18 — compiled-KB serving: the ROBDD tier vs the enumeration kernel
-/// (engineering, PR 7).
-///
-/// Three parts:
-///
-/// **Serving**: 8 keep-alive clients replay a pool of 32 arbitrations
-/// against eight hot width-14 theories (cubes with 3..=10 positive
-/// literals, each paired with four nearby μ variants), result cache *off*
-/// so every request reaches a backend. Two legs at equal workers:
-/// `kernel` (`--bdd-hotness 0`, the PR 1 enumeration path — O(2^n) per
-/// request at n = 14) and `bdd` (hotness 2: the warm pass promotes all
-/// eight ψ, after which requests are layered-BDD traversals that reuse
-/// the per-ψ manager's apply cache across queries). The acceptance
-/// criterion is bdd ≥ 2× kernel at equal workers.
-///
-/// **Warm-cache control**: the E15/E17 heavy pool with the result cache
-/// on and warmed and the tier enabled at default hotness. Cache hits are
-/// checked before the tier, so this leg must match the recorded
-/// BENCH_PR6 numbers — it guards against the tier taxing the existing
-/// hot path.
-///
-/// **In-process rows**: single-threaded µs/op at width 14 for each
-/// backend × operation (arbitrate, odist-fit, dalal) — kernel vs SAT vs
-/// compiled BDD — so the serving speedup can be attributed to backend
-/// compute rather than event-loop effects.
-///
-/// Writes the machine-readable record to BENCH_PR7.json. With
-/// `ARBX_E18_QUICK=1` runs one serving leg pair + the warm-cache control
-/// at workers = 4, prints one greppable `e18-quick ...` line for
-/// `scripts/e18_gate.sh`, and does not touch BENCH_PR7.json.
-fn e18_compiled_tier() {
-    use arbitrex_core::telemetry::{BDD_FALLBACKS, BDD_MANAGER_RESETS, BDD_SERVED};
-    use arbitrex_server::{spawn, ServerConfig};
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpStream};
-
-    header(
-        "E18",
-        "compiled-KB serving: ROBDD tier vs enumeration kernel",
-        "engineering (PR 7); no paper artifact",
-    );
-
-    const CLIENTS: usize = 8;
-    const DEPTH: usize = 16;
-    const WIDTH: usize = 14;
-    let quick = std::env::var("ARBX_E18_QUICK").is_ok();
-    let rounds: usize = if quick { 4 } else { 12 };
-
-    /// Read one full HTTP response; returns the body (for backend
-    /// probes), panics on non-200.
-    fn read_one_response(stream: &mut std::io::BufReader<TcpStream>) -> Vec<u8> {
-        let mut reply = Vec::with_capacity(512);
-        let mut byte = [0u8; 1];
-        loop {
-            match stream.read(&mut byte) {
-                Ok(0) => panic!("server closed connection mid-response"),
-                Ok(_) => {
-                    reply.push(byte[0]);
-                    if reply.ends_with(b"\r\n\r\n") {
-                        break;
-                    }
-                }
-                Err(e) => panic!("read error: {e}"),
-            }
-        }
-        let head_text = String::from_utf8_lossy(&reply);
-        assert!(
-            head_text.starts_with("HTTP/1.1 200"),
-            "non-200 under load: {head_text}"
-        );
-        let length: usize = head_text
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("content-length")
-            .trim()
-            .parse()
-            .expect("numeric length");
-        let mut body_buf = vec![0u8; length];
-        stream.read_exact(&mut body_buf).expect("read body");
-        body_buf
-    }
-
-    fn raw_arbitrate(psi: &str, phi: &str) -> Vec<u8> {
-        let body = format!(r#"{{"psi": "{psi}", "phi": "{phi}"}}"#);
-        let mut wire = format!(
-            "POST /v1/arbitrate HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        wire.extend_from_slice(body.as_bytes());
-        wire
-    }
-
-    /// The hot-KB pool: eight width-14 theories ψ_k — cubes with
-    /// k ∈ 3..=10 positive literals — each queried with four μ variants
-    /// (ψ_k with one adjacent literal pair negated). Positive-literal
-    /// counts survive alpha-renaming, so the eight ψ occupy eight
-    /// distinct canonical tier slots. Every pair is at Hamming distance
-    /// 2, so each arbitration returns exactly the two midpoint models:
-    /// the legs measure backend compute, not response bytes.
-    fn hot_kb_pool() -> Vec<(String, String)> {
-        let vars: Vec<String> = (0..WIDTH).map(|i| format!("V{i}")).collect();
-        let cube = |pos: &dyn Fn(usize) -> bool| -> String {
-            vars.iter()
-                .enumerate()
-                .map(|(i, v)| if pos(i) { v.clone() } else { format!("!{v}") })
-                .collect::<Vec<_>>()
-                .join(" & ")
-        };
-        let mut out = Vec::new();
-        for k in 3..=10usize {
-            let psi = cube(&|i| i < k);
-            for pair in 0..4usize {
-                let (a, b) = (2 * pair, 2 * pair + 1);
-                out.push((psi.clone(), cube(&|i| (i < k) != (i == a || i == b))));
-            }
-        }
-        out
-    }
-
-    /// Closed loop at a fixed pipeline depth, same shape as E17's
-    /// `run_leg`: every client walks the whole pool (rotated by its
-    /// index) `rounds` times. Returns (total requests, wall ns).
-    fn run_leg(
-        addr: SocketAddr,
-        queries: &[(String, String)],
-        depth: usize,
-        rounds: usize,
-    ) -> (usize, u64) {
-        let wall = Instant::now();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                let offset = (client * queries.len()) / CLIENTS;
-                let slice: Vec<Vec<u8>> = (0..queries.len())
-                    .map(|i| {
-                        let (psi, phi) = &queries[(offset + i) % queries.len()];
-                        raw_arbitrate(psi, phi)
-                    })
-                    .collect();
-                std::thread::spawn(move || {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    stream
-                        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-                        .unwrap();
-                    let _ = stream.set_nodelay(true);
-                    let mut writer = stream.try_clone().expect("clone stream");
-                    let mut reader = std::io::BufReader::with_capacity(64 * 1024, stream);
-                    let mut sent = 0usize;
-                    let mut batch: Vec<u8> = Vec::with_capacity(4096);
-                    let mut in_batch = 0usize;
-                    for _ in 0..rounds {
-                        for wire in &slice {
-                            batch.extend_from_slice(wire);
-                            in_batch += 1;
-                            if in_batch == depth {
-                                writer.write_all(&batch).expect("write batch");
-                                for _ in 0..in_batch {
-                                    read_one_response(&mut reader);
-                                }
-                                sent += in_batch;
-                                batch.clear();
-                                in_batch = 0;
-                            }
-                        }
-                    }
-                    if in_batch > 0 {
-                        writer.write_all(&batch).expect("write batch");
-                        for _ in 0..in_batch {
-                            read_one_response(&mut reader);
-                        }
-                        sent += in_batch;
-                    }
-                    sent
-                })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
-        (total, wall.elapsed().as_nanos() as u64)
-    }
-
-    /// One probe request; returns the response body as text so the leg
-    /// can assert which backend actually served it.
-    fn probe(addr: SocketAddr, wire: &[u8]) -> String {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut writer = stream.try_clone().expect("clone stream");
-        let mut reader = std::io::BufReader::new(stream);
-        writer.write_all(wire).expect("write probe");
-        String::from_utf8_lossy(&read_one_response(&mut reader)).into_owned()
-    }
-
-    // --- serving half: bdd vs kernel at equal workers ------------------------
-
-    let pool = hot_kb_pool();
-    let worker_counts: &[usize] = if quick { &[4] } else { &[4, 8] };
-    println!(
-        "serving: {CLIENTS} keep-alive clients, result cache OFF, pipelined \
-         (depth {DEPTH}); pool = 8 hot width-{WIDTH} theories x 4 nearby mu \
-         variants; kernel leg = --bdd-hotness 0 (O(2^n) enumeration per \
-         request), bdd leg = hotness 2 (layered ROBDD traversal)\n"
-    );
-    println!("leg     threads  req/s     wall ms   vs kernel  bdd served/fallback/resets");
-
-    let mut serving_rows: Vec<String> = Vec::new();
-    let mut quick_bdd_rps = 0.0f64;
-    let mut quick_kernel_rps = 0.0f64;
-    for &threads in worker_counts {
-        let mut kernel_rps = 0.0f64;
-        for (leg, hotness) in [("kernel", 0u32), ("bdd", 2u32)] {
-            let server = spawn(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                threads,
-                queue_depth: 256,
-                cache_entries: 0,
-                timeout_ms: 0,
-                bdd_hotness: hotness,
-                ..ServerConfig::default()
-            })
-            .expect("spawn server");
-            let addr = server.addr;
-
-            // Warm pass: each ψ is queried well past the hotness
-            // threshold, so the bdd leg measures steady-state compiled
-            // serving, not promotion + first compiles.
-            let _ = run_leg(addr, &pool, 1, 1);
-            let (psi, phi) = &pool[0];
-            let body = probe(addr, &raw_arbitrate(psi, phi));
-            let want_backend = format!(r#""backend":"{leg}""#);
-            assert!(
-                body.contains(&want_backend),
-                "{leg} leg probe did not report backend {leg}: {body}"
-            );
-
-            let (served0, fell0, reset0) = (
-                BDD_SERVED.get(),
-                BDD_FALLBACKS.get(),
-                BDD_MANAGER_RESETS.get(),
-            );
-            let (requests, wall_ns) = run_leg(addr, &pool, DEPTH, rounds);
-            let (served, fell, resets) = (
-                BDD_SERVED.get() - served0,
-                BDD_FALLBACKS.get() - fell0,
-                BDD_MANAGER_RESETS.get() - reset0,
-            );
-            server.stop().expect("clean shutdown");
-
-            let rps = requests as f64 / (wall_ns as f64 / 1e9);
-            let vs_kernel = if leg == "bdd" {
-                format!("{:.2}x", rps / kernel_rps)
-            } else {
-                kernel_rps = rps;
-                "-".to_string()
-            };
-            println!(
-                "{leg:<7} {threads:<8} {rps:<9.0} {:<9.1} {vs_kernel:<10} {served}/{fell}/{resets}",
-                wall_ns as f64 / 1e6
-            );
-            serving_rows.push(format!(
-                "    {{\"leg\": \"{leg}\", \"threads\": {threads}, \"depth\": {DEPTH}, \
-                 \"requests\": {requests}, \"wall_ms\": {:.1}, \"rps\": {rps:.0}, \
-                 \"bdd_served\": {served}, \"bdd_fallbacks\": {fell}, \
-                 \"bdd_manager_resets\": {resets}}}",
-                wall_ns as f64 / 1e6,
-            ));
-            if quick {
-                if leg == "bdd" {
-                    quick_bdd_rps = rps;
-                } else {
-                    quick_kernel_rps = rps;
-                }
-            }
-        }
-    }
-    println!();
-
-    // --- warm-cache control: the tier must not tax the PR 6 hot path ---------
-
-    let heavy = serving_query_pool();
-    let server = spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 4,
-        queue_depth: 256,
-        cache_entries: 4096,
-        timeout_ms: 0,
-        ..ServerConfig::default() // tier on at default hotness
-    })
-    .expect("spawn server");
-    let _ = run_leg(server.addr, &heavy, 1, 1); // warm the result cache
-    let (requests, wall_ns) = run_leg(server.addr, &heavy, DEPTH, 4);
-    server.stop().expect("clean shutdown");
-    let hot_rps = requests as f64 / (wall_ns as f64 / 1e9);
-    println!(
-        "warm-cache control (E17 heavy pool, cache on, tier enabled, threads 4, \
-         pipelined): {hot_rps:.0} req/s — compare BENCH_PR6.json heavy/threads=4 rows\n"
-    );
-
-    if quick {
-        // The greppable CI-gate line; quick mode stops here and leaves
-        // BENCH_PR7.json alone.
-        println!(
-            "e18-quick threads=4 bdd_rps={quick_bdd_rps:.0} kernel_rps={quick_kernel_rps:.0} \
-             speedup={:.2} hot_rps={hot_rps:.0}",
-            quick_bdd_rps / quick_kernel_rps
-        );
-        return;
-    }
-
-    // --- in-process backend rows ---------------------------------------------
-
-    use arbitrex_core::satbackend::odist_fitting_sat;
-    use arbitrex_core::{tiered_apply, tiered_arbitrate, Budget, CompiledTier, OpCache};
-    use arbitrex_logic::parse;
-
-    let mut sig = arbitrex_logic::Sig::new();
-    let (psi_text, mu_text) = &hot_kb_pool()[18]; // ψ_7 with bits {4,5} flipped
-    let psi = parse(&mut sig, psi_text).expect("parse psi");
-    let mu = parse(&mut sig, mu_text).expect("parse mu");
-    let n = WIDTH as u32;
-    let budget = Budget::unlimited();
-    let cache = OpCache::new(0);
-    let cold = CompiledTier::new(0, CompiledTier::DEFAULT_NODE_BUDGET, 0); // tier disabled
-    let hot = CompiledTier::new(1, CompiledTier::DEFAULT_NODE_BUDGET, 8);
-    let psi_models: Vec<Interp> = ModelSet::of_formula(&psi, n).iter().collect();
-
-    let reps: u32 = 30;
-    let time_us = |f: &mut dyn FnMut()| -> f64 {
-        f(); // warm (promotes + compiles on the hot tier)
-        let started = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        started.elapsed().as_nanos() as f64 / 1e3 / reps as f64
-    };
-
-    println!("in-process µs/op at width {WIDTH} (single thread, {reps} reps, warm):");
-    println!("op          kernel µs  sat µs    bdd µs    kernel/bdd");
-    let mut inprocess_rows: Vec<String> = Vec::new();
-    struct Row {
-        op: &'static str,
-        kernel: f64,
-        sat: Option<f64>,
-        bdd: f64,
-    }
-    let rows = [
-        Row {
-            op: "arbitrate",
-            kernel: time_us(&mut || {
-                let _ = tiered_arbitrate(&cache, &cold, &psi, &mu, n, &budget).unwrap();
-            }),
-            // No SAT entry point for whole-universe arbitration.
-            sat: None,
-            bdd: time_us(&mut || {
-                let _ = tiered_arbitrate(&cache, &hot, &psi, &mu, n, &budget).unwrap();
-            }),
-        },
-        Row {
-            op: "odist-fit",
-            kernel: time_us(&mut || {
-                let _ = tiered_apply(&cache, &cold, &OdistFitting, &psi, &mu, n, &budget).unwrap();
-            }),
-            sat: Some(time_us(&mut || {
-                let _ = odist_fitting_sat(&psi_models, &mu, n, 1 << 16);
-            })),
-            bdd: time_us(&mut || {
-                let _ = tiered_apply(&cache, &hot, &OdistFitting, &psi, &mu, n, &budget).unwrap();
-            }),
-        },
-        Row {
-            op: "dalal",
-            kernel: time_us(&mut || {
-                let _ = tiered_apply(&cache, &cold, &DalalRevision, &psi, &mu, n, &budget).unwrap();
-            }),
-            sat: Some(time_us(&mut || {
-                let _ = dalal_revision_sat(&psi, &mu, n, 1 << 16).unwrap();
-            })),
-            bdd: time_us(&mut || {
-                let _ = tiered_apply(&cache, &hot, &DalalRevision, &psi, &mu, n, &budget).unwrap();
-            }),
-        },
-    ];
-    for r in &rows {
-        let sat_text = match r.sat {
-            Some(us) => format!("{us:.1}"),
-            None => "-".to_string(),
-        };
-        println!(
-            "{:<11} {:<10.1} {sat_text:<9} {:<9.1} {:.1}x",
-            r.op,
-            r.kernel,
-            r.bdd,
-            r.kernel / r.bdd
-        );
-        inprocess_rows.push(format!(
-            "    {{\"op\": \"{}\", \"width\": {WIDTH}, \"kernel_us\": {:.1}, \"sat_us\": {}, \
-             \"bdd_us\": {:.1}, \"kernel_over_bdd\": {:.2}}}",
-            r.op,
-            r.kernel,
-            match r.sat {
-                Some(us) => format!("{us:.1}"),
-                None => "null".to_string(),
-            },
-            r.bdd,
-            r.kernel / r.bdd,
-        ));
-    }
-    println!();
-    println!("finding: at width 14 the kernel pays O(2^n) per request (enumerate both");
-    println!("sides, scan the universe); the compiled tier answers the same query by");
-    println!("conjoining precomputed distance layers, and the per-ψ apply cache makes");
-    println!("repeat μ traversals near-free — which is what a hot KB serves.\n");
-
-    let mut json = String::from("{\n  \"experiment\": \"e18-compiled-tier\",\n");
-    json.push_str(&format!(
-        "  \"workload\": \"serving: 8 hot width-{WIDTH} theories x 4 mu variants over \
-         {CLIENTS} pipelined clients (depth {DEPTH}), result cache off, kernel \
-         (--bdd-hotness 0) vs bdd (hotness 2) legs at workers 4/8; warm-cache control = \
-         E17 heavy pool, cache on, tier at defaults; in-process rows = single-thread \
-         us/op per backend\",\n",
-    ));
-    json.push_str("  \"serving_rows\": [\n");
-    json.push_str(&serving_rows.join(",\n"));
-    json.push_str(&format!(
-        "\n  ],\n  \"warm_cache_control\": {{\"threads\": 4, \"depth\": {DEPTH}, \
-         \"requests\": {requests}, \"rps\": {hot_rps:.0}}},\n"
-    ));
-    json.push_str("  \"inprocess_rows\": [\n");
-    json.push_str(&inprocess_rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    match std::fs::write("BENCH_PR7.json", &json) {
-        Ok(()) => println!(
-            "wrote BENCH_PR7.json ({} serving rows, {} in-process rows)\n",
-            serving_rows.len(),
-            inprocess_rows.len()
-        ),
-        Err(e) => println!("could not write BENCH_PR7.json: {e}\n"),
     }
 }
 

@@ -606,19 +606,6 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
             "--flush-interval-us" => {
                 config.flush_interval_us = flag_u64(&mut it, "--flush-interval-us")?;
             }
-            "--bdd-hotness" => {
-                let v = flag_u64(&mut it, "--bdd-hotness")?;
-                if v > u32::MAX as u64 {
-                    return err("--bdd-hotness must fit in 32 bits");
-                }
-                config.bdd_hotness = v as u32;
-            }
-            "--bdd-node-budget" => {
-                config.bdd_node_budget = flag_u64(&mut it, "--bdd-node-budget")? as usize;
-                if config.bdd_node_budget == 0 {
-                    return err("--bdd-node-budget must be at least 1 (use --bdd-hotness 0 to disable the tier)");
-                }
-            }
             "--replication-epoch" => {
                 let epoch = flag_u64(&mut it, "--replication-epoch")?;
                 if epoch == 0 {
@@ -660,7 +647,7 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
                      --queue-depth, --cache-entries, --timeout-ms, --max-body-bytes, \
                      --keep-alive-timeout-ms, --state-dir, --snapshot-every, \
                      --recover, --fault, --group-commit, --flush-interval-us, \
-                     --bdd-hotness, --bdd-node-budget, --replication-epoch, \
+                     --replication-epoch, \
                      --shard-ring, --shard-vnodes, \
                      --cluster-peers, --probe-interval-ms, --suspect-after)"
                 ))
@@ -778,8 +765,8 @@ pub fn help() -> String {
          \x20\x20\x20\x20 [--cache-entries n] [--timeout-ms n] [--max-body-bytes n]\n\
          \x20\x20\x20\x20 [--keep-alive-timeout-ms n] [--state-dir d] [--snapshot-every n]\n\
          \x20\x20\x20\x20 [--recover strict|salvage] [--group-commit on|off]\n\
-         \x20\x20\x20\x20 [--flush-interval-us n] [--bdd-hotness n] [--bdd-node-budget n]\n\
-         \x20\x20\x20\x20 [--replication-epoch n] [--shard-ring addr|auto] [--shard-vnodes n]\n\
+         \x20\x20\x20\x20 [--flush-interval-us n] [--replication-epoch n]\n\
+         \x20\x20\x20\x20 [--shard-ring addr|auto] [--shard-vnodes n]\n\
          \x20\x20\x20\x20 [--cluster-peers a,b] [--probe-interval-ms n] [--suspect-after k]\n\
          \x20\x20\x20\x20 run the HTTP arbitration service (see README \"Serving\");\n\
          \x20\x20\x20\x20 --state-dir makes KBs durable (WAL + snapshots, README\n\
@@ -1117,21 +1104,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_bdd_flags_parse_into_config() {
-        let cfg =
-            parse_serve_config(&sv(&["--bdd-hotness", "7", "--bdd-node-budget", "65536"])).unwrap();
-        assert_eq!(cfg.bdd_hotness, 7);
-        assert_eq!(cfg.bdd_node_budget, 65536);
-        // Defaults match the tier's published constants.
-        let d = parse_serve_config(&[]).unwrap();
-        assert_eq!(d.bdd_hotness, arbitrex_core::CompiledTier::DEFAULT_HOTNESS);
-        assert_eq!(
-            d.bdd_node_budget,
-            arbitrex_core::CompiledTier::DEFAULT_NODE_BUDGET
+    fn serve_rejects_the_retired_bdd_hotness_flag() {
+        let e = cmd_serve(&sv(&["--bdd-hotness", "4"])).unwrap_err();
+        assert_eq!(e.kind.exit_code(), 2);
+        assert!(
+            e.message.contains("unknown serve flag `--bdd-hotness`"),
+            "{e}"
         );
-        // `--bdd-hotness 0` disables the tier rather than erroring.
-        let off = parse_serve_config(&sv(&["--bdd-hotness", "0"])).unwrap();
-        assert_eq!(off.bdd_hotness, 0);
     }
 
     #[test]
@@ -1150,8 +1129,6 @@ mod tests {
             sv(&["--fault", "wal_write:1"]), // durability site, no --state-dir
             sv(&["--group-commit", "auto"]), // unknown mode
             sv(&["--flush-interval-us"]),    // missing value
-            sv(&["--bdd-hotness", "many"]),  // non-integer
-            sv(&["--bdd-node-budget", "0"]), // out of range
         ] {
             let e = cmd_serve(&bad).unwrap_err();
             assert_eq!(e.kind, ErrorKind::Usage, "{bad:?}: {e}");
@@ -1545,9 +1522,10 @@ mod tests {
 
     #[test]
     fn arbitrate_fault_at_first_scan_degrades() {
-        // Small universes rank candidates by linear scan (the subcube
-        // branch-and-bound only engages at 12+ variables), so the scan
-        // site is the one that faults here.
+        // A small union over few variables ranks candidates by linear
+        // scan (the subcube branch-and-bound takes over only once the
+        // predicted work `2^n·|Mod(ψ)|` outgrows the union's size), so
+        // the scan site is the one that faults here.
         let e = run(&sv(&["arbitrate", "A & B", "!A & !B", "--fault", "scan:1"])).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Budget);
         assert!(e.message.contains("scan"), "{}", e.message);
@@ -1583,8 +1561,9 @@ mod tests {
 
     #[test]
     fn arbitrate_fault_at_first_node_degrades_on_wide_universes() {
-        // 12 atoms push the universe search into branch-and-bound, where
-        // the root node always charges: `node:1` is a guaranteed trip.
+        // 12 atoms with a 2-model union give the predicted work that
+        // takes the universe search into branch-and-bound, where the root
+        // node always charges: `node:1` is a guaranteed trip.
         let atoms: Vec<String> = (0..12).map(|i| format!("a{i}")).collect();
         let psi = atoms.join(" & ");
         let phi = format!("!({})", atoms.join(" | "));

@@ -107,6 +107,7 @@ impl LexOdistFitting {
         let slice = psi.as_slice();
         select_min_universe(
             n,
+            slice.len(),
             || {
                 |i: Interp, cap: Option<&(u32, u64)>| {
                     odist_pruned(slice, &prof, i, cap.map(|c| c.0)).map(|d| (d, i.0))
@@ -131,6 +132,13 @@ impl UniverseFitting for LexOdistFitting {
     }
 }
 
+/// [`SumFitting`] takes the subcube search over the universe once
+/// `2^n ≥ 256·|Mod(ψ)|²` (see `select_min_universe_mono`): the median
+/// crossover of the sum in E12's crossover table (three runs pooled),
+/// rounded to a power of two. The sum's search prunes on partial distances alone (odist's adds
+/// the pairwise bound), so it pays later than odist's.
+const SUM_WORK_PER_CUBED_MODEL: u64 = 256;
+
 impl SumFitting {
     fn select_universe(
         &self,
@@ -145,6 +153,7 @@ impl SumFitting {
             n,
             psi.as_slice(),
             |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>(),
+            SUM_WORK_PER_CUBED_MODEL,
             budget,
         )
     }
@@ -227,6 +236,15 @@ pub trait WeightedUniverseFitting: WeightedChangeOperator {
     }
 }
 
+/// [`WdistFitting`] takes the subcube search over the universe once
+/// `2^n ≥ 128·|Mod(ψ)|²`: the median crossover, rounded to a power of
+/// two, of the weighted sum with equal weights in E12's crossover table
+/// (three runs pooled).
+/// Its scan multiplies in 128 bits, so the search pays sooner than the
+/// sum's; distinct weights cross over sooner still (about
+/// `16·|Mod(ψ)|²`), but the constant takes the worse case.
+const WDIST_WORK_PER_CUBED_MODEL: u64 = 128;
+
 impl WdistFitting {
     fn select_universe(
         &self,
@@ -249,6 +267,7 @@ impl WdistFitting {
                     .map(|(&x, &w)| x as u128 * w as u128)
                     .sum::<u128>()
             },
+            WDIST_WORK_PER_CUBED_MODEL,
             budget,
         )
     }

@@ -23,12 +23,14 @@
 //!    [`select_min_universe_odist`]): for monotone aggregates, whole
 //!    subcubes of the universe are pruned against partial-distance (and,
 //!    for odist, pairwise triangle-inequality) lower bounds — the layer
-//!    that lets arbitration beat the `2^n` linear-scan floor.
+//!    that lets arbitration beat the `2^n` linear-scan floor. The universe
+//!    dispatchers take it only where the predicted work `2^n·|Mod(ψ)|`
+//!    says it beats the scan.
 //! 5. **Scoped-thread parallelism** (`parallel` feature, on by default):
-//!    universe scans are chunked, and subcube searches split at their top
-//!    levels, across `std::thread::scope` workers that share their
-//!    best-so-far rank for cross-worker pruning. Thread count
-//!    follows available parallelism, overridable with `ARBITREX_THREADS`.
+//!    universe scans are chunked across `std::thread::scope` workers that
+//!    share their best-so-far rank for cross-worker pruning, one worker
+//!    per `2^19` units of predicted work, capped by available parallelism
+//!    or `ARBITREX_THREADS`. Subcube searches run on the calling thread.
 //!
 //! Each algorithm has exactly one implementation, and it is metered: every
 //! selection takes a [`Budget`] and returns a [`BudgetedSelect`]. Scans
@@ -612,11 +614,10 @@ where
 
 /// What one branch-and-bound subcube search tracks per node and the bounds
 /// it reads off that state. The monotone and the odist searches differ only
-/// here; both run on [`SubcubeSearch`] and the split-root search
-/// [`subcube_search`].
-trait SubcubeBound: Sync {
-    type Key: Ord + Clone + Send;
-    /// Per-root state carried down the search tree.
+/// here; both run on [`SubcubeSearch`] through [`subcube_search`].
+trait SubcubeBound {
+    type Key: Ord;
+    /// State carried down the search tree.
     type State;
     /// The state with no bit assigned.
     fn root(&self) -> Self::State;
@@ -637,11 +638,7 @@ struct MonoBound<'a, K, A> {
     _key: PhantomData<fn() -> K>,
 }
 
-impl<K, A> SubcubeBound for MonoBound<'_, K, A>
-where
-    K: Ord + Clone + Send,
-    A: Fn(&[u32]) -> K + Sync,
-{
+impl<K: Ord, A: Fn(&[u32]) -> K> SubcubeBound for MonoBound<'_, K, A> {
     type Key = K;
     /// Partial distance to each model of ψ.
     type State = Vec<u32>;
@@ -734,14 +731,14 @@ fn discriminating_bit_order(n_vars: u32, models: &[Interp]) -> Vec<u32> {
     order
 }
 
-/// One worker's depth-first search below the roots it claims.
+/// The depth-first descent of [`subcube_search`].
 struct SubcubeSearch<'a, B: SubcubeBound> {
     bound: &'a B,
     order: &'a [u32],
     best: Option<B::Key>,
     tied: Vec<u64>,
     /// Nodes expanded / children cut, accumulated locally and flushed once
-    /// per worker.
+    /// per search.
     nodes: u64,
     cut: u64,
     /// Charges every node expansion to [`BudgetSite::Node`], batched like
@@ -807,147 +804,44 @@ impl<B: SubcubeBound> SubcubeSearch<'_, B> {
     }
 }
 
-/// The split-root search behind both subcube searches: the top `split`
-/// levels of the search tree are expanded into `2^split` root subcubes
-/// which `threads` workers claim from a shared queue, publishing
-/// improvements through a shared best (initially `seed`) so every subtree
-/// prunes against the globally tightest cap. One worker means
-/// `split = 0` — a single root searched on the calling thread.
+/// The search behind both subcube searches: one depth-first descent from
+/// the root, pruning against a best that starts at `seed`.
 ///
-/// Every worker meters its nodes against the shared budget; a tripped
-/// worker stops claiming roots, and the frontier is the union of all
-/// workers' unwound subcubes plus every root no worker ever claimed.
+/// Every node is metered against `budget`; on a trip the frontier is every
+/// subcube the unwind left unexplored.
 fn subcube_search<B: SubcubeBound>(
     n_vars: u32,
     models: &[Interp],
     bound: &B,
     seed: Option<B::Key>,
-    threads: usize,
     budget: &Budget,
 ) -> BudgetedSelect<B::Key> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     let order = discriminating_bit_order(n_vars, models);
-    // Enough roots that workers stay busy, shallow enough to stay cheap.
-    let split = if threads <= 1 {
-        0
-    } else {
-        (threads * 4)
-            .next_power_of_two()
-            .trailing_zeros()
-            .min(n_vars.saturating_sub(1))
-            .min(10) as usize
+    let mut search = SubcubeSearch {
+        bound,
+        order: &order,
+        best: seed,
+        tied: Vec::new(),
+        nodes: 0,
+        cut: 0,
+        meter: budget.meter(BudgetSite::Node),
+        stopped: None,
+        frontier: Vec::new(),
     };
-    let roots = 1usize << split;
-    let root_prefix = |root: usize| -> u64 {
-        let mut prefix = 0u64;
-        for (level, &bit) in order[..split].iter().enumerate() {
-            prefix |= ((root >> level & 1) as u64) << bit;
-        }
-        prefix
-    };
-    let next_root = AtomicUsize::new(0);
-    let shared_best: Mutex<Option<B::Key>> = Mutex::new(seed);
-    let worker = || {
-        let mut search = SubcubeSearch {
-            bound,
-            order: &order[split..],
-            best: None,
-            tied: Vec::new(),
-            nodes: 0,
-            cut: 0,
-            meter: budget.meter(BudgetSite::Node),
-            stopped: None,
-            frontier: Vec::new(),
-        };
-        while search.stopped.is_none() {
-            let root = next_root.fetch_add(1, Ordering::Relaxed);
-            if root >= roots {
-                break;
-            }
-            {
-                let g = shared_best.lock().expect("a sibling worker panicked");
-                if let Some(gb) = g.as_ref() {
-                    if search.best.as_ref().is_none_or(|b| gb < b) {
-                        search.best = Some(gb.clone());
-                        search.tied.clear();
-                    }
-                }
-            }
-            let prefix = root_prefix(root);
-            let mut st = bound.root();
-            for &bit in &order[..split] {
-                bound.shift(&mut st, bit, prefix >> bit & 1, true);
-            }
-            let before = search.best.clone();
-            search.descend(0, prefix, &mut st);
-            if search.best != before {
-                let mut g = shared_best.lock().expect("a sibling worker panicked");
-                let sb = search.best.as_ref().expect("a changed best is set");
-                if g.as_ref().is_none_or(|gb| sb < gb) {
-                    *g = Some(sb.clone());
-                }
-            }
-        }
-        telemetry::BNB_NODES_OPENED.add(search.nodes);
-        telemetry::BNB_NODES_CUT.add(search.cut);
-        (search.best, search.tied, search.frontier, search.stopped)
-    };
-    let per_worker: Vec<_> = if threads <= 1 {
-        vec![worker()]
-    } else {
-        telemetry::PARALLEL_SHARDS.add(threads as u64);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _shard_span = telemetry::SHARD.span();
-                        worker()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a subcube worker panicked"))
-                .collect()
-        })
-    };
+    search.descend(0, 0, &mut bound.root());
+    telemetry::BNB_NODES_OPENED.add(search.nodes);
+    telemetry::BNB_NODES_CUT.add(search.cut);
     telemetry::SELECTIONS.incr();
-    let overall = per_worker
-        .iter()
-        .filter_map(|(b, ..)| b.as_ref())
-        .min()
-        .cloned();
-    let mut keep: Vec<Interp> = Vec::new();
-    if let Some(o) = overall.as_ref() {
-        for (b, t, ..) in &per_worker {
-            if b.as_ref() == Some(o) {
-                keep.extend(t.iter().copied().map(Interp));
-            }
-        }
-    }
-    telemetry::TIES_KEPT.add(keep.len() as u64);
-    let trip = per_worker.iter().find_map(|(.., s)| *s);
-    let frontier = match trip {
+    telemetry::TIES_KEPT.add(search.tied.len() as u64);
+    let frontier = match search.stopped {
         None => Some(Vec::new()),
-        Some(_) => {
-            let mut subcubes: Vec<(u64, usize)> = Vec::new();
-            for (_, _, f, _) in &per_worker {
-                // Worker depths are relative to `order[split..]`.
-                subcubes.extend(f.iter().map(|&(p, dl)| (p, split + dl)));
-            }
-            // Roots no worker claimed before the trip are wholly unexplored.
-            let claimed = next_root.load(Ordering::Relaxed).min(roots);
-            subcubes.extend((claimed..roots).map(|root| (root_prefix(root), split)));
-            expand_frontier(&order, &subcubes, budget.frontier_limit())
-        }
+        Some(_) => expand_frontier(&order, &search.frontier, budget.frontier_limit()),
     };
     BudgetedSelect {
-        best: overall,
-        minima: ModelSet::new(n_vars, keep),
+        best: search.best,
+        minima: ModelSet::new(n_vars, search.tied.into_iter().map(Interp)),
         frontier,
-        trip,
+        trip: search.stopped,
     }
 }
 
@@ -970,9 +864,7 @@ fn subcube_search<B: SubcubeBound>(
 /// The two children of each node are explored better-bound-first, so a
 /// near-optimal candidate is found early and the cap tightens immediately.
 ///
-/// `threads > 1` splits the tree across scoped worker threads (see
-/// `subcube_search`). Every node expansion ticks a [`BudgetSite::Node`]
-/// meter; on a trip the recursion unwinds, recording each unvisited
+/// Every node expansion ticks a [`BudgetSite::Node`] meter; on a trip the recursion unwinds, recording each unvisited
 /// subcube, and the frontier is their materialization.
 ///
 /// Returns the minimum key and all candidates achieving it.
@@ -981,12 +873,11 @@ pub fn select_min_subcube<K, A>(
     n_vars: u32,
     models: &[Interp],
     agg: A,
-    threads: usize,
     budget: &Budget,
 ) -> BudgetedSelect<K>
 where
-    K: Ord + Clone + Send,
-    A: Fn(&[u32]) -> K + Sync,
+    K: Ord,
+    A: Fn(&[u32]) -> K,
 {
     assert!(!models.is_empty(), "subcube search needs a non-empty psi");
     let bound = MonoBound {
@@ -994,7 +885,7 @@ where
         agg,
         _key: PhantomData,
     };
-    subcube_search(n_vars, models, &bound, None, threads, budget)
+    subcube_search(n_vars, models, &bound, None, budget)
 }
 
 /// [`select_min_subcube`] specialized to the `max` aggregate (odist — the
@@ -1022,14 +913,13 @@ where
 pub fn select_min_subcube_odist(
     n_vars: u32,
     models: &[Interp],
-    threads: usize,
     budget: &Budget,
 ) -> BudgetedSelect<u32> {
     assert!(!models.is_empty(), "subcube search needs a non-empty psi");
     let (pairs, s0) = odist_pairs(models);
     let bound = OdistBound { models, pairs, s0 };
     let seed = Some(odist_probe(n_vars, models));
-    subcube_search(n_vars, models, &bound, seed, threads, budget)
+    subcube_search(n_vars, models, &bound, seed, budget)
 }
 
 /// A cheap upper bound on the minimum odist, *achieved by some candidate*:
@@ -1092,38 +982,57 @@ fn odist_pairs(models: &[Interp]) -> (Vec<(usize, usize)>, Vec<u32>) {
     scored.into_iter().map(|(s, p)| (p, s)).unzip()
 }
 
-/// Below this signature width the branch-and-bound bookkeeping (bit
-/// ordering, per-node bounds, recursion) costs more than the sweep it
-/// saves; a straight scan of the universe with a reused distance buffer
-/// wins. Crossover measured in the E12 experiment.
-const SUBCUBE_MIN_VARS: u32 = 12;
+/// Predicted work of a universe selection: `2^n` candidates, each ranked
+/// against `|Mod(ψ)|` models. Both dispatch decisions below read it.
+fn predicted_work(n_vars: u32, psi_len: usize) -> u64 {
+    (1u64 << n_vars).saturating_mul(psi_len as u64)
+}
 
-/// Straight pruned sweep of the universe: one reused distance buffer,
-/// single-pass selection. The small-`n` complement of the subcube search.
-fn universe_scan<K: Ord>(
-    n_vars: u32,
-    models: &[Interp],
-    agg: impl Fn(&[u32]) -> K,
-    budget: &Budget,
-) -> BudgetedSelect<K> {
-    let mut d = vec![0u32; models.len()];
-    select_min(
-        n_vars,
-        all_interps(n_vars),
-        |j, _| {
+/// Whether the branch-and-bound search beats the straight scan: once the
+/// scan's predicted work `2^n·m` reaches `work_per_cubed_model·m³`, for
+/// `m = |Mod(ψ)|` (equivalently, once `2^n ≥ work_per_cubed_model·m²`).
+/// The search's own cost grows with the per-model state each node
+/// updates and with the nodes a spread-out `ψ` leaves unpruned, so a
+/// larger `ψ` needs a wider universe before pruning pays; how much wider
+/// depends on the aggregate, which E12's crossover table measures.
+fn prefers_subcube(n_vars: u32, psi_len: usize, work_per_cubed_model: u64) -> bool {
+    let m = psi_len as u128;
+    u128::from(predicted_work(n_vars, psi_len)) >= u128::from(work_per_cubed_model) * m * m * m
+}
+
+/// [`prefers_subcube`]'s constant for odist: the median `2^n/m²` from
+/// which E12's crossover table (`m` from 2 to 32, three runs pooled)
+/// sees the pairwise-bounded search beat the scan, rounded to a power of
+/// two.
+const ODIST_WORK_PER_CUBED_MODEL: u64 = 128;
+
+/// Straight pruned sweep of the universe: one reused distance buffer per
+/// worker, single-pass selection. The complement of the subcube search
+/// for small universes and large `ψ`.
+fn universe_scan<K, A>(n_vars: u32, models: &[Interp], agg: A, budget: &Budget) -> BudgetedSelect<K>
+where
+    K: Ord + Clone + Send,
+    A: Fn(&[u32]) -> K + Sync,
+{
+    let factory = || {
+        let mut d = vec![0u32; models.len()];
+        let agg = &agg;
+        move |j: Interp, _: Option<&K>| {
             for (dj, m) in d.iter_mut().zip(models) {
                 *dj = (m.0 ^ j.0).count_ones();
             }
             Some(agg(&d))
-        },
-        budget,
-    )
+        }
+    };
+    scan_universe(n_vars, models.len(), &factory, budget)
 }
 
 /// `Min(𝓜, ≤_agg)` for a monotone aggregate: the branch-and-bound subcube
-/// search, split across scoped threads for wide universes when the
-/// `parallel` feature is on, and a straight scan below the subcube
-/// crossover.
+/// search once the predicted work `2^n·|Mod(ψ)|` reaches
+/// `work_per_cubed_model·|Mod(ψ)|³`, otherwise a straight scan (split
+/// across scoped threads when the `parallel` feature is on and the work
+/// is large enough). Where the search starts to pay depends on `agg`, so
+/// the caller passes the constant E12's crossover table measured for it.
 ///
 /// This is the entry point the arbitration-backed operators use; see
 /// [`select_min_subcube`] for the monotonicity contract on `agg`.
@@ -1131,6 +1040,7 @@ pub fn select_min_universe_mono<K, A>(
     n_vars: u32,
     models: &[Interp],
     agg: A,
+    work_per_cubed_model: u64,
     budget: &Budget,
 ) -> Result<BudgetedSelect<K>, CoreError>
 where
@@ -1139,16 +1049,17 @@ where
 {
     CoreError::check_enum_limit(n_vars)?;
     let _span = telemetry::UNIVERSE_SEARCH.span();
-    if n_vars < SUBCUBE_MIN_VARS {
-        return Ok(universe_scan(n_vars, models, agg, budget));
+    if prefers_subcube(n_vars, models.len(), work_per_cubed_model) {
+        return Ok(select_min_subcube(n_vars, models, agg, budget));
     }
-    let threads = thread_count(1u64 << n_vars);
-    Ok(select_min_subcube(n_vars, models, agg, threads, budget))
+    Ok(universe_scan(n_vars, models, agg, budget))
 }
 
 /// `Min(𝓜, ≤_odist)` over the whole universe: the pairwise-bounded
-/// branch-and-bound search, parallel for wide universes. This is the path
-/// arbitration itself takes (`ψ Δ φ = Mod(ψ ∨ φ) ▷ ⊤` minimizes odist).
+/// branch-and-bound search once `2^n ≥ 128·|Mod(ψ)|²`
+/// (`ODIST_WORK_PER_CUBED_MODEL`), otherwise a straight scan. This is the
+/// path arbitration itself takes
+/// (`ψ Δ φ = Mod(ψ ∨ φ) ▷ ⊤` minimizes odist).
 pub fn select_min_universe_odist(
     n_vars: u32,
     models: &[Interp],
@@ -1156,43 +1067,48 @@ pub fn select_min_universe_odist(
 ) -> Result<BudgetedSelect<u32>, CoreError> {
     CoreError::check_enum_limit(n_vars)?;
     let _span = telemetry::UNIVERSE_SEARCH.span();
-    if n_vars < SUBCUBE_MIN_VARS {
-        let agg = |d: &[u32]| d.iter().copied().max().unwrap_or(0);
-        return Ok(universe_scan(n_vars, models, agg, budget));
+    if prefers_subcube(n_vars, models.len(), ODIST_WORK_PER_CUBED_MODEL) {
+        return Ok(select_min_subcube_odist(n_vars, models, budget));
     }
-    let threads = thread_count(1u64 << n_vars);
-    Ok(select_min_subcube_odist(n_vars, models, threads, budget))
+    let agg = |d: &[u32]| d.iter().copied().max().unwrap_or(0);
+    Ok(universe_scan(n_vars, models, agg, budget))
 }
 
 // ---------------------------------------------------------------------------
 // Layers 3 + 4: streaming universe selection, optionally parallel
 // ---------------------------------------------------------------------------
 
-/// How many worker threads a universe scan of `total` candidates should
-/// use. Honors `ARBITREX_THREADS` (clamped to 1..=64), defaults to the
-/// machine's available parallelism, and never spins threads for universes
-/// too small to amortize them.
+/// Predicted work one scan worker must have before another is added: a
+/// scan splits only from `2^20` units of work (`2^n·|Mod(ψ)|`), where E12's
+/// dispatch grid first shows the chunked scan beating one thread on two
+/// cores.
+const WORK_PER_SCAN_WORKER: u64 = 1 << 19;
+
+/// How many worker threads a universe scan of `work` predicted units
+/// should use: one per [`WORK_PER_SCAN_WORKER`], at most the machine's
+/// available parallelism, which `ARBITREX_THREADS` overrides (clamped to
+/// 1..=64) as the upper bound.
 #[cfg(feature = "parallel")]
-fn thread_count(total: u64) -> usize {
+fn thread_count(work: u64) -> usize {
+    let wanted = work / WORK_PER_SCAN_WORKER;
+    if wanted < 2 {
+        return 1;
+    }
     let configured = std::env::var("ARBITREX_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
-    let t = configured
+    let cap = configured
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
         .clamp(1, 64);
-    if total < 1 << 13 {
-        1
-    } else {
-        t.min((total >> 12) as usize).max(1)
-    }
+    wanted.min(cap as u64) as usize
 }
 
 #[cfg(not(feature = "parallel"))]
-fn thread_count(_total: u64) -> usize {
+fn thread_count(_work: u64) -> usize {
     1
 }
 
@@ -1200,14 +1116,16 @@ fn thread_count(_total: u64) -> usize {
 /// interpretations — the kernel under arbitration.
 ///
 /// `factory` builds one pruned evaluator per worker (each worker needs its
-/// own scratch state); with one worker this is a sequential
-/// [`select_min`] over [`all_interps`], otherwise the chunked scan of
-/// `select_min_universe_parallel`.
+/// own scratch state); `psi_len` is `|Mod(ψ)|`, which sizes the predicted
+/// work `2^n·|Mod(ψ)|` that picks the worker count. With one worker this
+/// is a sequential [`select_min`] over [`all_interps`], otherwise the
+/// chunked scan of `select_min_universe_parallel`.
 ///
 /// Returns [`CoreError::EnumLimitExceeded`] instead of scanning more than
 /// `2^ENUM_LIMIT` candidates.
 pub fn select_min_universe<K, E, F>(
     n_vars: u32,
+    psi_len: usize,
     factory: F,
     budget: &Budget,
 ) -> Result<BudgetedSelect<K>, CoreError>
@@ -1218,13 +1136,26 @@ where
 {
     CoreError::check_enum_limit(n_vars)?;
     let _span = telemetry::UNIVERSE_SEARCH.span();
-    let threads = thread_count(1u64 << n_vars);
+    Ok(scan_universe(n_vars, psi_len, &factory, budget))
+}
+
+/// The body of [`select_min_universe`], without its limit check and span.
+fn scan_universe<K, E, F>(
+    n_vars: u32,
+    psi_len: usize,
+    factory: &F,
+    budget: &Budget,
+) -> BudgetedSelect<K>
+where
+    K: Ord + Clone + Send,
+    E: FnMut(Interp, Option<&K>) -> Option<K>,
+    F: Fn() -> E + Sync,
+{
+    let threads = thread_count(predicted_work(n_vars, psi_len));
     if threads <= 1 {
-        return Ok(select_min(n_vars, all_interps(n_vars), factory(), budget));
+        return select_min(n_vars, all_interps(n_vars), factory(), budget);
     }
-    Ok(select_min_universe_parallel(
-        n_vars, threads, &factory, budget,
-    ))
+    select_min_universe_parallel(n_vars, threads, factory, budget)
 }
 
 /// The chunked scoped-thread scan behind [`select_min_universe`]: workers
@@ -1652,7 +1583,7 @@ mod tests {
             let slice = psi.as_slice();
             // odist (max), sum, and weighted-sum aggregates.
             let max = |d: &[u32]| d.iter().copied().max().unwrap();
-            let sel = select_min_subcube(7, slice, max, 1, &unlimited);
+            let sel = select_min_subcube(7, slice, max, &unlimited);
             let expect = naive::odist_fitting(&psi, &ModelSet::all(7));
             assert_eq!(sel.minima, expect, "odist, seed {seed}");
             assert_eq!(
@@ -1661,12 +1592,12 @@ mod tests {
             );
 
             // The pairwise-bounded specialization agrees with the generic one.
-            let sp = select_min_subcube_odist(7, slice, 1, &unlimited);
+            let sp = select_min_subcube_odist(7, slice, &unlimited);
             assert_eq!(sp.minima, expect, "odist specialized, seed {seed}");
             assert_eq!(sp.best, sel.best);
 
             let sum = |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>();
-            let sel = select_min_subcube(7, slice, sum, 1, &unlimited);
+            let sel = select_min_subcube(7, slice, sum, &unlimited);
             assert_eq!(
                 sel.minima,
                 naive::sum_fitting(&psi, &ModelSet::all(7)),
@@ -1681,32 +1612,9 @@ mod tests {
                     .map(|(&x, &w)| x as u128 * w as u128)
                     .sum::<u128>()
             };
-            let sel = select_min_subcube(7, slice, wsum, 1, &unlimited);
+            let sel = select_min_subcube(7, slice, wsum, &unlimited);
             let expect = naive::wdist_fitting(&kb, &WeightedKb::all(7));
             assert_eq!(sel.minima, expect.support_set(), "wdist, seed {seed}");
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_subcube_search_matches_sequential() {
-        let unlimited = Budget::unlimited();
-        for seed in 0..16u64 {
-            let psi = scrambled(6, seed);
-            let slice = psi.as_slice();
-            let agg = |d: &[u32]| d.iter().copied().max().unwrap();
-            let seq = select_min_subcube(6, slice, agg, 1, &unlimited);
-            for threads in [2, 3, 5] {
-                let par = select_min_subcube(6, slice, agg, threads, &unlimited);
-                assert_eq!(par.minima, seq.minima, "threads {threads}, seed {seed}");
-                assert_eq!(par.best, seq.best);
-                let po = select_min_subcube_odist(6, slice, threads, &unlimited);
-                assert_eq!(
-                    po.minima, seq.minima,
-                    "odist threads {threads}, seed {seed}"
-                );
-                assert_eq!(po.best, seq.best);
-            }
         }
     }
 
@@ -1719,6 +1627,7 @@ mod tests {
             let expect = naive::odist_fitting(&psi, &ModelSet::all(6));
             let sel = select_min_universe(
                 6,
+                slice.len(),
                 || |i: Interp, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied()),
                 &Budget::unlimited(),
             )
@@ -1731,6 +1640,7 @@ mod tests {
     fn universe_selection_rejects_wide_signatures() {
         let r = select_min_universe::<u32, _, _>(
             arbitrex_logic::ENUM_LIMIT + 1,
+            1,
             || |_: Interp, _: Option<&u32>| Some(0),
             &Budget::unlimited(),
         );
@@ -1815,7 +1725,7 @@ mod tests {
             assert_eq!(budget.spent().scans, 64);
 
             let budget = Budget::unlimited();
-            let sel = select_min_subcube_odist(6, slice, 1, &budget);
+            let sel = select_min_subcube_odist(6, slice, &budget);
             assert!(matches!(sel.quality(), Quality::Exact));
             assert!(budget.spent().nodes > 0, "seed {seed}");
         }
@@ -1880,14 +1790,14 @@ mod tests {
             // to trip (the root node always charges).
             for at in [1u64, 5, 17, 100] {
                 let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                let sel = select_min_subcube(7, slice, agg, 1, &budget);
+                let sel = select_min_subcube(7, slice, agg, &budget);
                 if at == 1 {
                     assert!(sel.trip.is_some(), "node fault at 1 must trip");
                 }
                 assert_contains(&sel, &exact, &format!("bnb fault at {at}, seed {seed}"));
 
                 let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                let sel = select_min_subcube_odist(7, slice, 1, &budget);
+                let sel = select_min_subcube_odist(7, slice, &budget);
                 if at == 1 {
                     assert!(sel.trip.is_some(), "odist node fault at 1 must trip");
                 }
@@ -1906,51 +1816,10 @@ mod tests {
         let slice = psi.as_slice();
         let exact = naive::odist_fitting(&psi, &ModelSet::all(n));
         let budget = Budget::unlimited().with_step_limit(3);
-        let sel = select_min_subcube_odist(n, slice, 1, &budget);
+        let sel = select_min_subcube_odist(n, slice, &budget);
         let trip = sel.trip.expect("step limit must trip");
         assert_eq!(trip.reason, TripReason::Steps);
         assert_contains(&sel, &exact, "step limit");
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn budgeted_parallel_shards_keep_containment() {
-        for seed in 0..12u64 {
-            let psi = scrambled(7, seed);
-            let slice = psi.as_slice();
-            let exact = naive::odist_fitting(&psi, &ModelSet::all(7));
-            let agg = |d: &[u32]| d.iter().copied().max().unwrap();
-            for threads in [2usize, 3] {
-                // As in the sequential test, only `at = 1` is guaranteed
-                // to trip; larger trip points may exceed the pruned
-                // search's actual node count and complete exactly.
-                for at in [1u64, 9, 40] {
-                    let budget =
-                        Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                    let sel = select_min_subcube(7, slice, agg, threads, &budget);
-                    if at == 1 {
-                        assert!(sel.trip.is_some(), "par node fault at 1 must trip");
-                    }
-                    assert_contains(
-                        &sel,
-                        &exact,
-                        &format!("par bnb t={threads} at={at} seed={seed}"),
-                    );
-
-                    let budget =
-                        Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                    let sel = select_min_subcube_odist(7, slice, threads, &budget);
-                    if at == 1 {
-                        assert!(sel.trip.is_some(), "par odist fault at 1 must trip");
-                    }
-                    assert_contains(
-                        &sel,
-                        &exact,
-                        &format!("par odist t={threads} at={at} seed={seed}"),
-                    );
-                }
-            }
-        }
     }
 
     #[cfg(feature = "parallel")]
@@ -1989,9 +1858,14 @@ mod tests {
         assert_eq!(sel.minima, exact);
 
         let agg = |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>();
-        let sel = select_min_universe_mono(6, slice, agg, &Budget::unlimited()).unwrap();
-        assert!(matches!(sel.quality(), Quality::Exact));
-        assert_eq!(sel.minima, naive::sum_fitting(&psi, &ModelSet::all(6)));
+        // Constant 0 always searches, `u64::MAX` always scans.
+        for work_per_cubed_model in [0, u64::MAX] {
+            let unlimited = Budget::unlimited();
+            let sel =
+                select_min_universe_mono(6, slice, agg, work_per_cubed_model, &unlimited).unwrap();
+            assert!(matches!(sel.quality(), Quality::Exact));
+            assert_eq!(sel.minima, naive::sum_fitting(&psi, &ModelSet::all(6)));
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod arbitration;
 pub mod assignment;
 pub mod budget;
 pub mod cache;
-pub mod compiled;
 pub mod distance;
 pub mod error;
 pub mod fitting;
@@ -63,7 +62,6 @@ pub use budget::{
 pub use cache::{
     cached_apply, cached_arbitrate, cached_warbitrate, CacheStatus, CachedValue, OpCache, QueryKey,
 };
-pub use compiled::{tiered_apply, tiered_arbitrate, Backend, CompiledTier, TierReport};
 pub use distance::{dist, min_dist, odist, sum_dist, wdist};
 pub use error::CoreError;
 pub use fitting::{GMaxFitting, LexOdistFitting, OdistFitting, SumFitting};

@@ -169,66 +169,14 @@ pub static CACHE_SECTION: Section = Section {
     timers: &[],
 };
 
-// --- section "bdd": the compiled-KB tier (compiled.rs) ---------------------
-
-/// Knowledge bases compiled to ROBDDs, whether by hotness promotion or
-/// commit-time recompilation ([`crate::compiled::CompiledTier`]).
-pub static BDD_COMPILES: Counter = Counter::new("bdd_compiles");
-/// Live manager nodes right after each successful compile (ψ plus its
-/// distance layers) — the BDD analogue of "models of ψ" held resident.
-pub static BDD_COMPILE_NODES: Counter = Counter::new("bdd_compile_nodes");
-/// Queries answered by BDD traversal instead of the enumeration kernel or
-/// the SAT backend.
-pub static BDD_SERVED: Counter = Counter::new("bdd_served");
-/// Distance levels `k` examined while scanning for the minimal nonempty
-/// level set — the BDD analogue of the kernel's candidates scanned (at most
-/// `n + 1` per query, versus `2^n` interpretations).
-pub static BDD_LEVELS_SCANNED: Counter = Counter::new("bdd_levels_scanned");
-/// Tier-eligible queries that fell back to the kernel/SAT path (below the
-/// hotness threshold, ψ marked over-budget, or a mid-query budget trip).
-pub static BDD_FALLBACKS: Counter = Counter::new("bdd_fallbacks");
-/// Compilations abandoned because the manager outgrew the node budget;
-/// the ψ is marked too-big and its queries degrade to the kernel.
-pub static BDD_BUDGET_FALLBACKS: Counter = Counter::new("bdd_budget_fallbacks");
-/// Compiled KBs displaced by the tier's LRU policy.
-pub static BDD_EVICTIONS: Counter = Counter::new("bdd_evictions");
-/// Compiled KBs invalidated because their ψ was committed over.
-pub static BDD_INVALIDATIONS: Counter = Counter::new("bdd_invalidations");
-/// Per-ψ managers rebuilt to shed per-query μ debris.
-pub static BDD_MANAGER_RESETS: Counter = Counter::new("bdd_manager_resets");
-/// Tier lookups whose ψ was found in the hot-ψ memo, skipping its
-/// canonicalization.
-pub static BDD_PSI_MEMO_HITS: Counter = Counter::new("bdd_psi_memo_hits");
-/// Wall time spent compiling ψ and its distance layers.
-pub static BDD_COMPILE: Timer = Timer::new("bdd_compile");
-
-/// The `"bdd"` section.
-pub static BDD_SECTION: Section = Section {
-    name: "bdd",
-    counters: &[
-        &BDD_COMPILES,
-        &BDD_COMPILE_NODES,
-        &BDD_SERVED,
-        &BDD_LEVELS_SCANNED,
-        &BDD_FALLBACKS,
-        &BDD_BUDGET_FALLBACKS,
-        &BDD_EVICTIONS,
-        &BDD_INVALIDATIONS,
-        &BDD_MANAGER_RESETS,
-        &BDD_PSI_MEMO_HITS,
-    ],
-    timers: &[&BDD_COMPILE],
-};
-
-/// Every section in snapshot order: kernel, weighted, budget, cache, bdd,
+/// Every section in snapshot order: kernel, weighted, budget, cache,
 /// then the solver counters owned by `arbitrex-sat`.
-pub fn sections() -> [&'static Section; 6] {
+pub fn sections() -> [&'static Section; 5] {
     [
         &KERNEL_SECTION,
         &WEIGHTED_SECTION,
         &BUDGET_SECTION,
         &CACHE_SECTION,
-        &BDD_SECTION,
         &arbitrex_sat::telemetry::SAT_SECTION,
     ]
 }
@@ -276,21 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_has_all_six_sections() {
+    fn snapshot_has_all_five_sections() {
         let snap = snapshot();
         let names: Vec<_> = snap.sections.iter().map(|s| s.name).collect();
-        assert_eq!(
-            names,
-            vec!["kernel", "weighted", "budget", "cache", "bdd", "sat"]
-        );
+        assert_eq!(names, vec!["kernel", "weighted", "budget", "cache", "sat"]);
         let json = snap.to_json();
         assert!(json.contains("\"bnb_nodes_cut\""));
         assert!(json.contains("\"conflicts\""));
         assert!(json.contains("\"wprofile_prune_hits\""));
         assert!(json.contains("\"budget_trips\""));
         assert!(json.contains("\"cache_hits\""));
-        assert!(json.contains("\"bdd_compiles\""));
-        assert!(json.contains("\"bdd_served\""));
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //!   stored), then `hit`; an alpha-variant of it hits too.
 //! * `clear()` returns the cache to admitting every query.
 //! * Answers never depend on admission: a seeded stream of repeats,
-//!   renamings and fresh queries through the tiered entry points on a
+//!   renamings and fresh queries through the cached entry points on a
 //!   small evicting cache matches the naive oracles on every request.
 
 use arbitrex_core::kernel::naive;
 use arbitrex_core::telemetry::{self, CACHE_FIRST_SIGHTINGS};
 use arbitrex_core::{
-    cached_arbitrate, tiered_apply, tiered_arbitrate, Budget, CacheStatus, CompiledTier,
-    DalalRevision, OdistFitting, OpCache,
+    cached_apply, cached_arbitrate, Budget, CacheStatus, DalalRevision, OdistFitting, OpCache,
 };
 use arbitrex_logic::{form_of, parse, rename_formula, Formula, Interp, ModelSet, Sig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -104,10 +103,6 @@ fn admission_never_changes_an_answer() {
     let mut rng = StdRng::seed_from_u64(0xad_0001);
     let budget = Budget::unlimited();
     let cache = OpCache::with_shards(1, 4);
-    let tiers = [
-        CompiledTier::new(0, CompiledTier::DEFAULT_NODE_BUDGET, 8),
-        CompiledTier::new(2, CompiledTier::DEFAULT_NODE_BUDGET, 8),
-    ];
     // Twelve recurring queries, three per width, among fresh ones.
     let bases: Vec<(u32, Formula, Formula)> = (0..12)
         .map(|i| {
@@ -130,24 +125,22 @@ fn admission_never_changes_an_answer() {
             let n = rng.random_range(3..=6u32);
             (n, minterm_dnf(&mut rng, n, 4), minterm_dnf(&mut rng, n, 3))
         };
-        let tier = &tiers[step % 2];
         let (mp, mm) = (ModelSet::of_formula(&psi, n), ModelSet::of_formula(&mu, n));
-        let (out, s, _) = tiered_arbitrate(&cache, tier, &psi, &mu, n, &budget).unwrap();
+        let (out, s) = cached_arbitrate(&cache, &psi, &mu, n, &budget).unwrap();
         assert_eq!(
             out.models,
             naive::arbitrate(&mp, &mm),
             "arbitrate, step {step}"
         );
         count(s);
-        let (out, s, _) = tiered_apply(&cache, tier, &OdistFitting, &psi, &mu, n, &budget).unwrap();
+        let (out, s) = cached_apply(&cache, &OdistFitting, &psi, &mu, n, &budget).unwrap();
         assert_eq!(
             out.models,
             naive::odist_fitting(&mp, &mm),
             "odist, step {step}"
         );
         count(s);
-        let (out, s, _) =
-            tiered_apply(&cache, tier, &DalalRevision, &psi, &mu, n, &budget).unwrap();
+        let (out, s) = cached_apply(&cache, &DalalRevision, &psi, &mu, n, &budget).unwrap();
         assert_eq!(
             out.models,
             naive::dalal_revision(&mp, &mm),

@@ -1,6 +1,6 @@
 //! A zero-capacity `OpCache` skips building query keys, and every cached
-//! and tiered entry point answers exactly as if it had looked: status
-//! `Bypass`, the kernel's (or BDD tier's) models, one `cache_bypasses`
+//! entry point answers exactly as if it had looked: status `Bypass`, the
+//! kernel's models, one `cache_bypasses`
 //! for the skipped lookup plus one more for a non-exact outcome, and no
 //! hit, miss or insertion.
 //!
@@ -9,9 +9,9 @@
 
 use arbitrex_core::telemetry::{self, CACHE_BYPASSES, CACHE_HITS, CACHE_INSERTIONS, CACHE_MISSES};
 use arbitrex_core::{
-    cached_apply, cached_arbitrate, cached_warbitrate, tiered_apply, tiered_arbitrate,
-    try_arbitrate_with_budget, try_warbitrate_with_budget, Backend, Budget, BudgetedChangeOperator,
-    CacheStatus, CompiledTier, OdistFitting, OpCache, Quality,
+    cached_apply, cached_arbitrate, cached_warbitrate, try_arbitrate_with_budget,
+    try_warbitrate_with_budget, Budget, BudgetedChangeOperator, CacheStatus, OdistFitting, OpCache,
+    Quality,
 };
 use arbitrex_logic::{parse, Formula, ModelSet, Sig};
 use std::time::Duration;
@@ -43,8 +43,6 @@ fn expect_bypass(what: String, quality: Quality, status: CacheStatus, counts: [u
 #[test]
 fn disabled_cache_answers_and_counts_as_before() {
     let cache = OpCache::new(0);
-    let off = CompiledTier::new(0, CompiledTier::DEFAULT_NODE_BUDGET, 8);
-    let eager = CompiledTier::new(1, CompiledTier::DEFAULT_NODE_BUDGET, 8);
     let mut sig = Sig::new();
     let psi = parse(&mut sig, "(A & B) | (!C & D)").unwrap();
     let mu = parse(&mut sig, "!A | (C & !D)").unwrap();
@@ -62,7 +60,7 @@ fn disabled_cache_answers_and_counts_as_before() {
     let mut saw_degraded = false;
     for (label, p, m, n, budget) in cases {
         let (mp, mm) = (ModelSet::of_formula(p, n), ModelSet::of_formula(m, n));
-        // Exact references: the BDD tier answers whatever the budget.
+        // Exact references for the answers that come back exact.
         let arb = try_arbitrate_with_budget(&mp, &mm, &exact).unwrap();
         let fit = OdistFitting.apply_with_budget(&mp, &mm, &exact);
 
@@ -88,23 +86,6 @@ fn disabled_cache_answers_and_counts_as_before() {
             let wm = arbitrex_core::cache::weighted_side(m, 1, n);
             let want = try_warbitrate_with_budget(&wp, &wm, &exact).unwrap();
             assert!(out.kb.equivalent(&want.kb));
-        }
-
-        for tier in [&off, &eager] {
-            let ((out, status, _), c) =
-                deltas(|| tiered_arbitrate(&cache, tier, p, m, n, budget).unwrap());
-            expect_bypass(format!("tiered_arbitrate {label}"), out.quality, status, c);
-            if out.quality == Quality::Exact {
-                assert_eq!(out.models, arb.models);
-            }
-
-            let ((out, status, report), c) =
-                deltas(|| tiered_apply(&cache, tier, &OdistFitting, p, m, n, budget).unwrap());
-            expect_bypass(format!("tiered_apply {label}"), out.quality, status, c);
-            assert_ne!(report.backend, Backend::Cache);
-            if out.quality == Quality::Exact {
-                assert_eq!(out.models, fit.models);
-            }
         }
     }
     assert!(saw_degraded, "the expired budget must degrade an answer");

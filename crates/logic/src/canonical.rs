@@ -684,9 +684,8 @@ fn first_occurrence_renaming(fs: &[Formula], width: u32) -> Vec<u32> {
 /// `Var(map[v])`. The structural shape is preserved exactly.
 ///
 /// This is the bridge consumers of [`CanonicalQuery`] use to move *other*
-/// formulas into an already-computed canonical variable space — e.g. the
-/// compiled-KB tier renames each incoming `μ` through the `forward`
-/// permutation of its compiled `ψ` before BDD evaluation.
+/// formulas into an already-computed canonical variable space, and the way
+/// tests build alpha-variants of a query.
 ///
 /// # Panics
 /// Panics if `f` mentions a variable `v` with `v as usize >= map.len()`.

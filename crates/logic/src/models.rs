@@ -86,8 +86,14 @@ impl ModelSet {
         ModelSet::new(n_vars, [i])
     }
 
-    /// Enumerate `Mod(f)` over `n_vars` variables by exhaustive evaluation,
-    /// 64 interpretations per tree walk.
+    /// Enumerate `Mod(f)` over `n_vars` variables.
+    ///
+    /// A cube cover (`⊥`, a literal, a conjunction of literals, or a
+    /// disjunction of those — the shape of the paper's `form(I₁,…,I_k)`)
+    /// is expanded cube by cube whenever that touches no more
+    /// interpretations than the exhaustive walk has blocks; anything else
+    /// is evaluated exhaustively, 64 interpretations per tree walk. Both
+    /// paths return the same ascending set.
     ///
     /// # Panics
     /// Panics if `n_vars > ENUM_LIMIT` or `f` mentions a variable
@@ -115,6 +121,10 @@ impl ModelSet {
                 });
             }
         }
+        let blocks = 1u64 << n_vars.saturating_sub(6);
+        if let Some(models) = expand_cubes(f, n_vars, blocks) {
+            return Ok(ModelSet { n_vars, models });
+        }
         // Below 6 variables one block holds the whole universe in its
         // low `2^n` lanes; the lanes above it repeat those and are masked.
         let lanes = if n_vars < 6 {
@@ -123,7 +133,7 @@ impl ModelSet {
             !0
         };
         let mut models = Vec::new();
-        for block in 0..1u64 << n_vars.saturating_sub(6) {
+        for block in 0..blocks {
             // Lanes pop low to high and blocks ascend, so `models` comes
             // out sorted without a sort.
             let mut word = eval_block(f, block) & lanes;
@@ -284,6 +294,74 @@ impl ModelSet {
     pub fn display<'a>(&'a self, sig: &'a crate::Sig) -> ModelSetDisplay<'a> {
         ModelSetDisplay { set: self, sig }
     }
+}
+
+/// A literal or constant as the `(ones, zeros)` masks of the bits it
+/// forces; `⊥` forces bit 0 both ways, an empty cube.
+fn literal(f: &Formula) -> Option<(u64, u64)> {
+    match f {
+        Formula::True => Some((0, 0)),
+        Formula::False => Some((1, 1)),
+        Formula::Var(v) => Some((1 << v.0, 0)),
+        Formula::Not(g) => match **g {
+            Formula::Var(v) => Some((0, 1 << v.0)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A conjunction of literals (or one literal) as its `(ones, zeros)`
+/// masks; `None` for any other shape.
+fn cube(t: &Formula) -> Option<(u64, u64)> {
+    match t {
+        Formula::And(parts) => parts.iter().try_fold((0, 0), |(ones, zeros), p| {
+            let (o, z) = literal(p)?;
+            Some((ones | o, zeros | z))
+        }),
+        _ => literal(t),
+    }
+}
+
+/// `Mod(f)`, ascending, from the cubes of a cube cover `f`, provided the
+/// cubes hold at most `limit` interpretations between them (overlaps
+/// counted once per cube). `None` when `f` is no cube cover or its cubes
+/// are too big; the caller then walks the universe.
+fn expand_cubes(f: &Formula, n_vars: u32, limit: u64) -> Option<Vec<Interp>> {
+    let terms = match f {
+        Formula::Or(terms) => terms.as_slice(),
+        term => std::slice::from_ref(term),
+    };
+    let width = Interp::full(n_vars).0;
+    let mut cubes = Vec::with_capacity(terms.len());
+    let mut total = 0u64;
+    for term in terms {
+        let (ones, zeros) = cube(term)?;
+        if ones & zeros != 0 {
+            continue; // `x ∧ ¬x` has no models
+        }
+        let free = width & !(ones | zeros);
+        total += 1 << free.count_ones();
+        if total > limit {
+            return None;
+        }
+        cubes.push((ones, free));
+    }
+    let mut models = Vec::with_capacity(total as usize);
+    for (ones, free) in cubes {
+        // Every subset of `free`, in increasing order.
+        let mut sub = 0u64;
+        loop {
+            models.push(Interp(ones | sub));
+            if sub == free {
+                break;
+            }
+            sub = sub.wrapping_sub(free) & free;
+        }
+    }
+    models.sort_unstable();
+    models.dedup();
+    Some(models)
 }
 
 /// Stream all `2^n` interpretations in increasing bitmask order without

@@ -96,8 +96,8 @@ fn corpus() -> Vec<Case> {
             n_vars: gen.n_vars,
         });
     }
-    // Full-minterm DNFs, parsed from text: ψ alone (the compiled tier's
-    // key) and jointly with a small μ (the result cache's key).
+    // Full-minterm DNFs, parsed from text: ψ alone and jointly with a
+    // small μ (the result cache's key).
     for i in 0..60usize {
         let width = 4 + (i % 11);
         let mut names: Vec<String> = (0..width).map(|v| format!("x{v}")).collect();

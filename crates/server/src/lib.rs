@@ -74,7 +74,7 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 
 use arbitrex_core::cache::OpCache;
-use arbitrex_core::{CompiledTier, Faults};
+use arbitrex_core::Faults;
 use kb::{DurabilityOptions, KbStore};
 use recovery::{RecoverMode, RecoveryReport};
 
@@ -122,13 +122,6 @@ pub struct ServerConfig {
     /// soon as the flusher is free (natural batching only). This bounds
     /// the *extra* ack latency a commit can pay for batching.
     pub flush_interval_us: u64,
-    /// Compile a KB's `ψ` to an ROBDD after this many queries against the
-    /// same canonical form; later queries are answered by BDD traversal.
-    /// `0` disables the compiled tier entirely.
-    pub bdd_hotness: u32,
-    /// Per-`ψ` BDD node budget: a compilation (or per-query `μ`
-    /// traversal) exceeding it degrades to the kernel path instead.
-    pub bdd_node_budget: usize,
     /// Start the fencing epoch here instead of continuing from recovery
     /// (never below what recovery found). Mostly for tests and storm
     /// scripts.
@@ -170,8 +163,6 @@ impl Default for ServerConfig {
             keep_alive_timeout_ms: 5_000,
             group_commit: true,
             flush_interval_us: 0,
-            bdd_hotness: CompiledTier::DEFAULT_HOTNESS,
-            bdd_node_budget: CompiledTier::DEFAULT_NODE_BUDGET,
             replication_epoch: None,
             shard_ring: shard::SELF_AUTO.to_string(),
             shard_vnodes: shard::DEFAULT_VNODES,
@@ -191,8 +182,6 @@ pub struct ServiceState {
     pub cache: OpCache,
     /// Named knowledge bases.
     pub kbs: KbStore,
-    /// The compiled-KB tier: hot `ψ` theories as ROBDDs.
-    pub compiled: CompiledTier,
     /// What recovery found, when the store is durable.
     pub recovery: Option<RecoveryReport>,
     /// The shard router: the ring every role derives from, plus this
@@ -240,16 +229,10 @@ impl ServiceState {
             &config.cluster_peers,
             config.shard_vnodes,
         );
-        let compiled = CompiledTier::new(
-            config.bdd_hotness,
-            config.bdd_node_budget,
-            CompiledTier::DEFAULT_CAPACITY,
-        );
         Ok(ServiceState {
             config,
             cache,
             kbs,
-            compiled,
             recovery,
             shards,
             failover: failover::FailoverState::new(),

@@ -285,10 +285,6 @@ pub static LATENCY_WAL_FSYNC: Histogram = Histogram::new("wal_fsync");
 /// Time a commit spends waiting on the shared group-commit flush
 /// (append → ack). Bounded by one fsync plus `flush_interval_us`.
 pub static LATENCY_FLUSH_WAIT: Histogram = Histogram::new("flush_wait");
-/// Latency of each ψ → ROBDD compilation in the compiled-KB tier
-/// (hotness promotions and commit-time recompiles alike) — the
-/// amortized cost a KB pays to move onto the BDD fast path.
-pub static LATENCY_BDD_COMPILE: Histogram = Histogram::new("bdd_compile");
 /// Wall-clock handling latency of `/v1/replication/*` requests on the
 /// serving (primary) side.
 pub static LATENCY_REPL: Histogram = Histogram::new("repl");
@@ -300,8 +296,8 @@ pub static LATENCY_REPL_APPLY: Histogram = Histogram::new("repl_apply");
 pub static LATENCY_CLUSTER: Histogram = Histogram::new("cluster");
 
 /// Every histogram, in protocol-table order (endpoints, then durability,
-/// then the compiled tier, then replication, then sharding).
-pub fn histograms() -> [&'static Histogram; 11] {
+/// then replication, then sharding).
+pub fn histograms() -> [&'static Histogram; 10] {
     [
         &LATENCY_ARBITRATE,
         &LATENCY_FIT,
@@ -310,7 +306,6 @@ pub fn histograms() -> [&'static Histogram; 11] {
         &LATENCY_METRICS,
         &LATENCY_WAL_FSYNC,
         &LATENCY_FLUSH_WAIT,
-        &LATENCY_BDD_COMPILE,
         &LATENCY_REPL,
         &LATENCY_REPL_APPLY,
         &LATENCY_CLUSTER,
@@ -382,7 +377,6 @@ mod tests {
             "weighted",
             "budget",
             "cache",
-            "bdd",
             "sat",
             "server",
             "event_loop",
@@ -405,7 +399,6 @@ mod tests {
             "metrics",
             "wal_fsync",
             "flush_wait",
-            "bdd_compile",
             "repl",
             "repl_apply",
             "cluster",

@@ -50,7 +50,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use arbitrex_core::{tiered_arbitrate, Budget, Quality};
+use arbitrex_core::{cached_arbitrate, Budget, Quality};
 use arbitrex_logic::{canonical_key, parse as parse_formula, ENUM_LIMIT};
 
 use crate::json::{self, Json};
@@ -935,15 +935,8 @@ fn merge_divergent(
     } else {
         (peer_formula, local_formula)
     };
-    let (outcome, _cache, _report) = tiered_arbitrate(
-        &state.cache,
-        &state.compiled,
-        &psi,
-        &phi,
-        n,
-        &Budget::unlimited(),
-    )
-    .map_err(|e| e.to_string())?;
+    let (outcome, _cache) = cached_arbitrate(&state.cache, &psi, &phi, n, &Budget::unlimited())
+        .map_err(|e| e.to_string())?;
     if outcome.quality != Quality::Exact {
         return Err("arbitration degraded under an unlimited budget".to_string());
     }

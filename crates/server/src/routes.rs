@@ -18,11 +18,10 @@ use crate::replication::{
 use crate::shard::{self, Placement, ShardRouter};
 use crate::ServiceState;
 
-use arbitrex_core::cache::{cached_warbitrate, CacheStatus};
+use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate, CacheStatus};
 use arbitrex_core::iterated::iterate_fixed_input;
 use arbitrex_core::{
-    budgeted_operator, tiered_apply, tiered_arbitrate, Budget, BudgetSpent, FaultFamily, FaultSite,
-    Outcome, Quality, TierReport,
+    budgeted_operator, Budget, BudgetSpent, FaultFamily, FaultSite, Outcome, Quality,
 };
 use arbitrex_logic::{parse as parse_formula, Formula, Interp, ModelSet, Sig, ENUM_LIMIT};
 
@@ -253,29 +252,25 @@ fn note_quality(quality: Quality) {
     }
 }
 
-/// Feed a tier report's compile time (if this request paid one) into the
-/// `bdd_compile` latency histogram.
-fn note_compile(report: &TierReport) {
-    if let Some(ns) = report.compile_ns {
-        metrics::LATENCY_BDD_COMPILE.record_nanos(ns);
+/// Which path produced an answer, as the response's `backend` field:
+/// replayed from the result cache, or computed by the kernel (or its SAT
+/// degradation path).
+fn backend(cache: CacheStatus) -> &'static str {
+    if cache == CacheStatus::Hit {
+        "cache"
+    } else {
+        "kernel"
     }
 }
 
-fn outcome_json(
-    endpoint: &str,
-    sig: &Sig,
-    outcome: &Outcome,
-    cache: CacheStatus,
-    report: &TierReport,
-) -> Json {
+fn outcome_json(endpoint: &str, sig: &Sig, outcome: &Outcome, cache: CacheStatus) -> Json {
     note_quality(outcome.quality);
-    note_compile(report);
     let (models, truncated) = models_json(sig, &outcome.models);
     obj([
         ("endpoint", json::s(endpoint)),
         ("quality", json::s(outcome.quality.name())),
         ("cache", json::s(cache.name())),
-        ("backend", json::s(report.backend.name())),
+        ("backend", json::s(backend(cache))),
         ("n_vars", json::n(outcome.models.n_vars() as u64)),
         ("n_models", json::n(outcome.models.len() as u64)),
         ("models", models),
@@ -320,11 +315,10 @@ fn handle_metrics(state: &ServiceState) -> Response {
     // Splice live gauge values (cache fill, KB count, replication
     // watermarks, ring and chain state) into the document.
     let gauges = format!(
-        ", \"gauges\": {{\"cache_entries\": {}, \"cache_capacity\": {}, \"kb_count\": {}, \"compiled_kbs\": {}, \"replication_role\": {role}, \"replication_epoch\": {epoch}, \"replication_head\": {head}, \"replication_visible\": {visible}, \"replication_lag\": {lag}, \"shard_ring_epoch\": {ring_epoch}, \"shard_members\": {ring_members}, \"chain_length\": {chain_length}, \"chain_position\": {chain_position}, \"deposed_heads\": {deposed_heads}}}}}",
+        ", \"gauges\": {{\"cache_entries\": {}, \"cache_capacity\": {}, \"kb_count\": {}, \"replication_role\": {role}, \"replication_epoch\": {epoch}, \"replication_head\": {head}, \"replication_visible\": {visible}, \"replication_lag\": {lag}, \"shard_ring_epoch\": {ring_epoch}, \"shard_members\": {ring_members}, \"chain_length\": {chain_length}, \"chain_position\": {chain_position}, \"deposed_heads\": {deposed_heads}}}}}",
         state.cache.len(),
         state.cache.capacity(),
         state.kbs.len(),
-        state.compiled.compiled_count()
     );
     text.truncate(text.len() - 1);
     text.push_str(&gauges);
@@ -348,22 +342,9 @@ fn arbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Respon
     let psi = parse_side(&mut sig, body, "psi")?;
     let phi = parse_side(&mut sig, body, "phi")?;
     check_width(sig.width())?;
-    let (outcome, cache, report) = tiered_arbitrate(
-        &state.cache,
-        &state.compiled,
-        &psi,
-        &phi,
-        sig.width(),
-        &budget,
-    )
-    .map_err(|e| error_response(400, e.to_string()))?;
-    Ok(ok(outcome_json(
-        "arbitrate",
-        &sig,
-        &outcome,
-        cache,
-        &report,
-    )))
+    let (outcome, cache) = cached_arbitrate(&state.cache, &psi, &phi, sig.width(), &budget)
+        .map_err(|e| error_response(400, e.to_string()))?;
+    Ok(ok(outcome_json("arbitrate", &sig, &outcome, cache)))
 }
 
 fn handle_fit(state: &ServiceState, req: &Request) -> Response {
@@ -398,17 +379,9 @@ fn fit_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
     let psi = parse_side(&mut sig, body, "psi")?;
     let mu = parse_side(&mut sig, body, "mu")?;
     check_width(sig.width())?;
-    let (outcome, cache, report) = tiered_apply(
-        &state.cache,
-        &state.compiled,
-        op.as_ref(),
-        &psi,
-        &mu,
-        sig.width(),
-        &budget,
-    )
-    .map_err(|e| error_response(400, e.to_string()))?;
-    let mut response = outcome_json("fit", &sig, &outcome, cache, &report);
+    let (outcome, cache) = cached_apply(&state.cache, op.as_ref(), &psi, &mu, sig.width(), &budget)
+        .map_err(|e| error_response(400, e.to_string()))?;
+    let mut response = outcome_json("fit", &sig, &outcome, cache);
     if let Json::Obj(members) = &mut response {
         members.insert(1, ("op".to_string(), json::s(op_name)));
     }
@@ -1589,10 +1562,10 @@ fn kb_change(
     let mu = parse_side(&mut sig, body, "formula")?;
     check_width(sig.width())?;
     let n = sig.width();
-    let psi = kb.formula.clone();
+    let psi = &kb.formula;
 
-    let (outcome, cache, report) = if action == "arbitrate" {
-        tiered_arbitrate(&state.cache, &state.compiled, &psi, &mu, n, &budget)
+    let (outcome, cache) = if action == "arbitrate" {
+        cached_arbitrate(&state.cache, psi, &mu, n, &budget)
     } else {
         let op_name = match body.get("op") {
             None => "odist",
@@ -1602,23 +1575,13 @@ fn kb_change(
         };
         let op = budgeted_operator(op_name)
             .ok_or_else(|| error_response(400, format!("unknown operator `{op_name}`")))?;
-        tiered_apply(
-            &state.cache,
-            &state.compiled,
-            op.as_ref(),
-            &psi,
-            &mu,
-            n,
-            &budget,
-        )
+        cached_apply(&state.cache, op.as_ref(), psi, &mu, n, &budget)
     }
     .map_err(|e| error_response(400, e.to_string()))?;
 
     note_quality(outcome.quality);
-    note_compile(&report);
     let committed = outcome.quality == Quality::Exact;
-    // One formula serves the stored KB, the tier's commit hook and the
-    // response text.
+    // One formula serves the stored KB and the response text.
     let formula = outcome.models.to_formula();
     let mut snapshot_due = false;
     let mut rseq = 0;
@@ -1639,15 +1602,6 @@ fn kb_change(
     let seq_now = kb.seq;
     drop(kb);
     run_due_snapshot(state, snapshot_due);
-    // Compiled-tier invalidation runs strictly after the entry lock is
-    // released: the tier mutex is a leaf lock (DESIGN.md §11). Keys are
-    // content-addressed, so correctness never depends on this hook — it
-    // frees the dead entry and transfers hotness to the new ψ.
-    if committed {
-        if let Some(ns) = state.compiled.note_commit(Some(&psi), &formula, n) {
-            metrics::LATENCY_BDD_COMPILE.record_nanos(ns);
-        }
-    }
     let (models, truncated) = models_json(&sig, &outcome.models);
     Ok(with_commit_seq(
         ok(obj([
@@ -1656,7 +1610,7 @@ fn kb_change(
             ("action", json::s(action)),
             ("quality", json::s(outcome.quality.name())),
             ("cache", json::s(cache.name())),
-            ("backend", json::s(report.backend.name())),
+            ("backend", json::s(backend(cache))),
             ("committed", Json::Bool(committed)),
             ("seq", json::n(seq_now)),
             ("n_vars", json::n(n as u64)),
