@@ -1318,6 +1318,9 @@ fn e11_dynamics() {
     println!("the camps and their midpoints forever.\n");
 }
 
+/// A pool of `(ψ, φ)` query texts.
+type QueryPool = Vec<(String, String)>;
+
 /// The serving-bench query pool shared by E15 and E17: 64 structurally
 /// distinct queries — widths 6..=9, with three fixed-shape queries plus
 /// a polarity ladder (cubes with k positive literals, 1 <= k < n) per
@@ -1329,7 +1332,7 @@ fn e11_dynamics() {
 /// side has ~2^n models and the scan is O(candidates x models), so width
 /// 13 queries run for seconds and a closed loop would measure one query,
 /// not the service.
-fn serving_query_pool() -> Vec<(String, String)> {
+fn serving_query_pool() -> QueryPool {
     let mut out = Vec::new();
     for n in 6..=9usize {
         let vars: Vec<String> = (0..n).map(|i| format!("V{i}")).collect();
@@ -1825,7 +1828,7 @@ fn e17_event_loop() {
     /// balanced compromises between the two corners — C(n, n/2)-ish
     /// models, a few hundred bytes of response at widths 3..=6. Distinct
     /// (width, k) pairs are distinct canonical keys.
-    fn light_pool() -> Vec<(String, String)> {
+    fn light_pool() -> QueryPool {
         let mut out = Vec::new();
         for n in 3..=6usize {
             let vars: Vec<String> = (0..n).map(|i| format!("V{i}")).collect();
@@ -1915,7 +1918,7 @@ fn e17_event_loop() {
     // --- serving half --------------------------------------------------------
 
     let worker_counts: &[usize] = if quick { &[4] } else { &[1, 4, 8] };
-    let workloads: Vec<(&str, Vec<(String, String)>, usize)> = if quick {
+    let workloads: Vec<(&str, QueryPool, usize)> = if quick {
         vec![("light", light_pool(), rounds)]
     } else {
         // Rounds chosen so both workloads send a few thousand requests

@@ -10,11 +10,14 @@
 //! Measurement model: a short warm-up, then timed batches with a doubling
 //! iteration count until the time budget is met; the reported figure is the
 //! best (minimum) per-iteration time across batches, which is the most
-//! noise-robust point statistic for a single-machine harness. Results are
-//! printed to stdout, one line per benchmark:
+//! noise-robust point statistic for a single-machine harness. The mean over
+//! every timed iteration follows it: where the two differ widely, some
+//! batches hit slow paths (an allocator growing or returning memory, say)
+//! that the best batch missed. Results are printed to stdout, one line per
+//! benchmark:
 //!
 //! ```text
-//! bench  e12/arbitrate-pruned/14        123.4 µs/iter  (64 iters, 12 batches)
+//! bench  e12/arbitrate-pruned/14        123.4 µs/iter  (mean 130.2 µs, 64 iters, 12 batches)
 //! ```
 //!
 //! Environment knobs: `CRITERION_BUDGET_MS` bounds per-benchmark measuring
@@ -38,6 +41,8 @@ fn budget() -> Duration {
 pub struct Bencher {
     /// Best observed per-iteration time, in nanoseconds.
     best_ns: f64,
+    /// Time spent in every timed batch, in nanoseconds.
+    total_ns: f64,
     total_iters: u64,
     batches: u32,
 }
@@ -46,6 +51,7 @@ impl Bencher {
     fn new() -> Self {
         Bencher {
             best_ns: f64::INFINITY,
+            total_ns: 0.0,
             total_iters: 0,
             batches: 0,
         }
@@ -64,6 +70,7 @@ impl Bencher {
                 black_box(f());
             }
             let dt = t0.elapsed();
+            self.total_ns += dt.as_nanos() as f64;
             let ns = dt.as_nanos() as f64 / iters_per_batch as f64;
             if ns < self.best_ns {
                 self.best_ns = ns;
@@ -79,8 +86,9 @@ impl Bencher {
 
     fn report(&self, label: &str) {
         let (value, unit) = humanize_ns(self.best_ns);
+        let (mean, mean_unit) = humanize_ns(self.total_ns / self.total_iters as f64);
         println!(
-            "bench  {label:<44} {value:>9.1} {unit}/iter  ({} iters, {} batches)",
+            "bench  {label:<44} {value:>9.1} {unit}/iter  (mean {mean:.1} {mean_unit}, {} iters, {} batches)",
             self.total_iters, self.batches
         );
     }

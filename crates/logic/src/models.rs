@@ -290,6 +290,57 @@ impl ModelSet {
         crate::formof::form_of(self.n_vars, self.models.iter().copied())
     }
 
+    /// Append the text of `form(I₁,…,I_k)` to `out`: exactly the bytes of
+    /// `self.to_formula().display(sig)` when `names` is `sig.names()`,
+    /// written from the interpretations' bits with no [`Formula`] built.
+    /// That is `false` for no models, `true` at width 0, and otherwise one
+    /// minterm per model, ascending, joined by ` | `, each listing every
+    /// variable in index order joined by ` & ` with `!` on a false bit.
+    /// Variable `i` is spelled `names[i]`, or `v{i}` past the end of
+    /// `names`; a caller that must escape the names for its output format
+    /// passes them escaped, once.
+    ///
+    /// ```
+    /// use arbitrex_logic::{parse, ModelSet, Sig};
+    /// let mut sig = Sig::new();
+    /// let f = parse(&mut sig, "(S & !D) | (!S & D)").unwrap();
+    /// let models = ModelSet::of_formula(&f, 2);
+    /// let mut text = String::new();
+    /// models.write_form(sig.names(), &mut text);
+    /// assert_eq!(text, "S & !D | !S & D");
+    /// assert_eq!(text, models.to_formula().display(&sig).to_string());
+    /// ```
+    pub fn write_form<S: AsRef<str>>(&self, names: &[S], out: &mut String) {
+        use std::fmt::Write as _;
+        if self.models.is_empty() {
+            out.push_str("false");
+            return;
+        }
+        if self.n_vars == 0 {
+            out.push_str("true");
+            return;
+        }
+        for (m, i) in self.models.iter().enumerate() {
+            if m > 0 {
+                out.push_str(" | ");
+            }
+            for k in 0..self.n_vars as usize {
+                if k > 0 {
+                    out.push_str(" & ");
+                }
+                if i.0 >> k & 1 == 0 {
+                    out.push('!');
+                }
+                match names.get(k) {
+                    Some(name) => out.push_str(name.as_ref()),
+                    None => {
+                        let _ = write!(out, "v{k}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Render against a signature, e.g. `{{D}, {S, D}}`.
     pub fn display<'a>(&'a self, sig: &'a crate::Sig) -> ModelSetDisplay<'a> {
         ModelSetDisplay { set: self, sig }

@@ -70,6 +70,11 @@ impl Sig {
         &self.names[v.index()]
     }
 
+    /// Every name, indexed by variable.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
     /// Number of variables in the signature.
     pub fn len(&self) -> usize {
         self.names.len()

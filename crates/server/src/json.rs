@@ -12,6 +12,7 @@
 //! slice, so a megabyte body or a thousands-entry replication digest
 //! costs time proportional to its length.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by [`parse`] — far above anything the
@@ -145,22 +146,55 @@ pub fn n(value: u64) -> Json {
     Json::Num(value as f64)
 }
 
-fn write_escaped(out: &mut String, text: &str) {
+/// Append `text` as a JSON string literal, quotes included.
+pub fn write_escaped(out: &mut String, text: &str) {
     out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    push_escaped(out, text);
+    out.push('"');
+}
+
+/// Does this byte need an escape inside a JSON string?
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Append the body of `text` as a JSON string, without the quotes.
+///
+/// Like the parser, this copies runs: everything up to the next `"`, `\`
+/// or control byte moves as one slice. Those bytes are ASCII and never
+/// occur inside a multibyte UTF-8 sequence, so every run ends on a char
+/// boundary.
+fn push_escaped(out: &mut String, text: &str) {
+    let bytes = text.as_bytes();
+    let mut start = 0;
+    while let Some(len) = bytes[start..].iter().position(|&b| needs_escape(b)) {
+        let at = start + len;
+        out.push_str(&text[start..at]);
+        match bytes[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c);
             }
-            c => out.push(c),
         }
+        start = at + 1;
     }
-    out.push('"');
+    out.push_str(&text[start..]);
+}
+
+/// `text` as the body of a JSON string, borrowed when nothing in it needs
+/// an escape.
+pub fn escaped(text: &str) -> Cow<'_, str> {
+    if text.bytes().any(needs_escape) {
+        let mut out = String::with_capacity(text.len() + 8);
+        push_escaped(&mut out, text);
+        Cow::Owned(out)
+    } else {
+        Cow::Borrowed(text)
+    }
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -381,6 +415,65 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         assert!(text.contains("\\n"));
         assert!(text.contains("\\\""));
+    }
+
+    #[test]
+    fn run_escaping_writes_the_per_char_bytes() {
+        // The encoder that escaped one char at a time, as the oracle.
+        fn per_char(text: &str) -> String {
+            let mut out = String::from("\"");
+            for c in text.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let alphabet = [
+            "a",
+            "Z",
+            " ",
+            "\"",
+            "\\",
+            "/",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{1f}",
+            "\u{7f}",
+            "\u{e9}",
+            "\u{20ac}",
+            "\u{1F600}",
+            "v12",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..40 {
+            for _ in 0..25 {
+                let text: String = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        alphabet[(state % alphabet.len() as u64) as usize]
+                    })
+                    .collect();
+                let want = per_char(&text);
+                assert_eq!(s(text.as_str()).to_text(), want, "{text:?}");
+                assert_eq!(format!("\"{}\"", escaped(&text)), want, "{text:?}");
+                let borrowed = matches!(escaped(&text), Cow::Borrowed(_));
+                assert_eq!(borrowed, want.len() == text.len() + 2, "{text:?}");
+            }
+        }
     }
 
     #[test]

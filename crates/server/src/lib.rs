@@ -25,7 +25,8 @@
 //! Endpoints: `POST /v1/arbitrate`, `POST /v1/fit`, `POST /v1/warbitrate`,
 //! `GET|POST|DELETE /v1/kb/{name}`, and `GET /metrics` (the workspace
 //! telemetry snapshot plus server counters and per-endpoint latency
-//! histograms). The protocol table is in the workspace README
+//! histograms). Answer bodies are written straight from the model bits by
+//! [`answer::AnswerWriter`]. The protocol table is in the workspace README
 //! ("Serving"); counter definitions are in `OBSERVABILITY.md`.
 //!
 //! ```
@@ -54,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+pub mod answer;
 pub mod failover;
 pub mod http;
 pub mod json;

@@ -7,6 +7,7 @@
 
 use std::time::{Duration, Instant};
 
+use crate::answer::AnswerWriter;
 use crate::failover::{self, PromoteError};
 use crate::http::{Request, Response};
 use crate::json::{self, obj, Json};
@@ -18,12 +19,10 @@ use crate::replication::{
 use crate::shard::{self, Placement, ShardRouter};
 use crate::ServiceState;
 
-use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate, CacheStatus};
+use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate};
 use arbitrex_core::iterated::iterate_fixed_input;
-use arbitrex_core::{
-    budgeted_operator, Budget, BudgetSpent, FaultFamily, FaultSite, Outcome, Quality,
-};
-use arbitrex_logic::{parse as parse_formula, Formula, Interp, ModelSet, Sig, ENUM_LIMIT};
+use arbitrex_core::{budgeted_operator, Budget, FaultFamily, FaultSite, Quality};
+use arbitrex_logic::{parse as parse_formula, Formula, ModelSet, Sig, ENUM_LIMIT};
 
 /// Longest artificial `hold_ms` accepted: a request's `hold_ms` field
 /// makes its worker sleep before computing, a load-testing knob for
@@ -210,77 +209,12 @@ fn budget_and_hold(body: &Json, state: &ServiceState) -> Result<Budget, Response
     Ok(budget)
 }
 
-// --- response encoding helpers ---------------------------------------------
-
-fn model_names(sig: &Sig, i: Interp) -> Json {
-    Json::Arr(
-        sig.iter()
-            .filter(|(v, _)| i.get(*v))
-            .map(|(_, name)| json::s(name))
-            .collect(),
-    )
-}
-
-fn models_json(sig: &Sig, models: &ModelSet) -> (Json, bool) {
-    let truncated = models.len() > MAX_LISTED_MODELS;
-    let listed = models
-        .iter()
-        .take(MAX_LISTED_MODELS)
-        .map(|i| model_names(sig, i))
-        .collect();
-    (Json::Arr(listed), truncated)
-}
-
-fn spent_json(spent: &BudgetSpent) -> Json {
-    let mut members = vec![
-        ("scans", json::n(spent.scans)),
-        ("nodes", json::n(spent.nodes)),
-        ("conflicts", json::n(spent.conflicts)),
-        ("models", json::n(spent.models)),
-        ("ladder_steps", json::n(spent.ladder_steps)),
-        ("tripped", Json::Bool(spent.trip.is_some())),
-    ];
-    if let Some(trip) = spent.trip {
-        members.push(("trip_reason", json::s(trip.reason.name())));
-    }
-    obj(members)
-}
-
+/// Count a degraded answer in `degraded`; [`AnswerWriter`] writes the
+/// answer's body.
 fn note_quality(quality: Quality) {
     if quality != Quality::Exact {
         metrics::DEGRADED.incr();
     }
-}
-
-/// Which path produced an answer, as the response's `backend` field:
-/// replayed from the result cache, or computed by the kernel (or its SAT
-/// degradation path).
-fn backend(cache: CacheStatus) -> &'static str {
-    if cache == CacheStatus::Hit {
-        "cache"
-    } else {
-        "kernel"
-    }
-}
-
-fn outcome_json(endpoint: &str, sig: &Sig, outcome: &Outcome, cache: CacheStatus) -> Json {
-    note_quality(outcome.quality);
-    let (models, truncated) = models_json(sig, &outcome.models);
-    obj([
-        ("endpoint", json::s(endpoint)),
-        ("quality", json::s(outcome.quality.name())),
-        ("cache", json::s(cache.name())),
-        ("backend", json::s(backend(cache))),
-        ("n_vars", json::n(outcome.models.n_vars() as u64)),
-        ("n_models", json::n(outcome.models.len() as u64)),
-        ("models", models),
-        ("models_truncated", Json::Bool(truncated)),
-        (
-            "formula",
-            json::s(outcome.models.to_formula().display(sig).to_string()),
-        ),
-        ("spent", spent_json(&outcome.spent)),
-    ])
 }
 
 // --- endpoint handlers ------------------------------------------------------
@@ -344,7 +278,12 @@ fn arbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Respon
     check_width(sig.width())?;
     let (outcome, cache) = cached_arbitrate(&state.cache, &psi, &phi, sig.width(), &budget)
         .map_err(|e| error_response(400, e.to_string()))?;
-    Ok(ok(outcome_json("arbitrate", &sig, &outcome, cache)))
+    note_quality(outcome.quality);
+    let body = AnswerWriter::new(&sig)
+        .str("endpoint", "arbitrate")
+        .outcome(&outcome, cache)
+        .finish();
+    Ok(Response::json(200, body))
 }
 
 fn handle_fit(state: &ServiceState, req: &Request) -> Response {
@@ -381,11 +320,13 @@ fn fit_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
     check_width(sig.width())?;
     let (outcome, cache) = cached_apply(&state.cache, op.as_ref(), &psi, &mu, sig.width(), &budget)
         .map_err(|e| error_response(400, e.to_string()))?;
-    let mut response = outcome_json("fit", &sig, &outcome, cache);
-    if let Json::Obj(members) = &mut response {
-        members.insert(1, ("op".to_string(), json::s(op_name)));
-    }
-    Ok(ok(response))
+    note_quality(outcome.quality);
+    let body = AnswerWriter::new(&sig)
+        .str("endpoint", "fit")
+        .str("op", op_name)
+        .outcome(&outcome, cache)
+        .finish();
+    Ok(Response::json(200, body))
 }
 
 fn handle_warbitrate(state: &ServiceState, req: &Request) -> Response {
@@ -423,27 +364,17 @@ fn warbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Respo
         cached_warbitrate(&state.cache, &psi, psi_weight, &phi, phi_weight, n, &budget)
             .map_err(|e| error_response(400, e.to_string()))?;
     note_quality(outcome.quality);
-    let support_size = outcome.kb.support_size();
-    let support: Vec<Json> = outcome
-        .kb
-        .support()
-        .take(MAX_LISTED_MODELS)
-        .map(|(i, w)| obj([("model", model_names(&sig, i)), ("weight", json::n(w))]))
-        .collect();
-    Ok(ok(obj([
-        ("endpoint", json::s("warbitrate")),
-        ("quality", json::s(outcome.quality.name())),
-        ("cache", json::s(cache.name())),
-        ("n_vars", json::n(n as u64)),
-        ("support_size", json::n(support_size as u64)),
-        ("support", Json::Arr(support)),
-        (
-            "support_truncated",
-            Json::Bool(support_size > MAX_LISTED_MODELS),
-        ),
-        ("total_weight", json::n(outcome.kb.total_weight() as u64)),
-        ("spent", spent_json(&outcome.spent)),
-    ])))
+    let body = AnswerWriter::new(&sig)
+        .str("endpoint", "warbitrate")
+        .str("quality", outcome.quality.name())
+        .str("cache", cache.name())
+        .num("n_vars", n as u64)
+        .num("support_size", outcome.kb.support_size() as u64)
+        .support(outcome.kb.support(), outcome.kb.support_size())
+        .num("total_weight", outcome.kb.total_weight() as u64)
+        .spent(&outcome.spent)
+        .finish();
+    Ok(Response::json(200, body))
 }
 
 // --- the replication endpoints ----------------------------------------------
@@ -1581,14 +1512,14 @@ fn kb_change(
 
     note_quality(outcome.quality);
     let committed = outcome.quality == Quality::Exact;
-    // One formula serves the stored KB and the response text.
-    let formula = outcome.models.to_formula();
     let mut snapshot_due = false;
     let mut rseq = 0;
     if committed {
+        // The stored theory is the only `Formula` built; the response
+        // text is written from the models.
         let next = StoredKb {
             sig: sig.clone(),
-            formula: formula.clone(),
+            formula: outcome.models.to_formula(),
             seq: kb.seq + 1,
         };
         // WAL append + fsync first; the in-memory state only advances
@@ -1602,26 +1533,16 @@ fn kb_change(
     let seq_now = kb.seq;
     drop(kb);
     run_due_snapshot(state, snapshot_due);
-    let (models, truncated) = models_json(&sig, &outcome.models);
-    Ok(with_commit_seq(
-        ok(obj([
-            ("endpoint", json::s("kb")),
-            ("name", json::s(name)),
-            ("action", json::s(action)),
-            ("quality", json::s(outcome.quality.name())),
-            ("cache", json::s(cache.name())),
-            ("backend", json::s(backend(cache))),
-            ("committed", Json::Bool(committed)),
-            ("seq", json::n(seq_now)),
-            ("n_vars", json::n(n as u64)),
-            ("n_models", json::n(outcome.models.len() as u64)),
-            ("models", models),
-            ("models_truncated", Json::Bool(truncated)),
-            ("formula", json::s(formula.display(&sig).to_string())),
-            ("spent", spent_json(&outcome.spent)),
-        ])),
-        rseq,
-    ))
+    let body = AnswerWriter::new(&sig)
+        .str("endpoint", "kb")
+        .str("name", name)
+        .str("action", action)
+        .provenance(outcome.quality, cache)
+        .bool("committed", committed)
+        .num("seq", seq_now)
+        .answer(&outcome.models, &outcome.spent)
+        .finish();
+    Ok(with_commit_seq(Response::json(200, body), rseq))
 }
 
 /// Iterate `ψ ← op(ψ, μ)` to a fixpoint or cycle via `core::iterated`,
@@ -1681,27 +1602,17 @@ fn kb_iterate(
     drop(kb);
     run_due_snapshot(state, snapshot_due);
 
-    Ok(with_commit_seq(
-        ok(obj([
-            ("endpoint", json::s("kb")),
-            ("name", json::s(name)),
-            ("action", json::s("iterate")),
-            ("op", json::s(op_name)),
-            ("steps", json::n(run.trajectory.len() as u64 - 1)),
-            (
-                "period",
-                run.period()
-                    .map(|p| json::n(p as u64))
-                    .unwrap_or(Json::Null),
-            ),
-            ("fixpoint", Json::Bool(run.is_fixpoint())),
-            ("seq", json::n(seq_now)),
-            ("n_models", json::n(final_models.len() as u64)),
-            (
-                "formula",
-                json::s(final_models.to_formula().display(&sig).to_string()),
-            ),
-        ])),
-        rseq,
-    ))
+    let body = AnswerWriter::new(&sig)
+        .str("endpoint", "kb")
+        .str("name", name)
+        .str("action", "iterate")
+        .str("op", op_name)
+        .num("steps", run.trajectory.len() as u64 - 1)
+        .opt_num("period", run.period().map(|p| p as u64))
+        .bool("fixpoint", run.is_fixpoint())
+        .num("seq", seq_now)
+        .num("n_models", final_models.len() as u64)
+        .formula(&final_models)
+        .finish();
+    Ok(with_commit_seq(Response::json(200, body), rseq))
 }
