@@ -16,10 +16,10 @@
 //!
 //! Selecting the minimal nonempty level then replaces the kernel's
 //! `O(2^n · |Mod(ψ)|)` candidate scan with at most `n + 1` BDD
-//! conjunctions against precomputed layers — the compiled-KB fast path.
+//! conjunctions against precomputed layers.
 //!
 //! Construction is guarded by a [`NodeBudget`]: layer BDDs of adversarial
-//! model sets can blow up, and the serving tier must degrade to the
+//! model sets can blow up, and a caller must be able to fall back to the
 //! enumeration kernel instead of stalling. Budget checks are
 //! coarse-grained — between whole BDD operations, not per node — so a
 //! build may overshoot the cap by one operation's worth of nodes before

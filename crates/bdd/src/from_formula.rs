@@ -63,78 +63,6 @@ pub fn compile(m: &mut BddManager, f: &Formula) -> Bdd {
     }
 }
 
-/// Compile `f` with every variable `v` renamed to `map[v]` on the fly —
-/// the bridge from a canonical query to BDD space without materializing a
-/// renamed formula.
-///
-/// The serving tier canonicalizes `ψ` with
-/// [`arbitrex_logic::canonicalize_query`] and compiles in canonical
-/// variable space; each incoming `μ` is then compiled through the query's
-/// `forward` permutation so both sides agree on variable order.
-///
-/// # Panics
-/// Panics if `f` mentions a variable `v` with `v as usize >= map.len()`.
-///
-/// ```
-/// use arbitrex_bdd::{compile, compile_mapped, BddManager};
-/// use arbitrex_logic::{parse, Sig};
-/// let mut sig = Sig::new();
-/// let f = parse(&mut sig, "A & !B").unwrap();
-/// let g = parse(&mut sig, "!A & B").unwrap(); // f with A↔B swapped
-/// let mut m = BddManager::new();
-/// let direct = compile(&mut m, &g);
-/// let mapped = compile_mapped(&mut m, &f, &[1, 0]);
-/// assert_eq!(direct, mapped);
-/// ```
-pub fn compile_mapped(m: &mut BddManager, f: &Formula, map: &[u32]) -> Bdd {
-    match f {
-        Formula::True => Bdd::TRUE,
-        Formula::False => Bdd::FALSE,
-        Formula::Var(v) => m.var(map[v.index()]),
-        Formula::Not(g) => {
-            let b = compile_mapped(m, g, map);
-            m.not(b)
-        }
-        Formula::And(gs) => {
-            let mut acc = Bdd::TRUE;
-            for g in gs {
-                if acc.is_false() {
-                    break;
-                }
-                let b = compile_mapped(m, g, map);
-                acc = m.and(acc, b);
-            }
-            acc
-        }
-        Formula::Or(gs) => {
-            let mut acc = Bdd::FALSE;
-            for g in gs {
-                if acc.is_true() {
-                    break;
-                }
-                let b = compile_mapped(m, g, map);
-                acc = m.or(acc, b);
-            }
-            acc
-        }
-        Formula::Implies(a, b) => {
-            let ba = compile_mapped(m, a, map);
-            let bb = compile_mapped(m, b, map);
-            m.implies(ba, bb)
-        }
-        Formula::Iff(a, b) => {
-            let ba = compile_mapped(m, a, map);
-            let bb = compile_mapped(m, b, map);
-            m.iff(ba, bb)
-        }
-        Formula::Xor(a, b) => {
-            let ba = compile_mapped(m, a, map);
-            let bb = compile_mapped(m, b, map);
-            m.xor(ba, bb)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,18 +114,6 @@ mod tests {
         let g = parse(&mut sig, "!A | !B").unwrap();
         let mut m = BddManager::new();
         assert_eq!(compile(&mut m, &f), compile(&mut m, &g));
-    }
-
-    #[test]
-    fn compile_mapped_matches_canonical_space_compile() {
-        let mut sig = Sig::new();
-        let f = parse(&mut sig, "(C & A) | !B | (A <-> C)").unwrap();
-        let n = sig.width();
-        let cq = arbitrex_logic::canonicalize_query(&[&f], n);
-        let mut m = BddManager::new();
-        let canon = compile(&mut m, &cq.formulas[0]);
-        let mapped = compile_mapped(&mut m, &f, &cq.forward);
-        assert_eq!(canon, mapped, "bridge must land on the canonical node");
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! lazy SAT-based enumeration, and BDDs. BDDs give canonical forms (so
 //! equivalence checking — postulates (R4)/(A4) — is pointer equality),
 //! exact model counting without enumeration, and polynomial Boolean
-//! combinators. Since the compiled-KB serving tier they also answer the
-//! distance-minimization queries directly: [`distance`] builds the level
-//! sets of `min_dist` and `odist` as layered Hamming-ball dilations, so a
-//! hot knowledge base compiled once serves repeated `arbitrate`/`fit`
-//! queries by BDD traversal instead of a `2^n` candidate scan.
+//! combinators. They also answer the distance-minimization queries
+//! directly: [`distance`] builds the level sets of `min_dist` and `odist`
+//! as layered Hamming-ball dilations, so a knowledge base compiled once
+//! answers repeated `arbitrate`/`fit` queries by BDD traversal instead of
+//! a `2^n` candidate scan (its unit tests hold the levels to brute-force
+//! distances).
 //!
 //! Example 3.1 of the paper, compiled: three teachers' theories become a
 //! 3-model BDD, and the egalitarian consensus `{S, D}` is the unique
@@ -45,5 +46,5 @@ pub mod from_formula;
 pub mod manager;
 
 pub use distance::{DistanceLayers, NodeBudget, NodeBudgetExceeded, OdistLayers};
-pub use from_formula::{compile, compile_mapped};
+pub use from_formula::compile;
 pub use manager::{Bdd, BddManager};

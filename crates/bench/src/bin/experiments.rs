@@ -779,30 +779,27 @@ fn e12_kernel() {
 
 /// E12's dispatch tables: the universe selection timed against the
 /// predicted work `2^n·|Mod(ψ)|` the kernel dispatches on (`kernel.rs`:
-/// `ODIST_WORK_PER_CUBED_MODEL`, `WORK_PER_SCAN_WORKER`; `arbitration.rs`:
-/// `SUM_WORK_PER_CUBED_MODEL`, `WDIST_WORK_PER_CUBED_MODEL`).
+/// `ODIST_WORK_PER_CUBED_MODEL`, `WORK_PER_SCAN_WORKER`).
 ///
-/// The crossover table sets the subcube constants. For each `m = |Mod(ψ)|`
-/// from 2 to 32 and each aggregate — odist (the max, with its pairwise
-/// bound) and the sum and weighted sum that `select_min_universe_mono`
-/// serves, the latter with distinct weights (1–9) and with equal ones
-/// (weight 1, still multiplied at run time) — it walks the width up from
-/// 6 and reports the first width from which the subcube search beats the
-/// straight scan at two widths in a row, with the `2^n/m²` that width
+/// The crossover table sets the odist subcube constant. For each
+/// `m = |Mod(ψ)|` from 2 to 32 it walks the width up from 6 and reports
+/// the first width from which the pairwise-bounded subcube search beats
+/// the straight scan at two widths in a row, with the `2^n/m²` that width
 /// implies. Timings are medians of 5 runs over 24 random `ψ` per cell;
 /// widths stop at 20.
 ///
 /// The grid table shows the chosen rule at `m ∈ {4, 16, 64, 256}`: the
-/// straight scan and the search for odist, sum and weighted sum,
-/// lex-odist universe fitting (the chunked scan) with `ARBITREX_THREADS`
-/// at 1 and at the core count — that pair shows the scan's split
-/// threshold — and odist and sum universe fitting through their public
-/// entry points, i.e. whichever shape the dispatcher picked. 8 random `ψ`
-/// per cell for `m ≤ 16`, 3 above; widths 18 and 20 only for the small
+/// straight odist scan and the search, lex-odist universe fitting (the
+/// chunked scan) with `ARBITREX_THREADS` at 1 and at the core count — that
+/// pair shows the scan's split threshold — odist universe fitting through
+/// its public entry point, i.e. whichever shape the dispatcher picked, and
+/// weighted-sum universe fitting with distinct weights (1–9), which the
+/// per-bit vote tally answers in closed form with no dispatch. 8 random
+/// `ψ` per cell for `m ≤ 16`, 3 above; widths 18 and 20 only for the small
 /// `ψ` that the search serves.
 fn e12_dispatch() {
-    use arbitrex_core::kernel::{select_min, select_min_subcube, select_min_subcube_odist};
-    use arbitrex_core::Budget;
+    use arbitrex_core::kernel::{select_min, select_min_subcube_odist};
+    use arbitrex_core::{Budget, WeightedKb, WeightedUniverseFitting};
     use arbitrex_logic::all_interps;
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -820,8 +817,8 @@ fn e12_dispatch() {
         runs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         runs[2] / psis as f64
     }
-    /// The straight scan the dispatchers fall back to, for `agg`.
-    fn scan<K: Ord>(models: &[Interp], n: u32, agg: impl Fn(&[u32]) -> K, budget: &Budget) {
+    /// The straight odist scan the dispatcher falls back to.
+    fn scan(models: &[Interp], n: u32, budget: &Budget) {
         let mut d = vec![0u32; models.len()];
         let sel = select_min(
             n,
@@ -830,7 +827,7 @@ fn e12_dispatch() {
                 for (dj, i) in d.iter_mut().zip(models) {
                     *dj = (i.0 ^ j.0).count_ones();
                 }
-                Some(agg(&d))
+                d.iter().copied().max()
             },
             budget,
         );
@@ -852,93 +849,46 @@ fn e12_dispatch() {
             })
             .collect()
     };
-    let odist = |d: &[u32]| d.iter().copied().max().unwrap_or(0);
-    let sum = |d: &[u32]| d.iter().map(|&x| u64::from(x)).sum::<u64>();
-    // Weights 1..=9, fixed per model position.
-    let wsum = |d: &[u32]| {
-        d.iter()
-            .enumerate()
-            .map(|(k, &x)| u128::from(x) * (1 + k as u128 % 9))
-            .sum::<u128>()
-    };
-    // Equal weights, read at run time as `WdistFitting` reads a KB's.
-    let ones = std::hint::black_box(vec![1u64; 32]);
-    let wsum1 = |d: &[u32]| {
-        d.iter()
-            .zip(&ones)
-            .map(|(&x, &w)| u128::from(x) * u128::from(w))
-            .sum::<u128>()
-    };
 
-    let mut t = Table::new([
-        "|Mod(ψ)|",
-        "odist from n",
-        "odist 2^n/m²",
-        "sum from n",
-        "sum 2^n/m²",
-        "wdist from n",
-        "wdist 2^n/m²",
-        "wdist w=1 from n",
-        "wdist w=1 2^n/m²",
-    ]);
+    let mut t = Table::new(["|Mod(ψ)|", "odist from n", "odist 2^n/m²"]);
     for m in [2usize, 3, 4, 6, 8, 12, 16, 24, 32] {
         let mut cells = vec![m.to_string()];
-        for agg in 0..4 {
-            let mut wins = 0;
-            let mut from = None;
-            for n in 6..=20u32 {
-                let psis = random_psis(24, m, n);
-                let time = |bnb: bool| {
-                    median_us(psis.len(), || {
-                        for psi in &psis {
-                            let models = psi.as_slice();
-                            match (agg, bnb) {
-                                (0, false) => scan(models, n, odist, budget),
-                                (0, true) => {
-                                    std::hint::black_box(select_min_subcube_odist(
-                                        n, models, budget,
-                                    ));
-                                }
-                                (1, false) => scan(models, n, sum, budget),
-                                (1, true) => {
-                                    std::hint::black_box(select_min_subcube(
-                                        n, models, sum, budget,
-                                    ));
-                                }
-                                (2, false) => scan(models, n, wsum, budget),
-                                (2, true) => {
-                                    std::hint::black_box(select_min_subcube(
-                                        n, models, wsum, budget,
-                                    ));
-                                }
-                                (_, false) => scan(models, n, wsum1, budget),
-                                (_, true) => {
-                                    std::hint::black_box(select_min_subcube(
-                                        n, models, wsum1, budget,
-                                    ));
-                                }
-                            }
+        let mut wins = 0;
+        let mut from = None;
+        for n in 6..=20u32 {
+            let psis = random_psis(24, m, n);
+            let time = |bnb: bool| {
+                median_us(psis.len(), || {
+                    for psi in &psis {
+                        if bnb {
+                            std::hint::black_box(select_min_subcube_odist(
+                                n,
+                                psi.as_slice(),
+                                budget,
+                            ));
+                        } else {
+                            scan(psi.as_slice(), n, budget);
                         }
-                    })
-                };
-                if time(true) < time(false) {
-                    wins += 1;
-                    from.get_or_insert(n);
-                    if wins == 2 {
-                        break;
                     }
-                } else {
-                    wins = 0;
-                    from = None;
+                })
+            };
+            if time(true) < time(false) {
+                wins += 1;
+                from.get_or_insert(n);
+                if wins == 2 {
+                    break;
                 }
+            } else {
+                wins = 0;
+                from = None;
             }
-            match from.filter(|_| wins == 2) {
-                Some(n) => {
-                    cells.push(n.to_string());
-                    cells.push(format!("{:.0}", (1u64 << n) as f64 / (m * m) as f64));
-                }
-                None => cells.extend(["none to 20".to_string(), "-".to_string()]),
+        }
+        match from.filter(|_| wins == 2) {
+            Some(n) => {
+                cells.push(n.to_string());
+                cells.push(format!("{:.0}", (1u64 << n) as f64 / (m * m) as f64));
             }
+            None => cells.extend(["none to 20".to_string(), "-".to_string()]),
         }
         t.row(cells);
     }
@@ -951,14 +901,10 @@ fn e12_dispatch() {
         "work",
         "scan (µs)",
         "b&b (µs)",
-        "sum scan (µs)",
-        "sum b&b (µs)",
-        "wdist scan (µs)",
-        "wdist b&b (µs)",
         "lex x1 (µs)",
         &format!("lex x{threads} (µs)"),
         "odist dispatched (µs)",
-        "sum dispatched (µs)",
+        "wdist closed form (µs)",
     ]);
     for m in [4usize, 16, 64, 256] {
         let widths = (8..=16u32).chain(if m <= 16 { vec![18, 20] } else { vec![] });
@@ -966,29 +912,11 @@ fn e12_dispatch() {
             let psis = &random_psis(if m <= 16 { 8 } else { 3 }, m, n);
             let k = psis.len();
             let odist_scan = median_us(k, || {
-                psis.iter()
-                    .for_each(|p| scan(p.as_slice(), n, odist, budget))
+                psis.iter().for_each(|p| scan(p.as_slice(), n, budget))
             });
             let bnb = median_us(k, || {
                 for psi in psis {
                     std::hint::black_box(select_min_subcube_odist(n, psi.as_slice(), budget));
-                }
-            });
-            let sum_scan = median_us(k, || {
-                psis.iter().for_each(|p| scan(p.as_slice(), n, sum, budget))
-            });
-            let sum_bnb = median_us(k, || {
-                for psi in psis {
-                    std::hint::black_box(select_min_subcube(n, psi.as_slice(), sum, budget));
-                }
-            });
-            let wsum_scan = median_us(k, || {
-                psis.iter()
-                    .for_each(|p| scan(p.as_slice(), n, wsum, budget))
-            });
-            let wsum_bnb = median_us(k, || {
-                for psi in psis {
-                    std::hint::black_box(select_min_subcube(n, psi.as_slice(), wsum, budget));
                 }
             });
             let lex = |threads: usize| {
@@ -1002,13 +930,24 @@ fn e12_dispatch() {
                 us
             };
             let (lex1, lext) = (lex(1), lex(threads));
-            let dispatched = |op: &dyn UniverseFitting| {
-                median_us(k, || {
-                    for psi in psis {
-                        std::hint::black_box(op.apply_universe(psi).unwrap());
-                    }
+            let odist_dispatched = median_us(k, || {
+                for psi in psis {
+                    std::hint::black_box(OdistFitting.apply_universe(psi).unwrap());
+                }
+            });
+            // Weights 1..=9, fixed per model position.
+            let weighted: Vec<WeightedKb> = psis
+                .iter()
+                .map(|p| {
+                    let weights = p.iter().enumerate().map(|(k, i)| (i, 1 + k as u64 % 9));
+                    WeightedKb::from_weights(n, weights)
                 })
-            };
+                .collect();
+            let wdist = median_us(k, || {
+                for psi in &weighted {
+                    std::hint::black_box(WdistFitting.apply_universe(psi).unwrap());
+                }
+            });
             let work = (1u64 << n) * m as u64;
             t.row([
                 m.to_string(),
@@ -1016,14 +955,10 @@ fn e12_dispatch() {
                 work.to_string(),
                 format!("{odist_scan:.0}"),
                 format!("{bnb:.0}"),
-                format!("{sum_scan:.0}"),
-                format!("{sum_bnb:.0}"),
-                format!("{wsum_scan:.0}"),
-                format!("{wsum_bnb:.0}"),
                 format!("{lex1:.0}"),
                 format!("{lext:.0}"),
-                format!("{:.0}", dispatched(&OdistFitting)),
-                format!("{:.0}", dispatched(&SumFitting)),
+                format!("{odist_dispatched:.0}"),
+                format!("{wdist:.1}"),
             ]);
         }
     }

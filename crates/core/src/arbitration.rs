@@ -11,8 +11,8 @@ use crate::budget::{Budget, Outcome, WeightedOutcome};
 use crate::error::CoreError;
 use crate::fitting::{GMaxFitting, LexOdistFitting, OdistFitting, RankFitting, SumFitting};
 use crate::kernel::{
-    gmax_fill_pruned, odist_pruned, select_min_universe, select_min_universe_mono,
-    select_min_universe_odist, select_min_vec, BudgetedSelect, PopProfile,
+    gmax_fill_pruned, odist_pruned, select_min_universe, select_min_universe_odist, select_min_vec,
+    BudgetedSelect, PopProfile, VoteTally,
 };
 use crate::operator::ChangeOperator;
 use crate::weighted::WeightedKb;
@@ -132,30 +132,18 @@ impl UniverseFitting for LexOdistFitting {
     }
 }
 
-/// [`SumFitting`] takes the subcube search over the universe once
-/// `2^n ≥ 256·|Mod(ψ)|²` (see `select_min_universe_mono`): the median
-/// crossover of the sum in E12's crossover table (three runs pooled),
-/// rounded to a power of two. The sum's search prunes on partial distances alone (odist's adds
-/// the pairwise bound), so it pays later than odist's.
-const SUM_WORK_PER_CUBED_MODEL: u64 = 256;
-
 impl SumFitting {
+    /// The per-bit majority of `Mod(ψ)`, in closed form: no universe scan.
     fn select_universe(
         &self,
         psi: &ModelSet,
         budget: &Budget,
-    ) -> Result<BudgetedSelect<u64>, CoreError> {
+    ) -> Result<BudgetedSelect<u128>, CoreError> {
         let n = psi.n_vars();
         if psi.is_empty() {
             return empty_universe(n);
         }
-        select_min_universe_mono(
-            n,
-            psi.as_slice(),
-            |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>(),
-            SUM_WORK_PER_CUBED_MODEL,
-            budget,
-        )
+        VoteTally::of(n, psi.iter().map(|j| (j, 1))).universe_minima(budget)
     }
 }
 
@@ -236,16 +224,9 @@ pub trait WeightedUniverseFitting: WeightedChangeOperator {
     }
 }
 
-/// [`WdistFitting`] takes the subcube search over the universe once
-/// `2^n ≥ 128·|Mod(ψ)|²`: the median crossover, rounded to a power of
-/// two, of the weighted sum with equal weights in E12's crossover table
-/// (three runs pooled).
-/// Its scan multiplies in 128 bits, so the search pays sooner than the
-/// sum's; distinct weights cross over sooner still (about
-/// `16·|Mod(ψ)|²`), but the constant takes the worse case.
-const WDIST_WORK_PER_CUBED_MODEL: u64 = 128;
-
 impl WdistFitting {
+    /// The per-bit weighted majority of ψ̃ (Example 4.1's majority), in
+    /// closed form: no universe scan.
     fn select_universe(
         &self,
         psi: &WeightedKb,
@@ -256,20 +237,8 @@ impl WdistFitting {
         if !psi.is_satisfiable() {
             return empty_universe(n);
         }
-        let (models, weights): (Vec<Interp>, Vec<u64>) = psi.support().unzip();
-        crate::telemetry::WSUPPORT_SCANNED.add(models.len() as u64);
-        select_min_universe_mono(
-            n,
-            &models,
-            |d: &[u32]| {
-                d.iter()
-                    .zip(&weights)
-                    .map(|(&x, &w)| x as u128 * w as u128)
-                    .sum::<u128>()
-            },
-            WDIST_WORK_PER_CUBED_MODEL,
-            budget,
-        )
+        crate::telemetry::WSUPPORT_SCANNED.add(psi.support_size() as u64);
+        VoteTally::of(n, psi.support()).universe_minima(budget)
     }
 }
 
@@ -873,17 +842,17 @@ mod tests {
         let out = try_warbitrate_with_budget(&psi, &offer, &Budget::unlimited()).unwrap();
         assert!(out.is_exact());
         assert_eq!(out.kb, exact);
-        for at in [1, 4] {
-            let b = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, at));
-            let degraded = try_warbitrate_with_budget(&psi, &offer, &b).unwrap();
-            assert_eq!(degraded.quality, Quality::UpperBound);
-            assert_eq!(degraded.spent.trip.unwrap().reason, TripReason::Fault);
-            for (m, _) in exact.support() {
-                assert!(
-                    degraded.kb.weight(m) > 0,
-                    "lost exact support {m:?} at {at}"
-                );
-            }
-        }
+        // The closed form ticks once per minimum it emits, and Example
+        // 4.1 has one: a fault at the first tick leaves it in the
+        // frontier, a later fault never fires.
+        let b = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, 1));
+        let degraded = try_warbitrate_with_budget(&psi, &offer, &b).unwrap();
+        assert_eq!(degraded.quality, Quality::UpperBound);
+        assert_eq!(degraded.spent.trip.unwrap().reason, TripReason::Fault);
+        assert_eq!(degraded.kb, exact);
+        let b = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, 4));
+        let late = try_warbitrate_with_budget(&psi, &offer, &b).unwrap();
+        assert!(late.is_exact());
+        assert_eq!(late.kb, exact);
     }
 }

@@ -10,8 +10,8 @@
 
 use crate::budget::{Budget, BudgetedChangeOperator, Outcome};
 use crate::kernel::{
-    gmax_fill_pruned, odist_pruned, select_min, select_min_vec, sum_dist_pruned, BudgetedSelect,
-    PopProfile,
+    gmax_fill_pruned, odist_pruned, select_min, select_min_vec, BudgetedSelect, PopProfile,
+    VoteTally,
 };
 use crate::operator::ChangeOperator;
 use crate::preorder::min_by_rank;
@@ -142,16 +142,12 @@ impl BudgetedChangeOperator for LexOdistFitting {
 pub struct SumFitting;
 
 impl SumFitting {
-    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<u64> {
-        let Some(prof) = PopProfile::of(psi) else {
+    fn select(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> BudgetedSelect<u128> {
+        if psi.is_empty() {
             return BudgetedSelect::exact(None, ModelSet::empty(mu.n_vars()));
-        };
-        select_min(
-            mu.n_vars(),
-            mu.iter(),
-            |i, cap| sum_dist_pruned(psi.as_slice(), &prof, i, cap.copied()),
-            budget,
-        )
+        }
+        let votes = VoteTally::of(psi.n_vars(), psi.iter().map(|j| (j, 1)));
+        select_min(mu.n_vars(), mu.iter(), |i, _| Some(votes.rank(i)), budget)
     }
 }
 

@@ -12,20 +12,24 @@
 //!    scan with a running minimum and a tied set; each candidate is ranked
 //!    at most once, and vector ranks reuse buffers instead of allocating.
 //! 2. **Bound-pruned aggregation** ([`PopProfile`] and the `*_pruned`
-//!    evaluators): a popcount histogram of `Mod(ψ)` yields an O(1)-to-O(64)
-//!    lower bound on any candidate's rank; candidates whose bound already
-//!    exceeds the running minimum are rejected without touching `Mod(ψ)`,
-//!    and max/sum scans abort mid-way once they exceed it.
+//!    evaluators): the popcount range of `Mod(ψ)` yields an O(1) lower
+//!    bound on a candidate's max or min distance; candidates whose bound
+//!    already exceeds the running minimum are rejected without touching
+//!    `Mod(ψ)`, and max scans abort mid-way once they exceed it. The sum
+//!    and the weighted sum need no bound: they separate per bit, so a
+//!    [`VoteTally`] of `Mod(ψ)` ranks a candidate exactly in `O(n)` and
+//!    names the minima over the universe in closed form — each bit's
+//!    weighted-majority value, both values on an even split.
 //! 3. **Streaming universes** ([`select_min_universe`]): arbitration's
 //!    candidate pool `𝓜` is consumed as a stream of `2^n` bitmasks, never
 //!    materialized — peak memory is proportional to the answer.
-//! 4. **Branch-and-bound subcube search** ([`select_min_subcube`],
-//!    [`select_min_universe_odist`]): for monotone aggregates, whole
-//!    subcubes of the universe are pruned against partial-distance (and,
-//!    for odist, pairwise triangle-inequality) lower bounds — the layer
-//!    that lets arbitration beat the `2^n` linear-scan floor. The universe
-//!    dispatchers take it only where the predicted work `2^n·|Mod(ψ)|`
-//!    says it beats the scan.
+//! 4. **Branch-and-bound subcube search for odist**
+//!    ([`select_min_subcube_odist`], [`select_min_universe_odist`]): whole
+//!    subcubes of the universe are pruned against partial-distance and
+//!    pairwise triangle-inequality lower bounds on the max — the layer
+//!    that lets odist arbitration beat the `2^n` linear-scan floor. The
+//!    universe dispatcher takes it only where the predicted work
+//!    `2^n·|Mod(ψ)|` says it beats the scan.
 //! 5. **Scoped-thread parallelism** (`parallel` feature, on by default):
 //!    universe scans are chunked across `std::thread::scope` workers that
 //!    share their best-so-far rank for cross-worker pruning, one worker
@@ -34,8 +38,9 @@
 //!
 //! Each algorithm has exactly one implementation, and it is metered: every
 //! selection takes a [`Budget`] and returns a [`BudgetedSelect`]. Scans
-//! tick [`BudgetSite::Scan`] per candidate and subcube searches tick
-//! [`BudgetSite::Node`] per node, both through a batching [`Meter`]; a
+//! tick [`BudgetSite::Scan`] per candidate (the closed form, per minimum
+//! it emits) and subcube searches tick [`BudgetSite::Node`] per node, all
+//! through a batching [`Meter`]; a
 //! trip leaves a typed, containment-preserving partial answer. An unlimited
 //! budget runs the same code and never trips.
 //!
@@ -49,8 +54,6 @@
 //! against live in [`naive`]; `tests/kernel_differential.rs` at the
 //! workspace root checks operator-level agreement on random inputs.
 
-use std::marker::PhantomData;
-
 use crate::budget::{Budget, BudgetSite, Exhausted, Outcome, Quality, WeightedOutcome};
 use crate::error::CoreError;
 use crate::telemetry;
@@ -62,17 +65,15 @@ use arbitrex_telemetry::budget::Meter;
 // Layer 2: popcount-bucket bounds on Mod(ψ)
 // ---------------------------------------------------------------------------
 
-/// A popcount histogram of `Mod(ψ)`, precomputed once per operator
+/// The popcount range of `Mod(ψ)`, precomputed once per operator
 /// application and queried per candidate.
 ///
 /// For any interpretations `I`, `J`: `dist(I, J) ≥ |pop(I) − pop(J)|`
-/// (flipping a bit changes the popcount by exactly one). Bucketing the
-/// models of `ψ` by popcount therefore bounds every distance aggregate
-/// from below without looking at the models themselves.
+/// (flipping a bit changes the popcount by exactly one). The extreme
+/// popcounts of `ψ`'s models therefore bound the max and min distance
+/// aggregates from below without looking at the models themselves.
 #[derive(Debug, Clone)]
 pub struct PopProfile {
-    /// `hist[c - min_pop]` = number of ψ-models with popcount `c`.
-    hist: Vec<u32>,
     min_pop: u32,
     max_pop: u32,
 }
@@ -80,27 +81,9 @@ pub struct PopProfile {
 impl PopProfile {
     /// Profile a non-empty model set; `None` when `psi` is empty.
     pub fn of(psi: &ModelSet) -> Option<PopProfile> {
-        Self::from_pops(psi.iter().map(|j| j.count_true()))
-    }
-
-    fn from_pops(pops: impl Iterator<Item = u32>) -> Option<PopProfile> {
-        let mut counts = [0u32; 65];
-        let (mut min_pop, mut max_pop) = (u32::MAX, 0u32);
-        let mut any = false;
-        for p in pops {
-            any = true;
-            counts[p as usize] += 1;
-            min_pop = min_pop.min(p);
-            max_pop = max_pop.max(p);
-        }
-        if !any {
-            return None;
-        }
-        Some(PopProfile {
-            hist: counts[min_pop as usize..=max_pop as usize].to_vec(),
-            min_pop,
-            max_pop,
-        })
+        let pops = psi.iter().map(|j| j.count_true());
+        let (min_pop, max_pop) = pops.fold((u32::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)));
+        (!psi.is_empty()).then_some(PopProfile { min_pop, max_pop })
     }
 
     /// Lower bound on `odist(ψ, I) = max_J dist(I, J)`: the distance to the
@@ -123,63 +106,6 @@ impl PopProfile {
         } else {
             p.saturating_sub(self.max_pop)
         }
-    }
-
-    /// Lower bound on `Σ_J dist(I, J)`: sum of per-bucket popcount gaps.
-    #[inline]
-    pub fn sum_lower_bound(&self, i: Interp) -> u64 {
-        let p = i.count_true();
-        let mut lb = 0u64;
-        for (k, &count) in self.hist.iter().enumerate() {
-            let c = self.min_pop + k as u32;
-            lb += count as u64 * c.abs_diff(p) as u64;
-        }
-        lb
-    }
-}
-
-/// The weighted analogue of [`PopProfile`]: total weight per popcount
-/// bucket, bounding `wdist` from below.
-#[derive(Debug, Clone)]
-pub struct WeightedPopProfile {
-    /// `whist[c - min_pop]` = total ψ̃-weight at popcount `c`.
-    whist: Vec<u64>,
-    min_pop: u32,
-}
-
-impl WeightedPopProfile {
-    /// Profile a satisfiable weighted KB; `None` when `psi` has empty
-    /// support.
-    pub fn of(psi: &WeightedKb) -> Option<WeightedPopProfile> {
-        let mut weights = [0u64; 65];
-        let (mut min_pop, mut max_pop) = (u32::MAX, 0u32);
-        let mut any = false;
-        for (j, w) in psi.support() {
-            any = true;
-            let p = j.count_true();
-            weights[p as usize] += w;
-            min_pop = min_pop.min(p);
-            max_pop = max_pop.max(p);
-        }
-        if !any {
-            return None;
-        }
-        Some(WeightedPopProfile {
-            whist: weights[min_pop as usize..=max_pop as usize].to_vec(),
-            min_pop,
-        })
-    }
-
-    /// Lower bound on `wdist(ψ̃, I) = Σ_J dist(I, J) · ψ̃(J)`.
-    #[inline]
-    pub fn wdist_lower_bound(&self, i: Interp) -> u128 {
-        let p = i.count_true();
-        let mut lb = 0u128;
-        for (k, &w) in self.whist.iter().enumerate() {
-            let c = self.min_pop + k as u32;
-            lb += w as u128 * c.abs_diff(p) as u128;
-        }
-        lb
     }
 }
 
@@ -240,60 +166,6 @@ pub fn min_dist_pruned(
         }
     }
     Some(min)
-}
-
-/// `Σ_J dist(I, J)` with pruning: `None` as soon as the partial sum (or
-/// the profile lower bound) strictly exceeds `cap`.
-#[inline]
-pub fn sum_dist_pruned(
-    psi: &[Interp],
-    prof: &PopProfile,
-    i: Interp,
-    cap: Option<u64>,
-) -> Option<u64> {
-    if let Some(cap) = cap {
-        if prof.sum_lower_bound(i) > cap {
-            telemetry::PROFILE_PRUNE_HITS.incr();
-            return None;
-        }
-    }
-    let mut sum = 0u64;
-    for &j in psi {
-        sum += i.dist(j) as u64;
-        if let Some(cap) = cap {
-            if sum > cap {
-                return None;
-            }
-        }
-    }
-    Some(sum)
-}
-
-/// `wdist(ψ̃, I)` with pruning: `None` as soon as the partial weighted sum
-/// (or the profile lower bound) strictly exceeds `cap`.
-#[inline]
-pub fn wdist_pruned(
-    support: &[(Interp, u64)],
-    prof: &WeightedPopProfile,
-    i: Interp,
-    cap: Option<u128>,
-) -> Option<u128> {
-    if let Some(cap) = cap {
-        if prof.wdist_lower_bound(i) > cap {
-            telemetry::WPROFILE_PRUNE_HITS.incr();
-            return None;
-        }
-    }
-    let mut sum = 0u128;
-    for &(j, w) in support {
-        sum += i.dist(j) as u128 * w as u128;
-        if let Some(cap) = cap {
-            if sum > cap {
-                return None;
-            }
-        }
-    }
-    Some(sum)
 }
 
 /// Fill `buf` with the GMax rank vector (distances to each ψ-model, sorted
@@ -609,114 +481,125 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2½: branch-and-bound subcube search over the universe
+// Layer 2: per-bit vote tallies (sum and weighted sum in closed form)
 // ---------------------------------------------------------------------------
 
-/// What one branch-and-bound subcube search tracks per node and the bounds
-/// it reads off that state. The monotone and the odist searches differ only
-/// here; both run on [`SubcubeSearch`] through [`subcube_search`].
-trait SubcubeBound {
-    type Key: Ord;
-    /// State carried down the search tree.
-    type State;
-    /// The state with no bit assigned.
-    fn root(&self) -> Self::State;
-    /// Add (`up`) or remove (`!up`) bit `bit = v`'s contribution.
-    fn shift(&self, st: &mut Self::State, bit: u32, v: u64, up: bool);
-    /// Lower bound on every candidate of the child subcube `bit = v`.
-    /// May move `st` but must restore it.
-    fn child_bound(&self, st: &mut Self::State, bit: u32, v: u64) -> Self::Key;
-    /// The key of the candidate every bit of which is assigned.
-    fn leaf_key(&self, st: &Self::State) -> Self::Key;
+/// The per-bit vote tally of a weighted `Mod(ψ)`: for each bit `b` the
+/// weight of the models with `b` set, and the total weight.
+///
+/// For Hamming distance the weighted sum splits per bit:
+/// `Σ_J w(J)·dist(I, J) = Σ_b c_b(I_b)`, where `c_b(v)` is the weight of
+/// the models whose bit `b` is not `v` — `ones_b` for `v = 0` and
+/// `total − ones_b` for `v = 1`. So [`VoteTally::rank`] is exact in `O(n)`,
+/// and over the whole universe the minima are the product of each bit's
+/// weighted-majority value, with both values kept where the split is even
+/// ([`VoteTally::universe_minima`]): Example 4.1's majority in closed form.
+/// Unit weights give the unweighted sum.
+///
+/// Weights add up in `u128`, which no support of `u64` weights can
+/// overflow.
+#[derive(Debug, Clone)]
+pub struct VoteTally {
+    n_vars: u32,
+    /// `ones[b]` = total weight of the models with bit `b` set.
+    ones: Vec<u128>,
+    total: u128,
 }
 
-/// The bound for a monotone aggregate: the aggregate of the partial
-/// distances (see [`select_min_subcube`]).
-struct MonoBound<'a, K, A> {
-    models: &'a [Interp],
-    agg: A,
-    _key: PhantomData<fn() -> K>,
-}
-
-impl<K: Ord, A: Fn(&[u32]) -> K> SubcubeBound for MonoBound<'_, K, A> {
-    type Key = K;
-    /// Partial distance to each model of ψ.
-    type State = Vec<u32>;
-
-    fn root(&self) -> Vec<u32> {
-        vec![0; self.models.len()]
-    }
-
-    fn shift(&self, d: &mut Vec<u32>, bit: u32, v: u64, up: bool) {
-        for (dj, m) in d.iter_mut().zip(self.models) {
-            if (m.0 >> bit & 1) != v {
-                *dj = if up { *dj + 1 } else { *dj - 1 };
+impl VoteTally {
+    /// Tally weighted models over `n_vars` bits in one `O(n·|Mod ψ|)` pass.
+    pub fn of(n_vars: u32, models: impl IntoIterator<Item = (Interp, u64)>) -> VoteTally {
+        let mut ones = vec![0u128; n_vars as usize];
+        let mut total = 0u128;
+        for (j, w) in models {
+            let w = u128::from(w);
+            total += w;
+            let mut bits = j.0;
+            while bits != 0 {
+                ones[bits.trailing_zeros() as usize] += w;
+                bits &= bits - 1;
             }
         }
+        VoteTally {
+            n_vars,
+            ones,
+            total,
+        }
     }
 
-    fn child_bound(&self, d: &mut Vec<u32>, bit: u32, v: u64) -> K {
-        self.shift(d, bit, v, true);
-        let k = (self.agg)(d);
-        self.shift(d, bit, v, false);
-        k
+    /// `Σ_J w(J)·dist(I, J)`, exactly.
+    #[inline]
+    pub fn rank(&self, i: Interp) -> u128 {
+        let mut rank = 0u128;
+        for (b, &ones) in self.ones.iter().enumerate() {
+            rank += if i.0 >> b & 1 == 1 {
+                self.total - ones
+            } else {
+                ones
+            };
+        }
+        rank
     }
 
-    fn leaf_key(&self, d: &Vec<u32>) -> K {
-        (self.agg)(d)
-    }
-}
-
-/// The odist bound: the partial-distance max sharpened by the pairwise
-/// triangle-inequality sums (see [`select_min_subcube_odist`]).
-struct OdistBound<'a> {
-    models: &'a [Interp],
-    pairs: Vec<(usize, usize)>,
-    /// Root `s_ik` per pair.
-    s0: Vec<u32>,
-}
-
-impl SubcubeBound for OdistBound<'_> {
-    type Key = u32;
-    /// Partial distances `d` and pair sums `s`.
-    type State = (Vec<u32>, Vec<u32>);
-
-    fn root(&self) -> Self::State {
-        (vec![0; self.models.len()], self.s0.clone())
-    }
-
-    fn shift(&self, (d, s): &mut Self::State, bit: u32, v: u64, up: bool) {
-        for (dj, m) in d.iter_mut().zip(self.models) {
-            if (m.0 >> bit & 1) != v {
-                *dj = if up { *dj + 1 } else { *dj - 1 };
+    /// `Min(𝓜, ≤_rank)` without a search: every bit takes its
+    /// weighted-majority value, and both values where the split is even,
+    /// so `t` even splits give `2^t` minima, all of rank
+    /// `Σ_b min(ones_b, total − ones_b)`.
+    ///
+    /// Each emitted minimum ticks [`BudgetSite::Scan`]. On a trip the
+    /// minima not yet emitted become the frontier; all of them are true
+    /// minima, so the answer is an upper bound holding exactly the minima,
+    /// or interrupted if they overflow [`Budget::frontier_limit`].
+    ///
+    /// Returns [`CoreError::EnumLimitExceeded`] past `ENUM_LIMIT`, like
+    /// every universe selection.
+    pub fn universe_minima(&self, budget: &Budget) -> Result<BudgetedSelect<u128>, CoreError> {
+        CoreError::check_enum_limit(self.n_vars)?;
+        let _span = telemetry::UNIVERSE_SEARCH.span();
+        let (mut fixed, mut free, mut best) = (0u64, 0u64, 0u128);
+        for (b, &ones) in self.ones.iter().enumerate() {
+            // Setting bit `b` costs the weight of the models without it.
+            let zeros = self.total - ones;
+            match zeros.cmp(&ones) {
+                std::cmp::Ordering::Less => fixed |= 1 << b,
+                std::cmp::Ordering::Equal => free |= 1 << b,
+                std::cmp::Ordering::Greater => {}
             }
+            best += zeros.min(ones);
         }
-        for (sx, &(i, k)) in s.iter_mut().zip(&self.pairs) {
-            if (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v {
-                *sx = if up { *sx + 2 } else { *sx - 2 };
+        // The subsets of `free` in increasing order, each over `fixed`.
+        let mut next = Some(0u64);
+        let mut minima = std::iter::from_fn(|| {
+            let s = next?;
+            next = (s != free).then(|| s.wrapping_sub(free) & free);
+            Some(Interp(fixed | s))
+        });
+        let mut meter = budget.meter(BudgetSite::Scan);
+        let mut emitted: Vec<Interp> = Vec::new();
+        let mut tripped = None;
+        for i in minima.by_ref() {
+            if let Err(t) = meter.tick() {
+                tripped = Some((t, i));
+                break;
             }
+            emitted.push(i);
         }
-    }
-
-    /// Computed in one pass without mutating the state (no apply/undo
-    /// round-trip).
-    fn child_bound(&self, (d, s): &mut Self::State, bit: u32, v: u64) -> u32 {
-        let mut dm = 0u32;
-        for (dj, m) in d.iter().zip(self.models) {
-            dm = dm.max(dj + ((m.0 >> bit & 1) != v) as u32);
-        }
-        let mut sm = 0u32;
-        for (sx, &(i, k)) in s.iter().zip(&self.pairs) {
-            let both = (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v;
-            sm = sm.max(sx + 2 * both as u32);
-        }
-        dm.max(sm.div_ceil(2))
-    }
-
-    fn leaf_key(&self, (d, _): &Self::State) -> u32 {
-        d.iter().copied().max().unwrap_or(0)
+        let scanned = (emitted.len() as u64, 0);
+        Ok(finish_scan(
+            self.n_vars,
+            Some(best),
+            emitted,
+            scanned,
+            tripped,
+            minima,
+            budget,
+        ))
     }
 }
+
+// ---------------------------------------------------------------------------
+// Layer 4: branch-and-bound subcube search for odist over the universe
+// ---------------------------------------------------------------------------
 
 /// Bits where the models disagree most, first: balanced bits force the
 /// partial distances up whichever value is chosen, so bounds tighten at
@@ -731,11 +614,17 @@ fn discriminating_bit_order(n_vars: u32, models: &[Interp]) -> Vec<u32> {
     order
 }
 
-/// The depth-first descent of [`subcube_search`].
-struct SubcubeSearch<'a, B: SubcubeBound> {
-    bound: &'a B,
+/// The depth-first descent of [`select_min_subcube_odist`], with the state
+/// its bound reads: the partial distances `d` and the pair sums `s`.
+struct SubcubeSearch<'a> {
+    models: &'a [Interp],
+    pairs: &'a [(usize, usize)],
     order: &'a [u32],
-    best: Option<B::Key>,
+    /// Partial distance to each model of ψ on the assigned bits.
+    d: Vec<u32>,
+    /// `s_ik` per kept pair.
+    s: Vec<u32>,
+    best: Option<u32>,
     tied: Vec<u64>,
     /// Nodes expanded / children cut, accumulated locally and flushed once
     /// per search.
@@ -751,8 +640,38 @@ struct SubcubeSearch<'a, B: SubcubeBound> {
     frontier: Vec<(u64, usize)>,
 }
 
-impl<B: SubcubeBound> SubcubeSearch<'_, B> {
-    fn descend(&mut self, depth: usize, prefix: u64, st: &mut B::State) {
+impl SubcubeSearch<'_> {
+    /// Add (`up`) or remove (`!up`) bit `bit = v`'s contribution.
+    fn shift(&mut self, bit: u32, v: u64, up: bool) {
+        for (dj, m) in self.d.iter_mut().zip(self.models) {
+            if (m.0 >> bit & 1) != v {
+                *dj = if up { *dj + 1 } else { *dj - 1 };
+            }
+        }
+        for (sx, &(i, k)) in self.s.iter_mut().zip(self.pairs) {
+            if (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v {
+                *sx = if up { *sx + 2 } else { *sx - 2 };
+            }
+        }
+    }
+
+    /// Lower bound on every candidate of the child subcube `bit = v`: the
+    /// partial-distance max sharpened by the pair sums, computed in one
+    /// pass without touching the state.
+    fn child_bound(&self, bit: u32, v: u64) -> u32 {
+        let mut dm = 0u32;
+        for (dj, m) in self.d.iter().zip(self.models) {
+            dm = dm.max(dj + ((m.0 >> bit & 1) != v) as u32);
+        }
+        let mut sm = 0u32;
+        for (sx, &(i, k)) in self.s.iter().zip(self.pairs) {
+            let both = (self.models[i].0 >> bit & 1) != v && (self.models[k].0 >> bit & 1) != v;
+            sm = sm.max(sx + 2 * both as u32);
+        }
+        dm.max(sm.div_ceil(2))
+    }
+
+    fn descend(&mut self, depth: usize, prefix: u64) {
         if self.stopped.is_some() {
             // A budget trip is unwinding the search: every subcube reached
             // from here on is recorded unexplored instead of visited.
@@ -766,10 +685,10 @@ impl<B: SubcubeBound> SubcubeSearch<'_, B> {
             return;
         }
         if depth == self.order.len() {
-            let key = self.bound.leaf_key(st);
-            match self.best.as_ref() {
-                Some(b) if key > *b => {}
-                Some(b) if key == *b => self.tied.push(prefix),
+            let key = self.d.iter().copied().max().unwrap_or(0);
+            match self.best {
+                Some(b) if key > b => {}
+                Some(b) if key == b => self.tied.push(prefix),
                 _ => {
                     self.best = Some(key);
                     self.tied.clear();
@@ -779,10 +698,7 @@ impl<B: SubcubeBound> SubcubeSearch<'_, B> {
             return;
         }
         let bit = self.order[depth];
-        let bounds = [
-            self.bound.child_bound(st, bit, 0),
-            self.bound.child_bound(st, bit, 1),
-        ];
+        let bounds = [self.child_bound(bit, 0), self.child_bound(bit, 1)];
         let visit = if bounds[0] <= bounds[1] {
             [0u64, 1]
         } else {
@@ -791,36 +707,69 @@ impl<B: SubcubeBound> SubcubeSearch<'_, B> {
         for v in visit {
             // Re-check against the cap each time: the first child may have
             // tightened it.
-            if let Some(b) = self.best.as_ref() {
-                if bounds[v as usize] > *b {
-                    self.cut += 1;
-                    continue;
-                }
+            if self.best.is_some_and(|b| bounds[v as usize] > b) {
+                self.cut += 1;
+                continue;
             }
-            self.bound.shift(st, bit, v, true);
-            self.descend(depth + 1, prefix | (v << bit), st);
-            self.bound.shift(st, bit, v, false);
+            self.shift(bit, v, true);
+            self.descend(depth + 1, prefix | (v << bit));
+            self.shift(bit, v, false);
         }
     }
 }
 
-/// The search behind both subcube searches: one depth-first descent from
-/// the root, pruning against a best that starts at `seed`.
+/// Branch-and-bound `Min(𝓜, ≤_odist)` — the search that lets arbitration
+/// beat the `2^n` linear-scan floor.
 ///
-/// Every node is metered against `budget`; on a trip the frontier is every
-/// subcube the unwind left unexplored.
-fn subcube_search<B: SubcubeBound>(
+/// Rather than visiting all `2^n` candidates, the search assigns variables
+/// one at a time (most-discriminating bit first) and tracks, for every
+/// model `J` of ψ, the Hamming distance accumulated on the decided bits.
+/// Distances only grow as bits are fixed, so their max lower-bounds every
+/// candidate in the subcube. A subcube whose bound strictly exceeds the
+/// best odist found so far is discarded whole — `2^free` candidates pruned
+/// with `O(|ψ|)` work. Ties survive: only strictly worse subcubes are cut.
+/// The two children of each node are explored better-bound-first, so a
+/// near-optimal candidate is found early and the cap tightens immediately.
+///
+/// A second bound sharpens the first. For any candidate `J` the triangle
+/// inequality gives `dist(I_i, J) + dist(I_k, J) ≥ dist(I_i, I_k)`, so the
+/// odist of every candidate is at least `⌈max_{i<k} dist(I_i, I_k) / 2⌉` —
+/// a bound that is already within a factor of two of the optimum *at the
+/// root*, where the partial-distance bound is still zero. The search
+/// maintains, per model pair, the invariant `s_ik = d_i + d_k + freediff_ik`
+/// (partial distances plus the number of still-free bits where the pair
+/// disagrees): assigning a bit the pair disagrees on moves one unit from
+/// `freediff` to a partial distance (`s` unchanged), while mismatching both
+/// members of an agreeing pair adds two. Any completion satisfies
+/// `dist_i + dist_k ≥ s_ik`, so `⌈max s / 2⌉` lower-bounds the subcube and
+/// only tightens with depth.
+///
+/// The search is seeded with `odist_probe`'s achieved upper bound. That
+/// is safe, interrupted or not: only strictly worse subcubes are pruned,
+/// so every candidate matching the probe's key (including the probe
+/// itself) is still visited or left in the frontier.
+///
+/// Every node expansion ticks a [`BudgetSite::Node`] meter; on a trip the
+/// recursion unwinds, recording each unvisited subcube, and the frontier is
+/// their materialization.
+///
+/// Returns the minimum odist and all candidates achieving it.
+/// `models` must be non-empty.
+pub fn select_min_subcube_odist(
     n_vars: u32,
     models: &[Interp],
-    bound: &B,
-    seed: Option<B::Key>,
     budget: &Budget,
-) -> BudgetedSelect<B::Key> {
+) -> BudgetedSelect<u32> {
+    assert!(!models.is_empty(), "subcube search needs a non-empty psi");
+    let (pairs, s) = odist_pairs(models);
     let order = discriminating_bit_order(n_vars, models);
     let mut search = SubcubeSearch {
-        bound,
+        models,
+        pairs: &pairs,
         order: &order,
-        best: seed,
+        d: vec![0; models.len()],
+        s,
+        best: Some(odist_probe(n_vars, models)),
         tied: Vec::new(),
         nodes: 0,
         cut: 0,
@@ -828,7 +777,7 @@ fn subcube_search<B: SubcubeBound>(
         stopped: None,
         frontier: Vec::new(),
     };
-    search.descend(0, 0, &mut bound.root());
+    search.descend(0, 0);
     telemetry::BNB_NODES_OPENED.add(search.nodes);
     telemetry::BNB_NODES_CUT.add(search.cut);
     telemetry::SELECTIONS.incr();
@@ -843,83 +792,6 @@ fn subcube_search<B: SubcubeBound>(
         frontier,
         trip: search.stopped,
     }
-}
-
-/// Branch-and-bound `Min(𝓜, ≤_agg)` for *monotone* distance aggregates —
-/// the sharpest tool for arbitration-shaped scans, where the candidate
-/// pool is the entire universe.
-///
-/// Rather than visiting all `2^n` candidates, the search assigns variables
-/// one at a time (most-discriminating bit first) and tracks, for every
-/// model `J` of ψ, the Hamming distance accumulated on the decided bits.
-/// Distances only grow as bits are fixed, so for a **monotone** aggregate
-/// (`agg(d) ≤ agg(d')` whenever `d ≤ d'` pointwise — max, sum, and
-/// weighted sum all qualify) the aggregate of the partial distances lower-
-/// bounds every candidate in the subcube. A subcube whose bound strictly
-/// exceeds the best key found so far is discarded whole — `2^free`
-/// candidates pruned with `O(|ψ|)` work — which is what lets arbitration
-/// beat the linear-scan floor. Ties survive: only strictly worse subcubes
-/// are cut.
-///
-/// The two children of each node are explored better-bound-first, so a
-/// near-optimal candidate is found early and the cap tightens immediately.
-///
-/// Every node expansion ticks a [`BudgetSite::Node`] meter; on a trip the recursion unwinds, recording each unvisited
-/// subcube, and the frontier is their materialization.
-///
-/// Returns the minimum key and all candidates achieving it.
-/// `models` must be non-empty.
-pub fn select_min_subcube<K, A>(
-    n_vars: u32,
-    models: &[Interp],
-    agg: A,
-    budget: &Budget,
-) -> BudgetedSelect<K>
-where
-    K: Ord,
-    A: Fn(&[u32]) -> K,
-{
-    assert!(!models.is_empty(), "subcube search needs a non-empty psi");
-    let bound = MonoBound {
-        models,
-        agg,
-        _key: PhantomData,
-    };
-    subcube_search(n_vars, models, &bound, None, budget)
-}
-
-/// [`select_min_subcube`] specialized to the `max` aggregate (odist — the
-/// arbitration key), with a second, much sharper pruning bound.
-///
-/// For any candidate `J` the triangle inequality gives
-/// `dist(I_i, J) + dist(I_k, J) ≥ dist(I_i, I_k)`, so the odist of every
-/// candidate is at least `⌈max_{i<k} dist(I_i, I_k) / 2⌉` — a bound that is
-/// already within a factor of two of the optimum *at the root*, where the
-/// partial-distance bound is still zero. The search maintains, per model
-/// pair, the invariant `s_ik = d_i + d_k + freediff_ik` (partial distances
-/// plus the number of still-free bits where the pair disagrees): assigning
-/// a bit the pair disagrees on moves one unit from `freediff` to a partial
-/// distance (`s` unchanged), while mismatching both members of an agreeing
-/// pair adds two. Any completion satisfies `dist_i + dist_k ≥ s_ik`, so
-/// `⌈max s / 2⌉` lower-bounds the subcube and only tightens with depth.
-///
-/// The search is seeded with `odist_probe`'s achieved upper bound. That
-/// is safe, interrupted or not: only strictly worse subcubes are pruned,
-/// so every candidate matching the probe's key (including the probe
-/// itself) is still visited or left in the frontier.
-///
-/// Returns the minimum odist and all candidates achieving it.
-/// `models` must be non-empty.
-pub fn select_min_subcube_odist(
-    n_vars: u32,
-    models: &[Interp],
-    budget: &Budget,
-) -> BudgetedSelect<u32> {
-    assert!(!models.is_empty(), "subcube search needs a non-empty psi");
-    let (pairs, s0) = odist_pairs(models);
-    let bound = OdistBound { models, pairs, s0 };
-    let seed = Some(odist_probe(n_vars, models));
-    subcube_search(n_vars, models, &bound, seed, budget)
 }
 
 /// A cheap upper bound on the minimum odist, *achieved by some candidate*:
@@ -988,77 +860,30 @@ fn predicted_work(n_vars: u32, psi_len: usize) -> u64 {
     (1u64 << n_vars).saturating_mul(psi_len as u64)
 }
 
-/// Whether the branch-and-bound search beats the straight scan: once the
-/// scan's predicted work `2^n·m` reaches `work_per_cubed_model·m³`, for
-/// `m = |Mod(ψ)|` (equivalently, once `2^n ≥ work_per_cubed_model·m²`).
-/// The search's own cost grows with the per-model state each node
-/// updates and with the nodes a spread-out `ψ` leaves unpruned, so a
-/// larger `ψ` needs a wider universe before pruning pays; how much wider
-/// depends on the aggregate, which E12's crossover table measures.
-fn prefers_subcube(n_vars: u32, psi_len: usize, work_per_cubed_model: u64) -> bool {
+/// Whether the odist branch-and-bound search beats the straight scan: once
+/// the scan's predicted work `2^n·m` reaches
+/// `ODIST_WORK_PER_CUBED_MODEL·m³`, for `m = |Mod(ψ)|` (equivalently, once
+/// `2^n ≥ ODIST_WORK_PER_CUBED_MODEL·m²`). The search's own cost grows
+/// with the per-model state each node updates and with the nodes a
+/// spread-out `ψ` leaves unpruned, so a larger `ψ` needs a wider universe
+/// before pruning pays.
+fn prefers_subcube(n_vars: u32, psi_len: usize) -> bool {
     let m = psi_len as u128;
-    u128::from(predicted_work(n_vars, psi_len)) >= u128::from(work_per_cubed_model) * m * m * m
+    u128::from(predicted_work(n_vars, psi_len))
+        >= u128::from(ODIST_WORK_PER_CUBED_MODEL) * m * m * m
 }
 
-/// [`prefers_subcube`]'s constant for odist: the median `2^n/m²` from
-/// which E12's crossover table (`m` from 2 to 32, three runs pooled)
-/// sees the pairwise-bounded search beat the scan, rounded to a power of
-/// two.
+/// [`prefers_subcube`]'s constant: the median `2^n/m²` from which E12's
+/// crossover table (`m` from 2 to 32, three runs pooled) sees the
+/// pairwise-bounded search beat the scan, rounded to a power of two.
 const ODIST_WORK_PER_CUBED_MODEL: u64 = 128;
-
-/// Straight pruned sweep of the universe: one reused distance buffer per
-/// worker, single-pass selection. The complement of the subcube search
-/// for small universes and large `ψ`.
-fn universe_scan<K, A>(n_vars: u32, models: &[Interp], agg: A, budget: &Budget) -> BudgetedSelect<K>
-where
-    K: Ord + Clone + Send,
-    A: Fn(&[u32]) -> K + Sync,
-{
-    let factory = || {
-        let mut d = vec![0u32; models.len()];
-        let agg = &agg;
-        move |j: Interp, _: Option<&K>| {
-            for (dj, m) in d.iter_mut().zip(models) {
-                *dj = (m.0 ^ j.0).count_ones();
-            }
-            Some(agg(&d))
-        }
-    };
-    scan_universe(n_vars, models.len(), &factory, budget)
-}
-
-/// `Min(𝓜, ≤_agg)` for a monotone aggregate: the branch-and-bound subcube
-/// search once the predicted work `2^n·|Mod(ψ)|` reaches
-/// `work_per_cubed_model·|Mod(ψ)|³`, otherwise a straight scan (split
-/// across scoped threads when the `parallel` feature is on and the work
-/// is large enough). Where the search starts to pay depends on `agg`, so
-/// the caller passes the constant E12's crossover table measured for it.
-///
-/// This is the entry point the arbitration-backed operators use; see
-/// [`select_min_subcube`] for the monotonicity contract on `agg`.
-pub fn select_min_universe_mono<K, A>(
-    n_vars: u32,
-    models: &[Interp],
-    agg: A,
-    work_per_cubed_model: u64,
-    budget: &Budget,
-) -> Result<BudgetedSelect<K>, CoreError>
-where
-    K: Ord + Clone + Send,
-    A: Fn(&[u32]) -> K + Sync,
-{
-    CoreError::check_enum_limit(n_vars)?;
-    let _span = telemetry::UNIVERSE_SEARCH.span();
-    if prefers_subcube(n_vars, models.len(), work_per_cubed_model) {
-        return Ok(select_min_subcube(n_vars, models, agg, budget));
-    }
-    Ok(universe_scan(n_vars, models, agg, budget))
-}
 
 /// `Min(𝓜, ≤_odist)` over the whole universe: the pairwise-bounded
 /// branch-and-bound search once `2^n ≥ 128·|Mod(ψ)|²`
-/// (`ODIST_WORK_PER_CUBED_MODEL`), otherwise a straight scan. This is the
-/// path arbitration itself takes
+/// (`ODIST_WORK_PER_CUBED_MODEL`), otherwise a straight sweep with one
+/// reused distance buffer per worker (split across scoped threads when
+/// the `parallel` feature is on and the work is large enough). This is
+/// the path arbitration itself takes
 /// (`ψ Δ φ = Mod(ψ ∨ φ) ▷ ⊤` minimizes odist).
 pub fn select_min_universe_odist(
     n_vars: u32,
@@ -1067,15 +892,23 @@ pub fn select_min_universe_odist(
 ) -> Result<BudgetedSelect<u32>, CoreError> {
     CoreError::check_enum_limit(n_vars)?;
     let _span = telemetry::UNIVERSE_SEARCH.span();
-    if prefers_subcube(n_vars, models.len(), ODIST_WORK_PER_CUBED_MODEL) {
+    if prefers_subcube(n_vars, models.len()) {
         return Ok(select_min_subcube_odist(n_vars, models, budget));
     }
-    let agg = |d: &[u32]| d.iter().copied().max().unwrap_or(0);
-    Ok(universe_scan(n_vars, models, agg, budget))
+    let factory = || {
+        let mut d = vec![0u32; models.len()];
+        move |j: Interp, _: Option<&u32>| {
+            for (dj, m) in d.iter_mut().zip(models) {
+                *dj = (m.0 ^ j.0).count_ones();
+            }
+            Some(d.iter().copied().max().unwrap_or(0))
+        }
+    };
+    Ok(scan_universe(n_vars, models.len(), &factory, budget))
 }
 
 // ---------------------------------------------------------------------------
-// Layers 3 + 4: streaming universe selection, optionally parallel
+// Layers 3 + 5: streaming universe selection, optionally parallel
 // ---------------------------------------------------------------------------
 
 /// Predicted work one scan worker must have before another is added: a
@@ -1467,7 +1300,6 @@ mod tests {
                 let i = Interp(bits);
                 assert!(prof.odist_lower_bound(i) <= odist(&psi, i).unwrap());
                 assert!(prof.min_dist_lower_bound(i) <= min_dist(&psi, i).unwrap());
-                assert!(prof.sum_lower_bound(i) <= sum_dist(&psi, i).unwrap());
             }
         }
     }
@@ -1475,7 +1307,6 @@ mod tests {
     #[test]
     fn pop_profile_of_empty_is_none() {
         assert!(PopProfile::of(&ModelSet::empty(3)).is_none());
-        assert!(WeightedPopProfile::of(&WeightedKb::unsatisfiable(3)).is_none());
     }
 
     #[test]
@@ -1488,14 +1319,11 @@ mod tests {
                 let i = Interp(bits);
                 let od = odist(&psi, i).unwrap();
                 let md = min_dist(&psi, i).unwrap();
-                let sd = sum_dist(&psi, i).unwrap();
                 // No cap: always exact.
                 assert_eq!(odist_pruned(slice, &prof, i, None), Some(od));
                 assert_eq!(min_dist_pruned(slice, &prof, i, None), Some(md));
-                assert_eq!(sum_dist_pruned(slice, &prof, i, None), Some(sd));
                 // Cap at the exact value (a tie): still exact.
                 assert_eq!(odist_pruned(slice, &prof, i, Some(od)), Some(od));
-                assert_eq!(sum_dist_pruned(slice, &prof, i, Some(sd)), Some(sd));
                 // Cap strictly below: may be None, never a wrong value.
                 if od > 0 {
                     assert!(matches!(
@@ -1508,23 +1336,6 @@ mod tests {
                     assert_eq!(got, md);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn wdist_pruned_matches_spec() {
-        let psi = WeightedKb::from_weights(
-            3,
-            [(Interp(0b001), 10), (Interp(0b010), 20), (Interp(0b111), 5)],
-        );
-        let support: Vec<(Interp, u64)> = psi.support().collect();
-        let prof = WeightedPopProfile::of(&psi).unwrap();
-        for bits in 0..8u64 {
-            let i = Interp(bits);
-            let exact = wdist(&psi, i).unwrap();
-            assert_eq!(wdist_pruned(&support, &prof, i, None), Some(exact));
-            assert_eq!(wdist_pruned(&support, &prof, i, Some(exact)), Some(exact));
-            assert!(prof.wdist_lower_bound(i) <= exact);
         }
     }
 
@@ -1576,43 +1387,38 @@ mod tests {
     }
 
     #[test]
-    fn subcube_search_matches_exhaustive_scan_for_all_monotone_aggregates() {
+    fn subcube_odist_search_matches_exhaustive_scan() {
         let unlimited = Budget::unlimited();
         for seed in 0..48u64 {
             let psi = scrambled(7, seed);
-            let slice = psi.as_slice();
-            // odist (max), sum, and weighted-sum aggregates.
-            let max = |d: &[u32]| d.iter().copied().max().unwrap();
-            let sel = select_min_subcube(7, slice, max, &unlimited);
             let expect = naive::odist_fitting(&psi, &ModelSet::all(7));
-            assert_eq!(sel.minima, expect, "odist, seed {seed}");
+            let sel = select_min_subcube_odist(7, psi.as_slice(), &unlimited);
+            assert_eq!(sel.minima, expect, "seed {seed}");
             assert_eq!(
                 sel.best,
                 expect.iter().next().map(|i| odist(&psi, i).unwrap())
             );
+        }
+    }
 
-            // The pairwise-bounded specialization agrees with the generic one.
-            let sp = select_min_subcube_odist(7, slice, &unlimited);
-            assert_eq!(sp.minima, expect, "odist specialized, seed {seed}");
-            assert_eq!(sp.best, sel.best);
-
-            let sum = |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>();
-            let sel = select_min_subcube(7, slice, sum, &unlimited);
-            assert_eq!(
-                sel.minima,
-                naive::sum_fitting(&psi, &ModelSet::all(7)),
-                "sum, seed {seed}"
-            );
-
-            let weights: Vec<u64> = slice.iter().map(|j| 1 + j.0 % 5).collect();
-            let kb = WeightedKb::from_weights(7, slice.iter().map(|&j| (j, 1 + j.0 % 5)));
-            let wsum = |d: &[u32]| {
-                d.iter()
-                    .zip(&weights)
-                    .map(|(&x, &w)| x as u128 * w as u128)
-                    .sum::<u128>()
-            };
-            let sel = select_min_subcube(7, slice, wsum, &unlimited);
+    #[test]
+    fn vote_tally_ranks_and_minima_match_the_sums() {
+        let unlimited = Budget::unlimited();
+        for seed in 0..48u64 {
+            let psi = scrambled(7, seed);
+            let kb = WeightedKb::from_weights(7, psi.iter().map(|j| (j, 1 + j.0 % 5)));
+            let unit = VoteTally::of(7, psi.iter().map(|j| (j, 1)));
+            let weighted = VoteTally::of(7, kb.support());
+            for bits in 0..128u64 {
+                let i = Interp(bits);
+                assert_eq!(unit.rank(i), u128::from(sum_dist(&psi, i).unwrap()));
+                assert_eq!(weighted.rank(i), wdist(&kb, i).unwrap());
+            }
+            let sel = unit.universe_minima(&unlimited).unwrap();
+            let expect = naive::sum_fitting(&psi, &ModelSet::all(7));
+            assert_eq!(sel.minima, expect, "sum, seed {seed}");
+            assert_eq!(sel.best, expect.iter().next().map(|i| unit.rank(i)));
+            let sel = weighted.universe_minima(&unlimited).unwrap();
             let expect = naive::wdist_fitting(&kb, &WeightedKb::all(7));
             assert_eq!(sel.minima, expect.support_set(), "wdist, seed {seed}");
         }
@@ -1784,18 +1590,10 @@ mod tests {
             let psi = scrambled(7, seed);
             let slice = psi.as_slice();
             let exact = naive::odist_fitting(&psi, &ModelSet::all(7));
-            let agg = |d: &[u32]| d.iter().copied().max().unwrap();
             // A fault past the search's actual node count never fires and
             // the search completes exactly — only `at = 1` is guaranteed
             // to trip (the root node always charges).
             for at in [1u64, 5, 17, 100] {
-                let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
-                let sel = select_min_subcube(7, slice, agg, &budget);
-                if at == 1 {
-                    assert!(sel.trip.is_some(), "node fault at 1 must trip");
-                }
-                assert_contains(&sel, &exact, &format!("bnb fault at {at}, seed {seed}"));
-
                 let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Node, at));
                 let sel = select_min_subcube_odist(7, slice, &budget);
                 if at == 1 {
@@ -1856,16 +1654,30 @@ mod tests {
         let sel = select_min_universe_odist(6, slice, &Budget::unlimited()).unwrap();
         assert!(matches!(sel.quality(), Quality::Exact));
         assert_eq!(sel.minima, exact);
+    }
 
-        let agg = |d: &[u32]| d.iter().map(|&x| x as u64).sum::<u64>();
-        // Constant 0 always searches, `u64::MAX` always scans.
-        for work_per_cubed_model in [0, u64::MAX] {
-            let unlimited = Budget::unlimited();
-            let sel =
-                select_min_universe_mono(6, slice, agg, work_per_cubed_model, &unlimited).unwrap();
-            assert!(matches!(sel.quality(), Quality::Exact));
-            assert_eq!(sel.minima, naive::sum_fitting(&psi, &ModelSet::all(6)));
+    #[test]
+    fn budgeted_universe_minima_keep_every_minimum() {
+        // ψ = 𝓜 ties every bit: all 64 interpretations are minima.
+        let votes = VoteTally::of(6, all_interps(6).map(|i| (i, 1)));
+        let all = ModelSet::all(6);
+        let sel = votes.universe_minima(&Budget::unlimited()).unwrap();
+        assert!(matches!(sel.quality(), Quality::Exact));
+        assert_eq!(sel.minima, all);
+        for at in [1u64, 10, 64] {
+            let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, at));
+            let sel = votes.universe_minima(&budget).unwrap();
+            assert_eq!(sel.quality(), Quality::UpperBound, "fault at {at}");
+            assert_eq!(sel.minima.len() as u64, at - 1);
+            let (models, _) = sel.into_models();
+            assert_eq!(models, all, "fault at {at}");
         }
+        let budget = Budget::unlimited()
+            .with_fault(FaultPlan::new(BudgetSite::Scan, 2))
+            .with_frontier_limit(4);
+        let sel = votes.universe_minima(&budget).unwrap();
+        assert_eq!(sel.quality(), Quality::Interrupted);
+        assert_eq!(sel.minima, ModelSet::new(6, [Interp(0)]));
     }
 
     #[test]

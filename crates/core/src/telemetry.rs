@@ -54,10 +54,11 @@ pub static CANDIDATES_PRUNED: Counter = Counter::new("candidates_pruned");
 pub static PROFILE_PRUNE_HITS: Counter = Counter::new("profile_prune_hits");
 /// Co-minimal candidates returned across selections (final tie-set sizes).
 pub static TIES_KEPT: Counter = Counter::new("ties_kept");
-/// Branch-and-bound subcube nodes expanded.
+/// Subcube nodes expanded by the odist branch-and-bound search, the only
+/// subcube search.
 pub static BNB_NODES_OPENED: Counter = Counter::new("bnb_nodes_opened");
-/// Branch-and-bound children discarded whole by a bound (for the odist
-/// search this includes the pairwise triangle-inequality bound).
+/// Odist branch-and-bound children discarded whole by its partial-distance
+/// or pairwise triangle-inequality bound.
 pub static BNB_NODES_CUT: Counter = Counter::new("bnb_nodes_cut");
 /// Worker threads spawned by parallel universe scans.
 pub static PARALLEL_SHARDS: Counter = Counter::new("parallel_shards");
@@ -90,16 +91,13 @@ pub static KERNEL_SECTION: Section = Section {
 
 /// Weighted fitting / arbitration applications ([`crate::wfitting`]).
 pub static WDIST_APPLICATIONS: Counter = Counter::new("wdist_applications");
-/// ψ̃-support entries profiled per weighted application (the `Σ_J` width).
+/// ψ̃-support entries tallied per weighted application (the `Σ_J` width).
 pub static WSUPPORT_SCANNED: Counter = Counter::new("wsupport_scanned");
-/// Candidates rejected by the weighted popcount-profile bound alone
-/// ([`crate::kernel::WeightedPopProfile`]).
-pub static WPROFILE_PRUNE_HITS: Counter = Counter::new("wprofile_prune_hits");
 
 /// The `"weighted"` section.
 pub static WEIGHTED_SECTION: Section = Section {
     name: "weighted",
-    counters: &[&WDIST_APPLICATIONS, &WSUPPORT_SCANNED, &WPROFILE_PRUNE_HITS],
+    counters: &[&WDIST_APPLICATIONS, &WSUPPORT_SCANNED],
     timers: &[],
 };
 
@@ -231,7 +229,7 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"bnb_nodes_cut\""));
         assert!(json.contains("\"conflicts\""));
-        assert!(json.contains("\"wprofile_prune_hits\""));
+        assert!(json.contains("\"wsupport_scanned\""));
         assert!(json.contains("\"budget_trips\""));
         assert!(json.contains("\"cache_hits\""));
     }

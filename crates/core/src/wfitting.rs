@@ -1,7 +1,7 @@
 //! Weighted model-fitting (Section 4 of the paper).
 
 use crate::budget::{Budget, BudgetedWeightedChangeOperator, WeightedOutcome};
-use crate::kernel::{select_min, wdist_pruned, BudgetedSelect, WeightedPopProfile};
+use crate::kernel::{select_min, BudgetedSelect, VoteTally};
 use crate::telemetry;
 use crate::weighted::WeightedKb;
 use arbitrex_logic::{Interp, ModelSet};
@@ -50,20 +50,21 @@ impl<T: WeightedChangeOperator + ?Sized> WeightedChangeOperator for &T {
 pub struct WdistFitting;
 
 impl WdistFitting {
-    /// Single pruned pass over μ̃'s support; the caller gives each
-    /// returned model its μ̃-weight.
+    /// One pass over μ̃'s support, each model ranked in `O(n)` from ψ̃'s
+    /// per-bit vote tally; the caller gives each returned model its
+    /// μ̃-weight.
     fn select(&self, psi: &WeightedKb, mu: &WeightedKb, budget: &Budget) -> BudgetedSelect<u128> {
         telemetry::WDIST_APPLICATIONS.incr();
         // (F2): unsatisfiable ψ̃ fits nothing.
-        let Some(prof) = WeightedPopProfile::of(psi) else {
+        if !psi.is_satisfiable() {
             return BudgetedSelect::exact(None, ModelSet::empty(mu.n_vars()));
-        };
-        let support: Vec<(Interp, u64)> = psi.support().collect();
-        telemetry::WSUPPORT_SCANNED.add(support.len() as u64);
+        }
+        telemetry::WSUPPORT_SCANNED.add(psi.support_size() as u64);
+        let votes = VoteTally::of(psi.n_vars(), psi.support());
         select_min(
             mu.n_vars(),
             mu.support().map(|(i, _)| i),
-            |i, cap| wdist_pruned(&support, &prof, i, cap.copied()),
+            |i, _| Some(votes.rank(i)),
             budget,
         )
     }

@@ -143,6 +143,14 @@ pub fn canonical_bytes(f: &Formula) -> Vec<u8> {
     serialize(&canonicalize_query(&[f], 0).formulas[0])
 }
 
+/// The canonical serialization of `f` under its own variable numbering:
+/// NNF with `∧`/`∨` children sorted and deduplicated, as in
+/// [`canonical_bytes`], but no renaming. Number the variables by name first
+/// and equal bytes name the same theory over the same names.
+pub fn numbered_canonical_bytes(f: &Formula) -> Vec<u8> {
+    serialize(&normalize(&to_nnf(f)))
+}
+
 /// A 64-bit FNV-1a hash of [`canonical_bytes`] — the cache key promised to
 /// collide for alpha-equivalent and syntactically shuffled formulas.
 ///

@@ -43,7 +43,7 @@ pub mod simplify;
 pub use ast::Formula;
 pub use canonical::{
     canonical_bytes, canonical_key, canonicalize_query, decode_formula, encode_formula,
-    query_fingerprint, rename_formula, CanonicalQuery, DecodeError,
+    numbered_canonical_bytes, query_fingerprint, rename_formula, CanonicalQuery, DecodeError,
 };
 pub use cnf::{direct_cnf, to_clauses, to_cnf, tseitin, Cnf};
 pub use dnf::to_dnf;

@@ -15,10 +15,9 @@
 use crate::metrics::{max_dissatisfaction, sum_dissatisfaction};
 use crate::source::Source;
 use arbitrex_core::arbitration::arbitrate;
-use arbitrex_core::budget::BudgetedWeightedChangeOperator;
 use arbitrex_core::{
-    Budget, BudgetSpent, ChangeOperator, DalalRevision, Quality, WdistFitting,
-    WeightedChangeOperator, WeightedKb, WinslettUpdate,
+    Budget, BudgetSpent, ChangeOperator, DalalRevision, Quality, WdistFitting, WeightedKb,
+    WeightedUniverseFitting, WinslettUpdate,
 };
 use arbitrex_logic::ModelSet;
 
@@ -126,14 +125,26 @@ pub fn merge_majority(sources: &[Source], constraint: Option<&ModelSet>) -> Merg
 /// source is a separate voice (a source claiming two possible worlds pulls
 /// twice), whereas `merge_majority` scores each source by its closest
 /// model only.
+///
+/// The fit is the per-bit weighted majority of the join, in closed form:
+/// the universe is never materialized. Panics past
+/// [`arbitrex_logic::ENUM_LIMIT`] variables.
 pub fn merge_weighted_arbitration(sources: &[Source]) -> MergeOutcome {
+    // invariant: deliberate documented panic — merges are infallible and
+    // enumeration-bound, like the rest of this module.
+    let fitted = WdistFitting
+        .apply_universe(&join_sources(sources))
+        .expect("merge signature exceeds ENUM_LIMIT");
+    MergeOutcome::evaluate("weighted-arbitration", sources, fitted.support_set())
+}
+
+/// Every source's weighted KB joined into one `⊔`.
+fn join_sources(sources: &[Source]) -> WeightedKb {
     let n = check_sources(sources);
-    let joined = sources
+    sources
         .iter()
         .map(Source::to_weighted_kb)
-        .fold(WeightedKb::unsatisfiable(n), |acc, kb| acc.join(&kb));
-    let fitted = WdistFitting.apply(&joined, &WeightedKb::all(n));
-    MergeOutcome::evaluate("weighted-arbitration", sources, fitted.support_set())
+        .fold(WeightedKb::unsatisfiable(n), |acc, kb| acc.join(&kb))
 }
 
 /// A [`MergeOutcome`] together with the budget accounting of the run that
@@ -153,19 +164,17 @@ pub struct BudgetedMergeOutcome {
 }
 
 /// [`merge_weighted_arbitration`] under a [`Budget`]: the weighted fitting
-/// scan degrades gracefully on exhaustion instead of running to
-/// completion. With an unconstrained budget the consensus is bit-identical
-/// to the unbudgeted merge.
+/// degrades gracefully on exhaustion instead of running to completion.
+/// With an unconstrained budget the consensus is bit-identical to the
+/// unbudgeted merge.
 pub fn merge_weighted_arbitration_with_budget(
     sources: &[Source],
     budget: &Budget,
 ) -> BudgetedMergeOutcome {
-    let n = check_sources(sources);
-    let joined = sources
-        .iter()
-        .map(Source::to_weighted_kb)
-        .fold(WeightedKb::unsatisfiable(n), |acc, kb| acc.join(&kb));
-    let fitted = WdistFitting.apply_with_budget(&joined, &WeightedKb::all(n), budget);
+    // invariant: deliberate documented panic, as in the unbudgeted merge.
+    let fitted = WdistFitting
+        .apply_universe_budgeted(&join_sources(sources), budget)
+        .expect("merge signature exceeds ENUM_LIMIT");
     BudgetedMergeOutcome {
         outcome: MergeOutcome::evaluate("weighted-arbitration", sources, fitted.kb.support_set()),
         quality: fitted.quality,
@@ -259,6 +268,34 @@ mod tests {
         assert!(degraded.spent.trip.is_some());
         for m in exact.consensus.iter() {
             assert!(degraded.outcome.consensus.contains(m));
+        }
+    }
+
+    #[test]
+    fn weighted_merge_matches_the_materialized_universe_fit() {
+        use arbitrex_core::WeightedChangeOperator;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x3e26e);
+        for case in 0..200 {
+            let n = rng.random_range(0..=10u32);
+            let sources: Vec<Source> = (0..rng.random_range(1..5))
+                .map(|k| {
+                    let count = rng.random_range(1..6);
+                    let models: Vec<Interp> = (0..count)
+                        .map(|_| Interp(rng.random_range(0..1u64 << n)))
+                        .collect();
+                    let weight = rng.random_range(1..20);
+                    Source::weighted(format!("s{k}"), ModelSet::new(n, models), weight)
+                })
+                .collect();
+            let joined = join_sources(&sources);
+            let materialized = WdistFitting.apply(&joined, &WeightedKb::all(n));
+            let merged = merge_weighted_arbitration(&sources);
+            assert_eq!(
+                merged.consensus,
+                materialized.support_set(),
+                "case {case}, n = {n}"
+            );
         }
     }
 

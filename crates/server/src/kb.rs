@@ -78,7 +78,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use arbitrex_core::Faults;
-use arbitrex_logic::{canonical_key, Formula, Sig};
+use arbitrex_logic::canonical::fnv1a;
+use arbitrex_logic::{numbered_canonical_bytes, rename_formula, Formula, Interp, ModelSet, Sig};
 
 use crate::metrics;
 use crate::recovery::{self, RecoverMode, RecoveryError, RecoveryReport};
@@ -107,6 +108,80 @@ pub struct StoredKb {
     /// whose creating commit has not reached the log yet (treated as
     /// absent everywhere).
     pub seq: u64,
+}
+
+/// Widest theory, in variables its formula mentions, whose digest
+/// enumerates `Mod(ψ)`: `2^16` models take 512 KiB at most.
+const DIGEST_ENUM_VARS: u32 = 16;
+
+/// A KB's content hash for anti-entropy, bound to variable names: equal
+/// hashes mean logically equivalent theories over the same names (up to
+/// 64-bit collisions), so renamed theories such as `A & !B` and `B & !A`
+/// differ.
+///
+/// The variables the formula mentions are numbered by name. Up to
+/// [`DIGEST_ENUM_VARS`] of them, the hash covers the names `ψ` depends on
+/// and `Mod(ψ)` over them, so by syntax irrelevance (R4/A4) equivalent
+/// theories hash alike; past it, the names and the canonical bytes of the
+/// renumbered formula.
+pub(crate) fn theory_digest(sig: &Sig, formula: &Formula) -> u64 {
+    let mut vars: Vec<_> = formula.vars().into_iter().collect();
+    vars.sort_by(|a, b| sig.name(*a).cmp(sig.name(*b)));
+    let mut by_name = vec![0u32; formula.max_var().map_or(0, |v| v.index() + 1)];
+    for (rank, v) in vars.iter().enumerate() {
+        by_name[v.index()] = rank as u32;
+    }
+    let named = rename_formula(formula, &by_name);
+    let k = vars.len() as u32;
+    let mut bytes = Vec::new();
+    let push_name = |bytes: &mut Vec<u8>, rank: u32| {
+        let name = sig.name(vars[rank as usize]).as_bytes();
+        bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(name);
+    };
+    let models = (k <= DIGEST_ENUM_VARS)
+        .then(|| ModelSet::try_of_formula(&named, k).ok())
+        .flatten();
+    match models {
+        Some(models) => {
+            // ψ depends on bit `b` unless flipping it maps Mod(ψ) onto itself.
+            let kept: Vec<u32> = (0..k)
+                .filter(|&b| {
+                    models
+                        .iter()
+                        .any(|m| !models.contains(Interp(m.0 ^ 1 << b)))
+                })
+                .collect();
+            bytes.push(b'M');
+            bytes.extend_from_slice(&(kept.len() as u32).to_le_bytes());
+            for &b in &kept {
+                push_name(&mut bytes, b);
+            }
+            let mut projected: Vec<u64> = models
+                .iter()
+                .map(|m| {
+                    kept.iter()
+                        .enumerate()
+                        .fold(0, |acc, (to, &from)| acc | (m.0 >> from & 1) << to)
+                })
+                .collect();
+            projected.sort_unstable();
+            projected.dedup();
+            bytes.extend_from_slice(&(projected.len() as u64).to_le_bytes());
+            for p in projected {
+                bytes.extend_from_slice(&p.to_le_bytes());
+            }
+        }
+        None => {
+            bytes.push(b'F');
+            bytes.extend_from_slice(&k.to_le_bytes());
+            for rank in 0..k {
+                push_name(&mut bytes, rank);
+            }
+            bytes.extend_from_slice(&numbered_canonical_bytes(&named));
+        }
+    }
+    fnv1a(&bytes)
 }
 
 /// Why a mutation did not commit.
@@ -937,10 +1012,16 @@ impl KbStore {
         snapshot::sync_dir(&s.dir)
     }
 
-    /// Per-KB digest for anti-entropy: `(name, seq, canonical content
-    /// hash)`, sorted by name. Two stores with equal digests hold
-    /// logically identical state.
+    /// Per-KB digest for anti-entropy: `(name, seq, content hash)`,
+    /// sorted by name, the hash from `theory_digest`. Two stores with
+    /// equal digests hold logically identical state over the same names.
     pub fn digest(&self) -> Vec<(String, u64, u64)> {
+        self.committed(|kb| theory_digest(&kb.sig, &kb.formula))
+    }
+
+    /// `(name, seq, read(kb))` for every committed KB, sorted by name.
+    /// Each entry is locked alone, after the map lock is released.
+    pub(crate) fn committed<T>(&self, read: impl Fn(&StoredKb) -> T) -> Vec<(String, u64, T)> {
         let entries: Vec<(String, Arc<Mutex<StoredKb>>)> = self
             .map
             .read()
@@ -952,7 +1033,7 @@ impl KbStore {
         for (name, entry) in entries {
             let kb = entry.lock().unwrap();
             if kb.seq > 0 {
-                out.push((name, kb.seq, canonical_key(&kb.formula)));
+                out.push((name, kb.seq, read(&kb)));
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1100,6 +1181,32 @@ impl Drop for KbStore {
 mod tests {
     use super::*;
     use arbitrex_logic::parse;
+
+    fn digest_of(text: &str) -> u64 {
+        let mut sig = Sig::new();
+        let f = parse(&mut sig, text).unwrap();
+        theory_digest(&sig, &f)
+    }
+
+    #[test]
+    fn theory_digest_binds_names_and_ignores_syntax() {
+        // Renamed theories differ, whichever path hashes them.
+        assert_ne!(digest_of("A & !B"), digest_of("B & !A"));
+        assert_ne!(digest_of("A & !B"), digest_of("X & !Y"));
+        let wide = |a: &str, b: &str| {
+            let rest: Vec<String> = (0..16).map(|k| format!("V{k}")).collect();
+            format!("{a} & !{b} & ({})", rest.join(" | "))
+        };
+        assert_ne!(digest_of(&wide("A", "B")), digest_of(&wide("B", "A")));
+        assert_eq!(digest_of(&wide("A", "B")), digest_of(&wide("A", "B")));
+        // Equivalent theories over the same names agree, in any variable
+        // order of the signature and with idle variables dropped.
+        assert_eq!(digest_of("A & !B"), digest_of("!B & A"));
+        assert_eq!(digest_of("A -> B"), digest_of("B | !A"));
+        assert_eq!(digest_of("A"), digest_of("A & (C | !C)"));
+        assert_eq!(digest_of("A | !A"), digest_of("B | !B"));
+        assert_ne!(digest_of("A | !A"), digest_of("A & !A"));
+    }
 
     #[test]
     fn put_get_replace_delete_lifecycle() {

@@ -578,8 +578,8 @@ fn repl_reconcile(state: &ServiceState, req: &Request) -> Response {
 // --- sharding: listing and cluster membership -------------------------------
 
 /// `GET /v1/kbs`: every KB on this node with its sequence number and
-/// canonical content hash — the listing shard handoff and
-/// anti-entropy (and operators) walk.
+/// name-bound content hash (`kb::theory_digest`) — the listing
+/// shard handoff and anti-entropy (and operators) walk.
 fn handle_kbs(state: &ServiceState) -> Response {
     let kbs: Vec<Json> = state
         .kbs
@@ -644,7 +644,7 @@ fn cluster_ring(state: &ServiceState) -> Response {
     let members: Vec<Json> = ring.members().iter().map(|m| json::s(m.clone())).collect();
     let owned_here = state
         .kbs
-        .digest()
+        .committed(|_| ())
         .iter()
         .filter(|(name, _, _)| matches!(router.place(name), Placement::Local))
         .count();

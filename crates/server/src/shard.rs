@@ -24,7 +24,7 @@
 //! order — see [`ShardRing::superseded_by`]), and trigger **live
 //! rebalancing**: each node that
 //! adopted the ring pulls the digest of every migration source
-//! (`GET /v1/kbs`: name, seq, canonical content hash — the same digest
+//! (`GET /v1/kbs`: name, seq, name-bound content hash — the same digest
 //! the PR 8 anti-entropy pass compares), fetches each KB it now owns
 //! over the replication transport ([`PeerClient`]), lands it verbatim
 //! with [`crate::kb::KbStore::force_put`], and then asks the old owner

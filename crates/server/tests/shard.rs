@@ -488,49 +488,57 @@ fn equal_seq_divergence_merges_instead_of_overwriting() {
     // prove descent, and force_put-overwriting the new owner's acked
     // commit would be exactly the last-writer-wins loss the design
     // forbids (DESIGN.md §13.3).
-    let (dir1, dir2) = (temp_state_dir("diverge1"), temp_state_dir("diverge2"));
-    let n1 = shard_server(&dir1, |_| {});
-    let n2 = shard_server(&dir2, |_| {});
-
-    // Pick the name by the ring both nodes will converge to, so the
-    // divergent copies land with the *joiner* (n2) as the new owner.
+    //
     // Disjoint variable sets make the merge visible in `n_vars`: a real
     // Δ-merge unions the signatures (3 vars), while overwriting — or
-    // merging a proxied-back copy of one's own theory — cannot.
-    let ring = two_ring(n1.addr, n2.addr);
-    let name = name_owned_by(&ring, n2.addr);
-    assert_eq!(put(&n1, &name, "A & B"), 1);
-    assert_eq!(put(&n2, &name, "!C"), 1);
+    // merging a proxied-back copy of one's own theory — cannot. The
+    // renamed pair differs only in which name carries which role, so a
+    // content hash blind to names would call the two copies identical.
+    for (case, (ours, theirs, merged_vars)) in [("A & B", "!C", 3), ("A & !B", "B & !A", 2)]
+        .into_iter()
+        .enumerate()
+    {
+        let (dir1, dir2) = (temp_state_dir("diverge1"), temp_state_dir("diverge2"));
+        let n1 = shard_server(&dir1, |_| {});
+        let n2 = shard_server(&dir2, |_| {});
 
-    let (status, joined) = request(
-        &n1,
-        "POST",
-        "/v1/cluster/join",
-        &format!(r#"{{"addr": "{}"}}"#, n2.addr),
-    );
-    assert_eq!(status, 200, "{joined:?}");
+        // Pick the name by the ring both nodes will converge to, so the
+        // divergent copies land with the *joiner* (n2) as the new owner.
+        let ring = two_ring(n1.addr, n2.addr);
+        let name = name_owned_by(&ring, n2.addr);
+        assert_eq!(put(&n1, &name, ours), 1);
+        assert_eq!(put(&n2, &name, theirs), 1);
 
-    // The merge commits at max(seq, seq) + 1 = 2 on the owner. A plain
-    // pull-overwrite would have left the source's copy verbatim at
-    // seq 1 — n2's acked commit silently gone.
-    let (status, v) = request(&n2, "GET", &format!("/v1/kb/{name}"), "");
-    assert_eq!(status, 200, "{v:?}");
-    assert!(
-        num_of(&v, "seq") >= 2,
-        "owner still at seq {} — divergent copy was overwritten, not Δ-merged: {v:?}",
-        num_of(&v, "seq")
-    );
-    assert_eq!(
-        num_of(&v, "n_vars"),
-        3,
-        "merged signature must span both sides' variables: {v:?}"
-    );
-    // The source keeps its (divergent, unreleased) copy: reconciliation
-    // merges, it never deletes an acked commit.
-    assert!(
-        listing(&n1).iter().any(|(n, _, _)| n == &name),
-        "source copy of `{name}` vanished during reconciliation"
-    );
+        let (status, joined) = request(
+            &n1,
+            "POST",
+            "/v1/cluster/join",
+            &format!(r#"{{"addr": "{}"}}"#, n2.addr),
+        );
+        assert_eq!(status, 200, "case {case}: {joined:?}");
+
+        // The merge commits at max(seq, seq) + 1 = 2 on the owner. A plain
+        // pull-overwrite would have left the source's copy verbatim at
+        // seq 1 — n2's acked commit silently gone.
+        let (status, v) = request(&n2, "GET", &format!("/v1/kb/{name}"), "");
+        assert_eq!(status, 200, "case {case}: {v:?}");
+        assert!(
+            num_of(&v, "seq") >= 2,
+            "case {case}: owner still at seq {} — divergent copy was overwritten, not Δ-merged: {v:?}",
+            num_of(&v, "seq")
+        );
+        assert_eq!(
+            num_of(&v, "n_vars"),
+            merged_vars,
+            "case {case}: merged signature must span both sides' variables: {v:?}"
+        );
+        // The source keeps its (divergent, unreleased) copy: reconciliation
+        // merges, it never deletes an acked commit.
+        assert!(
+            listing(&n1).iter().any(|(n, _, _)| n == &name),
+            "case {case}: source copy of `{name}` vanished during reconciliation"
+        );
+    }
 }
 
 #[test]

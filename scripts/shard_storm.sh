@@ -9,7 +9,7 @@
 #     triggered rebalance (which must tolerate the dead source), and
 #     the join-triggered handoff may not lose an acked write;
 #   * every copy of an acked KB left anywhere in the cluster carries
-#     byte-identical state: the `/v1/kbs` digests (seq, canonical hash)
+#     byte-identical state: the `/v1/kbs` digests (seq, content hash)
 #     agree across every member that still holds the name;
 #   * the ring converges: after the churn every member reports the same
 #     ring epoch and the same membership.

@@ -1,13 +1,17 @@
 //! Differential tests: every operator routed through the fast-path
 //! selection kernel must agree exactly with its naive, specification-shaped
 //! oracle in `arbitrex_core::kernel::naive` — on random inputs, on the
-//! empty-ψ/empty-μ edges, and on weighted knowledge bases.
+//! empty-ψ/empty-μ edges, and on weighted knowledge bases. The sum and
+//! weighted-sum fittings, which the per-bit vote tally answers in closed
+//! form, are also checked exhaustively at small widths and on the shapes
+//! that stress a per-bit majority: even splits, one-model and
+//! whole-universe ψ, zero and near-`u64::MAX` weights.
 
 use arbitrex_core::kernel::naive;
 use arbitrex_core::{
     arbitrate, warbitrate, ChangeOperator, DalalRevision, ForbusUpdate, GMaxFitting,
-    LexOdistFitting, OdistFitting, SumFitting, WdistFitting, WeightedChangeOperator, WeightedKb,
-    WinslettUpdate,
+    LexOdistFitting, OdistFitting, SumFitting, UniverseFitting, WdistFitting,
+    WeightedChangeOperator, WeightedKb, WeightedUniverseFitting, WinslettUpdate,
 };
 use arbitrex_logic::{Interp, ModelSet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -216,5 +220,129 @@ fn edge_cases_agree_with_oracles() {
                 assert_eq!(warbitrate(psi, mu), naive::warbitrate(psi, mu));
             }
         }
+    }
+}
+
+/// `SumFitting` through `apply` and `apply_universe` against the naive
+/// oracle; returns the universe answer.
+fn check_sum(psi: &ModelSet, mu: &ModelSet, ctx: &str) -> ModelSet {
+    let n = psi.n_vars();
+    assert_eq!(
+        SumFitting.apply(psi, mu),
+        naive::sum_fitting(psi, mu),
+        "{ctx}"
+    );
+    let universe = SumFitting.apply_universe(psi).unwrap();
+    assert_eq!(
+        universe,
+        naive::sum_fitting(psi, &ModelSet::all(n)),
+        "{ctx}: universe"
+    );
+    universe
+}
+
+/// `WdistFitting` through `apply`, `apply_universe` and `warbitrate`
+/// against the naive oracles; returns the universe answer.
+fn check_wdist(psi: &WeightedKb, phi: &WeightedKb, ctx: &str) -> WeightedKb {
+    let n = psi.n_vars();
+    assert_eq!(
+        WdistFitting.apply(psi, phi),
+        naive::wdist_fitting(psi, phi),
+        "{ctx}"
+    );
+    let universe = WdistFitting.apply_universe(psi).unwrap();
+    assert_eq!(
+        universe,
+        naive::wdist_fitting(psi, &WeightedKb::all(n)),
+        "{ctx}: universe"
+    );
+    assert_eq!(
+        warbitrate(psi, phi),
+        naive::warbitrate(psi, phi),
+        "{ctx}: warbitrate"
+    );
+    universe
+}
+
+#[test]
+fn sum_and_wdist_closed_form_match_naive_oracles_at_widths_0_to_16() {
+    let mut rng = StdRng::seed_from_u64(0xD1FB);
+    // Exhaustive over every ψ for n ≤ 4, each with random weights, μ and φ.
+    for n in 0..=4u32 {
+        for bits in 0..1u64 << (1 << n) {
+            let psi = ModelSet::new(n, (0..1u64 << n).filter(|b| bits >> b & 1 == 1).map(Interp));
+            let mu = gen_model_set(&mut rng, n);
+            let ctx = format!("n = {n}, psi = {psi:?}");
+            check_sum(&psi, &mu, &ctx);
+            let wpsi = WeightedKb::from_weights(n, psi.iter().map(|i| (i, rng.random_range(1..5))));
+            check_wdist(&wpsi, &gen_weighted_kb(&mut rng, n), &ctx);
+        }
+    }
+    // Random above.
+    for n in 5..=16u32 {
+        let cases = if n <= 10 { 24 } else { 4 };
+        for case in 0..cases {
+            let ctx = format!("n = {n}, case {case}");
+            check_sum(
+                &gen_model_set(&mut rng, n),
+                &gen_model_set(&mut rng, n),
+                &ctx,
+            );
+            let (psi, phi) = (gen_weighted_kb(&mut rng, n), gen_weighted_kb(&mut rng, n));
+            check_wdist(&psi, &phi, &ctx);
+        }
+    }
+    for n in 0..=16u32 {
+        let ctx = format!("n = {n}");
+        let any = |rng: &mut StdRng| Interp(rng.random_range(0..1u64 << n));
+        let none = WeightedKb::unsatisfiable(n);
+        // Even splits: two models disagreeing on `t` bits tie on each of
+        // them, so the minima are all 2^t mixes.
+        let j = any(&mut rng);
+        let split = any(&mut rng);
+        let psi = ModelSet::new(n, [j, Interp(j.0 ^ split.0)]);
+        let t = split.0.count_ones();
+        assert_eq!(
+            check_sum(&psi, &psi, &ctx).len(),
+            1 << t,
+            "{ctx}: even split"
+        );
+        let w = rng.random_range(1..1000);
+        let wpsi = WeightedKb::from_weights(n, psi.iter().map(|i| (i, w)));
+        let got = check_wdist(&wpsi, &none, &ctx);
+        assert_eq!(got.support_size(), 1 << t, "{ctx}: weighted even split");
+        // One model: it is its own and only consensus.
+        let single = ModelSet::new(n, [j]);
+        assert_eq!(check_sum(&single, &single, &ctx), single, "{ctx}: single");
+        let wsingle = WeightedKb::from_weights(n, [(j, w)]);
+        assert_eq!(check_wdist(&wsingle, &none, &ctx).support_set(), single);
+        // ψ = 𝓜: every bit ties and every interpretation is a minimum. The
+        // oracles are quadratic in 2^n here, so they stop at n = 10.
+        let all = ModelSet::all(n);
+        let wall = WeightedKb::all(n);
+        if n <= 10 {
+            assert_eq!(check_sum(&all, &single, &ctx), all, "{ctx}: universe psi");
+            assert_eq!(check_wdist(&wall, &wsingle, &ctx).support_set(), all);
+        } else {
+            assert_eq!(SumFitting.apply_universe(&all).unwrap(), all, "{ctx}");
+            assert_eq!(WdistFitting.apply_universe(&wall).unwrap(), wall, "{ctx}");
+        }
+        // Zero weights are no votes.
+        let zeros =
+            WeightedKb::from_weights(n, [(j, 0), (Interp(j.0 ^ split.0), 3), (any(&mut rng), 0)]);
+        assert_eq!(zeros.support_size(), 1, "{ctx}");
+        let only = ModelSet::new(n, [Interp(j.0 ^ split.0)]);
+        assert_eq!(check_wdist(&zeros, &wsingle, &ctx).support_set(), only);
+        let all_zero = WeightedKb::from_weights(n, [(j, 0)]);
+        assert!(!check_wdist(&all_zero, &wsingle, &ctx).is_satisfiable());
+        // Weights near u64::MAX: sixteen of them overflow 64 bits many
+        // times over in the tally, which must still be exact.
+        let heavy = WeightedKb::from_weights(
+            n,
+            gen_model_set(&mut rng, n)
+                .iter()
+                .map(|i| (i, u64::MAX - rng.random_range(0..3u64))),
+        );
+        check_wdist(&heavy, &none, &format!("{ctx}: heavy"));
     }
 }
