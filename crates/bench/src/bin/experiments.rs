@@ -31,6 +31,21 @@ use arbitrex_merge::{
 };
 use std::time::Instant;
 
+/// Where experiments write their machine-readable records: an untracked
+/// directory, so a run never rewrites the `BENCH_PR*.json` baselines the
+/// repository tracks (`scripts/e17_gate.sh` reads `BENCH_PR4.json`).
+const RECORD_DIR: &str = "target/experiments";
+
+/// Write `json` as `file` under [`RECORD_DIR`] and say where, with
+/// `detail` after the path.
+fn write_record(file: &str, json: &str, detail: String) {
+    let path = std::path::Path::new(RECORD_DIR).join(file);
+    match std::fs::create_dir_all(RECORD_DIR).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("wrote {}{detail}\n", path.display()),
+        Err(e) => println!("could not write {}: {e}\n", path.display()),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
@@ -765,10 +780,7 @@ fn e12_kernel() {
         ));
     }
     json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_PR2.json", &json) {
-        Ok(()) => println!("wrote BENCH_PR2.json ({} rows)", rows.len()),
-        Err(e) => println!("could not write BENCH_PR2.json: {e}"),
-    }
+    write_record("BENCH_PR2.json", &json, format!(" ({} rows)", rows.len()));
     let arb14 = rows
         .iter()
         .find(|r| r.op == "arbitration" && r.n == 14)
@@ -1198,10 +1210,11 @@ fn e14_anytime() {
         ));
     }
     json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_PR3.json", &json) {
-        Ok(()) => println!("wrote BENCH_PR3.json ({} rows)\n", json_rows.len()),
-        Err(e) => println!("could not write BENCH_PR3.json: {e}\n"),
-    }
+    write_record(
+        "BENCH_PR3.json",
+        &json,
+        format!(" ({} rows)", json_rows.len()),
+    );
 }
 
 /// E11 — iterated change dynamics (reproduction extension).
@@ -1477,10 +1490,11 @@ fn e15_serving() {
     json.push_str("  \"rows\": [\n");
     json.push_str(&json_rows.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    match std::fs::write("BENCH_PR4.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR4.json ({} rows)\n", json_rows.len()),
-        Err(e) => println!("\ncould not write BENCH_PR4.json: {e}\n"),
-    }
+    write_record(
+        "BENCH_PR4.json",
+        &json,
+        format!(" ({} rows)", json_rows.len()),
+    );
 }
 
 /// E16 — durability cost (PR 5): what an fsync per commit buys and what
@@ -1660,10 +1674,11 @@ fn e16_durability() {
     json.push_str("  \"rows\": [\n");
     json.push_str(&json_rows.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    match std::fs::write("BENCH_PR5.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR5.json ({} rows)\n", json_rows.len()),
-        Err(e) => println!("\ncould not write BENCH_PR5.json: {e}\n"),
-    }
+    write_record(
+        "BENCH_PR5.json",
+        &json,
+        format!(" ({} rows)", json_rows.len()),
+    );
 }
 
 /// E17 — event-loop serving: HTTP/1.1 pipelining × WAL group commit
@@ -2063,14 +2078,15 @@ fn e17_event_loop() {
     json.push_str("\n  ],\n  \"durability_rows\": [\n");
     json.push_str(&durability_rows.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    match std::fs::write("BENCH_PR6.json", &json) {
-        Ok(()) => println!(
-            "\nwrote BENCH_PR6.json ({} serving rows, {} durability rows)\n",
+    write_record(
+        "BENCH_PR6.json",
+        &json,
+        format!(
+            " ({} serving rows, {} durability rows)",
             serving_rows.len(),
             durability_rows.len()
         ),
-        Err(e) => println!("\ncould not write BENCH_PR6.json: {e}\n"),
-    }
+    );
 }
 
 /// E19 — replicated serving: WAL-shipping lag and failover time
@@ -2487,10 +2503,11 @@ fn e19_replication() {
         "\n  ],\n  \"failover\": {{\"cycles\": {failover_cycles}, \"p50_us\": {fo_p50}, \
          \"p99_us\": {fo_p99}, \"max_us\": {fo_max}}}\n}}\n"
     ));
-    match std::fs::write("BENCH_PR8.json", &json) {
-        Ok(()) => println!("wrote BENCH_PR8.json ({} lag rows)\n", lag_rows.len()),
-        Err(e) => println!("could not write BENCH_PR8.json: {e}\n"),
-    }
+    write_record(
+        "BENCH_PR8.json",
+        &json,
+        format!(" ({} lag rows)", lag_rows.len()),
+    );
 }
 
 /// Two measurements on loopback shard clusters, both phrased as the
@@ -2883,10 +2900,7 @@ fn e20_sharding() {
          \"final_seq\": {final_seq}}}\n}}\n",
         acks.len()
     ));
-    match std::fs::write("BENCH_PR9.json", &json) {
-        Ok(()) => println!("wrote BENCH_PR9.json\n"),
-        Err(e) => println!("could not write BENCH_PR9.json: {e}\n"),
-    }
+    write_record("BENCH_PR9.json", &json, String::new());
 }
 
 /// E21 — chain failover: the detection + promotion write blackout.
@@ -3228,8 +3242,5 @@ fn e21_failover() {
          \"blackout_p99_ms\": {p99},\n  \"acks_regressed_total\": {total_regressed}\n}}\n",
         rows.join(", ")
     );
-    match std::fs::write("BENCH_PR10.json", &json) {
-        Ok(()) => println!("wrote BENCH_PR10.json\n"),
-        Err(e) => println!("could not write BENCH_PR10.json: {e}\n"),
-    }
+    write_record("BENCH_PR10.json", &json, String::new());
 }

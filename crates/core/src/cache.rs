@@ -1,43 +1,58 @@
-//! A sharded, canonicalizing LRU cache for operator results.
+//! A sharded LRU cache for operator results, keyed on model bits.
 //!
-//! Every operator in this crate is defined from the Hamming distance
-//! between interpretations, and Hamming distance is invariant under
-//! permutations of the variable set: `dist(σI, σJ) = dist(I, J)` for any
-//! bijection `σ` on variables. All selection therefore commutes with
+//! Every operator in this crate is a function of the model sets it is
+//! handed (Theorem 3.1; syntax irrelevance, (R4)/(A4)), and each is defined
+//! from the Hamming distance between interpretations, which is invariant
+//! under permutations of the variable set: `dist(σI, σJ) = dist(I, J)` for
+//! any bijection `σ` on variables. All selection therefore commutes with
 //! renaming — `op(σΨ, σΜ) = σ·op(Ψ, Μ)` — so a query can be solved *once in
-//! canonical variable space* and replayed for every alpha-variant. The
-//! [`OpCache`] exploits exactly this: queries are keyed by the canonical
-//! serialization from [`arbitrex_logic::canonical`] (NNF, sorted connective
-//! arguments, variables renumbered by a renaming-invariant order), results
-//! are stored as canonical-space interpretations, and a hit remaps the
-//! stored bits through the query's own variable permutation. Shuffled
-//! conjuncts, renamed atoms, and double negations all land on the same
-//! entry.
+//! canonical variable space* and replayed for every variant. The
+//! [`OpCache`] keys a query on its enumerated model sets under the column
+//! order [`arbitrex_logic::ModelKey`] finds, stores results as
+//! canonical-space interpretations, and replays a hit through the query's
+//! own variable permutation. Renamed atoms, shuffled conjuncts, double
+//! negations, tautological conjuncts, duplicated minterms — any rewrite
+//! with the same models — all land on the same entry. The model sets are
+//! the ones a miss hands the kernel, so a query enumerates them once.
+//!
+//! Each entry point keys exactly what its operator reads:
+//!
+//! * arbitration keys the one set `Mod(ψ) ∪ Mod(φ)`, since
+//!   `ψ Δ φ = (ψ ∨ φ) ▷ ⊤` (Corollary 3.1) — `ψ Δ φ` and `φ Δ ψ` share an
+//!   entry;
+//! * a fitting, revision or update operator keys the pair
+//!   `(Mod(ψ), Mod(μ))` under one shared permutation, tagged with its name;
+//! * weighted arbitration keys the joined weighted support, each row
+//!   carrying its weight.
+//!
+//! A hit therefore pays for enumerating `Mod`, which a miss pays anyway:
+//! for a query with a very large model set it costs more than a key taken
+//! from the formula's syntax would. A key holds every model, so a query
+//! with more than [`MAX_KEY_MODELS`] of them is not cached at all
+//! ([`CacheStatus::Bypass`]).
 //!
 //! Two soundness guards:
 //!
-//! * the shard map is keyed on the **full canonical byte string**, not its
-//!   64-bit FNV hash — hash collisions cost a shard probe, never a wrong
-//!   answer;
+//! * the shard map is keyed on the **full key byte string** — the permuted
+//!   model sets themselves — not its 64-bit FNV hash, so a hash collision
+//!   costs a shard probe, never a wrong answer;
 //! * only [`Quality::Exact`] outcomes are cached. Degraded answers depend
 //!   on how far a particular budget got and are not a function of the
 //!   query alone.
 //!
-//! **Admission.** A joint canonical key costs far more than the lookup it
-//! feeds, and traffic that never repeats pays it for nothing. So once the
-//! cache has evicted for the first time (it is full, and some queries will
-//! never be reused), a query builds its key only on its *second* sighting.
-//! A doorkeeper in the style of TinyLFU (Einziger, Friedman, Manes,
-//! arXiv:1512.00727) records the cheap renaming-invariant
-//! [`query_fingerprint`] of each query: a first sighting is recorded and
-//! answered by the operator with no key and no insertion
-//! ([`CacheStatus::Bypass`]); a sighting whose fingerprint is already
-//! recorded builds the full key and looks it up as usual. The doorkeeper
-//! is a lock-free Bloom filter of 32 bits per cache entry with two probes,
-//! cleared after 4 × capacity recordings (TinyLFU's reset). Until the
-//! first eviction, and again after [`OpCache::clear`], every query is
-//! admitted. A fingerprint match only buys a full key, so a collision or a
-//! race costs at most one key or one lookup, never an answer.
+//! **Admission.** Once the cache has evicted for the first time (it is
+//! full, and some queries will never be reused), a query is looked up and
+//! stored only on its *second* sighting. A doorkeeper in the style of
+//! TinyLFU (Einziger, Friedman, Manes, arXiv:1512.00727) records
+//! [`QueryKey::hash`] of each query: a first sighting is recorded and
+//! answered by the operator with no lookup and no insertion
+//! ([`CacheStatus::Bypass`]); a sighting whose hash is already recorded is
+//! looked up as usual. The doorkeeper is a lock-free Bloom filter of 32
+//! bits per cache entry with two probes, cleared after 4 × capacity
+//! recordings (TinyLFU's reset). Until the first eviction, and again after
+//! [`OpCache::clear`], every query is admitted. A recorded hash only buys
+//! a lookup, so a collision or a race costs at most one lookup or one
+//! insertion, never an answer.
 //!
 //! Lookups and insertions feed the `"cache"` telemetry section
 //! (`cache_hits` / `cache_misses` / `cache_bypasses` /
@@ -66,12 +81,21 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::arbitration::{UniverseFitting, WeightedUniverseFitting};
 use crate::budget::{Budget, BudgetedChangeOperator, Outcome, Quality, WeightedOutcome};
 use crate::error::CoreError;
+use crate::fitting::OdistFitting;
 use crate::telemetry;
 use crate::weighted::WeightedKb;
+use crate::wfitting::WdistFitting;
 use arbitrex_logic::canonical::fnv1a;
-use arbitrex_logic::{canonicalize_query, query_fingerprint, Formula, Interp, ModelSet, MAX_VARS};
+use arbitrex_logic::{Formula, Interp, ModelKey, ModelSet, MAX_VARS};
+
+/// The most models a query's key may hold, over all its sides. A key
+/// stores every model, so past this a query is answered without the
+/// cache: an entry stays within about 16 KiB, and the colour refinement
+/// that orders a key's columns within a few milliseconds.
+pub const MAX_KEY_MODELS: usize = 4096;
 
 /// How a cached entry point answered a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +104,9 @@ pub enum CacheStatus {
     Hit,
     /// Computed by the operator; an exact result was stored for next time.
     Miss,
-    /// The cache was not consulted (zero capacity, or an evicting cache
-    /// seeing the query for the first time) or the result was too degraded
-    /// to store.
+    /// The cache was not consulted (zero capacity, a query with more than
+    /// [`MAX_KEY_MODELS`] models, or an evicting cache seeing the query for
+    /// the first time) or the result was too degraded to store.
     Bypass,
 }
 
@@ -117,64 +141,62 @@ pub struct QueryKey {
 }
 
 impl QueryKey {
-    /// Canonicalize `formulas` over `n_vars` variables under the operator
-    /// tag `tag` (distinct operators must use distinct tags). `extra` is
-    /// appended verbatim to the key for renaming-invariant scalars such as
-    /// source weights.
-    pub fn new(tag: &str, formulas: &[&Formula], n_vars: u32, extra: &[u8]) -> QueryKey {
-        let cq = canonicalize_query(formulas, n_vars);
-        let mut bytes = Vec::with_capacity(tag.len() + extra.len() + 16);
+    /// Key the model sets `sides` of a query over `n_vars` variables under
+    /// the operator tag `tag` (distinct operators must use distinct tags).
+    pub fn new(tag: &str, n_vars: u32, sides: &[&ModelSet]) -> QueryKey {
+        let slices: Vec<&[Interp]> = sides.iter().map(|s| s.as_slice()).collect();
+        QueryKey::tagged(tag, ModelKey::new(n_vars, &slices))
+    }
+
+    /// Key a weighted query by its support, each row carrying its weight.
+    pub fn weighted(tag: &str, kb: &WeightedKb) -> QueryKey {
+        let support: Vec<(Interp, u64)> = kb.support().collect();
+        QueryKey::tagged(tag, ModelKey::weighted(kb.n_vars(), &support))
+    }
+
+    fn tagged(tag: &str, key: ModelKey) -> QueryKey {
+        let (key_bytes, forward) = key.into_parts();
+        let mut bytes = Vec::with_capacity(4 + tag.len() + key_bytes.len());
         bytes.extend_from_slice(&(tag.len() as u32).to_le_bytes());
         bytes.extend_from_slice(tag.as_bytes());
-        bytes.extend_from_slice(&(extra.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(extra);
-        bytes.extend_from_slice(&cq.key_bytes());
+        bytes.extend_from_slice(&key_bytes);
         let hash = fnv1a(&bytes);
         QueryKey {
             bytes,
             hash,
-            forward: cq.forward,
+            forward,
         }
     }
 
-    /// [`QueryKey::new`] for a lookup in `cache`, or `None` when a key
-    /// would never be read: a key costs a full joint canonicalization.
+    /// The key `build` makes over `models` rows in all, for a lookup in
+    /// `cache`, or `None` when it would not be looked up:
     ///
-    /// * A disabled cache builds no key; the skipped lookup counts one
-    ///   bypass, as [`OpCache::get`] does.
-    /// * A cache that has never evicted builds every key.
-    /// * An evicting cache builds the key only if the doorkeeper has seen
-    ///   the query's fingerprint before. A first sighting is recorded and
+    /// * a disabled cache, or a query past [`MAX_KEY_MODELS`], builds no
+    ///   key; the skipped lookup counts one bypass, as [`OpCache::get`]
+    ///   does;
+    /// * a cache that has never evicted looks up every key;
+    /// * an evicting cache looks up a key only if the doorkeeper has
+    ///   recorded its hash before. A first sighting is recorded and
     ///   counted in `cache_first_sightings`, not in `cache_bypasses`.
     pub(crate) fn for_cache(
         cache: &OpCache,
-        tag: &str,
-        formulas: &[&Formula],
-        n_vars: u32,
-        extra: &[u8],
+        models: usize,
+        build: impl FnOnce() -> QueryKey,
     ) -> Option<QueryKey> {
-        if !cache.is_enabled() {
+        if !cache.is_enabled() || models > MAX_KEY_MODELS {
             telemetry::CACHE_BYPASSES.incr();
             return None;
         }
-        if cache.evicting.load(Ordering::Relaxed) {
-            let fingerprint = tag
-                .as_bytes()
-                .iter()
-                .chain(&(extra.len() as u32).to_le_bytes())
-                .chain(extra)
-                .fold(query_fingerprint(formulas, n_vars), |h, &b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-                });
-            if !cache.doorkeeper.admit(fingerprint) {
-                telemetry::CACHE_FIRST_SIGHTINGS.incr();
-                return None;
-            }
+        let key = build();
+        if cache.evicting.load(Ordering::Relaxed) && !cache.doorkeeper.admit(key.hash) {
+            telemetry::CACHE_FIRST_SIGHTINGS.incr();
+            return None;
         }
-        Some(QueryKey::new(tag, formulas, n_vars, extra))
+        Some(key)
     }
 
-    /// The 64-bit FNV-1a hash of the canonical key (shard selector).
+    /// The 64-bit FNV-1a hash of the key bytes: the shard selector and
+    /// what the admission doorkeeper records.
     pub fn hash(&self) -> u64 {
         self.hash
     }
@@ -299,8 +321,8 @@ impl Shard {
     }
 }
 
-/// TinyLFU's doorkeeper: a Bloom filter of query fingerprints, two probes
-/// per fingerprint, in `AtomicU64` words so that recording needs no lock.
+/// TinyLFU's doorkeeper: a Bloom filter of key hashes, two probes per
+/// hash, in `AtomicU64` words so that recording needs no lock.
 /// It forgets everything after `reset_after` recordings, so a query must
 /// recur within a window of about four cache capacities to be admitted.
 struct Doorkeeper {
@@ -329,13 +351,13 @@ impl Doorkeeper {
         }
     }
 
-    /// Has `fingerprint` been recorded since the last reset? If not,
-    /// record it now. Concurrent callers may both see a fresh fingerprint
-    /// or race a reset; either costs one key or one lookup, no answer.
-    fn admit(&self, fingerprint: u64) -> bool {
-        // The fingerprint is an FNV hash; a murmur3 finalizer spreads its
-        // weak low bits before they pick probe positions.
-        let mut h = fingerprint;
+    /// Has `hash` been recorded since the last reset? If not, record it
+    /// now. Concurrent callers may both see a fresh hash or race a reset;
+    /// either costs one lookup or one insertion, no answer.
+    fn admit(&self, hash: u64) -> bool {
+        // The key hash is FNV; a murmur3 finalizer spreads its weak low
+        // bits before they pick probe positions.
+        let mut h = hash;
         h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
         h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
         h ^= h >> 33;
@@ -532,8 +554,9 @@ pub(crate) fn check_query_width(n_vars: u32) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Budgeted arbitration `ψ Δ φ` through `cache`: alpha-variants of an
-/// earlier exact answer replay without running the kernel.
+/// Budgeted arbitration `ψ Δ φ` through `cache`: any query with the same
+/// `Mod(ψ) ∪ Mod(φ)` up to renaming replays an earlier exact answer
+/// without running the kernel.
 pub fn cached_arbitrate(
     cache: &OpCache,
     psi: &Formula,
@@ -542,13 +565,16 @@ pub fn cached_arbitrate(
     budget: &Budget,
 ) -> Result<(Outcome, CacheStatus), CoreError> {
     check_query_width(n_vars)?;
-    let key = QueryKey::for_cache(cache, "arbitrate", &[psi, phi], n_vars, &[]);
+    // `ψ Δ φ = (ψ ∨ φ) ▷ ⊤` with Δ's fitting (Corollary 3.1): the voices
+    // are all the kernel reads, so they are all the key holds.
+    let voices = ModelSet::of_formula(psi, n_vars).union(&ModelSet::of_formula(phi, n_vars));
+    let key = QueryKey::for_cache(cache, voices.len(), || {
+        QueryKey::new("arbitrate", n_vars, &[&voices])
+    });
     if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((Outcome::exact(models, budget), CacheStatus::Hit));
     }
-    let mp = ModelSet::of_formula(psi, n_vars);
-    let mf = ModelSet::of_formula(phi, n_vars);
-    let out = crate::arbitration::try_arbitrate_with_budget(&mp, &mf, budget)?;
+    let out = OdistFitting.apply_universe_budgeted(&voices, budget)?;
     let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status))
 }
@@ -565,21 +591,23 @@ pub fn cached_apply(
     budget: &Budget,
 ) -> Result<(Outcome, CacheStatus), CoreError> {
     check_query_width(n_vars)?;
-    let tag = format!("apply:{}", op.name());
-    let key = QueryKey::for_cache(cache, &tag, &[psi, mu], n_vars, &[]);
+    let mp = ModelSet::of_formula(psi, n_vars);
+    let mm = ModelSet::of_formula(mu, n_vars);
+    let key = QueryKey::for_cache(cache, mp.len() + mm.len(), || {
+        QueryKey::new(&format!("apply:{}", op.name()), n_vars, &[&mp, &mm])
+    });
     if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((Outcome::exact(models, budget), CacheStatus::Hit));
     }
-    let mp = ModelSet::of_formula(psi, n_vars);
-    let mm = ModelSet::of_formula(mu, n_vars);
     let out = op.apply_with_budget(&mp, &mm, budget);
     let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status))
 }
 
-/// Budgeted weighted arbitration `ψ̃ ▷ φ̃` through `cache`, where each side
-/// is a formula whose models all carry one source weight. The weights are
-/// renaming-invariant scalars and join the key verbatim.
+/// Budgeted weighted arbitration `ψ̃ Δ φ̃` through `cache`, where each side
+/// is a formula whose models all carry one source weight. The key is the
+/// joined weighted support, each row with its weight, so swapping the
+/// sides with their weights shares an entry.
 pub fn cached_warbitrate(
     cache: &OpCache,
     psi: &Formula,
@@ -590,16 +618,17 @@ pub fn cached_warbitrate(
     budget: &Budget,
 ) -> Result<(WeightedOutcome, CacheStatus), CoreError> {
     check_query_width(n_vars)?;
-    let mut extra = Vec::with_capacity(16);
-    extra.extend_from_slice(&psi_weight.to_le_bytes());
-    extra.extend_from_slice(&phi_weight.to_le_bytes());
-    let key = QueryKey::for_cache(cache, "warbitrate", &[psi, phi], n_vars, &extra);
+    // `ψ̃ Δ φ̃ = (ψ̃ ⊔ φ̃) ▷ 𝓜̃` with wdist fitting: again the joined voices
+    // are all the kernel reads.
+    let voices =
+        weighted_side(psi, psi_weight, n_vars).join(&weighted_side(phi, phi_weight, n_vars));
+    let key = QueryKey::for_cache(cache, voices.support_size(), || {
+        QueryKey::weighted("warbitrate", &voices)
+    });
     if let Some(kb) = key.as_ref().and_then(|k| cache.get_weighted(k, n_vars)) {
         return Ok((WeightedOutcome::exact(kb, budget), CacheStatus::Hit));
     }
-    let wp = weighted_side(psi, psi_weight, n_vars);
-    let wf = weighted_side(phi, phi_weight, n_vars);
-    let out = crate::arbitration::try_warbitrate_with_budget(&wp, &wf, budget)?;
+    let out = WdistFitting.apply_universe_budgeted(&voices, budget)?;
     let status = if out.quality != Quality::Exact {
         telemetry::CACHE_BYPASSES.incr();
         CacheStatus::Bypass
@@ -637,6 +666,7 @@ mod tests {
     use super::*;
     use crate::arbitration::try_arbitrate;
     use crate::fitting::OdistFitting;
+    use crate::revision::DalalRevision;
     use arbitrex_logic::{parse, Sig};
 
     fn q(sig: &mut Sig, s: &str) -> Formula {
@@ -656,7 +686,9 @@ mod tests {
         // Force a nontrivial canonical order.
         let psi = q(&mut sig, "C | (A & B)");
         let phi = q(&mut sig, "!C");
-        let key = QueryKey::new("t", &[&psi, &phi], sig.width(), &[]);
+        let n = sig.width();
+        let (mp, mf) = (ModelSet::of_formula(&psi, n), ModelSet::of_formula(&phi, n));
+        let key = QueryKey::new("t", n, &[&mp, &mf]);
         for bits in 0u64..8 {
             let r = Interp(bits);
             assert_eq!(key.to_request_space(key.to_canonical_space(r)), r);
@@ -771,17 +803,16 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
         // One shard, capacity 2, driven through the raw interface. The
-        // three formulas must not be alpha-equivalent ("A" and "B" would
-        // canonicalize to the same key).
+        // three model sets must not be renamings of each other ("A" and
+        // "B" would share a key).
         let cache = OpCache::with_shards(1, 2);
         let mut sig = Sig::new();
         let a = q(&mut sig, "A");
         let b_ = q(&mut sig, "!A");
         let c = q(&mut sig, "A & B");
         let n = sig.width();
-        let ka = QueryKey::new("k", &[&a], n, &[]);
-        let kb = QueryKey::new("k", &[&b_], n, &[]);
-        let kc = QueryKey::new("k", &[&c], n, &[]);
+        let key = |f: &Formula| QueryKey::new("k", n, &[&ModelSet::of_formula(f, n)]);
+        let (ka, kb, kc) = (key(&a), key(&b_), key(&c));
         cache.insert(&ka, CachedValue::Models(vec![Interp(1)]));
         cache.insert(&kb, CachedValue::Models(vec![Interp(2)]));
         // Touch ka so kb becomes least recently used.
@@ -812,12 +843,30 @@ mod tests {
     }
 
     #[test]
+    fn queries_past_the_key_cap_bypass() {
+        let cache = OpCache::new(16);
+        let mut sig = Sig::new();
+        // 2^13 models for ψ: past the cap, so never keyed or stored.
+        let psi = q(&mut sig, "V0 | !V0");
+        let names: Vec<String> = (0..13).map(|i| format!("V{i}")).collect();
+        let mu = q(&mut sig, &names.join(" & "));
+        let n = sig.width();
+        let b = Budget::unlimited();
+        for _ in 0..2 {
+            let (out, s) = cached_apply(&cache, &DalalRevision, &psi, &mu, n, &b).unwrap();
+            assert_eq!(s, CacheStatus::Bypass);
+            assert_eq!(out.models, ModelSet::of_formula(&mu, n));
+        }
+        assert!(cache.is_empty());
+    }
+
+    #[test]
     fn capacity_and_clear() {
         let cache = OpCache::with_shards(4, 7);
         assert_eq!(cache.capacity(), 8); // 4 shards × ceil(7/4)
         let mut sig = Sig::new();
         let a = q(&mut sig, "A");
-        let k = QueryKey::new("k", &[&a], sig.width(), &[]);
+        let k = QueryKey::new("k", 1, &[&ModelSet::of_formula(&a, sig.width())]);
         cache.insert(&k, CachedValue::Models(vec![Interp(0)]));
         assert_eq!(cache.len(), 1);
         cache.clear();

@@ -1,8 +1,8 @@
 //! Admission to the result cache: once an `OpCache` has evicted, a query
-//! builds its canonical key only on its second sighting.
+//! is looked up and stored only on its second sighting.
 //!
 //! * A repeated query on an evicting cache reports `bypass` (first
-//!   sighting: fingerprint recorded, no key), then `miss` (key built,
+//!   sighting: key hash recorded, no lookup), then `miss` (looked up,
 //!   stored), then `hit`; an alpha-variant of it hits too.
 //! * `clear()` returns the cache to admitting every query.
 //! * Answers never depend on admission: a seeded stream of repeats,
@@ -50,8 +50,8 @@ fn evicting_cache_admits_a_query_on_its_second_sighting() {
     assert!(CACHE_FIRST_SIGHTINGS.get() > before || !telemetry::enabled());
     assert_eq!(status(&cache, psi, phi, 3), CacheStatus::Miss);
     assert_eq!(status(&cache, psi, phi, 3), CacheStatus::Hit);
-    // Renamed (V0→V2→V1→V0) and shuffled: the same fingerprint, the same
-    // canonical key.
+    // Renamed (V0→V2→V1→V0) and shuffled: the same model sets up to the
+    // renaming, so the same key.
     assert_eq!(
         status(&cache, "V1 | (!V0 & V2)", "!V1 & !V2", 3),
         CacheStatus::Hit

@@ -18,20 +18,19 @@
 //! syntactically shuffled formulas collide by construction; inequivalent
 //! formulas collide only if either the canonicalizer's finite iteration
 //! fails to converge (a missed collision, never a false one) or the 64-bit
-//! hash collides. Consumers that must not trust 64 bits (the result cache
-//! in `arbitrex-core`) key on the full [`canonical_bytes`] instead and use
-//! the hash only for sharding.
+//! hash collides. A consumer that must not trust 64 bits keys on the full
+//! [`canonical_bytes`] instead.
 //!
-//! [`canonicalize_query`] is the joint form used by the cache: all
-//! formulas of one query share a single renaming (so `ψ` and `μ` stay
-//! aligned), and the renaming is returned as a permutation of the full
-//! `n`-variable universe so model sets computed in canonical space can be
-//! mapped back to the caller's variable order.
-//!
-//! [`query_fingerprint`] is the cheap prefix of that work: a
-//! renaming-invariant 64-bit hash taken straight off the input trees, with
-//! no normalization. The cache's admission doorkeeper uses it to spot a
-//! query's second sighting before paying for the joint key.
+//! [`canonicalize_query`] is the joint form: all formulas of one query
+//! share a single renaming (so `ψ` and `μ` stay aligned), and the renaming
+//! is returned as a permutation of the full `n`-variable universe so model
+//! sets computed in canonical space can be mapped back to the caller's
+//! variable order. It no longer serves requests: the result cache in
+//! `arbitrex-core` keys a query on its model bits ([`crate::ModelKey`]),
+//! which identifies every equivalent rewrite, not only the syntactic ones.
+//! It stays as the reference the `cache_key` benchmark measures that key
+//! against, and for the serving benchmark's traced replay, which still
+//! times it as its `canonical.key` layer.
 //!
 //! Only the first pass builds a new tree (NNF, then sort-and-dedup). Every
 //! later renaming — the initial color order and each fixed-point round —
@@ -40,9 +39,9 @@
 //! would. Color refinement hashes through one reused working stack instead
 //! of a vector per node.
 //!
-//! **The bytes are a cross-node contract.** [`canonical_key`] travels in
-//! the replication digest and decides which side of a divergent pair is
-//! `ψ` in the `Δ` merge, so every node must compute the same bytes for the
+//! **The bytes are a cross-node contract.** [`numbered_canonical_bytes`]
+//! shares this serialization and travels in the KB digest of a theory too
+//! wide to enumerate, so every node must compute the same bytes for the
 //! same formula. Optimizations here must leave the bytes, and the color
 //! hash that shapes them, unchanged; `tests/canonical_golden.rs` pins them.
 
@@ -164,90 +163,6 @@ pub fn numbered_canonical_bytes(f: &Formula) -> Vec<u8> {
 /// ```
 pub fn canonical_key(f: &Formula) -> u64 {
     fnv1a(&canonical_bytes(f))
-}
-
-/// A cheap 64-bit fingerprint of a joint query, invariant under variable
-/// renaming and under shuffling `∧`/`∨` children — a prefilter that
-/// recognizes a repeated query without paying for [`canonicalize_query`].
-///
-/// Each variable is coloured by a commutative (wrapping) sum of
-/// `mix(formula index, polarity)` over its occurrences, and every formula
-/// is then hashed by the same sorted-multiset structure hash color
-/// refinement uses, under those colours. That is one colouring walk and one
-/// hashing walk per formula, with no NNF pass and no tree rebuild. The
-/// result also mixes in the universe width, as the canonical key does.
-///
-/// Equal canonical forms do *not* imply equal fingerprints: the
-/// fingerprint sees the syntax as written, so `A -> B` and `!A | B`, or a
-/// duplicated conjunct, differ. Unequal queries may also collide. A
-/// consumer may therefore use it only where a mismatch or a collision costs
-/// work, never an answer — the result cache's admission doorkeeper in
-/// `arbitrex-core` still compares full canonical bytes on every lookup.
-///
-/// ```
-/// use arbitrex_logic::{parse, query_fingerprint, Sig};
-/// let mut s1 = Sig::new();
-/// let (p1, m1) = (parse(&mut s1, "A & !B").unwrap(), parse(&mut s1, "B | C").unwrap());
-/// let mut s2 = Sig::new();
-/// let (p2, m2) = (parse(&mut s2, "!Y & X").unwrap(), parse(&mut s2, "Z | Y").unwrap());
-/// assert_eq!(query_fingerprint(&[&p1, &m1], 3), query_fingerprint(&[&p2, &m2], 3));
-/// assert_ne!(query_fingerprint(&[&p1, &m1], 3), query_fingerprint(&[&m1, &p1], 3));
-/// ```
-pub fn query_fingerprint(formulas: &[&Formula], n_vars: u32) -> u64 {
-    let mut colors = vec![0u64; n_vars as usize];
-    for (k, f) in formulas.iter().enumerate() {
-        let k = k as u64;
-        let tags = [mix(&[18, k, 0]), mix(&[18, k, 1]), mix(&[18, k, 2])];
-        color_occurrences(f, &tags, POSITIVE, &mut colors);
-    }
-    let mut stack = Vec::new();
-    let mut h = Mix::new()
-        .word(19)
-        .word(colors.len() as u64)
-        .word(formulas.len() as u64);
-    for f in formulas {
-        h = h.word(up_hash(f, &colors, &mut stack));
-    }
-    h.0
-}
-
-/// Occurrence polarities for [`query_fingerprint`]'s colours: under an even
-/// or odd number of negations, or under `↔`/`⊕`, where both count.
-const POSITIVE: usize = 0;
-const NEGATIVE: usize = 1;
-const MIXED: usize = 2;
-
-/// Add `tags[polarity]` to the colour of every variable occurrence in `f`,
-/// growing `colors` when `f` mentions a variable past the declared width.
-fn color_occurrences(f: &Formula, tags: &[u64; 3], polarity: usize, colors: &mut Vec<u64>) {
-    let flip = |p: usize| match p {
-        POSITIVE => NEGATIVE,
-        NEGATIVE => POSITIVE,
-        _ => MIXED,
-    };
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Var(v) => {
-            if v.index() >= colors.len() {
-                colors.resize(v.index() + 1, 0);
-            }
-            colors[v.index()] = colors[v.index()].wrapping_add(tags[polarity]);
-        }
-        Formula::Not(g) => color_occurrences(g, tags, flip(polarity), colors),
-        Formula::And(gs) | Formula::Or(gs) => {
-            for g in gs {
-                color_occurrences(g, tags, polarity, colors);
-            }
-        }
-        Formula::Implies(a, b) => {
-            color_occurrences(a, tags, flip(polarity), colors);
-            color_occurrences(b, tags, polarity, colors);
-        }
-        Formula::Iff(a, b) | Formula::Xor(a, b) => {
-            color_occurrences(a, tags, MIXED, colors);
-            color_occurrences(b, tags, MIXED, colors);
-        }
-    }
 }
 
 /// Serialize a formula in the canonical prefix byte encoding (the same

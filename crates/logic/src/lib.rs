@@ -12,6 +12,7 @@
 //! * [`Formula`] — a formula AST with parser ([`parse`]) and pretty printer,
 //! * [`Interp`] — an interpretation as a bitmask over the signature,
 //! * [`ModelSet`] — a finite, explicit `Mod(φ)` with Boolean set algebra,
+//! * [`ModelKey`] — a renaming-invariant key for a query's model sets,
 //! * normal forms (NNF / CNF / DNF / Tseitin) feeding the SAT backend,
 //! * [`form_of`] — the `form(I₁,…,I_k)` construction used throughout the
 //!   paper's proofs: a formula whose models are exactly the given
@@ -33,6 +34,7 @@ pub mod eval;
 pub mod formof;
 pub mod interp;
 pub mod minimize;
+pub mod model_key;
 pub mod models;
 pub mod nnf;
 pub mod parser;
@@ -43,7 +45,7 @@ pub mod simplify;
 pub use ast::Formula;
 pub use canonical::{
     canonical_bytes, canonical_key, canonicalize_query, decode_formula, encode_formula,
-    numbered_canonical_bytes, query_fingerprint, rename_formula, CanonicalQuery, DecodeError,
+    numbered_canonical_bytes, rename_formula, CanonicalQuery, DecodeError,
 };
 pub use cnf::{direct_cnf, to_clauses, to_cnf, tseitin, Cnf};
 pub use dnf::to_dnf;
@@ -52,6 +54,7 @@ pub use eval::eval;
 pub use formof::form_of;
 pub use interp::{Interp, Var, MAX_VARS};
 pub use minimize::{minimal_dnf, minimize_formula};
+pub use model_key::ModelKey;
 pub use models::{all_interps, ModelSet, ENUM_LIMIT};
 pub use nnf::to_nnf;
 pub use parser::{parse, MAX_PARSE_DEPTH};

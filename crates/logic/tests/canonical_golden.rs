@@ -2,10 +2,10 @@
 //! pinned byte for byte.
 //!
 //! Canonical bytes are a cross-node contract, not an implementation
-//! detail: replicas compare `canonical_key` in their digests and use it to
-//! orient the `Δ` merge of divergent copies, so every node must compute
-//! the same bytes for the same formula. Any change to the canonicalizer
-//! that moves a single byte fails here.
+//! detail: the serialization travels in the KB digest of a theory too wide
+//! to enumerate, so every node must compute the same bytes for the same
+//! formula. Any change to the canonicalizer that moves a single byte fails
+//! here.
 //!
 //! `canonical_golden.txt` holds one line per corpus case: the case index,
 //! `canonical_key` of the first formula, the FNV-1a fingerprint and length

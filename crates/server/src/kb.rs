@@ -120,11 +120,11 @@ const DIGEST_ENUM_VARS: u32 = 16;
 /// differ.
 ///
 /// The variables the formula mentions are numbered by name. Up to
-/// [`DIGEST_ENUM_VARS`] of them, the hash covers the names `ψ` depends on
+/// 16 of them (`DIGEST_ENUM_VARS`), the hash covers the names `ψ` depends on
 /// and `Mod(ψ)` over them, so by syntax irrelevance (R4/A4) equivalent
 /// theories hash alike; past it, the names and the canonical bytes of the
 /// renumbered formula.
-pub(crate) fn theory_digest(sig: &Sig, formula: &Formula) -> u64 {
+pub fn theory_digest(sig: &Sig, formula: &Formula) -> u64 {
     let mut vars: Vec<_> = formula.vars().into_iter().collect();
     vars.sort_by(|a, b| sig.name(*a).cmp(sig.name(*b)));
     let mut by_name = vec![0u32; formula.max_var().map_or(0, |v| v.index() + 1)];

@@ -51,10 +51,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use arbitrex_core::{cached_arbitrate, Budget, Quality};
-use arbitrex_logic::{canonical_key, parse as parse_formula, ENUM_LIMIT};
+use arbitrex_logic::{parse as parse_formula, rename_formula, Formula, Sig, ENUM_LIMIT};
 
 use crate::json::{self, Json};
-use crate::kb::{ApplyOutcome, StoredKb};
+use crate::kb::{theory_digest, ApplyOutcome, StoredKb};
 use crate::metrics;
 use crate::snapshot;
 use crate::wal;
@@ -830,8 +830,9 @@ pub(crate) fn pull_kb(
 
 /// One anti-entropy pass against `peer`: adopt KBs we lack, align seqs
 /// on identical content, and merge genuinely divergent theories with
-/// `Δ` arbitration — both sides ordered by canonical key, so the peer
-/// running the same pass against us would commit the identical result.
+/// `Δ` arbitration — over sorted names, both sides ordered by digest, so
+/// the peer running the same pass against us would commit the identical
+/// result.
 pub fn reconcile_with_peer(state: &ServiceState, peer: &str) -> Result<ReconcileSummary, String> {
     if state.kbs.replication().is_none() {
         return Err("reconciliation requires a durable store".to_string());
@@ -898,10 +899,11 @@ fn align_seq(state: &ServiceState, name: &str, target: u64) -> bool {
     state.kbs.force_put(name, next).is_ok()
 }
 
-/// Merge one divergent KB: `Δ(side_a, side_b)` with the sides ordered by
-/// canonical key (arbitration is a fair merge; the ordering only pins a
-/// deterministic evaluation order so both nodes compute identical
-/// results). Commits at `max(seq_local, seq_peer) + 1`.
+/// Merge one divergent KB: `Δ(side_a, side_b)` over the names the two
+/// theories mention, interned in sorted order, with the sides ordered by
+/// their name-bound digest ([`theory_digest`]). Neither choice depends on
+/// which member merges, so two members reconciling the same pair commit
+/// the same text. Commits at `max(seq_local, seq_peer) + 1`.
 fn merge_divergent(
     state: &ServiceState,
     client: &mut PeerClient,
@@ -914,26 +916,39 @@ fn merge_divergent(
         .kbs
         .entry(name)
         .ok_or("KB vanished during reconciliation")?;
-    let (mut sig, local_formula) = {
+    let (local_sig, local_formula) = {
         let kb = entry.lock().unwrap();
         if kb.seq == 0 {
             return Err("KB vanished during reconciliation".to_string());
         }
         (kb.sig.clone(), kb.formula.clone())
     };
-    let peer_formula = parse_formula(&mut sig, &peer_text)
+    let mut peer_sig = Sig::new();
+    let peer_formula = parse_formula(&mut peer_sig, &peer_text)
         .map_err(|e| format!("peer formula does not parse: {e}"))?;
+    let mut names: Vec<&str> = [(&local_sig, &local_formula), (&peer_sig, &peer_formula)]
+        .into_iter()
+        .flat_map(|(sig, f)| f.vars().into_iter().map(|v| sig.name(v)))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let mut sig = Sig::new();
+    for name in &names {
+        sig.var(name);
+    }
     let n = sig.width();
     if n > ENUM_LIMIT {
         return Err(format!("merged signature of {n} variables too wide"));
     }
-    // Order the sides canonically: Δ treats both as equally trusted, so
-    // the pair — not its order — determines the fair merge; pinning the
-    // order makes the two nodes' computations bitwise identical.
-    let (psi, phi) = if canonical_key(&local_formula) <= canonical_key(&peer_formula) {
-        (local_formula, peer_formula)
+    let local = renamed_into(&sig, &local_sig, &local_formula);
+    let peer = renamed_into(&sig, &peer_sig, &peer_formula);
+    // Δ treats both sides as equally trusted, so the pair — not its
+    // order — determines the fair merge; ordering it by digest pins one
+    // evaluation on every member.
+    let (psi, phi) = if theory_digest(&sig, &local) <= theory_digest(&sig, &peer) {
+        (local, peer)
     } else {
-        (peer_formula, local_formula)
+        (peer, local)
     };
     let (outcome, _cache) = cached_arbitrate(&state.cache, &psi, &phi, n, &Budget::unlimited())
         .map_err(|e| e.to_string())?;
@@ -950,6 +965,17 @@ fn merge_divergent(
         .force_put(name, merged)
         .map_err(|e| e.to_string())?;
     Ok(())
+}
+
+/// `f`, written over `from`, renumbered into `to`, which names every
+/// variable `f` mentions.
+fn renamed_into(to: &Sig, from: &Sig, f: &Formula) -> Formula {
+    let map: Vec<u32> = from
+        .names()
+        .iter()
+        .map(|name| to.get(name).map_or(0, |v| v.0))
+        .collect();
+    rename_formula(f, &map)
 }
 
 /// Render a reconcile summary as the endpoint's response body.

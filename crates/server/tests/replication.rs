@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use arbitrex_core::arbitrate;
 use arbitrex_core::{FaultPlan, FaultSite, Faults};
-use arbitrex_logic::{canonical_key, parse, ModelSet, Sig};
-use arbitrex_server::kb::{ApplyOutcome, DurabilityOptions, KbStore, StoredKb};
+use arbitrex_logic::{parse, ModelSet, Sig};
+use arbitrex_server::kb::{theory_digest, ApplyOutcome, DurabilityOptions, KbStore, StoredKb};
 use arbitrex_server::recovery::RecoverMode;
 use arbitrex_server::wal::{self, StampedRecord, WalRecord};
 use arbitrex_server::{spawn, RunningServer, ServerConfig};
@@ -495,15 +495,15 @@ fn frames_from_a_deposed_epoch_are_refused() {
 // --- anti-entropy ------------------------------------------------------------
 
 /// The in-test oracle: `Δ` computed directly on model sets with the
-/// same canonical side-ordering the server uses, so the reconciled
-/// theory can be checked differentially (same models, not just "some
-/// merge happened").
+/// same digest side-ordering the server uses, so the reconciled theory
+/// can be checked differentially (same models, not just "some merge
+/// happened").
 fn delta_oracle(local_text: &str, peer_text: &str) -> (Sig, ModelSet) {
     let mut sig = Sig::new();
     let local = parse(&mut sig, local_text).expect("parse local");
     let peer = parse(&mut sig, peer_text).expect("parse peer");
     let n = sig.width();
-    let (psi, phi) = if canonical_key(&local) <= canonical_key(&peer) {
+    let (psi, phi) = if theory_digest(&sig, &local) <= theory_digest(&sig, &peer) {
         (local, peer)
     } else {
         (peer, local)
@@ -576,4 +576,52 @@ fn post_partition_divergence_reconciles_with_delta_arbitration() {
 
     replica.stop().unwrap();
     primary.stop().unwrap();
+}
+
+/// One raw `GET /v1/kb/{name}` body.
+fn kb_body(server: &RunningServer, name: &str) -> String {
+    let mut client = Client::connect_server(server);
+    client.send("GET", &format!("/v1/kb/{name}"), "");
+    let (status, body) = client.read_response_text();
+    assert_eq!(status, 200, "{body}");
+    body
+}
+
+#[test]
+fn renamed_divergence_merges_to_the_same_text_on_both_members() {
+    // Two members commit a renamed pair to one name while apart, then each
+    // runs its anti-entropy pass against the other's divergent copy (a
+    // third node holds `x`'s pre-merge copy, so `y` reconciles against the
+    // same pair `x` did, as if both passes ran at once). Both must store —
+    // and serve — the same text: the merge may not depend on which member
+    // interned which name first.
+    let dirs: Vec<PathBuf> = ["x", "y", "x-copy"]
+        .iter()
+        .map(|tag| temp_state_dir(&format!("renamed-{tag}")))
+        .collect();
+    let x = durable_server(&dirs[0], |_| {});
+    let y = durable_server(&dirs[1], |_| {});
+    let x_copy = durable_server(&dirs[2], |_| {});
+    put(&x, "contested", "A & !B");
+    put(&x_copy, "contested", "A & !B");
+    put(&y, "contested", "B & !A");
+
+    for (member, peer) in [(&x, &y), (&y, &x_copy)] {
+        let body = format!(r#"{{"peer": "{}"}}"#, peer.addr);
+        let (status, v) = request(member, "POST", "/v1/replication/reconcile", &body);
+        assert_eq!(status, 200, "{v:?}");
+        assert_eq!(num_of(&v, "merged"), 1, "{v:?}");
+    }
+    let (on_x, on_y) = (kb_body(&x, "contested"), kb_body(&y, "contested"));
+    assert_eq!(on_x, on_y, "members serve different merged text");
+    // And the text is Δ of the pair: the two midpoints.
+    let (mut sig, expect) = delta_oracle("A & !B", "B & !A");
+    let n = sig.width();
+    let v = arbitrex_server::json::parse(&on_x).expect("KB body is JSON");
+    let merged = parse(&mut sig, str_of(&v, "formula")).expect("parse merged");
+    assert_eq!(ModelSet::of_formula(&merged, n), expect);
+
+    for server in [x, y, x_copy] {
+        server.stop().unwrap();
+    }
 }
