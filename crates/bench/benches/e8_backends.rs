@@ -3,8 +3,8 @@
 //! measured answer to the practical side of the Section 5 open problem.
 
 use arbitrex_bench::random_kcnf_pairs;
-use arbitrex_core::satbackend::dalal_revision_sat;
-use arbitrex_core::{ChangeOperator, DalalRevision};
+use arbitrex_core::satbackend::dalal_revision_sat_budgeted;
+use arbitrex_core::{Budget, ChangeOperator, DalalRevision};
 use arbitrex_logic::ModelSet;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -31,7 +31,13 @@ fn e8(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &pairs, |b, pairs| {
             b.iter(|| {
                 for (psi, mu) in pairs {
-                    black_box(dalal_revision_sat(psi, mu, n, 1024));
+                    black_box(dalal_revision_sat_budgeted(
+                        psi,
+                        mu,
+                        n,
+                        1024,
+                        &Budget::unlimited(),
+                    ));
                 }
             })
         });

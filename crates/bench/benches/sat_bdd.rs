@@ -4,7 +4,7 @@
 
 use arbitrex_bdd::{compile, BddManager};
 use arbitrex_logic::random::{random_kcnf_clauses, FormulaGen};
-use arbitrex_sat::{enumerate_models, AllSatLimit, Solver};
+use arbitrex_sat::{enumerate_models_budgeted, AllSatLimit, Budget, Solver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,7 +70,12 @@ fn allsat_enumeration(c: &mut Criterion) {
                 for cl in clauses {
                     s.add_dimacs_clause(cl);
                 }
-                black_box(enumerate_models(&mut s, n, AllSatLimit::AtMost(100_000)))
+                black_box(enumerate_models_budgeted(
+                    &mut s,
+                    n,
+                    AllSatLimit::AtMost(100_000),
+                    &Budget::unlimited(),
+                ))
             })
         });
     }

@@ -18,10 +18,11 @@ use arbitrex_core::postulates::harness::{
 };
 use arbitrex_core::postulates::weighted::{wcheck_exhaustive, wcheck_random, WPostulateId};
 use arbitrex_core::postulates::{harness::check_exhaustive, PostulateId};
-use arbitrex_core::satbackend::dalal_revision_sat;
+use arbitrex_core::satbackend::dalal_revision_sat_budgeted;
 use arbitrex_core::{
-    BorgidaRevision, ChangeOperator, DalalRevision, DrasticRevision, ForbusUpdate, SatohRevision,
-    UniverseFitting, WdistFitting, WeberRevision, WeightedChangeOperator, WinslettUpdate,
+    BorgidaRevision, Budget, ChangeOperator, DalalRevision, DrasticRevision, ForbusUpdate,
+    SatohRevision, UniverseFitting, WdistFitting, WeberRevision, WeightedChangeOperator,
+    WinslettUpdate,
 };
 use arbitrex_logic::{Interp, ModelSet};
 use arbitrex_merge::scenario::{heterogeneous_databases, jury, Classroom, D, S};
@@ -435,7 +436,13 @@ fn e8_backends() {
         };
         let start = Instant::now();
         for (psi, mu) in &pairs {
-            std::hint::black_box(dalal_revision_sat(psi, mu, n, 1024));
+            std::hint::black_box(dalal_revision_sat_budgeted(
+                psi,
+                mu,
+                n,
+                1024,
+                &Budget::unlimited(),
+            ));
         }
         let sat_time = start.elapsed().as_secs_f64() * 1000.0 / pairs.len() as f64;
         let winner = match enum_time {
@@ -457,7 +464,7 @@ fn e8_backends() {
     let n = 40;
     let psi = wide_fact_base(n);
     let mu = wide_constraint(n);
-    let r = dalal_revision_sat(&psi, &mu, n, 64).unwrap();
+    let r = dalal_revision_sat_budgeted(&psi, &mu, n, 64, &Budget::unlimited()).unwrap();
     println!(
         "wide fact base (n=40): minimal distance {:?}, |optimal models| = {}",
         r.distance,
@@ -811,7 +818,7 @@ fn e12_kernel() {
 /// `ψ` that the search serves.
 fn e12_dispatch() {
     use arbitrex_core::kernel::{select_min, select_min_subcube_odist};
-    use arbitrex_core::{Budget, WeightedKb, WeightedUniverseFitting};
+    use arbitrex_core::{WeightedKb, WeightedUniverseFitting};
     use arbitrex_logic::all_interps;
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -1050,8 +1057,7 @@ fn e13_overhead() {
 /// Writes the machine-readable record to BENCH_PR3.json.
 fn e14_anytime() {
     use arbitrex_core::kernel::naive;
-    use arbitrex_core::satbackend::dalal_revision_sat_budgeted;
-    use arbitrex_core::{try_arbitrate_with_budget, Budget};
+    use arbitrex_core::try_arbitrate_with_budget;
     use arbitrex_logic::form_of;
     header(
         "E14",

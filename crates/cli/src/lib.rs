@@ -14,12 +14,15 @@
 use std::time::Duration;
 
 use arbitrex_core::arbitration::try_arbitrate_with_budget;
-use arbitrex_core::satbackend::{dalal_revision_sat_budgeted, odist_fitting_sat_budgeted};
-use arbitrex_core::{
-    Budget, BudgetSpent, BudgetedChangeOperator, ChangeOperator, CoreError, FaultFamily, FaultPlan,
-    FaultSite, Faults, Quality,
+use arbitrex_core::satbackend::{
+    dalal_revision_sat_budgeted, models_via_sat, odist_fitting_sat_budgeted,
 };
-use arbitrex_logic::{parse, Formula, ModelSet, Sig, ENUM_LIMIT};
+use arbitrex_core::{
+    budgeted_operator, operator, Budget, BudgetSpent, ChangeOperator, CoreError, DalalRevision,
+    FaultFamily, FaultPlan, FaultSite, Faults, OdistFitting, Quality, BUDGETED_OPERATOR_NAMES,
+    OPERATOR_NAMES,
+};
+use arbitrex_logic::{parse, Formula, ModelSet, Sig, ENUM_LIMIT, MAX_VARS};
 use arbitrex_merge::{
     ask, merge_egalitarian, merge_majority, merge_weighted_arbitration,
     merge_weighted_arbitration_with_budget, Source,
@@ -118,25 +121,12 @@ fn limit_err(e: CoreError) -> CliError {
     CliError::limit(e.to_string())
 }
 
-/// Look up a binary change operator by CLI name. Thin wrapper around the
-/// shared registry in [`arbitrex_core::operator()`], which the server crate
-/// also uses — one name table for every front end.
-pub fn operator_by_name(name: &str) -> Option<Box<dyn ChangeOperator>> {
-    arbitrex_core::operator::operator(name)
+fn unknown_operator(op_name: &str) -> CliError {
+    CliError::usage(format!(
+        "unknown operator `{op_name}` (expected one of: {})",
+        OPERATOR_NAMES.join(", ")
+    ))
 }
-
-/// Look up the budgeted variant of a change operator by CLI name. A
-/// subset of [`operator_by_name`]: only the enumeration-backed operators
-/// with graceful degradation support budgets.
-pub fn budgeted_operator_by_name(name: &str) -> Option<Box<dyn BudgetedChangeOperator>> {
-    arbitrex_core::operator::budgeted_operator(name)
-}
-
-/// Names accepted by [`operator_by_name`], for help output.
-pub const OPERATOR_NAMES: &[&str] = arbitrex_core::OPERATOR_NAMES;
-
-/// Names accepted by [`budgeted_operator_by_name`], for error messages.
-pub const BUDGETED_OPERATOR_NAMES: &[&str] = arbitrex_core::BUDGETED_OPERATOR_NAMES;
 
 fn check_width(n: u32) -> Result<(), CliError> {
     if n > ENUM_LIMIT {
@@ -148,16 +138,38 @@ fn check_width(n: u32) -> Result<(), CliError> {
     }
 }
 
+/// Parse `text` into `sig`, prefixing a syntax error's message with
+/// `context`. An input naming more variables than an interpretation holds
+/// is a limit error: it is too wide for every backend, not malformed.
+fn parse_text(sig: &mut Sig, text: &str, context: &str) -> Result<Formula, CliError> {
+    parse(sig, text).map_err(|e| {
+        if e.is_too_many_vars() {
+            CliError::limit(format!(
+                "formulas over more than {MAX_VARS} variables exceed every backend's limit"
+            ))
+        } else {
+            CliError::parse(format!("{context}{e}"))
+        }
+    })
+}
+
+/// Parse ψ and μ over one signature, with at least one variable.
 fn parse_both(psi: &str, mu: &str) -> Result<(Sig, Formula, Formula), CliError> {
     let mut sig = Sig::new();
-    let psi = parse(&mut sig, psi).map_err(|e| CliError::parse(format!("in ψ: {e}")))?;
-    let mu = parse(&mut sig, mu).map_err(|e| CliError::parse(format!("in μ: {e}")))?;
+    let psi = parse_text(&mut sig, psi, "in ψ: ")?;
+    let mu = parse_text(&mut sig, mu, "in μ: ")?;
     if sig.is_empty() {
         // Constant-only formulas still need one variable to enumerate over.
         sig.var("p");
     }
-    check_width(sig.width())?;
     Ok((sig, psi, mu))
+}
+
+/// [`parse_both`], refusing signatures too wide to enumerate.
+fn parse_enumerable(psi: &str, mu: &str) -> Result<(Sig, Formula, Formula), CliError> {
+    let parsed = parse_both(psi, mu)?;
+    check_width(parsed.0.width())?;
+    Ok(parsed)
 }
 
 /// Describe a trip for error messages: the `Exhausted` record when the
@@ -211,64 +223,49 @@ fn budget_verdict(
 }
 
 /// `arbitrex change <operator> "<psi>" "<mu>"` — apply a binary operator
-/// and show the result as models and as a formula.
-pub fn cmd_change(op_name: &str, psi_text: &str, mu_text: &str) -> Result<String, CliError> {
-    let op = operator_by_name(op_name).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown operator `{op_name}` (expected one of: {})",
-            OPERATOR_NAMES.join(", ")
-        ))
-    })?;
-    let (sig, psi, mu) = parse_both(psi_text, mu_text)?;
-    let n = sig.width();
-    let psi_m = ModelSet::of_formula(&psi, n);
-    let mu_m = ModelSet::of_formula(&mu, n);
-    let result = op.apply(&psi_m, &mu_m);
-    Ok(format!(
-        "operator: {}\nψ models: {}\nμ models: {}\nresult:   {}\nformula:  {}\n",
-        op.name(),
-        psi_m.display(&sig),
-        mu_m.display(&sig),
-        result.display(&sig),
-        arbitrex_logic::minimal_dnf(&result).display(&sig),
-    ))
-}
-
-/// [`cmd_change`] under a [`Budget`]: only the enumeration-backed
-/// operators with graceful degradation are accepted; a tripped budget
-/// reports the partial result as an [`ErrorKind::Budget`] error.
-pub fn cmd_change_budgeted(
+/// and show the result as models and as a formula. Under `budget` (when
+/// budget flags were given) only the enumeration-backed operators with
+/// graceful degradation are accepted, the output ends with a `budget:`
+/// verdict line, and a tripped budget reports the partial result as an
+/// [`ErrorKind::Budget`] error.
+pub fn cmd_change(
     op_name: &str,
     psi_text: &str,
     mu_text: &str,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<String, CliError> {
-    let op = budgeted_operator_by_name(op_name).ok_or_else(|| {
-        if operator_by_name(op_name).is_some() {
-            CliError::usage(format!(
-                "operator `{op_name}` has no budgeted variant (budgeted operators: {})",
-                BUDGETED_OPERATOR_NAMES.join(", ")
-            ))
-        } else {
-            CliError::usage(format!(
-                "unknown operator `{op_name}` (expected one of: {})",
-                OPERATOR_NAMES.join(", ")
-            ))
+    let op = operator(op_name).ok_or_else(|| unknown_operator(op_name))?;
+    let budgeted = match budget {
+        None => None,
+        Some(b) => {
+            let op = budgeted_operator(op_name).ok_or_else(|| {
+                CliError::usage(format!(
+                    "operator `{op_name}` has no budgeted variant (budgeted operators: {})",
+                    BUDGETED_OPERATOR_NAMES.join(", ")
+                ))
+            })?;
+            Some((op, b))
         }
-    })?;
-    let (sig, psi, mu) = parse_both(psi_text, mu_text)?;
+    };
+    let (sig, psi, mu) = parse_enumerable(psi_text, mu_text)?;
     let n = sig.width();
     let psi_m = ModelSet::of_formula(&psi, n);
     let mu_m = ModelSet::of_formula(&mu, n);
-    let out = op.apply_with_budget(&psi_m, &mu_m, budget);
-    let verdict = budget_verdict(&sig, &out.models, out.quality, &out.spent)?;
+    let (result, verdict) = match budgeted {
+        None => (op.apply(&psi_m, &mu_m), String::new()),
+        Some((op, b)) => {
+            let out = op.apply_with_budget(&psi_m, &mu_m, b);
+            let verdict = budget_verdict(&sig, &out.models, out.quality, &out.spent)?;
+            (out.models, verdict)
+        }
+    };
     Ok(format!(
         "operator: {}\nψ models: {}\nμ models: {}\nresult:   {}\nformula:  {}\n{}",
         op.name(),
         psi_m.display(&sig),
         mu_m.display(&sig),
-        out.models.display(&sig),
-        arbitrex_logic::minimal_dnf(&out.models).display(&sig),
+        result.display(&sig),
+        arbitrex_logic::minimal_dnf(&result).display(&sig),
         verdict,
     ))
 }
@@ -278,7 +275,9 @@ const SAT_MODEL_LIMIT: usize = 1 << 16;
 
 /// `arbitrex change ... --backend sat` — the CDCL-backed distance
 /// minimization for `dalal` and `odist`, honoring the same budget flags
-/// (this is the path where `--max-conflicts` bites).
+/// (this is the path where `--max-conflicts` bites). It takes signatures
+/// past the enumeration limit, up to the 64 variables an interpretation
+/// holds.
 pub fn cmd_change_sat(
     op_name: &str,
     psi_text: &str,
@@ -287,31 +286,23 @@ pub fn cmd_change_sat(
 ) -> Result<String, CliError> {
     let (sig, psi, mu) = parse_both(psi_text, mu_text)?;
     let n = sig.width();
-    let out = match op_name {
-        "dalal" | "revise" | "revision" => {
-            dalal_revision_sat_budgeted(&psi, &mu, n, SAT_MODEL_LIMIT, budget)
-        }
-        "odist" | "fit" | "fitting" => {
-            let psi_m = ModelSet::of_formula(&psi, n);
-            odist_fitting_sat_budgeted(psi_m.as_slice(), &mu, n, SAT_MODEL_LIMIT, budget)
-        }
-        other if operator_by_name(other).is_some() => {
-            return err(format!(
-                "operator `{other}` has no SAT backend (SAT operators: dalal, odist)"
-            ))
-        }
-        other => {
-            return err(format!(
-                "unknown operator `{other}` (expected one of: {})",
-                OPERATOR_NAMES.join(", ")
-            ))
-        }
-    };
-    let out = out.ok_or_else(|| {
+    let over_limit = || {
         CliError::limit(format!(
             "SAT backend exceeded its model limit of {SAT_MODEL_LIMIT}"
         ))
-    })?;
+    };
+    let op = operator(op_name).ok_or_else(|| unknown_operator(op_name))?;
+    let out = if op.name() == DalalRevision.name() {
+        dalal_revision_sat_budgeted(&psi, &mu, n, SAT_MODEL_LIMIT, budget)
+    } else if op.name() == OdistFitting.name() {
+        let psi_m = models_via_sat(&psi, n, SAT_MODEL_LIMIT).ok_or_else(over_limit)?;
+        odist_fitting_sat_budgeted(psi_m.as_slice(), &mu, n, SAT_MODEL_LIMIT, budget)
+    } else {
+        return err(format!(
+            "operator `{op_name}` has no SAT backend (SAT operators: dalal, odist)"
+        ));
+    };
+    let out = out.ok_or_else(over_limit)?;
     let verdict = budget_verdict(&sig, &out.models, out.quality, &out.spent)?;
     let distance = match out.distance {
         Some(d) => d.to_string(),
@@ -325,20 +316,16 @@ pub fn cmd_change_sat(
     ))
 }
 
-/// `arbitrex arbitrate "<psi>" "<phi>"` — the symmetric consensus.
-pub fn cmd_arbitrate(psi_text: &str, phi_text: &str) -> Result<String, CliError> {
-    cmd_arbitrate_with(psi_text, phi_text, None)
-}
-
-/// [`cmd_arbitrate`], under `budget` when budget flags were given: the
-/// output then ends with a `budget:` verdict line, and a tripped budget
-/// reports the partial consensus as an [`ErrorKind::Budget`] error.
-pub fn cmd_arbitrate_with(
+/// `arbitrex arbitrate "<psi>" "<phi>"` — the symmetric consensus. Under
+/// `budget` (when budget flags were given) the output ends with a
+/// `budget:` verdict line, and a tripped budget reports the partial
+/// consensus as an [`ErrorKind::Budget`] error.
+pub fn cmd_arbitrate(
     psi_text: &str,
     phi_text: &str,
     budget: Option<&Budget>,
 ) -> Result<String, CliError> {
-    let (sig, psi, phi) = parse_both(psi_text, phi_text)?;
+    let (sig, psi, phi) = parse_enumerable(psi_text, phi_text)?;
     let n = sig.width();
     let psi_m = ModelSet::of_formula(&psi, n);
     let phi_m = ModelSet::of_formula(&phi, n);
@@ -360,7 +347,7 @@ pub fn cmd_arbitrate_with(
 /// `arbitrex models "<formula>"` — enumerate and count models.
 pub fn cmd_models(text: &str) -> Result<String, CliError> {
     let mut sig = Sig::new();
-    let f = parse(&mut sig, text).map_err(|e| CliError::parse(e.to_string()))?;
+    let f = parse_text(&mut sig, text, "")?;
     if sig.is_empty() {
         sig.var("p");
     }
@@ -405,13 +392,12 @@ pub fn cmd_merge(
         .iter()
         .map(|spec| {
             let (text, weight) = parse_voice(spec)?;
-            let f = parse(&mut sig, &text)
-                .map_err(|e| CliError::parse(format!("in voice `{spec}`: {e}")))?;
+            let f = parse_text(&mut sig, &text, &format!("in voice `{spec}`: "))?;
             Ok((f, weight, text))
         })
         .collect::<Result<_, CliError>>()?;
     let query_f = query
-        .map(|q| parse(&mut sig, q).map_err(|e| CliError::parse(format!("in query: {e}"))))
+        .map(|q| parse_text(&mut sig, q, "in query: "))
         .transpose()?;
     if sig.is_empty() {
         sig.var("p");
@@ -481,17 +467,11 @@ pub fn cmd_audit(names: &[String]) -> Result<String, CliError> {
     use arbitrex_core::postulates::harness::satisfaction_matrix;
     use arbitrex_core::postulates::PostulateId;
     let selected: Vec<Box<dyn ChangeOperator>> = if names.is_empty() {
-        OPERATOR_NAMES
-            .iter()
-            .filter_map(|n| operator_by_name(n))
-            .collect()
+        OPERATOR_NAMES.iter().filter_map(|n| operator(n)).collect()
     } else {
         names
             .iter()
-            .map(|n| {
-                operator_by_name(n)
-                    .ok_or_else(|| CliError::usage(format!("unknown operator `{n}`")))
-            })
+            .map(|n| operator(n).ok_or_else(|| CliError::usage(format!("unknown operator `{n}`"))))
             .collect::<Result<_, _>>()?
     };
     let refs: Vec<&dyn ChangeOperator> = selected.iter().map(|b| b.as_ref()).collect();
@@ -517,9 +497,9 @@ pub fn cmd_audit(names: &[String]) -> Result<String, CliError> {
 /// and report the trajectory and its period.
 pub fn cmd_iterate(op_name: &str, psi_text: &str, mu_text: &str) -> Result<String, CliError> {
     use arbitrex_core::iterated::iterate_fixed_input;
-    let op = operator_by_name(op_name)
+    let op = operator(op_name)
         .ok_or_else(|| CliError::usage(format!("unknown operator `{op_name}`")))?;
-    let (sig, psi, mu) = parse_both(psi_text, mu_text)?;
+    let (sig, psi, mu) = parse_enumerable(psi_text, mu_text)?;
     let n = sig.width();
     let psi_m = ModelSet::of_formula(&psi, n);
     let mu_m = ModelSet::of_formula(&mu, n);
@@ -790,7 +770,7 @@ pub fn help() -> String {
          \x20\x20\x20\x20 counters read 0 when built without the `telemetry` feature;\n\
          \x20\x20\x20\x20 see OBSERVABILITY.md for every counter's definition\n\
          \x20 --backend sat  CDCL distance minimization for `change`\n\
-         \x20\x20\x20\x20 (operators: dalal, odist)\n\
+         \x20\x20\x20\x20 (operators: dalal, odist; up to 64 variables)\n\
          \n\
          budget flags (change, arbitrate, merge --strategy weighted):\n\
          \x20 --timeout-ms <n>      wall-clock deadline\n\
@@ -980,16 +960,14 @@ fn dispatch(args: &[String], ctx: &ExecCtx) -> Result<String, CliError> {
                 if ctx.backend_sat {
                     let unlimited = Budget::unlimited();
                     cmd_change_sat(op, psi, mu, ctx.budget.as_ref().unwrap_or(&unlimited))
-                } else if let Some(b) = &ctx.budget {
-                    cmd_change_budgeted(op, psi, mu, b)
                 } else {
-                    cmd_change(op, psi, mu)
+                    cmd_change(op, psi, mu, ctx.budget.as_ref())
                 }
             }
             _ => err("usage: arbitrex change <operator> \"<psi>\" \"<mu>\""),
         },
         Some("arbitrate") => match args {
-            [_, psi, phi] => cmd_arbitrate_with(psi, phi, ctx.budget.as_ref()),
+            [_, psi, phi] => cmd_arbitrate(psi, phi, ctx.budget.as_ref()),
             _ => err("usage: arbitrex arbitrate \"<psi>\" \"<phi>\""),
         },
         Some("models") => match args {
@@ -1142,6 +1120,7 @@ mod tests {
             "odist",
             "(S & !D & !Q) | (!S & D & !Q) | (S & D & Q)",
             "(!S & D & !Q) | (S & D & !Q)",
+            None,
         )
         .unwrap();
         assert!(out.contains("{{S, D}}"), "{out}");
@@ -1149,19 +1128,9 @@ mod tests {
 
     #[test]
     fn change_rejects_unknown_operator() {
-        let e = cmd_change("nonsense", "A", "B").unwrap_err();
+        let e = cmd_change("nonsense", "A", "B", None).unwrap_err();
         assert!(e.message.contains("unknown operator"));
         assert_eq!(e.kind, ErrorKind::Usage);
-    }
-
-    #[test]
-    fn all_published_operator_names_resolve() {
-        for name in OPERATOR_NAMES {
-            assert!(operator_by_name(name).is_some(), "{name}");
-        }
-        for name in BUDGETED_OPERATOR_NAMES {
-            assert!(budgeted_operator_by_name(name).is_some(), "{name}");
-        }
     }
 
     #[test]
@@ -1170,7 +1139,7 @@ mod tests {
         // to resolve would drop its row.
         let out = cmd_audit(&[]).unwrap();
         for name in OPERATOR_NAMES {
-            let resolved = operator_by_name(name).unwrap();
+            let resolved = operator(name).unwrap();
             assert!(out.contains(resolved.name()), "missing row for {name}");
         }
     }
@@ -1194,7 +1163,10 @@ mod tests {
     #[test]
     fn parse_errors_carry_the_parse_kind() {
         assert_eq!(cmd_models("A &&& B").unwrap_err().kind, ErrorKind::Parse);
-        assert_eq!(cmd_arbitrate("(A", "B").unwrap_err().kind, ErrorKind::Parse);
+        assert_eq!(
+            cmd_arbitrate("(A", "B", None).unwrap_err().kind,
+            ErrorKind::Parse
+        );
         assert_eq!(
             cmd_merge("weighted", None, &sv(&["A |"]), None)
                 .unwrap_err()
@@ -1238,8 +1210,8 @@ mod tests {
 
     #[test]
     fn arbitrate_command_is_symmetric() {
-        let a = cmd_arbitrate("A & B", "!A & !B").unwrap();
-        let b = cmd_arbitrate("!A & !B", "A & B").unwrap();
+        let a = cmd_arbitrate("A & B", "!A & !B", None).unwrap();
+        let b = cmd_arbitrate("!A & !B", "A & B", None).unwrap();
         // Same consensus line (models are canonical).
         let line = |s: &str| s.lines().next().unwrap().to_string();
         assert_eq!(line(&a), line(&b));
@@ -1622,6 +1594,41 @@ mod tests {
         ]))
         .unwrap();
         assert!(sat.contains("budget:   exact"), "{sat}");
+    }
+
+    #[test]
+    fn sat_backend_takes_signatures_past_the_enumeration_limit() {
+        // ψ fixes 30 variables, μ flips one: both operators move one bit.
+        let atoms: Vec<String> = (0..30).map(|i| format!("V{i}")).collect();
+        let psi = atoms.join(" & ");
+        let result = |s: &str| {
+            s.lines()
+                .find(|l| l.starts_with("result:"))
+                .unwrap()
+                .to_string()
+        };
+        let mut results = Vec::new();
+        for op in ["dalal", "odist"] {
+            let out = run(&sv(&["change", op, &psi, "!V0", "--backend", "sat"])).unwrap();
+            assert!(out.contains("distance: 1"), "{out}");
+            assert!(out.contains("budget:   exact"), "{out}");
+            results.push(result(&out));
+        }
+        assert_eq!(results[0], results[1]);
+        assert!(results[0].contains("V29") && !results[0].contains("V0,"));
+        // Enumeration still refuses the width.
+        let e = run(&sv(&["change", "dalal", &psi, "!V0"])).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Limit);
+        assert!(e.message.contains("enumeration limit of 28"), "{e}");
+        // Past the 64 variables an interpretation holds: a limit error,
+        // not a panic, for either operator.
+        let wide: Vec<String> = (0..65).map(|i| format!("V{i}")).collect();
+        let wide = wide.join(" & ");
+        for op in ["dalal", "odist"] {
+            let e = run(&sv(&["change", op, &wide, "!V0", "--backend", "sat"])).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Limit, "{e}");
+            assert!(e.message.contains("more than 64 variables"), "{e}");
+        }
     }
 
     #[test]

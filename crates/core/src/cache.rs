@@ -604,24 +604,20 @@ pub fn cached_apply(
     Ok((out, status))
 }
 
-/// Budgeted weighted arbitration `ψ̃ Δ φ̃` through `cache`, where each side
-/// is a formula whose models all carry one source weight. The key is the
-/// joined weighted support, each row with its weight, so swapping the
-/// sides with their weights shares an entry.
+/// Budgeted weighted arbitration `ψ̃ Δ φ̃` through `cache`, each side
+/// typically built by [`weighted_side`]. The key is the joined weighted
+/// support, each row with its weight, so swapping the sides with their
+/// weights shares an entry.
 pub fn cached_warbitrate(
     cache: &OpCache,
-    psi: &Formula,
-    psi_weight: u64,
-    phi: &Formula,
-    phi_weight: u64,
-    n_vars: u32,
+    psi: &WeightedKb,
+    phi: &WeightedKb,
     budget: &Budget,
 ) -> Result<(WeightedOutcome, CacheStatus), CoreError> {
-    check_query_width(n_vars)?;
+    let n_vars = psi.n_vars();
     // `ψ̃ Δ φ̃ = (ψ̃ ⊔ φ̃) ▷ 𝓜̃` with wdist fitting: again the joined voices
     // are all the kernel reads.
-    let voices =
-        weighted_side(psi, psi_weight, n_vars).join(&weighted_side(phi, phi_weight, n_vars));
+    let voices = psi.join(phi);
     let key = QueryKey::for_cache(cache, voices.support_size(), || {
         QueryKey::weighted("warbitrate", &voices)
     });
@@ -832,13 +828,15 @@ mod tests {
         let phi = q(&mut sig, "!A & !B");
         let n = sig.width();
         let b = Budget::unlimited();
-        let (w1, s1) = cached_warbitrate(&cache, &psi, 3, &phi, 1, n, &b).unwrap();
+        let side = |f: &Formula, w: u64| weighted_side(f, w, n);
+        let (psi3, phi1) = (side(&psi, 3), side(&phi, 1));
+        let (w1, s1) = cached_warbitrate(&cache, &psi3, &phi1, &b).unwrap();
         assert_eq!(s1, CacheStatus::Miss);
-        let (w2, s2) = cached_warbitrate(&cache, &psi, 3, &phi, 1, n, &b).unwrap();
+        let (w2, s2) = cached_warbitrate(&cache, &psi3, &phi1, &b).unwrap();
         assert_eq!(s2, CacheStatus::Hit);
         assert!(w1.kb.equivalent(&w2.kb));
         // Different weights form a different query.
-        let (_, s3) = cached_warbitrate(&cache, &psi, 1, &phi, 3, n, &b).unwrap();
+        let (_, s3) = cached_warbitrate(&cache, &side(&psi, 1), &side(&phi, 3), &b).unwrap();
         assert_eq!(s3, CacheStatus::Miss);
     }
 

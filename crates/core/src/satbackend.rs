@@ -7,6 +7,11 @@
 //! arbitration radius search for knowledge bases with explicitly known
 //! models.
 //!
+//! Every operation runs under a [`Budget`]; pass [`Budget::unlimited`]
+//! for an exact answer. Each body ends in one tail: lock the distance
+//! bound, enumerate the models within it, and grade how the search and the
+//! enumeration ended into a [`Quality`].
+//!
 //! Complexity honesty: full model-fitting quantifies over *all* models of
 //! `ψ` (`odist` is a max), putting the general problem at the second level
 //! of the polynomial hierarchy; the SAT route here covers the practically
@@ -18,8 +23,8 @@ use crate::telemetry;
 use arbitrex_logic::{to_clauses, Cnf, Formula, Interp, ModelSet};
 use arbitrex_sat::telemetry::record_solver;
 use arbitrex_sat::{
-    enumerate_models, enumerate_models_budgeted, minimize_true_count_budgeted, AllSatLimit,
-    CardinalityLadder, EnumStatus, Lit, MinimizeOutcome, SolveResult, Solver,
+    enumerate_models_budgeted, minimize_true_count_budgeted, AllSatLimit, CardinalityLadder,
+    EnumStatus, Lit, MinimizeOutcome, SolveResult, Solver,
 };
 
 /// Enumerate `Mod(f)` over `n_vars` variables through Tseitin + AllSAT with
@@ -28,16 +33,18 @@ use arbitrex_sat::{
 /// Returns `None` if the model count exceeds `limit`.
 pub fn models_via_sat(f: &Formula, n_vars: u32, limit: usize) -> Option<ModelSet> {
     telemetry::SAT_BACKEND_CALLS.incr();
-    let cnf = to_clauses(f, n_vars);
     let mut solver = Solver::new();
-    solver.ensure_vars(cnf.n_vars);
-    for clause in &cnf.clauses {
-        solver.add_dimacs_clause(clause);
-    }
-    let models = enumerate_models(&mut solver, n_vars, AllSatLimit::AtMost(limit));
+    solver.ensure_vars(n_vars);
+    add_cnf_remapped(&mut solver, &to_clauses(f, n_vars), |v| v);
+    let res = enumerate_models_budgeted(
+        &mut solver,
+        n_vars,
+        AllSatLimit::AtMost(limit),
+        &Budget::unlimited(),
+    );
     record_solver(&solver);
-    let models = models?;
-    Some(ModelSet::new(n_vars, models.into_iter().map(Interp)))
+    (res.status == EnumStatus::Complete)
+        .then(|| ModelSet::new(n_vars, res.models.into_iter().map(Interp)))
 }
 
 /// Add a Tseitin CNF to `solver`, mapping original DIMACS variable `w`
@@ -64,25 +71,16 @@ fn add_cnf_remapped(solver: &mut Solver, cnf: &Cnf, map: impl Fn(u32) -> u32) {
     }
 }
 
-/// Result of a SAT-backed distance-minimizing operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SatChangeResult {
-    /// The minimal distance achieved (`None` when the result is vacuous —
-    /// e.g. `ψ` inconsistent, where revision returns `Mod(μ)` unranked).
-    pub distance: Option<u32>,
-    /// The resulting model set.
-    pub models: ModelSet,
-}
-
-/// The typed result of a budgeted SAT-backed operation: the degradation
-/// ladder runs optimal-distance → best-incumbent-distance (models within an
-/// upper bound, [`Quality::UpperBound`]) → whatever models were enumerated
-/// before interruption ([`Quality::Interrupted`], a *subset* of the models
-/// at `distance`).
+/// The typed result of a SAT-backed operation: the degradation ladder runs
+/// optimal-distance → best-incumbent-distance (models within an upper
+/// bound, [`Quality::UpperBound`]) → whatever models were enumerated before
+/// interruption ([`Quality::Interrupted`], a *subset* of the models at
+/// `distance`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatOutcome {
     /// The distance bound the models satisfy: the minimum when `quality`
-    /// is exact, an upper bound otherwise; `None` when vacuous or when the
+    /// is exact, an upper bound otherwise; `None` when vacuous (e.g. `ψ`
+    /// inconsistent, where revision returns `Mod(μ)` unranked) or when the
     /// search was interrupted before any incumbent existed.
     pub distance: Option<u32>,
     /// The models within `distance` (all of them unless interrupted
@@ -106,17 +104,82 @@ impl SatOutcome {
         }
     }
 
+    /// No models and no distance: an unsatisfiable side (`quality` exact)
+    /// or a search interrupted before any incumbent existed.
+    fn empty(n_vars: u32, quality: Quality, budget: &Budget) -> Self {
+        SatOutcome::new(None, ModelSet::empty(n_vars), quality, budget)
+    }
+
     /// Did the search run to completion?
     pub fn is_exact(&self) -> bool {
         self.quality.is_exact()
     }
 }
 
-/// Attach (a clone of) `budget` to `solver` so every SAT search charges
-/// [`BudgetSite::Conflict`] — exact runs too, so their outcomes report
-/// the conflicts they spent.
-fn arm_solver(solver: &mut Solver, budget: &Budget) {
+/// A solver over `cnf` on variables `0..n` (auxiliaries after), armed with
+/// (a clone of) `budget` so every SAT search charges
+/// [`BudgetSite::Conflict`] — exact runs too, so their outcomes report the
+/// conflicts they spent.
+fn armed_solver(cnf: &Cnf, n: u32, budget: &Budget) -> Solver {
+    let mut solver = Solver::new();
     solver.set_budget(Some(budget.clone()));
+    solver.ensure_vars(n);
+    add_cnf_remapped(&mut solver, cnf, |v| v);
+    solver
+}
+
+/// An armed solver over `μ`, once a first solve shows `μ` satisfiable;
+/// otherwise the outcome to return (no models: exact when `μ` is
+/// unsatisfiable, interrupted when the probe tripped the budget).
+fn satisfiable_mu(mu: &Formula, n: u32, budget: &Budget) -> Result<Solver, SatOutcome> {
+    let mut solver = armed_solver(&to_clauses(mu, n), n, budget);
+    let quality = match solver.solve() {
+        SolveResult::Sat => return Ok(solver),
+        SolveResult::Unsat => Quality::Exact,
+        SolveResult::Interrupted => Quality::Interrupted,
+    };
+    record_solver(&solver);
+    Err(SatOutcome::empty(n, quality, budget))
+}
+
+/// The shared tail: enumerate the projections onto `0..n` of `solver`,
+/// whose distance bound the caller has locked, and grade the result.
+/// `exact` says whether the bound search ran to completion. After a trip
+/// the budget is sticky-exhausted, so materializing the degraded result —
+/// like the kernel's frontier collection — runs uncharged (still capped by
+/// `model_limit`).
+///
+/// Returns `None` when the enumeration exceeds `model_limit`.
+fn enumerate_within(
+    mut solver: Solver,
+    n: u32,
+    distance: Option<u32>,
+    exact: bool,
+    model_limit: usize,
+    budget: &Budget,
+) -> Option<SatOutcome> {
+    let unlimited = Budget::unlimited();
+    let enum_budget = if exact {
+        budget
+    } else {
+        solver.set_budget(None);
+        &unlimited
+    };
+    let res = enumerate_models_budgeted(
+        &mut solver,
+        n,
+        AllSatLimit::AtMost(model_limit),
+        enum_budget,
+    );
+    record_solver(&solver);
+    let quality = match res.status {
+        EnumStatus::LimitExceeded => return None,
+        EnumStatus::Complete if exact => Quality::Exact,
+        EnumStatus::Complete => Quality::UpperBound,
+        EnumStatus::Interrupted(_) => Quality::Interrupted,
+    };
+    let models = ModelSet::new(n, res.models.into_iter().map(Interp));
+    Some(SatOutcome::new(distance, models, quality, budget))
 }
 
 /// Dalal's revision via SAT: minimize the Hamming distance between a model
@@ -127,31 +190,14 @@ fn arm_solver(solver: &mut Solver, budget: &Budget) {
 /// signatures (cross-checked in the integration tests) while scaling to
 /// signatures far beyond `2^n` enumeration.
 ///
-/// `model_limit` caps the final enumeration; `None` is returned if
-/// exceeded.
-pub fn dalal_revision_sat(
-    psi: &Formula,
-    mu: &Formula,
-    n_vars: u32,
-    model_limit: usize,
-) -> Option<SatChangeResult> {
-    let out = dalal_revision_sat_budgeted(psi, mu, n_vars, model_limit, &Budget::unlimited())?;
-    // invariant: an unlimited budget never trips, so the outcome is exact.
-    debug_assert!(out.is_exact());
-    Some(SatChangeResult {
-        distance: out.distance,
-        models: out.models,
-    })
-}
-
-/// [`dalal_revision_sat`] under a [`Budget`]: the solver charges
-/// [`BudgetSite::Conflict`] per conflict, the cardinality minimization
-/// charges [`BudgetSite::LadderStep`] per binary-search step, and the final
-/// enumeration charges [`BudgetSite::Model`] per model. On exhaustion the
-/// result degrades per [`SatOutcome`]'s ladder instead of aborting.
+/// The solver charges [`BudgetSite::Conflict`] per conflict, the
+/// cardinality minimization charges [`BudgetSite::LadderStep`] per
+/// binary-search step, and the final enumeration charges
+/// [`BudgetSite::Model`] per model. On exhaustion the result degrades per
+/// [`SatOutcome`]'s ladder instead of aborting.
 ///
 /// Returns `None` only when the model enumeration exceeds `model_limit`
-/// (the legacy resource cap, distinct from budget exhaustion).
+/// (a resource cap, distinct from budget exhaustion).
 pub fn dalal_revision_sat_budgeted(
     psi: &Formula,
     mu: &Formula,
@@ -167,51 +213,22 @@ pub fn dalal_revision_sat_budgeted(
     let psi_cnf = to_clauses(psi, n);
 
     // ψ inconsistent ⇒ revision returns Mod(μ).
-    {
-        let mut s = Solver::new();
-        arm_solver(&mut s, budget);
-        s.ensure_vars(psi_cnf.n_vars);
-        for c in &psi_cnf.clauses {
-            s.add_dimacs_clause(c);
+    let mut probe = armed_solver(&psi_cnf, n, budget);
+    let r = probe.solve();
+    record_solver(&probe);
+    match r {
+        SolveResult::Interrupted => {
+            return Some(SatOutcome::empty(n, Quality::Interrupted, budget))
         }
-        let r = s.solve();
-        record_solver(&s);
-        match r {
-            SolveResult::Interrupted => {
-                return Some(SatOutcome::new(
-                    None,
-                    ModelSet::empty(n),
-                    Quality::Interrupted,
-                    budget,
-                ));
-            }
-            SolveResult::Unsat => {
-                let mut ms = Solver::new();
-                arm_solver(&mut ms, budget);
-                ms.ensure_vars(mu_cnf.n_vars.max(n));
-                for c in &mu_cnf.clauses {
-                    ms.add_dimacs_clause(c);
-                }
-                let res =
-                    enumerate_models_budgeted(&mut ms, n, AllSatLimit::AtMost(model_limit), budget);
-                record_solver(&ms);
-                let models = ModelSet::new(n, res.models.into_iter().map(Interp));
-                return match res.status {
-                    EnumStatus::LimitExceeded => None,
-                    EnumStatus::Complete => {
-                        Some(SatOutcome::new(None, models, Quality::Exact, budget))
-                    }
-                    EnumStatus::Interrupted(_) => {
-                        Some(SatOutcome::new(None, models, Quality::Interrupted, budget))
-                    }
-                };
-            }
-            SolveResult::Sat => {}
+        SolveResult::Unsat => {
+            let solver = armed_solver(&mu_cnf, n, budget);
+            return enumerate_within(solver, n, None, true, model_limit, budget);
         }
+        SolveResult::Sat => {}
     }
 
     let mut solver = Solver::new();
-    arm_solver(&mut solver, budget);
+    solver.set_budget(Some(budget.clone()));
     solver.ensure_vars(2 * n);
     add_cnf_remapped(&mut solver, &mu_cnf, |v| v);
     add_cnf_remapped(&mut solver, &psi_cnf, |v| n + v);
@@ -232,67 +249,23 @@ pub fn dalal_revision_sat_budgeted(
     }
 
     let bound = match minimize_true_count_budgeted(&mut solver, &d_lits, budget) {
-        MinimizeOutcome::Unsat => {
-            // μ unsatisfiable (ψ was checked above).
-            record_solver(&solver);
-            return Some(SatOutcome::new(
-                None,
-                ModelSet::empty(n),
-                Quality::Exact,
-                budget,
-            ));
-        }
-        MinimizeOutcome::Interrupted(_) => {
-            // No incumbent: nothing trustworthy to return.
-            record_solver(&solver);
-            return Some(SatOutcome::new(
-                None,
-                ModelSet::empty(n),
-                Quality::Interrupted,
-                budget,
-            ));
-        }
         MinimizeOutcome::Bound(b) => b,
-    };
-    // Lock the bound (the optimum when exact, the best incumbent — an
-    // upper bound — otherwise) and enumerate the x-projections. After a
-    // trip the budget is sticky-exhausted, so materializing the degraded
-    // result — like the kernel's frontier collection — runs uncharged
-    // (still capped by `model_limit`).
-    let unlimited = Budget::unlimited();
-    let enum_budget = if bound.is_exact() {
-        budget
-    } else {
-        solver.set_budget(None);
-        &unlimited
-    };
-    bound.ladder.assert_at_most(&mut solver, bound.k);
-    let res = enumerate_models_budgeted(
-        &mut solver,
-        n,
-        AllSatLimit::AtMost(model_limit),
-        enum_budget,
-    );
-    record_solver(&solver);
-    let models = ModelSet::new(n, res.models.into_iter().map(Interp));
-    let distance = Some(bound.k as u32);
-    match res.status {
-        EnumStatus::LimitExceeded => None,
-        EnumStatus::Complete => {
-            let quality = if bound.is_exact() {
-                Quality::Exact
-            } else {
-                Quality::UpperBound
-            };
-            Some(SatOutcome::new(distance, models, quality, budget))
+        // μ unsatisfiable (ψ was checked above).
+        MinimizeOutcome::Unsat => {
+            record_solver(&solver);
+            return Some(SatOutcome::empty(n, Quality::Exact, budget));
         }
-        EnumStatus::Interrupted(_) => Some(SatOutcome::new(
-            distance,
-            models,
-            Quality::Interrupted,
-            budget,
-        )),
-    }
+        // No incumbent: nothing trustworthy to return.
+        MinimizeOutcome::Interrupted(_) => {
+            record_solver(&solver);
+            return Some(SatOutcome::empty(n, Quality::Interrupted, budget));
+        }
+    };
+    // Lock the bound: the optimum when exact, the best incumbent — an
+    // upper bound — otherwise.
+    bound.ladder.assert_at_most(&mut solver, bound.k);
+    let distance = Some(bound.k as u32);
+    enumerate_within(solver, n, distance, bound.is_exact(), model_limit, budget)
 }
 
 /// The paper's model-fitting operator via SAT, for a knowledge base given
@@ -300,27 +273,9 @@ pub fn dalal_revision_sat_budgeted(
 /// binary search on the radius `r` such that some model of `μ` is within
 /// distance `r` of **every** model of `ψ`, then enumerate the optimum.
 ///
-/// Returns `None` if the model enumeration exceeds `model_limit`.
-pub fn odist_fitting_sat(
-    psi_models: &[Interp],
-    mu: &Formula,
-    n_vars: u32,
-    model_limit: usize,
-) -> Option<SatChangeResult> {
-    let out =
-        odist_fitting_sat_budgeted(psi_models, mu, n_vars, model_limit, &Budget::unlimited())?;
-    // invariant: an unlimited budget never trips, so the outcome is exact.
-    debug_assert!(out.is_exact());
-    Some(SatChangeResult {
-        distance: out.distance,
-        models: out.models,
-    })
-}
-
-/// [`odist_fitting_sat`] under a [`Budget`]: radius binary-search steps
-/// charge [`BudgetSite::LadderStep`], SAT conflicts charge
-/// [`BudgetSite::Conflict`], and the final enumeration charges
-/// [`BudgetSite::Model`]. The search keeps `hi` feasible throughout
+/// Radius binary-search steps charge [`BudgetSite::LadderStep`], SAT
+/// conflicts charge [`BudgetSite::Conflict`], and the final enumeration
+/// charges [`BudgetSite::Model`]. The search keeps `hi` feasible throughout
 /// (radius `n` always is, given satisfiable `μ`), so interrupting the
 /// binary search still yields models within a sound upper-bound radius —
 /// a superset of the optimal fit, reported as [`Quality::UpperBound`].
@@ -337,39 +292,12 @@ pub fn odist_fitting_sat_budgeted(
     let n = n_vars;
     if psi_models.is_empty() {
         // (A2): unsatisfiable knowledge base fits nothing.
-        return Some(SatOutcome::new(
-            None,
-            ModelSet::empty(n),
-            Quality::Exact,
-            budget,
-        ));
+        return Some(SatOutcome::empty(n, Quality::Exact, budget));
     }
-    let mu_cnf = to_clauses(mu, n);
-    let mut solver = Solver::new();
-    arm_solver(&mut solver, budget);
-    solver.ensure_vars(n);
-    add_cnf_remapped(&mut solver, &mu_cnf, |v| v);
-    match solver.solve() {
-        SolveResult::Unsat => {
-            record_solver(&solver);
-            return Some(SatOutcome::new(
-                None,
-                ModelSet::empty(n),
-                Quality::Exact,
-                budget,
-            ));
-        }
-        SolveResult::Interrupted => {
-            record_solver(&solver);
-            return Some(SatOutcome::new(
-                None,
-                ModelSet::empty(n),
-                Quality::Interrupted,
-                budget,
-            ));
-        }
-        SolveResult::Sat => {}
-    }
+    let mut solver = match satisfiable_mu(mu, n, budget) {
+        Ok(solver) => solver,
+        Err(out) => return Some(out),
+    };
 
     // One ladder per ψ-model J, over the literals "x_v differs from J_v".
     let ladders: Vec<CardinalityLadder> = psi_models
@@ -407,45 +335,11 @@ pub fn odist_fitting_sat_budgeted(
         }
     }
     arbitrex_sat::telemetry::CARD_BINSEARCH_STEPS.add(steps);
-    // Lock the best feasible radius found and enumerate. After a trip the
-    // budget is sticky-exhausted, so the degraded materialization runs
-    // uncharged (still capped by `model_limit`).
-    let unlimited = Budget::unlimited();
-    let enum_budget = if tripped {
-        solver.set_budget(None);
-        &unlimited
-    } else {
-        budget
-    };
+    // Lock the best feasible radius found.
     for ladder in &ladders {
         ladder.assert_at_most(&mut solver, hi);
     }
-    let res = enumerate_models_budgeted(
-        &mut solver,
-        n,
-        AllSatLimit::AtMost(model_limit),
-        enum_budget,
-    );
-    record_solver(&solver);
-    let models = ModelSet::new(n, res.models.into_iter().map(Interp));
-    let distance = Some(hi as u32);
-    match res.status {
-        EnumStatus::LimitExceeded => None,
-        EnumStatus::Complete => {
-            let quality = if tripped {
-                Quality::UpperBound
-            } else {
-                Quality::Exact
-            };
-            Some(SatOutcome::new(distance, models, quality, budget))
-        }
-        EnumStatus::Interrupted(_) => Some(SatOutcome::new(
-            distance,
-            models,
-            Quality::Interrupted,
-            budget,
-        )),
-    }
+    enumerate_within(solver, n, Some(hi as u32), !tripped, model_limit, budget)
 }
 
 /// Weighted model-fitting via SAT, for a weighted knowledge base given as
@@ -481,40 +375,13 @@ pub fn wdist_fitting_sat_budgeted(
         .collect();
     if support.is_empty() {
         // (F2): unsatisfiable ψ̃ fits nothing.
-        return Some(SatOutcome::new(
-            None,
-            ModelSet::empty(n),
-            Quality::Exact,
-            budget,
-        ));
+        return Some(SatOutcome::empty(n, Quality::Exact, budget));
     }
     let g = support.iter().fold(0u64, |acc, &(_, w)| gcd(acc, w));
-    let mu_cnf = to_clauses(mu, n);
-    let mut solver = Solver::new();
-    arm_solver(&mut solver, budget);
-    solver.ensure_vars(n);
-    add_cnf_remapped(&mut solver, &mu_cnf, |v| v);
-    match solver.solve() {
-        SolveResult::Unsat => {
-            record_solver(&solver);
-            return Some(SatOutcome::new(
-                None,
-                ModelSet::empty(n),
-                Quality::Exact,
-                budget,
-            ));
-        }
-        SolveResult::Interrupted => {
-            record_solver(&solver);
-            return Some(SatOutcome::new(
-                None,
-                ModelSet::empty(n),
-                Quality::Interrupted,
-                budget,
-            ));
-        }
-        SolveResult::Sat => {}
-    }
+    let mut solver = match satisfiable_mu(mu, n, budget) {
+        Ok(solver) => solver,
+        Err(out) => return Some(out),
+    };
     // The weighted multiset of difference literals.
     let mut diff_lits: Vec<Lit> = Vec::new();
     for &(j, w) in &support {
@@ -527,56 +394,18 @@ pub fn wdist_fitting_sat_budgeted(
         }
     }
     let bound = match minimize_true_count_budgeted(&mut solver, &diff_lits, budget) {
+        MinimizeOutcome::Bound(b) => b,
         // The solver was satisfiable above, so Unsat here can only mean an
         // interrupted re-solve under a sticky-tripped budget; either way
         // there is no incumbent to report.
         MinimizeOutcome::Unsat | MinimizeOutcome::Interrupted(_) => {
             record_solver(&solver);
-            return Some(SatOutcome::new(
-                None,
-                ModelSet::empty(n),
-                Quality::Interrupted,
-                budget,
-            ));
+            return Some(SatOutcome::empty(n, Quality::Interrupted, budget));
         }
-        MinimizeOutcome::Bound(b) => b,
-    };
-    // As in the Dalal backend: after a trip the degraded materialization
-    // runs uncharged, still capped by `model_limit`.
-    let unlimited = Budget::unlimited();
-    let enum_budget = if bound.is_exact() {
-        budget
-    } else {
-        solver.set_budget(None);
-        &unlimited
     };
     bound.ladder.assert_at_most(&mut solver, bound.k);
-    let res = enumerate_models_budgeted(
-        &mut solver,
-        n,
-        AllSatLimit::AtMost(model_limit),
-        enum_budget,
-    );
-    record_solver(&solver);
-    let models = ModelSet::new(n, res.models.into_iter().map(Interp));
     let distance = Some(bound.k as u32);
-    match res.status {
-        EnumStatus::LimitExceeded => None,
-        EnumStatus::Complete => {
-            let quality = if bound.is_exact() {
-                Quality::Exact
-            } else {
-                Quality::UpperBound
-            };
-            Some(SatOutcome::new(distance, models, quality, budget))
-        }
-        EnumStatus::Interrupted(_) => Some(SatOutcome::new(
-            distance,
-            models,
-            Quality::Interrupted,
-            budget,
-        )),
-    }
+    enumerate_within(solver, n, distance, bound.is_exact(), model_limit, budget)
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -625,7 +454,8 @@ mod tests {
             let psi = parse(&mut sig, p).unwrap();
             let mu = parse(&mut sig, m).unwrap();
             let n = sig.width();
-            let sat = dalal_revision_sat(&psi, &mu, n, 10_000).unwrap();
+            let sat =
+                dalal_revision_sat_budgeted(&psi, &mu, n, 10_000, &Budget::unlimited()).unwrap();
             let reference = DalalRevision.apply(
                 &ModelSet::of_formula(&psi, n),
                 &ModelSet::of_formula(&mu, n),
@@ -640,7 +470,7 @@ mod tests {
         let psi = parse(&mut sig, "A & !A").unwrap();
         let mu = parse(&mut sig, "A | B").unwrap();
         let n = sig.width();
-        let sat = dalal_revision_sat(&psi, &mu, n, 100).unwrap();
+        let sat = dalal_revision_sat_budgeted(&psi, &mu, n, 100, &Budget::unlimited()).unwrap();
         assert_eq!(sat.distance, None);
         assert_eq!(sat.models, ModelSet::of_formula(&mu, n));
     }
@@ -651,7 +481,7 @@ mod tests {
         let psi = parse(&mut sig, "A").unwrap();
         let mu = parse(&mut sig, "B & !B").unwrap();
         let n = sig.width();
-        let sat = dalal_revision_sat(&psi, &mu, n, 100).unwrap();
+        let sat = dalal_revision_sat_budgeted(&psi, &mu, n, 100, &Budget::unlimited()).unwrap();
         assert!(sat.models.is_empty());
     }
 
@@ -661,7 +491,7 @@ mod tests {
         let psi = parse(&mut sig, "A & B & C & D").unwrap();
         let mu = parse(&mut sig, "!A & !B").unwrap();
         let n = sig.width();
-        let sat = dalal_revision_sat(&psi, &mu, n, 100).unwrap();
+        let sat = dalal_revision_sat_budgeted(&psi, &mu, n, 100, &Budget::unlimited()).unwrap();
         assert_eq!(sat.distance, Some(2));
     }
 
@@ -673,7 +503,8 @@ mod tests {
         sig.var("Q");
         let mu = parse(&mut sig, "(!S & D & !Q) | (S & D & !Q)").unwrap();
         let psi_models = [Interp(0b001), Interp(0b010), Interp(0b111)];
-        let sat = odist_fitting_sat(&psi_models, &mu, 3, 100).unwrap();
+        let sat =
+            odist_fitting_sat_budgeted(&psi_models, &mu, 3, 100, &Budget::unlimited()).unwrap();
         assert_eq!(sat.distance, Some(1));
         assert_eq!(sat.models.as_singleton(), Some(Interp(0b011)));
     }
@@ -684,7 +515,8 @@ mod tests {
         let mu = parse(&mut sig, "(A | B) & (C -> A)").unwrap();
         let n = sig.width();
         let psi_models = [Interp(0b000), Interp(0b111), Interp(0b010)];
-        let sat = odist_fitting_sat(&psi_models, &mu, n, 1000).unwrap();
+        let sat =
+            odist_fitting_sat_budgeted(&psi_models, &mu, n, 1000, &Budget::unlimited()).unwrap();
         let reference =
             OdistFitting.apply(&ModelSet::new(n, psi_models), &ModelSet::of_formula(&mu, n));
         assert_eq!(sat.models, reference);
@@ -694,7 +526,7 @@ mod tests {
     fn odist_sat_empty_psi_is_a2() {
         let mut sig = Sig::new();
         let mu = parse(&mut sig, "A").unwrap();
-        let sat = odist_fitting_sat(&[], &mu, 1, 10).unwrap();
+        let sat = odist_fitting_sat_budgeted(&[], &mu, 1, 10, &Budget::unlimited()).unwrap();
         assert!(sat.models.is_empty());
     }
 
@@ -768,34 +600,14 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_sat_backends_unconstrained_match_legacy() {
-        let mut sig = Sig::new();
-        let psi = parse(&mut sig, "A & B & C").unwrap();
-        let mu = parse(&mut sig, "!C").unwrap();
-        let n = sig.width();
-        let legacy = dalal_revision_sat(&psi, &mu, n, 1000).unwrap();
-        let out = dalal_revision_sat_budgeted(&psi, &mu, n, 1000, &Budget::unlimited()).unwrap();
-        assert!(out.is_exact());
-        assert_eq!(out.distance, legacy.distance);
-        assert_eq!(out.models, legacy.models);
-
-        let psi_models = [Interp(0b000), Interp(0b111), Interp(0b010)];
-        let legacy = odist_fitting_sat(&psi_models, &mu, n, 1000).unwrap();
-        let out =
-            odist_fitting_sat_budgeted(&psi_models, &mu, n, 1000, &Budget::unlimited()).unwrap();
-        assert!(out.is_exact());
-        assert_eq!(out.distance, legacy.distance);
-        assert_eq!(out.models, legacy.models);
-    }
-
-    #[test]
     fn budgeted_odist_sat_ladder_fault_degrades_to_upper_bound() {
         use crate::budget::{BudgetSite, FaultPlan};
         let mut sig = Sig::new();
         let mu = parse(&mut sig, "(A | B) & (C -> A)").unwrap();
         let n = sig.width();
         let psi_models = [Interp(0b000), Interp(0b111), Interp(0b010)];
-        let exact = odist_fitting_sat(&psi_models, &mu, n, 1000).unwrap();
+        let exact =
+            odist_fitting_sat_budgeted(&psi_models, &mu, n, 1000, &Budget::unlimited()).unwrap();
         // Trip the radius binary search on its first step: the locked
         // radius stays at the initial feasible hi = n, so every model of μ
         // is enumerated — a superset of the optimal fit.
@@ -815,7 +627,7 @@ mod tests {
         let psi = parse(&mut sig, "A & B").unwrap();
         let mu = parse(&mut sig, "!A | !B").unwrap();
         let n = sig.width();
-        let exact = dalal_revision_sat(&psi, &mu, n, 1000).unwrap();
+        let exact = dalal_revision_sat_budgeted(&psi, &mu, n, 1000, &Budget::unlimited()).unwrap();
         assert!(exact.models.len() > 1, "need ties for a mid-AllSAT trip");
         // Trip after the first enumerated model: a strict subset survives.
         let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Model, 1));
@@ -840,7 +652,7 @@ mod tests {
             .join(" & ");
         let psi = parse(&mut sig, &psi_text).unwrap();
         let mu = parse(&mut sig, "!v0 & !v1").unwrap();
-        let sat = dalal_revision_sat(&psi, &mu, n, 10).unwrap();
+        let sat = dalal_revision_sat_budgeted(&psi, &mu, n, 10, &Budget::unlimited()).unwrap();
         assert_eq!(sat.distance, Some(2));
         // The unique optimum: everything true except v0, v1.
         assert_eq!(sat.models.len(), 1);

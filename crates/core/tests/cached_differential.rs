@@ -168,8 +168,9 @@ fn check_all(cache: &OpCache, q: &Query, what: &str) -> [Option<CacheStatus>; 4]
     );
     let mut s4 = None;
     if !mp.is_empty() && !mf.is_empty() {
-        let (w, s) = cached_warbitrate(cache, psi, *wp, phi, *wf, n, &b).unwrap();
-        let want = naive::warbitrate(&weighted(psi, *wp, n), &weighted(phi, *wf, n));
+        let (psi_w, phi_w) = (weighted(psi, *wp, n), weighted(phi, *wf, n));
+        let (w, s) = cached_warbitrate(cache, &psi_w, &phi_w, &b).unwrap();
+        let want = naive::warbitrate(&psi_w, &phi_w);
         assert!(w.kb.equivalent(&want), "warbitrate {what}");
         s4 = Some(s);
     }

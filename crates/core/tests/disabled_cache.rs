@@ -78,12 +78,11 @@ fn disabled_cache_answers_and_counts_as_before() {
             assert_eq!(out.models, fit.models);
         }
 
-        let ((out, status), c) =
-            deltas(|| cached_warbitrate(&cache, p, 3, m, 1, n, budget).unwrap());
+        let wp = arbitrex_core::cache::weighted_side(p, 3, n);
+        let wm = arbitrex_core::cache::weighted_side(m, 1, n);
+        let ((out, status), c) = deltas(|| cached_warbitrate(&cache, &wp, &wm, budget).unwrap());
         expect_bypass(format!("cached_warbitrate {label}"), out.quality, status, c);
         if out.quality == Quality::Exact {
-            let wp = arbitrex_core::cache::weighted_side(p, 3, n);
-            let wm = arbitrex_core::cache::weighted_side(m, 1, n);
             let want = try_warbitrate_with_budget(&wp, &wm, &exact).unwrap();
             assert!(out.kb.equivalent(&want.kb));
         }

@@ -19,6 +19,27 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl ParseError {
+    /// The error for an identifier at `position` that would be variable
+    /// `MAX_VARS + 1`.
+    pub(crate) fn too_many_vars(position: usize) -> ParseError {
+        ParseError {
+            position,
+            message: too_many_vars_message(),
+        }
+    }
+
+    /// Did the input name more variables than an interpretation holds
+    /// ([`crate::MAX_VARS`])? Such an input is too wide, not malformed.
+    pub fn is_too_many_vars(&self) -> bool {
+        self.message == too_many_vars_message()
+    }
+}
+
+fn too_many_vars_message() -> String {
+    format!("more than {} variables", crate::MAX_VARS)
+}
+
 /// Errors raised by semantic operations in the logic kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogicError {

@@ -340,7 +340,10 @@ impl<'s> Parser<'_, 's> {
             }
             TokKind::Ident(name) => {
                 self.pos += 1;
-                Ok(Formula::Var(self.sig.var(name)))
+                match self.sig.try_var(name) {
+                    Some(v) => Ok(Formula::Var(v)),
+                    None => Err(ParseError::too_many_vars(tok.position)),
+                }
             }
             TokKind::LParen => {
                 self.pos += 1;
@@ -489,6 +492,18 @@ mod tests {
             let e = parse(&mut sig, &input).unwrap_err();
             assert!(e.message.contains("depth"), "{}", e.message);
         }
+    }
+
+    #[test]
+    fn a_sixty_fifth_variable_is_an_error_not_a_panic() {
+        let names: Vec<String> = (0..65).map(|i| format!("v{i}")).collect();
+        let mut sig = Sig::new();
+        assert!(parse(&mut sig, &names[..64].join(" & ")).is_ok());
+        let e = parse(&mut sig, &names.join(" | ")).unwrap_err();
+        assert!(e.is_too_many_vars(), "{e}");
+        assert_eq!(e.position, names[..64].join(" | ").len() + 3);
+        // Syntax errors are not mistaken for width errors.
+        assert!(!parse(&mut sig, "v0 &").unwrap_err().is_too_many_vars());
     }
 
     #[test]

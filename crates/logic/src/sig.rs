@@ -44,17 +44,23 @@ impl Sig {
     /// # Panics
     /// Panics if interning a fresh name would exceed [`MAX_VARS`].
     pub fn var(&mut self, name: &str) -> Var {
+        self.try_var(name)
+            .unwrap_or_else(|| panic!("signature limited to {MAX_VARS} variables"))
+    }
+
+    /// Intern `name` like [`Sig::var`], or `None` when the name is fresh
+    /// and the signature already holds [`MAX_VARS`] variables.
+    pub fn try_var(&mut self, name: &str) -> Option<Var> {
         if let Some(&v) = self.index.get(name) {
-            return v;
+            return Some(v);
         }
-        assert!(
-            self.names.len() < MAX_VARS,
-            "signature limited to {MAX_VARS} variables"
-        );
+        if self.names.len() == MAX_VARS {
+            return None;
+        }
         let v = Var(self.names.len() as u32);
         self.names.push(name.to_string());
         self.index.insert(name.to_string(), v);
-        v
+        Some(v)
     }
 
     /// Look up a name without interning.

@@ -8,7 +8,7 @@
 
 use crate::lit::Lit;
 use crate::solver::{SolveResult, Solver};
-use arbitrex_telemetry::budget::{Budget, BudgetSite, Exhausted, TripReason};
+use arbitrex_telemetry::budget::{Budget, BudgetSite, Exhausted};
 
 /// Bound on enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,15 +41,6 @@ pub struct EnumResult {
     pub status: EnumStatus,
 }
 
-/// The trip behind a [`SolveResult::Interrupted`]: the shared budget's
-/// record when there is one, else the legacy per-solver conflict budget.
-pub(crate) fn solver_trip(budget: &Budget) -> Exhausted {
-    budget.tripped().unwrap_or(Exhausted {
-        site: BudgetSite::Conflict,
-        reason: TripReason::Conflicts,
-    })
-}
-
 /// Enumerate the models of the solver's clause set projected onto variables
 /// `0..project_vars`, as bitmasks (bit `v` = variable `v` true).
 ///
@@ -57,34 +48,19 @@ pub(crate) fn solver_trip(budget: &Budget) -> Exhausted {
 /// variables, so models that agree on the projection are reported once.
 /// Blocking clauses stay in the solver — pass a dedicated solver instance.
 ///
-/// Returns the sorted list of projected models, or `None` if the limit was
-/// hit before enumeration finished (partial results are discarded so callers
-/// can't mistake a truncation for the full set). If the solver carries its
-/// own budget (via [`Solver::set_budget`] / [`Solver::set_conflict_budget`])
-/// an interruption also reports `None`; use [`enumerate_models_budgeted`]
-/// to keep the partial subset instead.
-pub fn enumerate_models(
-    solver: &mut Solver,
-    project_vars: u32,
-    limit: AllSatLimit,
-) -> Option<Vec<u64>> {
-    let result = enumerate_models_budgeted(solver, project_vars, limit, &Budget::unlimited());
-    match result.status {
-        EnumStatus::Complete => Some(result.models),
-        EnumStatus::LimitExceeded | EnumStatus::Interrupted(_) => None,
-    }
-}
-
-/// Budgeted AllSAT: like [`enumerate_models`], but each model found is
-/// charged to [`BudgetSite::Model`] on `budget`, and instead of discarding
-/// partial progress the result carries the models found so far together
-/// with a typed [`EnumStatus`]. An `Interrupted` status means the returned
-/// set is a *subset* of the projected models — never a superset — so the
-/// degradation direction is well-defined.
+/// Each model found is charged to [`BudgetSite::Model`] on `budget`; pass
+/// [`Budget::unlimited`] for a plain enumeration. The result carries the
+/// sorted models found so far together with a typed [`EnumStatus`]: only
+/// `Complete` means the set is whole. An `Interrupted` status means the
+/// returned set is a *subset* of the projected models — never a superset —
+/// so the degradation direction is well-defined.
 ///
 /// The budget governs the enumeration loop itself; to also interrupt the
 /// individual SAT solves, attach (a clone of) the same budget to the
 /// solver with [`Solver::set_budget`].
+///
+/// # Panics
+/// Panics if `project_vars` exceeds 64 or the solver's variable count.
 pub fn enumerate_models_budgeted(
     solver: &mut Solver,
     project_vars: u32,
@@ -98,7 +74,7 @@ pub fn enumerate_models_budgeted(
     let mut status = loop {
         match solver.solve() {
             SolveResult::Unsat => break EnumStatus::Complete,
-            SolveResult::Interrupted => break EnumStatus::Interrupted(solver_trip(budget)),
+            SolveResult::Interrupted => break EnumStatus::Interrupted(solver.trip()),
             SolveResult::Sat => {
                 let mut bits = 0u64;
                 let mut blocking: Vec<Lit> = Vec::with_capacity(project_vars as usize);
@@ -160,18 +136,25 @@ mod tests {
         s
     }
 
+    /// Every projected model, asserting the enumeration ran to completion.
+    fn all_models(s: &mut Solver, project_vars: u32, limit: AllSatLimit) -> Vec<u64> {
+        let r = enumerate_models_budgeted(s, project_vars, limit, &Budget::unlimited());
+        assert_eq!(r.status, EnumStatus::Complete);
+        r.models
+    }
+
     #[test]
     fn enumerates_all_models_of_small_formula() {
         // x1 ∨ x2 over 2 vars: 3 models.
         let mut s = solver_with(2, &[&[1, 2]]);
-        let models = enumerate_models(&mut s, 2, AllSatLimit::Unlimited).unwrap();
+        let models = all_models(&mut s, 2, AllSatLimit::Unlimited);
         assert_eq!(models, vec![0b01, 0b10, 0b11]);
     }
 
     #[test]
     fn unsat_formula_has_no_models() {
         let mut s = solver_with(1, &[&[1], &[-1]]);
-        let models = enumerate_models(&mut s, 1, AllSatLimit::Unlimited).unwrap();
+        let models = all_models(&mut s, 1, AllSatLimit::Unlimited);
         assert!(models.is_empty());
     }
 
@@ -179,7 +162,7 @@ mod tests {
     fn free_variables_double_the_count() {
         // Clause only on x1; x2 free => models {1}, {1,2} projected on both.
         let mut s = solver_with(2, &[&[1]]);
-        let models = enumerate_models(&mut s, 2, AllSatLimit::Unlimited).unwrap();
+        let models = all_models(&mut s, 2, AllSatLimit::Unlimited);
         assert_eq!(models, vec![0b01, 0b11]);
     }
 
@@ -187,23 +170,24 @@ mod tests {
     fn projection_merges_agreeing_models() {
         // x2 free, project only on x1: one projected model.
         let mut s = solver_with(2, &[&[1]]);
-        let models = enumerate_models(&mut s, 1, AllSatLimit::Unlimited).unwrap();
+        let models = all_models(&mut s, 1, AllSatLimit::Unlimited);
         assert_eq!(models, vec![0b1]);
     }
 
     #[test]
-    fn limit_truncation_returns_none() {
+    fn limit_truncation_is_reported() {
         let mut s = solver_with(3, &[]); // 8 models
-        assert_eq!(enumerate_models(&mut s, 3, AllSatLimit::AtMost(4)), None);
+        let r = enumerate_models_budgeted(&mut s, 3, AllSatLimit::AtMost(4), &Budget::unlimited());
+        assert_eq!(r.status, EnumStatus::LimitExceeded);
         let mut s = solver_with(3, &[]);
-        let all = enumerate_models(&mut s, 3, AllSatLimit::AtMost(8)).unwrap();
+        let all = all_models(&mut s, 3, AllSatLimit::AtMost(8));
         assert_eq!(all.len(), 8);
     }
 
     #[test]
     fn zero_projection_vars() {
         let mut s = solver_with(2, &[&[1, 2]]);
-        let models = enumerate_models(&mut s, 0, AllSatLimit::Unlimited).unwrap();
+        let models = all_models(&mut s, 0, AllSatLimit::Unlimited);
         assert_eq!(models, vec![0]);
     }
 
@@ -221,7 +205,7 @@ mod tests {
 
     #[test]
     fn budgeted_fault_mid_allsat_trips_deterministically() {
-        use arbitrex_telemetry::budget::FaultPlan;
+        use arbitrex_telemetry::budget::{FaultPlan, TripReason};
         let mut s = solver_with(3, &[]);
         let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Model, 2));
         let r = enumerate_models_budgeted(&mut s, 3, AllSatLimit::Unlimited, &budget);
@@ -268,7 +252,7 @@ mod tests {
     fn tseitin_style_aux_vars_are_projected_away() {
         // x3 defined as x1 ∧ x2 (aux); formula asserts x3.
         let mut s = solver_with(3, &[&[-3, 1], &[-3, 2], &[-1, -2, 3], &[3]]);
-        let models = enumerate_models(&mut s, 2, AllSatLimit::Unlimited).unwrap();
+        let models = all_models(&mut s, 2, AllSatLimit::Unlimited);
         assert_eq!(models, vec![0b11]);
     }
 }

@@ -38,9 +38,7 @@ pub mod optimize;
 pub mod solver;
 pub mod telemetry;
 
-pub use allsat::{
-    enumerate_models, enumerate_models_budgeted, AllSatLimit, EnumResult, EnumStatus,
-};
+pub use allsat::{enumerate_models_budgeted, AllSatLimit, EnumResult, EnumStatus};
 pub use arbitrex_telemetry::budget::{
     Budget, BudgetSite, BudgetSpent, CancelToken, Exhausted, FaultPlan, TripReason,
 };
@@ -49,7 +47,5 @@ pub use dimacs::{parse_dimacs, write_dimacs};
 pub use error::DimacsError;
 pub use lit::{LBool, Lit};
 pub use luby::luby;
-pub use optimize::{
-    minimize_true_count, minimize_true_count_budgeted, MinimizeBound, MinimizeOutcome,
-};
+pub use optimize::{minimize_true_count_budgeted, MinimizeBound, MinimizeOutcome};
 pub use solver::{SolveResult, Solver, SolverStats};

@@ -6,7 +6,6 @@
 //! a model of `ψ`, minimizing the true count of `{d_i}` computes the minimal
 //! Hamming distance — and the optimal models fall out of the final solve.
 
-use crate::allsat::solver_trip;
 use crate::card::CardinalityLadder;
 use crate::lit::Lit;
 use crate::solver::{SolveResult, Solver};
@@ -50,36 +49,19 @@ pub enum MinimizeOutcome {
 /// true in a model of the solver's clause set, by binary search over an
 /// assumption-driven cardinality ladder.
 ///
-/// Returns `(k, model)` where `model` is a satisfying assignment achieving
-/// exactly the minimum `k` (as a bool-per-variable snapshot covering the
-/// *original* variables present before the ladder was encoded), or `None`
-/// if the clause set is unsatisfiable. If the solver carries its own budget
-/// (via [`Solver::set_budget`] / [`Solver::set_conflict_budget`]) an
-/// interruption also reports `None`; use [`minimize_true_count_budgeted`]
-/// to keep the incumbent bound instead.
-///
-/// The ladder's auxiliary clauses remain in the solver afterwards; the
-/// returned bound can be re-imposed by the caller via
+/// The bound's `model` is a satisfying assignment achieving `k` (as a
+/// bool-per-variable snapshot covering the *original* variables present
+/// before the ladder was encoded). The ladder's auxiliary clauses remain in
+/// the solver afterwards; the bound can be re-imposed by the caller via
 /// [`CardinalityLadder::assert_at_most`] on the returned ladder.
-pub fn minimize_true_count(
-    solver: &mut Solver,
-    targets: &[Lit],
-) -> Option<(usize, Vec<bool>, CardinalityLadder)> {
-    match minimize_true_count_budgeted(solver, targets, &Budget::unlimited()) {
-        MinimizeOutcome::Bound(b) if b.is_exact() => Some((b.k, b.model, b.ladder)),
-        MinimizeOutcome::Unsat => None,
-        // Only reachable when the *solver* was budgeted by the caller.
-        MinimizeOutcome::Bound(_) | MinimizeOutcome::Interrupted(_) => None,
-    }
-}
-
-/// Budgeted cardinality minimization: like [`minimize_true_count`], but
-/// each binary-search step is charged to [`BudgetSite::LadderStep`] on
-/// `budget`, and exhaustion degrades gracefully — the best *incumbent*
-/// bound found so far is returned (flagged inexact) instead of the search
-/// aborting. Because every incumbent is feasible, an inexact `k` is always
-/// an upper bound on the true minimum: the models within distance `k`
-/// are a superset of the optimal ones.
+///
+/// Each binary-search step is charged to [`BudgetSite::LadderStep`] on
+/// `budget` (pass [`Budget::unlimited`] for an exact search), and
+/// exhaustion degrades gracefully — the best *incumbent* bound found so far
+/// is returned (flagged inexact) instead of the search aborting. Because
+/// every incumbent is feasible, an inexact `k` is always an upper bound on
+/// the true minimum: the models within distance `k` are a superset of the
+/// optimal ones.
 ///
 /// The budget governs the binary search itself; to also interrupt the
 /// individual SAT solves, attach (a clone of) the same budget to the
@@ -92,7 +74,7 @@ pub fn minimize_true_count_budgeted(
     let n_original = solver.num_vars();
     match solver.solve() {
         SolveResult::Unsat => return MinimizeOutcome::Unsat,
-        SolveResult::Interrupted => return MinimizeOutcome::Interrupted(solver_trip(budget)),
+        SolveResult::Interrupted => return MinimizeOutcome::Interrupted(solver.trip()),
         SolveResult::Sat => {}
     }
     let count_in_model = |s: &Solver| {
@@ -139,7 +121,7 @@ pub fn minimize_true_count_budgeted(
                 lo = mid + 1;
             }
             SolveResult::Interrupted => {
-                trip = Some(solver_trip(budget));
+                trip = Some(solver.trip());
                 break;
             }
         }
@@ -157,13 +139,17 @@ pub fn minimize_true_count_budgeted(
 mod tests {
     use super::*;
 
-    #[test]
-    fn unsat_returns_none() {
-        let mut s = Solver::new();
-        s.ensure_vars(1);
-        s.add_dimacs_clause(&[1]);
-        s.add_dimacs_clause(&[-1]);
-        assert!(minimize_true_count(&mut s, &[Lit::pos(0)]).is_none());
+    /// The exact minimum `(k, model, ladder)` under an unlimited budget,
+    /// `None` when the clause set is unsatisfiable.
+    fn exact_min(s: &mut Solver, targets: &[Lit]) -> Option<(usize, Vec<bool>, CardinalityLadder)> {
+        match minimize_true_count_budgeted(s, targets, &Budget::unlimited()) {
+            MinimizeOutcome::Bound(b) => {
+                assert!(b.is_exact());
+                Some((b.k, b.model, b.ladder))
+            }
+            MinimizeOutcome::Unsat => None,
+            MinimizeOutcome::Interrupted(trip) => panic!("unlimited budget tripped: {trip:?}"),
+        }
     }
 
     #[test]
@@ -172,7 +158,7 @@ mod tests {
         s.ensure_vars(3);
         s.add_dimacs_clause(&[1, 2, 3]);
         // x0 can be false: min true count of {x0} is 0.
-        let (k, model, _) = minimize_true_count(&mut s, &[Lit::pos(0)]).unwrap();
+        let (k, model, _) = exact_min(&mut s, &[Lit::pos(0)]).unwrap();
         assert_eq!(k, 0);
         assert!(!model[0]);
     }
@@ -185,7 +171,7 @@ mod tests {
         s.add_dimacs_clause(&[1]);
         s.add_dimacs_clause(&[2, 3]);
         let targets = [Lit::pos(0), Lit::pos(1), Lit::pos(2)];
-        let (k, model, _) = minimize_true_count(&mut s, &targets).unwrap();
+        let (k, model, _) = exact_min(&mut s, &targets).unwrap();
         assert_eq!(k, 2);
         assert!(model[0]);
         assert!(model[1] ^ model[2] || (model[1] != model[2]));
@@ -203,7 +189,7 @@ mod tests {
             }
         }
         let targets: Vec<Lit> = (0..4).map(Lit::pos).collect();
-        let (k, model, _) = minimize_true_count(&mut s, &targets).unwrap();
+        let (k, model, _) = exact_min(&mut s, &targets).unwrap();
         assert_eq!(k, 1);
         assert_eq!(model.iter().filter(|&&b| b).count(), 1);
     }
@@ -215,7 +201,7 @@ mod tests {
         s.ensure_vars(2);
         s.add_dimacs_clause(&[1, 2]);
         let targets = [Lit::neg_on(0), Lit::neg_on(1)];
-        let (k, model, _) = minimize_true_count(&mut s, &targets).unwrap();
+        let (k, model, _) = exact_min(&mut s, &targets).unwrap();
         assert_eq!(k, 0);
         assert!(model[0] && model[1]);
     }
@@ -225,7 +211,7 @@ mod tests {
         let mut s = Solver::new();
         s.ensure_vars(2);
         s.add_dimacs_clause(&[1]);
-        let (k, model, _) = minimize_true_count(&mut s, &[]).unwrap();
+        let (k, model, _) = exact_min(&mut s, &[]).unwrap();
         assert_eq!(k, 0);
         assert!(model[0]);
     }
@@ -259,22 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_unlimited_matches_legacy() {
-        let mut s = Solver::new();
-        s.ensure_vars(3);
-        s.add_dimacs_clause(&[1, 2]);
-        s.add_dimacs_clause(&[2, 3]);
-        let targets: Vec<Lit> = (0..3).map(Lit::pos).collect();
-        match minimize_true_count_budgeted(&mut s, &targets, &Budget::unlimited()) {
-            MinimizeOutcome::Bound(b) => {
-                assert!(b.is_exact());
-                assert_eq!(b.k, 1);
-            }
-            other => panic!("expected exact Bound, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn budgeted_unsat_is_typed() {
         let mut s = Solver::new();
         s.ensure_vars(1);
@@ -293,7 +263,7 @@ mod tests {
         s.add_dimacs_clause(&[1, 2]);
         s.add_dimacs_clause(&[2, 3]);
         let targets: Vec<Lit> = (0..3).map(Lit::pos).collect();
-        let (k, _, ladder) = minimize_true_count(&mut s, &targets).unwrap();
+        let (k, _, ladder) = exact_min(&mut s, &targets).unwrap();
         assert_eq!(k, 1); // x1 alone satisfies both clauses
         ladder.assert_at_most(&mut s, k);
         // Now x1 is effectively forced: check by assuming ¬x1.

@@ -5,7 +5,7 @@
 use crate::heap::ActivityHeap;
 use crate::lit::{LBool, Lit};
 use crate::luby::luby;
-use arbitrex_telemetry::budget::{Budget, BudgetSite};
+use arbitrex_telemetry::budget::{Budget, BudgetSite, Exhausted};
 
 /// Result of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,11 +14,10 @@ pub enum SolveResult {
     Sat,
     /// The clause set (under the given assumptions) is unsatisfiable.
     Unsat,
-    /// The solve was interrupted by an exhausted resource budget (either a
-    /// per-call conflict budget from [`Solver::set_conflict_budget`] or a
-    /// shared [`Budget`] from [`Solver::set_budget`]) before reaching a
-    /// verdict. Neither satisfiability nor unsatisfiability was
-    /// established; the solver state remains valid for further calls.
+    /// The solve was interrupted by the exhausted [`Budget`] attached with
+    /// [`Solver::set_budget`] before reaching a verdict. Neither
+    /// satisfiability nor unsatisfiability was established; the solver
+    /// state remains valid for further calls.
     Interrupted,
 }
 
@@ -90,8 +89,6 @@ pub struct Solver {
     stats: SolverStats,
     n_learnt: usize,
     max_learnt: f64,
-    /// Hard conflict budget for a single `solve` call (None = unlimited).
-    conflict_budget: Option<u64>,
     budget: Option<Budget>,
     /// Subset of the last call's assumptions responsible for UNSAT.
     conflict_core: Vec<Lit>,
@@ -126,7 +123,6 @@ impl Solver {
             stats: SolverStats::default(),
             n_learnt: 0,
             max_learnt: 0.0,
-            conflict_budget: None,
             budget: None,
             conflict_core: Vec::new(),
         }
@@ -147,23 +143,26 @@ impl Solver {
         self.stats
     }
 
-    /// Limit the total number of conflicts `solve` calls may spend.
-    /// Exceeding the budget makes `solve` return
-    /// [`SolveResult::Interrupted`] instead of a verdict (it used to
-    /// panic); the solver stays usable — raise or clear the budget and
-    /// solve again.
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.conflict_budget = budget;
-    }
-
     /// Attach a shared execution [`Budget`]: every conflict is charged to
     /// [`BudgetSite::Conflict`], and an exhausted budget makes `solve`
-    /// return [`SolveResult::Interrupted`]. Unlike [`Solver::set_conflict_budget`]
-    /// the budget is shared — clones of it govern other solvers and kernel
-    /// scans of the same operator application, and deadlines/cancellation
-    /// trip here too.
+    /// return [`SolveResult::Interrupted`]; the solver stays usable —
+    /// detach the budget and solve again. A conflict cap is
+    /// [`Budget::with_conflict_limit`]. The budget is shared: clones of it
+    /// govern other solvers and kernel scans of the same operator
+    /// application, and deadlines/cancellation trip here too.
     pub fn set_budget(&mut self, budget: Option<Budget>) {
         self.budget = budget;
+    }
+
+    /// The trip behind a [`SolveResult::Interrupted`]: only the attached
+    /// budget interrupts a solve, so its record names the cause.
+    pub(crate) fn trip(&self) -> Exhausted {
+        // invariant: `solve` returns Interrupted only once the attached
+        // budget has tripped, and a trip is sticky.
+        self.budget
+            .as_ref()
+            .and_then(Budget::tripped)
+            .expect("an interrupted solve has a tripped budget")
     }
 
     /// Create a fresh variable and return its index.
@@ -610,11 +609,6 @@ impl Solver {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_here += 1;
-                if let Some(max) = self.conflict_budget {
-                    if self.stats.conflicts > max {
-                        return Some(SolveResult::Interrupted);
-                    }
-                }
                 if let Some(b) = &self.budget {
                     if b.charge(BudgetSite::Conflict, 1).is_err() {
                         return Some(SolveResult::Interrupted);
@@ -1037,19 +1031,9 @@ mod tests {
     }
 
     #[test]
-    fn exceeded_conflict_budget_returns_interrupted_not_panic() {
-        let mut s = pigeonhole(8);
-        s.set_conflict_budget(Some(5));
-        assert_eq!(s.solve(), SolveResult::Interrupted);
-        // The solver stays usable: clear the budget and finish the proof.
-        s.set_conflict_budget(None);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn generous_conflict_budget_still_reaches_a_verdict() {
+    fn generous_conflict_limit_still_reaches_a_verdict() {
         let mut s = pigeonhole(4);
-        s.set_conflict_budget(Some(1_000_000));
+        s.set_budget(Some(Budget::unlimited().with_conflict_limit(1_000_000)));
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 

@@ -32,7 +32,7 @@ pub static LEARNT_CLAUSES: Counter = Counter::new("learnt_clauses");
 /// Sequential-counter cardinality ladders encoded ([`crate::card`]).
 pub static CARD_LADDERS_ENCODED: Counter = Counter::new("card_ladders_encoded");
 /// Solve calls spent binary-searching a cardinality bound — the loop of
-/// [`crate::optimize::minimize_true_count`] and the radius search of the
+/// [`crate::optimize::minimize_true_count_budgeted`] and the radius search of the
 /// odist fitting backend.
 pub static CARD_BINSEARCH_STEPS: Counter = Counter::new("card_binsearch_steps");
 /// Models found during AllSAT enumeration (pre-projection-dedup).

@@ -3,8 +3,8 @@
 //! (offline build); case indices in assertions allow deterministic replay.
 
 use arbitrex_sat::{
-    enumerate_models, minimize_true_count, parse_dimacs, write_dimacs, AllSatLimit,
-    CardinalityLadder, Lit, SolveResult, Solver,
+    enumerate_models_budgeted, minimize_true_count_budgeted, parse_dimacs, write_dimacs,
+    AllSatLimit, Budget, CardinalityLadder, EnumStatus, Lit, MinimizeOutcome, SolveResult, Solver,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -84,8 +84,10 @@ fn allsat_enumerates_exactly_the_brute_force_models() {
         let clauses = gen_clause_set(&mut rng, n, 20);
         let brute = brute_force_models(n, &clauses);
         let mut s = solver_with(n, &clauses);
-        let got = enumerate_models(&mut s, n, AllSatLimit::Unlimited).unwrap();
-        assert_eq!(got, brute, "allsat, case {case}");
+        let got =
+            enumerate_models_budgeted(&mut s, n, AllSatLimit::Unlimited, &Budget::unlimited());
+        assert_eq!(got.status, EnumStatus::Complete, "allsat, case {case}");
+        assert_eq!(got.models, brute, "allsat, case {case}");
     }
 }
 
@@ -120,9 +122,12 @@ fn minimize_true_count_is_optimal() {
         let brute = brute_force_models(n, &clauses);
         let mut s = solver_with(n, &clauses);
         let targets: Vec<Lit> = (0..n).map(Lit::pos).collect();
-        match minimize_true_count(&mut s, &targets) {
-            None => assert!(brute.is_empty(), "spurious UNSAT, case {case}"),
-            Some((k, model, _)) => {
+        match minimize_true_count_budgeted(&mut s, &targets, &Budget::unlimited()) {
+            MinimizeOutcome::Unsat => assert!(brute.is_empty(), "spurious UNSAT, case {case}"),
+            MinimizeOutcome::Interrupted(trip) => panic!("unlimited budget tripped: {trip:?}"),
+            MinimizeOutcome::Bound(bound) => {
+                assert!(bound.is_exact(), "case {case}");
+                let (k, model) = (bound.k, bound.model);
                 let best = brute.iter().map(|b| b.count_ones()).min().unwrap();
                 assert_eq!(k as u32, best, "minimum cardinality, case {case}");
                 let model_bits: u64 = model

@@ -289,7 +289,7 @@ pub fn promote_self(state: &ServiceState) -> Result<Promotion, PromoteError> {
     drop(role);
     if let (Some(head), Some(ring)) = (head, rotated) {
         state.failover.note_deposed(&head);
-        broadcast_ring(state, &ring, &[&head]);
+        broadcast_ring(state, &ring, &[&head], None);
     }
     Ok(Promotion {
         promoted: true,
@@ -325,30 +325,45 @@ pub(crate) fn probe_status(addr: &str) -> Option<StatusView> {
     })
 }
 
-/// The ring-sync broadcast body for `ring` (the same shape
-/// `POST /v1/cluster/{join,leave}` pushes).
-fn sync_body(ring: &ShardRing) -> String {
+/// The `POST /v1/cluster/sync` body for `ring`: the full membership list
+/// plus the epoch, and on a leave the departed node as an extra handoff
+/// `source`.
+fn sync_body(ring: &ShardRing, source: Option<&str>) -> String {
     let members: Vec<Json> = ring.members().iter().map(|m| json::s(m.clone())).collect();
-    json::obj([
-        ("epoch", json::n(ring.epoch())),
-        ("members", Json::Arr(members)),
-    ])
-    .to_text()
+    let mut fields = vec![
+        ("epoch".to_string(), json::n(ring.epoch())),
+        ("members".to_string(), Json::Arr(members)),
+    ];
+    if let Some(src) = source {
+        fields.push(("source".to_string(), json::s(src)));
+    }
+    Json::Obj(fields).to_text()
 }
 
-/// Push `ring` to one peer; `true` when it acked.
-pub(crate) fn push_sync(target: &str, ring: &ShardRing) -> bool {
-    let body = sync_body(ring);
+/// Post a sync `body` to one peer; `true` when it acked.
+fn post_sync(target: &str, body: &str) -> bool {
     PeerClient::connect(target)
-        .and_then(|mut client| client.request("POST", "/v1/cluster/sync", Some(&body)))
+        .and_then(|mut client| client.request("POST", "/v1/cluster/sync", Some(body)))
         .map(|resp| resp.status == 200)
         .unwrap_or(false)
 }
 
+/// Push `ring` to one peer; `true` when it acked.
+pub(crate) fn push_sync(target: &str, ring: &ShardRing) -> bool {
+    post_sync(target, &sync_body(ring, None))
+}
+
 /// Push `ring` to every serving member (plus `extra` — e.g. a deposed
-/// head no longer listed), skipping self. Returns how many acked.
-pub(crate) fn broadcast_ring(state: &ServiceState, ring: &ShardRing, extra: &[&str]) -> u64 {
+/// head, or a node that just left — no longer listed), skipping self, with
+/// `source` in the body. Returns how many acked.
+pub(crate) fn broadcast_ring(
+    state: &ServiceState,
+    ring: &ShardRing,
+    extra: &[&str],
+    source: Option<&str>,
+) -> u64 {
     let self_addr = state.shards.self_addr();
+    let body = sync_body(ring, source);
     let mut targets = ring.serving_addrs();
     for addr in extra {
         if !targets.iter().any(|t| t == addr) {
@@ -357,10 +372,7 @@ pub(crate) fn broadcast_ring(state: &ServiceState, ring: &ShardRing, extra: &[&s
     }
     let mut synced = 0u64;
     for target in targets {
-        if target == self_addr {
-            continue;
-        }
-        if push_sync(&target, ring) {
+        if target != self_addr && post_sync(&target, &body) {
             synced += 1;
         }
     }
@@ -507,7 +519,7 @@ fn head_tick(state: &Arc<ServiceState>, router: &ShardRouter, chain: &ChainEntry
         }
         // None => already serving somewhere: nothing to re-add.
         if let Some(ring) = router.enlist_member(&self_addr, &addr) {
-            broadcast_ring(state, &ring, &[]);
+            broadcast_ring(state, &ring, &[], None);
         }
         state.failover.forget_deposed(&addr);
     }

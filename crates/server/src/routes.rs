@@ -19,7 +19,7 @@ use crate::replication::{
 use crate::shard::{self, Placement, ShardRouter};
 use crate::ServiceState;
 
-use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate};
+use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate, weighted_side};
 use arbitrex_core::iterated::iterate_fixed_input;
 use arbitrex_core::{budgeted_operator, Budget, FaultFamily, FaultSite, Quality};
 use arbitrex_logic::{parse as parse_formula, Formula, ModelSet, Sig, ENUM_LIMIT};
@@ -352,17 +352,18 @@ fn warbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Respo
     let phi = parse_side(&mut sig, body, "phi")?;
     check_width(sig.width())?;
     let n = sig.width();
-    for (key, f) in [("psi", &psi), ("phi", &phi)] {
-        if ModelSet::of_formula(f, n).is_empty() {
+    let psi = weighted_side(&psi, psi_weight, n);
+    let phi = weighted_side(&phi, phi_weight, n);
+    for (key, side) in [("psi", &psi), ("phi", &phi)] {
+        if !side.is_satisfiable() {
             return Err(error_response(
                 400,
                 format!("field `{key}` is unsatisfiable; weighted sources need models"),
             ));
         }
     }
-    let (outcome, cache) =
-        cached_warbitrate(&state.cache, &psi, psi_weight, &phi, phi_weight, n, &budget)
-            .map_err(|e| error_response(400, e.to_string()))?;
+    let (outcome, cache) = cached_warbitrate(&state.cache, &psi, &phi, &budget)
+        .map_err(|e| error_response(400, e.to_string()))?;
     note_quality(outcome.quality);
     let body = AnswerWriter::new(&sig)
         .str("endpoint", "warbitrate")
@@ -711,7 +712,7 @@ fn cluster_enlist(state: &ServiceState, req: &Request) -> Response {
     }
     match router.enlist_member(host, addr) {
         Some(ring) => {
-            let synced = failover::broadcast_ring(state, &ring, &[]);
+            let synced = failover::broadcast_ring(state, &ring, &[], None);
             ok(obj([
                 ("addr", json::s(addr)),
                 ("enlisted", Json::Bool(true)),
@@ -736,20 +737,6 @@ fn cluster_enlist(state: &ServiceState, req: &Request) -> Response {
             ]))
         }
     }
-}
-
-/// The ring-sync broadcast body: the full membership list plus the new
-/// epoch, and on a leave the departed node as an extra handoff source.
-fn ring_sync_body(ring: &shard::ShardRing, source: Option<&str>) -> String {
-    let members: Vec<Json> = ring.members().iter().map(|m| json::s(m.clone())).collect();
-    let mut fields = vec![
-        ("epoch".to_string(), json::n(ring.epoch())),
-        ("members".to_string(), Json::Arr(members)),
-    ];
-    if let Some(src) = source {
-        fields.push(("source".to_string(), json::s(src)));
-    }
-    Json::Obj(fields).to_text()
 }
 
 /// Rebalance sources for a node holding `ring`: every other chain
@@ -833,28 +820,10 @@ fn cluster_membership(state: &ServiceState, req: &Request, join: bool) -> Respon
     // rebalance pass lands (peers fence themselves inside their sync
     // handlers).
     router.begin_transition(before);
-    let sync_body = ring_sync_body(&ring, source);
     // Broadcast to every serving *address* (replicas included — they
     // route by the ring too); the departed node also gets the sync so
     // it stops answering for shards it no longer owns.
-    let mut targets: Vec<String> = ring
-        .serving_addrs()
-        .into_iter()
-        .filter(|m| m.as_str() != self_addr)
-        .collect();
-    if !join && addr != self_addr {
-        targets.push(addr.to_string());
-    }
-    let mut synced = 0u64;
-    for target in &targets {
-        let acked = PeerClient::connect(target)
-            .and_then(|mut client| client.request("POST", "/v1/cluster/sync", Some(&sync_body)))
-            .map(|resp| resp.status == 200)
-            .unwrap_or(false);
-        if acked {
-            synced += 1;
-        }
-    }
+    let synced = failover::broadcast_ring(state, &ring, source.as_slice(), source);
     let summary = shard::rebalance(state, &rebalance_sources(&ring, &self_addr, source));
     router.end_transition();
     let members: Vec<Json> = ring.members().iter().map(|m| json::s(m.clone())).collect();

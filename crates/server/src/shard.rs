@@ -50,6 +50,8 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, RwLock, TryLockError};
 
+use arbitrex_logic::canonical::fnv1a;
+
 use crate::json::{self, Json};
 use crate::metrics;
 use crate::replication::{fetch_listing, local_listing, pull_kb, ListedKb, PeerClient};
@@ -69,16 +71,11 @@ pub const INTERNAL_HEADER: &str = "x-arbitrex-shard-internal";
 /// old owner reports a seq conflict (a commit raced the handoff).
 pub const HANDOFF_RETRIES: u32 = 3;
 
-/// FNV-1a, the ring's stable 64-bit hash (no dependency, stable across
-/// builds — ring placement must agree between separately started
-/// processes).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    mix(h)
+/// The ring's stable 64-bit hash: FNV-1a, then a finalizer (no
+/// dependency, stable across builds — ring placement must agree between
+/// separately started processes).
+fn ring_hash(bytes: &[u8]) -> u64 {
+    mix(fnv1a(bytes))
 }
 
 /// SplitMix64 finalizer. Raw FNV-1a diffuses too little on the short,
@@ -100,7 +97,7 @@ fn rendezvous(name: &str, member: &str) -> u64 {
     bytes.extend_from_slice(name.as_bytes());
     bytes.push(0xFF); // unambiguous separator: 0xFF never appears in a KB name
     bytes.extend_from_slice(member.as_bytes());
-    fnv1a(&bytes)
+    ring_hash(&bytes)
 }
 
 // --- replica chains ----------------------------------------------------------
@@ -274,7 +271,7 @@ impl ShardRing {
         for (i, chain) in chains.iter().enumerate() {
             for v in 0..vnodes {
                 points.push((
-                    fnv1a(format!("{}#{v}", chain.anchor()).as_bytes()),
+                    ring_hash(format!("{}#{v}", chain.anchor()).as_bytes()),
                     i as u32,
                 ));
             }
@@ -338,7 +335,7 @@ impl ShardRing {
         if self.points.is_empty() {
             return None;
         }
-        let h = fnv1a(name.as_bytes());
+        let h = ring_hash(name.as_bytes());
         let start = self
             .points
             .partition_point(|&(point, _)| point < h)
@@ -979,6 +976,19 @@ mod tests {
             // Member order must not matter: the ring is a set function.
             assert_eq!(again.owner_of(&name).unwrap(), owner);
         }
+    }
+
+    #[test]
+    fn placement_is_pinned_across_builds() {
+        // Separately started processes must agree on every owner, so the
+        // ring hash may never change: these owners are fixed. Each digit
+        // is the owner's last address octet, for `kb-0` to `kb-31`.
+        let ring = ShardRing::new(addrs(3), 64, 1);
+        let owners: String = names(32)
+            .iter()
+            .map(|name| &ring.owner_of(name).unwrap()[7..8])
+            .collect();
+        assert_eq!(owners, "22002000000120121001122012110211");
     }
 
     #[test]

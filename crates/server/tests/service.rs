@@ -462,6 +462,22 @@ fn malformed_bodies_are_400_and_never_kill_the_server() {
         assert!(status == 200 || status == 400, "status {status}");
     }
 
+    // A formula naming more variables than an interpretation holds is
+    // a 400 on every endpoint, not a panic that takes a worker down:
+    // more such requests than workers must leave the server answering.
+    let wide: Vec<String> = (0..65).map(|i| format!("V{i}")).collect();
+    let wide = json::s(wide.join(" & "));
+    for path in ["/v1/arbitrate", "/v1/warbitrate", "/v1/fit"] {
+        let other = if path == "/v1/fit" { "mu" } else { "phi" };
+        let body = json::obj([("psi", wide.clone()), (other, json::s("A"))]).to_text();
+        let (status, resp) = request(&server, "POST", path, &body);
+        assert_eq!(status, 400, "{path}: {resp:?}");
+        assert!(
+            str_of(&resp, "error").contains("more than 64 variables"),
+            "{resp:?}"
+        );
+    }
+
     // Still healthy.
     let (status, after) = request(
         &server,

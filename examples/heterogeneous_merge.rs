@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example heterogeneous_merge`
 
-use arbitrex::core::satbackend::dalal_revision_sat;
+use arbitrex::core::satbackend::dalal_revision_sat_budgeted;
 use arbitrex::merge::metrics::{max_dissatisfaction, sum_dissatisfaction};
 use arbitrex::merge::scenario::heterogeneous_databases;
 use arbitrex::prelude::*;
@@ -92,7 +92,8 @@ fn main() {
     let psi = parse(&mut wide_sig, &psi_text).unwrap();
     // ...revised by an integrity constraint that contradicts a few facts.
     let mu = parse(&mut wide_sig, "v0 & v3 & (v1 -> v6) & !v7").unwrap();
-    let result = dalal_revision_sat(&psi, &mu, wide, 64).expect("within model limit");
+    let result = dalal_revision_sat_budgeted(&psi, &mu, wide, 64, &Budget::unlimited())
+        .expect("within model limit");
     println!(
         "SAT-backed Dalal revision over {wide} variables: minimal distance {:?}, {} optimal model(s)",
         result.distance,

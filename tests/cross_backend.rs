@@ -3,7 +3,9 @@
 //! plus the SAT-backed operators against their enumeration references.
 
 use arbitrex::bdd::{compile, BddManager};
-use arbitrex::core::satbackend::{dalal_revision_sat, models_via_sat, odist_fitting_sat};
+use arbitrex::core::satbackend::{
+    dalal_revision_sat_budgeted, models_via_sat, odist_fitting_sat_budgeted,
+};
 use arbitrex::logic::random::FormulaGen;
 use arbitrex::prelude::*;
 use rand::rngs::StdRng;
@@ -56,7 +58,8 @@ fn dalal_sat_backend_agrees_with_enumeration() {
             &ModelSet::of_formula(&psi, n),
             &ModelSet::of_formula(&mu, n),
         );
-        let sat = dalal_revision_sat(&psi, &mu, n, 1 << n).expect("limit covers the universe");
+        let sat = dalal_revision_sat_budgeted(&psi, &mu, n, 1 << n, &Budget::unlimited())
+            .expect("limit covers the universe");
         assert_eq!(sat.models, reference, "mismatch on round {round}");
         if !reference.is_empty() {
             nontrivial += 1;
@@ -83,8 +86,8 @@ fn odist_sat_backend_agrees_with_enumeration() {
         let psi = arbitrex::logic::random::random_nonempty_model_set(&mut rng, n, 4);
         let psi_models: Vec<Interp> = psi.iter().collect();
         let reference = OdistFitting.apply(&psi, &ModelSet::of_formula(&mu, n));
-        let sat =
-            odist_fitting_sat(&psi_models, &mu, n, 1 << n).expect("limit covers the universe");
+        let sat = odist_fitting_sat_budgeted(&psi_models, &mu, n, 1 << n, &Budget::unlimited())
+            .expect("limit covers the universe");
         assert_eq!(sat.models, reference, "mismatch on round {round}");
         if let Some(r) = sat.distance {
             // The reported radius is the actual optimum odist.

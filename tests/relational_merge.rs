@@ -95,7 +95,14 @@ fn grounded_universe_respects_the_sat_backend_too() {
     .unwrap();
     let mu = parse_relational(&mut v, "!On(ann,db)").unwrap();
     let n = v.width();
-    let sat = arbitrex::core::satbackend::dalal_revision_sat(&psi, &mu, n, 64).unwrap();
+    let sat = arbitrex::core::satbackend::dalal_revision_sat_budgeted(
+        &psi,
+        &mu,
+        n,
+        64,
+        &Budget::unlimited(),
+    )
+    .unwrap();
     let reference = DalalRevision.apply(
         &ModelSet::of_formula(&psi, n),
         &ModelSet::of_formula(&mu, n),
