@@ -1,9 +1,8 @@
 //! Substrate benchmarks: the CDCL solver on random 3-SAT (around the
-//! phase-transition ratio) and pigeonhole instances, AllSAT enumeration,
-//! and BDD compilation + model counting.
+//! phase-transition ratio) and pigeonhole instances, and AllSAT
+//! enumeration.
 
-use arbitrex_bdd::{compile, BddManager};
-use arbitrex_logic::random::{random_kcnf_clauses, FormulaGen};
+use arbitrex_logic::random::random_kcnf_clauses;
 use arbitrex_sat::{enumerate_models_budgeted, AllSatLimit, Budget, Solver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -82,34 +81,10 @@ fn allsat_enumeration(c: &mut Criterion) {
     group.finish();
 }
 
-fn bdd_compile_count(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bdd/compile+count");
-    for n in [8u32, 12, 16] {
-        let mut rng = StdRng::seed_from_u64(n as u64);
-        let gen = FormulaGen {
-            n_vars: n,
-            max_depth: 7,
-            leaf_bias: 0.2,
-        };
-        let formulas: Vec<_> = (0..5).map(|_| gen.sample(&mut rng)).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &formulas, |b, formulas| {
-            b.iter(|| {
-                for f in formulas {
-                    let mut mgr = BddManager::new();
-                    let bdd = compile(&mut mgr, f);
-                    black_box(mgr.count_models(bdd, n));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     solver_random_3sat,
     solver_pigeonhole,
-    allsat_enumeration,
-    bdd_compile_count
+    allsat_enumeration
 );
 criterion_main!(benches);

@@ -295,8 +295,15 @@ pub fn cmd_change_sat(
     let out = if op.name() == DalalRevision.name() {
         dalal_revision_sat_budgeted(&psi, &mu, n, SAT_MODEL_LIMIT, budget)
     } else if op.name() == OdistFitting.name() {
-        let psi_m = models_via_sat(&psi, n, SAT_MODEL_LIMIT).ok_or_else(over_limit)?;
-        odist_fitting_sat_budgeted(psi_m.as_slice(), &mu, n, SAT_MODEL_LIMIT, budget)
+        let psi_m = models_via_sat(&psi, n, SAT_MODEL_LIMIT, budget).ok_or_else(over_limit)?;
+        if !psi_m.is_exact() {
+            return Err(CliError::budget(format!(
+                "{}; interrupted enumerating ψ's models after {} work unit(s) (no result)",
+                trip_text(&psi_m.spent),
+                psi_m.spent.total(),
+            )));
+        }
+        odist_fitting_sat_budgeted(psi_m.models.as_slice(), &mu, n, SAT_MODEL_LIMIT, budget)
     } else {
         return err(format!(
             "operator `{op_name}` has no SAT backend (SAT operators: dalal, odist)"
@@ -1629,6 +1636,27 @@ mod tests {
             assert_eq!(e.kind, ErrorKind::Limit, "{e}");
             assert!(e.message.contains("more than 64 variables"), "{e}");
         }
+    }
+
+    #[test]
+    fn sat_backend_odist_charges_psi_enumeration_to_the_budget() {
+        // ψ has 2^30 − 1 models: enumerating them is ψ's leg of the fit,
+        // and `--max-models` must stop it long before the model limit.
+        let atoms: Vec<String> = (0..30).map(|i| format!("V{i}")).collect();
+        let psi = atoms.join(" | ");
+        let e = run(&sv(&[
+            "change",
+            "odist",
+            &psi,
+            "!V0",
+            "--backend",
+            "sat",
+            "--max-models",
+            "100",
+        ]))
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Budget, "{e}");
+        assert!(e.message.contains("enumerating ψ's models"), "{e}");
     }
 
     #[test]

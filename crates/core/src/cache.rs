@@ -242,10 +242,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity: usize) -> Shard {
+    /// An empty shard; it grows on demand up to the capacity
+    /// [`Shard::insert`] enforces.
+    fn new() -> Shard {
         Shard {
-            map: HashMap::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
+            map: HashMap::new(),
+            slab: Vec::new(),
             head: NIL,
             tail: NIL,
             free: Vec::new(),
@@ -412,7 +414,8 @@ impl OpCache {
 
     /// A cache with an explicit shard count (rounded up to at least 1).
     /// Total capacity is `capacity` rounded up to a multiple of the shard
-    /// count, except that `capacity == 0` still disables the cache.
+    /// count (saturating at `usize::MAX`), except that `capacity == 0`
+    /// still disables the cache. Shards start empty and grow on demand.
     pub fn with_shards(n_shards: usize, capacity: usize) -> OpCache {
         let n_shards = n_shards.max(1);
         let per_shard = if capacity == 0 {
@@ -421,14 +424,14 @@ impl OpCache {
             capacity.div_ceil(n_shards)
         };
         let shards = (0..n_shards)
-            .map(|_| Mutex::new(Shard::new(per_shard)))
+            .map(|_| Mutex::new(Shard::new()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         OpCache {
             shards,
             per_shard,
             evicting: AtomicBool::new(false),
-            doorkeeper: Doorkeeper::new(n_shards * per_shard),
+            doorkeeper: Doorkeeper::new(n_shards.saturating_mul(per_shard)),
         }
     }
 
@@ -439,7 +442,7 @@ impl OpCache {
 
     /// Total entry capacity across all shards.
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.per_shard
+        self.shards.len().saturating_mul(self.per_shard)
     }
 
     /// Current number of cached entries.
@@ -459,7 +462,7 @@ impl OpCache {
     /// every query until the next eviction.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            *shard.lock().expect("no thread panics holding a shard") = Shard::new(self.per_shard);
+            *shard.lock().expect("no thread panics holding a shard") = Shard::new();
         }
         self.evicting.store(false, Ordering::Relaxed);
         self.doorkeeper.clear();

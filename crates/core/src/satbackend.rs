@@ -30,21 +30,23 @@ use arbitrex_sat::{
 /// Enumerate `Mod(f)` over `n_vars` variables through Tseitin + AllSAT with
 /// projection onto the original variables.
 ///
-/// Returns `None` if the model count exceeds `limit`.
-pub fn models_via_sat(f: &Formula, n_vars: u32, limit: usize) -> Option<ModelSet> {
+/// The solver charges [`BudgetSite::Conflict`] per conflict and the
+/// enumeration [`BudgetSite::Model`] per model. The outcome carries no
+/// distance; it is [`Quality::Exact`] with every model, or
+/// [`Quality::Interrupted`] with the models found before the budget
+/// tripped.
+///
+/// Returns `None` if the model count exceeds `limit` (a resource cap,
+/// distinct from budget exhaustion).
+pub fn models_via_sat(
+    f: &Formula,
+    n_vars: u32,
+    limit: usize,
+    budget: &Budget,
+) -> Option<SatOutcome> {
     telemetry::SAT_BACKEND_CALLS.incr();
-    let mut solver = Solver::new();
-    solver.ensure_vars(n_vars);
-    add_cnf_remapped(&mut solver, &to_clauses(f, n_vars), |v| v);
-    let res = enumerate_models_budgeted(
-        &mut solver,
-        n_vars,
-        AllSatLimit::AtMost(limit),
-        &Budget::unlimited(),
-    );
-    record_solver(&solver);
-    (res.status == EnumStatus::Complete)
-        .then(|| ModelSet::new(n_vars, res.models.into_iter().map(Interp)))
+    let solver = armed_solver(&to_clauses(f, n_vars), n_vars, budget);
+    enumerate_within(solver, n_vars, None, true, limit, budget)
 }
 
 /// Add a Tseitin CNF to `solver`, mapping original DIMACS variable `w`
@@ -429,16 +431,23 @@ mod tests {
         let mut sig = Sig::new();
         let f = parse(&mut sig, "(A | B) & (B | C) & !(A & B & C)").unwrap();
         let n = sig.width();
-        let via_sat = models_via_sat(&f, n, 1000).unwrap();
-        assert_eq!(via_sat, ModelSet::of_formula(&f, n));
+        let via_sat = models_via_sat(&f, n, 1000, &Budget::unlimited()).unwrap();
+        assert!(via_sat.is_exact());
+        assert_eq!(via_sat.distance, None);
+        assert_eq!(via_sat.models, ModelSet::of_formula(&f, n));
     }
 
     #[test]
     fn models_via_sat_respects_limit() {
         let mut sig = Sig::new();
         let f = parse(&mut sig, "A | !A").unwrap();
-        assert!(models_via_sat(&f, 1, 1).is_none());
-        assert!(models_via_sat(&f, 1, 2).is_some());
+        assert!(models_via_sat(&f, 1, 1, &Budget::unlimited()).is_none());
+        assert!(models_via_sat(&f, 1, 2, &Budget::unlimited()).is_some());
+        // A budget trip is an interrupted outcome, not the limit's `None`.
+        let budget = Budget::unlimited().with_candidate_limit(1);
+        let out = models_via_sat(&f, 1, 2, &budget).expect("a trip is not the limit");
+        assert_eq!(out.quality, Quality::Interrupted);
+        assert!(out.spent.trip.is_some());
     }
 
     #[test]

@@ -139,7 +139,7 @@ struct WorkQueue {
 impl WorkQueue {
     fn new(depth: usize) -> WorkQueue {
         WorkQueue {
-            inner: Mutex::new(VecDeque::with_capacity(depth)),
+            inner: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             depth,
         }

@@ -340,6 +340,34 @@ fn queue_overflow_answers_503() {
     server.stop().unwrap();
 }
 
+#[test]
+fn unbounded_cache_and_queue_flags_start_a_serving_server() {
+    // The cache shards and the work queue grow on demand, so the largest
+    // bounds the flags accept allocate nothing up front.
+    let server = server_with(|c| {
+        c.cache_entries = usize::MAX;
+        c.queue_depth = usize::MAX;
+    });
+    let (status, resp) = request(
+        &server,
+        "POST",
+        "/v1/arbitrate",
+        r#"{"psi": "A & B", "phi": "!A & !B"}"#,
+    );
+    assert_eq!(status, 200, "{resp:?}");
+    assert_eq!(num_of(&resp, "n_models"), 2);
+    // The capacity saturates instead of wrapping.
+    let (status, text) = {
+        let mut c = Client::connect_server(&server);
+        c.send("GET", "/metrics", "");
+        c.read_response_text()
+    };
+    assert_eq!(status, 200);
+    let gauge = format!("\"cache_capacity\": {}", usize::MAX);
+    assert!(text.contains(&gauge), "missing {gauge} in {text}");
+    server.stop().unwrap();
+}
+
 // --- deadlines ---------------------------------------------------------------
 
 #[test]

@@ -6,8 +6,8 @@
 //! update operator families it is contrasted against (AGM / Katsuno–Mendelzon),
 //! postulate checkers for all four axiom systems (R, U, A, F), weighted
 //! knowledge bases, a belief-merging application layer, and the substrates
-//! they run on: a propositional logic kernel, a CDCL SAT solver and a BDD
-//! package — all in this workspace, no external solver dependencies.
+//! they run on: a propositional logic kernel and a CDCL SAT solver — all in
+//! this workspace, no external solver dependencies.
 //!
 //! ## Quickstart
 //!
@@ -36,7 +36,6 @@
 //! See `examples/` for runnable scenarios and `EXPERIMENTS.md` for the full
 //! experiment suite reproducing every worked example and theorem in the paper.
 
-pub use arbitrex_bdd as bdd;
 pub use arbitrex_core as core;
 pub use arbitrex_logic as logic;
 pub use arbitrex_merge as merge;
