@@ -1,16 +1,15 @@
 //! E12 — the fast-path selection kernel vs the naive oracles.
 //!
 //! Three series per width: the retained naive implementation (two-pass
-//! selection over a materialized universe), the pruned streaming kernel,
-//! and the pruned kernel with the chunked parallel scan forced on via
-//! `ARBITREX_THREADS`. `cargo run --release -p arbitrex-bench --bin
-//! experiments e12` prints the same comparison as a table and writes
-//! `BENCH_PR1.json`.
+//! selection over a materialized universe), arbitration through the
+//! dispatched kernel, and the block scan alone on the same `ψ ∨ φ`.
+//! `cargo run --release -p arbitrex-bench --bin experiments e12` prints
+//! the same comparison as a table and writes `BENCH_PR2.json`.
 
 use arbitrex_bench::random_pairs;
 use arbitrex_core::arbitration::arbitrate;
-use arbitrex_core::kernel::naive;
-use arbitrex_core::{ChangeOperator, DalalRevision, GMaxFitting, OdistFitting, SumFitting};
+use arbitrex_core::kernel::{naive, select_min_block_odist};
+use arbitrex_core::{Budget, ChangeOperator, DalalRevision, GMaxFitting, OdistFitting, SumFitting};
 use arbitrex_logic::ModelSet;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -29,22 +28,21 @@ fn bench_arbitration(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("pruned", n), &wl, |b, wl| {
-            std::env::set_var("ARBITREX_THREADS", "1");
             b.iter(|| {
                 for (psi, phi) in &wl.pairs {
                     black_box(arbitrate(psi, phi));
                 }
             })
         });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &wl, |b, wl| {
-            std::env::set_var("ARBITREX_THREADS", "4");
+        let unions: Vec<ModelSet> = wl.pairs.iter().map(|(psi, phi)| psi.union(phi)).collect();
+        group.bench_with_input(BenchmarkId::new("block", n), &unions, |b, unions| {
+            let budget = Budget::unlimited();
             b.iter(|| {
-                for (psi, phi) in &wl.pairs {
-                    black_box(arbitrate(psi, phi));
+                for u in unions.iter().filter(|u| !u.is_empty()) {
+                    black_box(select_min_block_odist(n, u.as_slice(), &budget));
                 }
             })
         });
-        std::env::remove_var("ARBITREX_THREADS");
     }
     group.finish();
 }

@@ -6,8 +6,7 @@
 //!
 //! E13 compares two builds; the telemetry-off leg is
 //! `cargo run --release -p arbitrex-bench --no-default-features \
-//!  --features parallel --bin experiments e13` (keep `parallel` on so only
-//! the counters differ between the legs).
+//!  --bin experiments e13`.
 
 use arbitrex_bench::{random_kcnf_pairs, random_pairs, wide_constraint, wide_fact_base};
 use arbitrex_core::arbitration::arbitrate;
@@ -647,13 +646,12 @@ fn e12_kernel() {
 
     /// Counter columns recorded per row; every key comes from the kernel
     /// section of the telemetry snapshot (see OBSERVABILITY.md).
-    const COUNTER_COLS: [&str; 6] = [
+    const COUNTER_COLS: [&str; 5] = [
         "candidates_scanned",
         "candidates_pruned",
         "profile_prune_hits",
         "bnb_nodes_opened",
         "bnb_nodes_cut",
-        "parallel_shards",
     ];
     struct Row {
         op: &'static str,
@@ -797,32 +795,31 @@ fn e12_kernel() {
 }
 
 /// E12's dispatch tables: the universe selection timed against the
-/// predicted work `2^n·|Mod(ψ)|` the kernel dispatches on (`kernel.rs`:
-/// `ODIST_WORK_PER_CUBED_MODEL`, `WORK_PER_SCAN_WORKER`).
+/// `(n, |Mod(ψ)|)` rule the kernel dispatches on (`kernel.rs`:
+/// `ODIST_WORK_PER_CUBED_MODEL`).
 ///
 /// The crossover table sets the odist subcube constant. For each
 /// `m = |Mod(ψ)|` from 2 to 32 it walks the width up from 6 and reports
 /// the first width from which the pairwise-bounded subcube search beats
-/// the straight scan at two widths in a row, with the `2^n/m²` that width
+/// the block scan at two widths in a row, with the `2^n/m²` that width
 /// implies. Timings are medians of 5 runs over 24 random `ψ` per cell;
 /// widths stop at 20.
 ///
 /// The grid table shows the chosen rule at `m ∈ {4, 16, 64, 256}`: the
-/// straight odist scan and the search, lex-odist universe fitting (the
-/// chunked scan) with `ARBITREX_THREADS` at 1 and at the core count — that
-/// pair shows the scan's split threshold — odist universe fitting through
-/// its public entry point, i.e. whichever shape the dispatcher picked, and
-/// weighted-sum universe fitting with distinct weights (1–9), which the
-/// per-bit vote tally answers in closed form with no dispatch. 8 random
-/// `ψ` per cell for `m ≤ 16`, 3 above; widths 18 and 20 only for the small
-/// `ψ` that the search serves.
+/// per-candidate odist scan (XOR and popcount per candidate and model,
+/// the shape the block scan replaced), the block scan, the search,
+/// lex-odist universe fitting (which reads its answer from the odist
+/// selection), odist universe fitting through its public entry point,
+/// i.e. whichever shape the dispatcher picked, and weighted-sum universe
+/// fitting with distinct weights (1–9), which the per-bit vote tally
+/// answers in closed form with no dispatch. 8 random `ψ` per cell for
+/// `m ≤ 16`, 3 above; widths 18 and 20 only for the small `ψ` that the
+/// search serves. One thread throughout.
 fn e12_dispatch() {
-    use arbitrex_core::kernel::{select_min, select_min_subcube_odist};
+    use arbitrex_core::kernel::{select_min, select_min_block_odist, select_min_subcube_odist};
     use arbitrex_core::{WeightedKb, WeightedUniverseFitting};
     use arbitrex_logic::all_interps;
 
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let threads = cores.max(2);
     let budget = &Budget::unlimited();
     /// Median of 5 runs of `f`, in µs per `ψ` of the cell.
     fn median_us(psis: usize, mut f: impl FnMut()) -> f64 {
@@ -836,7 +833,7 @@ fn e12_dispatch() {
         runs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         runs[2] / psis as f64
     }
-    /// The straight odist scan the dispatcher falls back to.
+    /// The per-candidate odist scan.
     fn scan(models: &[Interp], n: u32, budget: &Budget) {
         let mut d = vec![0u32; models.len()];
         let sel = select_min(
@@ -852,22 +849,25 @@ fn e12_dispatch() {
         );
         std::hint::black_box(sel);
     }
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    // `count` random ψ of exactly `m` distinct models over `n` variables.
-    let mut random_psis = |count: usize, m: usize, n: u32| -> Vec<ModelSet> {
+    /// `count` random ψ of exactly `m` distinct models over `n` variables,
+    /// drawn from the xorshift state `x`.
+    fn random_psis(x: &mut u64, count: usize, m: usize, n: u32) -> Vec<ModelSet> {
         (0..count)
             .map(|_| {
                 let mut models = std::collections::BTreeSet::new();
                 while models.len() < m {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    models.insert(Interp(x & ((1 << n) - 1)));
+                    *x ^= *x << 13;
+                    *x ^= *x >> 7;
+                    *x ^= *x << 17;
+                    models.insert(Interp(*x & ((1 << n) - 1)));
                 }
                 ModelSet::new(n, models)
             })
             .collect()
-    };
+    }
+    // The grid draws from its own state, so its ψ do not depend on where
+    // the timed crossover walk stopped.
+    let (mut x, mut grid_x) = (0x9E37_79B9_7F4A_7C15u64, 0x2545_F491_4F6C_DD1Du64);
 
     let mut t = Table::new(["|Mod(ψ)|", "odist from n", "odist 2^n/m²"]);
     for m in [2usize, 3, 4, 6, 8, 12, 16, 24, 32] {
@@ -875,7 +875,7 @@ fn e12_dispatch() {
         let mut wins = 0;
         let mut from = None;
         for n in 6..=20u32 {
-            let psis = random_psis(24, m, n);
+            let psis = random_psis(&mut x, 24, m, n);
             let time = |bnb: bool| {
                 median_us(psis.len(), || {
                     for psi in &psis {
@@ -886,7 +886,7 @@ fn e12_dispatch() {
                                 budget,
                             ));
                         } else {
-                            scan(psi.as_slice(), n, budget);
+                            std::hint::black_box(select_min_block_odist(n, psi.as_slice(), budget));
                         }
                     }
                 })
@@ -911,7 +911,9 @@ fn e12_dispatch() {
         }
         t.row(cells);
     }
-    println!("crossover: first width of two in a row where the subcube search beats the scan:");
+    println!(
+        "crossover: first width of two in a row where the subcube search beats the block scan:"
+    );
     println!("{}\n", t.render());
 
     let mut t = Table::new([
@@ -919,36 +921,35 @@ fn e12_dispatch() {
         "n_vars",
         "work",
         "scan (µs)",
+        "block (µs)",
         "b&b (µs)",
-        "lex x1 (µs)",
-        &format!("lex x{threads} (µs)"),
+        "lex (µs)",
         "odist dispatched (µs)",
         "wdist closed form (µs)",
     ]);
     for m in [4usize, 16, 64, 256] {
         let widths = (8..=16u32).chain(if m <= 16 { vec![18, 20] } else { vec![] });
         for n in widths {
-            let psis = &random_psis(if m <= 16 { 8 } else { 3 }, m, n);
+            let psis = &random_psis(&mut grid_x, if m <= 16 { 8 } else { 3 }, m, n);
             let k = psis.len();
             let odist_scan = median_us(k, || {
                 psis.iter().for_each(|p| scan(p.as_slice(), n, budget))
+            });
+            let block = median_us(k, || {
+                for psi in psis {
+                    std::hint::black_box(select_min_block_odist(n, psi.as_slice(), budget));
+                }
             });
             let bnb = median_us(k, || {
                 for psi in psis {
                     std::hint::black_box(select_min_subcube_odist(n, psi.as_slice(), budget));
                 }
             });
-            let lex = |threads: usize| {
-                std::env::set_var("ARBITREX_THREADS", threads.to_string());
-                let us = median_us(k, || {
-                    for psi in psis {
-                        std::hint::black_box(LexOdistFitting.apply_universe(psi).unwrap());
-                    }
-                });
-                std::env::remove_var("ARBITREX_THREADS");
-                us
-            };
-            let (lex1, lext) = (lex(1), lex(threads));
+            let lex = median_us(k, || {
+                for psi in psis {
+                    std::hint::black_box(LexOdistFitting.apply_universe(psi).unwrap());
+                }
+            });
             let odist_dispatched = median_us(k, || {
                 for psi in psis {
                     std::hint::black_box(OdistFitting.apply_universe(psi).unwrap());
@@ -973,15 +974,15 @@ fn e12_dispatch() {
                 n.to_string(),
                 work.to_string(),
                 format!("{odist_scan:.0}"),
+                format!("{block:.0}"),
                 format!("{bnb:.0}"),
-                format!("{lex1:.0}"),
-                format!("{lext:.0}"),
+                format!("{lex:.0}"),
                 format!("{odist_dispatched:.0}"),
                 format!("{wdist:.1}"),
             ]);
         }
     }
-    println!("dispatch grid (µs per selection, {cores} cores):");
+    println!("dispatch grid (µs per selection, one thread):");
     println!("{}", t.render());
 }
 
@@ -990,8 +991,7 @@ fn e12_dispatch() {
 /// Times the instrumented hot paths in whichever build is running and
 /// reports whether the counters were compiled in. EXPERIMENTS.md pairs the
 /// output of the default build (telemetry on) with that of
-/// `--no-default-features --features parallel` (telemetry off, parallel
-/// kept on so only the counters differ) against the BENCH_PR1.json
+/// `--no-default-features` (telemetry off) against the BENCH_PR1.json
 /// baseline.
 fn e13_overhead() {
     header(
@@ -1015,7 +1015,7 @@ fn e13_overhead() {
         if arbitrex_core::telemetry::enabled() {
             "ENABLED (default features)"
         } else {
-            "COMPILED OUT (--no-default-features --features parallel)"
+            "COMPILED OUT (--no-default-features)"
         }
     );
     let mut t = Table::new(["n_vars", "arbitration (µs)", "odist-fitting-vs-top (µs)"]);
@@ -1509,9 +1509,11 @@ fn e15_serving() {
 /// entry lock, so one client measures the commit path itself, not lock
 /// contention. Legs: the in-memory store (no WAL, the PR-4 baseline)
 /// against the durable store at three snapshot cadences (never / every
-/// 64 / every 16 records). Durable acks land only after the WAL record
-/// is fsync'd, so the memory-vs-wal gap is the per-commit durability
-/// bill and the cadence sweep prices the periodic snapshots on top.
+/// 64 / every 16 records). Durable acks land only after the group-commit
+/// flusher has fsync'd the WAL record; with one sequential client every
+/// batch holds one commit, so the memory-vs-wal gap is the per-commit
+/// durability bill and the cadence sweep prices the periodic snapshots
+/// on top.
 /// Writes the machine-readable record to BENCH_PR5.json.
 fn e16_durability() {
     use arbitrex_server::metrics::{WAL_FSYNCS, WAL_RECORDS_APPENDED, WAL_SNAPSHOTS_WRITTEN};
@@ -1612,10 +1614,6 @@ fn e16_durability() {
             cache_entries: 0,
             state_dir: state_dir.clone(),
             snapshot_every: snapshot_every.unwrap_or(0),
-            // One sequential client: group commit could only add flusher
-            // handoff, and this experiment prices the fsync *per commit*.
-            // E17 measures the batched path.
-            group_commit: false,
             ..ServerConfig::default()
         })
         .expect("spawn server");
@@ -1707,10 +1705,9 @@ fn e16_durability() {
 ///   by construction — kept as the honest negative control.
 ///
 /// **Durability**: 8 concurrent clients each storming sequential `put`
-/// commits to their own KB, at workers = 4. Legs: in-memory store,
-/// durable with group commit (one shared fsync acks a batch), durable
-/// with `--group-commit=off` (fsync per commit, the E16/PR-5 path).
-/// Group commit must land durable throughput within 2x of memory.
+/// commits to their own KB, at workers = 4. Legs: in-memory store and
+/// durable with group commit (one shared fsync acks a batch). Group
+/// commit must land durable throughput within 2x of memory.
 ///
 /// Writes the machine-readable record to BENCH_PR6.json. With
 /// `ARBX_E17_QUICK=1` runs a single reduced serving leg (light pool,
@@ -2003,15 +2000,11 @@ fn e17_event_loop() {
     );
     println!("mode             commits/s  wall ms   fsyncs  commits/fsync  vs memory");
 
-    // (label, durable?, group commit?)
-    let legs: [(&str, bool, bool); 3] = [
-        ("memory", false, false),
-        ("group-commit", true, true),
-        ("fsync-per-commit", true, false),
-    ];
+    // (label, durable?)
+    let legs: [(&str, bool); 2] = [("memory", false), ("group-commit", true)];
     let mut durability_rows: Vec<String> = Vec::new();
     let mut memory_cps = 0.0f64;
-    for &(label, durable, group_commit) in &legs {
+    for &(label, durable) in &legs {
         let state_dir = durable.then(|| {
             let dir = std::env::temp_dir().join(format!("arbx-e17-{}-{label}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
@@ -2025,7 +2018,6 @@ fn e17_event_loop() {
             cache_entries: 0,
             state_dir: state_dir.clone(),
             snapshot_every: 0,
-            group_commit,
             ..ServerConfig::default()
         })
         .expect("spawn server");
@@ -2043,10 +2035,8 @@ fn e17_event_loop() {
         if !durable {
             memory_cps = cps;
         }
-        let per_fsync = if group_commit && gc_fsyncs > 0 {
+        let per_fsync = if durable && gc_fsyncs > 0 {
             format!("{:.1}", commits as f64 / gc_fsyncs as f64)
-        } else if durable && fsyncs > 0 {
-            format!("{:.1}", commits as f64 / fsyncs as f64)
         } else {
             "-".to_string()
         };
@@ -2077,7 +2067,7 @@ fn e17_event_loop() {
         "  \"workload\": \"serving: light (small-result cube arbitrations, widths 3-6) and \
          heavy (E15 pool, widths 6-9) over 8 keep-alive clients, warmed cache, serial (depth 1) \
          vs pipelined (depth 16) at workers 1/4/8; durability: 32 concurrent clients x 64 put \
-         commits to distinct KBs at workers 16, memory vs group-commit vs fsync-per-commit\",\n",
+         commits to distinct KBs at workers 16, memory vs group-commit\",\n",
     );
     json.push_str("  \"serving_rows\": [\n");
     json.push_str(&serving_rows.join(",\n"));

@@ -578,18 +578,6 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
             "--keep-alive-timeout-ms" => {
                 config.keep_alive_timeout_ms = flag_u64(&mut it, "--keep-alive-timeout-ms")?;
             }
-            "--group-commit" => {
-                let mode = flag_value(&mut it, "--group-commit")?;
-                config.group_commit = match mode.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => {
-                        return err(format!(
-                            "--group-commit expects `on` or `off`, got `{mode}`"
-                        ))
-                    }
-                };
-            }
             "--flush-interval-us" => {
                 config.flush_interval_us = flag_u64(&mut it, "--flush-interval-us")?;
             }
@@ -633,7 +621,7 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
                     "unknown serve flag `{other}` (expected --addr, --threads, \
                      --queue-depth, --cache-entries, --timeout-ms, --max-body-bytes, \
                      --keep-alive-timeout-ms, --state-dir, --snapshot-every, \
-                     --recover, --fault, --group-commit, --flush-interval-us, \
+                     --recover, --fault, --flush-interval-us, \
                      --replication-epoch, \
                      --shard-ring, --shard-vnodes, \
                      --cluster-peers, --probe-interval-ms, --suspect-after)"
@@ -751,13 +739,13 @@ pub fn help() -> String {
          \x20 arbitrex serve [--addr a] [--threads n] [--queue-depth n]\n\
          \x20\x20\x20\x20 [--cache-entries n] [--timeout-ms n] [--max-body-bytes n]\n\
          \x20\x20\x20\x20 [--keep-alive-timeout-ms n] [--state-dir d] [--snapshot-every n]\n\
-         \x20\x20\x20\x20 [--recover strict|salvage] [--group-commit on|off]\n\
-         \x20\x20\x20\x20 [--flush-interval-us n] [--replication-epoch n]\n\
+         \x20\x20\x20\x20 [--recover strict|salvage] [--flush-interval-us n]\n\
+         \x20\x20\x20\x20 [--replication-epoch n]\n\
          \x20\x20\x20\x20 [--shard-ring addr|auto] [--shard-vnodes n]\n\
          \x20\x20\x20\x20 [--cluster-peers a,b] [--probe-interval-ms n] [--suspect-after k]\n\
          \x20\x20\x20\x20 run the HTTP arbitration service (see README \"Serving\");\n\
          \x20\x20\x20\x20 --state-dir makes KBs durable (WAL + snapshots, README\n\
-         \x20\x20\x20\x20 \"Durability\"); commits batch fsyncs unless --group-commit off;\n\
+         \x20\x20\x20\x20 \"Durability\"); commits batch fsyncs (group commit);\n\
          \x20\x20\x20\x20 every node is a consistent-hash ring member advertising\n\
          \x20\x20\x20\x20 --shard-ring (default auto: the bound address; README\n\
          \x20\x20\x20\x20 \"Sharding\"); peers are chain specs `head~replica@epoch`, and a\n\
@@ -1069,23 +1057,33 @@ mod tests {
         let cfg = parse_serve_config(&sv(&[
             "--keep-alive-timeout-ms",
             "1500",
-            "--group-commit",
-            "off",
             "--flush-interval-us",
             "200",
         ]))
         .unwrap();
         assert_eq!(cfg.keep_alive_timeout_ms, 1500);
-        assert!(!cfg.group_commit);
         assert_eq!(cfg.flush_interval_us, 200);
-        // Defaults: group commit on, no linger, 5s keep-alive reaping.
+        // Defaults: no linger, 5s keep-alive reaping.
         let d = parse_serve_config(&[]).unwrap();
-        assert!(d.group_commit);
         assert_eq!(d.flush_interval_us, 0);
         assert_eq!(d.keep_alive_timeout_ms, 5_000);
         // `--keep-alive-timeout-ms 0` disables reaping rather than erroring.
         let z = parse_serve_config(&sv(&["--keep-alive-timeout-ms", "0"])).unwrap();
         assert_eq!(z.keep_alive_timeout_ms, 0);
+    }
+
+    #[test]
+    fn serve_rejects_the_retired_group_commit_flag() {
+        // Group commit is the only commit path; the flag that turned it
+        // off is gone.
+        for mode in ["on", "off"] {
+            let e = cmd_serve(&sv(&["--group-commit", mode])).unwrap_err();
+            assert_eq!(e.kind.exit_code(), 2);
+            assert!(
+                e.message.contains("unknown serve flag `--group-commit`"),
+                "{e}"
+            );
+        }
     }
 
     #[test]
@@ -1112,7 +1110,6 @@ mod tests {
             sv(&["--fault", "scan:5"]),      // compute site: never charged
             sv(&["--fault", "node:1"]),      // compute site: never charged
             sv(&["--fault", "wal_write:1"]), // durability site, no --state-dir
-            sv(&["--group-commit", "auto"]), // unknown mode
             sv(&["--flush-interval-us"]),    // missing value
         ] {
             let e = cmd_serve(&bad).unwrap_err();
@@ -1540,10 +1537,10 @@ mod tests {
 
     #[test]
     fn arbitrate_fault_at_first_node_degrades_on_wide_universes() {
-        // 12 atoms with a 2-model union give the predicted work that
-        // takes the universe search into branch-and-bound, where the root
-        // node always charges: `node:1` is a guaranteed trip.
-        let atoms: Vec<String> = (0..12).map(|i| format!("a{i}")).collect();
+        // 15 atoms with a 2-model union (`2^15 ≥ 8192·2²`) take the
+        // universe search into branch-and-bound, where the root node
+        // always charges: `node:1` is a guaranteed trip.
+        let atoms: Vec<String> = (0..15).map(|i| format!("a{i}")).collect();
         let psi = atoms.join(" & ");
         let phi = format!("!({})", atoms.join(" | "));
         let e = run(&sv(&["arbitrate", &psi, &phi, "--fault", "node:1"])).unwrap_err();

@@ -11,8 +11,8 @@ use crate::budget::{Budget, Outcome, WeightedOutcome};
 use crate::error::CoreError;
 use crate::fitting::{GMaxFitting, LexOdistFitting, OdistFitting, RankFitting, SumFitting};
 use crate::kernel::{
-    gmax_fill_pruned, odist_pruned, select_min_universe, select_min_universe_odist, select_min_vec,
-    BudgetedSelect, PopProfile, VoteTally,
+    gmax_fill_pruned, select_min_universe_odist, select_min_vec, BudgetedSelect, PopProfile,
+    VoteTally,
 };
 use crate::operator::ChangeOperator;
 use crate::weighted::WeightedKb;
@@ -95,26 +95,19 @@ impl UniverseFitting for OdistFitting {
 }
 
 impl LexOdistFitting {
+    /// The smallest odist minimum, read from the odist selection. Cut
+    /// short, the smallest incumbent plus the frontier still holds it:
+    /// either the exact minimum was visited, and then every incumbent is
+    /// an exact minimum, or it is in the frontier.
     fn select_universe(
         &self,
         psi: &ModelSet,
         budget: &Budget,
-    ) -> Result<BudgetedSelect<(u32, u64)>, CoreError> {
-        let n = psi.n_vars();
-        let Some(prof) = PopProfile::of(psi) else {
-            return empty_universe(n);
-        };
-        let slice = psi.as_slice();
-        select_min_universe(
-            n,
-            slice.len(),
-            || {
-                |i: Interp, cap: Option<&(u32, u64)>| {
-                    odist_pruned(slice, &prof, i, cap.map(|c| c.0)).map(|d| (d, i.0))
-                }
-            },
-            budget,
-        )
+    ) -> Result<BudgetedSelect<u32>, CoreError> {
+        let mut sel = OdistFitting.select_universe(psi, budget)?;
+        let first = sel.minima.iter().next();
+        sel.minima = ModelSet::new(psi.n_vars(), first);
+        Ok(sel)
     }
 }
 
@@ -804,11 +797,11 @@ mod tests {
     #[test]
     fn unlimited_budget_meters_the_branch_and_bound() {
         use crate::budget::Budget;
-        // At n = 12 arbitration takes the odist branch-and-bound; an
+        // Two models at n = 16 take the odist branch-and-bound; an
         // unlimited budget runs that same metered search and the outcome
         // reports the nodes it opened.
-        let psi = ms(12, &[0b0000_0000_0111, 0b1111_0000_0000]);
-        let phi = ms(12, &[0b0000_1111_0000, 0b0101_0101_0101]);
+        let psi = ms(16, &[0b0000_0000_0111]);
+        let phi = ms(16, &[0b1111_0000_0000_1010]);
         let out = try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited()).unwrap();
         assert!(out.is_exact());
         assert_eq!(out.models, try_arbitrate(&psi, &phi).unwrap());

@@ -6,7 +6,7 @@
 //! aggregate, and keep the candidates achieving the minimum rank. The
 //! naive shape of that loop — rank every candidate from scratch, twice
 //! (once to find the minimum, once to filter) — is what this module
-//! replaces. Five independent layers compose:
+//! replaces. Four independent layers compose:
 //!
 //! 1. **Single-pass selection** ([`select_min`], [`select_min_vec`]): one
 //!    scan with a running minimum and a tied set; each candidate is ranked
@@ -20,27 +20,28 @@
 //!    [`VoteTally`] of `Mod(ψ)` ranks a candidate exactly in `O(n)` and
 //!    names the minima over the universe in closed form — each bit's
 //!    weighted-majority value, both values on an even split.
-//! 3. **Streaming universes** ([`select_min_universe`]): arbitration's
-//!    candidate pool `𝓜` is consumed as a stream of `2^n` bitmasks, never
-//!    materialized — peak memory is proportional to the answer.
+//! 3. **Block-evaluated universe scan for odist**
+//!    ([`select_min_block_odist`]): arbitration's candidate pool `𝓜` is
+//!    streamed in blocks of 64 candidates that differ only in their low 6
+//!    bits, so a block's odist is one popcount per model of `ψ` plus a
+//!    lane-wise add and max over a fixed distance table — never
+//!    materialized, peak memory proportional to the answer.
 //! 4. **Branch-and-bound subcube search for odist**
-//!    ([`select_min_subcube_odist`], [`select_min_universe_odist`]): whole
-//!    subcubes of the universe are pruned against partial-distance and
-//!    pairwise triangle-inequality lower bounds on the max — the layer
-//!    that lets odist arbitration beat the `2^n` linear-scan floor. The
-//!    universe dispatcher takes it only where the predicted work
-//!    `2^n·|Mod(ψ)|` says it beats the scan.
-//! 5. **Scoped-thread parallelism** (`parallel` feature, on by default):
-//!    universe scans are chunked across `std::thread::scope` workers that
-//!    share their best-so-far rank for cross-worker pruning, one worker
-//!    per `2^19` units of predicted work, capped by available parallelism
-//!    or `ARBITREX_THREADS`. Subcube searches run on the calling thread.
+//!    ([`select_min_subcube_odist`]): whole subcubes of the universe are
+//!    pruned against partial-distance and pairwise triangle-inequality
+//!    lower bounds on the max — the layer that lets odist arbitration beat
+//!    the `2^n` scan floor when `ψ` has few models.
+//!
+//! The universe dispatcher [`select_min_universe_odist`] makes one
+//! comparison on `(n, |Mod(ψ)|)`: the search once
+//! `2^n ≥ 8192·|Mod(ψ)|²`, the block scan below that. Everything runs on
+//! the calling thread.
 //!
 //! Each algorithm has exactly one implementation, and it is metered: every
 //! selection takes a [`Budget`] and returns a [`BudgetedSelect`]. Scans
-//! tick [`BudgetSite::Scan`] per candidate (the closed form, per minimum
-//! it emits) and subcube searches tick [`BudgetSite::Node`] per node, all
-//! through a batching [`Meter`]; a
+//! tick [`BudgetSite::Scan`] per candidate (the block scan, 64 per block;
+//! the closed form, per minimum it emits) and subcube searches tick
+//! [`BudgetSite::Node`] per node, all through a batching [`Meter`]; a
 //! trip leaves a typed, containment-preserving partial answer. An unlimited
 //! budget runs the same code and never trips.
 //!
@@ -58,7 +59,7 @@ use crate::budget::{Budget, BudgetSite, Exhausted, Outcome, Quality, WeightedOut
 use crate::error::CoreError;
 use crate::telemetry;
 use crate::weighted::WeightedKb;
-use arbitrex_logic::{all_interps, Interp, ModelSet};
+use arbitrex_logic::{Interp, ModelSet};
 use arbitrex_telemetry::budget::Meter;
 
 // ---------------------------------------------------------------------------
@@ -598,6 +599,81 @@ impl VoteTally {
 }
 
 // ---------------------------------------------------------------------------
+// Layer 3: block-evaluated universe scan for odist
+// ---------------------------------------------------------------------------
+
+/// `LOW_DIST[a][c]` = `dist(a, c)` over the low 6 bits.
+const LOW_DIST: [[u8; 64]; 64] = {
+    let mut t = [[0u8; 64]; 64];
+    let mut a = 0;
+    while a < 64 {
+        let mut c = 0;
+        while c < 64 {
+            t[a][c] = (a ^ c).count_ones() as u8;
+            c += 1;
+        }
+        a += 1;
+    }
+    t
+};
+
+/// `Min(𝓜, ≤_odist)` by scanning the universe in blocks of 64 candidates
+/// `hi‖c` that share their bits above the low 6. Within a block
+/// `dist(J, hi‖c) = popcount(J_hi ^ hi) + LOW_DIST[J_lo][c]`: one popcount
+/// per model, then a lane-wise add and max over `Mod(ψ)` on a `[u8; 64]`
+/// that the compiler vectorizes. Below 6 variables the one block is
+/// masked to its `2^n` lanes. The universe is streamed, never
+/// materialized: peak memory is proportional to the answer.
+///
+/// Each block charges [`BudgetSite::Scan`] once with its lane count, so an
+/// exact scan spends `2^n` scans. On a trip the tripping block and every
+/// later one become the frontier whole. Ranking prunes nothing, so the
+/// answer is exact whenever the budget holds.
+///
+/// `models` must be non-empty.
+pub fn select_min_block_odist(
+    n_vars: u32,
+    models: &[Interp],
+    budget: &Budget,
+) -> BudgetedSelect<u32> {
+    let lanes = 1u64 << n_vars.min(6);
+    let total = 1u64 << n_vars;
+    let mut best: Option<u8> = None;
+    let mut tied: Vec<Interp> = Vec::new();
+    let mut meter = budget.meter(BudgetSite::Scan);
+    let mut tripped = None;
+    let mut start = 0u64;
+    while start < total {
+        if let Err(t) = meter.tick_n(lanes) {
+            tripped = Some((t, Interp(start)));
+            break;
+        }
+        let hi = start >> 6;
+        let mut acc = [0u8; 64];
+        for j in models {
+            let d_hi = ((j.0 >> 6) ^ hi).count_ones() as u8;
+            for (a, &t) in acc.iter_mut().zip(&LOW_DIST[(j.0 & 63) as usize]) {
+                *a = (*a).max(d_hi + t);
+            }
+        }
+        let acc = &acc[..lanes as usize];
+        let low = acc.iter().copied().min().unwrap_or(0);
+        if best.is_none_or(|b| low < b) {
+            best = Some(low);
+            tied.clear();
+        }
+        if best == Some(low) {
+            let at = acc.iter().enumerate().filter(|&(_, &d)| d == low);
+            tied.extend(at.map(|(c, _)| Interp(start | c as u64)));
+        }
+        start += lanes;
+    }
+    let rest = (start + 1..total).map(Interp);
+    let best = best.map(u32::from);
+    finish_scan(n_vars, best, tied, (start, 0), tripped, rest, budget)
+}
+
+// ---------------------------------------------------------------------------
 // Layer 4: branch-and-bound subcube search for odist over the universe
 // ---------------------------------------------------------------------------
 
@@ -854,37 +930,33 @@ fn odist_pairs(models: &[Interp]) -> (Vec<(usize, usize)>, Vec<u32>) {
     scored.into_iter().map(|(s, p)| (p, s)).unzip()
 }
 
-/// Predicted work of a universe selection: `2^n` candidates, each ranked
-/// against `|Mod(ψ)|` models. Both dispatch decisions below read it.
-fn predicted_work(n_vars: u32, psi_len: usize) -> u64 {
-    (1u64 << n_vars).saturating_mul(psi_len as u64)
-}
-
-/// Whether the odist branch-and-bound search beats the straight scan: once
-/// the scan's predicted work `2^n·m` reaches
-/// `ODIST_WORK_PER_CUBED_MODEL·m³`, for `m = |Mod(ψ)|` (equivalently, once
-/// `2^n ≥ ODIST_WORK_PER_CUBED_MODEL·m²`). The search's own cost grows
-/// with the per-model state each node updates and with the nodes a
-/// spread-out `ψ` leaves unpruned, so a larger `ψ` needs a wider universe
-/// before pruning pays.
+/// Whether the odist branch-and-bound search beats the block scan: once
+/// the scan's work `2^n·m` reaches `ODIST_WORK_PER_CUBED_MODEL·m³` for
+/// `m = |Mod(ψ)|` (equivalently, once `2^n ≥ ODIST_WORK_PER_CUBED_MODEL·m²`).
+/// The search's cost grows with the per-model state each node updates and
+/// with the nodes a spread-out `ψ` leaves unpruned, so a larger `ψ` needs
+/// a wider universe before pruning pays.
 fn prefers_subcube(n_vars: u32, psi_len: usize) -> bool {
     let m = psi_len as u128;
-    u128::from(predicted_work(n_vars, psi_len))
-        >= u128::from(ODIST_WORK_PER_CUBED_MODEL) * m * m * m
+    1u128 << n_vars >= u128::from(ODIST_WORK_PER_CUBED_MODEL) * m * m
 }
 
 /// [`prefers_subcube`]'s constant: the median `2^n/m²` from which E12's
 /// crossover table (`m` from 2 to 32, three runs pooled) sees the
-/// pairwise-bounded search beat the scan, rounded to a power of two.
-const ODIST_WORK_PER_CUBED_MODEL: u64 = 128;
+/// pairwise-bounded search beat the block scan, rounded to a power of two.
+/// In that table the search wins only for `m` from 3 to 6, from 17
+/// variables up.
+const ODIST_WORK_PER_CUBED_MODEL: u64 = 8192;
 
 /// `Min(𝓜, ≤_odist)` over the whole universe: the pairwise-bounded
-/// branch-and-bound search once `2^n ≥ 128·|Mod(ψ)|²`
-/// (`ODIST_WORK_PER_CUBED_MODEL`), otherwise a straight sweep with one
-/// reused distance buffer per worker (split across scoped threads when
-/// the `parallel` feature is on and the work is large enough). This is
-/// the path arbitration itself takes
-/// (`ψ Δ φ = Mod(ψ ∨ φ) ▷ ⊤` minimizes odist).
+/// branch-and-bound search once `2^n ≥ 8192·|Mod(ψ)|²`
+/// (`ODIST_WORK_PER_CUBED_MODEL`), otherwise the block scan
+/// [`select_min_block_odist`]. This is the path arbitration itself takes
+/// (`ψ Δ φ = Mod(ψ ∨ φ) ▷ ⊤` minimizes odist), and lex-odist reads its
+/// answer from the same selection.
+///
+/// Returns [`CoreError::EnumLimitExceeded`] instead of selecting over more
+/// than `2^ENUM_LIMIT` candidates.
 pub fn select_min_universe_odist(
     n_vars: u32,
     models: &[Interp],
@@ -895,247 +967,7 @@ pub fn select_min_universe_odist(
     if prefers_subcube(n_vars, models.len()) {
         return Ok(select_min_subcube_odist(n_vars, models, budget));
     }
-    let factory = || {
-        let mut d = vec![0u32; models.len()];
-        move |j: Interp, _: Option<&u32>| {
-            for (dj, m) in d.iter_mut().zip(models) {
-                *dj = (m.0 ^ j.0).count_ones();
-            }
-            Some(d.iter().copied().max().unwrap_or(0))
-        }
-    };
-    Ok(scan_universe(n_vars, models.len(), &factory, budget))
-}
-
-// ---------------------------------------------------------------------------
-// Layers 3 + 5: streaming universe selection, optionally parallel
-// ---------------------------------------------------------------------------
-
-/// Predicted work one scan worker must have before another is added: a
-/// scan splits only from `2^20` units of work (`2^n·|Mod(ψ)|`), where E12's
-/// dispatch grid first shows the chunked scan beating one thread on two
-/// cores.
-const WORK_PER_SCAN_WORKER: u64 = 1 << 19;
-
-/// How many worker threads a universe scan of `work` predicted units
-/// should use: one per [`WORK_PER_SCAN_WORKER`], at most the machine's
-/// available parallelism, which `ARBITREX_THREADS` overrides (clamped to
-/// 1..=64) as the upper bound.
-#[cfg(feature = "parallel")]
-fn thread_count(work: u64) -> usize {
-    let wanted = work / WORK_PER_SCAN_WORKER;
-    if wanted < 2 {
-        return 1;
-    }
-    let configured = std::env::var("ARBITREX_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
-    let cap = configured
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, 64);
-    wanted.min(cap as u64) as usize
-}
-
-#[cfg(not(feature = "parallel"))]
-fn thread_count(_work: u64) -> usize {
-    1
-}
-
-/// `Min(𝓜, ≤_rank)` over the streamed universe of all `2^n`
-/// interpretations — the kernel under arbitration.
-///
-/// `factory` builds one pruned evaluator per worker (each worker needs its
-/// own scratch state); `psi_len` is `|Mod(ψ)|`, which sizes the predicted
-/// work `2^n·|Mod(ψ)|` that picks the worker count. With one worker this
-/// is a sequential [`select_min`] over [`all_interps`], otherwise the
-/// chunked scan of `select_min_universe_parallel`.
-///
-/// Returns [`CoreError::EnumLimitExceeded`] instead of scanning more than
-/// `2^ENUM_LIMIT` candidates.
-pub fn select_min_universe<K, E, F>(
-    n_vars: u32,
-    psi_len: usize,
-    factory: F,
-    budget: &Budget,
-) -> Result<BudgetedSelect<K>, CoreError>
-where
-    K: Ord + Clone + Send,
-    E: FnMut(Interp, Option<&K>) -> Option<K>,
-    F: Fn() -> E + Sync,
-{
-    CoreError::check_enum_limit(n_vars)?;
-    let _span = telemetry::UNIVERSE_SEARCH.span();
-    Ok(scan_universe(n_vars, psi_len, &factory, budget))
-}
-
-/// The body of [`select_min_universe`], without its limit check and span.
-fn scan_universe<K, E, F>(
-    n_vars: u32,
-    psi_len: usize,
-    factory: &F,
-    budget: &Budget,
-) -> BudgetedSelect<K>
-where
-    K: Ord + Clone + Send,
-    E: FnMut(Interp, Option<&K>) -> Option<K>,
-    F: Fn() -> E + Sync,
-{
-    let threads = thread_count(predicted_work(n_vars, psi_len));
-    if threads <= 1 {
-        return select_min(n_vars, all_interps(n_vars), factory(), budget);
-    }
-    select_min_universe_parallel(n_vars, threads, factory, budget)
-}
-
-/// The chunked scoped-thread scan behind [`select_min_universe`]: workers
-/// scan disjoint chunks, publishing their best rank through a shared cell
-/// so that every chunk prunes against the globally best rank found so
-/// far. Every worker meters [`BudgetSite::Scan`] against the shared
-/// budget; tripped workers record their unscanned range, and the frontier
-/// is the union of those ranges.
-fn select_min_universe_parallel<K, E, F>(
-    n_vars: u32,
-    threads: usize,
-    factory: &F,
-    budget: &Budget,
-) -> BudgetedSelect<K>
-where
-    K: Ord + Clone + Send,
-    E: FnMut(Interp, Option<&K>) -> Option<K>,
-    F: Fn() -> E + Sync,
-{
-    use std::sync::Mutex;
-
-    /// Refresh the local cap from the globally published best every this
-    /// many candidates — frequent enough to prune, rare enough not to
-    /// contend.
-    const SYNC_EVERY: u64 = 4096;
-
-    let total = 1u64 << n_vars;
-    let shared_best: Mutex<Option<K>> = Mutex::new(None);
-    let chunk = total.div_ceil(threads as u64);
-    type WorkerOut<K> = (
-        Option<K>,
-        Vec<Interp>,
-        Option<(u64, u64)>,
-        Option<Exhausted>,
-    );
-    let per_chunk: Vec<WorkerOut<K>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|t| {
-                let shared = &shared_best;
-                scope.spawn(move || {
-                    let _shard_span = telemetry::SHARD.span();
-                    let mut eval = factory();
-                    let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(total));
-                    let mut best: Option<K> = None;
-                    let mut tied: Vec<Interp> = Vec::new();
-                    let mut since_sync = 0u64;
-                    let (mut scanned, mut pruned) = (0u64, 0u64);
-                    let mut meter = budget.meter(BudgetSite::Scan);
-                    let mut trip: Option<Exhausted> = None;
-                    let mut remaining: Option<(u64, u64)> = None;
-                    for bits in lo..hi {
-                        if let Err(e) = meter.tick() {
-                            trip = Some(e);
-                            remaining = Some((bits, hi));
-                            break;
-                        }
-                        scanned += 1;
-                        since_sync += 1;
-                        if since_sync >= SYNC_EVERY {
-                            since_sync = 0;
-                            // invariant: poisoned only if a sibling
-                            // worker panicked — propagate the panic.
-                            let g = shared.lock().unwrap();
-                            if let Some(gb) = g.as_ref() {
-                                // Adopt a strictly better global cap; local
-                                // ties are then stale.
-                                if best.as_ref().is_none_or(|b| gb < b) {
-                                    best = Some(gb.clone());
-                                    tied.clear();
-                                }
-                            }
-                        }
-                        let i = Interp(bits);
-                        if let Some(k) = eval(i, best.as_ref()) {
-                            match best.as_ref() {
-                                Some(b) if k > *b => {}
-                                Some(b) if k == *b => tied.push(i),
-                                _ => {
-                                    // invariant: see the lock above.
-                                    let mut g = shared.lock().unwrap();
-                                    if g.as_ref().is_none_or(|gb| k < *gb) {
-                                        *g = Some(k.clone());
-                                    }
-                                    best = Some(k);
-                                    tied.clear();
-                                    tied.push(i);
-                                }
-                            }
-                        } else {
-                            pruned += 1;
-                        }
-                    }
-                    telemetry::CANDIDATES_SCANNED.add(scanned);
-                    telemetry::CANDIDATES_PRUNED.add(pruned);
-                    (best, tied, remaining, trip)
-                })
-            })
-            .collect();
-        // invariant: join() errs only when a worker panicked — propagate.
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    telemetry::SELECTIONS.incr();
-    telemetry::PARALLEL_SHARDS.add(threads as u64);
-    let overall = per_chunk
-        .iter()
-        .filter_map(|(b, ..)| b.as_ref())
-        .min()
-        .cloned();
-    let mut keep: Vec<Interp> = Vec::new();
-    if let Some(o) = overall.as_ref() {
-        for (b, t, ..) in &per_chunk {
-            if b.as_ref() == Some(o) {
-                keep.extend(t.iter().copied());
-            }
-        }
-    }
-    telemetry::TIES_KEPT.add(keep.len() as u64);
-    let trip = per_chunk.iter().find_map(|(.., s)| *s);
-    let frontier = match trip {
-        None => Some(Vec::new()),
-        Some(_) => {
-            let limit = budget.frontier_limit();
-            let pending: u64 = per_chunk
-                .iter()
-                .filter_map(|(_, _, r, _)| r.map(|(lo, hi)| hi - lo))
-                .sum();
-            if pending > limit {
-                telemetry::FRONTIER_OVERFLOWS.incr();
-                None
-            } else {
-                let mut out: Vec<Interp> = Vec::with_capacity(pending as usize);
-                for (_, _, r, _) in &per_chunk {
-                    if let Some((lo, hi)) = r {
-                        out.extend((*lo..*hi).map(Interp));
-                    }
-                }
-                telemetry::FRONTIER_MODELS.add(out.len() as u64);
-                Some(out)
-            }
-        }
-    };
-    BudgetedSelect {
-        best: overall,
-        minima: ModelSet::new(n_vars, keep),
-        frontier,
-        trip,
-    }
+    Ok(select_min_block_odist(n_vars, models, budget))
 }
 
 // ---------------------------------------------------------------------------
@@ -1275,6 +1107,7 @@ pub mod naive {
 mod tests {
     use super::*;
     use crate::distance::{min_dist, odist, sum_dist, wdist};
+    use arbitrex_logic::all_interps;
 
     /// Pseudo-random model set derived from a seed, over n ≤ 6 vars.
     fn scrambled(n: u32, seed: u64) -> ModelSet {
@@ -1424,62 +1257,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn universe_selection_matches_materialized_selection() {
-        for seed in 0..32u64 {
-            let psi = scrambled(6, seed);
-            let slice = psi.as_slice();
-            let prof = PopProfile::of(&psi).unwrap();
-            let expect = naive::odist_fitting(&psi, &ModelSet::all(6));
-            let sel = select_min_universe(
-                6,
-                slice.len(),
-                || |i: Interp, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied()),
-                &Budget::unlimited(),
-            )
-            .unwrap();
-            assert_eq!(sel.minima, expect, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn universe_selection_rejects_wide_signatures() {
-        let r = select_min_universe::<u32, _, _>(
-            arbitrex_logic::ENUM_LIMIT + 1,
-            1,
-            || |_: Interp, _: Option<&u32>| Some(0),
-            &Budget::unlimited(),
-        );
-        assert_eq!(
-            r.unwrap_err(),
-            CoreError::EnumLimitExceeded {
-                n_vars: arbitrex_logic::ENUM_LIMIT + 1,
-                limit: arbitrex_logic::ENUM_LIMIT,
-            }
-        );
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_universe_selection_matches_sequential() {
-        // Exercise the chunked path directly (the public entry point would
-        // choose one worker for a universe this small).
-        let unlimited = Budget::unlimited();
-        for seed in 0..16u64 {
-            let psi = scrambled(6, seed);
-            let slice = psi.as_slice();
-            let prof = PopProfile::of(&psi).unwrap();
-            let factory =
-                || |i: Interp, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied());
-            let seq = select_min(6, all_interps(6), factory(), &unlimited);
-            for threads in [2, 3, 5] {
-                let par = select_min_universe_parallel(6, threads, &factory, &unlimited);
-                assert_eq!(par.minima, seq.minima, "threads {threads}, seed {seed}");
-                assert_eq!(par.best, seq.best);
-            }
-        }
-    }
-
     // --- budgeted layer -----------------------------------------------------
 
     use crate::budget::{FaultPlan, TripReason};
@@ -1618,32 +1395,6 @@ mod tests {
         let trip = sel.trip.expect("step limit must trip");
         assert_eq!(trip.reason, TripReason::Steps);
         assert_contains(&sel, &exact, "step limit");
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn budgeted_parallel_universe_scan_keeps_containment() {
-        for seed in 0..12u64 {
-            let psi = scrambled(6, seed);
-            let slice = psi.as_slice();
-            let prof = PopProfile::of(&psi).unwrap();
-            let exact = naive::odist_fitting(&psi, &ModelSet::all(6));
-            let factory =
-                || |i: Interp, cap: Option<&u32>| odist_pruned(slice, &prof, i, cap.copied());
-            for threads in [2usize, 3] {
-                for at in [1u64, 20, 63] {
-                    let budget =
-                        Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, at));
-                    let sel = select_min_universe_parallel(6, threads, &factory, &budget);
-                    assert!(sel.trip.is_some(), "t={threads} at={at}");
-                    assert_contains(
-                        &sel,
-                        &exact,
-                        &format!("par scan t={threads} at={at} seed={seed}"),
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -60,15 +60,10 @@ pub static BNB_NODES_OPENED: Counter = Counter::new("bnb_nodes_opened");
 /// Odist branch-and-bound children discarded whole by its partial-distance
 /// or pairwise triangle-inequality bound.
 pub static BNB_NODES_CUT: Counter = Counter::new("bnb_nodes_cut");
-/// Worker threads spawned by parallel universe scans.
-pub static PARALLEL_SHARDS: Counter = Counter::new("parallel_shards");
 /// Calls routed to the SAT backend ([`crate::satbackend`]).
 pub static SAT_BACKEND_CALLS: Counter = Counter::new("sat_backend_calls");
 /// Wall time inside universe-scale selection entry points.
 pub static UNIVERSE_SEARCH: Timer = Timer::new("universe_search");
-/// Busy time summed across parallel worker shards (≥ wall time when the
-/// scan actually fans out).
-pub static SHARD: Timer = Timer::new("shard");
 
 /// The `"kernel"` section.
 pub static KERNEL_SECTION: Section = Section {
@@ -81,10 +76,9 @@ pub static KERNEL_SECTION: Section = Section {
         &TIES_KEPT,
         &BNB_NODES_OPENED,
         &BNB_NODES_CUT,
-        &PARALLEL_SHARDS,
         &SAT_BACKEND_CALLS,
     ],
-    timers: &[&UNIVERSE_SEARCH, &SHARD],
+    timers: &[&UNIVERSE_SEARCH],
 };
 
 // --- section "weighted": the weighted path (wfitting.rs) -------------------

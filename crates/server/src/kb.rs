@@ -25,8 +25,7 @@
 //! torn tail that recovery truncates (also harmless: nobody was told).
 //! What can never happen is an acknowledged commit that recovery loses.
 //!
-//! With **group commit** (the default; `--group-commit=off` restores
-//! fsync-per-commit) step 2 splits: the record is appended — not
+//! Step 2 is a **group commit**: the record is appended — not
 //! synced — under the WAL lock and receives a monotonically increasing
 //! *ticket*; the committer then releases the WAL lock and blocks until
 //! a dedicated flusher thread's shared fsync covers its ticket. One
@@ -216,10 +215,7 @@ pub struct DurabilityOptions {
     /// Deterministic fault injection (testing): the log, the flusher and
     /// the snapshot writer charge its durability sites.
     pub faults: Faults,
-    /// Batch WAL fsyncs behind a flusher thread (one fsync acks N
-    /// commits); `false` restores the fsync-per-commit path.
-    pub group_commit: bool,
-    /// With group commit, how long the flusher may linger past the
+    /// How long the group-commit flusher may linger past the
     /// oldest pending append waiting for batch-mates. Zero flushes as
     /// soon as the flusher is free (natural batching only).
     pub flush_interval: Duration,
@@ -450,7 +446,7 @@ fn flusher_loop(shared: &FlushShared, file: &File, faults: &Faults, interval: Du
 
 struct DurableBackend {
     state: Mutex<DurableState>,
-    group: Option<GroupCommit>,
+    group: GroupCommit,
     /// Retained frames + watermarks + role flags, shared with the
     /// replication endpoints and (on a replica) the puller thread.
     repl: Arc<ReplLog>,
@@ -505,15 +501,8 @@ impl KbStore {
     ) -> Result<(KbStore, RecoveryReport), RecoveryError> {
         let (state, report) = recovery::recover(&opts.dir, opts.recover)?;
         let wal = Wal::open(&opts.dir.join(WAL_FILE), opts.faults)?;
-        let group = if opts.group_commit {
-            Some(GroupCommit::start(
-                wal.shared_file(),
-                wal.faults().clone(),
-                opts.flush_interval,
-            ))
-        } else {
-            None
-        };
+        let group =
+            GroupCommit::start(wal.shared_file(), wal.faults().clone(), opts.flush_interval);
         // The epoch continues from (never drops below) what recovery
         // found — a lower stamp would read as corruption next time; the
         // rseq space always continues, promotion does not reset it.
@@ -579,17 +568,8 @@ impl KbStore {
                     let mut s = backend.state.lock().unwrap();
                     let rseq = s.next_rseq;
                     let framed = wal::frame(s.epoch, rseq, &wal::encode_record(&rec));
-                    let ticket = match &backend.group {
-                        None => {
-                            s.wal.append_frame_unsynced(&framed)?;
-                            s.wal.sync()?;
-                            None
-                        }
-                        Some(group) => {
-                            s.wal.append_frame_unsynced(&framed)?;
-                            Some(group.note_append())
-                        }
-                    };
+                    s.wal.append_frame_unsynced(&framed)?;
+                    let ticket = backend.group.note_append();
                     s.next_rseq += 1;
                     backend.repl.push(s.epoch, rseq, framed);
                     match rec {
@@ -607,10 +587,8 @@ impl KbStore {
                         s.snapshot_every > 0 && s.since_snapshot >= s.snapshot_every,
                     )
                 };
-                if let (Some(ticket), Some(group)) = (ticket, &backend.group) {
-                    group.wait_durable(ticket)?;
-                }
-                // This record's fsync (inline or shared) covered every
+                backend.group.wait_durable(ticket)?;
+                // The shared fsync that covered this record covered every
                 // earlier append too, so the watermark jump is safe.
                 backend.repl.advance_durable(rseq);
                 backend.repl.set_visible(rseq);
@@ -785,7 +763,7 @@ impl KbStore {
                 if s.snapshot_every == 0 || s.since_snapshot < s.snapshot_every {
                     return Ok(false);
                 }
-                Self::snapshot_locked(&mut s, backend.group.as_ref(), &backend.repl)?;
+                Self::snapshot_locked(&mut s, &backend.group, &backend.repl)?;
                 Ok(true)
             }
         }
@@ -798,7 +776,7 @@ impl KbStore {
             Durability::Memory => Ok(()),
             Durability::Durable(backend) => {
                 let mut s = backend.state.lock().unwrap();
-                Self::snapshot_locked(&mut s, backend.group.as_ref(), &backend.repl)
+                Self::snapshot_locked(&mut s, &backend.group, &backend.repl)
             }
         }
     }
@@ -811,16 +789,14 @@ impl KbStore {
     /// any commits still waiting on the group-commit flusher.
     fn snapshot_locked(
         s: &mut DurableState,
-        group: Option<&GroupCommit>,
+        group: &GroupCommit,
         repl: &ReplLog,
     ) -> io::Result<()> {
         let watermark = s.next_rseq - 1;
         snapshot::write_snapshot(&s.dir, &s.shadow, s.epoch, watermark, s.wal.faults())?;
         s.wal.truncate_to_empty()?;
         s.since_snapshot = 0;
-        if let Some(group) = group {
-            group.ack_snapshot();
-        }
+        group.ack_snapshot();
         // The durable snapshot carries every append the shadow folded,
         // so those frames are shippable even if their fsync never ran.
         repl.advance_durable(watermark);
@@ -892,14 +868,9 @@ impl KbStore {
                 backend.repl.set_epoch(stamped.epoch);
             }
             s.wal.append_frame_unsynced(framed)?;
-            match &backend.group {
-                Some(group) => {
-                    // The background flusher will cover this ticket;
-                    // nobody waits on it.
-                    let _ = group.note_append();
-                }
-                None => s.wal.sync()?,
-            }
+            // The background flusher will cover this ticket; nobody
+            // waits on it.
+            let _ = backend.group.note_append();
             s.next_rseq += 1;
             backend
                 .repl
@@ -1083,9 +1054,7 @@ impl KbStore {
         s.epoch = contents.epoch;
         s.next_rseq = contents.rseq + 1;
         s.since_snapshot = 0;
-        if let Some(group) = &backend.group {
-            group.ack_snapshot();
-        }
+        backend.group.ack_snapshot();
         backend.repl.reset(contents.epoch, contents.rseq);
         // Swap the live map under the WAL lock (WAL → map is the
         // documented order). The replica's single puller thread is the
@@ -1170,9 +1139,7 @@ pub enum ApplyOutcome {
 impl Drop for KbStore {
     fn drop(&mut self) {
         if let Durability::Durable(backend) = &mut self.durability {
-            if let Some(group) = backend.group.as_mut() {
-                group.stop();
-            }
+            backend.group.stop();
         }
     }
 }

@@ -114,12 +114,7 @@ pub struct ServerConfig {
     /// Idle keep-alive connections are closed after this long with no
     /// traffic and nothing in flight; `0` keeps them forever.
     pub keep_alive_timeout_ms: u64,
-    /// Batch WAL fsyncs: commits append immediately but ack only after
-    /// a shared flush, so one fsync acknowledges every commit that
-    /// arrived while the previous one ran. `false` restores the
-    /// fsync-per-commit path.
-    pub group_commit: bool,
-    /// With group commit, how long the flusher may wait for more
+    /// How long the group-commit flusher may wait for more
     /// commits to join a batch before issuing the fsync. `0` flushes as
     /// soon as the flusher is free (natural batching only). This bounds
     /// the *extra* ack latency a commit can pay for batching.
@@ -163,7 +158,6 @@ impl Default for ServerConfig {
             recover: RecoverMode::Strict,
             faults: Faults::default(),
             keep_alive_timeout_ms: 5_000,
-            group_commit: true,
             flush_interval_us: 0,
             replication_epoch: None,
             shard_ring: shard::SELF_AUTO.to_string(),
@@ -208,7 +202,6 @@ impl ServiceState {
                     snapshot_every: config.snapshot_every,
                     recover: config.recover,
                     faults: config.faults.clone(),
-                    group_commit: config.group_commit,
                     flush_interval: std::time::Duration::from_micros(config.flush_interval_us),
                     initial_epoch: config.replication_epoch,
                     // The role comes from the ring once the node knows

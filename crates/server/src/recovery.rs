@@ -272,9 +272,10 @@ mod tests {
         snapshot::write_snapshot(&dir, &snap, 1, 40, &Faults::default()).unwrap();
         {
             let mut wal = wal::Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-            wal.append(1, 41, &commit("old", "A & B", 6)).unwrap();
-            wal.append(1, 42, &commit("new", "C", 1)).unwrap();
-            wal.append(
+            wal.append_unsynced(1, 41, &commit("old", "A & B", 6))
+                .unwrap();
+            wal.append_unsynced(1, 42, &commit("new", "C", 1)).unwrap();
+            wal.append_unsynced(
                 2,
                 43,
                 &WalRecord::Delete {
@@ -302,9 +303,9 @@ mod tests {
         let wal_path = dir.join(WAL_FILE);
         {
             let mut wal = wal::Wal::open(&wal_path, Faults::default()).unwrap();
-            wal.append(1, 1, &commit("a", "A", 1)).unwrap();
-            wal.append(1, 2, &commit("b", "B", 1)).unwrap();
-            wal.append(1, 3, &commit("c", "C", 1)).unwrap();
+            wal.append_unsynced(1, 1, &commit("a", "A", 1)).unwrap();
+            wal.append_unsynced(1, 2, &commit("b", "B", 1)).unwrap();
+            wal.append_unsynced(1, 3, &commit("c", "C", 1)).unwrap();
         }
         // Flip a byte inside the *first* record's stamp (CRC-covered).
         let mut bytes = std::fs::read(&wal_path).unwrap();

@@ -23,10 +23,10 @@
 //! formula}` — the formula in the canonical prefix byte encoding from
 //! `arbitrex_logic::canonical` ([`arbitrex_logic::encode_formula`]), so a
 //! replayed theory is byte-identical to the acknowledged one. No commit
-//! is acknowledged before an fsync covering its append has succeeded —
-//! either its own ([`Wal::append`], the fsync-per-commit path) or a
-//! shared group-commit flush ([`Wal::append_unsynced`] + [`sync_file`],
-//! where one fsync acknowledges every append that preceded it).
+//! is acknowledged before an fsync covering its append has succeeded: a
+//! shared group-commit flush ([`Wal::append_frame_unsynced`] +
+//! [`sync_file`], where one fsync acknowledges every append that
+//! preceded it).
 //! [`crate::recovery`] replays the log on startup and decides, from the
 //! position and shape of the first bad frame, whether the log has a torn
 //! tail (safe to truncate) or mid-log corruption (refuse unless
@@ -579,8 +579,7 @@ impl Wal {
 
     /// Append one record *without* syncing it. The record is on its way
     /// to the kernel but not durable; callers must not acknowledge the
-    /// commit until a [`Wal::sync`] (or a shared [`sync_file`]) covering
-    /// this append succeeds. This is the group-commit append half.
+    /// commit until a [`sync_file`] covering this append succeeds.
     pub fn append_unsynced(&mut self, epoch: u64, rseq: u64, rec: &WalRecord) -> io::Result<()> {
         let framed = frame(epoch, rseq, &encode_record(rec));
         self.append_frame_unsynced(&framed)
@@ -608,23 +607,6 @@ impl Wal {
         metrics::WAL_RECORDS_APPENDED.incr();
         metrics::WAL_BYTES_APPENDED.add(framed.len() as u64);
         Ok(())
-    }
-
-    /// Fsync everything appended so far.
-    pub fn sync(&self) -> io::Result<()> {
-        sync_file(&self.file, &self.faults)
-    }
-
-    /// Append one record and fsync it. On success the record is durable:
-    /// this is the commit point the route handlers acknowledge after
-    /// (the fsync-per-commit path; group commit splits the two halves).
-    ///
-    /// With a fault plan armed, the k-th `wal_write` writes a torn frame
-    /// prefix to disk (flushed, so it is really there for recovery to
-    /// find) and fails; the k-th `wal_fsync` skips the sync and fails.
-    pub fn append(&mut self, epoch: u64, rseq: u64, rec: &WalRecord) -> io::Result<()> {
-        self.append_unsynced(epoch, rseq, rec)?;
-        self.sync()
     }
 
     /// Drop every record: truncate back to the magic and fsync. Called
@@ -707,7 +689,7 @@ mod tests {
         {
             let mut wal = Wal::open(&path, Faults::default()).unwrap();
             for (i, rec) in recs.iter().enumerate() {
-                wal.append(3, 10 + i as u64, rec).unwrap();
+                wal.append_unsynced(3, 10 + i as u64, rec).unwrap();
             }
         }
         let scanned = scan(&path).unwrap().unwrap();
@@ -767,10 +749,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::open(&path, Faults::default()).unwrap();
-            wal.append(2, 5, &sample_commit("a", "A", 1)).unwrap();
+            wal.append_unsynced(2, 5, &sample_commit("a", "A", 1))
+                .unwrap();
             // A frame from a *lower* epoch after a higher one can only
             // mean a deposed primary's bytes were spliced in.
-            wal.append(1, 6, &sample_commit("a", "B", 2)).unwrap();
+            wal.append_unsynced(1, 6, &sample_commit("a", "B", 2))
+                .unwrap();
         }
         let scanned = scan(&path).unwrap().unwrap();
         assert_eq!(scanned.records.len(), 1);

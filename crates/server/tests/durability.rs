@@ -164,8 +164,10 @@ fn torn_tail_is_truncated_and_the_server_starts() {
     let dir = temp_state_dir();
     {
         let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-        wal.append(1, 1, &wal_commit("kept", "A | B", 1)).unwrap();
-        wal.append(1, 2, &wal_commit("kept", "A & B", 2)).unwrap();
+        wal.append_unsynced(1, 1, &wal_commit("kept", "A | B", 1))
+            .unwrap();
+        wal.append_unsynced(1, 2, &wal_commit("kept", "A & B", 2))
+            .unwrap();
     }
     // Tear the final record: chop its last 5 bytes, as a crash mid-write
     // would.
@@ -196,9 +198,12 @@ fn mid_log_corruption_refuses_strict_and_salvages_the_prefix() {
     let dir = temp_state_dir();
     {
         let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-        wal.append(1, 1, &wal_commit("first", "A", 1)).unwrap();
-        wal.append(1, 2, &wal_commit("second", "B", 1)).unwrap();
-        wal.append(1, 3, &wal_commit("third", "C", 1)).unwrap();
+        wal.append_unsynced(1, 1, &wal_commit("first", "A", 1))
+            .unwrap();
+        wal.append_unsynced(1, 2, &wal_commit("second", "B", 1))
+            .unwrap();
+        wal.append_unsynced(1, 3, &wal_commit("third", "C", 1))
+            .unwrap();
     }
     // Flip one byte inside the second record's payload: mid-log damage.
     let wal_path = dir.join(WAL_FILE);
@@ -254,7 +259,8 @@ fn truncated_snapshot_refuses_strict_and_salvage_replays_the_wal() {
     snapshot::write_snapshot(&dir, &entries, 1, 4, &Faults::default()).unwrap();
     {
         let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-        wal.append(1, 5, &wal_commit("walkb", "W", 1)).unwrap();
+        wal.append_unsynced(1, 5, &wal_commit("walkb", "W", 1))
+            .unwrap();
     }
     // Truncate the snapshot mid-file.
     let snap_path = dir.join(snapshot::SNAPSHOT_FILE);
@@ -527,13 +533,12 @@ fn oversized_bodies_are_refused_413_before_buffering() {
 
 // --- group commit ------------------------------------------------------------
 
-fn durable_store(dir: &Path, group_commit: bool, flush_interval: Duration) -> KbStore {
+fn durable_store(dir: &Path, flush_interval: Duration) -> KbStore {
     let (store, _report) = KbStore::open_durable(DurabilityOptions {
         dir: dir.to_path_buf(),
         snapshot_every: 0,
         recover: RecoverMode::Strict,
         faults: Faults::default(),
-        group_commit,
         flush_interval,
         initial_epoch: None,
         replica: false,
@@ -546,19 +551,19 @@ fn durable_store(dir: &Path, group_commit: bool, flush_interval: Duration) -> Kb
 fn a_demoted_store_reopens_read_only_until_promoted() {
     let dir = temp_state_dir();
     let read_only = |store: &KbStore| store.replication().expect("durable").read_only();
-    let store = durable_store(&dir, false, Duration::ZERO);
+    let store = durable_store(&dir, Duration::ZERO);
     assert!(!read_only(&store));
     store.demote().expect("demote");
     assert!(read_only(&store));
     drop(store);
 
     // The demotion survives the restart; only a promotion clears it.
-    let store = durable_store(&dir, false, Duration::ZERO);
+    let store = durable_store(&dir, Duration::ZERO);
     assert!(read_only(&store), "a demoted store reopened writable");
     assert_eq!(store.promote().expect("promote"), (2, 0));
     assert!(!read_only(&store));
     drop(store);
-    let store = durable_store(&dir, false, Duration::ZERO);
+    let store = durable_store(&dir, Duration::ZERO);
     assert!(!read_only(&store), "a promoted store reopened read-only");
 }
 
@@ -599,22 +604,11 @@ fn assert_storm_recovered(dir: &Path, threads: u64, commits: u64) {
 fn group_commit_acks_every_concurrent_commit_durably() {
     let dir = temp_state_dir();
     {
-        let store = durable_store(&dir, true, Duration::ZERO);
+        let store = durable_store(&dir, Duration::ZERO);
         commit_storm(&store, 8, 32);
         // The store drops here: the flusher drains and joins.
     }
     assert_storm_recovered(&dir, 8, 32);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn group_commit_off_restores_fsync_per_commit() {
-    let dir = temp_state_dir();
-    {
-        let store = durable_store(&dir, false, Duration::ZERO);
-        commit_storm(&store, 4, 16);
-    }
-    assert_storm_recovered(&dir, 4, 16);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -624,7 +618,7 @@ fn flush_interval_lingers_without_losing_acks() {
     {
         // A 2ms linger forces the deadline-accumulation path: the
         // flusher waits for batch-mates, then must still ack everyone.
-        let store = durable_store(&dir, true, Duration::from_millis(2));
+        let store = durable_store(&dir, Duration::from_millis(2));
         commit_storm(&store, 4, 16);
     }
     assert_storm_recovered(&dir, 4, 16);
@@ -640,7 +634,6 @@ fn group_commit_snapshot_acks_pending_commits() {
             snapshot_every: 4, // snapshots race the flusher mid-storm
             recover: RecoverMode::Strict,
             faults: Faults::default(),
-            group_commit: true,
             flush_interval: Duration::from_millis(1),
             initial_epoch: None,
             replica: false,
@@ -786,7 +779,6 @@ fn kill9_mid_commit_storm_loses_no_acknowledged_commit() {
         snapshot_every: 0,
         recover: RecoverMode::Strict,
         faults: Faults::default(),
-        group_commit: false,
         flush_interval: Duration::ZERO,
         initial_epoch: None,
         replica: false,
@@ -811,7 +803,7 @@ fn kill9_mid_commit_storm_loses_no_acknowledged_commit() {
 }
 
 /// Child mode for the group-commit kill-9 harness: a durable server with
-/// group commit on and a nonzero flush interval, so the SIGKILL lands
+/// a nonzero group-commit flush interval, so the SIGKILL lands
 /// while batched, not-yet-fsynced appends are in flight. A no-op under a
 /// normal test run (the env var is absent).
 #[test]
@@ -823,7 +815,6 @@ fn child_group_commit_server_main() {
     let server = durable_server(&dir, |c| {
         c.threads = 4;
         c.snapshot_every = 16;
-        c.group_commit = true;
         c.flush_interval_us = 200; // widen the append→fsync window
     });
     let tmp = dir.join("addr.tmp");
@@ -919,7 +910,6 @@ fn kill9_group_commit_storm_loses_no_acknowledged_commit() {
         snapshot_every: 0,
         recover: RecoverMode::Strict,
         faults: Faults::default(),
-        group_commit: false,
         flush_interval: Duration::ZERO,
         initial_epoch: None,
         replica: false,

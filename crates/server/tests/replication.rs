@@ -440,7 +440,6 @@ fn frames_from_a_deposed_epoch_are_refused() {
         snapshot_every: 0,
         recover: RecoverMode::Strict,
         faults: Faults::default(),
-        group_commit: false,
         flush_interval: Duration::ZERO,
         initial_epoch: None,
         replica: true,

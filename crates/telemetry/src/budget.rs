@@ -13,8 +13,8 @@
 //! ([`BudgetSite`]) and unwind with a typed [`Exhausted`] record when any
 //! limit trips. Hot loops charge through a [`Meter`], which batches the
 //! shared-state traffic so the cost per iteration is a local increment.
-//! Once a budget trips it stays tripped — every clone (e.g. every parallel
-//! shard) observes the same first-trip record and unwinds.
+//! Once a budget trips it stays tripped — every clone (e.g. the one a SAT
+//! solver holds) observes the same first-trip record and unwinds.
 //!
 //! Deterministic fault injection is one registry for every layer: a
 //! [`FaultPlan`] names a [`FaultSite`] and the 1-based charge `k` at which
@@ -428,7 +428,7 @@ impl Faults {
     }
 }
 
-/// State shared by every clone of a [`Budget`] (all shards of one run).
+/// State shared by every clone of a [`Budget`].
 #[derive(Debug)]
 struct Shared {
     spent: [AtomicU64; SITE_COUNT],
@@ -486,8 +486,8 @@ impl BudgetSpent {
 /// A cooperative execution budget.
 ///
 /// Cheap to clone — clones share the same spent counters and trip state,
-/// so one `Budget` governs an entire operator application including its
-/// parallel shards and any SAT solvers it spawns. An unlimited budget
+/// so one `Budget` governs an entire operator application including any
+/// SAT solvers it spawns. An unlimited budget
 /// ([`Budget::unlimited`]) never trips, but metered loops still charge
 /// it, so [`Budget::spent`] reports the work they did.
 ///
@@ -727,10 +727,18 @@ impl Meter<'_> {
     /// given out (sticky: keeps returning it).
     #[inline]
     pub fn tick(&mut self) -> Result<(), Exhausted> {
+        self.tick_n(1)
+    }
+
+    /// Charge `n` work units as one tick (a block of candidates ranked
+    /// together): a fault plan fires on the tick whose units cover its
+    /// `k`.
+    #[inline]
+    pub fn tick_n(&mut self, n: u64) -> Result<(), Exhausted> {
         if let Some(t) = self.tripped {
             return Err(t);
         }
-        self.pending += 1;
+        self.pending += n;
         if self.pending >= self.stride {
             let n = std::mem::take(&mut self.pending);
             if let Err(t) = self.budget.charge(self.site, n) {

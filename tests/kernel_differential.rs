@@ -5,13 +5,18 @@
 //! weighted-sum fittings, which the per-bit vote tally answers in closed
 //! form, are also checked exhaustively at small widths and on the shapes
 //! that stress a per-bit majority: even splits, one-model and
-//! whole-universe ψ, zero and near-`u64::MAX` weights.
+//! whole-universe ψ, zero and near-`u64::MAX` weights. The odist and
+//! lex-odist universe selections are checked at every width from 0 to 16,
+//! on both sides of the block-scan/subcube-search dispatch, with ties that
+//! straddle 64-candidate blocks and with faults and step limits that cut
+//! the block scan short.
 
-use arbitrex_core::kernel::naive;
+use arbitrex_core::kernel::{naive, select_min_block_odist, BudgetedSelect};
 use arbitrex_core::{
-    arbitrate, warbitrate, ChangeOperator, DalalRevision, ForbusUpdate, GMaxFitting,
-    LexOdistFitting, OdistFitting, SumFitting, UniverseFitting, WdistFitting,
-    WeightedChangeOperator, WeightedKb, WeightedUniverseFitting, WinslettUpdate,
+    arbitrate, odist, warbitrate, Budget, BudgetSite, ChangeOperator, DalalRevision, FaultPlan,
+    ForbusUpdate, GMaxFitting, LexOdistFitting, OdistFitting, SumFitting, TripReason,
+    UniverseFitting, WdistFitting, WeightedChangeOperator, WeightedKb, WeightedUniverseFitting,
+    WinslettUpdate,
 };
 use arbitrex_logic::{Interp, ModelSet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -344,5 +349,154 @@ fn sum_and_wdist_closed_form_match_naive_oracles_at_widths_0_to_16() {
                 .map(|i| (i, u64::MAX - rng.random_range(0..3u64))),
         );
         check_wdist(&heavy, &none, &format!("{ctx}: heavy"));
+    }
+}
+
+/// `count` distinct random models over `n` variables (capped at `2^n`).
+fn distinct_models<R: Rng + ?Sized>(rng: &mut R, n: u32, count: usize) -> ModelSet {
+    let mut models = std::collections::BTreeSet::new();
+    while models.len() < count.min(1 << n) {
+        models.insert(Interp(rng.random_range(0..1u64 << n)));
+    }
+    ModelSet::new(n, models)
+}
+
+/// Odist and lex-odist universe fitting against the naive oracles; returns
+/// the odist answer.
+fn check_odist_universe(psi: &ModelSet, ctx: &str) -> ModelSet {
+    let all = ModelSet::all(psi.n_vars());
+    let got = OdistFitting.apply_universe(psi).unwrap();
+    assert_eq!(got, naive::odist_fitting(psi, &all), "{ctx}: odist");
+    assert_eq!(
+        LexOdistFitting.apply_universe(psi).unwrap(),
+        naive::lex_odist_fitting(psi, &all),
+        "{ctx}: lex-odist"
+    );
+    got
+}
+
+/// `minima ∪ frontier ⊇ exact` for an interrupted selection; for an exact
+/// one, the oracle's minima and odist, and `2^n` scans charged.
+fn check_block_containment(psi: &ModelSet, budget: &Budget, ctx: &str) -> BudgetedSelect<u32> {
+    let n = psi.n_vars();
+    let exact = naive::odist_fitting(psi, &ModelSet::all(n));
+    let sel = select_min_block_odist(n, psi.as_slice(), budget);
+    let frontier = ModelSet::new(n, sel.frontier.clone().expect("frontier fits"));
+    if sel.trip.is_none() {
+        assert_eq!(sel.minima, exact, "{ctx}");
+        let best = exact.iter().next().and_then(|i| odist(psi, i));
+        assert_eq!(sel.best, best, "{ctx}");
+        assert_eq!(budget.spent().scans, 1 << n, "{ctx}");
+    } else {
+        let covered = sel.minima.union(&frontier);
+        assert!(exact.iter().all(|i| covered.contains(i)), "{ctx}");
+    }
+    sel
+}
+
+#[test]
+fn odist_universe_selection_matches_naive_oracle_at_widths_0_to_16() {
+    let mut rng = StdRng::seed_from_u64(0xD1FC);
+    for n in 0..=16u32 {
+        // Few models take the subcube search at wide n, many the block scan.
+        for m in [1usize, 2, 3, 8, 40] {
+            for case in 0..if n <= 10 { 6 } else { 2 } {
+                let psi = distinct_models(&mut rng, n, m);
+                check_odist_universe(&psi, &format!("n = {n}, m = {m}, case {case}"));
+            }
+        }
+        let ctx = format!("n = {n}");
+        // One model: it is its own and only odist minimum.
+        let single = distinct_models(&mut rng, n, 1);
+        assert_eq!(check_odist_universe(&single, &ctx), single, "{ctx}: single");
+        // ψ = 𝓜: every candidate's complement is a model, so all 2^n tie
+        // at odist n. The oracles are quadratic in 2^n, so stop at n = 10.
+        if n <= 10 {
+            let all = ModelSet::all(n);
+            assert_eq!(check_odist_universe(&all, &ctx), all, "{ctx}: universe psi");
+        }
+        if n >= 7 {
+            // Two models one flip either side of bit 6: the two minima
+            // `j` and `j ^ 0b110_0000` lie in different 64-lane blocks.
+            let j = rng.random_range(0..1u64 << n);
+            let psi = ModelSet::new(n, [Interp(j ^ 1 << 5), Interp(j ^ 1 << 6)]);
+            let minima = check_odist_universe(&psi, &ctx);
+            let expect = ModelSet::new(n, [Interp(j), Interp(j ^ 0b110_0000)]);
+            assert_eq!(minima, expect, "{ctx}: straddling tie");
+            // Antipodal models: every half-popcount candidate ties, across
+            // every block.
+            let far = ModelSet::new(n, [Interp(0), Interp((1 << n) - 1)]);
+            check_odist_universe(&far, &format!("{ctx}: antipodal"));
+        }
+    }
+}
+
+#[test]
+fn block_scan_faults_and_step_limits_keep_containment() {
+    let mut rng = StdRng::seed_from_u64(0xD1FD);
+    for n in [3u32, 6, 7, 9, 12] {
+        for case in 0..4 {
+            let m = rng.random_range(1..20);
+            let psi = distinct_models(&mut rng, n, m);
+            for k in [1u64, 64, 65] {
+                let ctx = format!("n = {n}, case {case}, scan:{k}");
+                let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, k));
+                let sel = check_block_containment(&psi, &budget, &ctx);
+                // A block is ranked whole or not at all: the fault trips
+                // the block holding candidate k, if the universe has one.
+                let lanes = 1u64 << n.min(6);
+                let tripped_at = (k - 1) / lanes * lanes;
+                assert_eq!(sel.trip.is_some(), tripped_at < 1 << n, "{ctx}");
+                if sel.trip.is_some() {
+                    let rest: Vec<Interp> = (tripped_at..1 << n).map(Interp).collect();
+                    assert_eq!(sel.frontier, Some(rest), "{ctx}");
+                }
+                // Lex-odist through the same selection keeps containment.
+                let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, k));
+                let out = LexOdistFitting
+                    .apply_universe_budgeted(&psi, &budget)
+                    .unwrap();
+                let exact = naive::lex_odist_fitting(&psi, &ModelSet::all(n));
+                assert!(exact.iter().all(|i| out.models.contains(i)), "{ctx}: lex");
+            }
+        }
+    }
+    // The meter checks a step limit once per 1024 candidates, so a limit of
+    // 1500 at n = 12 trips at the second check: on the 32nd block, which
+    // stays unranked with the 32 after it.
+    let psi = distinct_models(&mut rng, 12, 30);
+    let budget = Budget::unlimited().with_step_limit(1500);
+    let sel = check_block_containment(&psi, &budget, "step limit");
+    assert_eq!(sel.trip.map(|t| t.reason), Some(TripReason::Steps));
+    assert_eq!(sel.frontier.map(|f| f.len()), Some(4096 - 31 * 64));
+}
+
+/// At n = 16 a `ψ ∨ φ` of 24 or more models takes the block scan.
+#[test]
+fn wide_arbitration_agrees_with_naive_oracle() {
+    let mut rng = StdRng::seed_from_u64(0xD1FE);
+    const N: u32 = 16;
+    for seed in 0..8 {
+        let psi = distinct_models(&mut rng, N, 14);
+        let phi = distinct_models(&mut rng, N, 12);
+        assert_eq!(
+            arbitrate(&psi, &phi),
+            naive::arbitrate(&psi, &phi),
+            "seed {seed}"
+        );
+    }
+    for seed in 0..4 {
+        let psi = distinct_models(&mut rng, N, 14);
+        let phi = distinct_models(&mut rng, N, 12);
+        let psi = WeightedKb::from_weights(N, psi.iter().map(|i| (i, 1 + i.0 % 9)));
+        let phi = WeightedKb::from_weights(N, phi.iter().map(|i| (i, 1 + i.0 % 5)));
+        assert_eq!(
+            warbitrate(&psi, &phi),
+            naive::warbitrate(&psi, &phi),
+            "seed {seed}"
+        );
+        // 𝓜̃ carries weight 1 everywhere, so every minimizer has weight 1.
+        let got = WdistFitting.apply_universe(&psi).unwrap();
+        assert!(got.is_satisfiable() && got.support().all(|(_, w)| w == 1));
     }
 }
