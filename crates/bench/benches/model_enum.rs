@@ -1,7 +1,8 @@
 //! Model enumeration, the first layer of every kernel answer.
 //! `ModelSet::of_formula` expands a cube cover (a DNF of conjunctions of
-//! literals) cube by cube and walks the universe 64 interpretations per
-//! tree walk otherwise. Each shape is timed three ways:
+//! literals) cube by cube, or walks the universe over its cubes when they
+//! hold too many interpretations, and walks it 64 interpretations per
+//! tree walk for any other formula. Each shape is timed three ways:
 //!
 //! * `filter`: the per-interpretation filter `(0..2^n).filter(|i| eval(f, i))`;
 //! * `block_walk`: `of_formula` on `¬¬f`, which denotes the same set but is

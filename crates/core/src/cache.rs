@@ -62,17 +62,19 @@
 //! ```
 //! use arbitrex_core::cache::{cached_arbitrate, CacheStatus, OpCache};
 //! use arbitrex_core::Budget;
-//! use arbitrex_logic::{parse, Sig};
+//! use arbitrex_logic::{read_cover, ModelSet, Sig};
 //!
 //! let cache = OpCache::new(64);
 //! let mut sig = Sig::new();
-//! let psi = parse(&mut sig, "A & B").unwrap();
-//! let phi = parse(&mut sig, "!A & !B").unwrap();
+//! let psi = read_cover(&mut sig, "A & B").unwrap();
+//! let phi = read_cover(&mut sig, "!A & !B").unwrap();
+//! let psi = ModelSet::try_of_cover(&psi, sig.width()).unwrap();
+//! let phi = ModelSet::try_of_cover(&phi, sig.width()).unwrap();
 //! let b = Budget::unlimited();
-//! let (first, s1) = cached_arbitrate(&cache, &psi, &phi, sig.width(), &b).unwrap();
+//! let (first, s1) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
 //! assert_eq!(s1, CacheStatus::Miss);
 //! // The same query — and any alpha-variant of it — now hits.
-//! let (again, s2) = cached_arbitrate(&cache, &psi, &phi, sig.width(), &b).unwrap();
+//! let (again, s2) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
 //! assert_eq!(s2, CacheStatus::Hit);
 //! assert_eq!(first.models, again.models);
 //! ```
@@ -89,7 +91,7 @@ use crate::telemetry;
 use crate::weighted::WeightedKb;
 use crate::wfitting::WdistFitting;
 use arbitrex_logic::canonical::fnv1a;
-use arbitrex_logic::{Formula, Interp, ModelKey, ModelSet, MAX_VARS};
+use arbitrex_logic::{Interp, ModelKey, ModelSet, MAX_VARS};
 
 /// The most models a query's key may hold, over all its sides. A key
 /// stores every model, so past this a query is answered without the
@@ -557,20 +559,23 @@ pub(crate) fn check_query_width(n_vars: u32) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Budgeted arbitration `ψ Δ φ` through `cache`: any query with the same
-/// `Mod(ψ) ∪ Mod(φ)` up to renaming replays an earlier exact answer
-/// without running the kernel.
+/// Budgeted arbitration `ψ Δ φ` of `Mod(ψ)` and `Mod(φ)` through
+/// `cache`: any query with the same `Mod(ψ) ∪ Mod(φ)` up to renaming
+/// replays an earlier exact answer without running the kernel.
+///
+/// # Panics
+/// Panics if the two sets have different widths.
 pub fn cached_arbitrate(
     cache: &OpCache,
-    psi: &Formula,
-    phi: &Formula,
-    n_vars: u32,
+    psi: &ModelSet,
+    phi: &ModelSet,
     budget: &Budget,
 ) -> Result<(Outcome, CacheStatus), CoreError> {
+    let n_vars = psi.n_vars();
     check_query_width(n_vars)?;
     // `ψ Δ φ = (ψ ∨ φ) ▷ ⊤` with Δ's fitting (Corollary 3.1): the voices
     // are all the kernel reads, so they are all the key holds.
-    let voices = ModelSet::of_formula(psi, n_vars).union(&ModelSet::of_formula(phi, n_vars));
+    let voices = psi.union(phi);
     let key = QueryKey::for_cache(cache, voices.len(), || {
         QueryKey::new("arbitrate", n_vars, &[&voices])
     });
@@ -582,27 +587,33 @@ pub fn cached_arbitrate(
     Ok((out, status))
 }
 
-/// Budgeted application of a named fitting/revision/update operator
-/// through `cache`. The key is tagged with `op.name()`, so distinct
-/// operators never share entries.
+/// Budgeted application of a named fitting/revision/update operator to
+/// `Mod(ψ)` and `Mod(μ)` through `cache`. The key is tagged with
+/// `op.name()`, so distinct operators never share entries.
+///
+/// # Panics
+/// Panics if the two sets have different widths.
 pub fn cached_apply(
     cache: &OpCache,
     op: &dyn BudgetedChangeOperator,
-    psi: &Formula,
-    mu: &Formula,
-    n_vars: u32,
+    psi: &ModelSet,
+    mu: &ModelSet,
     budget: &Budget,
 ) -> Result<(Outcome, CacheStatus), CoreError> {
+    let n_vars = psi.n_vars();
+    assert_eq!(
+        n_vars,
+        mu.n_vars(),
+        "model sets over different signature widths"
+    );
     check_query_width(n_vars)?;
-    let mp = ModelSet::of_formula(psi, n_vars);
-    let mm = ModelSet::of_formula(mu, n_vars);
-    let key = QueryKey::for_cache(cache, mp.len() + mm.len(), || {
-        QueryKey::new(&format!("apply:{}", op.name()), n_vars, &[&mp, &mm])
+    let key = QueryKey::for_cache(cache, psi.len() + mu.len(), || {
+        QueryKey::new(&format!("apply:{}", op.name()), n_vars, &[psi, mu])
     });
     if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((Outcome::exact(models, budget), CacheStatus::Hit));
     }
-    let out = op.apply_with_budget(&mp, &mm, budget);
+    let out = op.apply_with_budget(psi, mu, budget);
     let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status))
 }
@@ -640,11 +651,10 @@ pub fn cached_warbitrate(
     Ok((out, status))
 }
 
-/// `Mod(f)` with every model carrying `weight` (the uniform-source reading
-/// used by the service protocol).
-pub fn weighted_side(f: &Formula, weight: u64, n_vars: u32) -> WeightedKb {
-    let models = ModelSet::of_formula(f, n_vars);
-    WeightedKb::from_weights(n_vars, models.iter().map(|i| (i, weight)))
+/// `models` with every model carrying `weight` (the uniform-source
+/// reading used by the service protocol).
+pub fn weighted_side(models: &ModelSet, weight: u64) -> WeightedKb {
+    WeightedKb::from_weights(models.n_vars(), models.iter().map(|i| (i, weight)))
 }
 
 /// Store an exact outcome under `key` (`None`: the cache is disabled).
@@ -666,10 +676,15 @@ mod tests {
     use crate::arbitration::try_arbitrate;
     use crate::fitting::OdistFitting;
     use crate::revision::DalalRevision;
-    use arbitrex_logic::{parse, Sig};
+    use arbitrex_logic::{parse, Formula, Sig};
 
     fn q(sig: &mut Sig, s: &str) -> Formula {
         parse(sig, s).unwrap()
+    }
+
+    /// `Mod` of each formula over the width of `sig`.
+    fn mods<const K: usize>(sig: &Sig, fs: [&Formula; K]) -> [ModelSet; K] {
+        fs.map(|f| ModelSet::of_formula(f, sig.width()))
     }
 
     #[test]
@@ -700,17 +715,13 @@ mod tests {
         let mut sig = Sig::new();
         let psi = q(&mut sig, "A & B & !C");
         let phi = q(&mut sig, "!A & !B & C");
-        let n = sig.width();
+        let [psi, phi] = mods(&sig, [&psi, &phi]);
         let b = Budget::unlimited();
-        let (first, s1) = cached_arbitrate(&cache, &psi, &phi, n, &b).unwrap();
+        let (first, s1) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
         assert_eq!(s1, CacheStatus::Miss);
-        let (second, s2) = cached_arbitrate(&cache, &psi, &phi, n, &b).unwrap();
+        let (second, s2) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
         assert_eq!(s2, CacheStatus::Hit);
-        let expect = try_arbitrate(
-            &ModelSet::of_formula(&psi, n),
-            &ModelSet::of_formula(&phi, n),
-        )
-        .unwrap();
+        let expect = try_arbitrate(&psi, &phi).unwrap();
         assert_eq!(first.models, expect);
         assert_eq!(second.models, expect);
         assert_eq!(cache.len(), 1);
@@ -725,8 +736,8 @@ mod tests {
         let mut sig1 = Sig::new();
         let psi1 = q(&mut sig1, "(A & B) | C");
         let phi1 = q(&mut sig1, "!A & !C");
-        let n = sig1.width();
-        let (_, s1) = cached_arbitrate(&cache, &psi1, &phi1, n, &b).unwrap();
+        let [psi1, phi1] = mods(&sig1, [&psi1, &phi1]);
+        let (_, s1) = cached_arbitrate(&cache, &psi1, &phi1, &b).unwrap();
         assert_eq!(s1, CacheStatus::Miss);
 
         // The same query with variables introduced in a different order
@@ -735,16 +746,13 @@ mod tests {
         let _ = q(&mut sig2, "Z"); // intern Z first
         let psi2 = q(&mut sig2, "Z | (Y & X)");
         let phi2 = q(&mut sig2, "!Z & !X");
-        let (out2, s2) = cached_arbitrate(&cache, &psi2, &phi2, n, &b).unwrap();
+        let [psi2, phi2] = mods(&sig2, [&psi2, &phi2]);
+        let (out2, s2) = cached_arbitrate(&cache, &psi2, &phi2, &b).unwrap();
         assert_eq!(s2, CacheStatus::Hit);
 
         // The replayed answer must equal a direct computation in the
         // second query's own variable space.
-        let expect = try_arbitrate(
-            &ModelSet::of_formula(&psi2, n),
-            &ModelSet::of_formula(&phi2, n),
-        )
-        .unwrap();
+        let expect = try_arbitrate(&psi2, &phi2).unwrap();
         assert_eq!(out2.models, expect);
     }
 
@@ -754,12 +762,12 @@ mod tests {
         let mut sig = Sig::new();
         let psi = q(&mut sig, "A");
         let mu = q(&mut sig, "!A | B");
-        let n = sig.width();
+        let [psi, mu] = mods(&sig, [&psi, &mu]);
         let b = Budget::unlimited();
-        let (_, s1) = cached_apply(&cache, &OdistFitting, &psi, &mu, n, &b).unwrap();
+        let (_, s1) = cached_apply(&cache, &OdistFitting, &psi, &mu, &b).unwrap();
         assert_eq!(s1, CacheStatus::Miss);
         // Same formulas, different tag: arbitration must not hit odist's entry.
-        let (_, s2) = cached_arbitrate(&cache, &psi, &mu, n, &b).unwrap();
+        let (_, s2) = cached_arbitrate(&cache, &psi, &mu, &b).unwrap();
         assert_eq!(s2, CacheStatus::Miss);
         assert_eq!(cache.len(), 2);
     }
@@ -774,9 +782,9 @@ mod tests {
         let text = names.join(" | ");
         let psi = q(&mut sig, &text);
         let phi = q(&mut sig, &text);
-        let n = sig.width();
+        let [psi, phi] = mods(&sig, [&psi, &phi]);
         let b = Budget::unlimited().with_deadline(std::time::Duration::from_millis(0));
-        let (out, status) = cached_arbitrate(&cache, &psi, &phi, n, &b).unwrap();
+        let (out, status) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
         assert_ne!(out.quality, Quality::Exact);
         assert_eq!(status, CacheStatus::Bypass);
         assert!(cache.is_empty());
@@ -789,9 +797,10 @@ mod tests {
         let mut sig = Sig::new();
         let psi = q(&mut sig, "A");
         let phi = q(&mut sig, "!A");
+        let [psi, phi] = mods(&sig, [&psi, &phi]);
         let b = Budget::unlimited();
-        let (_, s1) = cached_arbitrate(&cache, &psi, &phi, sig.width(), &b).unwrap();
-        let (_, s2) = cached_arbitrate(&cache, &psi, &phi, sig.width(), &b).unwrap();
+        let (_, s1) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
+        let (_, s2) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
         // With no capacity nothing is stored, so the exact repeat never
         // upgrades to a hit.
         assert_eq!(s1, CacheStatus::Bypass);
@@ -829,9 +838,9 @@ mod tests {
         let mut sig = Sig::new();
         let psi = q(&mut sig, "A & B");
         let phi = q(&mut sig, "!A & !B");
-        let n = sig.width();
+        let [psi, phi] = mods(&sig, [&psi, &phi]);
         let b = Budget::unlimited();
-        let side = |f: &Formula, w: u64| weighted_side(f, w, n);
+        let side = |m: &ModelSet, w: u64| weighted_side(m, w);
         let (psi3, phi1) = (side(&psi, 3), side(&phi, 1));
         let (w1, s1) = cached_warbitrate(&cache, &psi3, &phi1, &b).unwrap();
         assert_eq!(s1, CacheStatus::Miss);
@@ -851,12 +860,12 @@ mod tests {
         let psi = q(&mut sig, "V0 | !V0");
         let names: Vec<String> = (0..13).map(|i| format!("V{i}")).collect();
         let mu = q(&mut sig, &names.join(" & "));
-        let n = sig.width();
+        let [psi, mu] = mods(&sig, [&psi, &mu]);
         let b = Budget::unlimited();
         for _ in 0..2 {
-            let (out, s) = cached_apply(&cache, &DalalRevision, &psi, &mu, n, &b).unwrap();
+            let (out, s) = cached_apply(&cache, &DalalRevision, &psi, &mu, &b).unwrap();
             assert_eq!(s, CacheStatus::Bypass);
-            assert_eq!(out.models, ModelSet::of_formula(&mu, n));
+            assert_eq!(out.models, mu);
         }
         assert!(cache.is_empty());
     }

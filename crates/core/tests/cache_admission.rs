@@ -26,8 +26,9 @@ fn status(cache: &OpCache, psi: &str, phi: &str, n: u32) -> CacheStatus {
     let p = parse(&mut sig, psi).unwrap();
     let f = parse(&mut sig, phi).unwrap();
     assert_eq!(sig.width(), n, "{psi} / {phi} must stay within V0..V{n}");
-    let (out, status) = cached_arbitrate(cache, &p, &f, n, &Budget::unlimited()).unwrap();
-    let want = naive::arbitrate(&ModelSet::of_formula(&p, n), &ModelSet::of_formula(&f, n));
+    let (p, f) = (ModelSet::of_formula(&p, n), ModelSet::of_formula(&f, n));
+    let (out, status) = cached_arbitrate(cache, &p, &f, &Budget::unlimited()).unwrap();
+    let want = naive::arbitrate(&p, &f);
     assert_eq!(out.models, want, "{psi} Δ {phi}");
     status
 }
@@ -126,21 +127,21 @@ fn admission_never_changes_an_answer() {
             (n, minterm_dnf(&mut rng, n, 4), minterm_dnf(&mut rng, n, 3))
         };
         let (mp, mm) = (ModelSet::of_formula(&psi, n), ModelSet::of_formula(&mu, n));
-        let (out, s) = cached_arbitrate(&cache, &psi, &mu, n, &budget).unwrap();
+        let (out, s) = cached_arbitrate(&cache, &mp, &mm, &budget).unwrap();
         assert_eq!(
             out.models,
             naive::arbitrate(&mp, &mm),
             "arbitrate, step {step}"
         );
         count(s);
-        let (out, s) = cached_apply(&cache, &OdistFitting, &psi, &mu, n, &budget).unwrap();
+        let (out, s) = cached_apply(&cache, &OdistFitting, &mp, &mm, &budget).unwrap();
         assert_eq!(
             out.models,
             naive::odist_fitting(&mp, &mm),
             "odist, step {step}"
         );
         count(s);
-        let (out, s) = cached_apply(&cache, &DalalRevision, &psi, &mu, n, &budget).unwrap();
+        let (out, s) = cached_apply(&cache, &DalalRevision, &mp, &mm, &budget).unwrap();
         assert_eq!(
             out.models,
             naive::dalal_revision(&mp, &mm),

@@ -156,11 +156,11 @@ fn check_all(cache: &OpCache, q: &Query, what: &str) -> [Option<CacheStatus>; 4]
     let n = *n;
     let b = Budget::unlimited();
     let (mp, mf) = (models(psi, n), models(phi, n));
-    let (arb, s1) = cached_arbitrate(cache, psi, phi, n, &b).unwrap();
+    let (arb, s1) = cached_arbitrate(cache, &mp, &mf, &b).unwrap();
     assert_eq!(arb.models, naive::arbitrate(&mp, &mf), "arbitrate {what}");
-    let (odist, s2) = cached_apply(cache, &OdistFitting, psi, phi, n, &b).unwrap();
+    let (odist, s2) = cached_apply(cache, &OdistFitting, &mp, &mf, &b).unwrap();
     assert_eq!(odist.models, naive::odist_fitting(&mp, &mf), "odist {what}");
-    let (dalal, s3) = cached_apply(cache, &DalalRevision, psi, phi, n, &b).unwrap();
+    let (dalal, s3) = cached_apply(cache, &DalalRevision, &mp, &mf, &b).unwrap();
     assert_eq!(
         dalal.models,
         naive::dalal_revision(&mp, &mf),

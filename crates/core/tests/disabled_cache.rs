@@ -64,7 +64,7 @@ fn disabled_cache_answers_and_counts_as_before() {
         let arb = try_arbitrate_with_budget(&mp, &mm, &exact).unwrap();
         let fit = OdistFitting.apply_with_budget(&mp, &mm, &exact);
 
-        let ((out, status), c) = deltas(|| cached_arbitrate(&cache, p, m, n, budget).unwrap());
+        let ((out, status), c) = deltas(|| cached_arbitrate(&cache, &mp, &mm, budget).unwrap());
         expect_bypass(format!("cached_arbitrate {label}"), out.quality, status, c);
         saw_degraded |= out.quality != Quality::Exact;
         if out.quality == Quality::Exact {
@@ -72,14 +72,14 @@ fn disabled_cache_answers_and_counts_as_before() {
         }
 
         let ((out, status), c) =
-            deltas(|| cached_apply(&cache, &OdistFitting, p, m, n, budget).unwrap());
+            deltas(|| cached_apply(&cache, &OdistFitting, &mp, &mm, budget).unwrap());
         expect_bypass(format!("cached_apply {label}"), out.quality, status, c);
         if out.quality == Quality::Exact {
             assert_eq!(out.models, fit.models);
         }
 
-        let wp = arbitrex_core::cache::weighted_side(p, 3, n);
-        let wm = arbitrex_core::cache::weighted_side(m, 1, n);
+        let wp = arbitrex_core::cache::weighted_side(&mp, 3);
+        let wm = arbitrex_core::cache::weighted_side(&mm, 1);
         let ((out, status), c) = deltas(|| cached_warbitrate(&cache, &wp, &wm, budget).unwrap());
         expect_bypass(format!("cached_warbitrate {label}"), out.quality, status, c);
         if out.quality == Quality::Exact {

@@ -20,7 +20,7 @@ pub fn eval(f: &Formula, i: Interp) -> bool {
 }
 
 /// Lane masks of variables 0–5: bit `t` of `LANES[v]` is bit `v` of `t`.
-const LANES: [u64; 6] = [
+pub(crate) const LANES: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,

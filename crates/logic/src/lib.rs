@@ -10,6 +10,8 @@
 //!
 //! * [`Sig`] — an interned signature of named propositional terms,
 //! * [`Formula`] — a formula AST with parser ([`parse`]) and pretty printer,
+//! * [`Cover`] — a cube cover read straight from text ([`read_cover`]),
+//!   the shape request formulas take, expanded without a `Formula`,
 //! * [`Interp`] — an interpretation as a bitmask over the signature,
 //! * [`ModelSet`] — a finite, explicit `Mod(φ)` with Boolean set algebra,
 //! * [`ModelKey`] — a renaming-invariant key for a query's model sets,
@@ -27,6 +29,7 @@
 pub mod ast;
 pub mod canonical;
 pub mod cnf;
+pub mod cover;
 pub mod display;
 pub mod dnf;
 pub mod error;
@@ -48,6 +51,7 @@ pub use canonical::{
     numbered_canonical_bytes, rename_formula, CanonicalQuery, DecodeError,
 };
 pub use cnf::{direct_cnf, to_clauses, to_cnf, tseitin, Cnf};
+pub use cover::{read_cover, Cover};
 pub use dnf::to_dnf;
 pub use error::{LogicError, ParseError};
 pub use eval::eval;

@@ -6,6 +6,7 @@
 //! `ModelSet`.
 
 use crate::ast::Formula;
+use crate::cover::Cover;
 use crate::error::LogicError;
 use crate::eval::eval_block;
 use crate::interp::{Interp, MAX_VARS};
@@ -90,10 +91,12 @@ impl ModelSet {
     ///
     /// A cube cover (`⊥`, a literal, a conjunction of literals, or a
     /// disjunction of those — the shape of the paper's `form(I₁,…,I_k)`)
-    /// is expanded cube by cube whenever that touches no more
-    /// interpretations than the exhaustive walk has blocks; anything else
-    /// is evaluated exhaustively, 64 interpretations per tree walk. Both
-    /// paths return the same ascending set.
+    /// goes through the expansion [`ModelSet::try_of_cover`] runs on a
+    /// [`Cover`] read from text: cube by cube whenever that touches no
+    /// more interpretations than the exhaustive walk has blocks, else one
+    /// block at a time over the cubes. Anything else is evaluated
+    /// exhaustively, 64 interpretations per tree walk. Every path returns
+    /// the same ascending set.
     ///
     /// # Panics
     /// Panics if `n_vars > ENUM_LIMIT` or `f` mentions a variable
@@ -107,42 +110,25 @@ impl ModelSet {
 
     /// Fallible version of [`ModelSet::of_formula`].
     pub fn try_of_formula(f: &Formula, n_vars: u32) -> Result<ModelSet, LogicError> {
-        if n_vars > ENUM_LIMIT {
-            return Err(LogicError::TooManyVars {
-                requested: n_vars as usize,
-                limit: ENUM_LIMIT as usize,
-            });
-        }
-        if let Some(v) = f.max_var() {
-            if v.0 >= n_vars {
-                return Err(LogicError::VarOutOfRange {
-                    var: v.0,
-                    width: n_vars,
-                });
-            }
-        }
-        let blocks = 1u64 << n_vars.saturating_sub(6);
-        if let Some(models) = expand_cubes(f, n_vars, blocks) {
-            return Ok(ModelSet { n_vars, models });
-        }
-        // Below 6 variables one block holds the whole universe in its
-        // low `2^n` lanes; the lanes above it repeat those and are masked.
-        let lanes = if n_vars < 6 {
-            (1u64 << (1u32 << n_vars)) - 1
-        } else {
-            !0
+        check_enumerable(n_vars, f.max_var().map(|v| v.0))?;
+        let models = match Cover::of_formula(f) {
+            Some(cover) => cover.models(n_vars),
+            None => walk_blocks(n_vars, |block| eval_block(f, block)),
         };
-        let mut models = Vec::new();
-        for block in 0..blocks {
-            // Lanes pop low to high and blocks ascend, so `models` comes
-            // out sorted without a sort.
-            let mut word = eval_block(f, block) & lanes;
-            while word != 0 {
-                models.push(Interp(block << 6 | u64::from(word.trailing_zeros())));
-                word &= word - 1;
-            }
-        }
         Ok(ModelSet { n_vars, models })
+    }
+
+    /// Enumerate the models of a cube cover read by
+    /// [`read_cover`](crate::read_cover), through the same expansion
+    /// [`ModelSet::try_of_formula`] gives a [`Formula`] of that shape.
+    /// Fails like it when `n_vars > ENUM_LIMIT` or the cover names a
+    /// variable `≥ n_vars`.
+    pub fn try_of_cover(cover: &Cover, n_vars: u32) -> Result<ModelSet, LogicError> {
+        check_enumerable(n_vars, cover.max_var())?;
+        Ok(ModelSet {
+            n_vars,
+            models: cover.models(n_vars),
+        })
     }
 
     /// Signature width this set is defined over.
@@ -347,72 +333,42 @@ impl ModelSet {
     }
 }
 
-/// A literal or constant as the `(ones, zeros)` masks of the bits it
-/// forces; `⊥` forces bit 0 both ways, an empty cube.
-fn literal(f: &Formula) -> Option<(u64, u64)> {
-    match f {
-        Formula::True => Some((0, 0)),
-        Formula::False => Some((1, 1)),
-        Formula::Var(v) => Some((1 << v.0, 0)),
-        Formula::Not(g) => match **g {
-            Formula::Var(v) => Some((0, 1 << v.0)),
-            _ => None,
-        },
-        _ => None,
+/// The errors [`ModelSet::try_of_formula`] and [`ModelSet::try_of_cover`]
+/// share: a width past [`ENUM_LIMIT`], or a variable at or past it.
+fn check_enumerable(n_vars: u32, max_var: Option<u32>) -> Result<(), LogicError> {
+    if n_vars > ENUM_LIMIT {
+        return Err(LogicError::TooManyVars {
+            requested: n_vars as usize,
+            limit: ENUM_LIMIT as usize,
+        });
+    }
+    match max_var {
+        Some(var) if var >= n_vars => Err(LogicError::VarOutOfRange { var, width: n_vars }),
+        _ => Ok(()),
     }
 }
 
-/// A conjunction of literals (or one literal) as its `(ones, zeros)`
-/// masks; `None` for any other shape.
-fn cube(t: &Formula) -> Option<(u64, u64)> {
-    match t {
-        Formula::And(parts) => parts.iter().try_fold((0, 0), |(ones, zeros), p| {
-            let (o, z) = literal(p)?;
-            Some((ones | o, zeros | z))
-        }),
-        _ => literal(t),
-    }
-}
-
-/// `Mod(f)`, ascending, from the cubes of a cube cover `f`, provided the
-/// cubes hold at most `limit` interpretations between them (overlaps
-/// counted once per cube). `None` when `f` is no cube cover or its cubes
-/// are too big; the caller then walks the universe.
-fn expand_cubes(f: &Formula, n_vars: u32, limit: u64) -> Option<Vec<Interp>> {
-    let terms = match f {
-        Formula::Or(terms) => terms.as_slice(),
-        term => std::slice::from_ref(term),
+/// `Mod` over `n_vars` variables, ascending, one block of 64 at a time:
+/// bit `t` of `word(block)` says whether `block << 6 | t` is a model.
+pub(crate) fn walk_blocks(n_vars: u32, mut word: impl FnMut(u64) -> u64) -> Vec<Interp> {
+    // Below 6 variables one block holds the whole universe in its low
+    // `2^n` lanes; the lanes above it repeat those and are masked.
+    let lanes = if n_vars < 6 {
+        (1u64 << (1u32 << n_vars)) - 1
+    } else {
+        !0
     };
-    let width = Interp::full(n_vars).0;
-    let mut cubes = Vec::with_capacity(terms.len());
-    let mut total = 0u64;
-    for term in terms {
-        let (ones, zeros) = cube(term)?;
-        if ones & zeros != 0 {
-            continue; // `x ∧ ¬x` has no models
-        }
-        let free = width & !(ones | zeros);
-        total += 1 << free.count_ones();
-        if total > limit {
-            return None;
-        }
-        cubes.push((ones, free));
-    }
-    let mut models = Vec::with_capacity(total as usize);
-    for (ones, free) in cubes {
-        // Every subset of `free`, in increasing order.
-        let mut sub = 0u64;
-        loop {
-            models.push(Interp(ones | sub));
-            if sub == free {
-                break;
-            }
-            sub = sub.wrapping_sub(free) & free;
+    let mut models = Vec::new();
+    for block in 0..1u64 << n_vars.saturating_sub(6) {
+        // Lanes pop low to high and blocks ascend, so `models` comes out
+        // sorted without a sort.
+        let mut word = word(block) & lanes;
+        while word != 0 {
+            models.push(Interp(block << 6 | u64::from(word.trailing_zeros())));
+            word &= word - 1;
         }
     }
-    models.sort_unstable();
-    models.dedup();
-    Some(models)
+    models
 }
 
 /// Stream all `2^n` interpretations in increasing bitmask order without

@@ -106,6 +106,31 @@ const KEYWORDS: [(&str, TokKind<'static>); 8] = [
     ("xor", TokKind::Xor),
 ];
 
+/// The keyword `word` spells, if any.
+fn keyword(word: &str) -> Option<TokKind<'static>> {
+    KEYWORDS
+        .iter()
+        .find(|(kw, _)| word.eq_ignore_ascii_case(kw))
+        .map(|&(_, kind)| kind)
+}
+
+/// Is `word` one of the word operators or constants, in any case? Such a
+/// word is never a variable name.
+pub(crate) fn is_keyword(word: &str) -> bool {
+    keyword(word).is_some()
+}
+
+/// The end of the identifier whose first byte, a letter or `_`, is
+/// `bytes[start]`: the rest of it is letters, digits, `_` and `'`.
+pub(crate) fn ident_end(bytes: &[u8], start: usize) -> usize {
+    start
+        + 1
+        + bytes[start + 1..]
+            .iter()
+            .take_while(|&&d| d.is_ascii_alphanumeric() || d == b'_' || d == b'\'')
+            .count()
+}
+
 fn lex(input: &str) -> Result<Vec<Tok<'_>>, ParseError> {
     let bytes = input.as_bytes();
     let mut toks = Vec::new();
@@ -179,21 +204,10 @@ fn lex(input: &str) -> Result<Vec<Tok<'_>>, ParseError> {
                 TokKind::False
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i + 1;
-                while j < bytes.len() {
-                    let d = bytes[j] as char;
-                    if d.is_ascii_alphanumeric() || d == '_' || d == '\'' {
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
+                let j = ident_end(bytes, i);
                 let word = &input[i..j];
                 i = j;
-                KEYWORDS
-                    .iter()
-                    .find(|(kw, _)| word.eq_ignore_ascii_case(kw))
-                    .map_or(TokKind::Ident(word), |&(_, kind)| kind)
+                keyword(word).unwrap_or(TokKind::Ident(word))
             }
             other => {
                 return Err(ParseError {

@@ -63,6 +63,14 @@ impl Sig {
         Some(v)
     }
 
+    /// Forget every variable interned after the first `len`, so the
+    /// signature is again what it was when it held `len` of them.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len..) {
+            self.index.remove(&name);
+        }
+    }
+
     /// Look up a name without interning.
     pub fn get(&self, name: &str) -> Option<Var> {
         self.index.get(name).copied()

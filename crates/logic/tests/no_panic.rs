@@ -1,17 +1,27 @@
-//! Robustness fuzzing: the parser and the downstream normal-form
-//! pipeline must never panic, whatever bytes arrive — malformed inputs
+//! Robustness fuzzing: the cube-cover reader, the parser and the
+//! downstream normal-form pipeline must never panic, whatever bytes
+//! arrive — the reader declines what it does not read, malformed inputs
 //! are rejected with a typed [`ParseError`] carrying a position, and
 //! anything that parses must survive evaluation, simplification, NNF,
 //! and CNF conversion.
 
 use arbitrex_logic::{
-    eval, parse, simplify, to_clauses, to_nnf, Interp, ParseError, Sig, MAX_PARSE_DEPTH,
+    eval, parse, read_cover, simplify, to_clauses, to_nnf, Interp, ModelSet, ParseError, Sig,
+    ENUM_LIMIT, MAX_PARSE_DEPTH,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Parse, and if the input is well-formed push the formula through the
-/// whole downstream pipeline — the "never panics" property covers it all.
+/// Read as a cube cover and expand what is read; then parse, and if the
+/// input is well-formed push the formula through the whole downstream
+/// pipeline — the "never panics" property covers it all.
 fn exercise(input: &str) -> Result<(), ParseError> {
+    let mut sig = Sig::new();
+    if let Some(cover) = read_cover(&mut sig, input) {
+        let n = sig.width();
+        assert_eq!(ModelSet::try_of_cover(&cover, n).is_ok(), n <= ENUM_LIMIT);
+    } else {
+        assert!(sig.is_empty(), "a declined input interned names");
+    }
     let mut sig = Sig::new();
     let f = parse(&mut sig, input)?;
     let n = sig.len() as u32;

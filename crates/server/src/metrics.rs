@@ -24,6 +24,8 @@ pub static RESPONSES_CLIENT_ERROR: Counter = Counter::new("responses_client_erro
 pub static RESPONSES_SERVER_ERROR: Counter = Counter::new("responses_server_error");
 /// Operator responses whose budget tripped (quality below exact).
 pub static DEGRADED: Counter = Counter::new("degraded");
+/// Request formulas the cube-cover reader declined, which `parse` read.
+pub static FORMULA_FALLBACKS: Counter = Counter::new("formula_fallbacks");
 
 /// The `"server"` section.
 pub static SERVER_SECTION: Section = Section {
@@ -37,6 +39,7 @@ pub static SERVER_SECTION: Section = Section {
         &RESPONSES_CLIENT_ERROR,
         &RESPONSES_SERVER_ERROR,
         &DEGRADED,
+        &FORMULA_FALLBACKS,
     ],
     timers: &[],
 };

@@ -246,6 +246,12 @@ mod tests {
         dir
     }
 
+    /// Frame `rec` and append it unsynced, as `KbStore::log` does.
+    fn append(wal: &mut wal::Wal, epoch: u64, rseq: u64, rec: &WalRecord) {
+        wal.append_frame_unsynced(&wal::frame(epoch, rseq, &wal::encode_record(rec)))
+            .unwrap();
+    }
+
     fn commit(name: &str, text: &str, seq: u64) -> WalRecord {
         let mut sig = Sig::new();
         let formula = parse(&mut sig, text).unwrap();
@@ -272,17 +278,16 @@ mod tests {
         snapshot::write_snapshot(&dir, &snap, 1, 40, &Faults::default()).unwrap();
         {
             let mut wal = wal::Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-            wal.append_unsynced(1, 41, &commit("old", "A & B", 6))
-                .unwrap();
-            wal.append_unsynced(1, 42, &commit("new", "C", 1)).unwrap();
-            wal.append_unsynced(
+            append(&mut wal, 1, 41, &commit("old", "A & B", 6));
+            append(&mut wal, 1, 42, &commit("new", "C", 1));
+            append(
+                &mut wal,
                 2,
                 43,
                 &WalRecord::Delete {
                     name: "old".to_string(),
                 },
-            )
-            .unwrap();
+            );
         }
         let (state, report) = recover(&dir, RecoverMode::Strict).unwrap();
         assert_eq!(state.len(), 1);
@@ -303,9 +308,9 @@ mod tests {
         let wal_path = dir.join(WAL_FILE);
         {
             let mut wal = wal::Wal::open(&wal_path, Faults::default()).unwrap();
-            wal.append_unsynced(1, 1, &commit("a", "A", 1)).unwrap();
-            wal.append_unsynced(1, 2, &commit("b", "B", 1)).unwrap();
-            wal.append_unsynced(1, 3, &commit("c", "C", 1)).unwrap();
+            append(&mut wal, 1, 1, &commit("a", "A", 1));
+            append(&mut wal, 1, 2, &commit("b", "B", 1));
+            append(&mut wal, 1, 3, &commit("c", "C", 1));
         }
         // Flip a byte inside the *first* record's stamp (CRC-covered).
         let mut bytes = std::fs::read(&wal_path).unwrap();

@@ -51,7 +51,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use arbitrex_core::{cached_arbitrate, Budget, Quality};
-use arbitrex_logic::{parse as parse_formula, rename_formula, Formula, Sig, ENUM_LIMIT};
+use arbitrex_logic::{parse as parse_formula, rename_formula, Formula, ModelSet, Sig, ENUM_LIMIT};
 
 use crate::json::{self, Json};
 use crate::kb::{theory_digest, ApplyOutcome, StoredKb};
@@ -950,7 +950,8 @@ fn merge_divergent(
     } else {
         (peer, local)
     };
-    let (outcome, _cache) = cached_arbitrate(&state.cache, &psi, &phi, n, &Budget::unlimited())
+    let (psi, phi) = (ModelSet::of_formula(&psi, n), ModelSet::of_formula(&phi, n));
+    let (outcome, _cache) = cached_arbitrate(&state.cache, &psi, &phi, &Budget::unlimited())
         .map_err(|e| e.to_string())?;
     if outcome.quality != Quality::Exact {
         return Err("arbitration degraded under an unlimited budget".to_string());

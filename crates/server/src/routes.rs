@@ -22,7 +22,9 @@ use crate::ServiceState;
 use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate, weighted_side};
 use arbitrex_core::iterated::iterate_fixed_input;
 use arbitrex_core::{budgeted_operator, Budget, FaultFamily, FaultSite, Quality};
-use arbitrex_logic::{parse as parse_formula, Formula, ModelSet, Sig, ENUM_LIMIT};
+use arbitrex_logic::{
+    parse as parse_formula, read_cover, Cover, Formula, ModelSet, Sig, ENUM_LIMIT,
+};
 
 /// Longest artificial `hold_ms` accepted: a request's `hold_ms` field
 /// makes its worker sleep before computing, a load-testing knob for
@@ -168,10 +170,48 @@ fn field_u64(body: &Json, key: &str) -> Result<Option<u64>, Response> {
     }
 }
 
-fn parse_side(sig: &mut Sig, body: &Json, key: &str) -> Result<Formula, Response> {
-    let text = field_str(body, key)?;
+fn parse_field(sig: &mut Sig, key: &str, text: &str) -> Result<Formula, Response> {
     parse_formula(sig, text)
         .map_err(|e| error_response(400, format!("field `{key}` does not parse: {e}")))
+}
+
+/// The formula fields `keys` of `body` as model sets over one signature
+/// `sig`, which interns their names in field order. Each field is read as
+/// a cube cover with no `Formula` built; one the reader declines is
+/// parsed instead (and counted in `formula_fallbacks`), which interns the
+/// same names, so the answer and every error text are the same either
+/// way. The width is checked once all fields are read.
+fn read_sides<const K: usize>(
+    sig: &mut Sig,
+    body: &Json,
+    keys: [&str; K],
+) -> Result<[ModelSet; K], Response> {
+    enum Side {
+        Cover(Cover),
+        Parsed(Formula),
+    }
+    let mut sides = Vec::with_capacity(K);
+    for key in keys {
+        let text = field_str(body, key)?;
+        sides.push(match read_cover(sig, text) {
+            Some(cover) => Side::Cover(cover),
+            None => {
+                metrics::FORMULA_FALLBACKS.incr();
+                Side::Parsed(parse_field(sig, key, text)?)
+            }
+        });
+    }
+    check_width(sig.width())?;
+    let n = sig.width();
+    let sets = sides
+        .iter()
+        .map(|side| match side {
+            Side::Cover(cover) => ModelSet::try_of_cover(cover, n),
+            Side::Parsed(f) => ModelSet::try_of_formula(f, n),
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| error_response(400, e.to_string()))?;
+    Ok(sets.try_into().expect("one set per key"))
 }
 
 fn check_width(n_vars: u32) -> Result<(), Response> {
@@ -273,10 +313,8 @@ fn handle_arbitrate(state: &ServiceState, req: &Request) -> Response {
 fn arbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
     let budget = budget_and_hold(body, state)?;
     let mut sig = Sig::new();
-    let psi = parse_side(&mut sig, body, "psi")?;
-    let phi = parse_side(&mut sig, body, "phi")?;
-    check_width(sig.width())?;
-    let (outcome, cache) = cached_arbitrate(&state.cache, &psi, &phi, sig.width(), &budget)
+    let [psi, phi] = read_sides(&mut sig, body, ["psi", "phi"])?;
+    let (outcome, cache) = cached_arbitrate(&state.cache, &psi, &phi, &budget)
         .map_err(|e| error_response(400, e.to_string()))?;
     note_quality(outcome.quality);
     let body = AnswerWriter::new(&sig)
@@ -315,10 +353,8 @@ fn fit_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
     })?;
     let budget = budget_and_hold(body, state)?;
     let mut sig = Sig::new();
-    let psi = parse_side(&mut sig, body, "psi")?;
-    let mu = parse_side(&mut sig, body, "mu")?;
-    check_width(sig.width())?;
-    let (outcome, cache) = cached_apply(&state.cache, op.as_ref(), &psi, &mu, sig.width(), &budget)
+    let [psi, mu] = read_sides(&mut sig, body, ["psi", "mu"])?;
+    let (outcome, cache) = cached_apply(&state.cache, op.as_ref(), &psi, &mu, &budget)
         .map_err(|e| error_response(400, e.to_string()))?;
     note_quality(outcome.quality);
     let body = AnswerWriter::new(&sig)
@@ -348,12 +384,10 @@ fn warbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Respo
         return Err(error_response(400, "weights must be at least 1"));
     }
     let mut sig = Sig::new();
-    let psi = parse_side(&mut sig, body, "psi")?;
-    let phi = parse_side(&mut sig, body, "phi")?;
-    check_width(sig.width())?;
+    let [psi, phi] = read_sides(&mut sig, body, ["psi", "phi"])?;
     let n = sig.width();
-    let psi = weighted_side(&psi, psi_weight, n);
-    let phi = weighted_side(&phi, phi_weight, n);
+    let psi = weighted_side(&psi, psi_weight);
+    let phi = weighted_side(&phi, phi_weight);
     for (key, side) in [("psi", &psi), ("phi", &phi)] {
         if !side.is_satisfiable() {
             return Err(error_response(
@@ -1411,7 +1445,7 @@ fn kb_post(state: &ServiceState, name: &str, body: &Json) -> Result<Response, Re
     match action {
         "put" => {
             let mut sig = Sig::new();
-            let formula = parse_side(&mut sig, body, "formula")?;
+            let formula = parse_field(&mut sig, "formula", field_str(body, "formula")?)?;
             check_width(sig.width())?;
             match state.kbs.put(name, sig.clone(), formula.clone(), if_seq) {
                 Ok((seq, rseq, snapshot_due)) => {
@@ -1459,13 +1493,11 @@ fn kb_change(
     }
 
     let mut sig = kb.sig.clone();
-    let mu = parse_side(&mut sig, body, "formula")?;
-    check_width(sig.width())?;
-    let n = sig.width();
-    let psi = &kb.formula;
+    let [mu] = read_sides(&mut sig, body, ["formula"])?;
+    let psi = ModelSet::of_formula(&kb.formula, sig.width());
 
     let (outcome, cache) = if action == "arbitrate" {
-        cached_arbitrate(&state.cache, psi, &mu, n, &budget)
+        cached_arbitrate(&state.cache, &psi, &mu, &budget)
     } else {
         let op_name = match body.get("op") {
             None => "odist",
@@ -1475,7 +1507,7 @@ fn kb_change(
         };
         let op = budgeted_operator(op_name)
             .ok_or_else(|| error_response(400, format!("unknown operator `{op_name}`")))?;
-        cached_apply(&state.cache, op.as_ref(), psi, &mu, n, &budget)
+        cached_apply(&state.cache, op.as_ref(), &psi, &mu, &budget)
     }
     .map_err(|e| error_response(400, e.to_string()))?;
 
@@ -1537,9 +1569,7 @@ fn kb_iterate(
     }
 
     let mut sig = kb.sig.clone();
-    let mu = parse_side(&mut sig, body, "formula")?;
-    check_width(sig.width())?;
-    let n = sig.width();
+    let [mu_m] = read_sides(&mut sig, body, ["formula"])?;
     let max_steps = field_u64(body, "max_steps")?
         .map(|s| (s as usize).min(MAX_ITERATE_STEPS))
         .unwrap_or(64);
@@ -1552,8 +1582,7 @@ fn kb_iterate(
     let op = arbitrex_core::operator(op_name)
         .ok_or_else(|| error_response(400, format!("unknown operator `{op_name}`")))?;
 
-    let psi_m = ModelSet::of_formula(&kb.formula, n);
-    let mu_m = ModelSet::of_formula(&mu, n);
+    let psi_m = ModelSet::of_formula(&kb.formula, sig.width());
     let run = iterate_fixed_input(op.as_ref(), &psi_m, &mu_m, max_steps);
     let final_models = run.trajectory.last().cloned().unwrap_or(psi_m);
 

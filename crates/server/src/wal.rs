@@ -577,14 +577,6 @@ impl Wal {
         &self.faults
     }
 
-    /// Append one record *without* syncing it. The record is on its way
-    /// to the kernel but not durable; callers must not acknowledge the
-    /// commit until a [`sync_file`] covering this append succeeds.
-    pub fn append_unsynced(&mut self, epoch: u64, rseq: u64, rec: &WalRecord) -> io::Result<()> {
-        let framed = frame(epoch, rseq, &encode_record(rec));
-        self.append_frame_unsynced(&framed)
-    }
-
     /// Append an already-framed record *without* syncing it. This is the
     /// replica's apply half: the frame arrives verified from the primary
     /// and lands on disk byte-for-byte, so the two logs stay identical
@@ -623,6 +615,12 @@ impl Wal {
 mod tests {
     use super::*;
     use arbitrex_logic::parse;
+
+    /// Frame `rec` and append it unsynced, as `KbStore::log` does.
+    fn append(wal: &mut Wal, epoch: u64, rseq: u64, rec: &WalRecord) {
+        wal.append_frame_unsynced(&frame(epoch, rseq, &encode_record(rec)))
+            .unwrap();
+    }
 
     fn sample_commit(name: &str, text: &str, seq: u64) -> WalRecord {
         let mut sig = Sig::new();
@@ -689,7 +687,7 @@ mod tests {
         {
             let mut wal = Wal::open(&path, Faults::default()).unwrap();
             for (i, rec) in recs.iter().enumerate() {
-                wal.append_unsynced(3, 10 + i as u64, rec).unwrap();
+                append(&mut wal, 3, 10 + i as u64, rec);
             }
         }
         let scanned = scan(&path).unwrap().unwrap();
@@ -749,12 +747,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::open(&path, Faults::default()).unwrap();
-            wal.append_unsynced(2, 5, &sample_commit("a", "A", 1))
-                .unwrap();
+            append(&mut wal, 2, 5, &sample_commit("a", "A", 1));
             // A frame from a *lower* epoch after a higher one can only
             // mean a deposed primary's bytes were spliced in.
-            wal.append_unsynced(1, 6, &sample_commit("a", "B", 2))
-                .unwrap();
+            append(&mut wal, 1, 6, &sample_commit("a", "B", 2));
         }
         let scanned = scan(&path).unwrap().unwrap();
         assert_eq!(scanned.records.len(), 1);

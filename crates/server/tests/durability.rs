@@ -83,6 +83,12 @@ fn canonical_of(text: &str) -> Vec<u8> {
     encode_formula(&parse(&mut sig, text).unwrap())
 }
 
+/// Frame `rec` and append it unsynced, as the store's commit path does.
+fn append(wal: &mut Wal, epoch: u64, rseq: u64, rec: &WalRecord) {
+    wal.append_frame_unsynced(&wal::frame(epoch, rseq, &wal::encode_record(rec)))
+        .unwrap();
+}
+
 fn wal_commit(name: &str, text: &str, seq: u64) -> WalRecord {
     let mut sig = Sig::new();
     let formula = parse(&mut sig, text).unwrap();
@@ -164,10 +170,8 @@ fn torn_tail_is_truncated_and_the_server_starts() {
     let dir = temp_state_dir();
     {
         let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-        wal.append_unsynced(1, 1, &wal_commit("kept", "A | B", 1))
-            .unwrap();
-        wal.append_unsynced(1, 2, &wal_commit("kept", "A & B", 2))
-            .unwrap();
+        append(&mut wal, 1, 1, &wal_commit("kept", "A | B", 1));
+        append(&mut wal, 1, 2, &wal_commit("kept", "A & B", 2));
     }
     // Tear the final record: chop its last 5 bytes, as a crash mid-write
     // would.
@@ -198,12 +202,9 @@ fn mid_log_corruption_refuses_strict_and_salvages_the_prefix() {
     let dir = temp_state_dir();
     {
         let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-        wal.append_unsynced(1, 1, &wal_commit("first", "A", 1))
-            .unwrap();
-        wal.append_unsynced(1, 2, &wal_commit("second", "B", 1))
-            .unwrap();
-        wal.append_unsynced(1, 3, &wal_commit("third", "C", 1))
-            .unwrap();
+        append(&mut wal, 1, 1, &wal_commit("first", "A", 1));
+        append(&mut wal, 1, 2, &wal_commit("second", "B", 1));
+        append(&mut wal, 1, 3, &wal_commit("third", "C", 1));
     }
     // Flip one byte inside the second record's payload: mid-log damage.
     let wal_path = dir.join(WAL_FILE);
@@ -259,8 +260,7 @@ fn truncated_snapshot_refuses_strict_and_salvage_replays_the_wal() {
     snapshot::write_snapshot(&dir, &entries, 1, 4, &Faults::default()).unwrap();
     {
         let mut wal = Wal::open(&dir.join(WAL_FILE), Faults::default()).unwrap();
-        wal.append_unsynced(1, 5, &wal_commit("walkb", "W", 1))
-            .unwrap();
+        append(&mut wal, 1, 5, &wal_commit("walkb", "W", 1));
     }
     // Truncate the snapshot mid-file.
     let snap_path = dir.join(snapshot::SNAPSHOT_FILE);

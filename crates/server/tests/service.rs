@@ -435,6 +435,73 @@ fn kb_never_commits_a_degraded_result() {
 // --- malformed requests ------------------------------------------------------
 
 #[test]
+fn malformed_formulas_get_the_parser_400_text_on_every_query_endpoint() {
+    let server = server();
+    let (status, _) = request(
+        &server,
+        "POST",
+        "/v1/kb/held",
+        r#"{"action": "put", "formula": "A & !B"}"#,
+    );
+    assert_eq!(status, 200);
+    // Texts the cube-cover reader declines, some only after reading part
+    // of them, with the parser's error for each: the 400 text they had
+    // before the reader existed.
+    let bad = [
+        ("", 0, "unexpected end of input"),
+        ("A &", 3, "unexpected end of input"),
+        ("(A & B", 6, "expected `)`"),
+        ("A & B)", 5, "unexpected trailing token `)`"),
+        ("A @ B", 2, "unexpected character `@`"),
+        ("A | & B", 4, "expected a formula, found `&`"),
+        ("A -> ", 3, "unexpected end of input"),
+    ];
+    // (path, extra fields, the malformed field, the other formula field)
+    let shapes = [
+        ("/v1/arbitrate", "", "psi", Some("phi")),
+        ("/v1/arbitrate", "", "phi", Some("psi")),
+        ("/v1/fit", "", "psi", Some("mu")),
+        ("/v1/fit", "", "mu", Some("psi")),
+        ("/v1/warbitrate", "", "psi", Some("phi")),
+        ("/v1/warbitrate", "", "phi", Some("psi")),
+        ("/v1/kb/held", "arbitrate", "formula", None),
+        ("/v1/kb/held", "fit", "formula", None),
+        ("/v1/kb/held", "iterate", "formula", None),
+    ];
+    let fallbacks = arbitrex_server::metrics::FORMULA_FALLBACKS.get();
+    let mut sent = 0;
+    for (path, action, key, other) in shapes {
+        for (text, at, message) in bad {
+            // The good side is read as a cover (`A & B`) or parsed
+            // (`A -> C`), ahead of or after the bad one.
+            for good in ["A & B", "A -> C"] {
+                let mut fields = vec![(key, json::s(text))];
+                if let Some(other) = other {
+                    fields.push((other, json::s(good)));
+                }
+                if !action.is_empty() {
+                    fields.push(("action", json::s(action)));
+                }
+                let body = json::obj(fields).to_text();
+                let (status, resp) = request(&server, "POST", path, &body);
+                assert_eq!(status, 400, "{path} {body}: {resp:?}");
+                assert_eq!(
+                    str_of(&resp, "error"),
+                    format!("field `{key}` does not parse: parse error at byte {at}: {message}"),
+                    "{path} {body}"
+                );
+                assert_eq!(num_of(&resp, "code"), 400);
+                sent += 1;
+            }
+        }
+    }
+    if arbitrex_telemetry::enabled() {
+        assert!(arbitrex_server::metrics::FORMULA_FALLBACKS.get() >= fallbacks + sent);
+    }
+    server.stop().unwrap();
+}
+
+#[test]
 fn malformed_bodies_are_400_and_never_kill_the_server() {
     let server = server();
 
