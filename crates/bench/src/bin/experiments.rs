@@ -8,6 +8,9 @@
 //! `cargo run --release -p arbitrex-bench --no-default-features \
 //!  --bin experiments e13`.
 
+use arbitrex_bench::serving::{
+    self, light_pool, longest_gap_ms, percentile, pipelined_load, put_body, Node, QueryPool,
+};
 use arbitrex_bench::{random_kcnf_pairs, random_pairs, wide_constraint, wide_fact_base};
 use arbitrex_core::arbitration::arbitrate;
 use arbitrex_core::fitting::{LexOdistFitting, OdistFitting, SumFitting};
@@ -29,6 +32,7 @@ use arbitrex_merge::{
     merge_egalitarian, merge_fold_arbitration, merge_fold_revision, merge_fold_update,
     merge_majority, merge_weighted_arbitration, Table,
 };
+use arbitrex_server::replication::{PeerClient, PeerResponse};
 use std::time::Instant;
 
 /// Where experiments write their machine-readable records: an untracked
@@ -1272,9 +1276,6 @@ fn e11_dynamics() {
     println!("the camps and their midpoints forever.\n");
 }
 
-/// A pool of `(ψ, φ)` query texts.
-type QueryPool = Vec<(String, String)>;
-
 /// The serving-bench query pool shared by E15 and E17: 64 structurally
 /// distinct queries — widths 6..=9, with three fixed-shape queries plus
 /// a polarity ladder (cubes with k positive literals, 1 <= k < n) per
@@ -1317,6 +1318,16 @@ fn serving_query_pool() -> QueryPool {
     out
 }
 
+/// Assert a 200, showing the body otherwise.
+fn expect_ok(reply: &PeerResponse, what: &str) {
+    assert_eq!(
+        reply.status,
+        200,
+        "{what}: {}",
+        String::from_utf8_lossy(&reply.body)
+    );
+}
+
 /// E15 — closed-loop serving load: worker scaling × canonicalizing cache
 /// (engineering, PR 4).
 ///
@@ -1327,10 +1338,6 @@ fn serving_query_pool() -> QueryPool {
 /// almost all hits (the pool fits in the cache) and show a lower p50.
 /// Writes the machine-readable record to BENCH_PR4.json.
 fn e15_serving() {
-    use arbitrex_server::{spawn, ServerConfig};
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpStream};
-
     header(
         "E15",
         "service load: workers × canonicalizing result cache",
@@ -1339,92 +1346,42 @@ fn e15_serving() {
 
     const CLIENTS: usize = 8;
 
-    /// One request on a keep-alive connection; returns latency in ns.
-    fn one_request(stream: &mut TcpStream, body: &str) -> u64 {
-        let started = Instant::now();
-        let head = format!(
-            "POST /v1/arbitrate HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        // One buffered write per request: splitting head and body into
-        // separate small packets trips Nagle + delayed-ACK (~40 ms per
-        // request) and the bench would measure the TCP stack, not the
-        // service.
-        let mut wire = head.into_bytes();
-        wire.extend_from_slice(body.as_bytes());
-        stream.write_all(&wire).expect("write request");
-        let mut reply = Vec::with_capacity(512);
-        let mut byte = [0u8; 1];
-        loop {
-            match stream.read(&mut byte) {
-                Ok(0) => panic!("server closed connection mid-response"),
-                Ok(_) => {
-                    reply.push(byte[0]);
-                    if reply.ends_with(b"\r\n\r\n") {
-                        break;
-                    }
-                }
-                Err(e) => panic!("read error: {e}"),
-            }
-        }
-        let head_text = String::from_utf8_lossy(&reply);
-        assert!(
-            head_text.starts_with("HTTP/1.1 200"),
-            "non-200 under load: {head_text}"
-        );
-        let length: usize = head_text
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("content-length")
-            .trim()
-            .parse()
-            .expect("numeric length");
-        let mut body_buf = vec![0u8; length];
-        stream.read_exact(&mut body_buf).expect("read body");
-        started.elapsed().as_nanos() as u64
-    }
-
     /// Closed loop: each client sends its own disjoint slice of the pool
     /// back-to-back (slices never overlap, so the first pass sees every
     /// query exactly once). The partition is strided so each client gets
     /// a mix of widths — a contiguous split would hand one client every
     /// width-9 query and pin the wall clock to that slice alone.
     /// Returns (per-request latencies ns, wall ns).
-    fn run_pass(addr: SocketAddr, queries: &[(String, String)]) -> (Vec<u64>, u64) {
+    fn run_pass(addr: &str, queries: &[(String, String)]) -> (Vec<u64>, u64) {
         let wall = Instant::now();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                let slice: Vec<_> = queries
-                    .iter()
-                    .skip(client)
-                    .step_by(CLIENTS)
-                    .cloned()
-                    .collect();
-                std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(addr).expect("connect");
-                    stream
-                        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-                        .unwrap();
-                    let _ = stream.set_nodelay(true);
-                    let mut latencies = Vec::with_capacity(slice.len());
-                    for (psi, phi) in &slice {
-                        let body = format!(r#"{{"psi": "{psi}", "phi": "{phi}"}}"#);
-                        latencies.push(one_request(&mut stream, &body));
-                    }
-                    latencies
+        let all = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    scope.spawn(move || {
+                        let mut conn = PeerClient::connect(addr).expect("connect");
+                        queries
+                            .iter()
+                            .skip(client)
+                            .step_by(CLIENTS)
+                            .map(|(psi, phi)| {
+                                let body = format!(r#"{{"psi": "{psi}", "phi": "{phi}"}}"#);
+                                let started = Instant::now();
+                                let reply = conn
+                                    .request("POST", "/v1/arbitrate", Some(&body))
+                                    .expect("arbitrate");
+                                expect_ok(&reply, "non-200 under load");
+                                started.elapsed().as_nanos() as u64
+                            })
+                            .collect::<Vec<u64>>()
+                    })
                 })
-            })
-            .collect();
-        let mut all = Vec::new();
-        for h in handles {
-            all.extend(h.join().expect("client thread"));
-        }
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread"))
+                .collect()
+        });
         (all, wall.elapsed().as_nanos() as u64)
-    }
-
-    fn quantile_us(sorted: &[u64], q: f64) -> f64 {
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx] as f64 / 1_000.0
     }
 
     let queries = serving_query_pool();
@@ -1439,25 +1396,20 @@ fn e15_serving() {
     let mut json_rows: Vec<String> = Vec::new();
     for &threads in &[1usize, 4, 8] {
         for &cache_on in &[true, false] {
-            let server = spawn(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                threads,
-                queue_depth: 256,
-                cache_entries: if cache_on { 4096 } else { 0 },
-                timeout_ms: 0,
-                ..ServerConfig::default()
-            })
-            .expect("spawn server");
-            let addr = server.addr;
+            let node = Node::spawn(|config| {
+                config.threads = threads;
+                config.cache_entries = if cache_on { 4096 } else { 0 };
+                config.state_dir = None;
+            });
 
             for pass in 1..=2u32 {
                 use arbitrex_core::telemetry::{CACHE_HITS, CACHE_MISSES};
                 let (hits0, misses0) = (CACHE_HITS.get(), CACHE_MISSES.get());
-                let (mut latencies, wall_ns) = run_pass(addr, &queries);
+                let (mut latencies, wall_ns) = run_pass(&node.addr, &queries);
                 let (hits, misses) = (CACHE_HITS.get() - hits0, CACHE_MISSES.get() - misses0);
                 latencies.sort_unstable();
-                let p50 = quantile_us(&latencies, 0.50);
-                let p95 = quantile_us(&latencies, 0.95);
+                let p50 = percentile(&latencies, 50) as f64 / 1_000.0;
+                let p95 = percentile(&latencies, 95) as f64 / 1_000.0;
                 let rps = per_pass as f64 / (wall_ns as f64 / 1e9);
                 let lookups = hits + misses;
                 let hit_rate = if lookups == 0 {
@@ -1484,7 +1436,7 @@ fn e15_serving() {
                     },
                 ));
             }
-            server.stop().expect("clean shutdown");
+            node.stop();
         }
     }
 
@@ -1517,9 +1469,6 @@ fn e15_serving() {
 /// Writes the machine-readable record to BENCH_PR5.json.
 fn e16_durability() {
     use arbitrex_server::metrics::{WAL_FSYNCS, WAL_RECORDS_APPENDED, WAL_SNAPSHOTS_WRITTEN};
-    use arbitrex_server::{spawn, ServerConfig};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
 
     header(
         "E16",
@@ -1529,70 +1478,14 @@ fn e16_durability() {
 
     const COMMITS: usize = 512;
 
-    /// One `put` commit on a keep-alive connection; returns latency in ns.
-    fn one_commit(stream: &mut TcpStream, seq: usize) -> u64 {
-        // Alternate the stored formula so consecutive WAL records differ
-        // (a constant payload could hide encoding bugs behind caching).
-        let formula = if seq.is_multiple_of(2) {
-            "A & B"
-        } else {
-            "A | B"
-        };
-        let body = format!(r#"{{"action": "put", "formula": "{formula}"}}"#);
-        let started = Instant::now();
-        let head = format!(
-            "POST /v1/kb/e16 HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        // One buffered write per request, as in E15: separate head/body
-        // packets trip Nagle + delayed-ACK and dwarf the fsync itself.
-        let mut wire = head.into_bytes();
-        wire.extend_from_slice(body.as_bytes());
-        stream.write_all(&wire).expect("write request");
-        let mut reply = Vec::with_capacity(512);
-        let mut byte = [0u8; 1];
-        loop {
-            match stream.read(&mut byte) {
-                Ok(0) => panic!("server closed connection mid-response"),
-                Ok(_) => {
-                    reply.push(byte[0]);
-                    if reply.ends_with(b"\r\n\r\n") {
-                        break;
-                    }
-                }
-                Err(e) => panic!("read error: {e}"),
-            }
-        }
-        let head_text = String::from_utf8_lossy(&reply);
-        assert!(
-            head_text.starts_with("HTTP/1.1 200"),
-            "non-200 commit: {head_text}"
-        );
-        let length: usize = head_text
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("content-length")
-            .trim()
-            .parse()
-            .expect("numeric length");
-        let mut body_buf = vec![0u8; length];
-        stream.read_exact(&mut body_buf).expect("read body");
-        started.elapsed().as_nanos() as u64
-    }
-
-    fn quantile_us(sorted: &[u64], q: f64) -> f64 {
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx] as f64 / 1_000.0
-    }
-
     println!(
         "workload: {COMMITS} sequential `put` commits to one KB over a \
          keep-alive connection, fresh server + state dir per leg\n"
     );
     println!("mode     snap-every  commits/s  p50 µs    p95 µs    fsyncs  snapshots");
 
-    // (mode label, state dir?, snapshot cadence). `None` cadence means
-    // the leg has no state dir at all — the in-memory baseline.
+    // (mode label, snapshot cadence). `None` cadence means the leg has
+    // no state dir at all — the in-memory baseline.
     let legs: [(&str, Option<u64>); 4] = [
         ("memory", None),
         ("wal", Some(0)),
@@ -1600,54 +1493,48 @@ fn e16_durability() {
         ("wal", Some(16)),
     ];
     let mut json_rows: Vec<String> = Vec::new();
-    for (leg_no, &(mode, snapshot_every)) in legs.iter().enumerate() {
-        let state_dir = snapshot_every.map(|_| {
-            let dir =
-                std::env::temp_dir().join(format!("arbx-e16-{}-{leg_no}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create state dir");
-            dir
+    for &(mode, snapshot_every) in &legs {
+        let node = Node::spawn(|config| {
+            config.threads = 2;
+            config.cache_entries = 0;
+            match snapshot_every {
+                Some(every) => config.snapshot_every = every,
+                None => config.state_dir = None,
+            }
         });
-        let server = spawn(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 2,
-            cache_entries: 0,
-            state_dir: state_dir.clone(),
-            snapshot_every: snapshot_every.unwrap_or(0),
-            ..ServerConfig::default()
-        })
-        .expect("spawn server");
 
         let (records0, fsyncs0, snaps0) = (
             WAL_RECORDS_APPENDED.get(),
             WAL_FSYNCS.get(),
             WAL_SNAPSHOTS_WRITTEN.get(),
         );
-        let mut stream = TcpStream::connect(server.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-            .unwrap();
-        let _ = stream.set_nodelay(true);
+        let mut conn = node.client();
         let wall = Instant::now();
-        let mut latencies: Vec<u64> = (0..COMMITS).map(|i| one_commit(&mut stream, i)).collect();
+        let mut latencies: Vec<u64> = (0..COMMITS)
+            .map(|i| {
+                let started = Instant::now();
+                let reply = conn
+                    .request("POST", "/v1/kb/e16", Some(put_body(i)))
+                    .expect("commit");
+                expect_ok(&reply, "non-200 commit");
+                started.elapsed().as_nanos() as u64
+            })
+            .collect();
         let wall_ns = wall.elapsed().as_nanos() as u64;
-        drop(stream);
+        drop(conn);
         // Deltas before stop(): clean shutdown writes one extra snapshot
         // that is not part of the measured commit storm.
         let records = WAL_RECORDS_APPENDED.get() - records0;
         let fsyncs = WAL_FSYNCS.get() - fsyncs0;
         let snapshots = WAL_SNAPSHOTS_WRITTEN.get() - snaps0;
-        server.stop().expect("clean shutdown");
-        if let Some(dir) = &state_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        node.stop();
         if snapshot_every.is_some() {
             assert_eq!(records as usize, COMMITS, "every commit must hit the WAL");
         }
 
         latencies.sort_unstable();
-        let p50 = quantile_us(&latencies, 0.50);
-        let p95 = quantile_us(&latencies, 0.95);
+        let p50 = percentile(&latencies, 50) as f64 / 1_000.0;
+        let p95 = percentile(&latencies, 95) as f64 / 1_000.0;
         let cps = COMMITS as f64 / (wall_ns as f64 / 1e9);
         let snap_text = match snapshot_every {
             None => "-".to_string(),
@@ -1715,9 +1602,7 @@ fn e16_durability() {
 /// gate, and does not touch BENCH_PR6.json.
 fn e17_event_loop() {
     use arbitrex_server::metrics::{GC_FSYNCS, WAL_FSYNCS};
-    use arbitrex_server::{spawn, ServerConfig};
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpStream};
+    use std::sync::atomic::AtomicBool;
 
     header(
         "E17",
@@ -1730,142 +1615,25 @@ fn e17_event_loop() {
     let quick = std::env::var("ARBX_E17_QUICK").is_ok();
     let rounds: usize = if quick { 8 } else { 32 };
 
-    /// Read one full HTTP response off a buffered stream; panic on
-    /// non-200. Buffered so the client costs ~1 syscall per response
-    /// instead of one per byte — on a small machine unbuffered client
-    /// reads steal enough CPU to become the thing being measured.
-    fn read_one_response(stream: &mut std::io::BufReader<TcpStream>) {
-        let mut reply = Vec::with_capacity(512);
-        let mut byte = [0u8; 1];
-        loop {
-            match stream.read(&mut byte) {
-                Ok(0) => panic!("server closed connection mid-response"),
-                Ok(_) => {
-                    reply.push(byte[0]);
-                    if reply.ends_with(b"\r\n\r\n") {
-                        break;
-                    }
-                }
-                Err(e) => panic!("read error: {e}"),
-            }
-        }
-        let head_text = String::from_utf8_lossy(&reply);
-        assert!(
-            head_text.starts_with("HTTP/1.1 200"),
-            "non-200 under load: {head_text}"
-        );
-        let length: usize = head_text
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("content-length")
-            .trim()
-            .parse()
-            .expect("numeric length");
-        let mut body_buf = vec![0u8; length];
-        stream.read_exact(&mut body_buf).expect("read body");
-    }
-
-    fn raw_arbitrate(psi: &str, phi: &str) -> Vec<u8> {
-        let body = format!(r#"{{"psi": "{psi}", "phi": "{phi}"}}"#);
-        let mut wire = format!(
-            "POST /v1/arbitrate HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        wire.extend_from_slice(body.as_bytes());
-        wire
-    }
-
-    /// Small-result queries: ψ is a cube with k positive literals, φ its
-    /// bitwise complement. Two single-model theories arbitrate to the
-    /// balanced compromises between the two corners — C(n, n/2)-ish
-    /// models, a few hundred bytes of response at widths 3..=6. Distinct
-    /// (width, k) pairs are distinct canonical keys.
-    fn light_pool() -> QueryPool {
-        let mut out = Vec::new();
-        for n in 3..=6usize {
-            let vars: Vec<String> = (0..n).map(|i| format!("V{i}")).collect();
-            for k in 0..n {
-                let cube = |flip: bool| {
-                    vars.iter()
-                        .enumerate()
-                        .map(|(i, v)| {
-                            if (i < k) != flip {
-                                v.clone()
-                            } else {
-                                format!("!{v}")
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                        .join(" & ")
-                };
-                out.push((cube(false), cube(true)));
-            }
-        }
-        out
-    }
-
-    /// Closed loop at a fixed pipeline depth: every client walks the
-    /// whole pool (rotated by its index, so clients stay out of phase)
-    /// `rounds` times, writing `depth` requests per `write(2)` and
-    /// reading the `depth` responses back before the next batch.
-    /// `depth == 1` is the E15 closed-loop shape. Returns
-    /// (total requests, wall ns).
+    /// One [`pipelined_load`] leg over `CLIENTS` clients; every answer
+    /// must be a 200. Returns (total requests, wall ns).
     fn run_leg(
-        addr: SocketAddr,
+        addr: &str,
         queries: &[(String, String)],
         depth: usize,
         rounds: usize,
     ) -> (usize, u64) {
         let wall = Instant::now();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                let offset = (client * queries.len()) / CLIENTS;
-                let slice: Vec<Vec<u8>> = (0..queries.len())
-                    .map(|i| {
-                        let (psi, phi) = &queries[(offset + i) % queries.len()];
-                        raw_arbitrate(psi, phi)
-                    })
-                    .collect();
-                std::thread::spawn(move || {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    stream
-                        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-                        .unwrap();
-                    let _ = stream.set_nodelay(true);
-                    let mut writer = stream.try_clone().expect("clone stream");
-                    let mut reader = std::io::BufReader::with_capacity(64 * 1024, stream);
-                    let mut sent = 0usize;
-                    let mut batch: Vec<u8> = Vec::with_capacity(4096);
-                    let mut in_batch = 0usize;
-                    for _ in 0..rounds {
-                        for wire in &slice {
-                            batch.extend_from_slice(wire);
-                            in_batch += 1;
-                            if in_batch == depth {
-                                writer.write_all(&batch).expect("write batch");
-                                for _ in 0..in_batch {
-                                    read_one_response(&mut reader);
-                                }
-                                sent += in_batch;
-                                batch.clear();
-                                in_batch = 0;
-                            }
-                        }
-                    }
-                    if in_batch > 0 {
-                        writer.write_all(&batch).expect("write batch");
-                        for _ in 0..in_batch {
-                            read_one_response(&mut reader);
-                        }
-                        sent += in_batch;
-                    }
-                    sent
-                })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
-        (total, wall.elapsed().as_nanos() as u64)
+        let load = pipelined_load(
+            addr,
+            queries,
+            CLIENTS,
+            depth,
+            rounds,
+            &AtomicBool::new(false),
+        );
+        assert_eq!(load.ok, load.requests, "non-200 under load");
+        (load.requests, wall.elapsed().as_nanos() as u64)
     }
 
     // --- serving half --------------------------------------------------------
@@ -1893,24 +1661,18 @@ fn e17_event_loop() {
     let mut quick_line: Option<String> = None;
     for (workload, queries, rounds) in &workloads {
         for &threads in worker_counts {
-            let server = spawn(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                threads,
-                queue_depth: 256,
-                cache_entries: 4096,
-                timeout_ms: 0,
-                ..ServerConfig::default()
-            })
-            .expect("spawn server");
-            let addr = server.addr;
+            let node = Node::spawn(|config| {
+                config.threads = threads;
+                config.state_dir = None;
+            });
 
             // Warm the canonicalizing cache so both legs measure the
             // event loop and not first-touch arbitration compute.
-            let _ = run_leg(addr, queries, 1, 1);
+            let _ = run_leg(&node.addr, queries, 1, 1);
 
             let mut leg_rps = [0.0f64; 2];
             for (i, &depth) in [1usize, DEPTH].iter().enumerate() {
-                let (requests, wall_ns) = run_leg(addr, queries, depth, *rounds);
+                let (requests, wall_ns) = run_leg(&node.addr, queries, depth, *rounds);
                 let rps = requests as f64 / (wall_ns as f64 / 1e9);
                 leg_rps[i] = rps;
                 let mode = if depth == 1 { "serial" } else { "pipelined" };
@@ -1938,7 +1700,7 @@ fn e17_event_loop() {
                     leg_rps[1] / leg_rps[0]
                 ));
             }
-            server.stop().expect("clean shutdown");
+            node.stop();
         }
     }
     println!();
@@ -1960,36 +1722,26 @@ fn e17_event_loop() {
 
     /// Concurrent clients, each sequentially committing to its own KB.
     /// Returns (total commits, wall ns).
-    fn run_commit_storm(addr: SocketAddr) -> (usize, u64) {
+    fn run_commit_storm(addr: &str) -> (usize, u64) {
         let wall = Instant::now();
-        let handles: Vec<_> = (0..STORM_CLIENTS)
-            .map(|client| {
-                std::thread::spawn(move || {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    stream
-                        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-                        .unwrap();
-                    let _ = stream.set_nodelay(true);
-                    let mut writer = stream.try_clone().expect("clone stream");
-                    let mut reader = std::io::BufReader::with_capacity(16 * 1024, stream);
-                    for i in 0..COMMITS_PER_CLIENT {
-                        let formula = if i % 2 == 0 { "A & B" } else { "A | B" };
-                        let body = format!(r#"{{"action": "put", "formula": "{formula}"}}"#);
-                        let mut wire = format!(
-                            "POST /v1/kb/e17-{client} HTTP/1.1\r\nHost: bench\r\n\
-                             Content-Length: {}\r\n\r\n",
-                            body.len()
-                        )
-                        .into_bytes();
-                        wire.extend_from_slice(body.as_bytes());
-                        writer.write_all(&wire).expect("write commit");
-                        read_one_response(&mut reader);
-                    }
-                    COMMITS_PER_CLIENT
+        let total = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..STORM_CLIENTS)
+                .map(|client| {
+                    scope.spawn(move || {
+                        let mut conn = PeerClient::connect(addr).expect("connect");
+                        let path = format!("/v1/kb/e17-{client}");
+                        for i in 0..COMMITS_PER_CLIENT {
+                            let reply = conn
+                                .request("POST", &path, Some(put_body(i)))
+                                .expect("commit");
+                            expect_ok(&reply, "non-200 commit");
+                        }
+                        COMMITS_PER_CLIENT
+                    })
                 })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("client")).sum()
+        });
         (total, wall.elapsed().as_nanos() as u64)
     }
 
@@ -2005,31 +1757,19 @@ fn e17_event_loop() {
     let mut durability_rows: Vec<String> = Vec::new();
     let mut memory_cps = 0.0f64;
     for &(label, durable) in &legs {
-        let state_dir = durable.then(|| {
-            let dir = std::env::temp_dir().join(format!("arbx-e17-{}-{label}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create state dir");
-            dir
+        let node = Node::spawn(|config| {
+            config.threads = 16;
+            config.cache_entries = 0;
+            if !durable {
+                config.state_dir = None;
+            }
         });
-        let server = spawn(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 16,
-            queue_depth: 256,
-            cache_entries: 0,
-            state_dir: state_dir.clone(),
-            snapshot_every: 0,
-            ..ServerConfig::default()
-        })
-        .expect("spawn server");
 
         let (wal_fsyncs0, gc_fsyncs0) = (WAL_FSYNCS.get(), GC_FSYNCS.get());
-        let (commits, wall_ns) = run_commit_storm(server.addr);
+        let (commits, wall_ns) = run_commit_storm(&node.addr);
         let fsyncs = WAL_FSYNCS.get() - wal_fsyncs0;
         let gc_fsyncs = GC_FSYNCS.get() - gc_fsyncs0;
-        server.stop().expect("clean shutdown");
-        if let Some(dir) = &state_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        node.stop();
 
         let cps = commits as f64 / (wall_ns as f64 / 1e9);
         if !durable {
@@ -2111,10 +1851,6 @@ fn e17_event_loop() {
 /// `e19-quick ...` line for `scripts/e19_gate.sh`, and does not touch
 /// BENCH_PR8.json.
 fn e19_replication() {
-    use arbitrex_server::{spawn, RunningServer, ServerConfig};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -2130,131 +1866,43 @@ fn e19_replication() {
     let lag_samples: usize = if quick { 40 } else { 200 };
     let failover_cycles: usize = if quick { 5 } else { 20 };
 
-    /// One keep-alive connection speaking just enough HTTP/1.1:
-    /// requests are strictly sequential, responses Content-Length
-    /// framed, so byte-at-a-time head reads stay off the measured path
-    /// (bodies here are tens of bytes).
-    struct Conn {
-        stream: TcpStream,
-    }
-    impl Conn {
-        fn open(addr: std::net::SocketAddr) -> Conn {
-            let stream = TcpStream::connect(addr).expect("connect");
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-                .unwrap();
-            let _ = stream.set_nodelay(true);
-            Conn { stream }
-        }
-
-        /// Send one request with an optional extra header; return
-        /// (status, response head).
-        fn request(
-            &mut self,
-            method: &str,
-            path: &str,
-            extra: Option<(&str, &str)>,
-            body: &str,
-        ) -> (u16, String) {
-            let mut head = format!("{method} {path} HTTP/1.1\r\nHost: bench\r\n");
-            if let Some((name, value)) = extra {
-                head.push_str(&format!("{name}: {value}\r\n"));
-            }
-            head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-            self.stream.write_all(head.as_bytes()).expect("write head");
-            self.stream.write_all(body.as_bytes()).expect("write body");
-            let mut reply = Vec::with_capacity(512);
-            let mut byte = [0u8; 1];
-            loop {
-                match self.stream.read(&mut byte) {
-                    Ok(0) => panic!("server closed connection mid-response"),
-                    Ok(_) => {
-                        reply.push(byte[0]);
-                        if reply.ends_with(b"\r\n\r\n") {
-                            break;
-                        }
-                    }
-                    Err(e) => panic!("read error: {e}"),
-                }
-            }
-            let head_text = String::from_utf8_lossy(&reply).to_string();
-            let status: u16 = head_text
-                .split_whitespace()
-                .nth(1)
-                .expect("status code")
-                .parse()
-                .expect("numeric status");
-            let length: usize = head_text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .expect("content-length")
-                .trim()
-                .parse()
-                .expect("numeric length");
-            let mut body_buf = vec![0u8; length];
-            self.stream.read_exact(&mut body_buf).expect("read body");
-            (status, head_text)
-        }
-    }
-
-    fn header_u64(head: &str, name: &str) -> u64 {
-        head.lines()
-            .find_map(|l| l.strip_prefix(&format!("{name}: ")))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no {name} header in: {head}"))
-    }
-
-    fn temp_dir(label: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("arbx-e19-{}-{label}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create state dir");
-        dir
-    }
-
     /// A durable primary/replica pair on fresh state dirs: two plain
     /// nodes, the second enlisted as the first's chain tail.
-    fn spawn_pair(label: &str) -> (RunningServer, RunningServer, PathBuf, PathBuf) {
-        let p_dir = temp_dir(&format!("{label}-p"));
-        let r_dir = temp_dir(&format!("{label}-r"));
-        let node = |dir: &PathBuf| {
-            spawn(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                threads: 4,
-                queue_depth: 256,
-                cache_entries: 4096,
-                state_dir: Some(dir.clone()),
-                snapshot_every: 0,
-                ..ServerConfig::default()
-            })
-            .expect("spawn node")
-        };
-        let primary = node(&p_dir);
-        let replica = node(&r_dir);
-        let (status, head) = Conn::open(primary.addr).request(
-            "POST",
-            "/v1/cluster/enlist",
-            None,
-            &format!(
-                r#"{{"host": "{}", "addr": "{}"}}"#,
-                primary.addr, replica.addr
-            ),
+    fn spawn_pair() -> (Node, Node) {
+        let primary = Node::spawn(|_| {});
+        let replica = Node::spawn(|_| {});
+        let enlist = format!(
+            r#"{{"host": "{}", "addr": "{}"}}"#,
+            primary.addr, replica.addr
         );
-        assert_eq!(status, 200, "enlist failed: {head}");
-        (primary, replica, p_dir, r_dir)
+        let reply = primary
+            .client()
+            .request("POST", "/v1/cluster/enlist", Some(&enlist))
+            .expect("enlist");
+        expect_ok(&reply, "enlist failed");
+        (primary, replica)
+    }
+
+    /// The `X-Arbitrex-Seq` token of a commit's 200 ack.
+    fn acked_rseq(reply: &PeerResponse) -> u64 {
+        expect_ok(reply, "commit failed");
+        reply
+            .header("x-arbitrex-seq")
+            .and_then(|v| v.parse().ok())
+            .expect("X-Arbitrex-Seq on a commit ack")
     }
 
     /// Poll `GET /v1/kb/{kb}` with `X-Arbitrex-Min-Seq: {rseq}` until
     /// the 412s stop; returns the wait in nanoseconds.
-    fn wait_visible(conn: &mut Conn, kb: &str, rseq: u64) -> u64 {
+    fn wait_visible(conn: &mut PeerClient, kb: &str, rseq: u64) -> u64 {
         let t0 = Instant::now();
+        let path = format!("/v1/kb/{kb}");
+        let min_seq = rseq.to_string();
         loop {
-            let (status, _) = conn.request(
-                "GET",
-                &format!("/v1/kb/{kb}"),
-                Some(("X-Arbitrex-Min-Seq", &rseq.to_string())),
-                "",
-            );
-            match status {
+            let reply = conn
+                .request_with_headers("GET", &path, None, &[("X-Arbitrex-Min-Seq", &min_seq)])
+                .expect("min-seq read");
+            match reply.status {
                 200 => return t0.elapsed().as_nanos() as u64,
                 412 => std::thread::sleep(std::time::Duration::from_micros(200)),
                 other => panic!("unexpected status {other} waiting for rseq {rseq}"),
@@ -2262,116 +1910,21 @@ fn e19_replication() {
         }
     }
 
-    fn percentile(sorted: &[u64], p: f64) -> u64 {
-        let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[idx]
-    }
-
     /// One lag leg: `samples` sequential commits to the primary, each
     /// timed from its ack to its first successful min-seq read on the
     /// replica. Returns sorted waits in ns.
-    fn lag_leg(primary: &RunningServer, replica: &RunningServer, samples: usize) -> Vec<u64> {
-        let mut writer = Conn::open(primary.addr);
-        let mut reader = Conn::open(replica.addr);
+    fn lag_leg(primary: &Node, replica: &Node, samples: usize) -> Vec<u64> {
+        let mut writer = primary.client();
+        let mut reader = replica.client();
         let mut waits = Vec::with_capacity(samples);
         for i in 0..samples {
-            let formula = if i % 2 == 0 { "A & B" } else { "A | B" };
-            let body = format!(r#"{{"action": "put", "formula": "{formula}"}}"#);
-            let (status, head) = writer.request("POST", "/v1/kb/lag", None, &body);
-            assert_eq!(status, 200, "commit failed: {head}");
-            let rseq = header_u64(&head, "X-Arbitrex-Seq");
-            waits.push(wait_visible(&mut reader, "lag", rseq));
+            let reply = writer
+                .request("POST", "/v1/kb/lag", Some(put_body(i)))
+                .expect("commit");
+            waits.push(wait_visible(&mut reader, "lag", acked_rseq(&reply)));
         }
         waits.sort_unstable();
         waits
-    }
-
-    /// Background load at the E17 light load point: `LOAD_CLIENTS`
-    /// keep-alive clients pipelining depth-`LOAD_DEPTH` batches of
-    /// small cube arbitrations at the primary until stopped.
-    fn spawn_load(
-        addr: std::net::SocketAddr,
-        stop: Arc<AtomicBool>,
-    ) -> Vec<std::thread::JoinHandle<()>> {
-        let wires: Vec<Vec<u8>> = (3..=6usize)
-            .flat_map(|n| {
-                let vars: Vec<String> = (0..n).map(|i| format!("V{i}")).collect();
-                (0..n).map(move |k| {
-                    let cube = |flip: bool| {
-                        vars.iter()
-                            .enumerate()
-                            .map(|(i, v)| {
-                                if (i < k) != flip {
-                                    v.clone()
-                                } else {
-                                    format!("!{v}")
-                                }
-                            })
-                            .collect::<Vec<_>>()
-                            .join(" & ")
-                    };
-                    let body = format!(r#"{{"psi": "{}", "phi": "{}"}}"#, cube(false), cube(true));
-                    let mut wire = format!(
-                        "POST /v1/arbitrate HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
-                        body.len()
-                    )
-                    .into_bytes();
-                    wire.extend_from_slice(body.as_bytes());
-                    wire
-                })
-            })
-            .collect();
-        (0..LOAD_CLIENTS)
-            .map(|client| {
-                let stop = Arc::clone(&stop);
-                let wires = wires.clone();
-                std::thread::spawn(move || {
-                    let stream = TcpStream::connect(addr).expect("connect load");
-                    stream
-                        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-                        .unwrap();
-                    let _ = stream.set_nodelay(true);
-                    let mut writer = stream.try_clone().expect("clone stream");
-                    let mut reader = std::io::BufReader::with_capacity(64 * 1024, stream);
-                    let offset = (client * wires.len()) / LOAD_CLIENTS;
-                    let mut cursor = offset;
-                    while !stop.load(Ordering::Relaxed) {
-                        let mut batch: Vec<u8> = Vec::with_capacity(4096);
-                        for _ in 0..LOAD_DEPTH {
-                            batch.extend_from_slice(&wires[cursor % wires.len()]);
-                            cursor += 1;
-                        }
-                        writer.write_all(&batch).expect("write load batch");
-                        for _ in 0..LOAD_DEPTH {
-                            let mut reply = Vec::with_capacity(512);
-                            let mut byte = [0u8; 1];
-                            loop {
-                                match reader.read(&mut byte) {
-                                    Ok(0) => panic!("server closed load connection"),
-                                    Ok(_) => {
-                                        reply.push(byte[0]);
-                                        if reply.ends_with(b"\r\n\r\n") {
-                                            break;
-                                        }
-                                    }
-                                    Err(e) => panic!("load read error: {e}"),
-                                }
-                            }
-                            let head_text = String::from_utf8_lossy(&reply);
-                            let length: usize = head_text
-                                .lines()
-                                .find_map(|l| l.strip_prefix("Content-Length: "))
-                                .expect("content-length")
-                                .trim()
-                                .parse()
-                                .expect("numeric length");
-                            let mut body_buf = vec![0u8; length];
-                            reader.read_exact(&mut body_buf).expect("read load body");
-                        }
-                    }
-                })
-            })
-            .collect()
     }
 
     // --- replication lag -----------------------------------------------------
@@ -2386,24 +1939,33 @@ fn e19_replication() {
     let mut lag_rows: Vec<String> = Vec::new();
     let mut quick_stats = [0u64; 4]; // idle p50/p99, failover p50/p99 (us/ms)
     for leg in ["idle", "loaded"] {
-        let (primary, replica, p_dir, r_dir) = spawn_pair(&format!("lag-{leg}"));
+        let (primary, replica) = spawn_pair();
         let stop = Arc::new(AtomicBool::new(false));
-        let load = if leg == "loaded" {
-            // Let the load reach steady state before sampling.
-            let handles = spawn_load(primary.addr, Arc::clone(&stop));
+        // The E17 light load point at the primary until stopped; let it
+        // reach steady state before sampling.
+        let load = (leg == "loaded").then(|| {
+            let (addr, stop) = (primary.addr.clone(), Arc::clone(&stop));
+            let handle = std::thread::spawn(move || {
+                pipelined_load(
+                    &addr,
+                    &light_pool(),
+                    LOAD_CLIENTS,
+                    LOAD_DEPTH,
+                    usize::MAX,
+                    &stop,
+                )
+            });
             std::thread::sleep(std::time::Duration::from_millis(200));
-            handles
-        } else {
-            Vec::new()
-        };
+            handle
+        });
         let waits = lag_leg(&primary, &replica, lag_samples);
         stop.store(true, Ordering::Relaxed);
-        for handle in load {
-            handle.join().expect("load client");
+        if let Some(handle) = load {
+            handle.join().expect("load clients");
         }
         let (p50, p99, max) = (
-            percentile(&waits, 50.0) / 1_000,
-            percentile(&waits, 99.0) / 1_000,
+            percentile(&waits, 50) / 1_000,
+            percentile(&waits, 99) / 1_000,
             waits[waits.len() - 1] / 1_000,
         );
         if leg == "idle" {
@@ -2415,10 +1977,8 @@ fn e19_replication() {
             "    {{\"leg\": \"{leg}\", \"samples\": {lag_samples}, \"p50_us\": {p50}, \
              \"p99_us\": {p99}, \"max_us\": {max}}}"
         ));
-        replica.stop().expect("stop replica");
-        primary.stop().expect("stop primary");
-        let _ = std::fs::remove_dir_all(p_dir);
-        let _ = std::fs::remove_dir_all(r_dir);
+        replica.stop();
+        primary.stop();
     }
     println!();
 
@@ -2430,45 +1990,45 @@ fn e19_replication() {
          watermark on the promoted node (fresh pair per cycle)\n"
     );
     let mut failover_ns: Vec<u64> = Vec::with_capacity(failover_cycles);
-    for cycle in 0..failover_cycles {
-        let (primary, replica, p_dir, r_dir) = spawn_pair(&format!("failover-{cycle}"));
-        let mut writer = Conn::open(primary.addr);
+    for _ in 0..failover_cycles {
+        let (primary, replica) = spawn_pair();
+        let mut writer = primary.client();
         let mut last_rseq = 0;
         for i in 0..8usize {
-            let formula = if i % 2 == 0 { "A & B" } else { "A | B" };
-            let body = format!(r#"{{"action": "put", "formula": "{formula}"}}"#);
-            let (status, head) = writer.request("POST", "/v1/kb/failover", None, &body);
-            assert_eq!(status, 200, "commit failed: {head}");
-            last_rseq = header_u64(&head, "X-Arbitrex-Seq");
+            let reply = writer
+                .request("POST", "/v1/kb/failover", Some(put_body(i)))
+                .expect("commit");
+            last_rseq = acked_rseq(&reply);
         }
         // The replica must hold the acked watermark before the primary
         // dies — this measures failover, not anti-entropy.
-        let mut reader = Conn::open(replica.addr);
+        let mut reader = replica.client();
         wait_visible(&mut reader, "failover", last_rseq);
-        primary.stop().expect("stop primary");
+        primary.stop();
 
         let t0 = Instant::now();
-        let (status, _) = reader.request("POST", "/v1/replication/promote", None, "");
-        assert_eq!(status, 200, "promote failed");
+        let reply = reader
+            .request("POST", "/v1/replication/promote", None)
+            .expect("promote");
+        expect_ok(&reply, "promote failed");
         wait_visible(&mut reader, "failover", last_rseq);
         failover_ns.push(t0.elapsed().as_nanos() as u64);
 
         // The promoted node accepts writes (sanity, untimed).
         let body = r#"{"action": "put", "formula": "A"}"#;
-        let (status, head) = reader.request("POST", "/v1/kb/failover", None, body);
-        assert_eq!(status, 200, "post-failover write refused");
+        let reply = reader
+            .request("POST", "/v1/kb/failover", Some(body))
+            .expect("post-failover write");
         assert!(
-            header_u64(&head, "X-Arbitrex-Seq") > last_rseq,
+            acked_rseq(&reply) > last_rseq,
             "rseq reused across failover"
         );
-        replica.stop().expect("stop promoted node");
-        let _ = std::fs::remove_dir_all(p_dir);
-        let _ = std::fs::remove_dir_all(r_dir);
+        replica.stop();
     }
     failover_ns.sort_unstable();
     let (fo_p50, fo_p99, fo_max) = (
-        percentile(&failover_ns, 50.0) / 1_000,
-        percentile(&failover_ns, 99.0) / 1_000,
+        percentile(&failover_ns, 50) / 1_000,
+        percentile(&failover_ns, 99) / 1_000,
         failover_ns[failover_ns.len() - 1] / 1_000,
     );
     quick_stats[2] = fo_p50;
@@ -2533,10 +2093,6 @@ fn e19_replication() {
 /// BENCH_PR9.json.
 fn e20_sharding() {
     use arbitrex_server::shard::{ShardRing, DEFAULT_VNODES};
-    use arbitrex_server::{spawn, RunningServer, ServerConfig};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -2551,134 +2107,34 @@ fn e20_sharding() {
     let quick = std::env::var("ARBX_E20_QUICK").is_ok();
     let window_ms: u64 = if quick { 1_200 } else { 4_000 };
 
-    /// One keep-alive connection speaking just enough HTTP/1.1 (same
-    /// shape as E19's client, plus the body — shard routing answers
-    /// live in headers *and* bodies: `Location` on 307, `seq` on 200).
-    struct Conn {
-        stream: TcpStream,
-    }
-    impl Conn {
-        fn open(addr: &str) -> Conn {
-            let stream = TcpStream::connect(addr).expect("connect");
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-                .unwrap();
-            let _ = stream.set_nodelay(true);
-            Conn { stream }
-        }
-
-        fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String, String) {
-            let head = format!(
-                "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            );
-            self.stream.write_all(head.as_bytes()).expect("write head");
-            self.stream.write_all(body.as_bytes()).expect("write body");
-            let mut reply = Vec::with_capacity(512);
-            let mut byte = [0u8; 1];
-            loop {
-                match self.stream.read(&mut byte) {
-                    Ok(0) => panic!("server closed connection mid-response"),
-                    Ok(_) => {
-                        reply.push(byte[0]);
-                        if reply.ends_with(b"\r\n\r\n") {
-                            break;
-                        }
-                    }
-                    Err(e) => panic!("read error: {e}"),
-                }
-            }
-            let head_text = String::from_utf8_lossy(&reply).to_string();
-            let status: u16 = head_text
-                .split_whitespace()
-                .nth(1)
-                .expect("status code")
-                .parse()
-                .expect("numeric status");
-            let length: usize = head_text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .expect("content-length")
-                .trim()
-                .parse()
-                .expect("numeric length");
-            let mut body_buf = vec![0u8; length];
-            self.stream.read_exact(&mut body_buf).expect("read body");
-            (
-                status,
-                head_text,
-                String::from_utf8_lossy(&body_buf).to_string(),
-            )
-        }
-    }
-
-    fn header_str(head: &str, name: &str) -> String {
-        head.lines()
-            .find_map(|l| l.strip_prefix(&format!("{name}: ")))
-            .map(|v| v.trim().to_string())
-            .unwrap_or_else(|| panic!("no {name} header in: {head}"))
-    }
-
-    fn seq_of(body: &str) -> u64 {
-        body.split("\"seq\":")
-            .nth(1)
-            .and_then(|tail| {
-                tail.trim_start()
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit())
-                    .collect::<String>()
-                    .parse()
-                    .ok()
-            })
-            .unwrap_or_else(|| panic!("no seq in {body}"))
-    }
-
-    fn temp_dir(label: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("arbx-e20-{}-{label}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create state dir");
-        dir
-    }
-
     /// A durable shard member on a fresh state dir, advertising its
     /// bound address as its ring identity (solo ring until joined).
-    fn spawn_node(label: &str) -> (RunningServer, PathBuf) {
-        let dir = temp_dir(label);
-        let node = spawn(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            queue_depth: 256,
-            cache_entries: 4096,
-            state_dir: Some(dir.clone()),
-            snapshot_every: 0,
-            flush_interval_us: FLUSH_US,
-            ..ServerConfig::default()
-        })
-        .expect("spawn shard node");
-        (node, dir)
+    fn spawn_node() -> Node {
+        Node::spawn(|config| config.flush_interval_us = FLUSH_US)
     }
 
-    /// Spawn `n` solo members and join them into one cluster through
-    /// the real membership path (node 0 is the join coordinator).
-    fn spawn_cluster(label: &str, n: usize) -> (Vec<RunningServer>, Vec<PathBuf>, Vec<String>) {
-        let mut nodes = Vec::with_capacity(n);
-        let mut dirs = Vec::with_capacity(n);
-        for i in 0..n {
-            let (node, dir) = spawn_node(&format!("{label}-{i}"));
-            nodes.push(node);
-            dirs.push(dir);
-        }
-        let addrs: Vec<String> = nodes.iter().map(|node| node.addr.to_string()).collect();
-        let mut coordinator = Conn::open(&addrs[0]);
-        for addr in &addrs[1..] {
-            let (status, _, body) = coordinator.request(
+    /// Join the member at `addr` through the real membership path, with
+    /// `coordinator` as the join coordinator.
+    fn join(coordinator: &Node, addr: &str) {
+        let reply = coordinator
+            .client()
+            .request(
                 "POST",
                 "/v1/cluster/join",
-                &format!(r#"{{"addr": "{addr}"}}"#),
-            );
-            assert_eq!(status, 200, "join failed: {body}");
+                Some(&format!(r#"{{"addr": "{addr}"}}"#)),
+            )
+            .expect("join");
+        expect_ok(&reply, "join failed");
+    }
+
+    /// Spawn `n` solo members and join them into one cluster (node 0
+    /// coordinates).
+    fn spawn_cluster(n: usize) -> Vec<Node> {
+        let nodes: Vec<Node> = (0..n).map(|_| spawn_node()).collect();
+        for node in &nodes[1..] {
+            join(&nodes[0], &node.addr);
         }
-        (nodes, dirs, addrs)
+        nodes
     }
 
     /// For each member, `per_node` KB names the ring places on it.
@@ -2703,8 +2159,9 @@ fn e20_sharding() {
     /// One scaling leg: `WRITERS_PER_NODE` sequential writers per node,
     /// each committing to its own pre-routed KB; aggregate acks/s over
     /// the measured window (after a short warmup).
-    fn throughput_leg(label: &str, n: usize, window_ms: u64) -> u64 {
-        let (nodes, dirs, addrs) = spawn_cluster(label, n);
+    fn throughput_leg(n: usize, window_ms: u64) -> u64 {
+        let nodes = spawn_cluster(n);
+        let addrs: Vec<String> = nodes.iter().map(|node| node.addr.clone()).collect();
         let stop = Arc::new(AtomicBool::new(false));
         let counting = Arc::new(AtomicBool::new(false));
         let acks = Arc::new(AtomicU64::new(0));
@@ -2716,19 +2173,15 @@ fn e20_sharding() {
                 let counting = Arc::clone(&counting);
                 let acks = Arc::clone(&acks);
                 std::thread::spawn(move || {
-                    let mut conn = Conn::open(&addr);
+                    let mut conn = PeerClient::connect(&addr).expect("connect");
+                    let path = format!("/v1/kb/{kb}");
                     let mut i = 0usize;
                     while !stop.load(Ordering::Relaxed) {
-                        let formula = if i.is_multiple_of(2) {
-                            "A & B"
-                        } else {
-                            "A | B"
-                        };
+                        let reply = conn
+                            .request("POST", &path, Some(put_body(i)))
+                            .expect("commit");
                         i += 1;
-                        let body = format!(r#"{{"action": "put", "formula": "{formula}"}}"#);
-                        let (status, _, reply) =
-                            conn.request("POST", &format!("/v1/kb/{kb}"), &body);
-                        assert_eq!(status, 200, "pre-routed commit failed: {reply}");
+                        expect_ok(&reply, "pre-routed commit failed");
                         if counting.load(Ordering::Relaxed) {
                             acks.fetch_add(1, Ordering::Relaxed);
                         }
@@ -2748,10 +2201,7 @@ fn e20_sharding() {
         }
         let rate = (acks.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64()) as u64;
         for node in nodes {
-            node.stop().expect("stop node");
-        }
-        for dir in dirs {
-            let _ = std::fs::remove_dir_all(dir);
+            node.stop();
         }
         rate
     }
@@ -2766,7 +2216,7 @@ fn e20_sharding() {
     println!("primaries   aggregate commits/s   scale");
     let mut aggregate = [0u64; 3];
     for (slot, n) in [1usize, 2, 3].into_iter().enumerate() {
-        aggregate[slot] = throughput_leg(&format!("scale-{n}"), n, window_ms);
+        aggregate[slot] = throughput_leg(n, window_ms);
         let scale = aggregate[slot] as f64 / aggregate[0].max(1) as f64;
         println!("{n:<11} {:<21} {scale:.2}x", aggregate[slot]);
     }
@@ -2780,85 +2230,76 @@ fn e20_sharding() {
          captures; the writer follows 307s and retries the 503 handoff fence; the\n\
          blackout is the longest ack-to-ack gap across the migration\n"
     );
-    let (node_a, dir_a) = spawn_node("blackout-a");
-    let (node_b, dir_b) = spawn_node("blackout-b");
-    let addr_a = node_a.addr.to_string();
-    let addr_b = node_b.addr.to_string();
+    let node_a = spawn_node();
+    let node_b = spawn_node();
     // A name the two-member ring will hand to the newcomer.
-    let grown = ShardRing::new([addr_a.clone(), addr_b.clone()], DEFAULT_VNODES, 2);
+    let grown = ShardRing::new(
+        [node_a.addr.clone(), node_b.addr.clone()],
+        DEFAULT_VNODES,
+        2,
+    );
     let moving = (0..)
         .map(|i| format!("e20-move-{i}"))
-        .find(|name| grown.owner_of(name) == Some(addr_b.as_str()))
+        .find(|name| grown.owner_of(name) == Some(node_b.addr.as_str()))
         .expect("some name lands on the newcomer");
 
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
-        let addrs = [addr_a.clone(), addr_b.clone()];
+        let addrs = [node_a.addr.clone(), node_b.addr.clone()];
         let stop = Arc::clone(&stop);
-        let moving = moving.clone();
+        let path = format!("/v1/kb/{moving}");
         std::thread::spawn(move || {
-            let mut conns: Vec<Option<Conn>> = vec![None, None];
+            let mut conns: [Option<PeerClient>; 2] = [None, None];
             let mut target = 0usize;
             let mut last_seq = 0u64;
             let mut acks: Vec<Instant> = Vec::with_capacity(4096);
             let mut i = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let formula = if i.is_multiple_of(2) {
-                    "A & B"
-                } else {
-                    "A | B"
-                };
+                let conn = conns[target]
+                    .get_or_insert_with(|| PeerClient::connect(&addrs[target]).expect("connect"));
+                let reply = conn
+                    .request("POST", &path, Some(put_body(i)))
+                    .expect("commit");
                 i += 1;
-                let body = format!(r#"{{"action": "put", "formula": "{formula}"}}"#);
-                let conn = conns[target].get_or_insert_with(|| Conn::open(&addrs[target]));
-                let (status, head, reply) =
-                    conn.request("POST", &format!("/v1/kb/{moving}"), &body);
-                match status {
+                match reply.status {
                     200 => {
-                        let seq = seq_of(&reply);
+                        let seq = serving::seq(&reply.body).expect("seq in commit ack");
                         assert!(seq > last_seq, "seq regressed {last_seq} -> {seq}: an acked commit vanished in the handoff");
                         last_seq = seq;
                         acks.push(Instant::now());
                     }
                     307 => {
-                        let owner = header_str(&head, "X-Arbitrex-Shard-Owner");
+                        let owner = reply
+                            .header("x-arbitrex-shard-owner")
+                            .expect("X-Arbitrex-Shard-Owner on a 307");
                         target = addrs
                             .iter()
-                            .position(|a| *a == owner)
+                            .position(|a| a == owner)
                             .expect("redirect inside the cluster");
                     }
                     503 => std::thread::sleep(std::time::Duration::from_millis(1)),
-                    other => panic!("unexpected status {other}: {reply}"),
+                    other => panic!(
+                        "unexpected status {other}: {}",
+                        String::from_utf8_lossy(&reply.body)
+                    ),
                 }
             }
             (acks, last_seq)
         })
     };
     std::thread::sleep(std::time::Duration::from_millis(300)); // baseline cadence
-    let mut coordinator = Conn::open(&addr_a);
-    let (status, _, body) = coordinator.request(
-        "POST",
-        "/v1/cluster/join",
-        &format!(r#"{{"addr": "{addr_b}"}}"#),
-    );
-    assert_eq!(status, 200, "join failed: {body}");
+    join(&node_a, &node_b.addr);
     std::thread::sleep(std::time::Duration::from_millis(500)); // post-handoff cadence
     stop.store(true, Ordering::Relaxed);
     let (acks, final_seq) = writer.join().expect("blackout writer");
     assert!(acks.len() > 50, "writer starved: {} acks", acks.len());
-    let blackout_ms = acks
-        .windows(2)
-        .map(|pair| pair[1].duration_since(pair[0]).as_millis() as u64)
-        .max()
-        .unwrap_or(0);
+    let blackout_ms = longest_gap_ms(&acks);
     println!(
         "blackout ms: {blackout_ms} (longest ack gap; {} acks, final seq {final_seq})\n",
         acks.len()
     );
-    node_b.stop().expect("stop newcomer");
-    node_a.stop().expect("stop old owner");
-    let _ = std::fs::remove_dir_all(dir_a);
-    let _ = std::fs::remove_dir_all(dir_b);
+    node_b.stop();
+    node_a.stop();
 
     if quick {
         // The greppable CI-gate line; quick mode stops here and leaves
@@ -2926,10 +2367,6 @@ fn e20_sharding() {
 /// BENCH_PR10.json.
 fn e21_failover() {
     use arbitrex_server::shard::{ShardRing, DEFAULT_VNODES};
-    use arbitrex_server::{spawn, RunningServer, ServerConfig};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -2945,170 +2382,59 @@ fn e21_failover() {
     let quick = std::env::var("ARBX_E21_QUICK").is_ok();
     let trials: usize = if quick { 2 } else { 9 };
 
-    /// E20's keep-alive client, with transport errors surfaced as
-    /// `Err` instead of panics — this writer must outlive the server
-    /// it is talking to.
-    struct Conn {
-        stream: TcpStream,
-    }
-    impl Conn {
-        fn open(addr: &str) -> std::io::Result<Conn> {
-            let stream = TcpStream::connect(addr)?;
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-                .unwrap();
-            let _ = stream.set_nodelay(true);
-            Ok(Conn { stream })
-        }
-
-        fn request(
-            &mut self,
-            method: &str,
-            path: &str,
-            body: &str,
-        ) -> std::io::Result<(u16, String, String)> {
-            let head = format!(
-                "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            );
-            self.stream.write_all(head.as_bytes())?;
-            self.stream.write_all(body.as_bytes())?;
-            let mut reply = Vec::with_capacity(512);
-            let mut byte = [0u8; 1];
-            loop {
-                match self.stream.read(&mut byte)? {
-                    0 => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "closed mid-response",
-                        ))
-                    }
-                    _ => {
-                        reply.push(byte[0]);
-                        if reply.ends_with(b"\r\n\r\n") {
-                            break;
-                        }
-                    }
-                }
-            }
-            let head_text = String::from_utf8_lossy(&reply).to_string();
-            let status: u16 = head_text
-                .split_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| std::io::Error::other("bad status line"))?;
-            let length: usize = head_text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| std::io::Error::other("missing content-length"))?;
-            let mut body_buf = vec![0u8; length];
-            self.stream.read_exact(&mut body_buf)?;
-            Ok((
-                status,
-                head_text,
-                String::from_utf8_lossy(&body_buf).to_string(),
-            ))
-        }
-    }
-
-    fn seq_of(body: &str) -> Option<u64> {
-        body.split("\"seq\":").nth(1).and_then(|tail| {
-            tail.trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .ok()
+    fn spawn_node() -> Node {
+        Node::spawn(|config| {
+            config.cache_entries = 1024;
+            config.flush_interval_us = FLUSH_US;
+            config.probe_interval_ms = PROBE_MS;
+            config.suspect_after = SUSPECT_AFTER;
         })
     }
 
-    fn temp_dir(label: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("arbx-e21-{}-{label}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create state dir");
-        dir
-    }
-
-    fn spawn_node(
-        label: &str,
-        configure: impl FnOnce(&mut ServerConfig),
-    ) -> (RunningServer, PathBuf) {
-        let dir = temp_dir(label);
-        let mut config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            queue_depth: 256,
-            cache_entries: 1024,
-            state_dir: Some(dir.clone()),
-            snapshot_every: 0,
-            flush_interval_us: FLUSH_US,
-            probe_interval_ms: PROBE_MS,
-            suspect_after: SUSPECT_AFTER,
-            ..ServerConfig::default()
-        };
-        configure(&mut config);
-        (spawn(config).expect("spawn chain node"), dir)
-    }
-
     /// One failover trial: returns (blackout_ms, acks, regressed).
-    fn trial(i: usize) -> (u64, usize, u64) {
+    fn trial() -> (u64, usize, u64) {
         // Head, voter, join; then a streaming replica enlisted as the
         // head's chain tail.
-        let (head, dir_h) = spawn_node(&format!("{i}-head"), |_| {});
-        let (voter, dir_v) = spawn_node(&format!("{i}-voter"), |_| {});
-        let head_addr = head.addr.to_string();
-        let voter_addr = voter.addr.to_string();
-        let mut c = Conn::open(&head_addr).expect("connect head");
-        let (status, _, body) = c
-            .request(
-                "POST",
-                "/v1/cluster/join",
-                &format!(r#"{{"addr": "{voter_addr}"}}"#),
-            )
+        let head = spawn_node();
+        let voter = spawn_node();
+        let mut c = head.client();
+        let join = format!(r#"{{"addr": "{}"}}"#, voter.addr);
+        let reply = c
+            .request("POST", "/v1/cluster/join", Some(&join))
             .expect("join");
-        assert_eq!(status, 200, "join failed: {body}");
-        let (replica, dir_r) = spawn_node(&format!("{i}-replica"), |_| {});
-        let replica_addr = replica.addr.to_string();
-        let (status, _, body) = c
-            .request(
-                "POST",
-                "/v1/cluster/enlist",
-                &format!(r#"{{"host": "{head_addr}", "addr": "{replica_addr}"}}"#),
-            )
+        expect_ok(&reply, "join failed");
+        let replica = spawn_node();
+        let enlist = format!(r#"{{"host": "{}", "addr": "{}"}}"#, head.addr, replica.addr);
+        let reply = c
+            .request("POST", "/v1/cluster/enlist", Some(&enlist))
             .expect("enlist");
-        assert_eq!(status, 200, "enlist failed: {body}");
+        expect_ok(&reply, "enlist failed");
 
         // A name the chain (anchored at the head) owns.
-        let ring = ShardRing::new([head_addr.clone(), voter_addr.clone()], DEFAULT_VNODES, 0);
+        let ring = ShardRing::new([head.addr.clone(), voter.addr.clone()], DEFAULT_VNODES, 0);
         let kb = (0..)
             .map(|n| format!("e21-kb-{n}"))
-            .find(|name| ring.owner_of(name) == Some(head_addr.as_str()))
+            .find(|name| ring.owner_of(name) == Some(head.addr.as_str()))
             .expect("some name lands on the chain");
 
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
-            let addrs = [head_addr.clone(), replica_addr.clone(), voter_addr.clone()];
+            let addrs = [head.addr.clone(), replica.addr.clone(), voter.addr.clone()];
             let stop = Arc::clone(&stop);
-            let kb = kb.clone();
+            let path = format!("/v1/kb/{kb}");
             std::thread::spawn(move || {
-                let mut conn: Option<Conn> = None;
+                let mut conn: Option<PeerClient> = None;
                 let mut target = 0usize;
                 let mut last_seq = 0u64;
                 let mut regressed = 0u64;
                 let mut acks: Vec<Instant> = Vec::with_capacity(4096);
                 let mut n = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let formula = if n.is_multiple_of(2) {
-                        "A & B"
-                    } else {
-                        "A | B"
-                    };
+                    let body = put_body(n);
                     n += 1;
-                    let body = format!(r#"{{"action": "put", "formula": "{formula}"}}"#);
                     let live = match conn.as_mut() {
                         Some(live) => live,
-                        None => match Conn::open(&addrs[target]) {
+                        None => match PeerClient::connect(&addrs[target]) {
                             Ok(fresh) => conn.insert(fresh),
                             Err(_) => {
                                 target = (target + 1) % addrs.len();
@@ -3117,9 +2443,18 @@ fn e21_failover() {
                             }
                         },
                     };
-                    match live.request("POST", &format!("/v1/kb/{kb}"), &body) {
-                        Ok((200, _, reply)) => {
-                            let seq = seq_of(&reply).expect("seq in commit ack");
+                    let reply = match live.request("POST", &path, Some(body)) {
+                        Ok(reply) => reply,
+                        Err(_) => {
+                            conn = None;
+                            target = (target + 1) % addrs.len();
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                            continue;
+                        }
+                    };
+                    match reply.status {
+                        200 => {
+                            let seq = serving::seq(&reply.body).expect("seq in commit ack");
                             if seq <= last_seq {
                                 // The promoted replica had not applied
                                 // every acked frame — the shipping
@@ -3130,27 +2465,20 @@ fn e21_failover() {
                             last_seq = seq;
                             acks.push(Instant::now());
                         }
-                        Ok((307, head_text, _)) => {
-                            if let Some(owner) = head_text
-                                .lines()
-                                .find_map(|l| l.strip_prefix("X-Arbitrex-Shard-Owner: "))
+                        307 => {
+                            let owner = reply.header("x-arbitrex-shard-owner");
+                            if let Some(slot) =
+                                owner.and_then(|o| addrs.iter().position(|a| a == o))
                             {
-                                let owner = owner.trim();
-                                if let Some(slot) = addrs.iter().position(|a| a == owner) {
-                                    target = slot;
-                                    conn = None;
-                                }
+                                target = slot;
+                                conn = None;
                             }
                         }
-                        Ok((503, _, _)) | Ok((421, _, _)) => {
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        Ok((other, _, reply)) => panic!("unexpected status {other}: {reply}"),
-                        Err(_) => {
-                            conn = None;
-                            target = (target + 1) % addrs.len();
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
+                        503 | 421 => std::thread::sleep(std::time::Duration::from_millis(2)),
+                        other => panic!(
+                            "unexpected status {other}: {}",
+                            String::from_utf8_lossy(&reply.body)
+                        ),
                     }
                 }
                 (acks, regressed)
@@ -3160,20 +2488,20 @@ fn e21_failover() {
         // Baseline cadence, then kill the head and wait for the
         // successor to take over and absorb writes again.
         std::thread::sleep(std::time::Duration::from_millis(400));
-        head.stop().expect("stop head");
+        head.stop();
         let killed = Instant::now();
-        let mut status_conn: Option<Conn> = None;
+        let mut status_conn: Option<PeerClient> = None;
         loop {
             assert!(
                 killed.elapsed() < std::time::Duration::from_secs(30),
                 "successor never promoted"
             );
             let promoted = status_conn
-                .get_or_insert_with(|| Conn::open(&replica_addr).expect("connect replica"))
-                .request("GET", "/v1/replication/status", "")
-                .ok()
-                .map(|(_, _, body)| body.contains("\"role\":\"primary\""))
-                .unwrap_or(false);
+                .get_or_insert_with(|| replica.client())
+                .request("GET", "/v1/replication/status", None)
+                .is_ok_and(|reply| {
+                    String::from_utf8_lossy(&reply.body).contains("\"role\":\"primary\"")
+                });
             if promoted {
                 break;
             }
@@ -3183,16 +2511,9 @@ fn e21_failover() {
         stop.store(true, Ordering::Relaxed);
         let (acks, regressed) = writer.join().expect("writer");
         assert!(acks.len() > 20, "writer starved: {} acks", acks.len());
-        let blackout_ms = acks
-            .windows(2)
-            .map(|pair| pair[1].duration_since(pair[0]).as_millis() as u64)
-            .max()
-            .unwrap_or(0);
-        replica.stop().expect("stop replica");
-        voter.stop().expect("stop voter");
-        for dir in [dir_h, dir_v, dir_r] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        let blackout_ms = longest_gap_ms(&acks);
+        replica.stop();
+        voter.stop();
         (blackout_ms, acks.len(), regressed)
     }
 
@@ -3206,14 +2527,13 @@ fn e21_failover() {
     let mut blackouts = Vec::with_capacity(trials);
     let mut total_regressed = 0u64;
     for i in 0..trials {
-        let (blackout_ms, acks, regressed) = trial(i);
+        let (blackout_ms, acks, regressed) = trial();
         println!("{i:<7} {blackout_ms:<13} {acks:<6} {regressed}");
         blackouts.push(blackout_ms);
         total_regressed += regressed;
     }
     blackouts.sort_unstable();
-    let pct = |p: usize| blackouts[(p * blackouts.len()).div_ceil(100).max(1) - 1];
-    let (p50, p99) = (pct(50), pct(99));
+    let (p50, p99) = (percentile(&blackouts, 50), percentile(&blackouts, 99));
     println!(
         "\nblackout p50 {p50} ms, p99 {p99} ms; detection floor {} ms\n",
         PROBE_MS * SUSPECT_AFTER as u64

@@ -1,5 +1,8 @@
 //! Shared workload generators for the benchmarks and the experiment
-//! harness (`cargo run -p arbitrex-bench --bin experiments`).
+//! harness (`cargo run -p arbitrex-bench --bin experiments`), and the
+//! serving experiments' loopback harness ([`serving`]).
+
+pub mod serving;
 
 use arbitrex_logic::random::{random_nonempty_model_set, FormulaGen};
 use arbitrex_logic::{Formula, ModelSet};

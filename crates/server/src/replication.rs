@@ -26,8 +26,8 @@
 //! fetches the peer's KB listing (`GET /v1/kbs`: name, seq, canonical
 //! content hash) and merges each divergent theory with the paper's
 //! arbitration operator `Δ` — the fair merge of two equally trusted
-//! sources — with the two sides ordered by canonical key so both nodes
-//! would compute the identical result. See DESIGN.md §12.
+//! sources, which does not depend on which side is which, so both nodes
+//! compute the identical result. See DESIGN.md §12.
 //!
 //! # Network fault injection
 //!
@@ -54,7 +54,7 @@ use arbitrex_core::{cached_arbitrate, Budget, Quality};
 use arbitrex_logic::{parse as parse_formula, rename_formula, Formula, ModelSet, Sig, ENUM_LIMIT};
 
 use crate::json::{self, Json};
-use crate::kb::{theory_digest, ApplyOutcome, StoredKb};
+use crate::kb::{ApplyOutcome, StoredKb};
 use crate::metrics;
 use crate::snapshot;
 use crate::wal;
@@ -356,8 +356,11 @@ impl PeerResponse {
 }
 
 /// A blocking HTTP/1.1 client for one keep-alive connection to a peer
-/// node. Requests are strictly sequential (no pipelining), so the
-/// buffered reader never holds bytes of an unconsumed response.
+/// node. [`PeerClient::request`] sends one request and reads its
+/// response. A pipelined batch is one [`PeerClient::send_raw`] of
+/// several encoded requests followed by one
+/// [`PeerClient::read_response`] per request, in order; the buffered
+/// reader carries bytes of the next response over between reads.
 pub struct PeerClient {
     reader: BufReader<TcpStream>,
 }
@@ -398,20 +401,34 @@ impl PeerClient {
         body: Option<&str>,
         headers: &[(&str, &str)],
     ) -> io::Result<PeerResponse> {
+        self.send_raw(&PeerClient::encode(method, path, body, headers))?;
+        self.read_response()
+    }
+
+    /// The bytes of one request: head and body in one buffer, so it
+    /// leaves in one write. A head and a body written separately go out
+    /// as two small packets, and Nagle plus delayed ACK can then hold the
+    /// body back for ~40 ms.
+    pub fn encode(
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        headers: &[(&str, &str)],
+    ) -> Vec<u8> {
         use std::fmt::Write as _;
         let body = body.unwrap_or("");
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: peer\r\n");
+        let mut wire = format!("{method} {path} HTTP/1.1\r\nHost: peer\r\n");
         for (name, value) in headers {
-            let _ = write!(head, "{name}: {value}\r\n");
+            let _ = write!(wire, "{name}: {value}\r\n");
         }
-        let _ = write!(head, "Content-Length: {}\r\n\r\n", body.len());
-        {
-            let stream = self.reader.get_mut();
-            stream.write_all(head.as_bytes())?;
-            stream.write_all(body.as_bytes())?;
-            stream.flush()?;
-        }
-        self.read_response()
+        let _ = write!(wire, "Content-Length: {}\r\n\r\n{body}", body.len());
+        wire.into_bytes()
+    }
+
+    /// Write already encoded requests ([`PeerClient::encode`]) in one
+    /// write, without reading anything back.
+    pub fn send_raw(&mut self, wire: &[u8]) -> io::Result<()> {
+        self.reader.get_mut().write_all(wire)
     }
 
     fn read_line(&mut self) -> io::Result<String> {
@@ -429,7 +446,9 @@ impl PeerClient {
         Ok(line)
     }
 
-    fn read_response(&mut self) -> io::Result<PeerResponse> {
+    /// Read the next response off the connection (buffering all chunks
+    /// of a chunked one).
+    pub fn read_response(&mut self) -> io::Result<PeerResponse> {
         let status_line = self.read_line()?;
         let mut parts = status_line.split_ascii_whitespace();
         let status = match (parts.next(), parts.next()) {
@@ -899,11 +918,12 @@ fn align_seq(state: &ServiceState, name: &str, target: u64) -> bool {
     state.kbs.force_put(name, next).is_ok()
 }
 
-/// Merge one divergent KB: `Δ(side_a, side_b)` over the names the two
-/// theories mention, interned in sorted order, with the sides ordered by
-/// their name-bound digest ([`theory_digest`]). Neither choice depends on
-/// which member merges, so two members reconciling the same pair commit
-/// the same text. Commits at `max(seq_local, seq_peer) + 1`.
+/// Merge one divergent KB: `Δ(local, peer)` over the names the two
+/// theories mention, interned in sorted order. Arbitration reads only
+/// `Mod(local) ∪ Mod(peer)`, so the result does not depend on which side
+/// is which; the sorted interning makes the variable numbering, and so
+/// the stored text, the same on every member that merges the pair.
+/// Commits at `max(seq_local, seq_peer) + 1`.
 fn merge_divergent(
     state: &ServiceState,
     client: &mut PeerClient,
@@ -940,17 +960,8 @@ fn merge_divergent(
     if n > ENUM_LIMIT {
         return Err(format!("merged signature of {n} variables too wide"));
     }
-    let local = renamed_into(&sig, &local_sig, &local_formula);
-    let peer = renamed_into(&sig, &peer_sig, &peer_formula);
-    // Δ treats both sides as equally trusted, so the pair — not its
-    // order — determines the fair merge; ordering it by digest pins one
-    // evaluation on every member.
-    let (psi, phi) = if theory_digest(&sig, &local) <= theory_digest(&sig, &peer) {
-        (local, peer)
-    } else {
-        (peer, local)
-    };
-    let (psi, phi) = (ModelSet::of_formula(&psi, n), ModelSet::of_formula(&phi, n));
+    let psi = ModelSet::of_formula(&renamed_into(&sig, &local_sig, &local_formula), n);
+    let phi = ModelSet::of_formula(&renamed_into(&sig, &peer_sig, &peer_formula), n);
     let (outcome, _cache) = cached_arbitrate(&state.cache, &psi, &phi, &Budget::unlimited())
         .map_err(|e| e.to_string())?;
     if outcome.quality != Quality::Exact {

@@ -20,13 +20,13 @@
 # redirects (curl -L re-POSTs on 307) and shrugging off fences and the
 # detection blackout — only `"seq":1` acks enter the oracle.
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-cli
 #   scripts/chained_chaos.sh [path-to-arbx] [cycles]
 set -euo pipefail
 
 ARBX="${1:-target/release/arbx}"
 CYCLES="${2:-3}"
-[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release first)"; exit 1; }
+[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release -p arbitrex-cli first)"; exit 1; }
 
 . "$(dirname "$0")/storm_lib.sh"
 

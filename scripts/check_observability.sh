@@ -7,13 +7,13 @@
 # doc-table entries that are no longer emitted (stale rows), without
 # failing, since prose may legitimately mention retired names.
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-cli
 #   scripts/check_observability.sh [path-to-arbx]
 set -euo pipefail
 
 ARBX="${1:-target/release/arbx}"
 DOC="OBSERVABILITY.md"
-[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release first)"; exit 1; }
+[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release -p arbitrex-cli first)"; exit 1; }
 [ -f "$DOC" ] || { echo "missing $DOC (run from the repo root)"; exit 1; }
 
 LOG="$(mktemp)"

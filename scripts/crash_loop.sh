@@ -6,13 +6,13 @@
 # that the stored formula is the one that seq acknowledged. CI runs this
 # after the release build; run it locally the same way:
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-cli
 #   scripts/crash_loop.sh [path-to-arbx] [cycles]
 set -euo pipefail
 
 ARBX="${1:-target/release/arbx}"
 CYCLES="${2:-5}"
-[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release first)"; exit 1; }
+[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release -p arbitrex-cli first)"; exit 1; }
 
 . "$(dirname "$0")/storm_lib.sh"
 

@@ -8,12 +8,12 @@
 # regressions (a lost pipelining path, a serialized dispatch, a busy
 # poll).
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-bench
 #   scripts/e17_gate.sh [path-to-experiments]
 set -euo pipefail
 
 EXPERIMENTS="${1:-target/release/experiments}"
-[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release first)"; exit 1; }
+[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release -p arbitrex-bench first)"; exit 1; }
 [ -f BENCH_PR4.json ] || { echo "missing BENCH_PR4.json (run from the repo root)"; exit 1; }
 
 # The recorded thread-pool rps at threads=4, cache on, warm pass.

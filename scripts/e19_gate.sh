@@ -7,12 +7,12 @@
 # stalls, a min-seq read that never unblocks), so it stays green on
 # slow shared CI runners while catching real regressions.
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-bench
 #   scripts/e19_gate.sh [path-to-experiments]
 set -euo pipefail
 
 EXPERIMENTS="${1:-target/release/experiments}"
-[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release first)"; exit 1; }
+[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release -p arbitrex-bench first)"; exit 1; }
 
 # Generous sanity ceilings (microseconds): idle shipping must beat
 # timer-cadence polling by a wide margin; failover is a promote plus

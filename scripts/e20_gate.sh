@@ -9,12 +9,12 @@
 # shared CI runners while catching real regressions (routing overhead
 # eating the scale-out, a handoff that never unfences).
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-bench
 #   scripts/e20_gate.sh [path-to-experiments]
 set -euo pipefail
 
 EXPERIMENTS="${1:-target/release/experiments}"
-[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release first)"; exit 1; }
+[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release -p arbitrex-bench first)"; exit 1; }
 
 SCALE_FLOOR_X100=220     # 3-primary aggregate >= 2.2x single primary
 BLACKOUT_CEILING_MS=2000 # one join-triggered handoff, writer fenced

@@ -9,12 +9,12 @@
 # probing, a quorum that deadlocks, or a promotion that leaves the
 # writer bouncing off fences.
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-bench
 #   scripts/e21_gate.sh [path-to-experiments]
 set -euo pipefail
 
 EXPERIMENTS="${1:-target/release/experiments}"
-[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release first)"; exit 1; }
+[ -x "$EXPERIMENTS" ] || { echo "missing binary: $EXPERIMENTS (cargo build --release -p arbitrex-bench first)"; exit 1; }
 
 P50_CEILING_MS=2000  # detection floor is 200 ms; 10x headroom for CI
 P99_CEILING_MS=5000  # worst trial must still be detector-paced, not timeout-paced

@@ -20,13 +20,13 @@
 # snapshot resync (a fresh replica's cursor starts below the new
 # primary's retention floor).
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-cli
 #   scripts/replication_storm.sh [path-to-arbx] [cycles]
 set -euo pipefail
 
 ARBX="${1:-target/release/arbx}"
 CYCLES="${2:-20}"
-[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release first)"; exit 1; }
+[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release -p arbitrex-cli first)"; exit 1; }
 
 . "$(dirname "$0")/storm_lib.sh"
 

@@ -4,12 +4,12 @@
 # and SIGTERM produces a clean drain and exit 0. CI runs this after the
 # release build; run it locally the same way:
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-cli
 #   scripts/server_smoke.sh [path-to-arbx]
 set -euo pipefail
 
 ARBX="${1:-target/release/arbx}"
-[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release first)"; exit 1; }
+[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release -p arbitrex-cli first)"; exit 1; }
 
 LOG="$(mktemp)"
 cleanup() {

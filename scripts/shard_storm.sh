@@ -18,13 +18,13 @@
 # redirects to shard owners (curl -L re-POSTs on 307) and shrugging off
 # the typed 503 handoff fence — only `"seq":1` acks enter the oracle.
 #
-#   cargo build --release
+#   cargo build --release -p arbitrex-cli
 #   scripts/shard_storm.sh [path-to-arbx] [cycles]
 set -euo pipefail
 
 ARBX="${1:-target/release/arbx}"
 CYCLES="${2:-3}"
-[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release first)"; exit 1; }
+[ -x "$ARBX" ] || { echo "missing binary: $ARBX (cargo build --release -p arbitrex-cli first)"; exit 1; }
 
 . "$(dirname "$0")/storm_lib.sh"
 
