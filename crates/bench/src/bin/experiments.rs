@@ -23,8 +23,7 @@ use arbitrex_core::postulates::{harness::check_exhaustive, PostulateId};
 use arbitrex_core::satbackend::dalal_revision_sat_budgeted;
 use arbitrex_core::{
     BorgidaRevision, Budget, ChangeOperator, DalalRevision, DrasticRevision, ForbusUpdate,
-    SatohRevision, UniverseFitting, WdistFitting, WeberRevision, WeightedChangeOperator,
-    WinslettUpdate,
+    SatohRevision, WdistFitting, WeberRevision, WeightedChangeOperator, WinslettUpdate,
 };
 use arbitrex_logic::{Interp, ModelSet};
 use arbitrex_merge::scenario::{heterogeneous_databases, jury, Classroom, D, S};
@@ -694,7 +693,11 @@ fn e12_kernel() {
         };
         let run_odist = || {
             for (psi, _) in &wl.pairs {
-                std::hint::black_box(OdistFitting.apply_universe(psi).unwrap());
+                std::hint::black_box(
+                    OdistFitting
+                        .apply_universe(psi, &Budget::unlimited())
+                        .unwrap(),
+                );
             }
         };
         let run_dalal = || {
@@ -821,7 +824,7 @@ fn e12_kernel() {
 /// search serves. One thread throughout.
 fn e12_dispatch() {
     use arbitrex_core::kernel::{select_min, select_min_block_odist, select_min_subcube_odist};
-    use arbitrex_core::{WeightedKb, WeightedUniverseFitting};
+    use arbitrex_core::WeightedKb;
     use arbitrex_logic::all_interps;
 
     let budget = &Budget::unlimited();
@@ -951,12 +954,12 @@ fn e12_dispatch() {
             });
             let lex = median_us(k, || {
                 for psi in psis {
-                    std::hint::black_box(LexOdistFitting.apply_universe(psi).unwrap());
+                    std::hint::black_box(LexOdistFitting.apply_universe(psi, budget).unwrap());
                 }
             });
             let odist_dispatched = median_us(k, || {
                 for psi in psis {
-                    std::hint::black_box(OdistFitting.apply_universe(psi).unwrap());
+                    std::hint::black_box(OdistFitting.apply_universe(psi, budget).unwrap());
                 }
             });
             // Weights 1..=9, fixed per model position.
@@ -969,7 +972,7 @@ fn e12_dispatch() {
                 .collect();
             let wdist = median_us(k, || {
                 for psi in &weighted {
-                    std::hint::black_box(WdistFitting.apply_universe(psi).unwrap());
+                    std::hint::black_box(WdistFitting.apply_universe(psi, budget).unwrap());
                 }
             });
             let work = (1u64 << n) * m as u64;
@@ -1035,7 +1038,11 @@ fn e13_overhead() {
         });
         let odist = median_us(reps, || {
             for (psi, _) in &wl.pairs {
-                std::hint::black_box(OdistFitting.apply_universe(psi).unwrap());
+                std::hint::black_box(
+                    OdistFitting
+                        .apply_universe(psi, &Budget::unlimited())
+                        .unwrap(),
+                );
             }
         });
         t.row([n.to_string(), format!("{arb:.1}"), format!("{odist:.1}")]);

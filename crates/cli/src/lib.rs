@@ -18,8 +18,8 @@ use arbitrex_core::satbackend::{
     dalal_revision_sat_budgeted, models_via_sat, odist_fitting_sat_budgeted,
 };
 use arbitrex_core::{
-    budgeted_operator, operator, Budget, BudgetSpent, ChangeOperator, CoreError, DalalRevision,
-    FaultFamily, FaultPlan, FaultSite, Faults, OdistFitting, Quality, BUDGETED_OPERATOR_NAMES,
+    budgeted_operator, budgeted_operator_names, operator, Budget, BudgetSpent, ChangeOperator,
+    CoreError, DalalRevision, FaultFamily, FaultPlan, FaultSite, Faults, OdistFitting, Quality,
     OPERATOR_NAMES,
 };
 use arbitrex_logic::{parse, Formula, ModelSet, Sig, ENUM_LIMIT, MAX_VARS};
@@ -241,7 +241,7 @@ pub fn cmd_change(
             let op = budgeted_operator(op_name).ok_or_else(|| {
                 CliError::usage(format!(
                     "operator `{op_name}` has no budgeted variant (budgeted operators: {})",
-                    BUDGETED_OPERATOR_NAMES.join(", ")
+                    budgeted_operator_names().join(", ")
                 ))
             })?;
             Some((op, b))

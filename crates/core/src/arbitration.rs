@@ -6,56 +6,28 @@
 //! the old and the new information (Corollary 3.1). Because `∨` is
 //! commutative, arbitration is commutative — the defining symmetry that
 //! revision and update lack.
+//!
+//! Each fitting operator fits against `𝓜` through one inherent
+//! `apply_universe(ψ, budget)`. It streams the `2^n` candidate bitmasks
+//! through the selection kernel (or answers in closed form), so the
+//! universe is never allocated and peak memory is proportional to the
+//! answer. When `budget` gives out, the outcome degrades per the
+//! [`Quality`](crate::budget::Quality) containment contract;
+//! [`Budget::unlimited`] never trips and gives the exact answer. Past
+//! [`arbitrex_logic::ENUM_LIMIT`] variables every entry returns
+//! [`CoreError::EnumLimitExceeded`] instead of attempting the scan.
 
 use crate::budget::{Budget, Outcome, WeightedOutcome};
 use crate::error::CoreError;
-use crate::fitting::{GMaxFitting, LexOdistFitting, OdistFitting, RankFitting, SumFitting};
+use crate::fitting::{GMaxFitting, LexOdistFitting, OdistFitting, SumFitting};
 use crate::kernel::{
     gmax_fill_pruned, select_min_universe_odist, select_min_vec, BudgetedSelect, PopProfile,
     VoteTally,
 };
 use crate::operator::ChangeOperator;
 use crate::weighted::WeightedKb;
-use crate::wfitting::{WdistFitting, WeightedChangeOperator, WeightedRankFitting};
-use arbitrex_logic::{all_interps, Interp, ModelSet};
-
-/// A model-fitting operator that can fit against the *unconstrained*
-/// universe `𝓜` — the `μ = ⊤` special case arbitration is built on.
-///
-/// The provided default materializes `Mod(⊤)` and delegates to
-/// [`ChangeOperator::apply`]; the concrete fitting operators override it
-/// with a **streaming** scan of the `2^n` candidate bitmasks through the
-/// pruned selection kernel, so arbitration never allocates the universe
-/// (peak memory is proportional to the answer, not to `2^n`).
-///
-/// Either way the signature width is checked first: past
-/// [`arbitrex_logic::ENUM_LIMIT`] this returns
-/// [`CoreError::EnumLimitExceeded`] instead of attempting the scan.
-pub trait UniverseFitting: ChangeOperator {
-    /// `ψ ▷ ⊤` over `n = psi.n_vars()` variables.
-    fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        let n = psi.n_vars();
-        CoreError::check_enum_limit(n)?;
-        Ok(self.apply(psi, &ModelSet::all(n)))
-    }
-
-    /// Budgeted `ψ ▷ ⊤`: degrade gracefully instead of running to
-    /// completion when `budget` gives out, per the
-    /// [`Quality`](crate::budget::Quality) containment contract.
-    ///
-    /// The provided default cannot interrupt an opaque
-    /// [`apply`](ChangeOperator::apply), so it runs exactly and reports
-    /// [`Quality::Exact`](crate::budget::Quality::Exact); the concrete
-    /// fitting operators override it to thread the budget through the
-    /// selection kernel.
-    fn apply_universe_budgeted(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<Outcome, CoreError> {
-        Ok(Outcome::exact(self.apply_universe(psi)?, budget))
-    }
-}
+use crate::wfitting::{WdistFitting, WeightedChangeOperator};
+use arbitrex_logic::{all_interps, ModelSet};
 
 /// The selection `ψ ▷ ⊤` of an unsatisfiable ψ: nothing, once the width is
 /// known to be enumerable.
@@ -65,6 +37,12 @@ fn empty_universe<K>(n: u32) -> Result<BudgetedSelect<K>, CoreError> {
 }
 
 impl OdistFitting {
+    /// `ψ ▷ ⊤` over `n = psi.n_vars()` variables under `budget` (see the
+    /// [module docs](self)).
+    pub fn apply_universe(&self, psi: &ModelSet, budget: &Budget) -> Result<Outcome, CoreError> {
+        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
+    }
+
     fn select_universe(
         &self,
         psi: &ModelSet,
@@ -80,89 +58,39 @@ impl OdistFitting {
     }
 }
 
-impl UniverseFitting for OdistFitting {
-    fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
-    }
-
-    fn apply_universe_budgeted(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<Outcome, CoreError> {
-        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
-    }
-}
-
 impl LexOdistFitting {
-    /// The smallest odist minimum, read from the odist selection. Cut
-    /// short, the smallest incumbent plus the frontier still holds it:
-    /// either the exact minimum was visited, and then every incumbent is
-    /// an exact minimum, or it is in the frontier.
-    fn select_universe(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<BudgetedSelect<u32>, CoreError> {
+    /// `ψ ▷ ⊤` under `budget`: the smallest odist minimum, read from the
+    /// odist selection. Cut short, the smallest incumbent plus the
+    /// frontier still holds it: either the exact minimum was visited, and
+    /// then every incumbent is an exact minimum, or it is in the frontier.
+    pub fn apply_universe(&self, psi: &ModelSet, budget: &Budget) -> Result<Outcome, CoreError> {
         let mut sel = OdistFitting.select_universe(psi, budget)?;
         let first = sel.minima.iter().next();
         sel.minima = ModelSet::new(psi.n_vars(), first);
-        Ok(sel)
-    }
-}
-
-impl UniverseFitting for LexOdistFitting {
-    fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
-    }
-
-    fn apply_universe_budgeted(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<Outcome, CoreError> {
-        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
+        Ok(sel.into_outcome(budget))
     }
 }
 
 impl SumFitting {
-    /// The per-bit majority of `Mod(ψ)`, in closed form: no universe scan.
-    fn select_universe(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<BudgetedSelect<u128>, CoreError> {
+    /// `ψ ▷ ⊤` under `budget`: the per-bit majority of `Mod(ψ)`, in
+    /// closed form — no universe scan.
+    pub fn apply_universe(&self, psi: &ModelSet, budget: &Budget) -> Result<Outcome, CoreError> {
         let n = psi.n_vars();
-        if psi.is_empty() {
-            return empty_universe(n);
-        }
-        VoteTally::of(n, psi.iter().map(|j| (j, 1))).universe_minima(budget)
-    }
-}
-
-impl UniverseFitting for SumFitting {
-    fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
-    }
-
-    fn apply_universe_budgeted(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<Outcome, CoreError> {
-        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
+        let sel = if psi.is_empty() {
+            empty_universe(n)?
+        } else {
+            VoteTally::of(n, psi.iter().map(|j| (j, 1))).universe_minima(budget)?
+        };
+        Ok(sel.into_outcome(budget))
     }
 }
 
 impl GMaxFitting {
-    fn select_universe(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<BudgetedSelect<Vec<u32>>, CoreError> {
+    /// `ψ ▷ ⊤` under `budget` (see the [module docs](self)).
+    pub fn apply_universe(&self, psi: &ModelSet, budget: &Budget) -> Result<Outcome, CoreError> {
         let n = psi.n_vars();
         let Some(prof) = PopProfile::of(psi) else {
-            return empty_universe(n);
+            return Ok(empty_universe::<Vec<u32>>(n)?.into_outcome(budget));
         };
         CoreError::check_enum_limit(n)?;
         // Streamed but sequential: the buffer-reusing vector selection
@@ -172,100 +100,36 @@ impl GMaxFitting {
             all_interps(n),
             |i, cap, buf| gmax_fill_pruned(psi.as_slice(), &prof, i, cap, buf),
             budget,
-        ))
-    }
-}
-
-impl UniverseFitting for GMaxFitting {
-    fn apply_universe(&self, psi: &ModelSet) -> Result<ModelSet, CoreError> {
-        Ok(self.select_universe(psi, &Budget::unlimited())?.minima)
-    }
-
-    fn apply_universe_budgeted(
-        &self,
-        psi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<Outcome, CoreError> {
-        Ok(self.select_universe(psi, budget)?.into_outcome(budget))
-    }
-}
-
-impl<K: Ord, F: Fn(&ModelSet, Interp) -> K> UniverseFitting for RankFitting<K, F> {}
-
-/// The weighted analogue of [`UniverseFitting`]: fit against `𝓜̃`, the
-/// weighted knowledge base with weight 1 everywhere.
-pub trait WeightedUniverseFitting: WeightedChangeOperator {
-    /// `ψ̃ ▷ 𝓜̃` over `n = psi.n_vars()` variables.
-    fn apply_universe(&self, psi: &WeightedKb) -> Result<WeightedKb, CoreError> {
-        let n = psi.n_vars();
-        CoreError::check_enum_limit(n)?;
-        Ok(self.apply(psi, &WeightedKb::all(n)))
-    }
-
-    /// Budgeted `ψ̃ ▷ 𝓜̃` — the weighted analogue of
-    /// [`UniverseFitting::apply_universe_budgeted`].
-    ///
-    /// The default cannot interrupt an opaque `apply` and runs exactly;
-    /// [`WdistFitting`] overrides it to thread the budget through the
-    /// selection kernel.
-    fn apply_universe_budgeted(
-        &self,
-        psi: &WeightedKb,
-        budget: &Budget,
-    ) -> Result<WeightedOutcome, CoreError> {
-        Ok(WeightedOutcome::exact(self.apply_universe(psi)?, budget))
+        )
+        .into_outcome(budget))
     }
 }
 
 impl WdistFitting {
-    /// The per-bit weighted majority of ψ̃ (Example 4.1's majority), in
-    /// closed form: no universe scan.
-    fn select_universe(
-        &self,
-        psi: &WeightedKb,
-        budget: &Budget,
-    ) -> Result<BudgetedSelect<u128>, CoreError> {
-        crate::telemetry::WDIST_APPLICATIONS.incr();
-        let n = psi.n_vars();
-        if !psi.is_satisfiable() {
-            return empty_universe(n);
-        }
-        crate::telemetry::WSUPPORT_SCANNED.add(psi.support_size() as u64);
-        VoteTally::of(n, psi.support()).universe_minima(budget)
-    }
-}
-
-// Every interpretation carries weight 1 in 𝓜̃, so minimizers and (on
-// degradation) frontier members alike enter the result with weight 1.
-impl WeightedUniverseFitting for WdistFitting {
-    fn apply_universe(&self, psi: &WeightedKb) -> Result<WeightedKb, CoreError> {
-        let min = self.select_universe(psi, &Budget::unlimited())?.minima;
-        Ok(WeightedKb::from_weights(
-            psi.n_vars(),
-            min.iter().map(|i| (i, 1)),
-        ))
-    }
-
-    fn apply_universe_budgeted(
+    /// `ψ̃ ▷ 𝓜̃` under `budget`, where `𝓜̃` is the weighted knowledge base
+    /// with weight 1 everywhere: the per-bit weighted majority of ψ̃
+    /// (Example 4.1's majority), in closed form — no universe scan.
+    /// Minimizers and (on degradation) frontier members alike enter the
+    /// result with their `𝓜̃` weight, 1.
+    pub fn apply_universe(
         &self,
         psi: &WeightedKb,
         budget: &Budget,
     ) -> Result<WeightedOutcome, CoreError> {
-        Ok(self
-            .select_universe(psi, budget)?
-            .into_weighted_outcome(budget, |_| 1))
+        crate::telemetry::WDIST_APPLICATIONS.incr();
+        let n = psi.n_vars();
+        let sel = if psi.is_satisfiable() {
+            crate::telemetry::WSUPPORT_SCANNED.add(psi.support_size() as u64);
+            VoteTally::of(n, psi.support()).universe_minima(budget)?
+        } else {
+            empty_universe(n)?
+        };
+        Ok(sel.into_weighted_outcome(budget, |_| 1))
     }
 }
 
-impl<K: Ord, F: Fn(&WeightedKb, Interp) -> K> WeightedUniverseFitting
-    for WeightedRankFitting<K, F>
-{
-}
-
-/// Arbitration built from a model-fitting operator:
-/// `ψ Δ φ = (ψ ∨ φ) ▷ 𝓜`.
-///
-/// The default instance uses the paper's [`OdistFitting`].
+/// Arbitration `ψ Δ φ = (ψ ∨ φ) ▷ 𝓜` with the paper's [`OdistFitting`],
+/// as a [`ChangeOperator`] for the postulate harness.
 ///
 /// ```
 /// use arbitrex_core::{Arbitration, ChangeOperator};
@@ -273,72 +137,34 @@ impl<K: Ord, F: Fn(&WeightedKb, Interp) -> K> WeightedUniverseFitting
 /// let psi = ModelSet::new(2, [Interp(0b00)]);
 /// let phi = ModelSet::new(2, [Interp(0b11)]);
 /// let both_ways = (
-///     Arbitration::default().apply(&psi, &phi),
-///     Arbitration::default().apply(&phi, &psi),
+///     Arbitration.apply(&psi, &phi),
+///     Arbitration.apply(&phi, &psi),
 /// );
 /// assert_eq!(both_ways.0, both_ways.1); // commutative
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Arbitration<F = OdistFitting> {
-    fitting: F,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Arbitration;
 
-impl Default for Arbitration<OdistFitting> {
-    fn default() -> Self {
-        Arbitration {
-            fitting: OdistFitting,
-        }
-    }
-}
-
-impl<F: UniverseFitting> Arbitration<F> {
-    /// Arbitration via the given fitting operator.
-    pub fn new(fitting: F) -> Self {
-        Arbitration { fitting }
-    }
-
-    /// The underlying fitting operator.
-    pub fn fitting(&self) -> &F {
-        &self.fitting
-    }
-
-    /// `ψ Δ φ`, reporting [`CoreError::EnumLimitExceeded`] instead of
-    /// panicking when the signature is too wide to enumerate.
-    pub fn try_apply(&self, psi: &ModelSet, phi: &ModelSet) -> Result<ModelSet, CoreError> {
-        self.fitting.apply_universe(&psi.union(phi))
-    }
-
-    /// `ψ Δ φ` under `budget`, degrading gracefully per the
-    /// [`Quality`](crate::budget::Quality) containment contract instead of
-    /// running to completion.
-    pub fn try_apply_with_budget(
-        &self,
-        psi: &ModelSet,
-        phi: &ModelSet,
-        budget: &Budget,
-    ) -> Result<Outcome, CoreError> {
-        self.fitting
-            .apply_universe_budgeted(&psi.union(phi), budget)
-    }
-}
-
-impl<F: UniverseFitting> ChangeOperator for Arbitration<F> {
+impl ChangeOperator for Arbitration {
     fn name(&self) -> &'static str {
         "arbitration"
     }
 
     fn apply(&self, psi: &ModelSet, phi: &ModelSet) -> ModelSet {
         // invariant: deliberate documented panic — the trait's infallible
-        // convenience entry; fallible callers use try_apply.
-        self.try_apply(psi, phi)
-            .expect("signature exceeds ENUM_LIMIT; use try_apply or the SAT backend")
+        // convenience entry; fallible callers use try_arbitrate_with_budget.
+        try_arbitrate_with_budget(psi, phi, &Budget::unlimited())
+            .expect(
+                "signature exceeds ENUM_LIMIT; use try_arbitrate_with_budget or the SAT backend",
+            )
+            .models
     }
 }
 
 /// Convenience: arbitrate with the paper's odist-based fitting.
 ///
-/// Panics past [`arbitrex_logic::ENUM_LIMIT`]; use [`try_arbitrate`] to
-/// handle wide signatures gracefully.
+/// Panics past [`arbitrex_logic::ENUM_LIMIT`]; use
+/// [`try_arbitrate_with_budget`] to handle wide signatures gracefully.
 ///
 /// Example 3.1 as an arbitration `ψ Δ μ = (ψ ∨ μ) ▷ ⊤`: the three
 /// teachers and the two offers arbitrate to the same consensus the
@@ -354,53 +180,42 @@ impl<F: UniverseFitting> ChangeOperator for Arbitration<F> {
 /// assert_eq!(arbitrate(&phi, &psi), arbitrate(&psi, &phi)); // commutative
 /// ```
 pub fn arbitrate(psi: &ModelSet, phi: &ModelSet) -> ModelSet {
-    Arbitration::default().apply(psi, phi)
+    Arbitration.apply(psi, phi)
 }
 
-/// [`arbitrate`], returning a typed error past the enumeration limit.
+/// `ψ Δ φ` under a [`Budget`]: a typed, degrade-gracefully variant of
+/// [`arbitrate`] that returns an [`Outcome`] instead of running to
+/// completion, and a typed error instead of panicking past the
+/// enumeration limit.
 ///
-/// ```
-/// use arbitrex_core::{try_arbitrate, CoreError};
-/// use arbitrex_logic::{Interp, ModelSet, ENUM_LIMIT};
-/// // Example 3.1 (S = bit0, D = bit1, Q = bit2): consensus is {S,D}.
-/// let psi = ModelSet::new(3, [Interp(0b001), Interp(0b010), Interp(0b111)]);
-/// let phi = ModelSet::new(3, [Interp(0b010), Interp(0b011)]);
-/// let r = try_arbitrate(&psi, &phi).unwrap();
-/// assert_eq!(r.as_singleton(), Some(Interp(0b011)));
-/// // Past the enumeration limit the same call reports a typed error.
-/// let wide = ModelSet::new(ENUM_LIMIT + 1, [Interp(0)]);
-/// assert!(matches!(
-///     try_arbitrate(&wide, &wide),
-///     Err(CoreError::EnumLimitExceeded { .. })
-/// ));
-/// ```
-pub fn try_arbitrate(psi: &ModelSet, phi: &ModelSet) -> Result<ModelSet, CoreError> {
-    Arbitration::default().try_apply(psi, phi)
-}
-
-/// [`try_arbitrate`] under a [`Budget`]: a typed, degrade-gracefully
-/// variant that returns an [`Outcome`] instead of running to completion.
-///
-/// With an unconstrained budget the result is bit-identical to
-/// [`try_arbitrate`]; when the budget trips, the outcome's
+/// With [`Budget::unlimited`] the result is bit-identical to
+/// [`arbitrate`]; when the budget trips, the outcome's
 /// [`Quality`](crate::budget::Quality) states the containment contract the
 /// returned models satisfy.
 ///
 /// ```
-/// use arbitrex_core::{try_arbitrate, try_arbitrate_with_budget, Budget};
-/// use arbitrex_logic::{Interp, ModelSet};
+/// use arbitrex_core::{arbitrate, try_arbitrate_with_budget, Budget, CoreError};
+/// use arbitrex_logic::{Interp, ModelSet, ENUM_LIMIT};
+/// // Example 3.1 (S = bit0, D = bit1, Q = bit2): consensus is {S,D}.
 /// let psi = ModelSet::new(3, [Interp(0b001), Interp(0b010), Interp(0b111)]);
 /// let phi = ModelSet::new(3, [Interp(0b010), Interp(0b011)]);
 /// let out = try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited()).unwrap();
 /// assert!(out.is_exact());
-/// assert_eq!(out.models, try_arbitrate(&psi, &phi).unwrap());
+/// assert_eq!(out.models.as_singleton(), Some(Interp(0b011)));
+/// assert_eq!(out.models, arbitrate(&psi, &phi));
+/// // Past the enumeration limit the same call reports a typed error.
+/// let wide = ModelSet::new(ENUM_LIMIT + 1, [Interp(0)]);
+/// assert!(matches!(
+///     try_arbitrate_with_budget(&wide, &wide, &Budget::unlimited()),
+///     Err(CoreError::EnumLimitExceeded { .. })
+/// ));
 /// ```
 pub fn try_arbitrate_with_budget(
     psi: &ModelSet,
     phi: &ModelSet,
     budget: &Budget,
 ) -> Result<Outcome, CoreError> {
-    Arbitration::default().try_apply_with_budget(psi, phi, budget)
+    OdistFitting.apply_universe(&psi.union(phi), budget)
 }
 
 /// A folk alternative for comparison: symmetrized revision
@@ -438,65 +253,33 @@ impl<R: ChangeOperator> ChangeOperator for SymmetricRevision<R> {
     }
 }
 
-/// Weighted arbitration (Section 4): `ψ̃ Δ φ̃ = (ψ̃ ⊔ φ̃) ▷ 𝓜̃` where `𝓜̃`
-/// has weight 1 everywhere. Weighted disjunction *adds* weights, so
-/// repeated voices genuinely count double — the majority semantics of
-/// Example 4.1.
-#[derive(Debug, Clone, Copy)]
-pub struct WeightedArbitration<F = WdistFitting> {
-    fitting: F,
-}
+/// Weighted arbitration (Section 4): `ψ̃ Δ φ̃ = (ψ̃ ⊔ φ̃) ▷ 𝓜̃` with the
+/// paper's [`WdistFitting`], where `𝓜̃` has weight 1 everywhere. Weighted
+/// disjunction *adds* weights, so repeated voices genuinely count double —
+/// the majority semantics of Example 4.1.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WeightedArbitration;
 
-impl Default for WeightedArbitration<WdistFitting> {
-    fn default() -> Self {
-        WeightedArbitration {
-            fitting: WdistFitting,
-        }
-    }
-}
-
-impl<F: WeightedUniverseFitting> WeightedArbitration<F> {
-    /// Weighted arbitration via the given weighted fitting operator.
-    pub fn new(fitting: F) -> Self {
-        WeightedArbitration { fitting }
-    }
-
-    /// `ψ̃ Δ φ̃`, reporting [`CoreError::EnumLimitExceeded`] instead of
-    /// panicking when the signature is too wide to enumerate.
-    pub fn try_apply(&self, psi: &WeightedKb, phi: &WeightedKb) -> Result<WeightedKb, CoreError> {
-        self.fitting.apply_universe(&psi.join(phi))
-    }
-
-    /// `ψ̃ Δ φ̃` under `budget`, degrading gracefully per the
-    /// [`Quality`](crate::budget::Quality) containment contract instead of
-    /// running to completion.
-    pub fn try_apply_with_budget(
-        &self,
-        psi: &WeightedKb,
-        phi: &WeightedKb,
-        budget: &Budget,
-    ) -> Result<WeightedOutcome, CoreError> {
-        self.fitting.apply_universe_budgeted(&psi.join(phi), budget)
-    }
-}
-
-impl<F: WeightedUniverseFitting> WeightedChangeOperator for WeightedArbitration<F> {
+impl WeightedChangeOperator for WeightedArbitration {
     fn name(&self) -> &'static str {
         "weighted-arbitration"
     }
 
     fn apply(&self, psi: &WeightedKb, phi: &WeightedKb) -> WeightedKb {
         // invariant: deliberate documented panic — the trait's infallible
-        // convenience entry; fallible callers use try_apply.
-        self.try_apply(psi, phi)
-            .expect("signature exceeds ENUM_LIMIT; use try_apply or the SAT backend")
+        // convenience entry; fallible callers use try_warbitrate_with_budget.
+        try_warbitrate_with_budget(psi, phi, &Budget::unlimited())
+            .expect(
+                "signature exceeds ENUM_LIMIT; use try_warbitrate_with_budget or the SAT backend",
+            )
+            .kb
     }
 }
 
 /// Convenience: weighted arbitration with the paper's wdist-based fitting.
 ///
-/// Panics past [`arbitrex_logic::ENUM_LIMIT`]; use [`try_warbitrate`] to
-/// handle wide signatures gracefully.
+/// Panics past [`arbitrex_logic::ENUM_LIMIT`]; use
+/// [`try_warbitrate_with_budget`] to handle wide signatures gracefully.
 ///
 /// Example 4.1 as a weighted arbitration: the 35 students' weighted theory
 /// joined with the unit-weight offer still singles out `{D}` — the
@@ -516,42 +299,39 @@ impl<F: WeightedUniverseFitting> WeightedChangeOperator for WeightedArbitration<
 /// assert_eq!(consensus.support_set().as_singleton(), Some(Interp(0b010)));
 /// ```
 pub fn warbitrate(psi: &WeightedKb, phi: &WeightedKb) -> WeightedKb {
-    WeightedArbitration::default().apply(psi, phi)
+    WeightedArbitration.apply(psi, phi)
 }
 
-/// [`warbitrate`], returning a typed error past the enumeration limit.
+/// `ψ̃ Δ φ̃` under a [`Budget`]: a typed, degrade-gracefully variant of
+/// [`warbitrate`] that returns a [`WeightedOutcome`] instead of running to
+/// completion, and a typed error instead of panicking past the
+/// enumeration limit. With [`Budget::unlimited`] the result is
+/// bit-identical to [`warbitrate`].
 ///
 /// ```
-/// use arbitrex_core::{try_warbitrate, CoreError, WeightedKb};
+/// use arbitrex_core::{try_warbitrate_with_budget, Budget, CoreError, WeightedKb};
 /// use arbitrex_logic::{Interp, ENUM_LIMIT};
 /// // The Example 4.1 outcome, via the fallible path.
 /// let psi = WeightedKb::from_weights(3, [
 ///     (Interp(0b001), 10), (Interp(0b010), 20), (Interp(0b111), 5),
 /// ]);
 /// let offer = WeightedKb::from_weights(3, [(Interp(0b010), 1), (Interp(0b011), 1)]);
-/// let r = try_warbitrate(&psi, &offer).unwrap();
-/// assert_eq!(r.support_set().as_singleton(), Some(Interp(0b010)));
+/// let out = try_warbitrate_with_budget(&psi, &offer, &Budget::unlimited()).unwrap();
+/// assert!(out.is_exact());
+/// assert_eq!(out.kb.support_set().as_singleton(), Some(Interp(0b010)));
 /// // Past the enumeration limit the same call reports a typed error.
 /// let wide = WeightedKb::from_weights(ENUM_LIMIT + 1, [(Interp(0), 1)]);
 /// assert!(matches!(
-///     try_warbitrate(&wide, &wide),
+///     try_warbitrate_with_budget(&wide, &wide, &Budget::unlimited()),
 ///     Err(CoreError::EnumLimitExceeded { .. })
 /// ));
 /// ```
-pub fn try_warbitrate(psi: &WeightedKb, phi: &WeightedKb) -> Result<WeightedKb, CoreError> {
-    WeightedArbitration::default().try_apply(psi, phi)
-}
-
-/// [`try_warbitrate`] under a [`Budget`]: a typed, degrade-gracefully
-/// variant that returns a [`WeightedOutcome`] instead of running to
-/// completion. With an unconstrained budget the result is bit-identical to
-/// [`try_warbitrate`].
 pub fn try_warbitrate_with_budget(
     psi: &WeightedKb,
     phi: &WeightedKb,
     budget: &Budget,
 ) -> Result<WeightedOutcome, CoreError> {
-    WeightedArbitration::default().try_apply_with_budget(psi, phi, budget)
+    WdistFitting.apply_universe(&psi.join(phi), budget)
 }
 
 #[cfg(test)]
@@ -569,7 +349,7 @@ mod tests {
 
     #[test]
     fn arbitration_is_commutative_exhaustive_n2() {
-        let arb = Arbitration::default();
+        let arb = Arbitration;
         for pmask in 0u32..16 {
             for qmask in 0u32..16 {
                 let psi = ModelSet::new(2, (0..4u64).filter(|b| pmask >> b & 1 == 1).map(Interp));
@@ -675,7 +455,8 @@ mod tests {
         let n = ENUM_LIMIT + 1;
         let psi = ms(n, &[0b0]);
         let phi = ms(n, &[0b1]);
-        let err = try_arbitrate(&psi, &phi).unwrap_err();
+        let b = Budget::unlimited();
+        let err = try_arbitrate_with_budget(&psi, &phi, &b).unwrap_err();
         assert_eq!(
             err,
             CoreError::EnumLimitExceeded {
@@ -687,43 +468,51 @@ mod tests {
         // The weighted side and the empty-ψ path report the same error.
         let wpsi = WeightedKb::from_weights(n, [(i(0), 1)]);
         let wphi = WeightedKb::from_weights(n, [(i(1), 1)]);
-        assert!(try_warbitrate(&wpsi, &wphi).is_err());
-        assert!(try_arbitrate(&ModelSet::empty(n), &ModelSet::empty(n)).is_err());
+        assert!(try_warbitrate_with_budget(&wpsi, &wphi, &b).is_err());
+        assert!(try_arbitrate_with_budget(&ModelSet::empty(n), &ModelSet::empty(n), &b).is_err());
     }
 
     #[test]
     fn try_arbitrate_matches_arbitrate_inside_the_limit() {
+        let b = Budget::unlimited();
         let psi = ms(2, &[0b00]);
         let phi = ms(2, &[0b11]);
-        assert_eq!(try_arbitrate(&psi, &phi).unwrap(), arbitrate(&psi, &phi));
+        assert_eq!(
+            try_arbitrate_with_budget(&psi, &phi, &b).unwrap().models,
+            arbitrate(&psi, &phi)
+        );
         let wa = WeightedKb::from_weights(2, [(i(0b01), 9)]);
         let wb = WeightedKb::from_weights(2, [(i(0b10), 2)]);
-        assert_eq!(try_warbitrate(&wa, &wb).unwrap(), warbitrate(&wa, &wb));
+        assert_eq!(
+            try_warbitrate_with_budget(&wa, &wb, &b).unwrap().kb,
+            warbitrate(&wa, &wb)
+        );
     }
 
     #[test]
     fn streaming_universe_fitting_matches_materialized_default() {
-        // Each override must agree with the provided default (materialize
-        // Mod(⊤), call apply) on every non-empty ψ at n = 3.
+        // Each streaming universe fitting must agree with materializing
+        // Mod(⊤) and calling apply, on every non-empty ψ at n = 3.
         fn materialized<F: ChangeOperator>(f: &F, psi: &ModelSet) -> ModelSet {
             f.apply(psi, &ModelSet::all(psi.n_vars()))
         }
+        let b = Budget::unlimited();
         for pmask in 1u32..=255 {
             let psi = ModelSet::new(3, (0..8u64).filter(|b| pmask >> b & 1 == 1).map(Interp));
             assert_eq!(
-                OdistFitting.apply_universe(&psi).unwrap(),
+                OdistFitting.apply_universe(&psi, &b).unwrap().models,
                 materialized(&OdistFitting, &psi)
             );
             assert_eq!(
-                LexOdistFitting.apply_universe(&psi).unwrap(),
+                LexOdistFitting.apply_universe(&psi, &b).unwrap().models,
                 materialized(&LexOdistFitting, &psi)
             );
             assert_eq!(
-                SumFitting.apply_universe(&psi).unwrap(),
+                SumFitting.apply_universe(&psi, &b).unwrap().models,
                 materialized(&SumFitting, &psi)
             );
             assert_eq!(
-                GMaxFitting.apply_universe(&psi).unwrap(),
+                GMaxFitting.apply_universe(&psi, &b).unwrap().models,
                 materialized(&GMaxFitting, &psi)
             );
         }
@@ -735,7 +524,7 @@ mod tests {
                 (0..4).map(|k| (Interp(a >> (k * 3) & 0b111), (a >> (k * 7) & 0b11) + 1)),
             );
             assert_eq!(
-                WdistFitting.apply_universe(&psi).unwrap(),
+                WdistFitting.apply_universe(&psi, &b).unwrap().kb,
                 WdistFitting.apply(&psi, &WeightedKb::all(3))
             );
         }
@@ -743,54 +532,48 @@ mod tests {
 
     #[test]
     fn custom_fitting_changes_the_consensus() {
-        use crate::fitting::SumFitting;
         // Majority 2-vs-1 between ∅-ish voices and a far corner.
         let psi = ms(4, &[0b0000, 0b1000]);
         let phi = ms(4, &[0b1111]);
-        let egalitarian = Arbitration::default().apply(&psi, &phi);
-        let majority = Arbitration::new(SumFitting).apply(&psi, &phi);
+        let egalitarian = Arbitration.apply(&psi, &phi);
+        let majority = SumFitting
+            .apply_universe(&psi.union(&phi), &Budget::unlimited())
+            .unwrap()
+            .models;
         assert_ne!(egalitarian, majority);
     }
 
     #[test]
     fn budgeted_arbitration_unconstrained_matches_exact() {
-        use crate::budget::Budget;
         let psi = ms(3, &[0b001, 0b010, 0b111]);
         let phi = ms(3, &[0b010, 0b011]);
-        let exact = try_arbitrate(&psi, &phi).unwrap();
         let out = try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited()).unwrap();
         assert!(out.is_exact());
-        assert_eq!(out.models, exact);
-        // Each fitting override agrees with its exact sibling.
+        assert_eq!(out.models, crate::kernel::naive::arbitrate(&psi, &phi));
+        // Each fitting's unlimited universe selection is exact.
         let pool = psi.union(&phi);
+        let all = ModelSet::all(3);
         for check in [
             (
-                OdistFitting.apply_universe(&pool).unwrap(),
-                OdistFitting
-                    .apply_universe_budgeted(&pool, &Budget::unlimited())
-                    .unwrap(),
+                OdistFitting.apply(&pool, &all),
+                OdistFitting.apply_universe(&pool, &Budget::unlimited()),
             ),
             (
-                LexOdistFitting.apply_universe(&pool).unwrap(),
-                LexOdistFitting
-                    .apply_universe_budgeted(&pool, &Budget::unlimited())
-                    .unwrap(),
+                LexOdistFitting.apply(&pool, &all),
+                LexOdistFitting.apply_universe(&pool, &Budget::unlimited()),
             ),
             (
-                SumFitting.apply_universe(&pool).unwrap(),
-                SumFitting
-                    .apply_universe_budgeted(&pool, &Budget::unlimited())
-                    .unwrap(),
+                SumFitting.apply(&pool, &all),
+                SumFitting.apply_universe(&pool, &Budget::unlimited()),
             ),
             (
-                GMaxFitting.apply_universe(&pool).unwrap(),
-                GMaxFitting
-                    .apply_universe_budgeted(&pool, &Budget::unlimited())
-                    .unwrap(),
+                GMaxFitting.apply(&pool, &all),
+                GMaxFitting.apply_universe(&pool, &Budget::unlimited()),
             ),
         ] {
-            assert!(check.1.is_exact());
-            assert_eq!(check.1.models, check.0);
+            let out = check.1.unwrap();
+            assert!(out.is_exact());
+            assert_eq!(out.models, check.0);
         }
     }
 
@@ -804,7 +587,7 @@ mod tests {
         let phi = ms(16, &[0b1111_0000_0000_1010]);
         let out = try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited()).unwrap();
         assert!(out.is_exact());
-        assert_eq!(out.models, try_arbitrate(&psi, &phi).unwrap());
+        assert_eq!(out.models, arbitrate(&psi, &phi));
         assert_eq!(out.models, crate::kernel::naive::arbitrate(&psi, &phi));
         assert!(out.spent.nodes > 0, "{:?}", out.spent);
     }
@@ -814,7 +597,7 @@ mod tests {
         use crate::budget::{Budget, BudgetSite, FaultPlan, Quality, TripReason};
         let psi = ms(3, &[0b001, 0b010, 0b111]);
         let phi = ms(3, &[0b010, 0b011]);
-        let exact = try_arbitrate(&psi, &phi).unwrap();
+        let exact = arbitrate(&psi, &phi);
         for at in [1, 3, 6] {
             let b = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, at));
             let out = try_arbitrate_with_budget(&psi, &phi, &b).unwrap();
@@ -831,7 +614,7 @@ mod tests {
         use crate::budget::{Budget, BudgetSite, FaultPlan, Quality, TripReason};
         let psi = WeightedKb::from_weights(3, [(i(0b001), 10), (i(0b010), 20), (i(0b111), 5)]);
         let offer = WeightedKb::from_weights(3, [(i(0b010), 1), (i(0b011), 1)]);
-        let exact = try_warbitrate(&psi, &offer).unwrap();
+        let exact = warbitrate(&psi, &offer);
         let out = try_warbitrate_with_budget(&psi, &offer, &Budget::unlimited()).unwrap();
         assert!(out.is_exact());
         assert_eq!(out.kb, exact);

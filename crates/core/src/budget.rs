@@ -35,7 +35,6 @@ pub use arbitrex_telemetry::budget::{
 use crate::operator::ChangeOperator;
 use crate::telemetry;
 use crate::weighted::WeightedKb;
-use crate::wfitting::WeightedChangeOperator;
 use arbitrex_logic::ModelSet;
 
 /// How trustworthy a budgeted answer is. See the module docs for the
@@ -106,8 +105,8 @@ impl Outcome {
     }
 }
 
-/// The weighted analogue of [`Outcome`], for
-/// [`BudgetedWeightedChangeOperator`].
+/// The weighted analogue of [`Outcome`], for weighted arbitration and
+/// [`WdistFitting::apply_with_budget`](crate::WdistFitting::apply_with_budget).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedOutcome {
     /// The resulting weighted knowledge base.
@@ -159,17 +158,6 @@ pub(crate) fn record_outcome(spent: &BudgetSpent) {
 pub trait BudgetedChangeOperator: ChangeOperator {
     /// `Mod(ψ op μ)` under `budget`, degrading gracefully on exhaustion.
     fn apply_with_budget(&self, psi: &ModelSet, mu: &ModelSet, budget: &Budget) -> Outcome;
-}
-
-/// The weighted analogue of [`BudgetedChangeOperator`].
-pub trait BudgetedWeightedChangeOperator: WeightedChangeOperator {
-    /// `Mod(ψ̃ ▷ μ̃)` under `budget`, degrading gracefully on exhaustion.
-    fn apply_with_budget(
-        &self,
-        psi: &WeightedKb,
-        mu: &WeightedKb,
-        budget: &Budget,
-    ) -> WeightedOutcome;
 }
 
 #[cfg(test)]

@@ -83,7 +83,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::arbitration::{UniverseFitting, WeightedUniverseFitting};
 use crate::budget::{Budget, BudgetedChangeOperator, Outcome, Quality, WeightedOutcome};
 use crate::error::CoreError;
 use crate::fitting::OdistFitting;
@@ -582,7 +581,7 @@ pub fn cached_arbitrate(
     if let Some(models) = key.as_ref().and_then(|k| cache.get_models(k, n_vars)) {
         return Ok((Outcome::exact(models, budget), CacheStatus::Hit));
     }
-    let out = OdistFitting.apply_universe_budgeted(&voices, budget)?;
+    let out = OdistFitting.apply_universe(&voices, budget)?;
     let status = store_outcome(cache, key.as_ref(), &out);
     Ok((out, status))
 }
@@ -638,7 +637,7 @@ pub fn cached_warbitrate(
     if let Some(kb) = key.as_ref().and_then(|k| cache.get_weighted(k, n_vars)) {
         return Ok((WeightedOutcome::exact(kb, budget), CacheStatus::Hit));
     }
-    let out = WdistFitting.apply_universe_budgeted(&voices, budget)?;
+    let out = WdistFitting.apply_universe(&voices, budget)?;
     let status = if out.quality != Quality::Exact {
         telemetry::CACHE_BYPASSES.incr();
         CacheStatus::Bypass
@@ -673,7 +672,7 @@ pub(crate) fn store_outcome(cache: &OpCache, key: Option<&QueryKey>, out: &Outco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbitration::try_arbitrate;
+    use crate::arbitration::arbitrate;
     use crate::fitting::OdistFitting;
     use crate::revision::DalalRevision;
     use arbitrex_logic::{parse, Formula, Sig};
@@ -721,7 +720,7 @@ mod tests {
         assert_eq!(s1, CacheStatus::Miss);
         let (second, s2) = cached_arbitrate(&cache, &psi, &phi, &b).unwrap();
         assert_eq!(s2, CacheStatus::Hit);
-        let expect = try_arbitrate(&psi, &phi).unwrap();
+        let expect = arbitrate(&psi, &phi);
         assert_eq!(first.models, expect);
         assert_eq!(second.models, expect);
         assert_eq!(cache.len(), 1);
@@ -752,7 +751,7 @@ mod tests {
 
         // The replayed answer must equal a direct computation in the
         // second query's own variable space.
-        let expect = try_arbitrate(&psi2, &phi2).unwrap();
+        let expect = arbitrate(&psi2, &phi2);
         assert_eq!(out2.models, expect);
     }
 

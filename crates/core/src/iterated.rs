@@ -84,7 +84,7 @@ pub fn iterate_fixed_input(
 
 /// Iterate self-arbitration `ψ ← ψ Δ ψ` (the theory's own consensus core).
 pub fn iterate_self_arbitration(psi: &ModelSet, max_steps: usize) -> IterationOutcome {
-    let arb = crate::arbitration::Arbitration::default();
+    let arb = crate::arbitration::Arbitration;
     iterate_impl(psi, max_steps, |current| arb.apply(current, current))
 }
 

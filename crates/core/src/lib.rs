@@ -50,14 +50,12 @@ pub mod weighted;
 pub mod wfitting;
 
 pub use arbitration::{
-    arbitrate, try_arbitrate, try_arbitrate_with_budget, try_warbitrate,
-    try_warbitrate_with_budget, warbitrate, Arbitration, UniverseFitting, WeightedArbitration,
-    WeightedUniverseFitting,
+    arbitrate, try_arbitrate_with_budget, try_warbitrate_with_budget, warbitrate, Arbitration,
+    WeightedArbitration,
 };
 pub use budget::{
-    Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, BudgetedWeightedChangeOperator,
-    CancelToken, Exhausted, FaultFamily, FaultPlan, FaultSite, Faults, Outcome, Quality,
-    TripReason, WeightedOutcome,
+    Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, CancelToken, Exhausted, FaultFamily,
+    FaultPlan, FaultSite, Faults, Outcome, Quality, TripReason, WeightedOutcome,
 };
 pub use cache::{
     cached_apply, cached_arbitrate, cached_warbitrate, CacheStatus, CachedValue, OpCache, QueryKey,
@@ -66,7 +64,7 @@ pub use distance::{dist, min_dist, odist, sum_dist, wdist};
 pub use error::CoreError;
 pub use fitting::{GMaxFitting, LexOdistFitting, OdistFitting, SumFitting};
 pub use operator::{
-    budgeted_operator, operator, ChangeOperator, FormulaOperator, BUDGETED_OPERATOR_NAMES,
+    budgeted_operator, budgeted_operator_names, operator, ChangeOperator, FormulaOperator,
     OPERATOR_NAMES,
 };
 pub use revision::{BorgidaRevision, DalalRevision, DrasticRevision, SatohRevision, WeberRevision};

@@ -68,45 +68,53 @@ impl<Op: ChangeOperator> FormulaOperator<Op> {
     }
 }
 
+/// Each alias the registry accepts and the canonical name it stands for.
+const ALIASES: &[(&str, &str)] = &[
+    ("revise", "dalal"),
+    ("revision", "dalal"),
+    ("update", "winslett"),
+    ("fit", "odist"),
+    ("fitting", "odist"),
+    ("lex", "lex-odist"),
+];
+
+/// The canonical name of a registry name or alias.
+fn canonical(name: &str) -> Option<&'static str> {
+    ALIASES
+        .iter()
+        .find(|(alias, _)| *alias == name)
+        .map(|(_, canonical)| *canonical)
+        .or_else(|| OPERATOR_NAMES.iter().copied().find(|&n| n == name))
+}
+
 /// Look up a binary change operator by its stable registry name (the
-/// names accepted by the CLI and the service protocol). Aliases:
-/// `revise`/`revision` → `dalal`, `update` → `winslett`, `fit`/`fitting`
-/// → `odist`, `lex` → `lex-odist`.
+/// names accepted by the CLI and the service protocol) or one of its
+/// aliases.
 pub fn operator(name: &str) -> Option<Box<dyn ChangeOperator>> {
-    use crate::fitting::{GMaxFitting, LexOdistFitting, OdistFitting, SumFitting};
-    use crate::revision::{
-        BorgidaRevision, DalalRevision, DrasticRevision, SatohRevision, WeberRevision,
-    };
-    use crate::update::{ForbusUpdate, WinslettUpdate};
+    use crate::revision::{BorgidaRevision, DrasticRevision, SatohRevision, WeberRevision};
+    let name = canonical(name)?;
     Some(match name {
-        "dalal" | "revise" | "revision" => Box::new(DalalRevision),
         "satoh" => Box::new(SatohRevision),
         "borgida" => Box::new(BorgidaRevision),
         "weber" => Box::new(WeberRevision),
         "drastic" => Box::new(DrasticRevision),
-        "winslett" | "update" => Box::new(WinslettUpdate),
-        "forbus" => Box::new(ForbusUpdate),
-        "odist" | "fit" | "fitting" => Box::new(OdistFitting),
-        "lex-odist" | "lex" => Box::new(LexOdistFitting),
-        "gmax" => Box::new(GMaxFitting),
-        "sum" => Box::new(SumFitting),
-        _ => return None,
+        _ => budgeted_operator(name)?,
     })
 }
 
-/// Look up the budgeted variant of a change operator by registry name. A
-/// subset of [`operator`]: only the enumeration-backed operators with
-/// graceful degradation support budgets.
+/// Look up the budgeted variant of a change operator by registry name or
+/// alias. A subset of [`operator`]: only the operators the selection
+/// kernel meters, which degrade gracefully, support budgets.
 pub fn budgeted_operator(name: &str) -> Option<Box<dyn crate::budget::BudgetedChangeOperator>> {
     use crate::fitting::{GMaxFitting, LexOdistFitting, OdistFitting, SumFitting};
     use crate::revision::DalalRevision;
     use crate::update::{ForbusUpdate, WinslettUpdate};
-    Some(match name {
-        "dalal" | "revise" | "revision" => Box::new(DalalRevision),
-        "winslett" | "update" => Box::new(WinslettUpdate),
+    Some(match canonical(name)? {
+        "dalal" => Box::new(DalalRevision),
+        "winslett" => Box::new(WinslettUpdate),
         "forbus" => Box::new(ForbusUpdate),
-        "odist" | "fit" | "fitting" => Box::new(OdistFitting),
-        "lex-odist" | "lex" => Box::new(LexOdistFitting),
+        "odist" => Box::new(OdistFitting),
+        "lex-odist" => Box::new(LexOdistFitting),
         "gmax" => Box::new(GMaxFitting),
         "sum" => Box::new(SumFitting),
         _ => return None,
@@ -128,16 +136,15 @@ pub const OPERATOR_NAMES: &[&str] = &[
     "sum",
 ];
 
-/// Canonical names accepted by [`budgeted_operator`], for error messages.
-pub const BUDGETED_OPERATOR_NAMES: &[&str] = &[
-    "dalal",
-    "winslett",
-    "forbus",
-    "odist",
-    "lex-odist",
-    "gmax",
-    "sum",
-];
+/// Canonical names accepted by [`budgeted_operator`], in
+/// [`OPERATOR_NAMES`] order, for error messages.
+pub fn budgeted_operator_names() -> Vec<&'static str> {
+    OPERATOR_NAMES
+        .iter()
+        .copied()
+        .filter(|name| budgeted_operator(name).is_some())
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {
@@ -188,28 +195,37 @@ mod tests {
 
     #[test]
     fn registry_covers_every_listed_name_and_aliases() {
-        for name in OPERATOR_NAMES {
-            assert!(operator(name).is_some(), "missing operator {name}");
+        let aliases = ALIASES.iter().map(|(alias, _)| alias);
+        for name in OPERATOR_NAMES.iter().chain(aliases) {
+            let op = operator(name).unwrap_or_else(|| panic!("missing operator {name}"));
+            // Where both lookups answer, they name the same operator.
+            if let Some(budgeted) = budgeted_operator(name) {
+                assert_eq!(budgeted.name(), op.name(), "{name}");
+            }
         }
-        for name in BUDGETED_OPERATOR_NAMES {
-            assert!(operator(name).is_some());
-            assert!(budgeted_operator(name).is_some(), "missing budgeted {name}");
-        }
-        for (alias, target) in [
-            ("revise", "dalal"),
-            ("revision", "dalal"),
-            ("update", "winslett"),
-            ("fit", "odist"),
-            ("fitting", "odist"),
-            ("lex", "lex-odist"),
-        ] {
+        for (alias, target) in ALIASES {
+            assert!(!OPERATOR_NAMES.contains(alias), "{alias} shadows a name");
+            assert!(OPERATOR_NAMES.contains(target), "{alias} → {target}");
             assert_eq!(
                 operator(alias).unwrap().name(),
                 operator(target).unwrap().name()
             );
         }
+        // The budgeted set is exactly the seven metered operators; the
+        // four revisions the kernel cannot meter stay outside it.
+        assert_eq!(
+            format!(
+                "budgeted operators: {}",
+                budgeted_operator_names().join(", ")
+            ),
+            "budgeted operators: dalal, winslett, forbus, odist, lex-odist, gmax, sum"
+        );
+        for unmetered in ["satoh", "borgida", "weber", "drastic"] {
+            assert!(operator(unmetered).is_some());
+            assert!(budgeted_operator(unmetered).is_none(), "{unmetered}");
+        }
         assert!(operator("no-such-op").is_none());
-        assert!(budgeted_operator("satoh").is_none());
+        assert!(budgeted_operator("no-such-op").is_none());
     }
 
     #[test]

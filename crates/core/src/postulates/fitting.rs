@@ -144,7 +144,7 @@ mod tests {
         // fitting applied to the union) — spot-check the satisfiability
         // postulates through the arbitration wrapper.
         use PostulateId::*;
-        let arb = Arbitration::default();
+        let arb = Arbitration;
         // A1 fails for arbitration (the result need not imply φ — that is
         // the point), but A3 holds and A2 holds w.r.t. the union being
         // empty only when both are.

@@ -405,7 +405,7 @@ mod tests {
         }
         // Arbitration (not a ▷-style operator itself) is also covered by
         // construction 1: it cannot satisfy R2 either.
-        let arb = Arbitration::default();
+        let arb = Arbitration;
         assert_ne!(separation_r2_a8(&arb, 2), SeparationVerdict::Neither);
     }
 }

@@ -401,7 +401,7 @@ mod tests {
                 .max()
                 .unwrap_or(0)
         });
-        let warb = WeightedArbitration::default();
+        let warb = WeightedArbitration;
         let ops: Vec<&dyn WeightedChangeOperator> = vec![&WdistFitting, &wmax, &warb];
         let rows = wsatisfaction_matrix(&ops, WPostulateId::all());
         // The paper's wdist fitting passes everything.

@@ -19,11 +19,12 @@
 //! bracket the call with [`capture`] (or [`reset`] + [`snapshot`]):
 //!
 //! ```
-//! use arbitrex_core::{telemetry, try_arbitrate};
+//! use arbitrex_core::{telemetry, try_arbitrate_with_budget, Budget};
 //! use arbitrex_logic::{Interp, ModelSet};
 //! let psi = ModelSet::new(2, [Interp(0b00)]);
 //! let phi = ModelSet::new(2, [Interp(0b11)]);
-//! let (result, stats) = telemetry::capture(|| try_arbitrate(&psi, &phi));
+//! let (result, stats) =
+//!     telemetry::capture(|| try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited()));
 //! assert!(result.is_ok());
 //! // With the `telemetry` feature on, the kernel reports its scan.
 //! assert_eq!(stats.is_all_zero(), !telemetry::enabled());
@@ -185,8 +186,8 @@ pub fn reset() {
 
 /// Run `f` against freshly reset counters and return its result together
 /// with the snapshot it produced — the per-call profile of
-/// `try_arbitrate`/`try_apply` and friends. See the module docs for the
-/// process-global concurrency caveat.
+/// `try_arbitrate_with_budget`, `apply_with_budget` and friends. See the
+/// module docs for the process-global concurrency caveat.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TelemetrySnapshot) {
     reset();
     let out = f();
@@ -196,14 +197,16 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TelemetrySnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbitration::try_arbitrate;
+    use crate::arbitration::try_arbitrate_with_budget;
+    use crate::budget::Budget;
     use arbitrex_logic::{Interp, ModelSet};
 
     #[test]
     fn capture_profiles_an_arbitration_call() {
         let psi = ModelSet::new(4, [Interp(0b0000)]);
         let phi = ModelSet::new(4, [Interp(0b1111)]);
-        let (result, stats) = capture(|| try_arbitrate(&psi, &phi));
+        let (result, stats) =
+            capture(|| try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited()));
         assert!(result.is_ok());
         assert_eq!(stats.enabled, enabled());
         if enabled() {
@@ -232,7 +235,7 @@ mod tests {
     fn reset_zeroes_every_section() {
         let psi = ModelSet::new(3, [Interp(0b001), Interp(0b010), Interp(0b111)]);
         let phi = ModelSet::new(3, [Interp(0b011)]);
-        let _ = try_arbitrate(&psi, &phi);
+        let _ = try_arbitrate_with_budget(&psi, &phi, &Budget::unlimited());
         reset();
         assert!(snapshot().is_all_zero());
     }

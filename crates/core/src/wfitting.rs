@@ -1,6 +1,6 @@
 //! Weighted model-fitting (Section 4 of the paper).
 
-use crate::budget::{Budget, BudgetedWeightedChangeOperator, WeightedOutcome};
+use crate::budget::{Budget, WeightedOutcome};
 use crate::kernel::{select_min, BudgetedSelect, VoteTally};
 use crate::telemetry;
 use crate::weighted::WeightedKb;
@@ -81,8 +81,12 @@ impl WeightedChangeOperator for WdistFitting {
     }
 }
 
-impl BudgetedWeightedChangeOperator for WdistFitting {
-    fn apply_with_budget(
+impl WdistFitting {
+    /// `Mod(ψ̃ ▷ μ̃)` under `budget`, degrading gracefully on exhaustion
+    /// per the [`Quality`](crate::budget::Quality) containment contract;
+    /// with [`Budget::unlimited`] it agrees exactly with
+    /// [`WeightedChangeOperator::apply`].
+    pub fn apply_with_budget(
         &self,
         psi: &WeightedKb,
         mu: &WeightedKb,

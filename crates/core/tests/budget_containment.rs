@@ -15,9 +15,8 @@ use arbitrex_core::kernel::naive;
 use arbitrex_core::satbackend::{dalal_revision_sat_budgeted, odist_fitting_sat_budgeted};
 use arbitrex_core::{
     try_arbitrate_with_budget, try_warbitrate_with_budget, Budget, BudgetSite,
-    BudgetedChangeOperator, BudgetedWeightedChangeOperator, DalalRevision, FaultPlan, ForbusUpdate,
-    GMaxFitting, LexOdistFitting, OdistFitting, Quality, SumFitting, TripReason, WdistFitting,
-    WeightedKb, WinslettUpdate,
+    BudgetedChangeOperator, DalalRevision, FaultPlan, ForbusUpdate, GMaxFitting, LexOdistFitting,
+    OdistFitting, Quality, SumFitting, TripReason, WdistFitting, WeightedKb, WinslettUpdate,
 };
 use arbitrex_logic::{form_of, Interp, ModelSet};
 

@@ -17,7 +17,7 @@ use crate::source::Source;
 use arbitrex_core::arbitration::arbitrate;
 use arbitrex_core::{
     Budget, BudgetSpent, ChangeOperator, DalalRevision, Quality, WdistFitting, WeightedKb,
-    WeightedUniverseFitting, WinslettUpdate,
+    WinslettUpdate,
 };
 use arbitrex_logic::ModelSet;
 
@@ -130,12 +130,7 @@ pub fn merge_majority(sources: &[Source], constraint: Option<&ModelSet>) -> Merg
 /// the universe is never materialized. Panics past
 /// [`arbitrex_logic::ENUM_LIMIT`] variables.
 pub fn merge_weighted_arbitration(sources: &[Source]) -> MergeOutcome {
-    // invariant: deliberate documented panic — merges are infallible and
-    // enumeration-bound, like the rest of this module.
-    let fitted = WdistFitting
-        .apply_universe(&join_sources(sources))
-        .expect("merge signature exceeds ENUM_LIMIT");
-    MergeOutcome::evaluate("weighted-arbitration", sources, fitted.support_set())
+    merge_weighted_arbitration_with_budget(sources, &Budget::unlimited()).outcome
 }
 
 /// Every source's weighted KB joined into one `⊔`.
@@ -171,9 +166,10 @@ pub fn merge_weighted_arbitration_with_budget(
     sources: &[Source],
     budget: &Budget,
 ) -> BudgetedMergeOutcome {
-    // invariant: deliberate documented panic, as in the unbudgeted merge.
+    // invariant: deliberate documented panic — merges are infallible and
+    // enumeration-bound, like the rest of this module.
     let fitted = WdistFitting
-        .apply_universe_budgeted(&join_sources(sources), budget)
+        .apply_universe(&join_sources(sources), budget)
         .expect("merge signature exceeds ENUM_LIMIT");
     BudgetedMergeOutcome {
         outcome: MergeOutcome::evaluate("weighted-arbitration", sources, fitted.kb.support_set()),

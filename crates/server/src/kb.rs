@@ -223,10 +223,6 @@ pub struct DurabilityOptions {
     /// recovery found (never below it — a lower epoch would be a stamp
     /// regression on the next recovery).
     pub initial_epoch: Option<u64>,
-    /// Open as a replica: writes are refused until promotion. A store
-    /// demoted before it shut down ([`REPLICA_MARKER`]) opens as one
-    /// regardless.
-    pub replica: bool,
 }
 
 struct DurableState {
@@ -508,7 +504,7 @@ impl KbStore {
         // rseq space always continues, promotion does not reset it.
         let epoch = opts.initial_epoch.unwrap_or(1).max(report.max_epoch).max(1);
         let next_rseq = report.max_rseq + 1;
-        let replica = opts.replica || opts.dir.join(REPLICA_MARKER).exists();
+        let replica = opts.dir.join(REPLICA_MARKER).exists();
         let repl = Arc::new(ReplLog::new(epoch, next_rseq, replica));
         let map = state
             .iter()

@@ -197,6 +197,9 @@ impl ServiceState {
         let (kbs, recovery) = match &config.state_dir {
             None => (KbStore::new(), None),
             Some(dir) => {
+                // The role comes from the ring once the node knows its
+                // bound address (`failover::reconcile_role`); a store
+                // demoted before shutdown reopens read-only.
                 let (store, report) = KbStore::open_durable(DurabilityOptions {
                     dir: dir.clone(),
                     snapshot_every: config.snapshot_every,
@@ -204,10 +207,6 @@ impl ServiceState {
                     faults: config.faults.clone(),
                     flush_interval: std::time::Duration::from_micros(config.flush_interval_us),
                     initial_epoch: config.replication_epoch,
-                    // The role comes from the ring once the node knows
-                    // its bound address (`failover::reconcile_role`); a
-                    // store demoted before shutdown reopens read-only.
-                    replica: false,
                 })
                 .map_err(|e| io::Error::other(e.to_string()))?;
                 (store, Some(report))

@@ -374,10 +374,16 @@ impl PeerClient {
     pub fn connect(addr: &str) -> io::Result<PeerClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(PEER_READ_TIMEOUT))?;
+        Ok(PeerClient::from_stream(stream))
+    }
+
+    /// A client over an already connected `stream`, which keeps the read
+    /// timeout its caller set on it.
+    pub fn from_stream(stream: TcpStream) -> PeerClient {
         let _ = stream.set_nodelay(true);
-        Ok(PeerClient {
+        PeerClient {
             reader: BufReader::new(stream),
-        })
+        }
     }
 
     /// Send `method path` with an optional JSON body and read the full

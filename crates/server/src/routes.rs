@@ -21,7 +21,10 @@ use crate::ServiceState;
 
 use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate, weighted_side};
 use arbitrex_core::iterated::iterate_fixed_input;
-use arbitrex_core::{budgeted_operator, Budget, FaultFamily, FaultSite, Quality};
+use arbitrex_core::{
+    budgeted_operator, budgeted_operator_names, Budget, BudgetedChangeOperator, FaultFamily,
+    FaultSite, Quality,
+};
 use arbitrex_logic::{
     parse as parse_formula, read_cover, Cover, Formula, ModelSet, Sig, ENUM_LIMIT,
 };
@@ -335,22 +338,34 @@ fn handle_fit(state: &ServiceState, req: &Request) -> Response {
     }
 }
 
-fn fit_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
-    let op_name = match body.get("op") {
-        None => "odist",
+/// The `op` field of a request body, `odist` when absent.
+fn op_field(body: &Json) -> Result<&str, Response> {
+    match body.get("op") {
+        None => Ok("odist"),
         Some(v) => v
             .as_str()
-            .ok_or_else(|| error_response(400, "field `op` must be a string"))?,
-    };
+            .ok_or_else(|| error_response(400, "field `op` must be a string")),
+    }
+}
+
+/// The budgeted operator a fit names in its `op` field, with the name as
+/// given; shared by `/v1/fit` and the KB `fit` action.
+fn fit_operator(body: &Json) -> Result<(&str, Box<dyn BudgetedChangeOperator>), Response> {
+    let op_name = op_field(body)?;
     let op = budgeted_operator(op_name).ok_or_else(|| {
         error_response(
             400,
             format!(
                 "unknown operator `{op_name}`; budgeted operators: {}",
-                arbitrex_core::BUDGETED_OPERATOR_NAMES.join(", ")
+                budgeted_operator_names().join(", ")
             ),
         )
     })?;
+    Ok((op_name, op))
+}
+
+fn fit_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
+    let (op_name, op) = fit_operator(body)?;
     let budget = budget_and_hold(body, state)?;
     let mut sig = Sig::new();
     let [psi, mu] = read_sides(&mut sig, body, ["psi", "mu"])?;
@@ -1499,14 +1514,7 @@ fn kb_change(
     let (outcome, cache) = if action == "arbitrate" {
         cached_arbitrate(&state.cache, &psi, &mu, &budget)
     } else {
-        let op_name = match body.get("op") {
-            None => "odist",
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| error_response(400, "field `op` must be a string"))?,
-        };
-        let op = budgeted_operator(op_name)
-            .ok_or_else(|| error_response(400, format!("unknown operator `{op_name}`")))?;
+        let (_, op) = fit_operator(body)?;
         cached_apply(&state.cache, op.as_ref(), &psi, &mu, &budget)
     }
     .map_err(|e| error_response(400, e.to_string()))?;
@@ -1573,12 +1581,7 @@ fn kb_iterate(
     let max_steps = field_u64(body, "max_steps")?
         .map(|s| (s as usize).min(MAX_ITERATE_STEPS))
         .unwrap_or(64);
-    let op_name = match body.get("op") {
-        None => "odist",
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| error_response(400, "field `op` must be a string"))?,
-    };
+    let op_name = op_field(body)?;
     let op = arbitrex_core::operator(op_name)
         .ok_or_else(|| error_response(400, format!("unknown operator `{op_name}`")))?;
 

@@ -1,19 +1,21 @@
 //! Shared loopback HTTP client for the integration suites.
 //!
-//! One minimal keep-alive HTTP/1.1 client over a real socket, used by
-//! every test binary in this directory instead of four hand-rolled
-//! copies. Connects with a bounded retry window (child-process servers
-//! in the kill-9 and replication harnesses print their address before
-//! the listener is reliably accepting under load), surfaces transport
-//! errors as `Err` for harnesses that expect the server to die
-//! mid-exchange, and parses `Content-Length`-framed JSON responses.
+//! One keep-alive HTTP/1.1 client over a real socket, used by every test
+//! binary in this directory. Requests are encoded, sent and read by the
+//! server's own [`PeerClient`]; this wrapper adds what the suites need
+//! beyond a peer: a bounded connect retry (child-process servers in the
+//! kill-9 and replication harnesses print their address before the
+//! listener is reliably accepting under load), a read timeout long
+//! enough for requests held up to `MAX_HOLD_MS`, transport errors as
+//! `Err` for harnesses that expect the server to die mid-exchange, and
+//! JSON bodies.
 #![allow(dead_code)]
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use arbitrex_server::json::{self, Json};
+use arbitrex_server::replication::{PeerClient, PeerResponse};
 use arbitrex_server::RunningServer;
 
 /// How long [`Client::connect`] keeps retrying a refused connection.
@@ -23,6 +25,9 @@ pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A keep-alive client connection.
 pub struct Client {
+    peer: PeerClient,
+    /// The same socket, for socket-level calls (half-close, read
+    /// timeouts) in suites that drive the wire directly.
     pub stream: TcpStream,
 }
 
@@ -31,8 +36,20 @@ impl Client {
     /// [`CONNECT_RETRY`] — bounded, so a server that never comes up
     /// still fails the test promptly.
     pub fn connect(addr: SocketAddr) -> Client {
+        let deadline = Instant::now() + CONNECT_RETRY;
+        let stream = loop {
+            match TcpStream::connect(addr) {
+                Ok(stream) => break stream,
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(e) => panic!("connect {addr}: {e}"),
+            }
+        };
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
         Client {
-            stream: raw_connect(addr),
+            stream: stream.try_clone().expect("clone socket"),
+            peer: PeerClient::from_stream(stream),
         }
     }
 
@@ -62,47 +79,42 @@ impl Client {
         headers: &[(&str, &str)],
         body: &str,
     ) -> std::io::Result<(u16, Json)> {
-        self.try_send_with_headers(method, path, headers, body)?;
-        let (status, _headers, text) = self.read_response()?;
-        let value = json::parse(&text)
-            .map_err(|e| std::io::Error::other(format!("bad JSON `{text}`: {e}")))?;
-        Ok((status, value))
+        let response = self
+            .peer
+            .request_with_headers(method, path, Some(body), headers)?;
+        let value = json_of(&response).map_err(std::io::Error::other)?;
+        Ok((response.status, value))
     }
 
     /// Write one request without reading the response (pipelining and
     /// queue-overflow tests park requests in flight).
     pub fn send(&mut self, method: &str, path: &str, body: &str) {
-        self.try_send_with_headers(method, path, &[], body)
-            .expect("send")
+        self.send_raw(&PeerClient::encode(method, path, Some(body), &[]));
     }
 
-    fn try_send_with_headers(
-        &mut self,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: &str,
-    ) -> std::io::Result<()> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: loopback\r\n");
-        for (name, value) in headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())
+    /// Write wire bytes as they are: one or more encoded requests, part
+    /// of one, or deliberate garbage.
+    pub fn send_raw(&mut self, wire: &[u8]) {
+        self.peer.send_raw(wire).expect("send")
+    }
+
+    /// Read the next response off the connection.
+    pub fn read_response(&mut self) -> std::io::Result<PeerResponse> {
+        self.peer.read_response()
     }
 
     /// Read one parked response as raw text (status, body).
     pub fn read_response_text(&mut self) -> (u16, String) {
-        let (status, _headers, text) = self.read_response().expect("read response");
-        (status, text)
+        let response = self.read_response().expect("read response");
+        let text = String::from_utf8_lossy(&response.body).into_owned();
+        (response.status, text)
     }
 
     /// Read one parked response as JSON.
     pub fn read_response_parsed(&mut self) -> (u16, Json) {
-        let (status, text) = self.read_response_text();
-        let value = json::parse(&text).unwrap_or_else(|e| panic!("bad JSON `{text}`: {e}"));
-        (status, value)
+        let response = self.read_response().expect("read response");
+        let value = json_of(&response).unwrap_or_else(|e| panic!("{e}"));
+        (response.status, value)
     }
 
     /// Send one request and panic on any transport or framing error.
@@ -110,20 +122,22 @@ impl Client {
         self.try_request(method, path, body).expect("request")
     }
 
-    /// [`Client::request`], also returning the raw response head (for
-    /// asserting headers like `X-Arbitrex-Seq` and `Retry-After`).
+    /// [`Client::request`], also returning the whole response (for
+    /// asserting headers like `X-Arbitrex-Seq` and `Retry-After` through
+    /// [`PeerResponse::header`]).
     pub fn request_full(
         &mut self,
         method: &str,
         path: &str,
         headers: &[(&str, &str)],
         body: &str,
-    ) -> (u16, String, Json) {
-        self.try_send_with_headers(method, path, headers, body)
-            .expect("send");
-        let (status, head, text) = self.read_response().expect("read response");
-        let value = json::parse(&text).unwrap_or_else(|e| panic!("bad JSON `{text}`: {e}"));
-        (status, head, value)
+    ) -> (u16, PeerResponse, Json) {
+        let response = self
+            .peer
+            .request_with_headers(method, path, Some(body), headers)
+            .expect("request");
+        let value = json_of(&response).unwrap_or_else(|e| panic!("{e}"));
+        (response.status, response, value)
     }
 
     /// [`Client::request`] with extra request headers.
@@ -137,72 +151,12 @@ impl Client {
         self.try_request_with_headers(method, path, headers, body)
             .expect("request")
     }
-
-    /// Read one `Content-Length`-framed response: status, raw head,
-    /// body text.
-    fn read_response(&mut self) -> std::io::Result<(u16, String, String)> {
-        read_stream_response(&mut self.stream)
-    }
 }
 
-/// Read one `Content-Length`-framed response off a raw stream: status,
-/// raw head, body text. The frame reader behind [`Client`], exported
-/// for suites (pipelining) that write their own wire bytes.
-pub fn read_stream_response(stream: &mut TcpStream) -> std::io::Result<(u16, String, String)> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte)? {
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "closed before response head (got {:?})",
-                        String::from_utf8_lossy(&head)
-                    ),
-                ))
-            }
-            _ => {
-                head.push(byte[0]);
-                if head.ends_with(b"\r\n\r\n") {
-                    break;
-                }
-            }
-        }
-    }
-    let head = String::from_utf8_lossy(&head).to_string();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::other("bad status line"))?;
-    let length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .and_then(|v| v.trim().parse().ok())
-        .ok_or_else(|| std::io::Error::other("missing content-length"))?;
-    let mut body = vec![0u8; length];
-    stream.read_exact(&mut body)?;
-    Ok((status, head, String::from_utf8_lossy(&body).to_string()))
-}
-
-/// Connect a raw socket with the same bounded retry as [`Client`];
-/// the pipelining suite writes its own wire bytes.
-pub fn raw_connect(addr: SocketAddr) -> TcpStream {
-    let deadline = Instant::now() + CONNECT_RETRY;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
-                return stream;
-            }
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => panic!("connect {addr}: {e}"),
-        }
-    }
+/// The body of `response` as JSON.
+fn json_of(response: &PeerResponse) -> Result<Json, String> {
+    let text = String::from_utf8_lossy(&response.body);
+    json::parse(&text).map_err(|e| format!("bad JSON `{text}`: {e}"))
 }
 
 /// One-shot request on a fresh connection.

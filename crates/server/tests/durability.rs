@@ -541,7 +541,6 @@ fn durable_store(dir: &Path, flush_interval: Duration) -> KbStore {
         faults: Faults::default(),
         flush_interval,
         initial_epoch: None,
-        replica: false,
     })
     .expect("open durable store");
     store
@@ -636,7 +635,6 @@ fn group_commit_snapshot_acks_pending_commits() {
             faults: Faults::default(),
             flush_interval: Duration::from_millis(1),
             initial_epoch: None,
-            replica: false,
         })
         .expect("open durable store");
         std::thread::scope(|scope| {
@@ -781,7 +779,6 @@ fn kill9_mid_commit_storm_loses_no_acknowledged_commit() {
         faults: Faults::default(),
         flush_interval: Duration::ZERO,
         initial_epoch: None,
-        replica: false,
     })
     .expect("strict recovery after SIGKILL");
     let entry = store.entry("storm").expect("storm KB survived");
@@ -912,7 +909,6 @@ fn kill9_group_commit_storm_loses_no_acknowledged_commit() {
         faults: Faults::default(),
         flush_interval: Duration::ZERO,
         initial_epoch: None,
-        replica: false,
     })
     .expect("strict recovery after SIGKILL");
     for (t, last_acked) in acked.iter().enumerate() {

@@ -8,13 +8,14 @@
 //! and idle keep-alive connections reaped by `--keep-alive-timeout-ms`.
 //! Responses must always come back complete, in request order.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::io::ErrorKind;
 use std::time::{Duration, Instant};
 
+use arbitrex_server::replication::{PeerClient, PeerResponse};
 use arbitrex_server::{spawn, RunningServer, ServerConfig};
 
 mod common;
+use common::Client;
 
 fn server_with(configure: impl FnOnce(&mut ServerConfig)) -> RunningServer {
     let mut config = ServerConfig {
@@ -29,33 +30,36 @@ fn server_with(configure: impl FnOnce(&mut ServerConfig)) -> RunningServer {
     spawn(config).expect("spawn server")
 }
 
-fn connect(server: &RunningServer) -> TcpStream {
-    common::raw_connect(server.addr)
+fn connect(server: &RunningServer) -> Client {
+    Client::connect_server(server)
 }
 
-/// Raw request bytes, keep-alive unless `close`.
+/// Request bytes, keep-alive unless `close`.
 fn raw_request(method: &str, path: &str, body: &str, close: bool) -> String {
-    let connection = if close { "Connection: close\r\n" } else { "" };
-    format!(
-        "{method} {path} HTTP/1.1\r\nHost: loopback\r\n{connection}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
+    let headers: &[(&str, &str)] = if close {
+        &[("Connection", "close")]
+    } else {
+        &[]
+    };
+    String::from_utf8(PeerClient::encode(method, path, Some(body), headers)).unwrap()
 }
 
-/// One full response off the stream: status, the raw head, the body.
-/// Framing lives in the shared client (`common::read_stream_response`);
-/// this suite only keeps the panic-on-error calling convention.
-fn read_response(stream: &mut TcpStream) -> (u16, String, String) {
-    common::read_stream_response(stream).unwrap_or_else(|e| panic!("read response: {e}"))
+/// One full response off the connection: status, the response (for its
+/// headers), the body.
+fn read_response(client: &mut Client) -> (u16, PeerResponse, String) {
+    let response = client
+        .read_response()
+        .unwrap_or_else(|e| panic!("read response: {e}"));
+    let body = String::from_utf8_lossy(&response.body).into_owned();
+    (response.status, response, body)
 }
 
 /// Has the peer closed? Distinguishes clean EOF from a timeout.
-fn reaches_eof(stream: &mut TcpStream, within: Duration) -> bool {
-    stream.set_read_timeout(Some(within)).unwrap();
-    let mut byte = [0u8; 1];
-    match stream.read(&mut byte) {
-        Ok(0) => true,
-        Ok(_) => panic!("unexpected byte {byte:?} instead of EOF"),
+fn reaches_eof(client: &mut Client, within: Duration) -> bool {
+    client.stream.set_read_timeout(Some(within)).unwrap();
+    match client.read_response() {
+        Ok(response) => panic!("unexpected response {response:?} instead of EOF"),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => true,
         Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => false,
         Err(e) if e.kind() == ErrorKind::ConnectionReset => true,
         Err(e) => panic!("read error waiting for EOF: {e}"),
@@ -80,7 +84,7 @@ fn seq_of(body: &str) -> u64 {
 #[test]
 fn pipelined_requests_in_one_write_answer_in_order() {
     let server = server_with(|_| {});
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
     // Three puts to the same KB in a single write(2): the responses must
     // come back complete and strictly in request order — the seqs they
@@ -94,10 +98,10 @@ fn pipelined_requests_in_one_write_answer_in_order() {
             false,
         ));
     }
-    stream.write_all(batch.as_bytes()).unwrap();
+    client.send_raw(batch.as_bytes());
 
     for expected_seq in 1..=3u64 {
-        let (status, _head, body) = read_response(&mut stream);
+        let (status, _head, body) = read_response(&mut client);
         assert_eq!(status, 200, "{body}");
         assert_eq!(seq_of(&body), expected_seq, "{body}");
     }
@@ -108,7 +112,7 @@ fn pipelined_requests_in_one_write_answer_in_order() {
 #[test]
 fn held_writes_and_a_later_read_survive_a_half_close() {
     let server = server_with(|c| c.threads = 4);
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
     // Writes to one KB and a read of it, in one write, then the client
     // half-closes. Each request waits in the server's buffer for the one
@@ -126,15 +130,15 @@ fn held_writes_and_a_later_read_survive_a_half_close() {
         raw_request("GET", "/v1/kb/halfclose", "", false),
     ]
     .concat();
-    stream.write_all(batch.as_bytes()).unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    client.send_raw(batch.as_bytes());
+    client.stream.shutdown(std::net::Shutdown::Write).unwrap();
 
     for expected_seq in [1, 2, 3, 3] {
-        let (status, _head, body) = read_response(&mut stream);
+        let (status, _head, body) = read_response(&mut client);
         assert_eq!(status, 200, "{body}");
         assert_eq!(seq_of(&body), expected_seq, "{body}");
     }
-    assert!(reaches_eof(&mut stream, Duration::from_secs(5)));
+    assert!(reaches_eof(&mut client, Duration::from_secs(5)));
 
     server.stop().unwrap();
 }
@@ -142,7 +146,7 @@ fn held_writes_and_a_later_read_survive_a_half_close() {
 #[test]
 fn request_split_across_tcp_segments_is_reassembled() {
     let server = server_with(|_| {});
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
     let request = raw_request(
         "POST",
@@ -156,13 +160,12 @@ fn request_split_across_tcp_segments_is_reassembled() {
     let cuts = [bytes.len() / 3, 2 * bytes.len() / 3, bytes.len()];
     let mut sent = 0;
     for cut in cuts {
-        stream.write_all(&bytes[sent..cut]).unwrap();
-        stream.flush().unwrap();
+        client.send_raw(&bytes[sent..cut]);
         sent = cut;
         std::thread::sleep(Duration::from_millis(60));
     }
 
-    let (status, _head, body) = read_response(&mut stream);
+    let (status, _head, body) = read_response(&mut client);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"n_models\""), "{body}");
 
@@ -172,7 +175,7 @@ fn request_split_across_tcp_segments_is_reassembled() {
 #[test]
 fn malformed_request_mid_pipeline_gets_400_without_corrupting_earlier_responses() {
     let server = server_with(|_| {});
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
     // A valid request, then garbage, then another valid request — all in
     // one write. The first must succeed untouched, the garbage draws a
@@ -181,18 +184,18 @@ fn malformed_request_mid_pipeline_gets_400_without_corrupting_earlier_responses(
     let mut batch = raw_request("GET", "/metrics", "", false);
     batch.push_str("THIS IS NOT HTTP\r\n\r\n");
     batch.push_str(&raw_request("GET", "/metrics", "", false));
-    stream.write_all(batch.as_bytes()).unwrap();
+    client.send_raw(batch.as_bytes());
 
-    let (status, _head, body) = read_response(&mut stream);
+    let (status, _head, body) = read_response(&mut client);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"telemetry\""), "{body}");
 
-    let (status, head, _body) = read_response(&mut stream);
+    let (status, head, _body) = read_response(&mut client);
     assert_eq!(status, 400);
-    assert!(head.contains("Connection: close"), "{head}");
+    assert_eq!(head.header("connection"), Some("close"), "{head:?}");
 
     assert!(
-        reaches_eof(&mut stream, Duration::from_secs(5)),
+        reaches_eof(&mut client, Duration::from_secs(5)),
         "connection must close after the 400"
     );
 
@@ -202,7 +205,7 @@ fn malformed_request_mid_pipeline_gets_400_without_corrupting_earlier_responses(
 #[test]
 fn deep_pipeline_burst_completes_in_order() {
     let server = server_with(|c| c.threads = 4);
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
     // 32 pipelined puts in one write — deep enough to exercise slot
     // bookkeeping and out-of-order completion reordering across several
@@ -217,10 +220,10 @@ fn deep_pipeline_burst_completes_in_order() {
             false,
         ));
     }
-    stream.write_all(batch.as_bytes()).unwrap();
+    client.send_raw(batch.as_bytes());
 
     for expected_seq in 1..=32u64 {
-        let (status, _head, body) = read_response(&mut stream);
+        let (status, _head, body) = read_response(&mut client);
         assert_eq!(status, 200, "{body}");
         assert_eq!(seq_of(&body), expected_seq, "{body}");
     }
@@ -231,7 +234,7 @@ fn deep_pipeline_burst_completes_in_order() {
 #[test]
 fn paused_pipeline_resumes_across_completions_without_dropping() {
     let server = server_with(|_| {});
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
     // A held arbitration, then enough fast ones in the same write to
     // fill MAX_PIPELINE_DEPTH: the connection pauses with its output
@@ -252,10 +255,10 @@ fn paused_pipeline_resumes_across_completions_without_dropping() {
             false,
         ));
     }
-    stream.write_all(batch.as_bytes()).unwrap();
+    client.send_raw(batch.as_bytes());
 
     for name in std::iter::once("H".to_string()).chain((0..140).map(|i| format!("V{i}"))) {
-        let (status, _head, body) = read_response(&mut stream);
+        let (status, _head, body) = read_response(&mut client);
         assert_eq!(status, 200, "{name}: {body}");
         assert!(body.contains(&format!("[\"{name}\"]")), "{name}: {body}");
     }
@@ -268,16 +271,14 @@ fn paused_pipeline_resumes_across_completions_without_dropping() {
 #[test]
 fn connection_close_is_honored_after_the_response() {
     let server = server_with(|_| {});
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
-    stream
-        .write_all(raw_request("GET", "/metrics", "", true).as_bytes())
-        .unwrap();
-    let (status, head, _body) = read_response(&mut stream);
+    client.send_raw(raw_request("GET", "/metrics", "", true).as_bytes());
+    let (status, head, _body) = read_response(&mut client);
     assert_eq!(status, 200);
-    assert!(head.contains("Connection: close"), "{head}");
+    assert_eq!(head.header("connection"), Some("close"), "{head:?}");
     assert!(
-        reaches_eof(&mut stream, Duration::from_secs(5)),
+        reaches_eof(&mut client, Duration::from_secs(5)),
         "server must close after Connection: close"
     );
 
@@ -287,20 +288,18 @@ fn connection_close_is_honored_after_the_response() {
 #[test]
 fn idle_keep_alive_connections_are_reaped() {
     let server = server_with(|c| c.keep_alive_timeout_ms = 200);
-    let mut stream = connect(&server);
+    let mut client = connect(&server);
 
     // The connection works while active...
-    stream
-        .write_all(raw_request("GET", "/metrics", "", false).as_bytes())
-        .unwrap();
-    let (status, _head, _body) = read_response(&mut stream);
+    client.send_raw(raw_request("GET", "/metrics", "", false).as_bytes());
+    let (status, _head, _body) = read_response(&mut client);
     assert_eq!(status, 200);
 
     // ...then, left idle past the timeout, the server closes it.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut reaped = false;
     while Instant::now() < deadline {
-        if reaches_eof(&mut stream, Duration::from_millis(250)) {
+        if reaches_eof(&mut client, Duration::from_millis(250)) {
             reaped = true;
             break;
         }
@@ -309,9 +308,7 @@ fn idle_keep_alive_connections_are_reaped() {
 
     // A fresh connection still serves: reaping is per-connection.
     let mut fresh = connect(&server);
-    fresh
-        .write_all(raw_request("GET", "/metrics", "", false).as_bytes())
-        .unwrap();
+    fresh.send_raw(raw_request("GET", "/metrics", "", false).as_bytes());
     let (status, _head, _body) = read_response(&mut fresh);
     assert_eq!(status, 200);
 
@@ -331,7 +328,7 @@ fn overload_503_carries_retry_after() {
     });
 
     let mut held = connect(&server);
-    held.write_all(
+    held.send_raw(
         raw_request(
             "POST",
             "/v1/arbitrate",
@@ -339,32 +336,27 @@ fn overload_503_carries_retry_after() {
             false,
         )
         .as_bytes(),
-    )
-    .unwrap();
+    );
     std::thread::sleep(Duration::from_millis(400)); // worker now sleeping in hold_ms
 
     let mut queued = connect(&server);
-    queued
-        .write_all(
-            raw_request(
-                "POST",
-                "/v1/arbitrate",
-                r#"{"psi": "B", "phi": "!B"}"#,
-                false,
-            )
-            .as_bytes(),
+    queued.send_raw(
+        raw_request(
+            "POST",
+            "/v1/arbitrate",
+            r#"{"psi": "B", "phi": "!B"}"#,
+            false,
         )
-        .unwrap();
+        .as_bytes(),
+    );
     std::thread::sleep(Duration::from_millis(200)); // event loop has queued it
 
     let mut refused = connect(&server);
-    refused
-        .write_all(raw_request("GET", "/metrics", "", false).as_bytes())
-        .unwrap();
+    refused.send_raw(raw_request("GET", "/metrics", "", false).as_bytes());
     let (status, head, body) = read_response(&mut refused);
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("overloaded"), "{body}");
-    assert!(head.contains("Retry-After: 1"), "{head}");
+    assert_eq!(head.header("retry-after"), Some("1"), "{head:?}");
 
     // Refusal never corrupts accepted work.
     let (status, _head, _body) = read_response(&mut held);

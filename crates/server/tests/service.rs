@@ -239,6 +239,25 @@ fn kb_lifecycle_put_arbitrate_iterate_delete() {
     assert_eq!(num_of(&fit, "seq"), 3);
     assert_eq!(num_of(&fit, "n_vars"), 4);
 
+    // An operator the kernel cannot meter draws the same 400 as on
+    // /v1/fit, naming the budgeted operators, and commits nothing.
+    let expected = "unknown operator `satoh`; budgeted operators: \
+                    dalal, winslett, forbus, odist, lex-odist, gmax, sum";
+    let (status, bad) = client.request(
+        "POST",
+        "/v1/kb/fleet",
+        r#"{"action": "fit", "op": "satoh", "formula": "D"}"#,
+    );
+    assert_eq!(status, 400, "{bad:?}");
+    assert_eq!(str_of(&bad, "error"), expected);
+    let (status, bad) = client.request(
+        "POST",
+        "/v1/fit",
+        r#"{"psi": "A", "mu": "D", "op": "satoh"}"#,
+    );
+    assert_eq!(status, 400, "{bad:?}");
+    assert_eq!(str_of(&bad, "error"), expected);
+
     // iterate to a fixpoint.
     let (status, iter) = client.request(
         "POST",
@@ -620,11 +639,7 @@ fn concurrent_mixed_workload_zero_failures() {
     let clients: Vec<_> = (0..8)
         .map(|worker| {
             std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(30)))
-                    .unwrap();
-                let mut client = Client { stream };
+                let mut client = Client::connect(addr);
                 for round in 0..20 {
                     let (path, body) = match (worker + round) % 3 {
                         0 => (

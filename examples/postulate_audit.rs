@@ -22,7 +22,7 @@ fn verdict_str(v: SeparationVerdict) -> &'static str {
 }
 
 fn main() {
-    let arbitration = Arbitration::default();
+    let arbitration = Arbitration;
     let ops: Vec<&dyn ChangeOperator> = vec![
         &DalalRevision,
         &SatohRevision,

@@ -49,8 +49,8 @@ pub mod prelude {
         WeightedArbitration,
     };
     pub use arbitrex_core::budget::{
-        Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, BudgetedWeightedChangeOperator,
-        CancelToken, FaultPlan, Outcome, Quality, TripReason, WeightedOutcome,
+        Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, CancelToken, FaultPlan, Outcome,
+        Quality, TripReason, WeightedOutcome,
     };
     pub use arbitrex_core::distance::{dist, min_dist, odist, sum_dist, wdist};
     pub use arbitrex_core::fitting::{LexOdistFitting, OdistFitting, SumFitting};

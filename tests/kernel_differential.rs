@@ -14,9 +14,8 @@
 use arbitrex_core::kernel::{naive, select_min_block_odist, BudgetedSelect};
 use arbitrex_core::{
     arbitrate, odist, warbitrate, Budget, BudgetSite, ChangeOperator, DalalRevision, FaultPlan,
-    ForbusUpdate, GMaxFitting, LexOdistFitting, OdistFitting, SumFitting, TripReason,
-    UniverseFitting, WdistFitting, WeightedChangeOperator, WeightedKb, WeightedUniverseFitting,
-    WinslettUpdate,
+    ForbusUpdate, GMaxFitting, LexOdistFitting, OdistFitting, SumFitting, TripReason, WdistFitting,
+    WeightedChangeOperator, WeightedKb, WinslettUpdate,
 };
 use arbitrex_logic::{Interp, ModelSet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -237,7 +236,10 @@ fn check_sum(psi: &ModelSet, mu: &ModelSet, ctx: &str) -> ModelSet {
         naive::sum_fitting(psi, mu),
         "{ctx}"
     );
-    let universe = SumFitting.apply_universe(psi).unwrap();
+    let universe = SumFitting
+        .apply_universe(psi, &Budget::unlimited())
+        .unwrap()
+        .models;
     assert_eq!(
         universe,
         naive::sum_fitting(psi, &ModelSet::all(n)),
@@ -255,7 +257,10 @@ fn check_wdist(psi: &WeightedKb, phi: &WeightedKb, ctx: &str) -> WeightedKb {
         naive::wdist_fitting(psi, phi),
         "{ctx}"
     );
-    let universe = WdistFitting.apply_universe(psi).unwrap();
+    let universe = WdistFitting
+        .apply_universe(psi, &Budget::unlimited())
+        .unwrap()
+        .kb;
     assert_eq!(
         universe,
         naive::wdist_fitting(psi, &WeightedKb::all(n)),
@@ -329,8 +334,22 @@ fn sum_and_wdist_closed_form_match_naive_oracles_at_widths_0_to_16() {
             assert_eq!(check_sum(&all, &single, &ctx), all, "{ctx}: universe psi");
             assert_eq!(check_wdist(&wall, &wsingle, &ctx).support_set(), all);
         } else {
-            assert_eq!(SumFitting.apply_universe(&all).unwrap(), all, "{ctx}");
-            assert_eq!(WdistFitting.apply_universe(&wall).unwrap(), wall, "{ctx}");
+            assert_eq!(
+                SumFitting
+                    .apply_universe(&all, &Budget::unlimited())
+                    .unwrap()
+                    .models,
+                all,
+                "{ctx}"
+            );
+            assert_eq!(
+                WdistFitting
+                    .apply_universe(&wall, &Budget::unlimited())
+                    .unwrap()
+                    .kb,
+                wall,
+                "{ctx}"
+            );
         }
         // Zero weights are no votes.
         let zeros =
@@ -365,10 +384,16 @@ fn distinct_models<R: Rng + ?Sized>(rng: &mut R, n: u32, count: usize) -> ModelS
 /// the odist answer.
 fn check_odist_universe(psi: &ModelSet, ctx: &str) -> ModelSet {
     let all = ModelSet::all(psi.n_vars());
-    let got = OdistFitting.apply_universe(psi).unwrap();
+    let got = OdistFitting
+        .apply_universe(psi, &Budget::unlimited())
+        .unwrap()
+        .models;
     assert_eq!(got, naive::odist_fitting(psi, &all), "{ctx}: odist");
     assert_eq!(
-        LexOdistFitting.apply_universe(psi).unwrap(),
+        LexOdistFitting
+            .apply_universe(psi, &Budget::unlimited())
+            .unwrap()
+            .models,
         naive::lex_odist_fitting(psi, &all),
         "{ctx}: lex-odist"
     );
@@ -453,9 +478,7 @@ fn block_scan_faults_and_step_limits_keep_containment() {
                 }
                 // Lex-odist through the same selection keeps containment.
                 let budget = Budget::unlimited().with_fault(FaultPlan::new(BudgetSite::Scan, k));
-                let out = LexOdistFitting
-                    .apply_universe_budgeted(&psi, &budget)
-                    .unwrap();
+                let out = LexOdistFitting.apply_universe(&psi, &budget).unwrap();
                 let exact = naive::lex_odist_fitting(&psi, &ModelSet::all(n));
                 assert!(exact.iter().all(|i| out.models.contains(i)), "{ctx}: lex");
             }
@@ -496,7 +519,10 @@ fn wide_arbitration_agrees_with_naive_oracle() {
             "seed {seed}"
         );
         // 𝓜̃ carries weight 1 everywhere, so every minimizer has weight 1.
-        let got = WdistFitting.apply_universe(&psi).unwrap();
+        let got = WdistFitting
+            .apply_universe(&psi, &Budget::unlimited())
+            .unwrap()
+            .kb;
         assert!(got.is_satisfiable() && got.support().all(|(_, w)| w == 1));
     }
 }
