@@ -1,6 +1,6 @@
 //! Request decoding: a query side's text to its model set, the step every
-//! query request takes before the cache or the kernel sees it. Each shape
-//! is timed two ways:
+//! query request takes before the kernel sees it. Each shape is timed two
+//! ways:
 //!
 //! * `parse`: `parse` into a `Formula`, then `ModelSet::try_of_formula`;
 //! * `read_cover`: `read_cover` straight into cubes, then

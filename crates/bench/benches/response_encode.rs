@@ -21,7 +21,7 @@
 //!
 //! `cargo bench -p arbitrex-bench --bench response_encode`
 
-use arbitrex_core::{arbitrate, operator, BudgetSpent, CacheStatus, Outcome, Quality};
+use arbitrex_core::{arbitrate, operator, BudgetSpent, Outcome, Quality};
 use arbitrex_logic::{Interp, ModelSet, Sig};
 use arbitrex_server::answer::AnswerWriter;
 use arbitrex_server::http::{parse_request_buffer, BufferParse, MAX_BODY_BYTES};
@@ -85,7 +85,7 @@ fn answers(shape: &str, rng: &mut StdRng) -> Vec<Answer> {
 }
 
 /// The tree composition the writer replaced.
-fn tree(endpoint: &str, sig: &Sig, outcome: &Outcome, cache: CacheStatus) -> String {
+fn tree(endpoint: &str, sig: &Sig, outcome: &Outcome) -> String {
     let names = |i: Interp| {
         Json::Arr(
             sig.iter()
@@ -99,7 +99,6 @@ fn tree(endpoint: &str, sig: &Sig, outcome: &Outcome, cache: CacheStatus) -> Str
     obj([
         ("endpoint", s(endpoint)),
         ("quality", s(outcome.quality.name())),
-        ("cache", s(cache.name())),
         ("backend", s("kernel")),
         ("n_vars", n(models.n_vars() as u64)),
         ("n_models", n(models.len() as u64)),
@@ -127,10 +126,10 @@ fn tree(endpoint: &str, sig: &Sig, outcome: &Outcome, cache: CacheStatus) -> Str
     .to_text()
 }
 
-fn writer(endpoint: &str, sig: &Sig, outcome: &Outcome, cache: CacheStatus) -> String {
+fn writer(endpoint: &str, sig: &Sig, outcome: &Outcome) -> String {
     AnswerWriter::new(sig)
         .str("endpoint", endpoint)
-        .outcome(outcome, cache)
+        .outcome(outcome)
         .finish()
 }
 
@@ -141,12 +140,12 @@ fn bench_response_encode(c: &mut Criterion) {
         let models: usize = pool.iter().map(|a| a.outcome.models.len()).sum();
         let bytes: usize = pool
             .iter()
-            .map(|a| writer("arbitrate", &a.sig, &a.outcome, CacheStatus::Miss).len())
+            .map(|a| writer("arbitrate", &a.sig, &a.outcome).len())
             .sum();
         for a in &pool {
             assert_eq!(
-                tree("arbitrate", &a.sig, &a.outcome, CacheStatus::Miss),
-                writer("arbitrate", &a.sig, &a.outcome, CacheStatus::Miss),
+                tree("arbitrate", &a.sig, &a.outcome),
+                writer("arbitrate", &a.sig, &a.outcome),
                 "the two encodings disagree"
             );
         }
@@ -158,14 +157,14 @@ fn bench_response_encode(c: &mut Criterion) {
             bytes / POOL
         );
         let mut group = c.benchmark_group(format!("response_encode/{shape}"));
-        type Encode = fn(&str, &Sig, &Outcome, CacheStatus) -> String;
+        type Encode = fn(&str, &Sig, &Outcome) -> String;
         for (name, encode) in [("tree", tree as Encode), ("writer", writer as Encode)] {
             group.bench_with_input(BenchmarkId::from_parameter(name), &pool, |b, pool| {
                 let mut next = 0;
                 b.iter(|| {
                     let a = &pool[next % POOL];
                     next += 1;
-                    black_box(encode("arbitrate", &a.sig, &a.outcome, CacheStatus::Miss))
+                    black_box(encode("arbitrate", &a.sig, &a.outcome))
                 })
             });
         }

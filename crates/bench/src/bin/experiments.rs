@@ -1286,11 +1286,7 @@ fn e11_dynamics() {
 /// The serving-bench query pool shared by E15 and E17: 64 structurally
 /// distinct queries — widths 6..=9, with three fixed-shape queries plus
 /// a polarity ladder (cubes with k positive literals, 1 <= k < n) per
-/// width. Distinct widths, connective structure, or positive-literal
-/// counts guarantee distinct canonical keys — alpha-renaming can permute
-/// variables but never flip a polarity or change a width — so a disjoint
-/// partition of the pool across clients makes pass 1 all misses and pass
-/// 2 all hits by construction. Widths stay below 10: a wide disjunction
+/// width. Widths stay below 10: a wide disjunction
 /// side has ~2^n models and the scan is O(candidates x models), so width
 /// 13 queries run for seconds and a closed loop would measure one query,
 /// not the service.
@@ -1335,19 +1331,19 @@ fn expect_ok(reply: &PeerResponse, what: &str) {
     );
 }
 
-/// E15 — closed-loop serving load: worker scaling × canonicalizing cache
-/// (engineering, PR 4).
+/// E15 — closed-loop serving load: worker scaling (engineering, PR 4).
 ///
-/// Spawns an in-process `arbitrex-server` per leg (threads ∈ {1, 4, 8} ×
-/// cache on/off), drives it with 8 keep-alive loopback clients replaying
-/// a fixed pool of 24 structurally distinct arbitration queries, and runs
-/// the identical workload twice. Pass 2 against a warm cache should be
-/// almost all hits (the pool fits in the cache) and show a lower p50.
+/// Spawns an in-process `arbitrex-server` per leg (threads ∈ {1, 4, 8}),
+/// drives it with 8 keep-alive loopback clients replaying the fixed pool
+/// of 64 structurally distinct arbitration queries, and runs the
+/// identical workload twice. Every query runs the kernel on both passes;
+/// pass 2 shows what a warm process (allocator, page cache, branch
+/// predictors) buys over the first.
 /// Writes the machine-readable record to BENCH_PR4.json.
 fn e15_serving() {
     header(
         "E15",
-        "service load: workers × canonicalizing result cache",
+        "service load: workers × pass",
         "engineering (PR 4); no paper artifact",
     );
 
@@ -1398,53 +1394,29 @@ fn e15_serving() {
         "workload: {per_pass} distinct queries over {CLIENTS} keep-alive clients \
          (disjoint slices), two identical passes per leg\n"
     );
-    println!("threads  cache  pass  req/s    p50 µs    p95 µs    hit-rate");
+    println!("threads  pass  req/s    p50 µs    p95 µs");
 
     let mut json_rows: Vec<String> = Vec::new();
     for &threads in &[1usize, 4, 8] {
-        for &cache_on in &[true, false] {
-            let node = Node::spawn(|config| {
-                config.threads = threads;
-                config.cache_entries = if cache_on { 4096 } else { 0 };
-                config.state_dir = None;
-            });
-
-            for pass in 1..=2u32 {
-                use arbitrex_core::telemetry::{CACHE_HITS, CACHE_MISSES};
-                let (hits0, misses0) = (CACHE_HITS.get(), CACHE_MISSES.get());
-                let (mut latencies, wall_ns) = run_pass(&node.addr, &queries);
-                let (hits, misses) = (CACHE_HITS.get() - hits0, CACHE_MISSES.get() - misses0);
-                latencies.sort_unstable();
-                let p50 = percentile(&latencies, 50) as f64 / 1_000.0;
-                let p95 = percentile(&latencies, 95) as f64 / 1_000.0;
-                let rps = per_pass as f64 / (wall_ns as f64 / 1e9);
-                let lookups = hits + misses;
-                let hit_rate = if lookups == 0 {
-                    None // cache disabled (all bypasses) or telemetry off
-                } else {
-                    Some(hits as f64 / lookups as f64)
-                };
-                let hit_text = match hit_rate {
-                    Some(r) => format!("{:.1}%", r * 100.0),
-                    None => "-".to_string(),
-                };
-                println!(
-                    "{threads:<8} {:<6} {pass:<5} {rps:<8.0} {p50:<9.1} {p95:<9.1} {hit_text}",
-                    if cache_on { "on" } else { "off" },
-                );
-                json_rows.push(format!(
-                    "    {{\"threads\": {threads}, \"cache\": {cache_on}, \"pass\": {pass}, \
-                     \"requests\": {per_pass}, \"wall_ms\": {:.1}, \"rps\": {rps:.0}, \
-                     \"p50_us\": {p50:.1}, \"p95_us\": {p95:.1}, \"hit_rate\": {}}}",
-                    wall_ns as f64 / 1e6,
-                    match hit_rate {
-                        Some(r) => format!("{r:.3}"),
-                        None => "null".to_string(),
-                    },
-                ));
-            }
-            node.stop();
+        let node = Node::spawn(|config| {
+            config.threads = threads;
+            config.state_dir = None;
+        });
+        for pass in 1..=2u32 {
+            let (mut latencies, wall_ns) = run_pass(&node.addr, &queries);
+            latencies.sort_unstable();
+            let p50 = percentile(&latencies, 50) as f64 / 1_000.0;
+            let p95 = percentile(&latencies, 95) as f64 / 1_000.0;
+            let rps = per_pass as f64 / (wall_ns as f64 / 1e9);
+            println!("{threads:<8} {pass:<5} {rps:<8.0} {p50:<9.1} {p95:<9.1}");
+            json_rows.push(format!(
+                "    {{\"threads\": {threads}, \"pass\": {pass}, \"requests\": {per_pass}, \
+                 \"wall_ms\": {:.1}, \"rps\": {rps:.0}, \"p50_us\": {p50:.1}, \
+                 \"p95_us\": {p95:.1}}}",
+                wall_ns as f64 / 1e6,
+            ));
         }
+        node.stop();
     }
 
     let mut json = String::from("{\n  \"experiment\": \"e15-serving-load\",\n");
@@ -1503,7 +1475,6 @@ fn e16_durability() {
     for &(mode, snapshot_every) in &legs {
         let node = Node::spawn(|config| {
             config.threads = 2;
-            config.cache_entries = 0;
             match snapshot_every {
                 Some(every) => config.snapshot_every = every,
                 None => config.state_dir = None,
@@ -1584,8 +1555,8 @@ fn e16_durability() {
 ///
 /// Two halves, both against the epoll event-loop server:
 ///
-/// **Serving**: 8 keep-alive clients at worker counts {1, 4, 8}, cache
-/// on and warmed, measured two ways at equal request count — `serial`
+/// **Serving**: 8 keep-alive clients at worker counts {1, 4, 8},
+/// measured two ways at equal request count — `serial`
 /// (one request in flight per client, the E15 closed-loop shape) and
 /// `pipelined` (batches of 16 requests per write) — on two workloads:
 ///
@@ -1593,8 +1564,8 @@ fn e16_durability() {
 ///   3..=6; responses are a few hundred bytes). The RPC shape: per
 ///   request round-trip and syscall overhead dominate, which is exactly
 ///   what pipelining amortizes. This is the >= 5x-vs-E15 claim.
-/// * `heavy` — the E15 query pool (widths 6..=9; cache-hit responses up
-///   to ~31 KB of enumerated models). The bulk shape: the service is
+/// * `heavy` — the E15 query pool (widths 6..=9; responses up to ~31 KB
+///   of enumerated models). The bulk shape: the service is
 ///   bound on response *bytes*, not requests, so pipelining buys little
 ///   by construction — kept as the honest negative control.
 ///
@@ -1650,7 +1621,7 @@ fn e17_event_loop() {
         vec![("light", light_pool(), rounds)]
     } else {
         // Rounds chosen so both workloads send a few thousand requests
-        // per leg; the heavy pool moves ~30 KB per hit, so fewer rounds
+        // per leg; the heavy pool moves ~30 KB per answer, so fewer rounds
         // keep its legs at comparable wall time.
         vec![
             ("light", light_pool(), rounds),
@@ -1658,7 +1629,7 @@ fn e17_event_loop() {
         ]
     };
     println!(
-        "serving: {CLIENTS} keep-alive clients, warmed cache; serial (depth 1) vs \
+        "serving: {CLIENTS} keep-alive clients; serial (depth 1) vs \
          pipelined (depth {DEPTH}); light = small-result cube arbitrations \
          (widths 3-6), heavy = the E15 pool (widths 6-9, ~KB-scale responses)\n"
     );
@@ -1672,10 +1643,6 @@ fn e17_event_loop() {
                 config.threads = threads;
                 config.state_dir = None;
             });
-
-            // Warm the canonicalizing cache so both legs measure the
-            // event loop and not first-touch arbitration compute.
-            let _ = run_leg(&node.addr, queries, 1, 1);
 
             let mut leg_rps = [0.0f64; 2];
             for (i, &depth) in [1usize, DEPTH].iter().enumerate() {
@@ -1766,7 +1733,6 @@ fn e17_event_loop() {
     for &(label, durable) in &legs {
         let node = Node::spawn(|config| {
             config.threads = 16;
-            config.cache_entries = 0;
             if !durable {
                 config.state_dir = None;
             }
@@ -1812,7 +1778,7 @@ fn e17_event_loop() {
     let mut json = String::from("{\n  \"experiment\": \"e17-event-loop\",\n");
     json.push_str(
         "  \"workload\": \"serving: light (small-result cube arbitrations, widths 3-6) and \
-         heavy (E15 pool, widths 6-9) over 8 keep-alive clients, warmed cache, serial (depth 1) \
+         heavy (E15 pool, widths 6-9) over 8 keep-alive clients, serial (depth 1) \
          vs pipelined (depth 16) at workers 1/4/8; durability: 32 concurrent clients x 64 put \
          commits to distinct KBs at workers 16, memory vs group-commit\",\n",
     );
@@ -2391,7 +2357,6 @@ fn e21_failover() {
 
     fn spawn_node() -> Node {
         Node::spawn(|config| {
-            config.cache_entries = 1024;
             config.flush_interval_us = FLUSH_US;
             config.probe_interval_ms = PROBE_MS;
             config.suspect_after = SUSPECT_AFTER;

@@ -24,8 +24,8 @@ pub struct Node {
 }
 
 impl Node {
-    /// Spawn a durable node on 127.0.0.1: 4 workers, queue depth 256,
-    /// a 4096-entry cache, no periodic snapshots, and a fresh state dir.
+    /// Spawn a durable node on 127.0.0.1: 4 workers, queue depth 256, no
+    /// periodic snapshots, and a fresh state dir.
     /// `configure` sets the fields an experiment varies; clearing
     /// `state_dir` gives an in-memory node.
     pub fn spawn(configure: impl FnOnce(&mut ServerConfig)) -> Node {
@@ -41,7 +41,6 @@ impl Node {
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
             queue_depth: 256,
-            cache_entries: 4096,
             state_dir: Some(dir.clone()),
             snapshot_every: 0,
             ..ServerConfig::default()

@@ -545,9 +545,6 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
                     return err("--queue-depth must be at least 1");
                 }
             }
-            "--cache-entries" => {
-                config.cache_entries = flag_u64(&mut it, "--cache-entries")? as usize
-            }
             "--timeout-ms" => config.timeout_ms = flag_u64(&mut it, "--timeout-ms")?,
             "--max-body-bytes" => {
                 config.max_body_bytes = flag_u64(&mut it, "--max-body-bytes")? as usize;
@@ -619,7 +616,7 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
             other => {
                 return err(format!(
                     "unknown serve flag `{other}` (expected --addr, --threads, \
-                     --queue-depth, --cache-entries, --timeout-ms, --max-body-bytes, \
+                     --queue-depth, --timeout-ms, --max-body-bytes, \
                      --keep-alive-timeout-ms, --state-dir, --snapshot-every, \
                      --recover, --fault, --flush-interval-us, \
                      --replication-epoch, \
@@ -648,7 +645,7 @@ pub fn parse_serve_config(args: &[String]) -> Result<arbitrex_server::ServerConf
 }
 
 /// `arbitrex serve [--addr a] [--threads n] [--queue-depth n]
-/// [--cache-entries n] [--timeout-ms n]` — run the arbitration service in
+/// [--timeout-ms n]` — run the arbitration service in
 /// the foreground until SIGTERM/SIGINT.
 ///
 /// Prints the bound address eagerly (before blocking) so scripts can
@@ -711,8 +708,8 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "arbitrex-server listening on {addr} \
-             (threads={}, queue-depth={}, cache-entries={}, timeout-ms={})",
-            config.threads, config.queue_depth, config.cache_entries, config.timeout_ms
+             (threads={}, queue-depth={}, timeout-ms={})",
+            config.threads, config.queue_depth, config.timeout_ms
         );
         let _ = out.flush();
     }
@@ -737,7 +734,7 @@ pub fn help() -> String {
          \x20 arbitrex audit [operator...]                postulate matrix (R/U/A)\n\
          \x20 arbitrex iterate <operator> \"<psi>\" \"<mu>\"  long-run dynamics\n\
          \x20 arbitrex serve [--addr a] [--threads n] [--queue-depth n]\n\
-         \x20\x20\x20\x20 [--cache-entries n] [--timeout-ms n] [--max-body-bytes n]\n\
+         \x20\x20\x20\x20 [--timeout-ms n] [--max-body-bytes n]\n\
          \x20\x20\x20\x20 [--keep-alive-timeout-ms n] [--state-dir d] [--snapshot-every n]\n\
          \x20\x20\x20\x20 [--recover strict|salvage] [--flush-interval-us n]\n\
          \x20\x20\x20\x20 [--replication-epoch n]\n\
@@ -1010,8 +1007,6 @@ mod tests {
             "8",
             "--queue-depth",
             "3",
-            "--cache-entries",
-            "99",
             "--timeout-ms",
             "250",
         ]))
@@ -1019,7 +1014,6 @@ mod tests {
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(cfg.threads, 8);
         assert_eq!(cfg.queue_depth, 3);
-        assert_eq!(cfg.cache_entries, 99);
         assert_eq!(cfg.timeout_ms, 250);
         // Defaults hold when flags are omitted.
         let d = parse_serve_config(&[]).unwrap();
@@ -1081,6 +1075,20 @@ mod tests {
             assert_eq!(e.kind.exit_code(), 2);
             assert!(
                 e.message.contains("unknown serve flag `--group-commit`"),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_rejects_the_retired_cache_entries_flag() {
+        // Every query goes to its operator; the result cache and its
+        // capacity flag are gone.
+        for value in ["0", "256"] {
+            let e = cmd_serve(&sv(&["--cache-entries", value])).unwrap_err();
+            assert_eq!(e.kind.exit_code(), 2);
+            assert!(
+                e.message.contains("unknown serve flag `--cache-entries`"),
                 "{e}"
             );
         }

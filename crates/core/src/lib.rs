@@ -33,7 +33,6 @@
 pub mod arbitration;
 pub mod assignment;
 pub mod budget;
-pub mod cache;
 pub mod distance;
 pub mod error;
 pub mod fitting;
@@ -56,9 +55,6 @@ pub use arbitration::{
 pub use budget::{
     Budget, BudgetSite, BudgetSpent, BudgetedChangeOperator, CancelToken, Exhausted, FaultFamily,
     FaultPlan, FaultSite, Faults, Outcome, Quality, TripReason, WeightedOutcome,
-};
-pub use cache::{
-    cached_apply, cached_arbitrate, cached_warbitrate, CacheStatus, CachedValue, OpCache, QueryKey,
 };
 pub use distance::{dist, min_dist, odist, sum_dist, wdist};
 pub use error::CoreError;

@@ -126,50 +126,13 @@ pub static BUDGET_SECTION: Section = Section {
     timers: &[],
 };
 
-// --- section "cache": the canonicalizing result cache (cache.rs) -----------
-
-/// Cache lookups answered from a stored result ([`crate::cache::OpCache`]) —
-/// the query was alpha-equivalent (up to variable renaming and argument
-/// shuffling) to an earlier exact answer.
-pub static CACHE_HITS: Counter = Counter::new("cache_hits");
-/// Cache lookups that found no stored result and fell through to the
-/// operator.
-pub static CACHE_MISSES: Counter = Counter::new("cache_misses");
-/// Lookups that skipped the cache entirely (capacity zero, oversized
-/// signature, or a non-exact outcome that is not cacheable). First
-/// sightings are counted apart, in [`CACHE_FIRST_SIGHTINGS`].
-pub static CACHE_BYPASSES: Counter = Counter::new("cache_bypasses");
-/// Queries an evicting cache saw for the first time: the admission
-/// doorkeeper recorded their fingerprint and they were answered without a
-/// cache key, a lookup or an insertion.
-pub static CACHE_FIRST_SIGHTINGS: Counter = Counter::new("cache_first_sightings");
-/// Exact results written into the cache after a miss.
-pub static CACHE_INSERTIONS: Counter = Counter::new("cache_insertions");
-/// Entries displaced by the LRU policy to make room for an insertion.
-pub static CACHE_EVICTIONS: Counter = Counter::new("cache_evictions");
-
-/// The `"cache"` section.
-pub static CACHE_SECTION: Section = Section {
-    name: "cache",
-    counters: &[
-        &CACHE_HITS,
-        &CACHE_MISSES,
-        &CACHE_BYPASSES,
-        &CACHE_FIRST_SIGHTINGS,
-        &CACHE_INSERTIONS,
-        &CACHE_EVICTIONS,
-    ],
-    timers: &[],
-};
-
-/// Every section in snapshot order: kernel, weighted, budget, cache,
-/// then the solver counters owned by `arbitrex-sat`.
-pub fn sections() -> [&'static Section; 5] {
+/// Every section in snapshot order: kernel, weighted, budget, then the
+/// solver counters owned by `arbitrex-sat`.
+pub fn sections() -> [&'static Section; 4] {
     [
         &KERNEL_SECTION,
         &WEIGHTED_SECTION,
         &BUDGET_SECTION,
-        &CACHE_SECTION,
         &arbitrex_sat::telemetry::SAT_SECTION,
     ]
 }
@@ -219,16 +182,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_has_all_five_sections() {
+    fn snapshot_has_all_four_sections() {
         let snap = snapshot();
         let names: Vec<_> = snap.sections.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["kernel", "weighted", "budget", "cache", "sat"]);
+        assert_eq!(names, vec!["kernel", "weighted", "budget", "sat"]);
         let json = snap.to_json();
         assert!(json.contains("\"bnb_nodes_cut\""));
         assert!(json.contains("\"conflicts\""));
         assert!(json.contains("\"wsupport_scanned\""));
         assert!(json.contains("\"budget_trips\""));
-        assert!(json.contains("\"cache_hits\""));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Canonical forms and cache keys for formulas.
+//! Canonical forms and hash keys for formulas.
 //!
 //! A serving layer in front of the operators wants to recognize that
 //! `A & !B`, `!B & A` and even `X & !Y` (same shape, different names) are
@@ -25,12 +25,10 @@
 //! share a single renaming (so `ψ` and `μ` stay aligned), and the renaming
 //! is returned as a permutation of the full `n`-variable universe so model
 //! sets computed in canonical space can be mapped back to the caller's
-//! variable order. It no longer serves requests: the result cache in
-//! `arbitrex-core` keys a query on its model bits ([`crate::ModelKey`]),
-//! which identifies every equivalent rewrite, not only the syntactic ones.
-//! It stays as the reference the `cache_key` benchmark measures that key
-//! against, and for the serving benchmark's traced replay, which still
-//! times it as its `canonical.key` layer.
+//! variable order. It serves no request: the server keeps no result
+//! cache, and sends every query to its operator. It stays for the serving
+//! benchmark's traced replay, which still times it as its `canonical.key`
+//! layer.
 //!
 //! Only the first pass builds a new tree (NNF, then sort-and-dedup). Every
 //! later renaming — the initial color order and each fixed-point round —

@@ -14,7 +14,6 @@
 //!   the shape request formulas take, expanded without a `Formula`,
 //! * [`Interp`] — an interpretation as a bitmask over the signature,
 //! * [`ModelSet`] — a finite, explicit `Mod(φ)` with Boolean set algebra,
-//! * [`ModelKey`] — a renaming-invariant key for a query's model sets,
 //! * normal forms (NNF / CNF / DNF / Tseitin) feeding the SAT backend,
 //! * [`form_of`] — the `form(I₁,…,I_k)` construction used throughout the
 //!   paper's proofs: a formula whose models are exactly the given
@@ -37,7 +36,6 @@ pub mod eval;
 pub mod formof;
 pub mod interp;
 pub mod minimize;
-pub mod model_key;
 pub mod models;
 pub mod nnf;
 pub mod parser;
@@ -58,7 +56,6 @@ pub use eval::eval;
 pub use formof::form_of;
 pub use interp::{Interp, Var, MAX_VARS};
 pub use minimize::{minimal_dnf, minimize_formula};
-pub use model_key::ModelKey;
 pub use models::{all_interps, ModelSet, ENUM_LIMIT};
 pub use nnf::to_nnf;
 pub use parser::{parse, MAX_PARSE_DEPTH};

@@ -13,23 +13,15 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use arbitrex_core::cache::CacheStatus;
 use arbitrex_core::{BudgetSpent, Outcome, Quality};
 use arbitrex_logic::{Interp, ModelSet, Sig};
 
 use crate::json;
 use crate::routes::MAX_LISTED_MODELS;
 
-/// Which path produced an answer, as the response's `backend` field:
-/// replayed from the result cache, or computed by the kernel (or its SAT
-/// degradation path).
-fn backend(cache: CacheStatus) -> &'static str {
-    if cache == CacheStatus::Hit {
-        "cache"
-    } else {
-        "kernel"
-    }
-}
+/// The response's `backend` field: every answer is computed by the
+/// kernel. Clients that label work by the path that answered read it.
+const BACKEND: &str = "kernel";
 
 /// One response object under construction: fields are appended in call
 /// order, keys are written verbatim (they are fixed ASCII), and string
@@ -91,11 +83,9 @@ impl<'a> AnswerWriter<'a> {
         self
     }
 
-    /// `quality`, `cache` and `backend`: how the answer was produced.
-    pub fn provenance(self, quality: Quality, cache: CacheStatus) -> Self {
-        self.str("quality", quality.name())
-            .str("cache", cache.name())
-            .str("backend", backend(cache))
+    /// `quality` and `backend`: how the answer was produced.
+    pub fn provenance(self, quality: Quality) -> Self {
+        self.str("quality", quality.name()).str("backend", BACKEND)
     }
 
     /// The answer itself: `n_vars`, `n_models`, `models` (up to
@@ -122,8 +112,8 @@ impl<'a> AnswerWriter<'a> {
 
     /// [`AnswerWriter::provenance`] then [`AnswerWriter::answer`] for one
     /// operator outcome.
-    pub fn outcome(self, outcome: &Outcome, cache: CacheStatus) -> Self {
-        self.provenance(outcome.quality, cache)
+    pub fn outcome(self, outcome: &Outcome) -> Self {
+        self.provenance(outcome.quality)
             .answer(&outcome.models, &outcome.spent)
     }
 
@@ -225,7 +215,7 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// The `Json`-tree encoding the writer replaced, as the oracle.
-    fn tree(endpoint: &str, sig: &Sig, outcome: &Outcome, cache: CacheStatus) -> String {
+    fn tree(endpoint: &str, sig: &Sig, outcome: &Outcome) -> String {
         let names = |i: Interp| {
             Json::Arr(
                 sig.iter()
@@ -250,8 +240,7 @@ mod tests {
         obj([
             ("endpoint", s(endpoint)),
             ("quality", s(outcome.quality.name())),
-            ("cache", s(cache.name())),
-            ("backend", s(backend(cache))),
+            ("backend", s(BACKEND)),
             ("n_vars", n(models.n_vars() as u64)),
             ("n_models", n(models.len() as u64)),
             (
@@ -280,7 +269,6 @@ mod tests {
             "caf\u{e9}",
         ];
         let qualities = [Quality::Exact, Quality::UpperBound, Quality::Interrupted];
-        let caches = [CacheStatus::Hit, CacheStatus::Miss, CacheStatus::Bypass];
         for n_vars in 0..=10u32 {
             let mut sig = Sig::new();
             for k in 0..n_vars {
@@ -311,12 +299,11 @@ mod tests {
                     quality: qualities[round % 3],
                     spent,
                 };
-                let cache = caches[(round / 3) % 3];
                 let written = AnswerWriter::new(&sig)
                     .str("endpoint", "arbitrate")
-                    .outcome(&outcome, cache)
+                    .outcome(&outcome)
                     .finish();
-                assert_eq!(written, tree("arbitrate", &sig, &outcome, cache));
+                assert_eq!(written, tree("arbitrate", &sig, &outcome));
             }
         }
     }

@@ -3,7 +3,7 @@
 //! A concurrent arbitration service over the operators of Revesz's
 //! *Arbitration between Old and New Information* (PODS 1993): a zero-
 //! dependency TCP server speaking minimal HTTP/1.1 + JSON, built from
-//! four pieces:
+//! three pieces:
 //!
 //! * **event loop + CPU worker pool** ([`server`], [`poller`]) — one
 //!   readiness-driven I/O thread (raw `epoll` on Linux) multiplexes
@@ -13,11 +13,10 @@
 //!   I/O thread (backpressure, not buffering);
 //! * **per-request deadlines** ([`routes`]) — each request builds a
 //!   [`arbitrex_core::Budget`]; a slow query degrades to a typed
-//!   `upper_bound`/`interrupted` response instead of stalling a worker;
-//! * **canonicalizing result cache** ([`arbitrex_core::cache::OpCache`]) —
-//!   results keyed by the canonical form of the query (NNF, sorted
-//!   arguments, renaming-invariant variable order), so alpha-equivalent
-//!   and syntactically shuffled resubmissions hit;
+//!   `upper_bound`/`interrupted` response instead of stalling a worker.
+//!   Every query goes straight to its operator's one budgeted entry: no
+//!   result is cached, since the kernel's selection costs less than any
+//!   renaming-invariant key of the query would;
 //! * **named KB store** ([`kb`]) — theories arbitrated in place
 //!   (`ψ ← ψ Δ μ`) with a sequence number, the service form of iterated
 //!   theory change.
@@ -75,7 +74,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 
-use arbitrex_core::cache::OpCache;
 use arbitrex_core::Faults;
 use kb::{DurabilityOptions, KbStore};
 use recovery::{RecoverMode, RecoveryReport};
@@ -91,8 +89,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Bounded connection-queue depth; overflow is refused with 503.
     pub queue_depth: usize,
-    /// Result-cache capacity in entries; 0 disables caching.
-    pub cache_entries: usize,
     /// Default per-request deadline in milliseconds; 0 means none. A
     /// request's own `timeout_ms` field overrides this.
     pub timeout_ms: u64,
@@ -150,7 +146,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7313".to_string(),
             threads: 4,
             queue_depth: 64,
-            cache_entries: 1024,
             timeout_ms: 0,
             max_body_bytes: http::MAX_BODY_BYTES,
             state_dir: None,
@@ -169,13 +164,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything the request handlers share: configuration, the
-/// canonicalizing result cache, and the named KB store.
+/// Everything the request handlers share: configuration, the named KB
+/// store, and the ring and failover state.
 pub struct ServiceState {
     /// The configuration the server was built with.
     pub config: ServerConfig,
-    /// Result cache keyed by canonical query form.
-    pub cache: OpCache,
     /// Named knowledge bases.
     pub kbs: KbStore,
     /// What recovery found, when the store is durable.
@@ -193,7 +186,6 @@ impl ServiceState {
     /// is configured. Recovery refusals (mid-log corruption in strict
     /// mode) surface here as errors — the server does not start.
     pub fn new(config: ServerConfig) -> io::Result<ServiceState> {
-        let cache = OpCache::new(config.cache_entries);
         let (kbs, recovery) = match &config.state_dir {
             None => (KbStore::new(), None),
             Some(dir) => {
@@ -225,7 +217,6 @@ impl ServiceState {
         );
         Ok(ServiceState {
             config,
-            cache,
             kbs,
             recovery,
             shards,
@@ -250,7 +241,7 @@ impl RunningServer {
         self.shutdown.clone()
     }
 
-    /// The shared service state (cache, KB store, recovery report).
+    /// The shared service state (config, KB store, recovery report).
     pub fn state(&self) -> std::sync::Arc<ServiceState> {
         std::sync::Arc::clone(&self.state)
     }

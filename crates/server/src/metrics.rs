@@ -1,7 +1,7 @@
 //! Server-side counters and per-endpoint latency histograms.
 //!
 //! These join the workspace's existing sections (`kernel`, `weighted`,
-//! `budget`, `cache`, `sat`) in the `/metrics` snapshot as section
+//! `budget`, `sat`) in the `/metrics` snapshot as section
 //! `"server"`. Like every other counter they compile to no-ops when the
 //! `telemetry` feature is off; the endpoint then reports zeros. Counter
 //! definitions live in `OBSERVABILITY.md` at the workspace root.
@@ -379,7 +379,6 @@ mod tests {
             "kernel",
             "weighted",
             "budget",
-            "cache",
             "sat",
             "server",
             "event_loop",

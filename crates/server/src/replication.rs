@@ -50,7 +50,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use arbitrex_core::{cached_arbitrate, Budget, Quality};
+use arbitrex_core::{try_arbitrate_with_budget, Budget, Quality};
 use arbitrex_logic::{parse as parse_formula, rename_formula, Formula, ModelSet, Sig, ENUM_LIMIT};
 
 use crate::json::{self, Json};
@@ -968,14 +968,9 @@ fn merge_divergent(
     }
     let psi = ModelSet::of_formula(&renamed_into(&sig, &local_sig, &local_formula), n);
     let phi = ModelSet::of_formula(&renamed_into(&sig, &peer_sig, &peer_formula), n);
-    let (outcome, _cache) = cached_arbitrate(&state.cache, &psi, &phi, &Budget::unlimited())
-        .map_err(|e| e.to_string())?;
-    if outcome.quality != Quality::Exact {
-        return Err("arbitration degraded under an unlimited budget".to_string());
-    }
     let merged = StoredKb {
         sig,
-        formula: outcome.models.to_formula(),
+        formula: exact_merge(&psi, &phi, &Budget::unlimited())?.to_formula(),
         seq: local_seq.max(peer_seq) + 1,
     };
     state
@@ -983,6 +978,16 @@ fn merge_divergent(
         .force_put(name, merged)
         .map_err(|e| e.to_string())?;
     Ok(())
+}
+
+/// `ψ Δ φ` under `budget`, refused unless exact: a merged theory is
+/// stored on every member, so it must not depend on how far a search got.
+fn exact_merge(psi: &ModelSet, phi: &ModelSet, budget: &Budget) -> Result<ModelSet, String> {
+    let outcome = try_arbitrate_with_budget(psi, phi, budget).map_err(|e| e.to_string())?;
+    if outcome.quality != Quality::Exact {
+        return Err("arbitration degraded under an unlimited budget".to_string());
+    }
+    Ok(outcome.models)
 }
 
 /// `f`, written over `from`, renumbered into `to`, which names every
@@ -1011,6 +1016,25 @@ pub fn summary_json(peer: &str, s: &ReconcileSummary) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arbitrex_logic::Interp;
+
+    #[test]
+    fn a_merge_is_exact_or_refused() {
+        let (psi, phi) = (
+            ModelSet::new(2, [Interp(0b01)]),
+            ModelSet::new(2, [Interp(0b10)]),
+        );
+        let merged = exact_merge(&psi, &phi, &Budget::unlimited()).unwrap();
+        assert_eq!(merged, ModelSet::new(2, [Interp(0b00), Interp(0b11)]));
+        // 2^11 candidates: past one meter batch, so a zero deadline trips
+        // mid-scan and the degraded answer is refused, not stored.
+        let wide = ModelSet::new(11, (1..1 << 11).map(Interp));
+        let expired = Budget::unlimited().with_deadline(Duration::from_millis(0));
+        assert_eq!(
+            exact_merge(&wide, &wide, &expired),
+            Err("arbitration degraded under an unlimited budget".to_string())
+        );
+    }
 
     fn frame_bytes(epoch: u64, rseq: u64) -> Vec<u8> {
         wal::frame(epoch, rseq, &[rseq as u8])

@@ -19,11 +19,11 @@ use crate::replication::{
 use crate::shard::{self, Placement, ShardRouter};
 use crate::ServiceState;
 
-use arbitrex_core::cache::{cached_apply, cached_arbitrate, cached_warbitrate, weighted_side};
 use arbitrex_core::iterated::iterate_fixed_input;
 use arbitrex_core::{
-    budgeted_operator, budgeted_operator_names, Budget, BudgetedChangeOperator, FaultFamily,
-    FaultSite, Quality,
+    budgeted_operator, budgeted_operator_names, try_arbitrate_with_budget,
+    try_warbitrate_with_budget, Budget, BudgetedChangeOperator, FaultFamily, FaultSite, Quality,
+    WeightedKb,
 };
 use arbitrex_logic::{
     parse as parse_formula, read_cover, Cover, Formula, ModelSet, Sig, ENUM_LIMIT,
@@ -183,7 +183,9 @@ fn parse_field(sig: &mut Sig, key: &str, text: &str) -> Result<Formula, Response
 /// a cube cover with no `Formula` built; one the reader declines is
 /// parsed instead (and counted in `formula_fallbacks`), which interns the
 /// same names, so the answer and every error text are the same either
-/// way. The width is checked once all fields are read.
+/// way. The width is checked against [`ENUM_LIMIT`] once all fields are
+/// read, before any model is enumerated: every query route's one width
+/// check, with one 400 text.
 fn read_sides<const K: usize>(
     sig: &mut Sig,
     body: &Json,
@@ -289,12 +291,10 @@ fn handle_metrics(state: &ServiceState) -> Response {
     };
     let (ring_epoch, ring_members) = (ring.epoch(), ring.members().len());
     let deposed_heads = state.failover.deposed_count();
-    // Splice live gauge values (cache fill, KB count, replication
-    // watermarks, ring and chain state) into the document.
+    // Splice live gauge values (KB count, replication watermarks, ring
+    // and chain state) into the document.
     let gauges = format!(
-        ", \"gauges\": {{\"cache_entries\": {}, \"cache_capacity\": {}, \"kb_count\": {}, \"replication_role\": {role}, \"replication_epoch\": {epoch}, \"replication_head\": {head}, \"replication_visible\": {visible}, \"replication_lag\": {lag}, \"shard_ring_epoch\": {ring_epoch}, \"shard_members\": {ring_members}, \"chain_length\": {chain_length}, \"chain_position\": {chain_position}, \"deposed_heads\": {deposed_heads}}}}}",
-        state.cache.len(),
-        state.cache.capacity(),
+        ", \"gauges\": {{\"kb_count\": {}, \"replication_role\": {role}, \"replication_epoch\": {epoch}, \"replication_head\": {head}, \"replication_visible\": {visible}, \"replication_lag\": {lag}, \"shard_ring_epoch\": {ring_epoch}, \"shard_members\": {ring_members}, \"chain_length\": {chain_length}, \"chain_position\": {chain_position}, \"deposed_heads\": {deposed_heads}}}}}",
         state.kbs.len(),
     );
     text.truncate(text.len() - 1);
@@ -317,12 +317,12 @@ fn arbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Respon
     let budget = budget_and_hold(body, state)?;
     let mut sig = Sig::new();
     let [psi, phi] = read_sides(&mut sig, body, ["psi", "phi"])?;
-    let (outcome, cache) = cached_arbitrate(&state.cache, &psi, &phi, &budget)
+    let outcome = try_arbitrate_with_budget(&psi, &phi, &budget)
         .map_err(|e| error_response(400, e.to_string()))?;
     note_quality(outcome.quality);
     let body = AnswerWriter::new(&sig)
         .str("endpoint", "arbitrate")
-        .outcome(&outcome, cache)
+        .outcome(&outcome)
         .finish();
     Ok(Response::json(200, body))
 }
@@ -369,13 +369,12 @@ fn fit_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
     let budget = budget_and_hold(body, state)?;
     let mut sig = Sig::new();
     let [psi, mu] = read_sides(&mut sig, body, ["psi", "mu"])?;
-    let (outcome, cache) = cached_apply(&state.cache, op.as_ref(), &psi, &mu, &budget)
-        .map_err(|e| error_response(400, e.to_string()))?;
+    let outcome = op.apply_with_budget(&psi, &mu, &budget);
     note_quality(outcome.quality);
     let body = AnswerWriter::new(&sig)
         .str("endpoint", "fit")
         .str("op", op_name)
-        .outcome(&outcome, cache)
+        .outcome(&outcome)
         .finish();
     Ok(Response::json(200, body))
 }
@@ -389,6 +388,12 @@ fn handle_warbitrate(state: &ServiceState, req: &Request) -> Response {
         Ok(resp) => resp,
         Err(resp) => resp,
     }
+}
+
+/// `models` with every model carrying `weight`: the uniform-source
+/// reading of a `/v1/warbitrate` side.
+fn weighted_side(models: &ModelSet, weight: u64) -> WeightedKb {
+    WeightedKb::from_weights(models.n_vars(), models.iter().map(|i| (i, weight)))
 }
 
 fn warbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Response> {
@@ -411,13 +416,12 @@ fn warbitrate_inner(state: &ServiceState, body: &Json) -> Result<Response, Respo
             ));
         }
     }
-    let (outcome, cache) = cached_warbitrate(&state.cache, &psi, &phi, &budget)
+    let outcome = try_warbitrate_with_budget(&psi, &phi, &budget)
         .map_err(|e| error_response(400, e.to_string()))?;
     note_quality(outcome.quality);
     let body = AnswerWriter::new(&sig)
         .str("endpoint", "warbitrate")
         .str("quality", outcome.quality.name())
-        .str("cache", cache.name())
         .num("n_vars", n as u64)
         .num("support_size", outcome.kb.support_size() as u64)
         .support(outcome.kb.support(), outcome.kb.support_size())
@@ -1511,13 +1515,13 @@ fn kb_change(
     let [mu] = read_sides(&mut sig, body, ["formula"])?;
     let psi = ModelSet::of_formula(&kb.formula, sig.width());
 
-    let (outcome, cache) = if action == "arbitrate" {
-        cached_arbitrate(&state.cache, &psi, &mu, &budget)
+    let outcome = if action == "arbitrate" {
+        try_arbitrate_with_budget(&psi, &mu, &budget)
+            .map_err(|e| error_response(400, e.to_string()))?
     } else {
         let (_, op) = fit_operator(body)?;
-        cached_apply(&state.cache, op.as_ref(), &psi, &mu, &budget)
-    }
-    .map_err(|e| error_response(400, e.to_string()))?;
+        op.apply_with_budget(&psi, &mu, &budget)
+    };
 
     note_quality(outcome.quality);
     let committed = outcome.quality == Quality::Exact;
@@ -1546,7 +1550,7 @@ fn kb_change(
         .str("endpoint", "kb")
         .str("name", name)
         .str("action", action)
-        .provenance(outcome.quality, cache)
+        .provenance(outcome.quality)
         .bool("committed", committed)
         .num("seq", seq_now)
         .answer(&outcome.models, &outcome.spent)

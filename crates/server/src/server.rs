@@ -345,8 +345,8 @@ pub struct Server {
 
 impl Server {
     /// Bind `config.addr` (port 0 picks a free port) and build the shared
-    /// state: the canonicalizing result cache and the KB store — running
-    /// crash recovery first when a state directory is configured. A
+    /// state, the KB store above all — running crash recovery first when a
+    /// state directory is configured. A
     /// recovery refusal (mid-log corruption in strict mode) fails the
     /// bind: the server never serves a state it cannot prove complete.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
@@ -380,7 +380,7 @@ impl Server {
         self.shutdown.clone()
     }
 
-    /// The shared service state (cache, KB store, config).
+    /// The shared service state (config, KB store, recovery report).
     pub fn state(&self) -> Arc<ServiceState> {
         Arc::clone(&self.state)
     }

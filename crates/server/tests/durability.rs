@@ -53,7 +53,6 @@ fn durable_config(dir: &Path, configure: impl FnOnce(&mut ServerConfig)) -> Serv
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         queue_depth: 16,
-        cache_entries: 64,
         state_dir: Some(dir.to_path_buf()),
         ..ServerConfig::default()
     };

@@ -9,8 +9,8 @@
 //! `MAX_LISTED_MODELS`, and the `form(I₁,…,I_k)` text (`false` for no
 //! models, `true` at width 0, a bare literal at width 1). Every field of
 //! these bodies is deterministic: one connection sends the requests in
-//! order, so cache states repeat, and the kernel's work counters in
-//! `spent` depend only on the query.
+//! order, and the kernel's work counters in `spent` depend only on the
+//! query.
 //!
 //! Each line of the golden file is `<status> <body>`, one per entry of
 //! [`REQUESTS`], in order.
@@ -22,7 +22,8 @@ use common::Client;
 
 /// The fixed request set: `(method, path, body)`.
 const REQUESTS: &[(&str, &str, &str)] = &[
-    // arbitrate: two misses, then a remapped cache hit of the second.
+    // arbitrate: two queries, then a renaming of the second (the same
+    // answer and work, in its own names).
     (
         "POST",
         "/v1/arbitrate",
@@ -106,7 +107,6 @@ fn server() -> RunningServer {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         queue_depth: 16,
-        cache_entries: 256,
         timeout_ms: 0,
         ..ServerConfig::default()
     })

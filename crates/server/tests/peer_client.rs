@@ -19,7 +19,6 @@ fn server(state_dir: Option<PathBuf>) -> RunningServer {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        cache_entries: 64,
         state_dir,
         ..ServerConfig::default()
     })

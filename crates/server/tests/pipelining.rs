@@ -22,7 +22,6 @@ fn server_with(configure: impl FnOnce(&mut ServerConfig)) -> RunningServer {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         queue_depth: 256,
-        cache_entries: 256,
         timeout_ms: 0,
         ..ServerConfig::default()
     };

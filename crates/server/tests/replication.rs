@@ -47,7 +47,6 @@ fn durable_server(dir: &Path, configure: impl FnOnce(&mut ServerConfig)) -> Runn
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         queue_depth: 64,
-        cache_entries: 64,
         timeout_ms: 0,
         state_dir: Some(dir.to_path_buf()),
         ..ServerConfig::default()

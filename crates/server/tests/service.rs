@@ -2,9 +2,8 @@
 //! against a server on an ephemeral port.
 //!
 //! Covers the acceptance criteria of the serving layer: happy paths for
-//! all four POST endpoints and `/metrics`, cache-hit determinism
-//! (including alpha-variant resubmission, and admission on a repeat's
-//! second sighting once the cache evicts), queue-overflow backpressure
+//! all four POST endpoints and `/metrics`, answer determinism across
+//! repeats and alpha-variant resubmission, queue-overflow backpressure
 //! (503), per-request deadlines degrading to typed qualities while the
 //! server keeps serving, and malformed-request 400s reusing the byte-soup
 //! fuzz corpus from `arbitrex-logic`'s `no_panic` suite. Every test ends
@@ -23,7 +22,6 @@ fn server_with(configure: impl FnOnce(&mut ServerConfig)) -> RunningServer {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         queue_depth: 16,
-        cache_entries: 256,
         timeout_ms: 0,
         ..ServerConfig::default()
     };
@@ -49,7 +47,7 @@ fn unbudgeted_arbitrate_reports_metered_work() {
     let (status, resp) = request(&server, "POST", "/v1/arbitrate", body);
     assert_eq!(status, 200, "{resp:?}");
     assert_eq!(str_of(&resp, "quality"), "exact");
-    assert_eq!(str_of(&resp, "cache"), "miss");
+    assert_eq!(str_of(&resp, "backend"), "kernel");
     let spent = resp.get("spent").expect("spent");
     assert!(
         num_of(spent, "scans") + num_of(spent, "nodes") > 0,
@@ -59,7 +57,7 @@ fn unbudgeted_arbitrate_reports_metered_work() {
 }
 
 #[test]
-fn arbitrate_happy_path_with_cache_determinism() {
+fn arbitrate_happy_path_answers_repeats_and_renamings_alike() {
     let server = server();
     let body = r#"{"psi": "A & B", "phi": "!A & !B"}"#;
 
@@ -67,24 +65,32 @@ fn arbitrate_happy_path_with_cache_determinism() {
     assert_eq!(status, 200, "{first:?}");
     assert_eq!(str_of(&first, "endpoint"), "arbitrate");
     assert_eq!(str_of(&first, "quality"), "exact");
-    assert_eq!(str_of(&first, "cache"), "miss");
+    assert_eq!(str_of(&first, "backend"), "kernel");
     // ψ Δ φ for opposite corners keeps the two fair compromises {A},{B}.
     assert_eq!(num_of(&first, "n_models"), 2);
 
-    // Identical resubmission: hit, identical models.
+    // Identical resubmission: the same answer, the same work.
     let (status, second) = request(&server, "POST", "/v1/arbitrate", body);
     assert_eq!(status, 200);
-    assert_eq!(str_of(&second, "cache"), "hit");
-    assert_eq!(second.get("models"), first.get("models"));
-    assert_eq!(second.get("n_models"), first.get("n_models"));
+    assert_eq!(second, first);
 
-    // Alpha-variant (renamed variables, shuffled conjuncts): still a hit,
-    // models expressed in the variant's own names.
+    // Alpha-variant (renamed variables, shuffled conjuncts): the same
+    // models, named in the variant's own names (Y is its first variable,
+    // as A is the original's).
     let variant = r#"{"psi": "Y & X", "phi": "!X & !Y"}"#;
     let (status, third) = request(&server, "POST", "/v1/arbitrate", variant);
     assert_eq!(status, 200);
-    assert_eq!(str_of(&third, "cache"), "hit", "{third:?}");
-    assert_eq!(num_of(&third, "n_models"), 2);
+    let names = |models: &[&str]| {
+        Json::Arr(
+            models
+                .iter()
+                .map(|m| Json::Arr(vec![json::s(*m)]))
+                .collect(),
+        )
+    };
+    assert_eq!(first.get("models"), Some(&names(&["A", "B"])));
+    assert_eq!(third.get("models"), Some(&names(&["Y", "X"])), "{third:?}");
+    assert_eq!(third.get("spent"), first.get("spent"));
 
     server.stop().unwrap();
 }
@@ -136,18 +142,17 @@ fn warbitrate_happy_path_weights_distinguish_queries() {
     assert_eq!(status, 200, "{first:?}");
     assert_eq!(str_of(&first, "endpoint"), "warbitrate");
     assert_eq!(str_of(&first, "quality"), "exact");
-    assert_eq!(str_of(&first, "cache"), "miss");
     assert!(num_of(&first, "support_size") > 0);
 
     let (_, second) = request(&server, "POST", "/v1/warbitrate", body);
-    assert_eq!(str_of(&second, "cache"), "hit");
-    assert_eq!(second.get("support"), first.get("support"));
+    assert_eq!(second, first);
 
-    // Same formulas under different weights are a different query.
+    // Same formulas under different weights are a different query: the
+    // heavier side wins the other way.
     let reweighted = r#"{"psi": "A & B", "phi": "!A & !B", "psi_weight": 1, "phi_weight": 3}"#;
     let (status, third) = request(&server, "POST", "/v1/warbitrate", reweighted);
     assert_eq!(status, 200);
-    assert_eq!(str_of(&third, "cache"), "miss");
+    assert_ne!(third.get("support"), first.get("support"), "{third:?}");
 
     // Unsatisfiable sources are refused, not panicked on.
     let (status, unsat) = request(
@@ -159,40 +164,6 @@ fn warbitrate_happy_path_weights_distinguish_queries() {
     assert_eq!(status, 400);
     assert!(str_of(&unsat, "error").contains("unsatisfiable"));
 
-    server.stop().unwrap();
-}
-
-#[test]
-fn evicting_cache_admits_a_repeat_on_its_second_sighting() {
-    // One entry per shard: distinct queries soon collide in a shard and
-    // evict. From then on a first sighting is answered without a cache key.
-    let server = server_with(|c| c.cache_entries = 1);
-    let arbitrate = |psi: &str| {
-        let body = format!(r#"{{"psi": "{psi}", "phi": "!V0"}}"#);
-        let (status, resp) = request(&server, "POST", "/v1/arbitrate", &body);
-        assert_eq!(status, 200, "{resp:?}");
-        str_of(&resp, "cache").to_string()
-    };
-    // Distinct widths make distinct queries; the first bypass marks the
-    // first sighting after the first eviction. Eight one-entry shards
-    // must evict by the ninth insertion.
-    let mut conj = "V0".to_string();
-    let mut evicted = false;
-    for i in 1..=10 {
-        conj.push_str(&format!(" & V{i}"));
-        match arbitrate(&conj).as_str() {
-            "bypass" => {
-                evicted = true;
-                break;
-            }
-            other => assert_eq!(other, "miss", "{conj}"),
-        }
-    }
-    assert!(evicted, "the cache never evicted");
-    let repeat = "(V0 & !V1) | (V2 & V3)";
-    assert_eq!(arbitrate(repeat), "bypass");
-    assert_eq!(arbitrate(repeat), "miss");
-    assert_eq!(arbitrate(repeat), "hit");
     server.stop().unwrap();
 }
 
@@ -287,7 +258,7 @@ fn kb_lifecycle_put_arbitrate_iterate_delete() {
 #[test]
 fn metrics_reports_sections_histograms_and_gauges() {
     let server = server();
-    // Generate one cached pair so cache counters move.
+    // Two arbitrations, so the kernel counters move.
     let body = r#"{"psi": "P & Q", "phi": "!P & !Q"}"#;
     let _ = request(&server, "POST", "/v1/arbitrate", body);
     let _ = request(&server, "POST", "/v1/arbitrate", body);
@@ -302,18 +273,18 @@ fn metrics_reports_sections_histograms_and_gauges() {
         "\"kernel\"",
         "\"weighted\"",
         "\"budget\"",
-        "\"cache\"",
         "\"sat\"",
         "\"server\"",
         "\"latency_ns\"",
         "\"arbitrate\"",
         "\"warbitrate\"",
         "\"gauges\"",
-        "\"cache_entries\"",
         "\"kb_count\"",
     ] {
         assert!(text.contains(needle), "missing {needle} in {text}");
     }
+    // No result cache: no `cache` section, counters or gauges.
+    assert!(!text.contains("\"cache"), "{text}");
     // The document is valid JSON.
     let doc = json::parse(&text).expect("metrics is JSON");
     assert!(doc.get("telemetry").is_some());
@@ -360,13 +331,10 @@ fn queue_overflow_answers_503() {
 }
 
 #[test]
-fn unbounded_cache_and_queue_flags_start_a_serving_server() {
-    // The cache shards and the work queue grow on demand, so the largest
-    // bounds the flags accept allocate nothing up front.
-    let server = server_with(|c| {
-        c.cache_entries = usize::MAX;
-        c.queue_depth = usize::MAX;
-    });
+fn unbounded_queue_flag_starts_a_serving_server() {
+    // The work queue grows on demand, so the largest bound the flag
+    // accepts allocates nothing up front.
+    let server = server_with(|c| c.queue_depth = usize::MAX);
     let (status, resp) = request(
         &server,
         "POST",
@@ -375,15 +343,8 @@ fn unbounded_cache_and_queue_flags_start_a_serving_server() {
     );
     assert_eq!(status, 200, "{resp:?}");
     assert_eq!(num_of(&resp, "n_models"), 2);
-    // The capacity saturates instead of wrapping.
-    let (status, text) = {
-        let mut c = Client::connect_server(&server);
-        c.send("GET", "/metrics", "");
-        c.read_response_text()
-    };
+    let (status, _) = request(&server, "GET", "/metrics", "");
     assert_eq!(status, 200);
-    let gauge = format!("\"cache_capacity\": {}", usize::MAX);
-    assert!(text.contains(&gauge), "missing {gauge} in {text}");
     server.stop().unwrap();
 }
 
@@ -409,8 +370,18 @@ fn deadline_degrades_typed_and_server_keeps_serving() {
         degraded.get("spent").unwrap().get("tripped"),
         Some(&Json::Bool(true))
     );
-    // Degraded results must not poison the cache.
-    assert_ne!(str_of(&degraded, "cache"), "hit");
+    // The same query with no deadline: exact, and the same on a repeat,
+    // whatever the degraded answer before it held.
+    let unlimited = format!(r#"{{"psi": "{disj}", "phi": "{disj}"}}"#);
+    let (status, exact) = request(&server, "POST", "/v1/arbitrate", &unlimited);
+    assert_eq!(status, 200, "{exact:?}");
+    assert_eq!(str_of(&exact, "quality"), "exact");
+    assert_eq!(
+        exact.get("spent").unwrap().get("tripped"),
+        Some(&Json::Bool(false))
+    );
+    let (_, again) = request(&server, "POST", "/v1/arbitrate", &unlimited);
+    assert_eq!(again, exact);
 
     // The same worker pool still answers exact queries afterwards.
     let (status, after) = request(

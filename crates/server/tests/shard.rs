@@ -48,7 +48,6 @@ fn shard_server(dir: &Path, configure: impl FnOnce(&mut ServerConfig)) -> Runnin
         addr: "127.0.0.1:0".to_string(),
         threads: 3,
         queue_depth: 64,
-        cache_entries: 64,
         timeout_ms: 0,
         state_dir: Some(dir.to_path_buf()),
         ..ServerConfig::default()
@@ -1175,7 +1174,6 @@ fn cluster_endpoints_require_sharding_and_validate_input() {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         queue_depth: 16,
-        cache_entries: 16,
         timeout_ms: 0,
         ..ServerConfig::default()
     })

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke-test the release server binary over real sockets: every endpoint
-# answers, the cache hits on resubmission, malformed input gets a 400,
-# and SIGTERM produces a clean drain and exit 0. CI runs this after the
-# release build; run it locally the same way:
+# answers, a resubmission and a renaming get the same models, malformed
+# input gets a 400, and SIGTERM produces a clean drain and exit 0. CI
+# runs this after the release build; run it locally the same way:
 #
 #   cargo build --release -p arbitrex-cli
 #   scripts/server_smoke.sh [path-to-arbx]
@@ -20,7 +20,7 @@ trap cleanup EXIT
 
 # Port 0: let the kernel pick, parse the announced address back out of
 # the eagerly-flushed "listening on" line.
-"$ARBX" serve --addr 127.0.0.1:0 --threads 2 --queue-depth 32 --cache-entries 256 >"$LOG" &
+"$ARBX" serve --addr 127.0.0.1:0 --threads 2 --queue-depth 32 >"$LOG" &
 SERVER_PID=$!
 ADDR=""
 for _ in $(seq 1 100); do
@@ -41,14 +41,14 @@ expect() { # expect <label> <needle> <haystack>
 
 OUT=$(curl -sf -d '{"psi": "A & B", "phi": "!A & !B"}' "http://$ADDR/v1/arbitrate")
 expect "arbitrate exact" '"quality":"exact"' "$OUT"
-expect "arbitrate cold" '"cache":"miss"' "$OUT"
+expect "arbitrate models" '"models":[["A"],["B"]]' "$OUT"
 
 OUT=$(curl -sf -d '{"psi": "A & B", "phi": "!A & !B"}' "http://$ADDR/v1/arbitrate")
-expect "arbitrate warm" '"cache":"hit"' "$OUT"
+expect "arbitrate resubmitted" '"models":[["A"],["B"]]' "$OUT"
 
-# Alpha-variant of the same query: still a hit.
+# Alpha-variant of the same query: the same models, in its own names.
 OUT=$(curl -sf -d '{"psi": "Y & X", "phi": "!X & !Y"}' "http://$ADDR/v1/arbitrate")
-expect "arbitrate alpha-variant" '"cache":"hit"' "$OUT"
+expect "arbitrate alpha-variant" '"models":[["Y"],["X"]]' "$OUT"
 
 OUT=$(curl -sf -d '{"psi": "A & B", "mu": "!A | !B", "op": "dalal"}' "http://$ADDR/v1/fit")
 expect "fit dalal" '"op":"dalal"' "$OUT"
