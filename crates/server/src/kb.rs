@@ -13,8 +13,10 @@
 //! # Durability
 //!
 //! The store has two backends. The default is purely in memory (tests,
-//! benches, `arbx serve` without `--state-dir`). With
-//! [`DurabilityOptions`] every mutation follows the commit protocol:
+//! benches, `arbx serve` without `--state-dir`). Every mutation — a
+//! client's put, change or delete, a handoff's adoption, a reconcile's
+//! merge — goes through [`KbStore::update`], which alone holds the
+//! commit protocol; with [`DurabilityOptions`] that is:
 //!
 //! 1. compute the new state under the entry's lock,
 //! 2. append it to the write-ahead log and **fsync** ([`crate::wal`]),
@@ -448,6 +450,29 @@ struct DurableBackend {
     repl: Arc<ReplLog>,
 }
 
+impl DurableBackend {
+    /// Append one stamped frame carrying `rec` at the next `rseq`, under
+    /// the WAL/shadow lock `s`, and fold `rec` into the shadow. Returns
+    /// the group-commit ticket and whether a periodic snapshot is due.
+    fn append(
+        &self,
+        s: &mut DurableState,
+        framed: Vec<u8>,
+        rec: WalRecord,
+    ) -> io::Result<(u64, bool)> {
+        s.wal.append_frame_unsynced(&framed)?;
+        let ticket = self.group.note_append();
+        self.repl.push(s.epoch, s.next_rseq, framed);
+        s.next_rseq += 1;
+        rec.fold_into(&mut s.shadow);
+        s.since_snapshot += 1;
+        Ok((
+            ticket,
+            s.snapshot_every > 0 && s.since_snapshot >= s.snapshot_every,
+        ))
+    }
+}
+
 enum Durability {
     Memory,
     // Boxed: the backend is ~400 bytes and there is one per store, so
@@ -530,19 +555,132 @@ impl KbStore {
         Ok((store, report))
     }
 
-    /// The entry for `name`, if present and committed. Callers lock the
-    /// returned entry for the duration of one action; the store lock is
-    /// already released. An entry whose `seq` is 0 under the lock was
-    /// deleted (or never created) concurrently — treat it as absent.
-    pub fn entry(&self, name: &str) -> Option<Arc<Mutex<StoredKb>>> {
-        self.map.read().unwrap().get(name).cloned()
+    /// Read `name`'s committed KB under its entry lock; `None` when
+    /// absent. The map lock is released before the entry is locked.
+    pub fn read<R>(&self, name: &str, f: impl FnOnce(&StoredKb) -> R) -> Option<R> {
+        let entry = self.map.read().unwrap().get(name).cloned()?;
+        let kb = entry.lock().unwrap();
+        // seq 0 is a placeholder or a deleted entry: not a KB.
+        (kb.seq > 0).then(|| f(&kb))
     }
 
-    /// Append `rec` to the log, make it durable, and fold it into the
-    /// shadow. In-memory stores trivially succeed (with `rseq` 0).
-    /// Returns the record's replication sequence number and whether a
-    /// periodic snapshot is now due (callers trigger it *after*
-    /// releasing their entry lock, via [`KbStore::maybe_snapshot`]).
+    /// The one way to change a KB. Takes `name`'s entry lock (reserving
+    /// a placeholder when the name is absent), checks `if_seq`, and
+    /// calls `f` with the committed KB, or `None`, under the lock. What
+    /// `f` decides is appended to the WAL and waited durable with the
+    /// lock still held, then published and acknowledged; a periodic
+    /// snapshot it made due runs after the lock is released.
+    ///
+    /// `if_seq` guards an existing KB before `f` runs, and an absent
+    /// one only when `f` creates it (the guard then must be 0): a
+    /// guarded action on a missing KB is `f`'s to answer.
+    pub fn update<T>(
+        &self,
+        name: &str,
+        if_seq: Option<u64>,
+        f: impl FnOnce(Option<&StoredKb>) -> (Next, T),
+    ) -> Result<Updated<T>, CommitError> {
+        let guard = |current: u64| match if_seq {
+            Some(wanted) if wanted != current => Err(CommitError::Conflict { current }),
+            _ => Ok(()),
+        };
+        let (value, seq, rseq, due) = self.locked(name, |entry, kb| -> Result<_, CommitError> {
+            if kb.seq > 0 {
+                guard(kb.seq)?;
+            }
+            let (next, value) = f((kb.seq > 0).then_some(&*kb));
+            let next = match next {
+                Next::Put(next) => {
+                    // seq 0 would read as a placeholder, not a KB.
+                    assert!(next.seq > 0, "a committed KB has seq > 0");
+                    Some(next)
+                }
+                Next::Delete if kb.seq > 0 => None,
+                Next::Delete | Next::Keep => return Ok((value, kb.seq, 0, false)),
+            };
+            if kb.seq == 0 {
+                // Only a put of an absent KB gets here.
+                guard(0)?;
+            }
+            let (rseq, due) = self.log(name, next.as_ref())?;
+            self.publish(name, entry, kb, next);
+            Ok((value, kb.seq, rseq, due))
+        })?;
+        if due {
+            self.snapshot(false);
+        }
+        Ok(Updated { value, seq, rseq })
+    }
+
+    /// Remove `name`, guarded by `if_seq`: `Ok(None)` when no such KB
+    /// exists, otherwise the delete's replication sequence number.
+    pub fn delete(&self, name: &str, if_seq: Option<u64>) -> Result<Option<u64>, CommitError> {
+        let done = self.update(name, if_seq, |kb| match kb {
+            Some(_) => (Next::Delete, true),
+            None => (Next::Keep, false),
+        })?;
+        Ok(done.value.then_some(done.rseq))
+    }
+
+    /// Run `f` under `name`'s entry lock, with a placeholder (seq 0)
+    /// reserving the name when it is absent; a placeholder `f` leaves
+    /// uncommitted is dropped again afterwards.
+    fn locked<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&Arc<Mutex<StoredKb>>, &mut StoredKb) -> R,
+    ) -> R {
+        loop {
+            let entry = self.entry_or_placeholder(name);
+            let mut kb = entry.lock().unwrap();
+            // A concurrent delete may have detached this entry between
+            // the map lookup and our lock; its seq is 0 then. A fresh
+            // placeholder also has seq 0 but is still in the map.
+            if kb.seq == 0 && !self.is_current(name, &entry) {
+                continue;
+            }
+            let out = f(&entry, &mut kb);
+            let uncommitted = kb.seq == 0;
+            drop(kb);
+            if uncommitted {
+                self.cleanup_placeholder(name, &entry);
+            }
+            return out;
+        }
+    }
+
+    /// Publish a logged record in the live map, under the entry lock
+    /// held by the caller: install `next`, or with `None` tombstone
+    /// (seq 0) and detach the entry, so writers queued on its lock retry
+    /// against the map instead of resurrecting it.
+    fn publish(
+        &self,
+        name: &str,
+        entry: &Arc<Mutex<StoredKb>>,
+        kb: &mut StoredKb,
+        next: Option<StoredKb>,
+    ) {
+        match next {
+            Some(next) => {
+                if kb.seq == 0 {
+                    self.count.fetch_add(1, Ordering::Relaxed);
+                }
+                *kb = next;
+            }
+            None if kb.seq > 0 => {
+                kb.seq = 0;
+                self.detach_if(name, entry, |_| true);
+                self.count.fetch_sub(1, Ordering::Relaxed);
+            }
+            None => {}
+        }
+    }
+
+    /// Log `next` for `name` (`None`: its delete): append the record,
+    /// fold it into the shadow, and wait until it is durable. In-memory
+    /// stores trivially succeed (with `rseq` 0). Returns the record's
+    /// replication sequence number and whether a periodic snapshot is
+    /// now due.
     ///
     /// With group commit, the append + shadow fold happen under the
     /// WAL lock but the durability wait happens after releasing it, so
@@ -556,146 +694,40 @@ impl KbStore {
     /// shippable watermark only advances after the durability wait
     /// succeeds — a replica is never served a frame the primary has not
     /// acknowledged to its own client.
-    fn log(&self, rec: WalRecord) -> io::Result<(u64, bool)> {
-        match &self.durability {
-            Durability::Memory => Ok((0, false)),
-            Durability::Durable(backend) => {
-                let (rseq, ticket, snapshot_due) = {
-                    let mut s = backend.state.lock().unwrap();
-                    let rseq = s.next_rseq;
-                    let framed = wal::frame(s.epoch, rseq, &wal::encode_record(&rec));
-                    s.wal.append_frame_unsynced(&framed)?;
-                    let ticket = backend.group.note_append();
-                    s.next_rseq += 1;
-                    backend.repl.push(s.epoch, rseq, framed);
-                    match rec {
-                        WalRecord::Commit { name, kb } => {
-                            s.shadow.insert(name, kb);
-                        }
-                        WalRecord::Delete { name } => {
-                            s.shadow.remove(&name);
-                        }
-                    }
-                    s.since_snapshot += 1;
-                    (
-                        rseq,
-                        ticket,
-                        s.snapshot_every > 0 && s.since_snapshot >= s.snapshot_every,
-                    )
-                };
-                backend.group.wait_durable(ticket)?;
-                // The shared fsync that covered this record covered every
-                // earlier append too, so the watermark jump is safe.
-                backend.repl.advance_durable(rseq);
-                backend.repl.set_visible(rseq);
-                Ok((rseq, snapshot_due))
-            }
-        }
-    }
-
-    /// Durably commit `next` for `name`. The caller must hold the
-    /// entry's lock (so the state it computed is still current) and must
-    /// only publish `next` in memory after this returns `Ok`. Returns
-    /// the commit's replication sequence number and the snapshot-due
-    /// flag.
-    pub fn commit(&self, name: &str, next: &StoredKb) -> io::Result<(u64, bool)> {
-        self.log(WalRecord::Commit {
-            name: name.to_string(),
-            kb: next.clone(),
-        })
-    }
-
-    /// Create or replace `name` with a fresh theory, optionally guarded
-    /// by `if_seq`. Returns the new sequence number (1 for a new KB,
-    /// previous + 1 for a replacement), the commit's replication
-    /// sequence number (0 in memory), and whether a snapshot is due.
-    pub fn put(
-        &self,
-        name: &str,
-        sig: Sig,
-        formula: Formula,
-        if_seq: Option<u64>,
-    ) -> Result<(u64, u64, bool), CommitError> {
-        loop {
-            let entry = self.entry_or_placeholder(name);
-            let mut kb = entry.lock().unwrap();
-            // A concurrent delete may have detached this entry between
-            // the map lookup and our lock; its seq is 0 then. A fresh
-            // placeholder also has seq 0 but is still in the map.
-            if kb.seq == 0 && !self.is_current(name, &entry) {
-                continue;
-            }
-            if let Some(expected) = if_seq {
-                if expected != kb.seq {
-                    let current = kb.seq;
-                    drop(kb);
-                    self.cleanup_placeholder(name, &entry);
-                    return Err(CommitError::Conflict { current });
-                }
-            }
-            let next = StoredKb {
-                sig,
-                formula,
-                seq: kb.seq + 1,
-            };
-            match self.commit(name, &next) {
-                Ok((rseq, snapshot_due)) => {
-                    if kb.seq == 0 {
-                        self.count.fetch_add(1, Ordering::Relaxed);
-                    }
-                    *kb = next;
-                    return Ok((kb.seq, rseq, snapshot_due));
-                }
-                Err(e) => {
-                    drop(kb);
-                    self.cleanup_placeholder(name, &entry);
-                    return Err(CommitError::Io(e));
-                }
-            }
-        }
-    }
-
-    /// Remove `name`, optionally guarded by `if_seq`. `Ok(None)` when no
-    /// such KB exists; otherwise the delete's replication sequence
-    /// number and the snapshot-due flag.
-    pub fn delete(
-        &self,
-        name: &str,
-        if_seq: Option<u64>,
-    ) -> Result<Option<(u64, bool)>, CommitError> {
-        let entry = match self.entry(name) {
-            Some(e) => e,
-            None => return Ok(None),
+    fn log(&self, name: &str, next: Option<&StoredKb>) -> io::Result<(u64, bool)> {
+        let Ok(backend) = self.backend() else {
+            return Ok((0, false));
         };
-        let mut kb = entry.lock().unwrap();
-        if kb.seq == 0 {
-            // Placeholder or concurrently deleted: not a committed KB.
-            return Ok(None);
-        }
-        if let Some(expected) = if_seq {
-            if expected != kb.seq {
-                return Err(CommitError::Conflict { current: kb.seq });
-            }
-        }
-        let (rseq, snapshot_due) = self.log(WalRecord::Delete {
-            name: name.to_string(),
-        })?;
-        // Tombstone, then detach — all under the entry lock, so no
-        // concurrent mutation can observe the in-between state.
-        kb.seq = 0;
-        let mut map = self.map.write().unwrap();
-        if map.get(name).is_some_and(|e| Arc::ptr_eq(e, &entry)) {
-            map.remove(name);
-        }
-        drop(map);
-        self.count.fetch_sub(1, Ordering::Relaxed);
-        Ok(Some((rseq, snapshot_due)))
+        let name = name.to_string();
+        let rec = match next {
+            Some(kb) => WalRecord::Commit {
+                name,
+                kb: kb.clone(),
+            },
+            None => WalRecord::Delete { name },
+        };
+        let (rseq, ticket, due) = {
+            let mut s = backend.state.lock().unwrap();
+            let rseq = s.next_rseq;
+            let framed = wal::frame(s.epoch, rseq, &wal::encode_record(&rec));
+            let (ticket, due) = backend.append(&mut s, framed, rec)?;
+            (rseq, ticket, due)
+        };
+        backend.group.wait_durable(ticket)?;
+        // The shared fsync that covered this record covered every
+        // earlier append too, so the watermark jump is safe.
+        backend.repl.advance_durable(rseq);
+        backend.repl.set_visible(rseq);
+        Ok((rseq, due))
     }
 
     /// Get the entry for `name`, inserting a placeholder (seq 0) if
     /// absent. Placeholders reserve the per-name lock for a creating
     /// commit; they read as absent until the commit lands.
     fn entry_or_placeholder(&self, name: &str) -> Arc<Mutex<StoredKb>> {
+        if let Some(entry) = self.map.read().unwrap().get(name) {
+            return Arc::clone(entry);
+        }
         let mut map = self.map.write().unwrap();
         map.entry(name.to_string())
             .or_insert_with(|| {
@@ -717,6 +749,23 @@ impl KbStore {
             .is_some_and(|e| Arc::ptr_eq(e, entry))
     }
 
+    /// Remove `entry` from the map if the map still holds it and `also`
+    /// says so.
+    fn detach_if(
+        &self,
+        name: &str,
+        entry: &Arc<Mutex<StoredKb>>,
+        also: impl FnOnce(&Mutex<StoredKb>) -> bool,
+    ) {
+        let mut map = self.map.write().unwrap();
+        if map
+            .get(name)
+            .is_some_and(|e| Arc::ptr_eq(e, entry) && also(e))
+        {
+            map.remove(name);
+        }
+    }
+
     /// Remove `entry` from the map if it is an uncommitted placeholder
     /// this caller abandoned (failed or refused creating commit).
     /// `try_lock` keeps the lock order acyclic (the map lock is never
@@ -724,16 +773,11 @@ impl KbStore {
     /// entry, it is mid-mutation and owns the cleanup decision — worst
     /// case a benign placeholder lingers until the next put reuses it.
     fn cleanup_placeholder(&self, name: &str, entry: &Arc<Mutex<StoredKb>>) {
-        let mut map = self.map.write().unwrap();
-        let abandoned = match map.get(name) {
-            Some(current) if Arc::ptr_eq(current, entry) => {
-                matches!(current.try_lock(), Ok(kb) if kb.seq == 0)
-            }
-            _ => false,
-        };
-        if abandoned {
-            map.remove(name);
-        }
+        self.detach_if(
+            name,
+            entry,
+            |e| matches!(e.try_lock(), Ok(kb) if kb.seq == 0),
+        );
     }
 
     /// Number of stored KBs. Lock-free: a relaxed gauge mirrored from
@@ -747,70 +791,57 @@ impl KbStore {
         self.len() == 0
     }
 
-    /// Write a snapshot now if one is due (periodic trigger). Called by
-    /// route handlers after releasing entry locks. Errors are counted
-    /// and swallowed upstream: the commits themselves are already
-    /// durable in the WAL, a failed snapshot only delays truncation.
-    pub fn maybe_snapshot(&self) -> io::Result<bool> {
-        match &self.durability {
-            Durability::Memory => Ok(false),
-            Durability::Durable(backend) => {
-                let mut s = backend.state.lock().unwrap();
-                if s.snapshot_every == 0 || s.since_snapshot < s.snapshot_every {
-                    return Ok(false);
-                }
-                Self::snapshot_locked(&mut s, &backend.group, &backend.repl)?;
-                Ok(true)
-            }
-        }
+    /// Write a snapshot now (shutdown drain). A no-op in memory; a
+    /// failure is counted and absorbed, since every commit is already
+    /// durable in the WAL.
+    pub fn snapshot_now(&self) {
+        self.snapshot(true);
     }
 
-    /// Write a snapshot unconditionally (shutdown drain). A no-op for
-    /// in-memory stores.
-    pub fn snapshot_now(&self) -> io::Result<()> {
-        match &self.durability {
-            Durability::Memory => Ok(()),
-            Durability::Durable(backend) => {
-                let mut s = backend.state.lock().unwrap();
-                Self::snapshot_locked(&mut s, &backend.group, &backend.repl)
-            }
+    /// Snapshot protocol, under the WAL/shadow lock and with no entry
+    /// lock held: serialize the shadow (the fold of the log), make it
+    /// durable, then truncate the log it materializes. Unless `force`,
+    /// only a due periodic snapshot is written. Commits are blocked for
+    /// the duration, which is the price of the truncation being
+    /// provably safe. The durable snapshot covers every append the
+    /// shadow folded, so it also acks any commits still waiting on the
+    /// group-commit flusher. A failure is counted
+    /// (`wal.snapshot_errors`) and absorbed: the WAL still holds
+    /// everything, truncation is merely postponed.
+    fn snapshot(&self, force: bool) {
+        let Ok(backend) = self.backend() else {
+            return;
+        };
+        let mut s = backend.state.lock().unwrap();
+        if !force && (s.snapshot_every == 0 || s.since_snapshot < s.snapshot_every) {
+            return;
         }
-    }
-
-    /// Snapshot protocol, under the WAL/shadow lock: serialize the
-    /// shadow (the fold of the log), make it durable, then truncate the
-    /// log it materializes. Commits are blocked for the duration, which
-    /// is the price of the truncation being provably safe. The durable
-    /// snapshot covers every append the shadow folded, so it also acks
-    /// any commits still waiting on the group-commit flusher.
-    fn snapshot_locked(
-        s: &mut DurableState,
-        group: &GroupCommit,
-        repl: &ReplLog,
-    ) -> io::Result<()> {
         let watermark = s.next_rseq - 1;
-        snapshot::write_snapshot(&s.dir, &s.shadow, s.epoch, watermark, s.wal.faults())?;
-        s.wal.truncate_to_empty()?;
+        let written =
+            snapshot::write_snapshot(&s.dir, &s.shadow, s.epoch, watermark, s.wal.faults())
+                .and_then(|()| s.wal.truncate_to_empty());
+        if written.is_err() {
+            metrics::WAL_SNAPSHOT_ERRORS.incr();
+            return;
+        }
         s.since_snapshot = 0;
-        group.ack_snapshot();
+        backend.group.ack_snapshot();
         // The durable snapshot carries every append the shadow folded,
         // so those frames are shippable even if their fsync never ran.
-        repl.advance_durable(watermark);
-        Ok(())
+        backend.repl.advance_durable(watermark);
     }
 
-    /// Count a failed periodic snapshot and keep serving: the WAL still
-    /// holds everything, truncation is merely postponed.
-    pub fn note_snapshot_error(&self) {
-        metrics::WAL_SNAPSHOT_ERRORS.incr();
+    /// The durable backend, or an error for an in-memory store.
+    fn backend(&self) -> io::Result<&DurableBackend> {
+        match &self.durability {
+            Durability::Memory => Err(io::Error::other("this needs a durable store")),
+            Durability::Durable(backend) => Ok(backend),
+        }
     }
 
     /// The replication log of a durable store (`None` in memory).
     pub fn replication(&self) -> Option<&Arc<ReplLog>> {
-        match &self.durability {
-            Durability::Memory => None,
-            Durability::Durable(backend) => Some(&backend.repl),
-        }
+        self.backend().ok().map(|backend| &backend.repl)
     }
 
     /// Apply one frame streamed from the primary, byte-for-byte.
@@ -831,18 +862,14 @@ impl KbStore {
     /// flusher (or the next snapshot) makes the frame locally durable in
     /// the background. Visibility advances immediately so follower reads
     /// with `X-Arbitrex-Min-Seq` see the commit as soon as it applies.
+    /// A periodic snapshot the frame made due runs before this returns.
     pub fn apply_replicated(
         &self,
         framed: &[u8],
         stamped: &StampedRecord,
     ) -> io::Result<ApplyOutcome> {
-        let backend = match &self.durability {
-            Durability::Memory => {
-                return Err(io::Error::other("replication requires a durable store"))
-            }
-            Durability::Durable(b) => b,
-        };
-        let snapshot_due = {
+        let backend = self.backend()?;
+        let due = {
             let mut s = backend.state.lock().unwrap();
             if stamped.epoch < s.epoch {
                 return Ok(ApplyOutcome::StaleEpoch {
@@ -863,74 +890,25 @@ impl KbStore {
                 s.epoch = stamped.epoch;
                 backend.repl.set_epoch(stamped.epoch);
             }
-            s.wal.append_frame_unsynced(framed)?;
             // The background flusher will cover this ticket; nobody
             // waits on it.
-            let _ = backend.group.note_append();
-            s.next_rseq += 1;
-            backend
-                .repl
-                .push(stamped.epoch, stamped.rseq, framed.to_vec());
-            match &stamped.record {
-                WalRecord::Commit { name, kb } => {
-                    s.shadow.insert(name.clone(), kb.clone());
-                }
-                WalRecord::Delete { name } => {
-                    s.shadow.remove(name);
-                }
-            }
-            s.since_snapshot += 1;
-            s.snapshot_every > 0 && s.since_snapshot >= s.snapshot_every
+            let (_, due) = backend.append(&mut s, framed.to_vec(), stamped.record.clone())?;
+            due
         };
         backend.repl.advance_durable(stamped.rseq);
         // Publish to the live map with the WAL lock released (entry
         // locks are taken above WAL in the lock order). Single-writer:
         // the puller is the only mutator of a read-only replica.
-        match &stamped.record {
-            WalRecord::Commit { name, kb } => self.publish_replicated(name, kb.clone()),
-            WalRecord::Delete { name } => self.unpublish_replicated(name),
-        }
-        backend.repl.set_visible(stamped.rseq);
-        Ok(ApplyOutcome::Applied {
-            rseq: stamped.rseq,
-            snapshot_due,
-        })
-    }
-
-    /// Install `next` for `name` in the live map (replica apply path).
-    fn publish_replicated(&self, name: &str, next: StoredKb) {
-        let mut next = Some(next);
-        loop {
-            let entry = self.entry_or_placeholder(name);
-            let mut kb = entry.lock().unwrap();
-            if kb.seq == 0 && !self.is_current(name, &entry) {
-                continue;
-            }
-            if kb.seq == 0 {
-                self.count.fetch_add(1, Ordering::Relaxed);
-            }
-            *kb = next.take().unwrap();
-            return;
-        }
-    }
-
-    /// Remove `name` from the live map (replica apply path).
-    fn unpublish_replicated(&self, name: &str) {
-        let entry = match self.entry(name) {
-            Some(e) => e,
-            None => return,
+        let (name, next) = match &stamped.record {
+            WalRecord::Commit { name, kb } => (name, Some(kb.clone())),
+            WalRecord::Delete { name } => (name, None),
         };
-        let mut kb = entry.lock().unwrap();
-        if kb.seq == 0 {
-            return;
+        self.locked(name, |entry, kb| self.publish(name, entry, kb, next));
+        backend.repl.set_visible(stamped.rseq);
+        if due {
+            self.snapshot(false);
         }
-        kb.seq = 0;
-        let mut map = self.map.write().unwrap();
-        if map.get(name).is_some_and(|e| Arc::ptr_eq(e, &entry)) {
-            map.remove(name);
-        }
-        drop(map);
-        self.count.fetch_sub(1, Ordering::Relaxed);
+        Ok(ApplyOutcome::Applied { rseq: stamped.rseq })
     }
 
     /// Promote this store to primary: bump the fencing epoch and accept
@@ -939,12 +917,7 @@ impl KbStore {
     /// reuses a sequence number. The replica marker is removed first;
     /// if that fails nothing changes. Returns `(new_epoch, last_rseq)`.
     pub fn promote(&self) -> io::Result<(u64, u64)> {
-        let backend = match &self.durability {
-            Durability::Memory => {
-                return Err(io::Error::other("promotion requires a durable store"))
-            }
-            Durability::Durable(b) => b,
-        };
+        let backend = self.backend()?;
         let mut s = backend.state.lock().unwrap();
         // Not fsynced: a crash that loses the unlink reopens the store
         // read-only, the safe side (a second promote clears it).
@@ -966,12 +939,7 @@ impl KbStore {
     /// lists this node behind a head. The refusal starts at once; the
     /// replica marker then makes it survive a restart.
     pub fn demote(&self) -> io::Result<()> {
-        let backend = match &self.durability {
-            Durability::Memory => {
-                return Err(io::Error::other("demotion requires a durable store"))
-            }
-            Durability::Durable(b) => b,
-        };
+        let backend = self.backend()?;
         backend.repl.set_read_only(true);
         metrics::FAILOVER_DEMOTIONS.incr();
         let s = backend.state.lock().unwrap();
@@ -1011,13 +979,7 @@ impl KbStore {
     /// /v1/replication/snapshot` serves a resyncing replica. Built from
     /// the shadow under the WAL lock, so it is log-consistent.
     pub fn snapshot_image(&self) -> io::Result<Vec<u8>> {
-        let backend = match &self.durability {
-            Durability::Memory => {
-                return Err(io::Error::other("snapshots require a durable store"))
-            }
-            Durability::Durable(b) => b,
-        };
-        let s = backend.state.lock().unwrap();
+        let s = self.backend()?.state.lock().unwrap();
         Ok(snapshot::encode_snapshot(
             &s.shadow,
             s.epoch,
@@ -1031,12 +993,7 @@ impl KbStore {
     /// first — crash-during-resync recovers to either the old state or
     /// the new one, never a mix.
     pub fn install_state(&self, contents: SnapshotContents) -> io::Result<()> {
-        let backend = match &self.durability {
-            Durability::Memory => {
-                return Err(io::Error::other("replication requires a durable store"))
-            }
-            Durability::Durable(b) => b,
-        };
+        let backend = self.backend()?;
         let mut s = backend.state.lock().unwrap();
         snapshot::write_snapshot(
             &s.dir,
@@ -1067,49 +1024,51 @@ impl KbStore {
         self.count.store(n, Ordering::Relaxed);
         Ok(())
     }
+}
 
-    /// Commit `next` for `name` with a caller-chosen sequence number
-    /// (reconciliation: adopting a peer's KB verbatim, or landing a
-    /// `Δ`-merged theory at a seq both sides agree on). Goes through the
-    /// normal durable commit path; only the seq choice differs from
-    /// [`KbStore::put`].
-    pub fn force_put(&self, name: &str, next: StoredKb) -> io::Result<(u64, bool)> {
-        let mut next = Some(next);
-        loop {
-            let entry = self.entry_or_placeholder(name);
-            let mut kb = entry.lock().unwrap();
-            if kb.seq == 0 && !self.is_current(name, &entry) {
-                continue;
-            }
-            let next_kb = next.take().unwrap();
-            match self.commit(name, &next_kb) {
-                Ok((rseq, snapshot_due)) => {
-                    if kb.seq == 0 {
-                        self.count.fetch_add(1, Ordering::Relaxed);
-                    }
-                    *kb = next_kb;
-                    return Ok((rseq, snapshot_due));
-                }
-                Err(e) => {
-                    drop(kb);
-                    self.cleanup_placeholder(name, &entry);
-                    return Err(e);
-                }
-            }
+/// What an [`KbStore::update`] step decides for its KB.
+#[derive(Debug)]
+pub enum Next {
+    /// Commit this state. Its `seq` is the caller's choice and must be
+    /// above 0: the current seq + 1 for a client action, a peer's seq
+    /// for an adoption.
+    Put(StoredKb),
+    /// Remove the KB (nothing is logged when it is absent).
+    Delete,
+    /// Leave the KB as it is; nothing is logged.
+    Keep,
+}
+
+impl Next {
+    /// Split a step that may refuse: a refusal leaves the KB as it is
+    /// and comes back as the update's value.
+    pub(crate) fn or_keep<T, E>(step: Result<(Next, T), E>) -> (Next, Result<T, E>) {
+        match step {
+            Ok((next, value)) => (next, Ok(value)),
+            Err(e) => (Next::Keep, Err(e)),
         }
     }
+}
+
+/// What a successful [`KbStore::update`] did.
+#[derive(Debug)]
+pub struct Updated<T> {
+    /// The step's value.
+    pub value: T,
+    /// The KB's seq afterwards (0 when absent).
+    pub seq: u64,
+    /// The logged record's replication sequence number (0 when nothing
+    /// was logged, or in memory).
+    pub rseq: u64,
 }
 
 /// What [`KbStore::apply_replicated`] did with a streamed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyOutcome {
-    /// Applied and visible; `snapshot_due` asks the caller to trigger a
-    /// periodic snapshot (after releasing any entry locks).
+    /// Applied and visible.
     Applied {
         /// The frame's replication sequence number.
         rseq: u64,
-        /// A periodic snapshot is now due.
-        snapshot_due: bool,
     },
     /// Already applied (duplicate delivery); skipped.
     Duplicate {
@@ -1171,23 +1130,38 @@ mod tests {
         assert_ne!(digest_of("A | !A"), digest_of("A & !A"));
     }
 
+    /// A client put through `update`: `text` at the current seq + 1.
+    fn put(
+        store: &KbStore,
+        name: &str,
+        text: &str,
+        if_seq: Option<u64>,
+    ) -> Result<u64, CommitError> {
+        let mut sig = Sig::new();
+        let formula = parse(&mut sig, text).unwrap();
+        let done = store.update(name, if_seq, |kb| {
+            let seq = kb.map_or(0, |kb| kb.seq) + 1;
+            (Next::Put(StoredKb { sig, formula, seq }), ())
+        })?;
+        Ok(done.seq)
+    }
+
+    fn seq_of(store: &KbStore, name: &str) -> Option<u64> {
+        store.read(name, |kb| kb.seq)
+    }
+
     #[test]
     fn put_get_replace_delete_lifecycle() {
         let store = KbStore::new();
-        assert!(store.entry("fleet").is_none());
+        assert!(seq_of(&store, "fleet").is_none());
 
-        let mut sig = Sig::new();
-        let f = parse(&mut sig, "A & B").unwrap();
-        assert_eq!(store.put("fleet", sig.clone(), f, None).unwrap().0, 1);
+        assert_eq!(put(&store, "fleet", "A & B", None).unwrap(), 1);
         assert_eq!(store.len(), 1);
+        assert_eq!(seq_of(&store, "fleet"), Some(1));
 
-        let entry = store.entry("fleet").unwrap();
-        assert_eq!(entry.lock().unwrap().seq, 1);
-
-        let f2 = parse(&mut sig, "A | B").unwrap();
-        assert_eq!(store.put("fleet", sig, f2, None).unwrap().0, 2);
-        // The handle observes the replacement: entries are shared state.
-        assert_eq!(entry.lock().unwrap().seq, 2);
+        assert_eq!(put(&store, "fleet", "A | B", None).unwrap(), 2);
+        // Reads observe the replacement: entries are shared state.
+        assert_eq!(seq_of(&store, "fleet"), Some(2));
 
         assert!(store.delete("fleet", None).unwrap().is_some());
         assert!(store.delete("fleet", None).unwrap().is_none());
@@ -1195,51 +1169,46 @@ mod tests {
     }
 
     #[test]
-    fn in_place_mutation_bumps_seq_through_the_entry() {
+    fn an_update_that_grows_the_signature_bumps_seq_and_is_visible_to_read() {
         let store = KbStore::new();
-        let mut sig = Sig::new();
-        let f = parse(&mut sig, "A").unwrap();
-        store.put("k", sig.clone(), f, None).unwrap();
-        {
-            let entry = store.entry("k").unwrap();
-            let mut kb = entry.lock().unwrap();
-            kb.formula = parse(&mut kb.sig, "A & C").unwrap();
-            kb.seq += 1;
-        }
-        let entry = store.entry("k").unwrap();
-        let kb = entry.lock().unwrap();
-        assert_eq!(kb.seq, 2);
-        assert!(kb.sig.get("C").is_some());
+        put(&store, "k", "A", None).unwrap();
+        let done = store
+            .update("k", Some(1), |kb| {
+                let mut kb = kb.unwrap().clone();
+                kb.formula = parse(&mut kb.sig, "A & C").unwrap();
+                kb.seq += 1;
+                (Next::Put(kb), ())
+            })
+            .unwrap();
+        assert_eq!(done.seq, 2);
+        let (seq, has_c) = store
+            .read("k", |kb| (kb.seq, kb.sig.get("C").is_some()))
+            .unwrap();
+        assert_eq!(seq, 2);
+        assert!(has_c);
     }
 
     #[test]
     fn if_seq_guards_put_and_delete() {
         let store = KbStore::new();
-        let mut sig = Sig::new();
-        let f = parse(&mut sig, "A").unwrap();
 
         // Creating with if_seq 0 means "only if absent".
-        assert_eq!(
-            store.put("k", sig.clone(), f.clone(), Some(0)).unwrap().0,
-            1
-        );
-        match store.put("k", sig.clone(), f.clone(), Some(0)) {
+        assert_eq!(put(&store, "k", "A", Some(0)).unwrap(), 1);
+        match put(&store, "k", "A", Some(0)) {
             Err(CommitError::Conflict { current }) => assert_eq!(current, 1),
             other => panic!("expected conflict, got {other:?}"),
         }
         // A failed guarded create of a *new* name leaves no placeholder.
-        match store.put("other", sig.clone(), f.clone(), Some(7)) {
+        match put(&store, "other", "A", Some(7)) {
             Err(CommitError::Conflict { current }) => assert_eq!(current, 0),
             other => panic!("expected conflict, got {other:?}"),
         }
-        assert!(store.entry("other").is_none());
+        assert!(seq_of(&store, "other").is_none());
+        assert!(store.map.read().unwrap().get("other").is_none());
 
         // Matching guard commits; stale guard then conflicts with the
         // new current seq.
-        assert_eq!(
-            store.put("k", sig.clone(), f.clone(), Some(1)).unwrap().0,
-            2
-        );
+        assert_eq!(put(&store, "k", "A", Some(1)).unwrap(), 2);
         match store.delete("k", Some(1)) {
             Err(CommitError::Conflict { current }) => assert_eq!(current, 2),
             other => panic!("expected conflict, got {other:?}"),
@@ -1251,16 +1220,12 @@ mod tests {
     #[test]
     fn len_is_lock_free_and_tracks_mutations() {
         let store = KbStore::new();
-        let mut sig = Sig::new();
-        let f = parse(&mut sig, "A").unwrap();
         for i in 0..10 {
-            store
-                .put(&format!("kb-{i}"), sig.clone(), f.clone(), None)
-                .unwrap();
+            put(&store, &format!("kb-{i}"), "A", None).unwrap();
         }
         assert_eq!(store.len(), 10);
         // Replacement does not change the count.
-        store.put("kb-3", sig.clone(), f.clone(), None).unwrap();
+        put(&store, "kb-3", "A", None).unwrap();
         assert_eq!(store.len(), 10);
         store.delete("kb-3", None).unwrap();
         assert_eq!(store.len(), 9);

@@ -29,7 +29,7 @@ use std::path::Path;
 use crate::kb::StoredKb;
 use crate::metrics;
 use crate::snapshot;
-use crate::wal::{self, ScanTail, WalRecord, WAL_FILE};
+use crate::wal::{self, ScanTail, WAL_FILE};
 
 /// What to do when recovery meets damage beyond a torn tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,18 +136,6 @@ pub struct RecoveryReport {
     pub max_rseq: u64,
 }
 
-/// Apply one verified record to the recovered state.
-fn apply(state: &mut HashMap<String, StoredKb>, rec: WalRecord) {
-    match rec {
-        WalRecord::Commit { name, kb } => {
-            state.insert(name, kb);
-        }
-        WalRecord::Delete { name } => {
-            state.remove(&name);
-        }
-    }
-}
-
 /// Recover the state directory `dir`: load the snapshot, replay the WAL,
 /// repair a torn tail, and (in salvage mode only) drop damage. On
 /// success the WAL file on disk contains exactly the replayed records —
@@ -210,7 +198,7 @@ pub fn recover(
             // so the last frame carries the maxima.
             report.max_epoch = report.max_epoch.max(stamped.epoch);
             report.max_rseq = report.max_rseq.max(stamped.rseq);
-            apply(&mut state, stamped.record);
+            stamped.record.fold_into(&mut state);
         }
         if let Some(offset) = truncate_at {
             // Physically repair the file so appends resume after the last
@@ -230,6 +218,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalRecord;
     use arbitrex_core::Faults;
     use arbitrex_logic::{parse, Sig};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -246,7 +235,7 @@ mod tests {
         dir
     }
 
-    /// Frame `rec` and append it unsynced, as `KbStore::log` does.
+    /// Frame `rec` and append it unsynced, as `KbStore::update` does.
     fn append(wal: &mut wal::Wal, epoch: u64, rseq: u64, rec: &WalRecord) {
         wal.append_frame_unsynced(&wal::frame(epoch, rseq, &wal::encode_record(rec)))
             .unwrap();

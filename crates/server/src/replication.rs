@@ -54,7 +54,7 @@ use arbitrex_core::{try_arbitrate_with_budget, Budget, Quality};
 use arbitrex_logic::{parse as parse_formula, rename_formula, Formula, ModelSet, Sig, ENUM_LIMIT};
 
 use crate::json::{self, Json};
-use crate::kb::{ApplyOutcome, StoredKb};
+use crate::kb::{theory_digest, ApplyOutcome, KbStore, Next, StoredKb};
 use crate::metrics;
 use crate::snapshot;
 use crate::wal;
@@ -660,13 +660,10 @@ fn run_puller(state: &ServiceState, primary: &str) {
                     }
                 };
                 match state.kbs.apply_replicated(chunk, &stamped) {
-                    Ok(ApplyOutcome::Applied { snapshot_due, .. }) => {
+                    Ok(ApplyOutcome::Applied { .. }) => {
                         metrics::REPL_FRAMES_APPLIED.incr();
                         metrics::LATENCY_REPL_APPLY
                             .record_nanos(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                        if snapshot_due && state.kbs.maybe_snapshot().is_err() {
-                            state.kbs.note_snapshot_error();
-                        }
                     }
                     Ok(ApplyOutcome::Duplicate { .. }) => {
                         metrics::REPL_DUP_FRAMES_SKIPPED.incr();
@@ -734,10 +731,12 @@ fn resync(state: &ServiceState, log: &ReplLog, client: &mut PeerClient) -> bool 
 
 // --- Δ-based anti-entropy ----------------------------------------------------
 
-/// What one reconciliation pass did.
+/// What one reconciliation pass did. Each name the peer lists is
+/// counted once; a name whose listing differs from the local one is
+/// classified under its entry lock, against the local KB as it is then.
 #[derive(Debug, Default)]
 pub struct ReconcileSummary {
-    /// KBs present on both sides with identical seq and content.
+    /// KBs with the same seq and content on both sides.
     pub identical: u64,
     /// KBs absent locally, adopted verbatim from the peer.
     pub adopted: u64,
@@ -745,8 +744,9 @@ pub struct ReconcileSummary {
     pub aligned: u64,
     /// Divergent KBs merged with `Δ` arbitration.
     pub merged: u64,
-    /// Divergent KBs skipped (peer formula unreadable or arbitration
-    /// not exact — should not happen with an unlimited budget).
+    /// KBs left alone: the peer's copy could not be fetched or read, a
+    /// local commit failed, or the merged signature is too wide for an
+    /// exact `Δ`.
     pub skipped: u64,
 }
 
@@ -804,8 +804,8 @@ pub(crate) fn local_listing(state: &ServiceState) -> HashMap<String, (u64, u64)>
         .collect()
 }
 
-/// Fetch one KB's formula text and seq from the peer's own store.
-fn fetch_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String> {
+/// Fetch one KB from the peer's own store, parsed, with its seq.
+fn fetch_kb(client: &mut PeerClient, name: &str) -> Result<StoredKb, String> {
     // Anti-entropy and handoff address a *node*, not the namespace: the
     // shard bypass header makes the peer serve its own local copy
     // instead of routing the read by its ring (which could hand this
@@ -826,38 +826,41 @@ fn fetch_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String
     let formula = doc
         .get("formula")
         .and_then(|v| v.as_str())
-        .ok_or("KB body has no formula")?
-        .to_string();
+        .ok_or("KB body has no formula")?;
     let seq = doc
         .get("seq")
         .and_then(|v| v.as_u64())
-        .ok_or("KB body has no seq")?;
-    Ok((formula, seq))
+        .filter(|&seq| seq > 0)
+        .ok_or("KB body has no committed seq")?;
+    let mut sig = Sig::new();
+    let formula =
+        parse_formula(&mut sig, formula).map_err(|e| format!("peer formula unparsable: {e}"))?;
+    Ok(StoredKb { sig, formula, seq })
 }
 
 /// Fetch `name` from the peer and land it verbatim, seq included, so
-/// the two listings agree afterwards. Returns the adopted seq.
+/// the two listings agree afterwards — but only while the local seq is
+/// still `if_seq` (0: absent), so a local commit that raced the fetch is
+/// never overwritten. Returns the adopted seq.
 pub(crate) fn pull_kb(
     state: &ServiceState,
     client: &mut PeerClient,
     name: &str,
+    if_seq: u64,
 ) -> Result<u64, String> {
-    let (text, seq) = fetch_kb(client, name)?;
-    let mut sig = arbitrex_logic::Sig::new();
-    let formula =
-        parse_formula(&mut sig, &text).map_err(|e| format!("peer formula unparsable: {e}"))?;
+    let peer = fetch_kb(client, name)?;
+    let seq = peer.seq;
     state
         .kbs
-        .force_put(name, StoredKb { sig, formula, seq })
-        .map_err(|e| e.to_string())?;
+        .update(name, Some(if_seq), |_| (Next::Put(peer), ()))
+        .map_err(|e| format!("adopting `{name}` failed: {e:?}"))?;
     Ok(seq)
 }
 
-/// One anti-entropy pass against `peer`: adopt KBs we lack, align seqs
-/// on identical content, and merge genuinely divergent theories with
-/// `Δ` arbitration — over sorted names, both sides ordered by digest, so
-/// the peer running the same pass against us would commit the identical
-/// result.
+/// One anti-entropy pass against `peer`. The peer's listing only picks
+/// which names to visit: a name listed with the local `(seq, hash)` is
+/// identical; every other one is fetched and reconciled against the
+/// local KB as it is under its entry lock (`reconcile_kb`).
 pub fn reconcile_with_peer(state: &ServiceState, peer: &str) -> Result<ReconcileSummary, String> {
     if state.kbs.replication().is_none() {
         return Err("reconciliation requires a durable store".to_string());
@@ -868,93 +871,81 @@ pub fn reconcile_with_peer(state: &ServiceState, peer: &str) -> Result<Reconcile
 
     let mut summary = ReconcileSummary::default();
     for entry in peer_listing {
-        match local.get(&entry.name) {
-            None => {
-                // Absent here: adopt the peer's theory verbatim.
-                match pull_kb(state, &mut client, &entry.name) {
-                    Ok(_) => summary.adopted += 1,
-                    Err(_) => summary.skipped += 1,
-                }
+        if local.get(&entry.name) == Some(&(entry.seq, entry.hash)) {
+            summary.identical += 1;
+            continue;
+        }
+        let verdict = fetch_kb(&mut client, &entry.name)
+            .and_then(|peer_kb| reconcile_kb(&state.kbs, &entry.name, peer_kb));
+        match verdict {
+            Ok(Verdict::Identical) => summary.identical += 1,
+            Ok(Verdict::Adopted) => summary.adopted += 1,
+            Ok(Verdict::Aligned) => summary.aligned += 1,
+            Ok(Verdict::Merged) => {
+                metrics::REPL_RECONCILIATIONS.incr();
+                summary.merged += 1;
             }
-            Some(&(local_seq, local_hash)) if local_hash == entry.hash => {
-                if local_seq == entry.seq {
-                    summary.identical += 1;
-                    continue;
-                }
-                // Same theory, different seq (e.g. one side redundantly
-                // re-committed): align on the max so digests converge.
-                let target = local_seq.max(entry.seq);
-                if align_seq(state, &entry.name, target) {
-                    summary.aligned += 1;
-                } else {
-                    summary.skipped += 1;
-                }
-            }
-            Some(&(local_seq, _)) => {
-                // Genuine divergence: merge with Δ, not last-writer-wins.
-                match merge_divergent(state, &mut client, &entry.name, local_seq, entry.seq) {
-                    Ok(()) => {
-                        metrics::REPL_RECONCILIATIONS.incr();
-                        summary.merged += 1;
-                    }
-                    Err(_) => summary.skipped += 1,
-                }
-            }
+            Err(_) => summary.skipped += 1,
         }
     }
     Ok(summary)
 }
 
-/// Re-commit the local theory under `target` seq (content unchanged).
-fn align_seq(state: &ServiceState, name: &str, target: u64) -> bool {
-    let Some(entry) = state.kbs.entry(name) else {
-        return false;
-    };
-    let next = {
-        let kb = entry.lock().unwrap();
-        if kb.seq == 0 || kb.seq == target {
-            return kb.seq == target;
-        }
-        StoredKb {
-            sig: kb.sig.clone(),
-            formula: kb.formula.clone(),
-            seq: target,
-        }
-    };
-    state.kbs.force_put(name, next).is_ok()
+/// How [`reconcile_kb`] reconciled one KB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Same seq and content: nothing to do.
+    Identical,
+    /// Absent locally: the peer's copy landed verbatim.
+    Adopted,
+    /// Same content: the seq is now the larger of the two.
+    Aligned,
+    /// Divergent: `local Δ peer` landed above both seqs.
+    Merged,
 }
 
-/// Merge one divergent KB: `Δ(local, peer)` over the names the two
-/// theories mention, interned in sorted order. Arbitration reads only
-/// `Mod(local) ∪ Mod(peer)`, so the result does not depend on which side
-/// is which; the sorted interning makes the variable numbering, and so
-/// the stored text, the same on every member that merges the pair.
-/// Commits at `max(seq_local, seq_peer) + 1`.
-fn merge_divergent(
-    state: &ServiceState,
-    client: &mut PeerClient,
-    name: &str,
-    local_seq: u64,
-    peer_seq: u64,
-) -> Result<(), String> {
-    let (peer_text, _) = fetch_kb(client, name)?;
-    let entry = state
-        .kbs
-        .entry(name)
-        .ok_or("KB vanished during reconciliation")?;
-    let (local_sig, local_formula) = {
-        let kb = entry.lock().unwrap();
-        if kb.seq == 0 {
-            return Err("KB vanished during reconciliation".to_string());
+/// Reconcile `name` with the peer's copy, deciding under the entry lock
+/// against the local KB as it is then, not as a listing saw it: absent
+/// → adopt the peer's copy; the same theory → align on the larger seq;
+/// otherwise → `local Δ peer` at `max(local seq, peer seq) + 1`, above
+/// any commit acknowledged here.
+pub(crate) fn reconcile_kb(store: &KbStore, name: &str, peer: StoredKb) -> Result<Verdict, String> {
+    let step = |local: Option<&StoredKb>| {
+        let Some(local) = local else {
+            return Ok((Next::Put(peer), Verdict::Adopted));
+        };
+        if theory_digest(&local.sig, &local.formula) != theory_digest(&peer.sig, &peer.formula) {
+            let merged = delta_merge(local, &peer, local.seq.max(peer.seq) + 1)?;
+            return Ok((Next::Put(merged), Verdict::Merged));
         }
-        (kb.sig.clone(), kb.formula.clone())
+        Ok(match local.seq.cmp(&peer.seq) {
+            std::cmp::Ordering::Equal => (Next::Keep, Verdict::Identical),
+            // The peer aligns when it reconciles against this node.
+            std::cmp::Ordering::Greater => (Next::Keep, Verdict::Aligned),
+            std::cmp::Ordering::Less => {
+                let aligned = StoredKb {
+                    seq: peer.seq,
+                    ..local.clone()
+                };
+                (Next::Put(aligned), Verdict::Aligned)
+            }
+        })
     };
-    let mut peer_sig = Sig::new();
-    let peer_formula = parse_formula(&mut peer_sig, &peer_text)
-        .map_err(|e| format!("peer formula does not parse: {e}"))?;
-    let mut names: Vec<&str> = [(&local_sig, &local_formula), (&peer_sig, &peer_formula)]
+    store
+        .update(name, None, |local| Next::or_keep(step(local)))
+        .map_err(|e| format!("reconciling `{name}` failed: {e:?}"))?
+        .value
+}
+
+/// `local Δ peer` at `seq`, over the names the two theories mention,
+/// interned in sorted order. Arbitration reads only `Mod(local) ∪
+/// Mod(peer)`, so the result does not depend on which side is which;
+/// the sorted interning makes the variable numbering, and so the stored
+/// text, the same on every member that merges the pair.
+fn delta_merge(local: &StoredKb, peer: &StoredKb, seq: u64) -> Result<StoredKb, String> {
+    let mut names: Vec<&str> = [local, peer]
         .into_iter()
-        .flat_map(|(sig, f)| f.vars().into_iter().map(|v| sig.name(v)))
+        .flat_map(|kb| kb.formula.vars().into_iter().map(|v| kb.sig.name(v)))
         .collect();
     names.sort_unstable();
     names.dedup();
@@ -966,18 +957,10 @@ fn merge_divergent(
     if n > ENUM_LIMIT {
         return Err(format!("merged signature of {n} variables too wide"));
     }
-    let psi = ModelSet::of_formula(&renamed_into(&sig, &local_sig, &local_formula), n);
-    let phi = ModelSet::of_formula(&renamed_into(&sig, &peer_sig, &peer_formula), n);
-    let merged = StoredKb {
-        sig,
-        formula: exact_merge(&psi, &phi, &Budget::unlimited())?.to_formula(),
-        seq: local_seq.max(peer_seq) + 1,
-    };
-    state
-        .kbs
-        .force_put(name, merged)
-        .map_err(|e| e.to_string())?;
-    Ok(())
+    let psi = ModelSet::of_formula(&renamed_into(&sig, local), n);
+    let phi = ModelSet::of_formula(&renamed_into(&sig, peer), n);
+    let formula = exact_merge(&psi, &phi, &Budget::unlimited())?.to_formula();
+    Ok(StoredKb { sig, formula, seq })
 }
 
 /// `ψ Δ φ` under `budget`, refused unless exact: a merged theory is
@@ -990,15 +973,16 @@ fn exact_merge(psi: &ModelSet, phi: &ModelSet, budget: &Budget) -> Result<ModelS
     Ok(outcome.models)
 }
 
-/// `f`, written over `from`, renumbered into `to`, which names every
-/// variable `f` mentions.
-fn renamed_into(to: &Sig, from: &Sig, f: &Formula) -> Formula {
-    let map: Vec<u32> = from
+/// `kb`'s formula renumbered into `to`, which names every variable it
+/// mentions.
+fn renamed_into(to: &Sig, kb: &StoredKb) -> Formula {
+    let map: Vec<u32> = kb
+        .sig
         .names()
         .iter()
         .map(|name| to.get(name).map_or(0, |v| v.0))
         .collect();
-    rename_formula(f, &map)
+    rename_formula(&kb.formula, &map)
 }
 
 /// Render a reconcile summary as the endpoint's response body.
@@ -1016,7 +1000,74 @@ pub fn summary_json(peer: &str, s: &ReconcileSummary) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arbitrex_core::kernel::naive;
     use arbitrex_logic::Interp;
+
+    fn parsed(text: &str, seq: u64) -> StoredKb {
+        let mut sig = Sig::new();
+        let formula = parse_formula(&mut sig, text).unwrap();
+        StoredKb { sig, formula, seq }
+    }
+
+    /// A client put through the store's one write path; returns its seq.
+    fn put(store: &KbStore, name: &str, text: &str) -> u64 {
+        let kb = parsed(text, 0);
+        let done = store.update(name, None, |current| {
+            let seq = current.map_or(0, |kb| kb.seq) + 1;
+            (Next::Put(StoredKb { seq, ..kb }), ())
+        });
+        done.unwrap().seq
+    }
+
+    /// `Mod(kb)` over `names`, numbered in that order.
+    fn models_over(names: &[&str], kb: &StoredKb) -> ModelSet {
+        let mut sig = Sig::new();
+        for name in names {
+            sig.var(name);
+        }
+        ModelSet::of_formula(&renamed_into(&sig, kb), sig.width())
+    }
+
+    #[test]
+    fn reconcile_decides_against_the_kb_under_its_lock_not_the_listing() {
+        let store = KbStore::new();
+        assert_eq!(put(&store, "k", "A & B"), 1);
+        // The pass lists this store with `k` at seq 1 and no `fresh` ...
+        let listing = store.digest();
+        assert_eq!(listing.len(), 1);
+        assert_eq!((listing[0].0.as_str(), listing[0].1), ("k", 1));
+        // ... then clients commit to both names before the pass gets there.
+        assert_eq!(put(&store, "k", "A & !B"), 2);
+        assert_eq!(put(&store, "fresh", "C & D"), 1);
+
+        // The merge lands above the acked seq, over the current theory.
+        let peer = parsed("!A & !B", 1);
+        let verdict = reconcile_kb(&store, "k", peer.clone());
+        assert_eq!(verdict, Ok(Verdict::Merged));
+        let merged = store.read("k", StoredKb::clone).unwrap();
+        assert!(merged.seq > 2, "merged at the acked seq {}", merged.seq);
+        let ab = ["A", "B"];
+        let current = parsed("A & !B", 2);
+        let oracle = naive::arbitrate(&models_over(&ab, &current), &models_over(&ab, &peer));
+        assert_eq!(models_over(&ab, &merged), oracle);
+
+        // A name created after the listing is merged, not overwritten.
+        let peer = parsed("!C & !D", 1);
+        let verdict = reconcile_kb(&store, "fresh", peer.clone());
+        assert_eq!(verdict, Ok(Verdict::Merged));
+        let fresh = store.read("fresh", StoredKb::clone).unwrap();
+        assert_eq!(fresh.seq, 2);
+        let cd = ["C", "D"];
+        let local = parsed("C & D", 1);
+        let oracle = naive::arbitrate(&models_over(&cd, &local), &models_over(&cd, &peer));
+        assert_eq!(models_over(&cd, &fresh), oracle);
+        assert_ne!(models_over(&cd, &fresh), models_over(&cd, &peer));
+
+        // A name still absent is adopted verbatim, seq included.
+        let verdict = reconcile_kb(&store, "gone", parsed("E", 4));
+        assert_eq!(verdict, Ok(Verdict::Adopted));
+        assert_eq!(store.read("gone", |kb| kb.seq), Some(4));
+    }
 
     #[test]
     fn a_merge_is_exact_or_refused() {

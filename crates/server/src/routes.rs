@@ -11,7 +11,7 @@ use crate::answer::AnswerWriter;
 use crate::failover::{self, PromoteError};
 use crate::http::{Request, Response};
 use crate::json::{self, obj, Json};
-use crate::kb::{self, CommitError, StoredKb};
+use crate::kb::{self, CommitError, Next, StoredKb};
 use crate::metrics;
 use crate::replication::{
     self, FetchOutcome, PeerClient, PeerResponse, ReplLog, NET_DELAY, POLL_WAIT,
@@ -1350,9 +1350,11 @@ fn shard_proxy_get(
 /// The local copy of `name` as a response body, if this node holds a
 /// committed copy (seq > 0).
 fn local_kb_view(state: &ServiceState, name: &str) -> Option<Json> {
-    let entry = state.kbs.entry(name)?;
-    let kb = entry.lock().unwrap();
-    (kb.seq > 0).then(|| kb_view(name, &kb))
+    state.kbs.read(name, |kb| kb_view(name, kb))
+}
+
+fn no_kb(name: &str) -> Response {
+    error_response(404, format!("no KB named `{name}`"))
 }
 
 fn kb_view(name: &str, kb: &StoredKb) -> Json {
@@ -1392,15 +1394,6 @@ fn commit_error_response(e: CommitError, wanted: Option<u64>) -> Response {
     }
 }
 
-/// Run a due periodic snapshot. Called only after every entry lock is
-/// released; a failure is counted and absorbed — the commits it would
-/// have folded stay safe in the WAL.
-fn run_due_snapshot(state: &ServiceState, due: bool) {
-    if due && state.kbs.maybe_snapshot().is_err() {
-        state.kbs.note_snapshot_error();
-    }
-}
-
 fn kb_get(state: &ServiceState, req: &Request, name: &str) -> Response {
     // Read-your-writes across failover: a client holding the
     // `X-Arbitrex-Seq` of its commit asks any node to only answer once
@@ -1431,29 +1424,19 @@ fn kb_get(state: &ServiceState, req: &Request, name: &str) -> Response {
             }
         }
     }
-    if let Some(entry) = state.kbs.entry(name) {
-        let kb = entry.lock().unwrap();
-        // seq 0 is an uncommitted placeholder: not a KB yet.
-        if kb.seq > 0 {
-            return ok(kb_view(name, &kb));
-        }
-    }
-    error_response(404, format!("no KB named `{name}`"))
+    local_kb_view(state, name).map_or_else(|| no_kb(name), ok)
 }
 
 fn kb_delete(state: &ServiceState, name: &str, if_seq: Option<u64>) -> Response {
     match state.kbs.delete(name, if_seq) {
-        Ok(Some((rseq, snapshot_due))) => {
-            run_due_snapshot(state, snapshot_due);
-            with_commit_seq(
-                ok(obj([
-                    ("name", json::s(name)),
-                    ("deleted", Json::Bool(true)),
-                ])),
-                rseq,
-            )
-        }
-        Ok(None) => error_response(404, format!("no KB named `{name}`")),
+        Ok(Some(rseq)) => with_commit_seq(
+            ok(obj([
+                ("name", json::s(name)),
+                ("deleted", Json::Bool(true)),
+            ])),
+            rseq,
+        ),
+        Ok(None) => no_kb(name),
         Err(e) => commit_error_response(e, if_seq),
     }
 }
@@ -1466,14 +1449,16 @@ fn kb_post(state: &ServiceState, name: &str, body: &Json) -> Result<Response, Re
             let mut sig = Sig::new();
             let formula = parse_field(&mut sig, "formula", field_str(body, "formula")?)?;
             check_width(sig.width())?;
-            match state.kbs.put(name, sig.clone(), formula.clone(), if_seq) {
-                Ok((seq, rseq, snapshot_due)) => {
-                    run_due_snapshot(state, snapshot_due);
-                    let kb = StoredKb { sig, formula, seq };
-                    Ok(with_commit_seq(ok(kb_view(name, &kb)), rseq))
-                }
-                Err(e) => Err(commit_error_response(e, if_seq)),
-            }
+            let done = state
+                .kbs
+                .update(name, if_seq, |kb| {
+                    let seq = kb.map_or(0, |kb| kb.seq) + 1;
+                    let next = StoredKb { sig, formula, seq };
+                    let view = kb_view(name, &next);
+                    (Next::Put(next), view)
+                })
+                .map_err(|e| commit_error_response(e, if_seq))?;
+            Ok(with_commit_seq(ok(done.value), done.rseq))
         }
         "delete" => Ok(kb_delete(state, name, if_seq)),
         "arbitrate" | "fit" => kb_change(state, name, body, action, if_seq),
@@ -1497,65 +1482,46 @@ fn kb_change(
     if_seq: Option<u64>,
 ) -> Result<Response, Response> {
     let budget = budget_and_hold(body, state)?;
-    let entry = state
-        .kbs
-        .entry(name)
-        .ok_or_else(|| error_response(404, format!("no KB named `{name}`")))?;
-    let mut kb = entry.lock().unwrap();
-    if kb.seq == 0 {
-        return Err(error_response(404, format!("no KB named `{name}`")));
-    }
-    if let Some(wanted) = if_seq {
-        if wanted != kb.seq {
-            return Err(conflict_response(kb.seq, wanted));
-        }
-    }
-
-    let mut sig = kb.sig.clone();
-    let [mu] = read_sides(&mut sig, body, ["formula"])?;
-    let psi = ModelSet::of_formula(&kb.formula, sig.width());
-
-    let outcome = if action == "arbitrate" {
-        try_arbitrate_with_budget(&psi, &mu, &budget)
-            .map_err(|e| error_response(400, e.to_string()))?
-    } else {
-        let (_, op) = fit_operator(body)?;
-        op.apply_with_budget(&psi, &mu, &budget)
-    };
-
-    note_quality(outcome.quality);
-    let committed = outcome.quality == Quality::Exact;
-    let mut snapshot_due = false;
-    let mut rseq = 0;
-    if committed {
+    let step = |kb: Option<&StoredKb>| {
+        let kb = kb.ok_or_else(|| no_kb(name))?;
+        let mut sig = kb.sig.clone();
+        let [mu] = read_sides(&mut sig, body, ["formula"])?;
+        let psi = ModelSet::of_formula(&kb.formula, sig.width());
+        let outcome = if action == "arbitrate" {
+            try_arbitrate_with_budget(&psi, &mu, &budget)
+                .map_err(|e| error_response(400, e.to_string()))?
+        } else {
+            let (_, op) = fit_operator(body)?;
+            op.apply_with_budget(&psi, &mu, &budget)
+        };
+        note_quality(outcome.quality);
         // The stored theory is the only `Formula` built; the response
         // text is written from the models.
-        let next = StoredKb {
-            sig: sig.clone(),
-            formula: outcome.models.to_formula(),
-            seq: kb.seq + 1,
+        let next = match outcome.quality {
+            Quality::Exact => Next::Put(StoredKb {
+                sig: sig.clone(),
+                formula: outcome.models.to_formula(),
+                seq: kb.seq + 1,
+            }),
+            _ => Next::Keep,
         };
-        // WAL append + fsync first; the in-memory state only advances
-        // once the record is durable, so an acked seq always survives.
-        (rseq, snapshot_due) = state
-            .kbs
-            .commit(name, &next)
-            .map_err(|e| commit_error_response(CommitError::Io(e), if_seq))?;
-        *kb = next;
-    }
-    let seq_now = kb.seq;
-    drop(kb);
-    run_due_snapshot(state, snapshot_due);
+        Ok((next, (sig, outcome)))
+    };
+    let done = state
+        .kbs
+        .update(name, if_seq, |kb| Next::or_keep(step(kb)))
+        .map_err(|e| commit_error_response(e, if_seq))?;
+    let (sig, outcome) = done.value?;
     let body = AnswerWriter::new(&sig)
         .str("endpoint", "kb")
         .str("name", name)
         .str("action", action)
         .provenance(outcome.quality)
-        .bool("committed", committed)
-        .num("seq", seq_now)
+        .bool("committed", outcome.quality == Quality::Exact)
+        .num("seq", done.seq)
         .answer(&outcome.models, &outcome.spent)
         .finish();
-    Ok(with_commit_seq(Response::json(200, body), rseq))
+    Ok(with_commit_seq(Response::json(200, body), done.rseq))
 }
 
 /// Iterate `ψ ← op(ψ, μ)` to a fixpoint or cycle via `core::iterated`,
@@ -1566,47 +1532,31 @@ fn kb_iterate(
     body: &Json,
     if_seq: Option<u64>,
 ) -> Result<Response, Response> {
-    let entry = state
-        .kbs
-        .entry(name)
-        .ok_or_else(|| error_response(404, format!("no KB named `{name}`")))?;
-    let mut kb = entry.lock().unwrap();
-    if kb.seq == 0 {
-        return Err(error_response(404, format!("no KB named `{name}`")));
-    }
-    if let Some(wanted) = if_seq {
-        if wanted != kb.seq {
-            return Err(conflict_response(kb.seq, wanted));
-        }
-    }
-
-    let mut sig = kb.sig.clone();
-    let [mu_m] = read_sides(&mut sig, body, ["formula"])?;
-    let max_steps = field_u64(body, "max_steps")?
-        .map(|s| (s as usize).min(MAX_ITERATE_STEPS))
-        .unwrap_or(64);
-    let op_name = op_field(body)?;
-    let op = arbitrex_core::operator(op_name)
-        .ok_or_else(|| error_response(400, format!("unknown operator `{op_name}`")))?;
-
-    let psi_m = ModelSet::of_formula(&kb.formula, sig.width());
-    let run = iterate_fixed_input(op.as_ref(), &psi_m, &mu_m, max_steps);
-    let final_models = run.trajectory.last().cloned().unwrap_or(psi_m);
-
-    let next = StoredKb {
-        sig: sig.clone(),
-        formula: final_models.to_formula(),
-        seq: kb.seq + 1,
+    let step = |kb: Option<&StoredKb>| {
+        let kb = kb.ok_or_else(|| no_kb(name))?;
+        let mut sig = kb.sig.clone();
+        let [mu_m] = read_sides(&mut sig, body, ["formula"])?;
+        let max_steps = field_u64(body, "max_steps")?
+            .map(|s| (s as usize).min(MAX_ITERATE_STEPS))
+            .unwrap_or(64);
+        let op_name = op_field(body)?;
+        let op = arbitrex_core::operator(op_name)
+            .ok_or_else(|| error_response(400, format!("unknown operator `{op_name}`")))?;
+        let psi_m = ModelSet::of_formula(&kb.formula, sig.width());
+        let run = iterate_fixed_input(op.as_ref(), &psi_m, &mu_m, max_steps);
+        let final_models = run.trajectory.last().cloned().unwrap_or(psi_m);
+        let next = StoredKb {
+            sig: sig.clone(),
+            formula: final_models.to_formula(),
+            seq: kb.seq + 1,
+        };
+        Ok((Next::Put(next), (sig, op_name, run, final_models)))
     };
-    let (rseq, snapshot_due) = state
+    let done = state
         .kbs
-        .commit(name, &next)
-        .map_err(|e| commit_error_response(CommitError::Io(e), if_seq))?;
-    *kb = next;
-    let seq_now = kb.seq;
-    drop(kb);
-    run_due_snapshot(state, snapshot_due);
-
+        .update(name, if_seq, |kb| Next::or_keep(step(kb)))
+        .map_err(|e| commit_error_response(e, if_seq))?;
+    let (sig, op_name, run, final_models) = done.value?;
     let body = AnswerWriter::new(&sig)
         .str("endpoint", "kb")
         .str("name", name)
@@ -1615,9 +1565,9 @@ fn kb_iterate(
         .num("steps", run.trajectory.len() as u64 - 1)
         .opt_num("period", run.period().map(|p| p as u64))
         .bool("fixpoint", run.is_fixpoint())
-        .num("seq", seq_now)
+        .num("seq", done.seq)
         .num("n_models", final_models.len() as u64)
         .formula(&final_models)
         .finish();
-    Ok(with_commit_seq(Response::json(200, body), rseq))
+    Ok(with_commit_seq(Response::json(200, body), done.rseq))
 }

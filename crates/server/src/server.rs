@@ -456,9 +456,7 @@ impl Server {
         // Drain complete: no worker can commit anymore. Fold the WAL
         // into a final snapshot so the next startup replays nothing.
         // Best-effort — every commit is already durable in the log.
-        if state.kbs.snapshot_now().is_err() {
-            state.kbs.note_snapshot_error();
-        }
+        state.kbs.snapshot_now();
         result
     }
 }

@@ -27,9 +27,11 @@
 //! (`GET /v1/kbs`: name, seq, name-bound content hash — the same digest
 //! the PR 8 anti-entropy pass compares), fetches each KB it now owns
 //! over the replication transport ([`PeerClient`]), lands it verbatim
-//! with [`crate::kb::KbStore::force_put`], and then asks the old owner
-//! to release its copy (`POST /v1/cluster/release`, guarded by the
-//! pulled seq so a commit racing the handoff is never dropped).
+//! with [`crate::kb::KbStore::update`] (guarded by the local seq it
+//! listed, so a local commit racing the pull is never overwritten), and
+//! then asks the old owner to release its copy
+//! (`POST /v1/cluster/release`, guarded by the pulled seq so a commit
+//! racing the handoff is never dropped).
 //! Divergence discovered during the pull — both sides committed to the
 //! same name under a partition — is handed to the PR 8 `Δ`-arbitration
 //! reconciliation path ([`crate::replication::reconcile_with_peer`]),
@@ -917,11 +919,15 @@ fn migrate_one(
 ) -> Result<MigrateOutcome, String> {
     let mut pulled = false;
     let mut seq = kb.seq;
-    let already_current = local
+    // The local seq each pull expects to replace (0: absent).
+    let (mut local_seq, already_current) = local
         .get(&kb.name)
-        .is_some_and(|&(local_seq, local_hash)| local_hash == kb.hash && local_seq >= kb.seq);
+        .map_or((0, false), |&(local_seq, local_hash)| {
+            (local_seq, local_hash == kb.hash && local_seq >= kb.seq)
+        });
     if !already_current {
-        seq = pull_kb(state, client, &kb.name)?;
+        seq = pull_kb(state, client, &kb.name, local_seq)?;
+        local_seq = seq;
         pulled = true;
     }
     for _ in 0..HANDOFF_RETRIES {
@@ -935,7 +941,8 @@ fn migrate_one(
             Ok(false) => {
                 // The source committed again mid-handoff: adopt the
                 // newer state and retry the release against it.
-                seq = pull_kb(state, client, &kb.name)?;
+                seq = pull_kb(state, client, &kb.name, local_seq)?;
+                local_seq = seq;
                 pulled = true;
             }
             Err(_) => {

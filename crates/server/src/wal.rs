@@ -40,6 +40,7 @@
 //! faults are sticky: every later append and fsync fails too, so no
 //! commit is acknowledged behind the torn frame.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -82,10 +83,16 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// The KB name this record is about.
-    pub fn name(&self) -> &str {
+    /// Fold this record into `state`: the one step recovery replays, and
+    /// the store applies to its shadow on every append.
+    pub(crate) fn fold_into(self, state: &mut HashMap<String, StoredKb>) {
         match self {
-            WalRecord::Commit { name, .. } | WalRecord::Delete { name } => name,
+            WalRecord::Commit { name, kb } => {
+                state.insert(name, kb);
+            }
+            WalRecord::Delete { name } => {
+                state.remove(&name);
+            }
         }
     }
 }
@@ -616,7 +623,7 @@ mod tests {
     use super::*;
     use arbitrex_logic::parse;
 
-    /// Frame `rec` and append it unsynced, as `KbStore::log` does.
+    /// Frame `rec` and append it unsynced, as `KbStore::update` does.
     fn append(wal: &mut Wal, epoch: u64, rseq: u64, rec: &WalRecord) {
         wal.append_frame_unsynced(&frame(epoch, rseq, &encode_record(rec)))
             .unwrap();

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use arbitrex_core::{FaultPlan, FaultSite, Faults};
 use arbitrex_logic::{encode_formula, parse, Sig};
-use arbitrex_server::kb::{DurabilityOptions, KbStore, StoredKb};
+use arbitrex_server::kb::{DurabilityOptions, KbStore, Next, StoredKb};
 use arbitrex_server::recovery::{self, RecoverMode};
 use arbitrex_server::snapshot;
 use arbitrex_server::wal::{self, Wal, WalRecord, WAL_FILE};
@@ -565,6 +565,20 @@ fn a_demoted_store_reopens_read_only_until_promoted() {
     assert!(!read_only(&store), "a promoted store reopened read-only");
 }
 
+/// A client put through the store's one write path: `oracle(i)` at the
+/// current seq + 1. Returns the committed seq.
+fn put_oracle(store: &KbStore, name: &str, i: u64) -> u64 {
+    let mut sig = Sig::new();
+    let formula = parse(&mut sig, &oracle(i)).unwrap();
+    store
+        .update(name, None, |kb| {
+            let seq = kb.map_or(0, |kb| kb.seq) + 1;
+            (Next::Put(StoredKb { sig, formula, seq }), ())
+        })
+        .unwrap_or_else(|e| panic!("commit {i} on {name}: {e:?}"))
+        .seq
+}
+
 /// N committer threads, each driving its own KB through `commits`
 /// sequential puts. Every put must be acknowledged.
 fn commit_storm(store: &KbStore, threads: u64, commits: u64) {
@@ -574,12 +588,7 @@ fn commit_storm(store: &KbStore, threads: u64, commits: u64) {
             scope.spawn(move || {
                 let name = format!("kb-{t}");
                 for i in 1..=commits {
-                    let mut sig = Sig::new();
-                    let formula = parse(&mut sig, &oracle(i)).unwrap();
-                    let (seq, _, _) = store
-                        .put(&name, sig, formula, None)
-                        .unwrap_or_else(|e| panic!("commit {i} on {name}: {e:?}"));
-                    assert_eq!(seq, i);
+                    assert_eq!(put_oracle(store, &name, i), i);
                 }
             });
         }
@@ -641,19 +650,15 @@ fn group_commit_snapshot_acks_pending_commits() {
                 let store = &store;
                 scope.spawn(move || {
                     let name = format!("kb-{t}");
+                    // The store writes each due snapshot itself,
+                    // after releasing the entry lock.
                     for i in 1..=16u64 {
-                        let mut sig = Sig::new();
-                        let formula = parse(&mut sig, &oracle(i)).unwrap();
-                        let (_, _, snapshot_due) = store.put(&name, sig, formula, None).unwrap();
-                        if snapshot_due {
-                            // Route handlers do exactly this after
-                            // releasing their entry lock.
-                            let _ = store.maybe_snapshot();
-                        }
+                        put_oracle(store, &name, i);
                     }
                 });
             }
         });
+        assert!(dir.join(snapshot::SNAPSHOT_FILE).exists());
     }
     assert_storm_recovered(&dir, 4, 16);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -780,8 +785,9 @@ fn kill9_mid_commit_storm_loses_no_acknowledged_commit() {
         initial_epoch: None,
     })
     .expect("strict recovery after SIGKILL");
-    let entry = store.entry("storm").expect("storm KB survived");
-    let kb = entry.lock().unwrap();
+    let kb = store
+        .read("storm", StoredKb::clone)
+        .expect("storm KB survived");
     assert!(
         kb.seq == last_acked || kb.seq == last_acked + 1,
         "recovered seq {} vs last acked {last_acked}",
@@ -794,7 +800,6 @@ fn kill9_mid_commit_storm_loses_no_acknowledged_commit() {
         kb.seq
     );
     assert_eq!(report.max_seq, kb.seq);
-    drop(kb);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -915,10 +920,9 @@ fn kill9_group_commit_storm_loses_no_acknowledged_commit() {
             *last_acked > 0,
             "client {t} never got a single acknowledgement"
         );
-        let entry = store
-            .entry(&format!("storm-{t}"))
+        let kb = store
+            .read(&format!("storm-{t}"), StoredKb::clone)
             .unwrap_or_else(|| panic!("storm-{t} KB survived"));
-        let kb = entry.lock().unwrap();
         assert!(
             kb.seq == *last_acked || kb.seq == *last_acked + 1,
             "storm-{t}: recovered seq {} vs last acked {last_acked}",

@@ -23,6 +23,7 @@ use arbitrex_core::{FaultPlan, FaultSite, Faults};
 use arbitrex_logic::{parse, ModelSet, Sig};
 use arbitrex_server::kb::{theory_digest, ApplyOutcome, DurabilityOptions, KbStore, StoredKb};
 use arbitrex_server::recovery::RecoverMode;
+use arbitrex_server::snapshot;
 use arbitrex_server::wal::{self, StampedRecord, WalRecord};
 use arbitrex_server::{spawn, RunningServer, ServerConfig};
 
@@ -446,10 +447,10 @@ fn frames_from_a_deposed_epoch_are_refused() {
     store.demote().expect("demote to replica");
 
     let (framed, stamped) = stamped_commit(1, 1, "alive", "A & B");
-    assert!(matches!(
+    assert_eq!(
         store.apply_replicated(&framed, &stamped).unwrap(),
-        ApplyOutcome::Applied { rseq: 1, .. }
-    ));
+        ApplyOutcome::Applied { rseq: 1 }
+    );
 
     // Failover: epoch 2. Everything the deposed epoch-1 primary still
     // ships must bounce — even a frame with the next expected rseq.
@@ -465,7 +466,7 @@ fn frames_from_a_deposed_epoch_are_refused() {
         }
     );
     assert!(
-        store.entry("fenced").is_none(),
+        store.read("fenced", |_| ()).is_none(),
         "a deposed-epoch frame mutated the store"
     );
 
@@ -484,13 +485,61 @@ fn frames_from_a_deposed_epoch_are_refused() {
         }
     );
     let (framed, stamped) = stamped_commit(2, 2, "next", "A | B");
-    assert!(matches!(
+    assert_eq!(
         store.apply_replicated(&framed, &stamped).unwrap(),
-        ApplyOutcome::Applied { rseq: 2, .. }
-    ));
+        ApplyOutcome::Applied { rseq: 2 }
+    );
 }
 
 // --- anti-entropy ------------------------------------------------------------
+
+/// Reconcile is a writer like any other: KBs that reach a node only
+/// through `POST /v1/replication/reconcile` count toward its periodic
+/// snapshot, and the snapshot lands without a client write or shutdown.
+#[test]
+fn reconcile_alone_triggers_the_periodic_snapshot() {
+    let peer = durable_server(&temp_state_dir("snap-peer"), |_| {});
+    for i in 0..5 {
+        put(&peer, &format!("kb-{i}"), "A & !B");
+    }
+    let dir = temp_state_dir("snap-reconciled");
+    let node = durable_server(&dir, |c| c.snapshot_every = 4);
+    let snapshot = dir.join(snapshot::SNAPSHOT_FILE);
+    assert!(!snapshot.exists());
+
+    let body = format!(r#"{{"peer": "{}"}}"#, peer.addr);
+    let (status, v) = request(&node, "POST", "/v1/replication/reconcile", &body);
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(num_of(&v, "adopted"), 5, "{v:?}");
+    assert!(
+        snapshot.exists(),
+        "five adoptions past snapshot_every = 4 wrote no snapshot"
+    );
+}
+
+/// The same for KBs removed only by a handoff's release
+/// (`POST /v1/cluster/release`).
+#[test]
+fn release_alone_triggers_the_periodic_snapshot() {
+    let dir = temp_state_dir("snap-released");
+    let node = durable_server(&dir, |c| c.snapshot_every = 4);
+    let snapshot = dir.join(snapshot::SNAPSHOT_FILE);
+    for i in 0..3 {
+        put(&node, &format!("kb-{i}"), "A");
+    }
+    assert!(!snapshot.exists(), "three puts under snapshot_every = 4");
+
+    for i in 0..3 {
+        let body = format!(r#"{{"name": "kb-{i}", "seq": 1}}"#);
+        let (status, v) = request(&node, "POST", "/v1/cluster/release", &body);
+        assert_eq!(status, 200, "{v:?}");
+        assert_eq!(v.get("released").and_then(|r| r.as_bool()), Some(true));
+    }
+    assert!(
+        snapshot.exists(),
+        "releases past snapshot_every = 4 wrote no snapshot"
+    );
+}
 
 /// The in-test oracle: `Δ` computed directly on model sets with the
 /// same digest side-ordering the server uses, so the reconciled theory

@@ -487,9 +487,9 @@ fn equal_seq_divergence_merges_instead_of_overwriting() {
     // Two partitioned solo nodes each commit ONCE to the same KB name:
     // equal seqs, different theories. The post-join rebalance must hand
     // this to the Δ-arbitration reconcile — a (seq, hash) pair cannot
-    // prove descent, and force_put-overwriting the new owner's acked
-    // commit would be exactly the last-writer-wins loss the design
-    // forbids (DESIGN.md §13.3).
+    // prove descent, and overwriting the new owner's acked commit with
+    // the source's copy would be exactly the last-writer-wins loss the
+    // design forbids (DESIGN.md §13.3).
     //
     // Disjoint variable sets make the merge visible in `n_vars`: a real
     // Δ-merge unions the signatures (3 vars), while overwriting — or
