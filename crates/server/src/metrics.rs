@@ -46,7 +46,7 @@ pub static SERVER_SECTION: Section = Section {
 
 /// Readiness events delivered to connection tokens by the poller.
 pub static EL_READY_EVENTS: Counter = Counter::new("ready_events");
-/// Completion-waker wakeups received by the event loop.
+/// Hand-backs received by the event loop through the completion waker.
 pub static EL_WAKEUPS: Counter = Counter::new("wakeups");
 /// Requests parsed while the connection already had one in flight —
 /// divide by `accepted` for pipelined requests per connection.

@@ -156,7 +156,10 @@ mod linux {
         /// Wait up to `timeout_ms` (-1 blocks) and append readiness
         /// events to `out`. Returns the number of events delivered.
         pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-            const CAPACITY: usize = 1024;
+            // Readiness left over is reported again by the next wait
+            // (level-triggered), so a small batch loses nothing and
+            // keeps the buffer zeroed on every wait cheap.
+            const CAPACITY: usize = 128;
             let mut raw = [EpollEvent { events: 0, data: 0 }; CAPACITY];
             // EINTR yields an empty batch so the caller re-checks
             // shutdown before waiting again.

@@ -7,15 +7,19 @@
 //! out of a read buffer, and in-order response flushing. Parsed
 //! requests are handed to `threads` CPU workers over a bounded queue;
 //! workers run [`crate::routes::dispatch`] (operator work, budgets,
-//! commits) and complete responses back to the I/O thread through a
-//! completion list plus a [`Waker`]. When the queue is full the I/O
-//! thread writes the `503` itself (with `Retry-After`) — backpressure
-//! costs one buffered write, never a worker slot, and the connection
-//! stays usable.
+//! commits), put the encoded response in the connection's outbox and
+//! write whatever is ready at its front to the socket themselves. A
+//! worker hands the connection back to the I/O thread — a completion
+//! list plus a [`Waker`] — only when that thread has something to do:
+//! resume reading a paused or held connection, wait for writability
+//! after the socket refused bytes, or close. When the queue is full the
+//! I/O thread writes the `503` itself (with `Retry-After`) —
+//! backpressure costs one buffered write, never a worker slot, and the
+//! connection stays usable.
 //!
 //! Pipelining: a connection may have up to [`MAX_PIPELINE_DEPTH`]
 //! requests in flight. Each parsed request claims the next response
-//! slot; completions fill slots out of order but flush strictly in
+//! slot; responses fill slots out of order but flush strictly in
 //! request order, so concurrent workers never reorder a connection's
 //! responses. At the cap the loop stops reading that socket — TCP
 //! backpressure, not buffering — and resumes when a slot frees.
@@ -26,17 +30,20 @@
 //! later requests wait behind it, so one connection's writes to a KB
 //! commit in request order and its later reads see them.
 //!
-//! Shutdown is cooperative: a flag checked by the loop's 25 ms poll
-//! timeout and by idle workers. On shutdown the loop stops accepting,
-//! stops parsing new requests, lets in-flight requests complete and
-//! flush, then joins the workers — no request is torn mid-response.
+//! Shutdown is cooperative: [`ShutdownHandle::shutdown`] sets a flag,
+//! wakes the loop through the waker and wakes idle workers; no thread
+//! wakes on a timer to look. A flag set by SIGTERM/SIGINT is seen within
+//! the 500 ms reap interval, the longest the loop ever sleeps. On
+//! shutdown the loop stops accepting, stops parsing new requests, lets
+//! in-flight requests complete and flush, then joins the workers — no
+//! request is torn mid-response.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -46,8 +53,6 @@ use crate::poller::{Event, Interest, Poller, Waker};
 use crate::routes;
 use crate::{ServerConfig, ServiceState};
 
-/// How often blocked loops wake to check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Most requests one connection may have in flight (parsed but not yet
 /// flushed). Beyond this the loop stops reading the socket until a
 /// response flushes, so a pipelining client cannot force unbounded
@@ -56,7 +61,8 @@ pub const MAX_PIPELINE_DEPTH: usize = 128;
 /// Socket read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 /// How often idle keep-alive connections are swept against
-/// `keep_alive_timeout_ms`.
+/// `keep_alive_timeout_ms`; also the loop's poll timeout, so a
+/// signal-set shutdown flag is seen within it.
 const REAP_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Token of the listening socket in the poll set.
@@ -96,12 +102,18 @@ pub fn install_signal_shutdown() {}
 #[derive(Clone)]
 pub struct ShutdownHandle {
     flag: Arc<AtomicBool>,
+    /// The handoffs a stop must wake — idle workers block on the queue
+    /// and the loop on the waker, with no timeout to notice the flag.
+    work: Arc<WorkQueue>,
+    completions: Arc<Completions>,
 }
 
 impl ShutdownHandle {
     /// Ask the server to stop. Idempotent.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
+        self.work.wake_all();
+        self.completions.waker.wake();
     }
 
     fn is_set(&self) -> bool {
@@ -112,21 +124,18 @@ impl ShutdownHandle {
 /// One parsed request on its way to a CPU worker.
 struct Job {
     token: usize,
-    generation: u64,
+    conn: Arc<ConnIo>,
     slot: u64,
     request: Request,
     close: bool,
 }
 
-/// A finished response on its way back to the I/O thread.
+/// A connection a worker hands back to the I/O thread. The `Arc` is its
+/// identity: a hand-back for a token that was closed (and perhaps
+/// reused) since is dropped.
 struct Completion {
     token: usize,
-    generation: u64,
-    slot: u64,
-    bytes: Vec<u8>,
-    /// The response demands the connection close after this flush
-    /// (handler-forced close or an aborted chunked stream).
-    close: bool,
+    conn: Arc<ConnIo>,
 }
 
 /// The bounded handoff between the I/O thread and the CPU workers.
@@ -158,8 +167,7 @@ impl WorkQueue {
         true
     }
 
-    /// Block for the next job, waking periodically to observe shutdown.
-    /// `None` means "shutting down and drained".
+    /// Block for the next job. `None` means "shutting down and drained".
     fn pop(&self, shutdown: &ShutdownHandle) -> Option<Job> {
         let mut q = self.inner.lock().unwrap();
         loop {
@@ -169,14 +177,26 @@ impl WorkQueue {
             if shutdown.is_set() {
                 return None;
             }
-            let (guard, _timeout) = self.ready.wait_timeout(q, POLL_INTERVAL).unwrap();
-            q = guard;
+            q = self
+                .ready
+                .wait(q)
+                .expect("work queue lock poisoned: a thread panicked holding it");
         }
+    }
+
+    /// Wake every idle worker to re-check the shutdown flag. Taking the
+    /// lock orders this after any worker's check-then-wait.
+    fn wake_all(&self) {
+        let _q = self
+            .inner
+            .lock()
+            .expect("work queue lock poisoned: a thread panicked holding it");
+        self.ready.notify_all();
     }
 }
 
-/// Finished responses plus the waker that tells the poll loop about
-/// them.
+/// Connections handed back to the I/O thread, plus the waker that tells
+/// the poll loop about them.
 struct Completions {
     inner: Mutex<Vec<Completion>>,
     waker: Waker,
@@ -200,14 +220,57 @@ impl Completions {
     }
 }
 
-/// Per-connection state machine.
-struct Conn {
+/// The part of a connection the workers share: the socket and its
+/// outbox. The outbox mutex is a leaf — its holder takes no other lock
+/// (not the work queue, not the completion list, no store lock) — and
+/// every write to the socket happens under it, which is what keeps
+/// responses in request order.
+struct ConnIo {
     stream: TcpStream,
-    /// Guards completions against token reuse: a completion whose
-    /// generation does not match the current occupant is dropped.
-    generation: u64,
-    /// Unparsed request bytes.
-    buf: Vec<u8>,
+    outbox: Mutex<Outbox>,
+}
+
+impl ConnIo {
+    fn lock(&self) -> MutexGuard<'_, Outbox> {
+        self.outbox
+            .lock()
+            .expect("outbox lock poisoned: a thread panicked holding it")
+    }
+
+    /// A worker's finish: fill `slot`, release its conflict entry, and
+    /// flush whatever is ready at the front. Returns whether the I/O
+    /// thread must act — resume reading a paused or held connection,
+    /// arm writable interest for bytes the socket refused, or close.
+    fn complete(&self, slot: u64, bytes: Vec<u8>, close: bool) -> bool {
+        let mut ob = self.lock();
+        if ob.dead {
+            // Closed under the job (or already handed back as broken).
+            return false;
+        }
+        let was_paused = ob.paused();
+        let idx = (slot - ob.base_slot) as usize;
+        if let Some(entry) = ob.slots.get_mut(idx) {
+            *entry = Some(bytes);
+        }
+        ob.touching.retain(|(s, _)| *s != slot);
+        if close {
+            // A held request is dropped with the rest of the buffer.
+            ob.stop_parsing = true;
+            ob.close_after_flush = true;
+            ob.held = false;
+        }
+        ob.flush(&self.stream);
+        close
+            || (was_paused && !ob.paused())
+            || ob.held
+            || ob.written < ob.out.len()
+            || ob.should_close()
+    }
+}
+
+/// A connection's response side, shared by the I/O thread and the
+/// workers under [`ConnIo::outbox`].
+struct Outbox {
     /// Encoded response bytes awaiting the socket; `out[..written]` is
     /// already sent.
     out: Vec<u8>,
@@ -217,12 +280,14 @@ struct Conn {
     slots: VecDeque<Option<Vec<u8>>>,
     /// Slot number of `slots[0]`.
     base_slot: u64,
-    /// Next slot number to assign.
-    next_slot: u64,
-    /// The interest currently registered with the poller (`None` =
-    /// deregistered).
-    interest: Option<Interest>,
-    last_activity: Instant,
+    /// Requests still computing that touch stored state, by slot: a
+    /// later request that conflicts with one of them waits in the read
+    /// buffer.
+    touching: Vec<(u64, routes::Access)>,
+    /// A complete request waits in the read buffer for an earlier one
+    /// to complete ([`Outbox::must_wait`]); reading pauses until it
+    /// dispatches.
+    held: bool,
     /// Read side saw EOF (or hangup).
     peer_closed: bool,
     /// No further requests will be parsed (close requested, malformed
@@ -230,35 +295,27 @@ struct Conn {
     stop_parsing: bool,
     /// Close once every slot has flushed.
     close_after_flush: bool,
-    /// Requests still computing that touch stored state, by slot: a
-    /// later request that conflicts with one of them waits in `buf`.
-    touching: Vec<(u64, routes::Access)>,
-    /// A complete request waits in `buf` for an earlier one to complete
-    /// ([`Conn::must_wait`]); reading pauses until it dispatches.
-    held: bool,
-    /// Unrecoverable socket error; close regardless of pending output.
+    /// Unrecoverable socket error, or closed by the I/O thread; close
+    /// regardless of pending output and write nothing more.
     dead: bool,
+    /// Last time bytes reached the socket.
+    last_write: Instant,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, generation: u64) -> Conn {
-        Conn {
-            stream,
-            generation,
-            buf: Vec::new(),
+impl Outbox {
+    fn new() -> Outbox {
+        Outbox {
             out: Vec::new(),
             written: 0,
             slots: VecDeque::new(),
             base_slot: 0,
-            next_slot: 0,
-            interest: None,
-            last_activity: Instant::now(),
+            touching: Vec::new(),
+            held: false,
             peer_closed: false,
             stop_parsing: false,
             close_after_flush: false,
-            touching: Vec::new(),
-            held: false,
             dead: false,
+            last_write: Instant::now(),
         }
     }
 
@@ -284,55 +341,86 @@ impl Conn {
                 && (self.close_after_flush || self.peer_closed || self.stop_parsing))
     }
 
+    fn wants_read(&self) -> bool {
+        !self.stop_parsing && !self.peer_closed && !self.dead && !self.paused() && !self.held
+    }
+
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.stop_parsing
-                && !self.peer_closed
-                && !self.dead
-                && !self.paused()
-                && !self.held,
+            readable: self.wants_read(),
             writable: self.written < self.out.len(),
         }
     }
 
-    /// Record a synchronous (I/O-thread-produced) response in the next
-    /// slot: queue-full 503s, malformed 400s, oversized 413s.
-    fn push_ready_slot(&mut self, bytes: Vec<u8>) {
-        self.next_slot += 1;
-        self.slots.push_back(Some(bytes));
+    /// Slot number of the next request parsed.
+    fn next_slot(&self) -> u64 {
+        self.base_slot + self.slots.len() as u64
     }
 
-    /// Move leading completed slots into the output buffer.
-    fn promote_ready_slots(&mut self) {
+    /// Promote every ready front slot into the output buffer and write
+    /// it until the socket would block.
+    fn flush(&mut self, stream: &TcpStream) {
         while matches!(self.slots.front(), Some(Some(_))) {
             let bytes = self.slots.pop_front().flatten().unwrap();
             self.base_slot += 1;
             self.out.extend_from_slice(&bytes);
         }
-    }
-
-    /// Write buffered output until the socket would block.
-    fn write_out(&mut self) {
-        while self.written < self.out.len() {
-            match self.stream.write(&self.out[self.written..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
+        let mut stream = stream;
+        while !self.dead && self.written < self.out.len() {
+            match stream.write(&self.out[self.written..]) {
+                Ok(0) => self.dead = true,
                 Ok(n) => {
                     self.written += n;
-                    self.last_activity = Instant::now();
+                    self.last_write = Instant::now();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
+                Err(_) => self.dead = true,
             }
         }
-        self.out.clear();
-        self.written = 0;
+        if self.written >= self.out.len() {
+            self.out.clear();
+            self.written = 0;
+        }
+    }
+}
+
+/// The I/O thread's own per-connection state.
+struct Conn {
+    io: Arc<ConnIo>,
+    /// Unparsed request bytes.
+    buf: Vec<u8>,
+    /// The interest currently registered with the poller (`None` =
+    /// deregistered).
+    interest: Option<Interest>,
+    /// Last time bytes arrived from the peer.
+    last_read: Instant,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            io: Arc::new(ConnIo {
+                stream,
+                outbox: Mutex::new(Outbox::new()),
+            }),
+            buf: Vec::new(),
+            interest: None,
+            last_read: Instant::now(),
+        }
+    }
+
+    /// Answer the buffered bytes with a synchronous error (400, 413) and
+    /// close once it flushes.
+    fn refuse(&mut self, resp: http::Response) {
+        metrics::REQUESTS.incr();
+        metrics::record_response(resp.status);
+        let bytes = http::encode_response(&resp, true);
+        self.buf.clear();
+        let mut ob = self.io.lock();
+        ob.stop_parsing = true;
+        ob.close_after_flush = true;
+        ob.slots.push_back(Some(bytes));
     }
 }
 
@@ -361,12 +449,15 @@ impl Server {
             .resolve_self(&listener.local_addr()?.to_string());
         let state = Arc::new(state);
         state.failover.attach(&state);
+        let shutdown = ShutdownHandle {
+            flag: Arc::new(AtomicBool::new(false)),
+            work: Arc::new(WorkQueue::new(state.config.queue_depth.max(1))),
+            completions: Arc::new(Completions::new()?),
+        };
         Ok(Server {
             listener,
             state,
-            shutdown: ShutdownHandle {
-                flag: Arc::new(AtomicBool::new(false)),
-            },
+            shutdown,
         })
     }
 
@@ -389,8 +480,6 @@ impl Server {
     /// then drains and joins the workers.
     pub fn run(self) -> io::Result<()> {
         let threads = self.state.config.threads.max(1);
-        let work = Arc::new(WorkQueue::new(self.state.config.queue_depth.max(1)));
-        let completions = Arc::new(Completions::new()?);
 
         // Take the role the ring gives this node: a node listed behind
         // a head demotes and streams that head's WAL. The detector
@@ -400,35 +489,22 @@ impl Server {
 
         let workers: Vec<_> = (0..threads)
             .map(|i| {
-                let work = Arc::clone(&work);
-                let completions = Arc::clone(&completions);
                 let state = Arc::clone(&self.state);
                 let shutdown = self.shutdown.clone();
                 thread::Builder::new()
                     .name(format!("arbitrex-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = work.pop(&shutdown) {
-                            let response = routes::dispatch(&state, &job.request);
-                            let close = job.close
-                                || shutdown.is_set()
-                                || response.force_close
-                                || response.chunk_abort;
-                            completions.push(Completion {
-                                token: job.token,
-                                generation: job.generation,
-                                slot: job.slot,
-                                bytes: http::encode_response(&response, close),
-                                close,
-                            });
-                        }
-                    })
+                    .spawn(move || run_worker(&state, &shutdown))
                     .expect("spawn worker")
             })
             .collect();
 
         let poller = Poller::new()?;
         poller.add(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        poller.add(completions.waker.fd(), WAKER_TOKEN, Interest::READ)?;
+        poller.add(
+            self.shutdown.completions.waker.fd(),
+            WAKER_TOKEN,
+            Interest::READ,
+        )?;
 
         let state = Arc::clone(&self.state);
         let mut event_loop = EventLoop {
@@ -436,15 +512,13 @@ impl Server {
             state: self.state,
             shutdown: self.shutdown.clone(),
             poller,
-            work,
-            completions,
             conns: Vec::new(),
             free: Vec::new(),
-            next_generation: 0,
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
         };
         let result = event_loop.run();
-        // The loop exits only with shutdown set (requested or fatal), so
-        // the workers drain the queue and stop.
+        // The loop exits only with shutdown set (requested or fatal) and
+        // the workers woken, so they drain the queue and stop.
         for worker in workers {
             let _ = worker.join();
         }
@@ -461,24 +535,40 @@ impl Server {
     }
 }
 
+/// A CPU worker: run jobs until shutdown drains the queue, flushing each
+/// response itself and handing the connection back only when the I/O
+/// thread must act on it.
+fn run_worker(state: &ServiceState, shutdown: &ShutdownHandle) {
+    while let Some(job) = shutdown.work.pop(shutdown) {
+        let response = routes::dispatch(state, &job.request);
+        let close = job.close || shutdown.is_set() || response.force_close || response.chunk_abort;
+        let bytes = http::encode_response(&response, close);
+        if job.conn.complete(job.slot, bytes, close) {
+            shutdown.completions.push(Completion {
+                token: job.token,
+                conn: job.conn,
+            });
+        }
+    }
+}
+
 /// The I/O thread's entire mutable world.
 struct EventLoop {
     listener: TcpListener,
     state: Arc<ServiceState>,
     shutdown: ShutdownHandle,
     poller: Poller,
-    work: Arc<WorkQueue>,
-    completions: Arc<Completions>,
     /// Token-indexed connection slab.
     conns: Vec<Option<Conn>>,
     /// Recycled tokens.
     free: Vec<usize>,
-    next_generation: u64,
+    /// Socket read buffer, reused across events.
+    read_buf: Box<[u8]>,
 }
 
 impl EventLoop {
     fn run(&mut self) -> io::Result<()> {
-        let mut events: Vec<Event> = Vec::with_capacity(1024);
+        let mut events: Vec<Event> = Vec::new();
         let mut scratch: Vec<Completion> = Vec::new();
         let mut accepting = true;
         let mut fatal: Option<io::Error> = None;
@@ -488,6 +578,9 @@ impl EventLoop {
             if self.shutdown.is_set() {
                 if accepting {
                     accepting = false;
+                    // A signal sets only the global flag: wake the idle
+                    // workers so they see it.
+                    self.shutdown.shutdown();
                     let _ = self.poller.remove(self.listener.as_raw_fd());
                     self.begin_drain();
                 }
@@ -499,7 +592,7 @@ impl EventLoop {
             events.clear();
             if let Err(e) = self
                 .poller
-                .wait(&mut events, POLL_INTERVAL.as_millis() as i32)
+                .wait(&mut events, REAP_INTERVAL.as_millis() as i32)
             {
                 // The poll set itself is broken: no drain is possible.
                 fatal = Some(e);
@@ -520,7 +613,7 @@ impl EventLoop {
                     }
                     WAKER_TOKEN => {
                         metrics::EL_WAKEUPS.incr();
-                        self.completions.waker.drain();
+                        self.shutdown.completions.waker.drain();
                     }
                     token => {
                         metrics::EL_READY_EVENTS.incr();
@@ -561,11 +654,10 @@ impl EventLoop {
                             self.conns.len() - 1
                         }
                     };
-                    self.next_generation += 1;
-                    let mut conn = Conn::new(stream, self.next_generation);
+                    let mut conn = Conn::new(stream);
                     if self
                         .poller
-                        .add(conn.stream.as_raw_fd(), token, Interest::READ)
+                        .add(conn.io.stream.as_raw_fd(), token, Interest::READ)
                         .is_ok()
                     {
                         conn.interest = Some(Interest::READ);
@@ -583,55 +675,67 @@ impl EventLoop {
         }
     }
 
+    /// The shared half of the connection at `token`, if one is open.
+    fn conn_io(&self, token: usize) -> Option<Arc<ConnIo>> {
+        self.conns
+            .get(token)
+            .and_then(Option::as_ref)
+            .map(|conn| Arc::clone(&conn.io))
+    }
+
     fn conn_event(&mut self, token: usize, ev: Event) {
-        if self.conns.get(token).is_none_or(|c| c.is_none()) {
+        let Some(io) = self.conn_io(token) else {
             return;
-        }
+        };
         if ev.readable {
-            self.read_and_parse(token);
+            self.read_and_parse(token, &io);
         }
         if ev.hangup {
-            if let Some(conn) = self.conns[token].as_mut() {
-                // Reads above drained any final bytes; whatever is left
-                // on a hung-up socket is gone. A held connection stopped
-                // reading early: it reads on, up to the EOF, once the
-                // held request dispatches.
-                if !conn.held {
-                    conn.peer_closed = true;
-                }
+            let mut ob = io.lock();
+            // Reads above drained any final bytes; whatever is left on a
+            // hung-up socket is gone. A held connection stopped reading
+            // early: it reads on, up to the EOF, once the held request
+            // dispatches.
+            if !ob.held {
+                ob.peer_closed = true;
             }
         }
         self.finalize(token);
     }
 
-    /// Read until the socket would block (or the connection pauses at
-    /// the pipeline cap), parsing requests as bytes land.
-    fn read_and_parse(&mut self, token: usize) {
-        let mut scratch = [0u8; READ_CHUNK];
+    /// Read until the socket would block, a read comes back short (the
+    /// poller is level-triggered, so bytes that land later fire again),
+    /// or the connection pauses at the pipeline cap; parse requests as
+    /// bytes land.
+    fn read_and_parse(&mut self, token: usize, io: &ConnIo) {
         loop {
+            if !io.lock().wants_read() {
+                break;
+            }
             let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
                 return;
             };
-            if conn.dead || conn.peer_closed || conn.stop_parsing || conn.paused() || conn.held {
-                break;
-            }
-            match conn.stream.read(&mut scratch) {
+            let full = match (&io.stream).read(&mut self.read_buf) {
                 Ok(0) => {
-                    conn.peer_closed = true;
+                    io.lock().peer_closed = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.buf.extend_from_slice(&scratch[..n]);
-                    conn.last_activity = Instant::now();
+                    conn.buf.extend_from_slice(&self.read_buf[..n]);
+                    conn.last_read = Instant::now();
+                    n == self.read_buf.len()
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    conn.dead = true;
+                    io.lock().dead = true;
                     break;
                 }
-            }
+            };
             self.parse_buffered(token);
+            if !full {
+                return;
+            }
         }
         self.parse_buffered(token);
     }
@@ -642,85 +746,72 @@ impl EventLoop {
     fn parse_buffered(&mut self, token: usize) {
         let max_body = self.state.config.max_body_bytes;
         loop {
-            let parsed = {
-                let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
-                    return;
-                };
-                if conn.dead || conn.stop_parsing || conn.paused() || conn.buf.is_empty() {
+            let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
+                return;
+            };
+            if conn.buf.is_empty() {
+                return;
+            }
+            {
+                let ob = conn.io.lock();
+                if ob.dead || ob.stop_parsing || ob.paused() {
                     return;
                 }
-                http::parse_request_buffer(&conn.buf, max_body)
-            };
-            match parsed {
+            }
+            match http::parse_request_buffer(&conn.buf, max_body) {
                 BufferParse::Incomplete => return,
                 BufferParse::Malformed(message) => {
-                    metrics::REQUESTS.incr();
-                    let resp = routes::error_response(400, message);
-                    metrics::record_response(resp.status);
-                    let bytes = http::encode_response(&resp, true);
-                    let conn = self.conns[token].as_mut().unwrap();
-                    conn.buf.clear();
-                    conn.stop_parsing = true;
-                    conn.close_after_flush = true;
-                    conn.push_ready_slot(bytes);
+                    conn.refuse(routes::error_response(400, message));
                     return;
                 }
                 BufferParse::TooLarge { declared, cap } => {
-                    metrics::REQUESTS.incr();
-                    let resp = routes::error_response(
+                    // The unread body makes the connection unusable: close.
+                    conn.refuse(routes::error_response(
                         413,
                         format!("body of {declared} bytes exceeds the {cap}-byte cap"),
-                    );
-                    metrics::record_response(resp.status);
-                    // The unread body makes the connection unusable: close.
-                    let bytes = http::encode_response(&resp, true);
-                    let conn = self.conns[token].as_mut().unwrap();
-                    conn.buf.clear();
-                    conn.stop_parsing = true;
-                    conn.close_after_flush = true;
-                    conn.push_ready_slot(bytes);
+                    ));
                     return;
                 }
                 BufferParse::Complete { request, consumed } => {
                     let close = request.wants_close();
                     let access = routes::access(&request);
-                    let (generation, slot) = {
-                        let conn = self.conns[token].as_mut().unwrap();
+                    let slot = {
+                        let mut ob = conn.io.lock();
                         // Left in the buffer, the request parses again
-                        // once the completion it waits for arrives.
-                        conn.held = access.as_ref().is_some_and(|a| conn.must_wait(a));
-                        if conn.held {
+                        // once the request it waits for completes.
+                        ob.held = access.as_ref().is_some_and(|a| ob.must_wait(a));
+                        if ob.held {
                             return;
                         }
-                        conn.buf.drain(..consumed);
-                        if !conn.slots.is_empty() {
+                        if !ob.slots.is_empty() {
                             metrics::EL_PIPELINED.incr();
                         }
-                        let slot = conn.next_slot;
-                        conn.next_slot += 1;
-                        conn.slots.push_back(None);
-                        if conn.paused() {
+                        let slot = ob.next_slot();
+                        ob.slots.push_back(None);
+                        if ob.paused() {
                             metrics::EL_READ_PAUSES.incr();
                         }
                         if close {
-                            conn.stop_parsing = true;
-                            conn.close_after_flush = true;
+                            ob.stop_parsing = true;
+                            ob.close_after_flush = true;
                         }
-                        (conn.generation, slot)
+                        // Registered before the job is queued: a worker
+                        // may finish it before `try_push` returns.
+                        if let Some(access) = access {
+                            ob.touching.push((slot, access));
+                        }
+                        slot
                     };
+                    conn.buf.drain(..consumed);
                     let job = Job {
                         token,
-                        generation,
+                        conn: Arc::clone(&conn.io),
                         slot,
                         request,
                         close,
                     };
-                    if self.work.try_push(job) {
+                    if self.shutdown.work.try_push(job) {
                         metrics::QUEUED.incr();
-                        if let Some(access) = access {
-                            let conn = self.conns[token].as_mut().unwrap();
-                            conn.touching.push((slot, access));
-                        }
                     } else {
                         metrics::REQUESTS.incr();
                         metrics::REJECTED.incr();
@@ -729,9 +820,10 @@ impl EventLoop {
                                 .with_header("Retry-After", "1");
                         metrics::record_response(resp.status);
                         let bytes = http::encode_response(&resp, close);
-                        let conn = self.conns[token].as_mut().unwrap();
-                        let idx = (slot - conn.base_slot) as usize;
-                        conn.slots[idx] = Some(bytes);
+                        let mut ob = conn.io.lock();
+                        let idx = (slot - ob.base_slot) as usize;
+                        ob.slots[idx] = Some(bytes);
+                        ob.touching.retain(|(s, _)| *s != slot);
                     }
                     if close {
                         return;
@@ -745,99 +837,73 @@ impl EventLoop {
     /// lifted, sync poller interest with the connection's needs, and
     /// close if done.
     fn finalize(&mut self, token: usize) {
-        let was_blocked = {
-            let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
-                return;
-            };
-            let was_blocked = conn.paused() || conn.held;
-            conn.promote_ready_slots();
-            conn.write_out();
-            if conn.should_close() {
-                self.close_conn(token);
-                return;
-            }
-            was_blocked
-        };
-        // A freed slot or a completed one may unblock buffered pipelined
-        // requests (the kernel fires no new readiness for bytes we
-        // already hold).
-        if was_blocked {
-            self.parse_buffered(token);
-        }
-        let Some(conn) = self.conns.get_mut(token).and_then(|c| c.as_mut()) else {
+        let Some(io) = self.conn_io(token) else {
             return;
         };
-        // Synchronous responses out of the resumed parse flush now too.
-        conn.promote_ready_slots();
-        conn.write_out();
-        if conn.should_close() {
+        let mut ob = io.lock();
+        if (ob.paused() || ob.held) && !ob.dead {
+            // A freed slot or a finished conflicting request may unblock
+            // buffered pipelined requests (the kernel fires no new
+            // readiness for bytes we already hold).
+            ob.flush(&io.stream);
+            drop(ob);
+            self.parse_buffered(token);
+            ob = io.lock();
+        }
+        ob.flush(&io.stream);
+        let close = ob.should_close();
+        let desired = ob.desired_interest();
+        drop(ob);
+        if close {
             self.close_conn(token);
             return;
         }
-        let desired = conn.desired_interest();
-        if conn.interest != (desired.readable || desired.writable).then_some(desired) {
-            let fd = conn.stream.as_raw_fd();
-            let result = if desired.readable || desired.writable {
-                if conn.interest.is_some() {
-                    self.poller.modify(fd, token, desired)
-                } else {
-                    self.poller.add(fd, token, desired)
-                }
-            } else {
-                // Nothing to wait for (e.g. all slots computing and
-                // output drained): leave the poll set entirely so a
-                // hung-up fd cannot spin the loop.
-                conn.interest = None;
-                self.poller.remove(fd)
-            };
-            match result {
-                Ok(()) => {
-                    if desired.readable || desired.writable {
-                        conn.interest = Some(desired);
-                    }
-                }
-                Err(_) => {
-                    self.close_conn(token);
-                }
-            }
+        let Some(conn) = self.conns[token].as_mut() else {
+            return;
+        };
+        let wanted = (desired.readable || desired.writable).then_some(desired);
+        if conn.interest == wanted {
+            return;
+        }
+        let fd = io.stream.as_raw_fd();
+        let result = match (conn.interest, wanted) {
+            (Some(_), Some(interest)) => self.poller.modify(fd, token, interest),
+            (None, Some(interest)) => self.poller.add(fd, token, interest),
+            // Nothing to wait for (e.g. all slots computing and output
+            // drained): leave the poll set entirely so a hung-up fd
+            // cannot spin the loop.
+            (_, None) => self.poller.remove(fd),
+        };
+        match result {
+            Ok(()) => conn.interest = wanted,
+            Err(_) => self.close_conn(token),
         }
     }
 
-    /// Deliver finished responses to their connections and flush.
+    /// Act on the connections workers handed back.
     fn drain_completions(&mut self, scratch: &mut Vec<Completion>) {
-        self.completions.take(scratch);
+        self.shutdown.completions.take(scratch);
         if scratch.is_empty() {
             return;
         }
-        let mut touched: Vec<usize> = Vec::with_capacity(scratch.len());
-        for completion in scratch.drain(..) {
-            let Some(conn) = self
-                .conns
-                .get_mut(completion.token)
-                .and_then(|c| c.as_mut())
-            else {
-                continue;
-            };
-            if conn.generation != completion.generation {
-                continue; // token was recycled; the response has no home
-            }
-            let idx = (completion.slot - conn.base_slot) as usize;
-            if let Some(slot) = conn.slots.get_mut(idx) {
-                *slot = Some(completion.bytes);
-            }
-            conn.touching.retain(|(slot, _)| *slot != completion.slot);
-            if completion.close {
-                // A held request is dropped with the rest of the buffer.
-                conn.stop_parsing = true;
-                conn.close_after_flush = true;
-                conn.held = false;
-            }
-            conn.last_activity = Instant::now();
-            touched.push(completion.token);
-        }
+        let mut touched: Vec<usize> = scratch
+            .drain(..)
+            .filter(|c| {
+                // A closed token, or one reused by a newer connection,
+                // has nothing left to do for this hand-back.
+                self.conns
+                    .get(c.token)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|conn| Arc::ptr_eq(&conn.io, &c.conn))
+            })
+            .map(|c| c.token)
+            .collect();
         touched.sort_unstable();
         touched.dedup();
         for token in touched {
+            // The worker may have lifted a pause or a hold: buffered
+            // requests get no new readiness from the kernel.
+            self.parse_buffered(token);
             self.finalize(token);
         }
     }
@@ -847,9 +913,10 @@ impl EventLoop {
     fn begin_drain(&mut self) {
         for token in 0..self.conns.len() {
             if let Some(conn) = self.conns[token].as_mut() {
-                conn.stop_parsing = true;
                 conn.buf.clear();
-                conn.held = false;
+                let mut ob = conn.io.lock();
+                ob.stop_parsing = true;
+                ob.held = false;
             } else {
                 continue;
             }
@@ -865,12 +932,12 @@ impl EventLoop {
         }
         let timeout = Duration::from_millis(timeout_ms);
         for token in 0..self.conns.len() {
-            let stale = match self.conns[token].as_ref() {
-                Some(conn) => {
-                    conn.flushed() && conn.buf.is_empty() && conn.last_activity.elapsed() >= timeout
+            let stale = self.conns[token].as_ref().is_some_and(|conn| {
+                conn.buf.is_empty() && conn.last_read.elapsed() >= timeout && {
+                    let ob = conn.io.lock();
+                    ob.flushed() && ob.last_write.elapsed() >= timeout
                 }
-                None => false,
-            };
+            });
             if stale {
                 metrics::EL_KEEPALIVE_REAPED.incr();
                 self.close_conn(token);
@@ -881,10 +948,14 @@ impl EventLoop {
     fn close_conn(&mut self, token: usize) {
         if let Some(conn) = self.conns.get_mut(token).and_then(|c| c.take()) {
             if conn.interest.is_some() {
-                let _ = self.poller.remove(conn.stream.as_raw_fd());
+                let _ = self.poller.remove(conn.io.stream.as_raw_fd());
             }
+            // A job still computing holds the stream: it must write
+            // nothing more, and the peer must see the close now, not
+            // when that job drops the last reference.
+            conn.io.lock().dead = true;
+            let _ = conn.io.stream.shutdown(Shutdown::Both);
             self.free.push(token);
-            // conn drops here, closing the socket.
         }
     }
 }

@@ -265,7 +265,152 @@ fn paused_pipeline_resumes_across_completions_without_dropping() {
     server.stop().unwrap();
 }
 
+#[test]
+fn slow_reader_gets_every_byte_in_order() {
+    let server = server_with(|c| c.threads = 2);
+    let mut client = connect(&server);
+
+    // 110 pipelined arbitrations of a 12-variable tautology: each answer
+    // lists all 4,096 models (~280 KB), ~30 MB together — far past what
+    // the loopback socket buffers hold. Nothing is read until every
+    // request is sent and the workers have had time to fill the socket,
+    // so their writes hit `WouldBlock` and the rest of the output must
+    // go out through the I/O thread's writable interest.
+    const REQUESTS: usize = 110;
+    let tautology = |i: usize| {
+        (0..12)
+            .map(|j| format!("(P{i}V{j} | !P{i}V{j})"))
+            .collect::<Vec<_>>()
+            .join(" & ")
+    };
+    let mut batch = String::new();
+    for i in 0..REQUESTS {
+        let t = tautology(i);
+        batch.push_str(&raw_request(
+            "POST",
+            "/v1/arbitrate",
+            &format!(r#"{{"psi": "{t}", "phi": "{t}"}}"#),
+            false,
+        ));
+    }
+    client.send_raw(batch.as_bytes());
+    std::thread::sleep(Duration::from_millis(1500));
+
+    for i in 0..REQUESTS {
+        let (status, _head, body) = read_response(&mut client);
+        let head = &body[..body.len().min(300)];
+        assert_eq!(status, 200, "request {i}: {head}");
+        assert!(body.contains("\"n_models\":4096"), "request {i}: {head}");
+        assert!(
+            body.contains(&format!("[\"P{i}V0\"]")),
+            "response {i} out of order: {head}"
+        );
+    }
+
+    server.stop().unwrap();
+}
+
 // --- connection lifecycle ----------------------------------------------------
+
+#[test]
+fn a_response_never_reaches_the_wrong_connection() {
+    // One worker, so a request that outlives its connection pins it and
+    // the next connection's request queues behind it.
+    let server = server_with(|c| c.threads = 1);
+
+    // Client A leaves a response unread, then parks a held request and
+    // closes: the unread bytes make its close a reset, so the server
+    // drops the connection (and frees its token) while the held request
+    // is still computing.
+    let mut a = connect(&server);
+    a.send_raw(raw_request("GET", "/metrics", "", false).as_bytes());
+    std::thread::sleep(Duration::from_millis(100));
+    a.send_raw(
+        raw_request(
+            "POST",
+            "/v1/arbitrate",
+            r#"{"psi": "Aone", "phi": "Aone", "hold_ms": 600}"#,
+            false,
+        )
+        .as_bytes(),
+    );
+    std::thread::sleep(Duration::from_millis(150));
+    drop(a);
+    std::thread::sleep(Duration::from_millis(50));
+
+    // Client B connects while A's request computes — it may be given
+    // A's token — and must get exactly one response: its own.
+    let mut b = connect(&server);
+    b.send_raw(
+        raw_request(
+            "POST",
+            "/v1/arbitrate",
+            r#"{"psi": "Bone", "phi": "Bone"}"#,
+            false,
+        )
+        .as_bytes(),
+    );
+    let (status, _head, body) = read_response(&mut b);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#"["Bone"]"#), "{body}");
+    assert!(!body.contains("Aone"), "{body}");
+    b.stream
+        .set_read_timeout(Some(Duration::from_millis(700)))
+        .unwrap();
+    match b.read_response() {
+        Ok(extra) => panic!("a second response reached B: {extra:?}"),
+        Err(e) => assert!(
+            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{e}"
+        ),
+    }
+
+    // The one worker survived A's orphaned response and still serves.
+    b.stream
+        .set_read_timeout(Some(common::READ_TIMEOUT))
+        .unwrap();
+    b.send_raw(
+        raw_request(
+            "POST",
+            "/v1/arbitrate",
+            r#"{"psi": "Btwo", "phi": "Btwo"}"#,
+            false,
+        )
+        .as_bytes(),
+    );
+    let (status, _head, body) = read_response(&mut b);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#"["Btwo"]"#), "{body}");
+
+    server.stop().unwrap();
+}
+
+#[test]
+fn shutdown_needs_no_timer() {
+    // Stop wakes the loop and every idle worker itself: it waits for no
+    // reap tick and no worker wait timeout.
+    let limit = Duration::from_millis(200);
+
+    let idle = server_with(|_| {});
+    let started = Instant::now();
+    idle.stop().unwrap();
+    let took = started.elapsed();
+    assert!(took < limit, "idle server took {took:?} to stop");
+
+    let kept = server_with(|_| {});
+    let mut client = connect(&kept);
+    client.send_raw(raw_request("GET", "/metrics", "", false).as_bytes());
+    let (status, _head, _body) = read_response(&mut client);
+    assert_eq!(status, 200);
+    let started = Instant::now();
+    kept.stop().unwrap();
+    let took = started.elapsed();
+    assert!(
+        took < limit,
+        "server with an idle keep-alive connection took {took:?} to stop"
+    );
+    assert!(reaches_eof(&mut client, Duration::from_secs(5)));
+}
 
 #[test]
 fn connection_close_is_honored_after_the_response() {
